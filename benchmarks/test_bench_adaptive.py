@@ -71,13 +71,11 @@ def test_auto_mode_tracks_best_measured_mode(polygons):
         return best_run, best_seconds
 
     serial_run, serial_seconds = best_of("serial")
-    batch_run, batch_seconds = best_of("batch")
     parallel_run, parallel_seconds = best_of("parallel", workers=WORKERS)
     auto_run, auto_seconds = best_of("auto", workers=WORKERS)
 
     measured = {
         "serial": serial_seconds,
-        "batch": batch_seconds,
         "parallel": parallel_seconds,
     }
     decision = auto_run.meta["cost_model"]
@@ -85,8 +83,7 @@ def test_auto_mode_tracks_best_measured_mode(polygons):
     assert auto_run.mode == decision["decision"]
 
     # Auto must be indistinguishable from the mode it picked.
-    assert _rows(auto_run) == _rows(serial_run) == _rows(batch_run)
-    assert _rows(auto_run) == _rows(parallel_run)
+    assert _rows(auto_run) == _rows(serial_run) == _rows(parallel_run)
 
     cpu = os.cpu_count() or 1
     if cpu == 1:

@@ -162,10 +162,6 @@ class TopologyJoin:
     # ------------------------------------------------------------------
     # joins
     # ------------------------------------------------------------------
-    @property
-    def _parallel(self) -> bool:
-        return self.workers is None or self.workers > 1
-
     def _execute(
         self,
         method: str,

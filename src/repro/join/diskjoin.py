@@ -26,11 +26,10 @@ from repro.geometry.polygon import Polygon
 from repro.geometry.wkt import dumps_wkt, loads_wkt_geometry
 from repro.join.mbr_join import plane_sweep_mbr_join
 from repro.join.objects import SpatialObject
-from repro.join.pipeline import PIPELINES, Stage
+from repro.join.pipeline import PIPELINES, verify_find_relation
 from repro.join.run import JoinResult, JoinRun
 from repro.join.stats import JoinRunStats
 from repro.obs.metrics import get_registry, metrics_enabled
-from repro.obs.progress import progress_reporter
 from repro.obs.trace import trace
 from repro.raster.april import build_april
 from repro.raster.grid import RasterGrid, pad_dataspace
@@ -167,6 +166,10 @@ class DiskPartitionedJoin:
         results: list[JoinResult] = []
         pipeline = PIPELINES[self.method]
         tiles_joined = 0
+        loaded_r: set[int] = set()
+        loaded_s: set[int] = set()
+        touched_r: set[int] = set()
+        touched_s: set[int] = set()
 
         registry = get_registry() if metrics_enabled() else None
         for tx in range(self.tiles_per_dim):
@@ -183,8 +186,6 @@ class DiskPartitionedJoin:
                         [o.box for o in r_objects], [o.box for o in s_objects]
                     )
                     # Reference-point deduplication.
-                    tile_xmin = extent.xmin + tx * tw
-                    tile_ymin = extent.ymin + ty * th
                     owned = []
                     for i, j in pairs:
                         ref_x = max(r_objects[i].box.xmin, s_objects[j].box.xmin)
@@ -207,41 +208,29 @@ class DiskPartitionedJoin:
                             "repro_tile_pairs", len(owned), method=self.method
                         )
 
-                    tile_stats = JoinRunStats(method=self.method)
-                    reporter = progress_reporter(
-                        f"{self.method} tile={tx},{ty}", len(owned)
+                    verified = verify_find_relation(
+                        pipeline,
+                        r_objects,
+                        s_objects,
+                        owned,
+                        label=f"{self.method} tile={tx},{ty}",
                     )
-                    clock = time.perf_counter
-                    for k, (i, j) in enumerate(owned):
-                        if reporter is not None and (k & 255) == 0:
-                            reporter.tick(k, detail=f"{tile_stats.refined} refined")
-                        t0 = clock()
-                        outcome = pipeline.find_relation(r_objects[i], s_objects[j])
-                        elapsed = clock() - t0
-                        if outcome.stage is Stage.REFINEMENT:
-                            tile_stats.refine_seconds += elapsed
-                            if registry is not None:
-                                registry.observe(
-                                    "repro_refine_latency_seconds",
-                                    elapsed,
-                                    method=self.method,
-                                )
-                        else:
-                            tile_stats.filter_seconds += elapsed
-                        tile_stats.record(outcome.relation, outcome.stage.value)
-                        if outcome.relation is TopologicalRelation.DISJOINT and not include_disjoint:
-                            continue
-                        results.append(
-                            JoinResult(
-                                r_objects[i].oid,
-                                s_objects[j].oid,
-                                outcome.relation,
-                                outcome.stage is not Stage.REFINEMENT,
-                            )
-                        )
-                    if reporter is not None:
-                        reporter.finish(detail=f"{tile_stats.refined} refined")
-                    total_stats = total_stats.merge(tile_stats)
+                    results.extend(
+                        JoinResult(r_objects[i].oid, s_objects[j].oid, relation, filtered)
+                        for i, j, relation, filtered in verified.rows
+                        if include_disjoint or relation is not TopologicalRelation.DISJOINT
+                    )
+                    total_stats = total_stats.merge(verified.stats)
+                    loaded_r.update(o.oid for o in r_objects)
+                    loaded_s.update(o.oid for o in s_objects)
+                    touched_r.update(r_objects[i].oid for i in verified.touched_r)
+                    touched_s.update(s_objects[j].oid for j in verified.touched_s)
+        # Objects spanning several tiles are replicated, so the per-tile
+        # access counters merge() summed overcount; count dataset ids.
+        total_stats.r_objects_total = len(loaded_r)
+        total_stats.s_objects_total = len(loaded_s)
+        total_stats.r_objects_accessed = len(touched_r)
+        total_stats.s_objects_accessed = len(touched_s)
         results.sort(key=lambda link: (link.r_index, link.s_index))
         return results, total_stats, max(tiles_joined, 1)
 

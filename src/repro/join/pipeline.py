@@ -27,8 +27,9 @@ from __future__ import annotations
 import enum
 import time
 from abc import ABC, abstractmethod
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from repro.filters.intermediate import (
     IFResult,
@@ -51,6 +52,18 @@ from repro.topology.de9im import (
     relation_holds,
 )
 from repro.topology.relate import relate
+
+
+@contextmanager
+def _phase(name: str) -> Iterator[None]:
+    """Attribute the enclosed work to a profiler phase: per-pair work
+    runs *between* spans, so the sampler needs an explicit marker."""
+    if profiling_enabled():
+        set_phase(name)
+    try:
+        yield
+    finally:
+        clear_phase()
 
 
 class Stage(enum.Enum):
@@ -114,16 +127,7 @@ class Pipeline(ABC):
         if verdict.definite is not None:
             return FindRelationOutcome(verdict.definite, stage)
         assert verdict.refine_candidates is not None
-        # Phase marker for callers that drive pairs through this entry
-        # point directly (disk-join tiles): without it their refinement
-        # samples fold into the surrounding structural span.
-        if profiling_enabled():
-            set_phase("refine")
-            try:
-                relation = self.refine_pair(r, s, verdict.refine_candidates)
-            finally:
-                clear_phase()
-        else:
+        with _phase("refine"):
             relation = self.refine_pair(r, s, verdict.refine_candidates)
         return FindRelationOutcome(relation, Stage.REFINEMENT)
 
@@ -283,12 +287,149 @@ PIPELINES: dict[str, Pipeline] = {
 }
 
 
-def _latency_line(hist: Histogram) -> str:
-    """The one-line p50/p95 refine-latency summary ``--progress`` emits."""
-    return (
-        f"refine latency p50={hist.quantile(0.50) * 1e3:.3f}ms "
-        f"p95={hist.quantile(0.95) * 1e3:.3f}ms over {hist.count} refined"
+#: One verified find-relation pair: ``(r_index, s_index, relation,
+#: filtered)`` where ``filtered`` is True when no DE-9IM refinement ran.
+PairOutcome = tuple[int, int, T, bool]
+
+
+class Verified(NamedTuple):
+    """What verifying one partition of a candidate stream produced."""
+
+    #: :data:`PairOutcome` rows (find-relation) or matching ``(i, j)``
+    #: pairs (relate_p), in the order the partition listed its pairs.
+    rows: list
+    stats: JoinRunStats
+    #: Indices of the objects whose exact geometry refinement read.
+    touched_r: set[int]
+    touched_s: set[int]
+
+
+class _Instruments:
+    """What the two verification loops share besides the pairs: the
+    stage timers in ``stats``, progress ticks, the refine-latency
+    histogram, profiler phase markers and the metrics registry."""
+
+    def __init__(
+        self,
+        method: str,
+        label: str,
+        r_objects: Sequence[SpatialObject],
+        s_objects: Sequence[SpatialObject],
+        total: int,
+    ) -> None:
+        self.stats = JoinRunStats(method=method)
+        self.stats.r_objects_total = len(r_objects)
+        self.stats.s_objects_total = len(s_objects)
+        self.total = total
+        self.registry = get_registry() if metrics_enabled() else None
+        self.reporter = progress_reporter(label or method, total)
+        self.latencies = Histogram() if self.reporter is not None else None
+        # Local bool: the profiler-off path costs one check per refined pair.
+        self.profiling = profiling_enabled()
+        self.touched_r: set[int] = set()
+        self.touched_s: set[int] = set()
+
+    @contextmanager
+    def filtering(self) -> Iterator[None]:
+        """Time the enclosed filter stage as the ``filter`` span."""
+        t0 = time.perf_counter()
+        with _phase("filter"), trace("filter", pairs=self.total):
+            yield
+        self.stats.filter_seconds += time.perf_counter() - t0
+
+    def tick(self, k: int) -> None:
+        if self.reporter is not None and (k & 255) == 0:
+            self.reporter.tick(k, detail=f"{self.stats.refined} refined")
+
+    def refine(self, i: int, j: int, compute, *args):
+        """Pair ``(i, j)``'s refinement ``compute(*args)``, timed into
+        ``refine_seconds`` under the ``refine`` profiler phase (a plain
+        call, not a context manager: this runs once per refined pair)."""
+        self.touched_r.add(i)
+        self.touched_s.add(j)
+        if self.profiling:
+            set_phase("refine")
+        t0 = time.perf_counter()
+        result = compute(*args)
+        elapsed = time.perf_counter() - t0
+        if self.profiling:
+            clear_phase()
+        self.stats.refine_seconds += elapsed
+        if self.reporter is not None:
+            self.latencies.observe(elapsed)
+        if self.registry is not None:
+            self.registry.observe(
+                "repro_refine_latency_seconds", elapsed, method=self.stats.method
+            )
+        return result
+
+    def finish(self, rows: list) -> Verified:
+        stats = self.stats
+        stats.r_objects_accessed = len(self.touched_r)
+        stats.s_objects_accessed = len(self.touched_s)
+        # Aggregate of the per-pair refinements, attached with its
+        # measured duration so span totals reconcile with
+        # ``refine_seconds`` instead of re-timing the loop.
+        add_span("refine", stats.refine_seconds, pairs=stats.refined)
+        if self.reporter is not None:
+            self.reporter.finish(detail=f"{stats.refined} refined")
+            if self.latencies.count:
+                self.reporter.summary(
+                    f"refine latency p50={self.latencies.quantile(0.50) * 1e3:.3f}ms "
+                    f"p95={self.latencies.quantile(0.95) * 1e3:.3f}ms "
+                    f"over {self.latencies.count} refined"
+                )
+        return Verified(rows, stats, self.touched_r, self.touched_s)
+
+
+def verify_find_relation(
+    pipeline: Pipeline,
+    r_objects: Sequence[SpatialObject],
+    s_objects: Sequence[SpatialObject],
+    pairs: Sequence[tuple[int, int]],
+    label: str = "",
+) -> Verified:
+    """Algorithm 1 over one partition: batched filter, then refinement.
+
+    The one find-relation verification loop: the in-process run calls
+    it on the whole stream, forked workers (and their in-parent
+    fallback) on their partition, the disk join on each tile's owned
+    pairs. Access counters describe this partition alone; callers that
+    merge partitions deduplicate them.
+    """
+    inst = _Instruments(pipeline.name, label, r_objects, s_objects, len(pairs))
+    stats, registry = inst.stats, inst.registry
+    # MBR cases are re-derived (cheap float compares) only when the
+    # per-case verdict counters are actually wanted.
+    cases = (
+        [classify_mbr_pair(r_objects[i].box, s_objects[j].box).value for i, j in pairs]
+        if registry is not None
+        else None
     )
+    with inst.filtering():
+        verdicts = pipeline.filter_pairs(r_objects, s_objects, pairs)
+    rows: list[PairOutcome] = []
+    for k, ((i, j), (verdict, stage)) in enumerate(zip(pairs, verdicts)):
+        inst.tick(k)
+        relation = verdict.definite
+        if relation is None:
+            assert verdict.refine_candidates is not None
+            relation = inst.refine(
+                i, j, pipeline.refine_pair,
+                r_objects[i], s_objects[j], verdict.refine_candidates,
+            )
+            stage = Stage.REFINEMENT
+        stats.record(relation, stage.value)
+        rows.append((i, j, relation, stage is not Stage.REFINEMENT))
+        if registry is not None:
+            registry.inc(
+                "repro_verdicts_total",
+                method=pipeline.name,
+                case=cases[k],
+                stage=stage.value,
+                relation=relation.value,
+            )
+    return inst.finish(rows)
 
 
 def run_find_relation(
@@ -301,118 +442,98 @@ def run_find_relation(
 
     ``pairs`` holds indices into the two object lists, as produced by an
     MBR intersection join (:mod:`repro.join.mbr_join`), whose own cost
-    is excluded — matching the paper's measurement methodology.
+    is excluded — matching the paper's measurement methodology. The
+    statistics-only, one-partition view of :func:`verify_find_relation`.
     """
     if isinstance(pipeline, str):
         pipeline = PIPELINES[pipeline]
-    stats = JoinRunStats(method=pipeline.name)
-    stats.r_objects_total = len(r_objects)
-    stats.s_objects_total = len(s_objects)
+    pairs = list(pairs)
     reset_access_tracking(r_objects)
     reset_access_tracking(s_objects)
-
-    clock = time.perf_counter
-    pairs = list(pairs)
     with trace("run_find_relation", method=pipeline.name, pairs=len(pairs)):
-        registry = get_registry() if metrics_enabled() else None
-        # MBR cases are re-derived (cheap float compares) only when the
-        # per-case verdict counters are actually wanted.
-        cases = (
-            [
-                classify_mbr_pair(r_objects[i].box, s_objects[j].box).value
-                for i, j in pairs
-            ]
-            if registry is not None
-            else None
-        )
-        reporter = progress_reporter(pipeline.name, len(pairs))
-        latencies = Histogram() if reporter is not None else None
-        # Local bool so the profiler-off path costs one check per
-        # refined pair; the markers attribute the per-pair refinement
-        # (which runs *between* spans) to the ``refine`` phase.
-        profiling = profiling_enabled()
-
-        t0 = clock()
-        with trace("filter", pairs=len(pairs)):
-            verdicts = pipeline.filter_pairs(r_objects, s_objects, pairs)
-        stats.filter_seconds += clock() - t0
-        for k, ((i, j), (verdict, stage)) in enumerate(zip(pairs, verdicts)):
-            if reporter is not None and (k & 255) == 0:
-                reporter.tick(k, detail=f"{stats.refined} refined")
-            if verdict.definite is not None:
-                stats.record(verdict.definite, stage.value)
-                if registry is not None:
-                    registry.inc(
-                        "repro_verdicts_total",
-                        method=pipeline.name,
-                        case=cases[k],
-                        stage=stage.value,
-                        relation=verdict.definite.value,
-                    )
-                continue
-            assert verdict.refine_candidates is not None
-            if profiling:
-                set_phase("refine")
-            t1 = clock()
-            relation = pipeline.refine_pair(
-                r_objects[i], s_objects[j], verdict.refine_candidates
-            )
-            elapsed = clock() - t1
-            if profiling:
-                clear_phase()
-            stats.refine_seconds += elapsed
-            if latencies is not None:
-                latencies.observe(elapsed)
-            stats.record(relation, "refinement")
-            if registry is not None:
-                registry.inc(
-                    "repro_verdicts_total",
-                    method=pipeline.name,
-                    case=cases[k],
-                    stage="refinement",
-                    relation=relation.value,
-                )
-                registry.observe(
-                    "repro_refine_latency_seconds", elapsed, method=pipeline.name
-                )
-        # Aggregate of the per-pair refinement sections above, attached
-        # with its measured duration so span totals reconcile with
-        # ``refine_seconds`` instead of re-timing the loop.
-        add_span("refine", stats.refine_seconds, pairs=stats.refined)
-        if reporter is not None:
-            reporter.finish(detail=f"{stats.refined} refined")
-            if latencies is not None and latencies.count:
-                reporter.summary(_latency_line(latencies))
-
-    stats.r_objects_accessed = sum(1 for o in r_objects if o.geometry_accessed)
-    stats.s_objects_accessed = sum(1 for o in s_objects if o.geometry_accessed)
-    return stats
+        return verify_find_relation(pipeline, r_objects, s_objects, pairs).stats
 
 
 # ----------------------------------------------------------------------
 # relate_p (Sec. 3.3)
 # ----------------------------------------------------------------------
+def _relate_filter_pair(
+    predicate: T, r: SpatialObject, s: SpatialObject
+) -> RelateVerdict:
+    return relate_filter(
+        predicate,
+        r.box,
+        s.box,
+        r.require_april(),
+        s.require_april(),
+        r.polygon.is_connected and s.polygon.is_connected,
+    )
+
+
+def _refine_predicate(predicate: T, r: SpatialObject, s: SpatialObject) -> bool:
+    """relate_p refinement: the pair's DE-9IM matrix against the mask."""
+    matrix = relate(r.access_geometry(), s.access_geometry())
+    return relation_holds(matrix, predicate)
+
+
 def relate_predicate(
     predicate: T, r: SpatialObject, s: SpatialObject
 ) -> tuple[bool, Stage]:
     """Does ``predicate`` hold for the pair? (Fig. 6 filter + fallback.)"""
-    connected = r.polygon.is_connected and s.polygon.is_connected
-    verdict = relate_filter(
-        predicate, r.box, s.box, r.require_april(), s.require_april(), connected
+    verdict = _relate_filter_pair(predicate, r, s)
+    if verdict is not RelateVerdict.UNKNOWN:
+        return verdict is RelateVerdict.YES, Stage.INTERMEDIATE
+    with _phase("refine"):
+        return _refine_predicate(predicate, r, s), Stage.REFINEMENT
+
+
+def verify_relate(
+    predicate: T,
+    r_objects: Sequence[SpatialObject],
+    s_objects: Sequence[SpatialObject],
+    pairs: Sequence[tuple[int, int]],
+    label: str = "",
+) -> Verified:
+    """``relate_p`` over one partition: Fig. 6 filters, then refinement.
+
+    The one relate_p verification loop, shared by the same callers as
+    :func:`verify_find_relation`. ``filter_seconds`` is the time inside
+    the filters, ``refine_seconds`` the time inside DE-9IM (Table 5's
+    split) — for every worker count.
+    """
+    inst = _Instruments(
+        f"relate[{predicate.value}]", label, r_objects, s_objects, len(pairs)
     )
-    if verdict is RelateVerdict.YES:
-        return True, Stage.INTERMEDIATE
-    if verdict is RelateVerdict.NO:
-        return False, Stage.INTERMEDIATE
-    if profiling_enabled():
-        set_phase("refine")
-        try:
-            matrix = relate(r.access_geometry(), s.access_geometry())
-        finally:
-            clear_phase()
-    else:
-        matrix = relate(r.access_geometry(), s.access_geometry())
-    return relation_holds(matrix, predicate), Stage.REFINEMENT
+    stats, registry = inst.stats, inst.registry
+    with inst.filtering():
+        verdicts = [
+            _relate_filter_pair(predicate, r_objects[i], s_objects[j]) for i, j in pairs
+        ]
+    matches: list[tuple[int, int]] = []
+    for k, ((i, j), verdict) in enumerate(zip(pairs, verdicts)):
+        inst.tick(k)
+        stats.pairs += 1
+        if verdict is RelateVerdict.UNKNOWN:
+            holds = inst.refine(
+                i, j, _refine_predicate, predicate, r_objects[i], s_objects[j]
+            )
+            stage = "refinement"
+            stats.refined += 1
+        else:
+            holds = verdict is RelateVerdict.YES
+            stage = "if"
+            stats.resolved_if += 1
+        if holds:
+            stats.relation_counts[predicate] += 1
+            matches.append((i, j))
+        if registry is not None:
+            registry.inc(
+                "repro_relate_verdicts_total",
+                predicate=predicate.value,
+                stage=stage,
+                verdict="yes" if holds else "no",
+            )
+    return inst.finish(matches)
 
 
 def run_relate(
@@ -421,83 +542,13 @@ def run_relate(
     s_objects: Sequence[SpatialObject],
     pairs: Iterable[tuple[int, int]],
 ) -> JoinRunStats:
-    """Run ``relate_p`` over a candidate-pair stream (Table 5's metric)."""
-    stats = JoinRunStats(method=f"relate[{predicate.value}]")
-    stats.r_objects_total = len(r_objects)
-    stats.s_objects_total = len(s_objects)
+    """Run ``relate_p`` over a candidate-pair stream (Table 5's metric):
+    the statistics-only, one-partition view of :func:`verify_relate`."""
+    pairs = list(pairs)
     reset_access_tracking(r_objects)
     reset_access_tracking(s_objects)
-
-    clock = time.perf_counter
-    pairs = list(pairs)
     with trace("run_relate", predicate=predicate.value, pairs=len(pairs)):
-        registry = get_registry() if metrics_enabled() else None
-        reporter = progress_reporter(stats.method, len(pairs))
-        latencies = Histogram() if reporter is not None else None
-        profiling = profiling_enabled()
-        for k, (i, j) in enumerate(pairs):
-            if reporter is not None and (k & 255) == 0:
-                reporter.tick(k, detail=f"{stats.refined} refined")
-            r = r_objects[i]
-            s = s_objects[j]
-            if profiling:
-                set_phase("filter")
-            t0 = clock()
-            verdict = relate_filter(
-                predicate, r.box, s.box, r.require_april(), s.require_april(),
-                r.polygon.is_connected and s.polygon.is_connected,
-            )
-            t1 = clock()
-            stats.filter_seconds += t1 - t0
-            if verdict is not RelateVerdict.UNKNOWN:
-                if profiling:
-                    clear_phase()
-                stats.pairs += 1
-                stats.resolved_if += 1
-                if verdict is RelateVerdict.YES:
-                    stats.relation_counts[predicate] += 1
-                if registry is not None:
-                    registry.inc(
-                        "repro_relate_verdicts_total",
-                        predicate=predicate.value,
-                        stage="if",
-                        verdict=verdict.value,
-                    )
-                continue
-            if profiling:
-                set_phase("refine")
-            matrix = relate(r.access_geometry(), s.access_geometry())
-            holds = relation_holds(matrix, predicate)
-            elapsed = clock() - t1
-            if profiling:
-                clear_phase()
-            stats.refine_seconds += elapsed
-            if latencies is not None:
-                latencies.observe(elapsed)
-            stats.pairs += 1
-            stats.refined += 1
-            if holds:
-                stats.relation_counts[predicate] += 1
-            if registry is not None:
-                registry.inc(
-                    "repro_relate_verdicts_total",
-                    predicate=predicate.value,
-                    stage="refinement",
-                    verdict="yes" if holds else "no",
-                )
-                registry.observe(
-                    "repro_refine_latency_seconds", elapsed, method=stats.method
-                )
-        add_span("filter", stats.filter_seconds, pairs=len(pairs))
-        add_span("refine", stats.refine_seconds, pairs=stats.refined)
-        if reporter is not None:
-            reporter.finish(detail=f"{stats.refined} refined")
-            if latencies is not None and latencies.count:
-                reporter.summary(_latency_line(latencies))
-
-    stats.r_objects_accessed = sum(1 for o in r_objects if o.geometry_accessed)
-    stats.s_objects_accessed = sum(1 for o in s_objects if o.geometry_accessed)
-    return stats
+        return verify_relate(predicate, r_objects, s_objects, pairs).stats
 
 
 __all__ = [
@@ -507,9 +558,13 @@ __all__ = [
     "PIPELINES",
     "Pipeline",
     "ProgressiveConservativePipeline",
+    "PairOutcome",
     "Stage",
     "StandardTwoPhasePipeline",
+    "Verified",
     "relate_predicate",
     "run_find_relation",
     "run_relate",
+    "verify_find_relation",
+    "verify_relate",
 ]

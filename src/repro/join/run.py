@@ -1,12 +1,9 @@
 """The unified join result envelope.
 
-Before PR 4 every execution mode had its own return shape: the serial
-runner returned bare stats, the batch runner stats only, the parallel
-executor a ``ParallelFindRun``, and the disk join a bespoke
-``(results, stats)`` tuple of its own result type. :class:`JoinRun` is
-the one envelope they all now share: per-pair links, merged statistics,
-and execution metadata (mode, wall clock, worker/partition counts),
-regardless of how the join was executed.
+:class:`JoinRun` is the one envelope every execution mode returns:
+per-pair links, merged statistics, and execution metadata (mode, wall
+clock, worker/partition counts), regardless of how the join was
+executed.
 
 ``JoinRun`` unpacks as ``results, stats = run`` so pre-envelope callers
 keep working; relate_p runs unpack their matches as ``(i, j)`` pairs,
@@ -70,7 +67,10 @@ class JoinRun:
     results: list[JoinResult]
     stats: JoinRunStats
     method: str
-    #: One of ``"serial"``, ``"batch"``, ``"parallel"``, ``"disk"``.
+    #: What ran, not what was asked for: ``"serial"`` (one partition,
+    #: in-process — also what ``mode="batch"`` and a one-worker
+    #: ``"parallel"`` request run), ``"parallel"`` (partitions fanned
+    #: out over ``workers`` processes) or ``"disk"`` (PBSM tiles).
     mode: str
     #: ``"find"`` for find-relation runs, ``"relate"`` for relate_p.
     kind: str = "find"

@@ -86,12 +86,11 @@ class JoinRunStats:
 
         Accepts any number of parts: ``whole = first.merge(*rest)``.
         Counters, timings and relation counts are summed; the
-        object-access fields are summed too, which is correct for
-        *partitioned inputs* (disk-join tiles) but overcounts when the
-        parts share one object universe — partitioned *pair-stream*
-        executors must overwrite ``*_objects_total`` / ``*_accessed``
-        with deduplicated values after merging (the parallel executor
-        does exactly that).
+        object-access fields are summed too, which overcounts when the
+        parts share objects — callers merging partitions of one join
+        must overwrite ``*_objects_total`` / ``*_accessed`` with
+        deduplicated values (the parallel executor and the disk join
+        do exactly that).
         """
         merged = JoinRunStats(method=self.method)
         merged.pairs = self.pairs

@@ -86,7 +86,6 @@ PHASE_ALIASES: dict[str, str] = {
     "topology_join": "orchestration",
     "run_find_relation": "orchestration",
     "run_relate": "orchestration",
-    "run_find_relation_batch": "orchestration",
     "parallel_find": "orchestration",
     "parallel_relate": "orchestration",
     "partition": "orchestration",

@@ -1,9 +1,8 @@
 """Measure this machine and fit a :class:`CalibrationProfile`.
 
-The harness runs the real executors — the same
-:func:`~repro.parallel.run_find_relation_parallel` /
-:func:`~repro.join.batch.run_find_relation_batch_outcomes` code paths
-the engine dispatches to — over two synthetic workloads of different
+The harness runs the real executor — the same
+:func:`~repro.parallel.run_find_relation_parallel` fan-out the engine
+dispatches to — over two synthetic workloads of different
 sizes, and fits each mode's ``startup + per_pair * pairs`` line through
 the two measured points (min over repeats, so scheduler noise inflates
 neither). On a single-core box the parallel measurement runs a real
@@ -78,25 +77,18 @@ def _build_workload(rng: np.random.Generator, cells: int, blobs: int, scale: flo
 
 def _time_mode(mode: str, w: _Workload, workers: int, repeats: int) -> float:
     """Min wall seconds of one mode over ``repeats`` runs."""
-    from repro.join.batch import run_find_relation_batch_outcomes
     from repro.parallel import run_find_relation_parallel
 
     best = float("inf")
     for _ in range(max(1, repeats)):
-        t0 = time.perf_counter()
-        if mode == "batch":
-            run_find_relation_batch_outcomes(w.r_objects, w.s_objects, w.pairs)
-            elapsed = time.perf_counter() - t0
-        else:
-            run = run_find_relation_parallel(
-                "P+C",
-                w.r_objects,
-                w.s_objects,
-                w.pairs,
-                workers=1 if mode == "serial" else workers,
-            )
-            elapsed = run.wall_seconds
-        best = min(best, elapsed)
+        run = run_find_relation_parallel(
+            "P+C",
+            w.r_objects,
+            w.s_objects,
+            w.pairs,
+            workers=1 if mode == "serial" else workers,
+        )
+        best = min(best, run.wall_seconds)
     return best
 
 
@@ -123,7 +115,7 @@ def measure_profile(
     include_disk: bool = False,
     rng_seed: int = 11,
 ) -> CalibrationProfile:
-    """Measure serial/batch/parallel (and optionally disk) costs here.
+    """Measure serial/parallel (and optionally disk) costs here.
 
     ``workers`` is the parallel pool size to measure; the default picks
     ``min(4, cpu_count)`` but never less than two, so even a 1-core
@@ -140,7 +132,7 @@ def measure_profile(
 
     modes: dict[str, ModeCost] = {}
     samples: list[dict] = []
-    for mode in ("serial", "batch", "parallel"):
+    for mode in ("serial", "parallel"):
         t_small = _time_mode(mode, small, workers, repeats)
         t_large = _time_mode(mode, large, workers, repeats)
         modes[mode] = _fit_line(len(small.pairs), t_small, len(large.pairs), t_large)

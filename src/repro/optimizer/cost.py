@@ -30,8 +30,7 @@ at. Three sources feed the parameters, in increasing authority:
 3. **Live refresh** — every executed join feeds its observed per-pair
    wall time back through :meth:`CostModel.observe_run` (EWMA), and the
    same observations land in the ``repro_cost_model_pair_seconds``
-   histogram so a fresh process can warm the model from exported
-   metrics via :meth:`CostModel.refresh_from_registry`.
+   histogram.
 
 Profiles are versioned (``PROFILE_VERSION``) and fingerprint the
 machine they were measured on; loading a profile calibrated for a
@@ -39,13 +38,11 @@ different core count raises :class:`CalibrationError` — the engine then
 falls back to the historical workers-based rule rather than trusting a
 stale model.
 
-Auto-mode *selection* arbitrates serial vs batch vs parallel (batch
-only for P+C find-relation joins, the pipeline it implements; disk
-joins the race above a configurable pair threshold). Ties resolve in
-candidate order — serial first — so bench-seeded profiles that copy
-serial's per-pair cost for batch keep the historical pick. Predicted
-costs for every calibrated mode are reported in ``JoinRun.meta`` so
-the decision is auditable even for modes it declined to pick.
+Auto-mode *selection* arbitrates serial vs parallel (disk joins the
+race above a configurable pair threshold). Ties resolve in candidate
+order — serial first. Predicted costs for every calibrated mode are
+reported in ``JoinRun.meta`` so the decision is auditable even for
+modes it declined to pick.
 """
 
 from __future__ import annotations
@@ -74,8 +71,9 @@ _EWMA_ALPHA = 0.2
 #: say anything about the per-pair cost; skip the EWMA update.
 _MIN_OBSERVED_PAIRS = 64
 
-#: Modes the model can carry parameters for.
-MODEL_MODES = ("serial", "batch", "parallel", "disk")
+#: Modes the model can carry parameters for; entries of a persisted
+#: profile under any other name (an old ``batch`` row) are ignored.
+MODEL_MODES = ("serial", "parallel", "disk")
 
 
 class CalibrationError(ValueError):
@@ -185,32 +183,15 @@ class CalibrationProfile:
         pairs = float(pick["pairs"])
         serial_pp = float(pick["serial_seconds"]) / pairs
         parallel_pp = float(pick["parallel_seconds"]) / pairs
-        # Trajectories recorded since the bench timed the batch runner
-        # carry ``batch_seconds``; older entries lack it, and the serial
-        # cost stands in so predictions stay defined (a tie that auto
-        # breaks in serial's favour, preserving the historical pick).
-        batch_seconds = pick.get("batch_seconds")
-        batch_pp = (
-            float(batch_seconds) / pairs if batch_seconds else serial_pp
-        )
         raster = 0.0
         local_preps = [e for e in preps if e.get("cpu_count") == cpu] or preps
         if local_preps:
             prep = local_preps[-1]
             if prep.get("polygons"):
                 raster = float(prep["serial_seconds"]) / float(prep["polygons"])
-        samples = [
-            {"mode": "serial", "pairs": pairs, "seconds": pick["serial_seconds"]},
-            {"mode": "parallel", "pairs": pairs, "seconds": pick["parallel_seconds"]},
-        ]
-        if batch_seconds:
-            samples.insert(
-                1, {"mode": "batch", "pairs": pairs, "seconds": batch_seconds}
-            )
         return cls(
             modes={
                 "serial": ModeCost(startup=0.0, per_pair=serial_pp),
-                "batch": ModeCost(startup=0.0, per_pair=batch_pp),
                 "parallel": ModeCost(startup=0.0, per_pair=parallel_pp),
             },
             machine=cls.machine_fingerprint(),
@@ -218,7 +199,10 @@ class CalibrationProfile:
             raster_per_object=raster,
             source="bench",
             created=time.strftime("%Y-%m-%dT%H:%M:%S"),
-            samples=samples,
+            samples=[
+                {"mode": "serial", "pairs": pairs, "seconds": pick["serial_seconds"]},
+                {"mode": "parallel", "pairs": pairs, "seconds": pick["parallel_seconds"]},
+            ],
         )
 
     # ------------------------------------------------------------------
@@ -321,8 +305,7 @@ class JoinFeatures:
 
     r_count: int
     s_count: int
-    #: Candidate-pair cardinality: exact at the execute level, a
-    #: selectivity-histogram estimate at the join level.
+    #: Candidate-pair cardinality (the engine prices the exact count).
     pairs: float
     #: Resolved effective worker request (never ``None``).
     workers: int
@@ -392,6 +375,15 @@ class CostModel:
     def _effective_parallelism(self, workers: int, cpu_count: int) -> float:
         return float(max(1, min(workers, max(1, cpu_count))))
 
+    def _parallel_scale(self, f: JoinFeatures) -> float:
+        """Parallelism the profile's parallel ``per_pair`` was measured
+        at, relative to the parallelism ``f`` would run with."""
+        measured = self._effective_parallelism(
+            self.profile.measured_workers,
+            int(self.profile.machine.get("cpu_count", f.cpu_count)),
+        )
+        return measured / self._effective_parallelism(f.workers, f.cpu_count)
+
     def predict(self, mode: str, f: JoinFeatures) -> float:
         """Predicted wall seconds of running ``f`` under ``mode``."""
         mc = self.profile.modes.get(mode)
@@ -401,12 +393,7 @@ class CostModel:
         objects = f.r_count + f.s_count
         per_pair = mc.per_pair
         if mode == "parallel":
-            measured_eff = self._effective_parallelism(
-                self.profile.measured_workers,
-                int(self.profile.machine.get("cpu_count", f.cpu_count)),
-            )
-            eff = self._effective_parallelism(f.workers, f.cpu_count)
-            per_pair = mc.per_pair * measured_eff / eff
+            per_pair *= self._parallel_scale(f)
         cost = mc.startup + per_pair * pairs + mc.per_object * objects
         if f.needs_april and not f.warm and mode != "disk":
             build = self.profile.raster_per_object * objects
@@ -477,32 +464,9 @@ class CostModel:
         if mode == "parallel":
             # Normalise back to the parallelism the profile was
             # measured at, the frame per_pair is stored in.
-            measured_eff = self._effective_parallelism(
-                self.profile.measured_workers,
-                int(self.profile.machine.get("cpu_count", f.cpu_count)),
-            )
-            eff = self._effective_parallelism(f.workers, f.cpu_count)
-            observed = observed * eff / measured_eff
+            observed /= self._parallel_scale(f)
         if observed > 0.0:
             mc.per_pair = (1.0 - _EWMA_ALPHA) * mc.per_pair + _EWMA_ALPHA * observed
-
-    def refresh_from_registry(self, registry) -> int:
-        """Warm the model from ``repro_cost_model_pair_seconds``
-        histograms of an exported metrics registry (e.g. a previous
-        process's run). Returns the number of modes refreshed."""
-        refreshed = 0
-        for (name, labels), histogram in getattr(registry, "histograms", {}).items():
-            if name != "repro_cost_model_pair_seconds" or histogram.count == 0:
-                continue
-            mode = dict(labels).get("mode")
-            mc = self.profile.modes.get(mode)
-            if mc is None:
-                continue
-            mean = histogram.sum / histogram.count
-            if mean > 0.0:
-                mc.per_pair = (1.0 - _EWMA_ALPHA) * mc.per_pair + _EWMA_ALPHA * mean
-                refreshed += 1
-        return refreshed
 
 
 def load_cost_model(path: str | Path | None = None) -> CostModel | None:

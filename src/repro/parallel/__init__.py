@@ -6,22 +6,22 @@ spatial joins [39]. This package scales the three hot stages across
 cores:
 
 - :func:`run_find_relation_parallel` / :func:`run_relate_parallel` —
-  chunk or tile-partition the candidate-pair stream, evaluate
-  partitions in fork-based worker processes, merge deterministically in
+  chunk or tile-partition the candidate-pair stream, run the one
+  verification function of :mod:`repro.join.pipeline` on every
+  partition in fork-based worker processes, merge deterministically in
   ``(i, j)`` order.
 - :func:`build_april_parallel` — fan out APRIL rasterisation, the
   dominant preprocessing cost.
 
-Everything degrades gracefully to the serial code path (``workers=1``,
-tiny inputs, platforms without ``fork``), and every parallel result is
-guaranteed identical to its serial counterpart.
+``workers=1``, tiny inputs and platforms without ``fork`` are the
+one-partition case of the same code, run in-process; every parallel
+result is identical to it.
 """
 
 from repro.parallel.chunking import CHUNKS_PER_WORKER, chunk_pairs
 from repro.parallel.executor import (
     PairOutcome,
-    ParallelFindRun,
-    ParallelRelateRun,
+    ParallelRun,
     default_workers,
     fork_available,
     resolve_workers,
@@ -33,8 +33,7 @@ from repro.parallel.preprocess import build_april_parallel
 __all__ = [
     "CHUNKS_PER_WORKER",
     "PairOutcome",
-    "ParallelFindRun",
-    "ParallelRelateRun",
+    "ParallelRun",
     "build_april_parallel",
     "chunk_pairs",
     "default_workers",

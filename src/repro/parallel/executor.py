@@ -1,21 +1,24 @@
 """Partitioned parallel execution of the join pipelines.
 
 The verification stage is embarrassingly parallel: every candidate pair
-is processed independently through ``Pipeline.filter_pair`` and (when
-undetermined) refinement. This module partitions the candidate stream —
-either into contiguous chunks or into spatially coherent PBSM-style
-tiles (reusing the :func:`~repro.join.mbr_join.partition_pairs_by_tile`
-machinery) — fans the partitions out to a fork-based process pool, and
-merges the per-partition outcomes deterministically in ``(i, j)``
-order, so a parallel run is bit-for-bit comparable to a serial one
-regardless of worker count or scheduling.
+is verified independently. This module is the one partition fan-out
+over the two verification functions of :mod:`repro.join.pipeline`
+(:func:`~repro.join.pipeline.verify_find_relation`,
+:func:`~repro.join.pipeline.verify_relate`): it partitions the
+candidate stream — into contiguous chunks or into spatially coherent
+PBSM-style tiles (:func:`~repro.join.mbr_join.partition_pairs_by_tile`)
+— runs the verification function on every partition in a fork-based
+process pool, and merges the per-partition rows deterministically in
+``(i, j)`` order, so a parallel run is bit-for-bit comparable to a
+serial one regardless of worker count or scheduling. One worker is the
+one-partition case: the same function, called in-process.
 
 Worker state travels by fork inheritance (the parent installs the
 object lists in a module global right before the pool is created), so
 nothing large is pickled per task; only the compact per-pair outcome
 tuples come back through the result pipe. On platforms without the
-``fork`` start method the executor transparently degrades to the serial
-path.
+``fork`` start method everything runs as the in-process one-partition
+case.
 
 Timing semantics: the merged :class:`~repro.join.stats.JoinRunStats`
 carries *summed worker CPU time* in ``filter_seconds`` /
@@ -29,33 +32,30 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 from repro.resilience.failpoints import maybe_fail_worker
 from repro.resilience.supervisor import SupervisionReport, supervised_map
 
-from repro.filters.mbr import classify_mbr_pair
 from repro.join.mbr_join import partition_pairs_by_tile
 from repro.join.objects import SpatialObject, reset_access_tracking
 from repro.join.pipeline import (
     PIPELINES,
+    PairOutcome,
     Pipeline,
-    Stage,
-    _latency_line,
-    relate_predicate,
+    Verified,
+    verify_find_relation,
+    verify_relate,
 )
 from repro.join.stats import JoinRunStats
-from repro.obs.metrics import Histogram, get_registry, metrics_enabled, reset_metrics
+from repro.obs.metrics import get_registry, metrics_enabled, reset_metrics
 from repro.obs.profile import (
     begin_worker_capture as profile_begin_worker_capture,
-    clear_phase,
     export_profile,
     merge_profiles,
     profiling_enabled,
-    set_phase,
 )
-from repro.obs.progress import progress_reporter
 from repro.obs.resources import (
     begin_worker_capture as resources_begin_worker_capture,
     export_resources,
@@ -63,7 +63,6 @@ from repro.obs.resources import (
     resources_enabled,
 )
 from repro.obs.trace import (
-    add_span,
     attach_spans,
     export_spans,
     reset_tracing,
@@ -72,10 +71,6 @@ from repro.obs.trace import (
 )
 from repro.parallel.chunking import chunk_pairs
 from repro.topology.de9im import TopologicalRelation
-
-#: One merged result row: ``(r_index, s_index, relation, filtered)``
-#: where ``filtered`` is True when no DE-9IM refinement was needed.
-PairOutcome = tuple[int, int, TopologicalRelation, bool]
 
 #: Parent-side state installed immediately before the pool forks;
 #: workers read it via copy-on-write inheritance, never via pickling.
@@ -106,12 +101,14 @@ def fork_available() -> bool:
 
 
 @dataclass
-class ParallelFindRun:
-    """Merged outcome of a parallel find-relation run."""
+class ParallelRun:
+    """Merged outcome of a partitioned verification run."""
 
-    #: Per-pair outcomes, sorted by ``(i, j)`` — deterministic across
-    #: worker counts, chunk sizes and partitioning strategies.
-    results: list[PairOutcome]
+    #: Find-relation: one :data:`PairOutcome` per candidate pair;
+    #: relate_p: the pairs satisfying the predicate. Sorted by
+    #: ``(i, j)`` — deterministic across worker counts, chunk sizes and
+    #: partitioning strategies.
+    results: list
     stats: JoinRunStats
     #: End-to-end elapsed seconds, including pool startup.
     wall_seconds: float
@@ -121,167 +118,10 @@ class ParallelFindRun:
     #: ``None`` for in-process runs that never forked a pool.
     supervision: SupervisionReport | None = None
 
-
-@dataclass
-class ParallelRelateRun:
-    """Merged outcome of a parallel relate_p run."""
-
-    #: Pairs satisfying the predicate, sorted by ``(i, j)``.
-    matches: list[tuple[int, int]]
-    stats: JoinRunStats
-    wall_seconds: float
-    workers: int
-    partitions: int
-    supervision: SupervisionReport | None = None
-
-
-# ----------------------------------------------------------------------
-# per-partition processing (used by workers and by the serial fallback)
-# ----------------------------------------------------------------------
-def _find_outcomes(
-    pipeline: Pipeline,
-    r_objects: Sequence[SpatialObject],
-    s_objects: Sequence[SpatialObject],
-    pairs: Sequence[tuple[int, int]],
-    label: str = "",
-) -> tuple[list[PairOutcome], JoinRunStats]:
-    stats = JoinRunStats(method=pipeline.name)
-    outcomes: list[PairOutcome] = []
-    clock = time.perf_counter
-    pairs = list(pairs)
-    registry = get_registry() if metrics_enabled() else None
-    cases = None
-    if registry is not None:
-        # Same per-case verdict labels as the serial runner, so the
-        # merged worker registries equal a serial run's counters.
-        cases = [
-            classify_mbr_pair(r_objects[i].box, s_objects[j].box).value
-            for i, j in pairs
-        ]
-    reporter = progress_reporter(label or pipeline.name, len(pairs))
-    latencies = Histogram() if reporter is not None else None
-    profiling = profiling_enabled()
-    t0 = clock()
-    # Batched filter stage: every worker runs the same vectorised
-    # kernels, so the per-pair screen is amortised inside each partition.
-    with trace("filter", pairs=len(pairs)):
-        verdicts = pipeline.filter_pairs(r_objects, s_objects, pairs)
-    stats.filter_seconds += clock() - t0
-    for k, ((i, j), (verdict, stage)) in enumerate(zip(pairs, verdicts)):
-        if reporter is not None and (k & 255) == 0:
-            reporter.tick(k, detail=f"{stats.refined} refined")
-        if verdict.definite is not None:
-            stats.record(verdict.definite, stage.value)
-            outcomes.append((i, j, verdict.definite, True))
-            if registry is not None:
-                registry.inc(
-                    "repro_verdicts_total",
-                    method=pipeline.name,
-                    case=cases[k],
-                    stage=stage.value,
-                    relation=verdict.definite.value,
-                )
-            continue
-        assert verdict.refine_candidates is not None
-        if profiling:
-            set_phase("refine")
-        t1 = clock()
-        relation = pipeline.refine_pair(
-            r_objects[i], s_objects[j], verdict.refine_candidates
-        )
-        elapsed = clock() - t1
-        if profiling:
-            clear_phase()
-        stats.refine_seconds += elapsed
-        if latencies is not None:
-            latencies.observe(elapsed)
-        stats.record(relation, "refinement")
-        outcomes.append((i, j, relation, False))
-        if registry is not None:
-            registry.inc(
-                "repro_verdicts_total",
-                method=pipeline.name,
-                case=cases[k],
-                stage="refinement",
-                relation=relation.value,
-            )
-            registry.observe(
-                "repro_refine_latency_seconds", elapsed, method=pipeline.name
-            )
-    add_span("refine", stats.refine_seconds, pairs=stats.refined)
-    if reporter is not None:
-        reporter.finish(detail=f"{stats.refined} refined")
-        if latencies is not None and latencies.count:
-            reporter.summary(_latency_line(latencies))
-    return outcomes, stats
-
-
-def _find_touched(outcomes: Sequence[PairOutcome]) -> tuple[set[int], set[int]]:
-    """Object ids whose exact geometry was read, derived from outcomes.
-
-    Refinement (and only refinement) calls ``access_geometry`` on both
-    objects of a pair, so the touched sets follow from the ``filtered``
-    flags — no need to scan the full object lists, which in a forked
-    worker would dirty every copy-on-write page just to read the flags.
-    """
-    touched_r = {i for i, _, _, filtered in outcomes if not filtered}
-    touched_s = {j for _, j, _, filtered in outcomes if not filtered}
-    return touched_r, touched_s
-
-
-def _relate_outcomes(
-    predicate: TopologicalRelation,
-    r_objects: Sequence[SpatialObject],
-    s_objects: Sequence[SpatialObject],
-    pairs: Sequence[tuple[int, int]],
-    label: str = "",
-) -> tuple[list[tuple[int, int]], JoinRunStats, set[int], set[int]]:
-    stats = JoinRunStats(method=f"relate[{predicate.value}]")
-    matches: list[tuple[int, int]] = []
-    touched_r: set[int] = set()
-    touched_s: set[int] = set()
-    clock = time.perf_counter
-    registry = get_registry() if metrics_enabled() else None
-    reporter = progress_reporter(label or stats.method, len(pairs))
-    latencies = Histogram() if reporter is not None else None
-    for k, (i, j) in enumerate(pairs):
-        if reporter is not None and (k & 255) == 0:
-            reporter.tick(k, detail=f"{stats.refined} refined")
-        t0 = clock()
-        holds, stage = relate_predicate(predicate, r_objects[i], s_objects[j])
-        elapsed = clock() - t0
-        stats.pairs += 1
-        if stage is Stage.REFINEMENT:
-            stats.refine_seconds += elapsed
-            stats.refined += 1
-            if latencies is not None:
-                latencies.observe(elapsed)
-            touched_r.add(i)
-            touched_s.add(j)
-        else:
-            stats.filter_seconds += elapsed
-            stats.resolved_if += 1
-        if holds:
-            stats.relation_counts[predicate] += 1
-            matches.append((i, j))
-        if registry is not None:
-            registry.inc(
-                "repro_relate_verdicts_total",
-                predicate=predicate.value,
-                stage="refinement" if stage is Stage.REFINEMENT else "if",
-                verdict="yes" if holds else "no",
-            )
-            if stage is Stage.REFINEMENT:
-                registry.observe(
-                    "repro_refine_latency_seconds", elapsed, method=stats.method
-                )
-    add_span("filter", stats.filter_seconds, pairs=len(pairs))
-    add_span("refine", stats.refine_seconds, pairs=stats.refined)
-    if reporter is not None:
-        reporter.finish(detail=f"{stats.refined} refined")
-        if latencies is not None and latencies.count:
-            reporter.summary(_latency_line(latencies))
-    return matches, stats, touched_r, touched_s
+    @property
+    def matches(self) -> list[tuple[int, int]]:
+        """The relate_p name of :attr:`results`."""
+        return self.results
 
 
 def _worker_obs_begin() -> None:
@@ -338,72 +178,37 @@ def _merge_worker_obs(payloads: Sequence[dict | None]) -> None:
             merge_resources([payload["resources"]])
 
 
-def _find_worker(task: tuple[int, int]):
-    part_index, attempt = task
-    maybe_fail_worker(part_index, attempt)
-    _worker_obs_begin()
+def _verify_partition(part_index: int, fallback: bool = False) -> Verified:
+    """Run the installed verification function on one partition."""
     part = _STATE["parts"][part_index]
-    with trace("partition", part=part_index, pairs=len(part)):
-        outcomes, stats = _find_outcomes(
-            PIPELINES[_STATE["method"]],
+    attrs = {"fallback": True} if fallback else {}
+    with trace("partition", part=part_index, pairs=len(part), **attrs):
+        return _STATE["verify"](
+            _STATE["subject"],
             _STATE["r_objects"],
             _STATE["s_objects"],
             part,
-            label=f"{_STATE['method']} part={part_index}",
+            label=f"{_STATE['label']} part={part_index}"
+            + (" (fallback)" if fallback else ""),
         )
-    touched_r, touched_s = _find_touched(outcomes)
-    return outcomes, stats, touched_r, touched_s, _worker_obs_export()
 
 
-def _find_fallback(part_index: int):
-    """In-parent re-execution of one poisoned find partition.
+def _worker(task: tuple[int, int]) -> tuple[Verified, dict | None]:
+    part_index, attempt = task
+    maybe_fail_worker(part_index, attempt)
+    _worker_obs_begin()
+    return _verify_partition(part_index), _worker_obs_export()
 
-    Runs the same pure computation as :func:`_find_worker` but without
-    the failpoint boundary and without swapping obs collectors: metrics
-    and spans record straight into the parent's registry/tracer, so the
+
+def _fallback(part_index: int) -> tuple[Verified, None]:
+    """In-parent re-execution of one poisoned partition.
+
+    Runs the same pure computation as :func:`_worker` but without the
+    failpoint boundary and without swapping obs collectors: metrics and
+    spans record straight into the parent's registry/tracer, so the
     merged totals still equal a serial run's.
     """
-    part = _STATE["parts"][part_index]
-    with trace("partition", part=part_index, pairs=len(part), fallback=True):
-        outcomes, stats = _find_outcomes(
-            PIPELINES[_STATE["method"]],
-            _STATE["r_objects"],
-            _STATE["s_objects"],
-            part,
-            label=f"{_STATE['method']} part={part_index} (fallback)",
-        )
-    touched_r, touched_s = _find_touched(outcomes)
-    return outcomes, stats, touched_r, touched_s, None
-
-
-def _relate_worker(task: tuple[int, int]):
-    part_index, attempt = task
-    maybe_fail_worker(part_index, attempt)
-    _worker_obs_begin()
-    part = _STATE["parts"][part_index]
-    with trace("partition", part=part_index, pairs=len(part)):
-        matches, stats, touched_r, touched_s = _relate_outcomes(
-            _STATE["predicate"],
-            _STATE["r_objects"],
-            _STATE["s_objects"],
-            part,
-            label=f"relate part={part_index}",
-        )
-    return matches, stats, touched_r, touched_s, _worker_obs_export()
-
-
-def _relate_fallback(part_index: int):
-    """In-parent re-execution of one poisoned relate partition."""
-    part = _STATE["parts"][part_index]
-    with trace("partition", part=part_index, pairs=len(part), fallback=True):
-        matches, stats, touched_r, touched_s = _relate_outcomes(
-            _STATE["predicate"],
-            _STATE["r_objects"],
-            _STATE["s_objects"],
-            part,
-            label=f"relate part={part_index} (fallback)",
-        )
-    return matches, stats, touched_r, touched_s, None
+    return _verify_partition(part_index, fallback=True), None
 
 
 # ----------------------------------------------------------------------
@@ -430,55 +235,103 @@ def _partition(
     raise ValueError(f"unknown partition strategy {partition!r}; use 'chunks' or 'tiles'")
 
 
-def _finalize_stats(
-    merged: JoinRunStats,
+def _fan_out(
+    verify: Callable[..., Verified],
+    subject: Pipeline | TopologicalRelation,
+    stage: str,
+    attrs: dict,
+    label: str,
     r_objects: Sequence[SpatialObject],
     s_objects: Sequence[SpatialObject],
-    touched_r: set[int],
-    touched_s: set[int],
-) -> JoinRunStats:
-    # Workers share one object universe, so the summed access counters
-    # from merge() overcount; overwrite them with deduplicated values.
-    merged.r_objects_total = len(r_objects)
-    merged.s_objects_total = len(s_objects)
-    merged.r_objects_accessed = len(touched_r)
-    merged.s_objects_accessed = len(touched_s)
-    return merged
+    pairs: Sequence[tuple[int, int]],
+    workers: int | None,
+    chunk_size: int | None,
+    partition: str,
+    tiles_per_dim: int | None,
+    partition_timeout: float | None,
+    max_retries: int | None,
+) -> ParallelRun:
+    """Run ``verify(subject, ...)`` over ``pairs`` in partitions, under
+    a ``parallel_<stage>`` span carrying ``attrs``.
 
-
-def _run_pool(
-    worker,
-    serial_runner,
-    parts: list,
-    state: dict,
-    workers: int,
-    *,
-    stage: str,
-    partition_timeout: float | None = None,
-    max_retries: int | None = None,
-) -> tuple[list, SupervisionReport]:
-    """Fork a supervised pool with ``state`` installed for inheritance.
-
-    Partitions run under per-attempt deadlines with bounded retries; a
-    partition that exhausts its retries is re-executed serially in this
-    process via ``serial_runner`` (which reads the same installed
-    state, so ``_STATE`` stays populated until every path — normal,
-    retry, timeout, fallback — has finished, and is cleared on all of
-    them).
+    ``workers <= 1``, a trivially small stream and platforms without
+    ``fork`` are the one-partition case, run in this process. Otherwise
+    partitions run in a supervised forked pool: each attempt has a
+    ``partition_timeout`` deadline, failed/hung/crashed partitions are
+    retried at most ``max_retries`` times, and poisoned partitions
+    re-execute serially in-parent — the merged result is identical to
+    a one-partition run for any failure schedule (see
+    :mod:`repro.resilience.supervisor`).
     """
-    _STATE.update(state, parts=parts)
-    try:
-        return supervised_map(
-            worker,
-            len(parts),
-            workers=workers,
-            serial_runner=serial_runner,
-            stage=stage,
-            partition_timeout=partition_timeout,
-            max_retries=max_retries,
+    pairs = list(pairs)
+    workers = resolve_workers(workers)
+    start = time.perf_counter()
+    reset_access_tracking(r_objects)
+    reset_access_tracking(s_objects)
+
+    span = f"parallel_{stage}"
+    supervision = None
+    if workers <= 1 or len(pairs) < 2 or not fork_available():
+        workers = 1
+        with trace(span, **attrs, workers=1, partitions=1):
+            verified = [
+                verify(subject, r_objects, s_objects, pairs, label=f"{label} serial")
+            ]
+    else:
+        parts = _partition(
+            r_objects, s_objects, pairs, workers, chunk_size, partition, tiles_per_dim
         )
-    finally:
-        _STATE.clear()
+        # Installed right before the pool forks (workers inherit it
+        # copy-on-write) and kept until every path — normal, retry,
+        # timeout, in-parent fallback — has finished.
+        _STATE.update(
+            verify=verify,
+            subject=subject,
+            label=label,
+            r_objects=list(r_objects),
+            s_objects=list(s_objects),
+            parts=parts,
+        )
+        try:
+            with trace(span, **attrs, workers=workers, partitions=len(parts)):
+                part_results, supervision = supervised_map(
+                    _worker,
+                    len(parts),
+                    workers=workers,
+                    serial_runner=_fallback,
+                    stage=stage,
+                    partition_timeout=partition_timeout,
+                    max_retries=max_retries,
+                )
+                _merge_worker_obs([obs for _, obs in part_results])
+        finally:
+            _STATE.clear()
+        verified = [v for v, _ in part_results]
+        if metrics_enabled():
+            registry = get_registry()
+            for part in parts:
+                # Pairs per partition: the skew signal of the fan-out.
+                registry.observe(
+                    "repro_partition_pairs", len(part), method=verified[0].stats.method
+                )
+
+    stats = verified[0].stats.merge(*(v.stats for v in verified[1:]))
+    # Partitions share one object universe, so the summed access
+    # counters from merge() overcount; overwrite them deduplicated.
+    stats.r_objects_total = len(r_objects)
+    stats.s_objects_total = len(s_objects)
+    stats.r_objects_accessed = len(set().union(*(v.touched_r for v in verified)))
+    stats.s_objects_accessed = len(set().union(*(v.touched_s for v in verified)))
+    results = [row for v in verified for row in v.rows]
+    results.sort(key=lambda row: (row[0], row[1]))
+    return ParallelRun(
+        results=results,
+        stats=stats,
+        wall_seconds=time.perf_counter() - start,
+        workers=workers,
+        partitions=len(verified),
+        supervision=supervision,
+    )
 
 
 def run_find_relation_parallel(
@@ -492,87 +345,22 @@ def run_find_relation_parallel(
     tiles_per_dim: int | None = None,
     partition_timeout: float | None = None,
     max_retries: int | None = None,
-) -> ParallelFindRun:
+) -> ParallelRun:
     """Find-relation over ``pairs``, fanned out across ``workers``.
 
     Relation counts, per-pair outcomes and geometry-access accounting
-    are identical to the serial :func:`~repro.join.pipeline.run_find_relation`
-    for every worker count; results come back sorted by ``(i, j)``.
-    Falls back to in-process execution when ``workers <= 1``, when the
-    stream is trivially small, or when ``fork`` is unavailable.
-
-    Partitions run supervised: each attempt has a ``partition_timeout``
-    deadline, failed/hung/crashed partitions are retried at most
-    ``max_retries`` times, and poisoned partitions re-execute serially
-    in-parent — the merged result is identical to a serial run for any
-    failure schedule (see :mod:`repro.resilience.supervisor`).
+    are identical for every worker count; ``results`` holds one
+    :data:`~repro.join.pipeline.PairOutcome` per pair, sorted by
+    ``(i, j)``. See :func:`_fan_out` for the in-process and supervision
+    rules.
     """
     name = pipeline if isinstance(pipeline, str) else pipeline.name
     if name not in PIPELINES:
         raise KeyError(f"unknown pipeline {name!r}; available: {list(PIPELINES)}")
-    pairs = list(pairs)
-    if workers is None:
-        workers = default_workers()
-
-    start = time.perf_counter()
-    reset_access_tracking(r_objects)
-    reset_access_tracking(s_objects)
-
-    if workers <= 1 or len(pairs) < 2 or not fork_available():
-        with trace("parallel_find", method=name, workers=1, partitions=1):
-            outcomes, stats = _find_outcomes(
-                PIPELINES[name], r_objects, s_objects, pairs, label=f"{name} serial"
-            )
-        touched_r, touched_s = _find_touched(outcomes)
-        outcomes.sort(key=lambda t: (t[0], t[1]))
-        return ParallelFindRun(
-            results=outcomes,
-            stats=_finalize_stats(stats, r_objects, s_objects, touched_r, touched_s),
-            wall_seconds=time.perf_counter() - start,
-            workers=1,
-            partitions=1,
-        )
-
-    parts = _partition(
-        r_objects, s_objects, pairs, workers, chunk_size, partition, tiles_per_dim
-    )
-    state = {"method": name, "r_objects": list(r_objects), "s_objects": list(s_objects)}
-    with trace(
-        "parallel_find", method=name, workers=workers, partitions=len(parts)
-    ):
-        part_results, supervision = _run_pool(
-            _find_worker,
-            _find_fallback,
-            parts,
-            state,
-            workers,
-            stage="find",
-            partition_timeout=partition_timeout,
-            max_retries=max_retries,
-        )
-        _merge_worker_obs([obs for *_, obs in part_results])
-    if metrics_enabled():
-        registry = get_registry()
-        for part in parts:
-            # Pairs per partition: the skew signal of the fan-out.
-            registry.observe("repro_partition_pairs", len(part), method=name)
-
-    outcomes: list[PairOutcome] = []
-    touched_r: set[int] = set()
-    touched_s: set[int] = set()
-    merged = JoinRunStats(method=name).merge(*(st for _, st, _, _, _ in part_results))
-    for part_outcomes, _, part_r, part_s, _ in part_results:
-        outcomes.extend(part_outcomes)
-        touched_r.update(part_r)
-        touched_s.update(part_s)
-    outcomes.sort(key=lambda t: (t[0], t[1]))
-    return ParallelFindRun(
-        results=outcomes,
-        stats=_finalize_stats(merged, r_objects, s_objects, touched_r, touched_s),
-        wall_seconds=time.perf_counter() - start,
-        workers=workers,
-        partitions=len(parts),
-        supervision=supervision,
+    return _fan_out(
+        verify_find_relation, PIPELINES[name], "find", {"method": name}, name,
+        r_objects, s_objects, pairs, workers, chunk_size, partition,
+        tiles_per_dim, partition_timeout, max_retries,
     )
 
 
@@ -587,93 +375,22 @@ def run_relate_parallel(
     tiles_per_dim: int | None = None,
     partition_timeout: float | None = None,
     max_retries: int | None = None,
-) -> ParallelRelateRun:
+) -> ParallelRun:
     """relate_p over ``pairs``, fanned out across ``workers``.
 
-    Matching pairs and counters are identical to the serial
-    :func:`~repro.join.pipeline.run_relate`; matches come back sorted
-    by ``(i, j)``. Same fallback and supervision rules as
-    :func:`run_find_relation_parallel`.
+    Matching pairs (``results`` / ``matches``, sorted by ``(i, j)``) and
+    counters are identical for every worker count.
     """
-    pairs = list(pairs)
-    if workers is None:
-        workers = default_workers()
-
-    start = time.perf_counter()
-    reset_access_tracking(r_objects)
-    reset_access_tracking(s_objects)
-
-    if workers <= 1 or len(pairs) < 2 or not fork_available():
-        with trace("parallel_relate", predicate=predicate.value, workers=1):
-            matches, stats, touched_r, touched_s = _relate_outcomes(
-                predicate, r_objects, s_objects, pairs, label="relate serial"
-            )
-        matches.sort()
-        return ParallelRelateRun(
-            matches=matches,
-            stats=_finalize_stats(stats, r_objects, s_objects, touched_r, touched_s),
-            wall_seconds=time.perf_counter() - start,
-            workers=1,
-            partitions=1,
-        )
-
-    parts = _partition(
-        r_objects, s_objects, pairs, workers, chunk_size, partition, tiles_per_dim
-    )
-    state = {
-        "predicate": predicate,
-        "r_objects": list(r_objects),
-        "s_objects": list(s_objects),
-    }
-    with trace(
-        "parallel_relate",
-        predicate=predicate.value,
-        workers=workers,
-        partitions=len(parts),
-    ):
-        part_results, supervision = _run_pool(
-            _relate_worker,
-            _relate_fallback,
-            parts,
-            state,
-            workers,
-            stage="relate",
-            partition_timeout=partition_timeout,
-            max_retries=max_retries,
-        )
-        _merge_worker_obs([obs for *_, obs in part_results])
-    if metrics_enabled():
-        registry = get_registry()
-        for part in parts:
-            registry.observe(
-                "repro_partition_pairs", len(part), method=f"relate[{predicate.value}]"
-            )
-
-    matches: list[tuple[int, int]] = []
-    touched_r: set[int] = set()
-    touched_s: set[int] = set()
-    merged = JoinRunStats(method=f"relate[{predicate.value}]").merge(
-        *(st for _, st, _, _, _ in part_results)
-    )
-    for part_matches, _, part_r, part_s, _ in part_results:
-        matches.extend(part_matches)
-        touched_r.update(part_r)
-        touched_s.update(part_s)
-    matches.sort()
-    return ParallelRelateRun(
-        matches=matches,
-        stats=_finalize_stats(merged, r_objects, s_objects, touched_r, touched_s),
-        wall_seconds=time.perf_counter() - start,
-        workers=workers,
-        partitions=len(parts),
-        supervision=supervision,
+    return _fan_out(
+        verify_relate, predicate, "relate", {"predicate": predicate.value}, "relate",
+        r_objects, s_objects, pairs, workers, chunk_size, partition,
+        tiles_per_dim, partition_timeout, max_retries,
     )
 
 
 __all__ = [
     "PairOutcome",
-    "ParallelFindRun",
-    "ParallelRelateRun",
+    "ParallelRun",
     "default_workers",
     "fork_available",
     "resolve_workers",

@@ -197,7 +197,9 @@ class JoinRequest:
     grid_order: int = 11
     mode: str = "auto"
     predicate: str | None = None
-    workers: int | None = None
+    #: Omitted means 1, like the CLI's ``--workers``: a request must
+    #: opt in to forking a pool from the daemon's handler thread.
+    workers: int = 1
     include_disjoint: bool = False
 
     @classmethod
@@ -216,8 +218,8 @@ class JoinRequest:
         grid_order = _field(payload, "grid_order", int, 11)
         if not 1 <= grid_order <= 20:
             raise WireError(f"grid_order must be in [1, 20], got {grid_order}")
-        workers = _field(payload, "workers", int, None)
-        if workers is not None and workers < 1:
+        workers = _field(payload, "workers", int, 1)
+        if workers < 1:
             raise WireError(f"workers must be >= 1, got {workers}")
         predicate = _field(payload, "predicate", str, None)
         if require_predicate and predicate is None:

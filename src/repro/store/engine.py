@@ -1,14 +1,15 @@
 """The warm-cache join engine: one front door for every execution mode.
 
-Before PR 4 each way of running a join had its own entry point and its
-own return shape — ``TopologyJoin`` for in-memory serial/parallel runs,
-``run_find_relation_batch`` for the vectorised path, and
-``DiskPartitionedJoin`` for out-of-core PBSM. The :class:`Engine`
-subsumes them: :meth:`Engine.join` accepts datasets in any form (index
-directories, ``.wkt``/``.geojson`` files, polygon lists, or
-:class:`~repro.store.dataset.SpatialDataset` objects), picks the
-execution mode from one argument, and always returns the same
-:class:`~repro.join.run.JoinRun` envelope.
+:meth:`Engine.join` accepts datasets in any form (index directories,
+``.wkt``/``.geojson`` files, polygon lists, or
+:class:`~repro.store.dataset.SpatialDataset` objects) and always
+returns the same :class:`~repro.join.run.JoinRun` envelope. Every
+execution mode is a mapping onto one verification core
+(:func:`repro.join.pipeline.verify_find_relation` /
+:func:`~repro.join.pipeline.verify_relate`): ``serial`` (and its alias
+``batch``) runs it on one partition in-process, ``parallel`` fans
+partitions out over ``workers`` processes, ``disk`` feeds it PBSM tiles
+spilled to disk.
 
 The engine memoises the expensive intermediates in bounded LRU caches:
 
@@ -26,13 +27,12 @@ Cache traffic is observable through the metrics registry
 ``repro_store_build_seconds{what}``), and the warm-path proof counter
 ``repro_april_built_total`` stays at zero for a fully warm run.
 
-Since PR 6 the engine also owns the ``mode="auto"`` decision: a
-calibrated cost model (:mod:`repro.optimizer.cost`) prices each
-execution mode from the input cardinalities, a selectivity-histogram
-estimate of the candidate pairs, the core count and the cache state,
-and the cheapest mode runs — with the old workers-based rule as the
-calibration-free fallback. Decisions are recorded in
-``JoinRun.meta["cost_model"]`` and ``repro_cost_model_*``
+The engine also owns the ``mode="auto"`` decision: a calibrated cost
+model (:mod:`repro.optimizer.cost`) prices each execution mode from
+the input cardinalities, the exact candidate-pair count, the core
+count and the cache state, and the cheapest mode runs — with the
+workers-based rule as the calibration-free fallback. Decisions are
+recorded in ``JoinRun.meta["cost_model"]`` and ``repro_cost_model_*``
 counters/spans.
 """
 
@@ -73,7 +73,8 @@ from repro.store.dataset import (
 )
 from repro.topology.de9im import TopologicalRelation
 
-#: Execution modes :meth:`Engine.join` understands.
+#: Execution modes :meth:`Engine.join` accepts (``batch`` is an alias
+#: of ``serial``).
 MODES = ("auto", "serial", "batch", "parallel", "disk")
 
 
@@ -151,7 +152,6 @@ class Engine:
         self._datasets = _LRU(max_datasets, "dataset")
         self._objects = _LRU(max_object_sets, "objects")
         self._pairs = _LRU(max_pair_sets, "pairs")
-        self._histograms = _LRU(max_pair_sets, "histogram")
         self._payloads = _LRU(max_payload_sets, "payload")
         self.max_decoded_payload_bytes = max_decoded_payload_bytes
         self.cost_model = self._resolve_calibration(calibration)
@@ -167,8 +167,8 @@ class Engine:
     def close(self) -> None:
         """Release the engine's warm state deterministically.
 
-        Drains every LRU (datasets, object sets, pair sets, histograms,
-        decoded payloads) so their memory — decoded APRIL blobs in
+        Drains every LRU (datasets, object sets, pair sets, decoded
+        payloads) so their memory — decoded APRIL blobs in
         particular — is reclaimable now rather than at interpreter
         teardown, and marks the engine closed: further :meth:`join` /
         :meth:`execute` / :meth:`dataset` calls raise
@@ -375,40 +375,29 @@ class Engine:
         }
 
     def clear(self) -> None:
-        """Drop every cached dataset, object set, pair set, histogram."""
+        """Drop every cached dataset, object set, pair set, payload."""
         self._datasets.clear()
         self._objects.clear()
         self._pairs.clear()
-        self._histograms.clear()
         self._payloads.clear()
 
     # ------------------------------------------------------------------
     # cost-model support
     # ------------------------------------------------------------------
-    def _histogram(self, dataset: SpatialDataset, extent: Box):
-        """The dataset's selectivity histogram on ``extent``, cached."""
-        from repro.optimizer.selectivity import SpatialHistogram
-
-        key = (dataset.content_hash, extent.xmin, extent.ymin, extent.xmax, extent.ymax)
-        hist = self._histograms.get(key)
-        if hist is None:
-            hist = SpatialHistogram.build(dataset.boxes, extent=extent)
-            self._histograms.put(key, hist)
-        return hist
-
     def estimate_pairs(self, r: SpatialDataset, s: SpatialDataset) -> float:
         """Estimated candidate-pair cardinality of the MBR join, from
-        the selectivity histograms — without touching the data. When
-        the exact pair set is already cached (a warm repeat of the same
-        join), its length is returned instead."""
-        from repro.optimizer.selectivity import estimate_join_candidates
+        selectivity histograms of the two datasets — without running
+        the join. (``mode="auto"`` prices the exact count instead: the
+        pair set it is about to verify.)"""
+        from repro.optimizer.selectivity import (
+            SpatialHistogram,
+            estimate_join_candidates,
+        )
 
-        cached = self._pairs._data.get((r.content_hash, s.content_hash))
-        if cached is not None:
-            return float(len(cached))
         extent = pad_dataspace(Box.union_all([r.extent, s.extent]))
         return estimate_join_candidates(
-            self._histogram(r, extent), self._histogram(s, extent)
+            SpatialHistogram.build(r.boxes, extent=extent),
+            SpatialHistogram.build(s.boxes, extent=extent),
         )
 
     def _april_warm(self, dataset: SpatialDataset, grid: RasterGrid) -> bool:
@@ -423,22 +412,48 @@ class Engine:
 
     def _decide_auto(
         self,
-        features: JoinFeatures,
-        candidates: Sequence[str],
-    ) -> Decision:
-        """Resolve ``mode="auto"`` into a concrete mode.
+        workers: int | None,
+        *,
+        method: str,
+        predicate: TopologicalRelation | None,
+        r_count: int,
+        s_count: int,
+        pairs: int,
+        warm: bool,
+        disk: bool,
+    ) -> tuple[Decision, int]:
+        """Resolve ``mode="auto"``: the decision and the resolved workers.
 
-        With a cost model, the cheapest predicted candidate wins; the
-        decision (and the full prediction table) is recorded as a span
-        and in ``repro_cost_model_*`` counters. Without one, the
-        historical workers-based rule applies — on *resolved* workers,
+        The one place :meth:`join` and :meth:`execute` build the
+        model's features and candidate set. With a cost model, the
+        cheapest predicted candidate wins (serial first, so ties keep
+        the in-process run; ``disk`` joins the race only where the
+        caller can run it, and then only above the profile's pair
+        threshold); the decision and the full prediction table are
+        recorded as a span and in ``repro_cost_model_*`` counters.
+        Without one, the workers rule applies — on *resolved* workers,
         so ``workers=None`` on a 1-CPU machine lands on serial.
         """
+        from repro.parallel.executor import resolve_workers
+
         t0 = time.perf_counter()
+        workers = resolve_workers(workers)
         if self.cost_model is not None:
+            features = JoinFeatures(
+                r_count=r_count,
+                s_count=s_count,
+                pairs=float(pairs),
+                workers=workers,
+                cpu_count=os.cpu_count() or 1,
+                warm=warm,
+                needs_april=predicate is not None or PIPELINES[method].uses_april,
+            )
+            candidates = ["serial", "parallel"]
+            if disk and predicate is None:
+                candidates.append("disk")
             decision = self.cost_model.decide(features, candidates)
         else:
-            decision = fallback_decision(features.workers)
+            decision = fallback_decision(workers)
         self._decide_seconds = time.perf_counter() - t0
         if metrics_enabled():
             registry = get_registry()
@@ -451,7 +466,7 @@ class Engine:
                 registry.observe(
                     "repro_cost_model_predicted_seconds", seconds, mode=mode
                 )
-        return decision
+        return decision, workers
 
     def _attach_resources(self, run: JoinRun) -> None:
         """Stamp the resource summary onto the run envelope when the
@@ -511,23 +526,30 @@ class Engine:
         """Join ``r`` with ``s`` and return one :class:`JoinRun`,
         whatever the execution mode.
 
-        ``mode="auto"`` consults the engine's cost model (see the class
-        docstring's ``calibration`` parameter): input cardinalities, a
-        selectivity-histogram estimate of the candidate-pair count, the
-        machine's core count and the cache state (warm payloads vs cold
-        rasterisation) price out serial vs parallel (vs disk, above the
-        profile's pair threshold), and the cheapest predicted mode runs.
-        The decision, its source and the full prediction table land in
-        ``run.meta["cost_model"]`` and in ``repro_cost_model_*``
-        counters/spans. Engines without calibration fall back to the
-        historical rule — parallel iff the *resolved* worker count
-        exceeds one (``workers=None`` resolves through
-        ``default_workers()`` first, so a 1-CPU machine runs serial).
+        Every mode runs the same per-partition verification (batched
+        filter, then refinement); ``mode`` only picks where partitions
+        come from and how many processes verify them: ``"serial"`` —
+        one partition, in-process (``"batch"`` is an alias: the batched
+        filter is *the* filter of every method and of relate_p);
+        ``"parallel"`` — chunk or tile partitions fanned out over
+        ``workers`` forked processes; ``"disk"`` — out-of-core PBSM
+        tiles (``workdir`` holds the partition files; a temporary
+        directory when omitted). ``run.mode`` reports what ran.
+        ``predicate`` switches from find-relation to a relate_p join.
 
-        ``"batch"`` uses the vectorised P+C runner; ``"disk"`` runs the
-        out-of-core PBSM join (``workdir`` holds the partition files; a
-        temporary directory when omitted). ``predicate`` switches from
-        find-relation to a relate_p join.
+        ``mode="auto"`` consults the engine's cost model (see the class
+        docstring's ``calibration`` parameter): input cardinalities, the
+        exact candidate-pair count (the cached MBR join the run then
+        verifies), the machine's core count and the cache state (warm
+        payloads vs cold rasterisation) price out serial vs parallel
+        (vs disk, above the profile's pair threshold), and the cheapest
+        predicted mode runs. The decision, its source and the full
+        prediction table land in ``run.meta["cost_model"]`` and in
+        ``repro_cost_model_*`` counters/spans. Engines without
+        calibration fall back to the workers rule — parallel iff the
+        *resolved* worker count exceeds one (``workers=None`` resolves
+        through ``default_workers()`` first, so a 1-CPU machine runs
+        serial).
 
         Fault-tolerance knobs: ``partition_timeout``/``max_retries``
         bound the supervised parallel fan-out (see
@@ -554,38 +576,44 @@ class Engine:
         sd = self.dataset(
             s, on_error=on_index_error, strict=strict, quarantine=s_quarantine
         )
+        needs_april = predicate is not None or PIPELINES[method].uses_april
         decision: Decision | None = None
-        if mode == "auto":
-            from repro.parallel.executor import resolve_workers
-
-            effective = resolve_workers(workers)
-            needs_april = predicate is not None or PIPELINES[method].uses_april
-            grid = self.join_grid(rd, sd, grid_order)
-            features = JoinFeatures(
-                r_count=len(rd),
-                s_count=len(sd),
-                pairs=self.estimate_pairs(rd, sd),
-                workers=effective,
-                cpu_count=os.cpu_count() or 1,
-                warm=self._april_warm(rd, grid) and self._april_warm(sd, grid),
-                needs_april=needs_april,
-            )
-            # Auto arbitrates serial vs batch vs parallel (serial first,
-            # so calibration ties — like bench-seeded profiles that carry
-            # serial's per-pair cost for batch — keep the historical
-            # pick); disk joins the race only above the profile's pair
-            # threshold. Batch implements the P+C find-relation pipeline
-            # only, so other methods and relate_p joins keep the old set.
-            candidates = ["serial"]
-            if predicate is None and method == "P+C":
-                candidates.append("batch")
-            candidates.append("parallel")
-            if predicate is None:
-                candidates.append("disk")
-            decision = self._decide_auto(features, candidates)
-            mode = decision.mode
-            workers = effective
-        if mode == "disk":
+        run: JoinRun | None = None
+        if mode != "disk":
+            with trace("topology_join", method=method, mode=mode) as span:
+                grid = self.join_grid(rd, sd, grid_order)
+                pairs = self.pairs(rd, sd)
+                if mode == "auto":
+                    decision, workers = self._decide_auto(
+                        workers,
+                        method=method,
+                        predicate=predicate,
+                        r_count=len(rd),
+                        s_count=len(sd),
+                        pairs=len(pairs),
+                        warm=self._april_warm(rd, grid) and self._april_warm(sd, grid),
+                        disk=True,
+                    )
+                    mode = decision.mode
+                    if span is not None:
+                        span.attrs["mode"] = mode
+                if mode != "disk":
+                    run = self._execute(
+                        method,
+                        self.objects(rd, grid, with_april=needs_april, workers=workers),
+                        self.objects(sd, grid, with_april=needs_april, workers=workers),
+                        pairs,
+                        mode=mode,
+                        predicate=predicate,
+                        workers=workers,
+                        include_disjoint=include_disjoint,
+                        chunk_size=chunk_size,
+                        partition=partition,
+                        tiles_per_dim=tiles_per_dim,
+                        partition_timeout=partition_timeout,
+                        max_retries=max_retries,
+                    )
+        if run is None:
             if predicate is not None:
                 raise ValueError("disk mode does not support relate_p predicates")
             run = self._disk_join(
@@ -597,33 +625,9 @@ class Engine:
                 include_disjoint=include_disjoint,
                 workdir=workdir,
             )
-            if decision is not None:
-                self._observe_auto(decision, run)
-            self._attach_resources(run)
-            return run
-        with trace("topology_join", method=method, mode=mode):
-            grid = self.join_grid(rd, sd, grid_order)
-            needs_april = predicate is not None or PIPELINES[method].uses_april
-            r_objects = self.objects(rd, grid, with_april=needs_april, workers=workers)
-            s_objects = self.objects(sd, grid, with_april=needs_april, workers=workers)
-            pairs = self.pairs(rd, sd)
-            run = self.execute(
-                method,
-                r_objects,
-                s_objects,
-                pairs,
-                mode=mode,
-                predicate=predicate,
-                workers=workers,
-                include_disjoint=include_disjoint,
-                chunk_size=chunk_size,
-                partition=partition,
-                tiles_per_dim=tiles_per_dim,
-                partition_timeout=partition_timeout,
-                max_retries=max_retries,
-            )
         if decision is not None:
             self._observe_auto(decision, run)
+        self._attach_resources(run)
         run.meta.update(
             r=rd.name, s=sd.name, r_count=len(rd), s_count=len(sd), grid_order=grid_order
         )
@@ -657,12 +661,8 @@ class Engine:
         datasets on disk) and unknown modes raise :class:`ValueError`
         instead of silently running something else. ``mode="auto"``
         decides exactly like :meth:`join` — cost model when the engine
-        has one (with the *exact* pair count as the cardinality
-        feature), resolved-workers rule otherwise.
+        has one, resolved-workers rule otherwise.
         """
-        from repro.parallel import run_find_relation_parallel, run_relate_parallel
-        from repro.parallel.executor import resolve_workers
-
         self._check_open()
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}; available: {list(MODES)}")
@@ -673,106 +673,82 @@ class Engine:
             )
         decision: Decision | None = None
         if mode == "auto":
-            effective = resolve_workers(workers)
-            features = JoinFeatures(
+            decision, workers = self._decide_auto(
+                workers,
+                method=method,
+                predicate=predicate,
                 r_count=len(r_objects),
                 s_count=len(s_objects),
-                pairs=float(len(pairs)),
-                workers=effective,
-                cpu_count=os.cpu_count() or 1,
+                pairs=len(pairs),
                 warm=True,  # objects arrive prepared; nothing left to rasterise
-                needs_april=predicate is not None or PIPELINES[method].uses_april,
+                disk=False,
             )
-            candidates = ["serial"]
-            if predicate is None and method == "P+C":
-                candidates.append("batch")
-            candidates.append("parallel")
-            decision = self._decide_auto(features, candidates)
             mode = decision.mode
-            workers = effective
-        effective = 1 if mode == "serial" else workers
-
-        if predicate is not None:
-            if mode not in ("serial", "parallel"):
-                raise ValueError(f"relate_p joins support serial/parallel, not {mode!r}")
-            relate_run = run_relate_parallel(
-                predicate,
-                r_objects,
-                s_objects,
-                pairs,
-                workers=effective,
-                chunk_size=chunk_size,
-                partition=partition,
-                tiles_per_dim=tiles_per_dim,
-                partition_timeout=partition_timeout,
-                max_retries=max_retries,
-            )
-            run = JoinRun(
-                results=[
-                    JoinResult(i, j, predicate, None) for i, j in relate_run.matches
-                ],
-                stats=relate_run.stats,
-                method=relate_run.stats.method,
-                mode=mode,
-                kind="relate",
-                predicate=predicate,
-                wall_seconds=relate_run.wall_seconds,
-                workers=relate_run.workers,
-                partitions=relate_run.partitions,
-            )
-            if decision is not None:
-                self._observe_auto(decision, run)
-            self._attach_resources(run)
-            return run
-
-        if mode == "batch":
-            from repro.join.batch import run_find_relation_batch_outcomes
-
-            if method != "P+C":
-                raise ValueError(
-                    f"batch mode implements the P+C pipeline only, not {method!r}"
-                )
-            start = time.perf_counter()
-            outcomes, stats = run_find_relation_batch_outcomes(
-                r_objects, s_objects, pairs
-            )
-            wall = time.perf_counter() - start
-            run_workers, partitions = 1, 1
-        else:
-            find_run = run_find_relation_parallel(
-                method,
-                r_objects,
-                s_objects,
-                pairs,
-                workers=effective,
-                chunk_size=chunk_size,
-                partition=partition,
-                tiles_per_dim=tiles_per_dim,
-                partition_timeout=partition_timeout,
-                max_retries=max_retries,
-            )
-            outcomes, stats = find_run.results, find_run.stats
-            wall = find_run.wall_seconds
-            run_workers, partitions = find_run.workers, find_run.partitions
-
-        results = [
-            JoinResult(i, j, relation, filtered)
-            for i, j, relation, filtered in outcomes
-            if include_disjoint or relation is not TopologicalRelation.DISJOINT
-        ]
-        run = JoinRun(
-            results=results,
-            stats=stats,
-            method=method,
+        run = self._execute(
+            method,
+            r_objects,
+            s_objects,
+            pairs,
             mode=mode,
-            wall_seconds=wall,
-            workers=run_workers,
-            partitions=partitions,
+            predicate=predicate,
+            workers=workers,
+            include_disjoint=include_disjoint,
+            chunk_size=chunk_size,
+            partition=partition,
+            tiles_per_dim=tiles_per_dim,
+            partition_timeout=partition_timeout,
+            max_retries=max_retries,
         )
         if decision is not None:
             self._observe_auto(decision, run)
         self._attach_resources(run)
         return run
+
+    def _execute(
+        self,
+        method: str,
+        r_objects: Sequence[SpatialObject],
+        s_objects: Sequence[SpatialObject],
+        pairs: Sequence[tuple[int, int]],
+        *,
+        mode: str,
+        predicate: TopologicalRelation | None,
+        workers: int | None,
+        include_disjoint: bool,
+        **fan_out,
+    ) -> JoinRun:
+        """Run a concrete in-memory mode: ``serial`` (or its alias
+        ``batch``) is the one-partition case of the same fan-out
+        ``parallel`` runs over ``workers`` processes."""
+        from repro.parallel import run_find_relation_parallel, run_relate_parallel
+
+        if mode != "parallel":
+            workers = 1
+        if predicate is not None:
+            fan = run_relate_parallel(
+                predicate, r_objects, s_objects, pairs, workers=workers, **fan_out
+            )
+            results = [JoinResult(i, j, predicate, None) for i, j in fan.matches]
+        else:
+            fan = run_find_relation_parallel(
+                method, r_objects, s_objects, pairs, workers=workers, **fan_out
+            )
+            results = [
+                JoinResult(i, j, relation, filtered)
+                for i, j, relation, filtered in fan.results
+                if include_disjoint or relation is not TopologicalRelation.DISJOINT
+            ]
+        return JoinRun(
+            results=results,
+            stats=fan.stats,
+            method=fan.stats.method,
+            mode="parallel" if fan.workers > 1 else "serial",
+            kind="find" if predicate is None else "relate",
+            predicate=predicate,
+            wall_seconds=fan.wall_seconds,
+            workers=fan.workers,
+            partitions=fan.partitions,
+        )
 
     def _disk_join(
         self,
@@ -808,7 +784,6 @@ class Engine:
             with tempfile.TemporaryDirectory(prefix="repro-diskjoin-") as tmp:
                 run = _run(tmp)
             run.meta["workdir"] = None  # partitions were temporary
-        run.meta.update(r=rd.name, s=sd.name, r_count=len(rd), s_count=len(sd))
         return run
 
     def explain(self, r, s, i: int, j: int, *, grid_order: int = 11):

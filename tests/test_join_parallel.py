@@ -3,8 +3,10 @@
 import pytest
 
 from repro.datasets import load_scenario
+from repro.filters.relate_filters import RelateVerdict
 from repro.join.pipeline import run_find_relation
-from repro.parallel import run_find_relation_parallel
+from repro.parallel import run_find_relation_parallel, run_relate_parallel
+from repro.topology import TopologicalRelation as T
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +69,48 @@ class TestParallel:
             workers=2, chunk_size=3,
         )
         assert run.stats.pairs == len(scenario.pairs)
+
+
+class TestRelateTiming:
+    """One timing semantic for relate_p, whatever the worker count:
+    ``filter_seconds`` is time inside the Fig. 6 filters, and
+    ``refine_seconds`` time inside DE-9IM — never a refined pair's
+    filter time (Table 5 is built on that split)."""
+
+    FILTER_SLEEP = 0.005
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_filter_time_is_booked_to_filter(self, scenario, workers, monkeypatch):
+        import time
+
+        import repro.join.pipeline as pipeline
+
+        def slow_undecided_filter(*args):
+            time.sleep(self.FILTER_SLEEP)
+            return RelateVerdict.UNKNOWN
+
+        # Forked workers inherit the patch.
+        monkeypatch.setattr(pipeline, "relate_filter", slow_undecided_filter)
+        pairs = scenario.pairs[:16]
+        run = run_relate_parallel(
+            T.INTERSECTS, scenario.r_objects, scenario.s_objects, pairs, workers=workers
+        )
+        assert run.workers == workers
+        assert (run.stats.refined, run.stats.resolved_if) == (len(pairs), 0)
+        assert run.stats.filter_seconds >= len(pairs) * self.FILTER_SLEEP
+        if workers == 1:
+            assert (
+                run.stats.filter_seconds + run.stats.refine_seconds
+                <= run.wall_seconds
+            )
+
+    def test_counters_agree_across_worker_counts(self, scenario):
+        args = (T.INSIDE, scenario.r_objects, scenario.s_objects, scenario.pairs)
+        one = run_relate_parallel(*args, workers=1).stats
+        two = run_relate_parallel(*args, workers=2).stats
+        assert one.resolved_if and one.refined
+        assert (one.refined, one.resolved_if) == (two.refined, two.resolved_if)
+        assert one.pairs == two.pairs == one.refined + one.resolved_if
 
 
 class TestRemovedShim:

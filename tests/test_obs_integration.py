@@ -147,13 +147,40 @@ class TestCounterEquality:
 
 
 class TestDiskJoin:
-    def test_tile_spans_and_skew_histogram(self, tmp_path):
+    @staticmethod
+    def _inputs():
         rng = np.random.default_rng(17)
         region = Box(0, 0, 400, 400)
         districts = generate_tessellation(rng, region, 3, 3, edge_points=6)
         blobs = generate_blobs(rng, 40, region, (3, 40), (8, 40))
+        return districts, blobs, region.expanded(1.0)
+
+    def test_disk_verdict_counters_equal_serial(self, tmp_path):
+        # Tiles go through the same verification loop as every other
+        # partition, so the disk join emits the same verdict counters.
+        from repro.store import Engine
+
+        districts, blobs, _extent = self._inputs()
+        engine = Engine()
+        obs.set_metrics(True)
+        counters = {}
+        for mode in ("serial", "disk"):
+            obs.reset_metrics()
+            engine.join(
+                districts, blobs, grid_order=9, mode=mode,
+                tiles_per_dim=2, workdir=tmp_path / mode,
+            )
+            counters[mode] = {
+                k: v
+                for k, v in obs.get_registry().counter_values().items()
+                if k.startswith("repro_verdicts_total")
+            }
+        assert counters["serial"]
+        assert counters["disk"] == counters["serial"]
+
+    def test_tile_spans_and_skew_histogram(self, tmp_path):
+        districts, blobs, extent = self._inputs()
         join = DiskPartitionedJoin(tmp_path, tiles_per_dim=2, grid_order=9)
-        extent = region.expanded(1.0)
         join.partition("r", districts, extent)
         join.partition("s", blobs, extent)
 

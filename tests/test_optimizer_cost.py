@@ -31,25 +31,19 @@ from repro.store import Engine
 def make_profile(
     *,
     serial_pp=2e-6,
-    batch_pp=None,
     parallel_pp=4e-6,
     parallel_startup=0.04,
     cpu=None,
     measured_workers=2,
 ):
     """A synthetic profile; defaults model this repo's 1-core box where
-    the parallel path costs more per pair than serial and batch ties
-    serial (the bench-seeded shape)."""
+    the parallel path costs more per pair than serial."""
     machine = CalibrationProfile.machine_fingerprint()
     if cpu is not None:
         machine["cpu_count"] = cpu
     return CalibrationProfile(
         modes={
             "serial": ModeCost(startup=0.0, per_pair=serial_pp),
-            "batch": ModeCost(
-                startup=0.0,
-                per_pair=serial_pp if batch_pp is None else batch_pp,
-            ),
             "parallel": ModeCost(startup=parallel_startup, per_pair=parallel_pp),
         },
         machine=machine,
@@ -109,6 +103,21 @@ class TestProfilePersistence:
         path.write_text("{not json")
         with pytest.raises(CalibrationError, match="corrupt"):
             CalibrationProfile.load(path)
+
+    def test_old_profile_with_batch_entry_loads_without_it(self, tmp_path):
+        # v1 profiles written while batch was its own runner still
+        # load (no version bump); the entry is ignored, never priced.
+        payload = make_profile().to_dict()
+        payload["modes"]["batch"] = {"startup": 0.0, "per_pair": 1e-9}
+        path = tmp_path / "cal.json"
+        path.write_text(json.dumps(payload))
+        profile = CalibrationProfile.load(path)
+        assert set(profile.modes) == {"serial", "parallel"}
+        decision = CostModel(profile).decide(
+            features(10_000, cpu=1), ["serial", "batch", "parallel"]
+        )
+        assert decision.mode == "serial"
+        assert "batch" not in decision.predicted
 
     def test_must_cover_serial_and_parallel(self):
         payload = make_profile().to_dict()
@@ -183,7 +192,7 @@ class TestDecision:
         assert meta["requested"] == "auto"
         assert meta["decision"] == "serial"
         assert meta["source"] == "calibration"
-        assert set(meta["predicted_seconds"]) >= {"serial", "parallel", "batch"}
+        assert set(meta["predicted_seconds"]) == {"serial", "parallel"}
         assert meta["features"]["pairs"] == 500.0
 
     def test_fallback_rule(self):
@@ -201,7 +210,8 @@ class TestSeedFromBench:
             {"kind": "preprocess", "cpu_count": cpu, "polygons": 100,
              "serial_seconds": 0.5, "parallel_seconds": 0.6},
             {"kind": "find_relation", "cpu_count": cpu, "pairs": 7148,
-             "serial_seconds": 0.78, "parallel_seconds": 1.03, "workers": 4},
+             "serial_seconds": 0.78, "batch_seconds": 0.26,
+             "parallel_seconds": 1.03, "workers": 4},
         ]
         (tmp_path / "BENCH_parallel.json").write_text(json.dumps(bench))
         profile = CalibrationProfile.seed_from_bench(tmp_path)
@@ -212,30 +222,10 @@ class TestSeedFromBench:
         # A 0.755x "speedup" trajectory must route auto to serial.
         decision = CostModel(profile).decide(features(7148, workers=4, cpu=1))
         assert decision.mode == "serial"
-        # An entry without batch_seconds (older trajectory) falls back
-        # to serial's per-pair cost — the tie serial wins.
-        assert profile.modes["batch"].per_pair == profile.modes["serial"].per_pair
-
-    def test_seeds_batch_from_its_own_timing(self, tmp_path):
-        import os
-
-        cpu = os.cpu_count() or 1
-        bench = [
-            {"kind": "find_relation", "cpu_count": cpu, "pairs": 7148,
-             "serial_seconds": 0.78, "batch_seconds": 0.26,
-             "parallel_seconds": 1.03, "workers": 4},
-        ]
-        (tmp_path / "BENCH_parallel.json").write_text(json.dumps(bench))
-        profile = CalibrationProfile.seed_from_bench(tmp_path)
-        assert profile.modes["batch"].per_pair == pytest.approx(0.26 / 7148)
-        assert {s["mode"] for s in profile.samples} == {
-            "serial", "batch", "parallel"
-        }
-        # With batch measured 3x cheaper, auto can finally pick it.
-        decision = CostModel(profile).decide(
-            features(7148, workers=4, cpu=1), ["serial", "batch", "parallel"]
-        )
-        assert decision.mode == "batch"
+        # The committed trajectory's ``batch_seconds`` column (batch is
+        # an alias of serial now) seeds nothing.
+        assert set(profile.modes) == {"serial", "parallel"}
+        assert {s["mode"] for s in profile.samples} == {"serial", "parallel"}
 
     def test_empty_trajectory_raises(self, tmp_path):
         with pytest.raises(CalibrationError, match="no usable"):
@@ -342,39 +332,13 @@ class TestEngineAuto:
         assert run.mode == "serial"
         assert run.meta["cost_model"]["features"]["pairs"] == float(len(pairs))
 
-    def test_auto_picks_batch_when_profile_favors_it(self, inputs):
-        # A profile where the vectorised P+C runner is 10x cheaper per
-        # pair must route auto to batch — and the batch rows must stay
-        # bit-identical to serial's.
+    def test_join_auto_prices_exact_pairs(self, inputs):
+        # Engine.join feeds the model the pair set it is about to
+        # verify, not a histogram estimate of it.
         districts, blobs = inputs
-        engine = Engine(calibration=make_profile(cpu=1, batch_pp=2e-7))
+        engine = Engine(calibration=make_profile(cpu=1))
         run = engine.join(districts, blobs, grid_order=9, workers=4)
-        assert run.mode == "batch"
-        meta = run.meta["cost_model"]
-        assert meta["source"] == "calibration"
-        assert meta["predicted_seconds"]["batch"] < (
-            meta["predicted_seconds"]["serial"]
-        )
-        serial = engine.join(districts, blobs, grid_order=9, mode="serial")
-        assert _rows(run) == _rows(serial)
-
-    def test_auto_batch_tie_resolves_serial_first(self):
-        # Bench-seeded profiles carry serial's per-pair cost for batch;
-        # the tie must keep the historical serial pick.
-        model = CostModel(make_profile(cpu=1))
-        decision = model.decide(
-            features(100_000, cpu=1), ["serial", "batch", "parallel"]
-        )
-        assert decision.mode == "serial"
-        assert decision.predicted["batch"] == decision.predicted["serial"]
-
-    def test_auto_batch_excluded_for_other_methods(self, inputs):
-        # Batch implements only the P+C find-relation pipeline; with a
-        # batch-favoring profile an APRIL-method join must not pick it.
-        districts, blobs = inputs
-        engine = Engine(calibration=make_profile(cpu=1, batch_pp=2e-7))
-        run = engine.join(districts, blobs, grid_order=9, method="APRIL")
-        assert run.mode == "serial"
+        assert run.meta["cost_model"]["features"]["pairs"] == float(run.stats.pairs)
 
     def test_library_engine_never_discovers_profiles(self, tmp_path, monkeypatch):
         # Bare Engine() must stay deterministic even when a profile

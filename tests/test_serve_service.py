@@ -70,6 +70,23 @@ class TestJoinEndpoint:
         ]
         assert doc["stats"]["pairs"] == direct.stats.pairs
 
+    @pytest.mark.parametrize("endpoint, extra", [
+        ("join", {}), ("predicate", {"predicate": "intersects"}),
+    ])
+    def test_omitted_workers_is_one_worker(self, server, monkeypatch, endpoint, extra):
+        # The daemon must not size a pool from the machine's core count
+        # (and fork it from a handler thread) unless the request asks.
+        import os
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        base, _service = server
+        status, doc = post_json(
+            f"{base}/v1/{endpoint}", {"r": "r.wkt", "s": "s.wkt", "grid_order": 8, **extra}
+        )
+        assert status == 200
+        assert doc["workers"] == 1
+        assert doc["mode"] == "serial"
+
     def test_predicate_endpoint(self, server):
         base, _service = server
         status, doc = post_json(

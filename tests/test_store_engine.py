@@ -26,28 +26,59 @@ def _rows(run: JoinRun):
     return [(l.r_index, l.s_index, l.relation, l.filtered) for l in run.results]
 
 
+def _identity(run: JoinRun):
+    """Everything that must not depend on how a join was executed."""
+    stats = run.stats
+    return (
+        _rows(run),
+        stats.relation_counts,
+        stats.refined,
+        stats.r_objects_accessed,
+        stats.s_objects_accessed,
+    )
+
+
 class TestModes:
-    def test_all_modes_agree(self, inputs, tmp_path):
+    @pytest.mark.parametrize("method", ["ST2", "OP2", "APRIL", "P+C"])
+    def test_all_modes_agree(self, inputs, tmp_path, method):
         districts, blobs = inputs
         engine = Engine()
-        serial = engine.join(districts, blobs, grid_order=9, mode="serial")
-        batch = engine.join(districts, blobs, grid_order=9, mode="batch")
-        parallel = engine.join(
-            districts, blobs, grid_order=9, mode="parallel", workers=2
-        )
-        disk = engine.join(
-            districts, blobs, grid_order=9, mode="disk",
-            tiles_per_dim=3, workdir=tmp_path / "disk",
-        )
-        assert _rows(serial) == _rows(batch) == _rows(parallel)
-        # Disk joins verify pairs tile-locally, so filter stages can
-        # differ; links and relations must not.
-        assert [(l.r_index, l.s_index, l.relation) for l in disk.results] == [
-            (l.r_index, l.s_index, l.relation) for l in serial.results
-        ]
-        assert serial.mode == "serial" and batch.mode == "batch"
-        assert parallel.mode == "parallel" and disk.mode == "disk"
-        assert {type(r) for r in (serial, batch, parallel, disk)} == {JoinRun}
+
+        def join(mode, **kwargs):
+            return engine.join(
+                districts, blobs, grid_order=9, method=method, mode=mode, **kwargs
+            )
+
+        serial = join("serial")
+        runs = {
+            "batch": join("batch"),
+            "chunks": join("parallel", workers=2),
+            "tiles": join("parallel", workers=2, partition="tiles"),
+            "disk": join("disk", tiles_per_dim=3, workdir=tmp_path / "disk"),
+        }
+        for name, run in runs.items():
+            assert _identity(run) == _identity(serial), (method, name)
+        # ``mode`` reports what ran: batch is an alias of serial.
+        assert serial.mode == runs["batch"].mode == "serial"
+        assert runs["chunks"].mode == runs["tiles"].mode == "parallel"
+        assert runs["disk"].mode == "disk"
+        assert {type(r) for r in runs.values()} == {JoinRun}
+
+    def test_relate_modes_agree(self, inputs):
+        districts, blobs = inputs
+        engine = Engine()
+
+        def join(mode, **kwargs):
+            return engine.join(
+                districts, blobs, grid_order=9, predicate=T.INTERSECTS, mode=mode,
+                **kwargs,
+            )
+
+        serial = join("serial")
+        assert serial.results and serial.stats.refined
+        for run in (join("batch"), join("parallel", workers=2)):
+            assert _identity(run) == _identity(serial)
+            assert run.stats.resolved_if == serial.stats.resolved_if
 
     def test_envelope_unpacks(self, inputs):
         districts, blobs = inputs
@@ -78,11 +109,6 @@ class TestModes:
         assert (
             engine.join(districts, blobs, grid_order=9, workers=2).mode == "parallel"
         )
-
-    def test_batch_rejects_other_methods(self, inputs):
-        districts, blobs = inputs
-        with pytest.raises(ValueError, match="P\\+C"):
-            Engine().join(districts, blobs, grid_order=9, mode="batch", method="ST2")
 
     def test_unknown_mode_rejected(self, inputs):
         districts, blobs = inputs
