@@ -63,7 +63,7 @@ from repro.serve import JoinService, start_server
 from repro.serve.schema import API_VERSION, WireError, dumps_wire, loads_wire
 from repro.topology import DE9IM, TopologicalRelation, most_specific_relation, relate
 
-__version__ = "1.2.0"
+__version__ = "1.3.0"
 
 __all__ = [
     "API_VERSION",

@@ -9,7 +9,6 @@ persistent dataset indexes built with ``build-index``::
     python -m repro join r.wkt s.wkt --mode disk      # out-of-core PBSM
     python -m repro build-index r.wkt --index r_idx   # persist the dataset
     python -m repro join r_idx s_idx --index          # warm: no rasterising
-    python -m repro calibrate                         # fit the --mode auto cost model
     python -m repro explain r.wkt s.wkt --index 3 7   # why did P+C decide that?
     python -m repro select data.geojson --query "POLYGON((...))" --predicate intersects
     python -m repro approximate data.wkt --grid-order 12 --out approx.npz
@@ -248,13 +247,7 @@ def _resolve_dataset(
 
 def cmd_join(args: argparse.Namespace) -> int:
     _setup_obs(args)
-    if args.calibration:
-        try:
-            engine = Engine(calibration=args.calibration)
-        except (ValueError, OSError) as exc:
-            raise SystemExit(f"{args.calibration}: {exc}") from exc
-    else:
-        engine = default_engine()
+    engine = default_engine()
     rd = _resolve_dataset(
         engine, args.r, args.index,
         on_error=args.on_index_error, strict=not args.quarantine,
@@ -279,13 +272,8 @@ def cmd_join(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise SystemExit(str(exc)) from exc
-    decision_meta = run.meta.get("cost_model")
-    if decision_meta is not None and args.mode == "auto":
-        print(
-            f"# auto mode -> {decision_meta['decision']} "
-            f"({decision_meta['source']})",
-            file=sys.stderr,
-        )
+    if args.mode == "auto":
+        print(f"# auto mode -> {run.mode}", file=sys.stderr)
     if predicate is not None:
         matches = run.matches
         for i, j in matches:
@@ -293,8 +281,6 @@ def cmd_join(args: argparse.Namespace) -> int:
         print(f"# {len(matches)} pairs satisfy {predicate.value}", file=sys.stderr)
         args.explain_sample = 0  # explain narrates find-relation runs only
         extra = {"predicate": predicate.value, "matches": len(matches)}
-        if decision_meta is not None:
-            extra["cost_model"] = decision_meta
         _emit_obs(args, run, None, None, extra)
     else:
         for link in run.results:
@@ -313,8 +299,6 @@ def cmd_join(args: argparse.Namespace) -> int:
             r_objects = engine.objects(rd, grid)
             s_objects = engine.objects(sd, grid)
         extra = {"links": len(run.results)}
-        if decision_meta is not None:
-            extra["cost_model"] = decision_meta
         _emit_obs(args, run, r_objects, s_objects, extra)
     return 0
 
@@ -328,13 +312,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     # per-request dashboards need the registry and span collector live.
     obs.set_metrics(True)
     obs.set_tracing(True)
-    if args.calibration:
-        try:
-            engine = Engine(calibration=args.calibration)
-        except (ValueError, OSError) as exc:
-            raise SystemExit(f"{args.calibration}: {exc}") from exc
-    else:
-        engine = Engine(calibration="auto")
+    engine = Engine()
     # With a pool, inflight defaults to the worker count so admitted
     # requests map one-to-one onto workers; single-flight keeps 1.
     max_inflight = args.max_inflight
@@ -413,50 +391,6 @@ def cmd_report(args: argparse.Namespace) -> int:
             print(f"# {line}", file=sys.stderr)
         if regressions and args.fail_on_regression:
             return 1
-    return 0
-
-
-def cmd_calibrate(args: argparse.Namespace) -> int:
-    import os
-
-    from repro.optimizer import CostModel, JoinFeatures, default_profile_path
-    from repro.optimizer.calibrate import measure_profile
-
-    profile = measure_profile(
-        workers=args.workers,
-        repeats=args.repeats,
-        scale=args.scale,
-        include_disk=args.include_disk,
-    )
-    out = Path(args.out) if args.out else default_profile_path()
-    profile.save(out)
-    # The process-default engine may predate this profile; drop it so
-    # the next join discovers the fresh calibration.
-    from repro.store import set_default_engine
-
-    set_default_engine(None)
-    cpu = os.cpu_count() or 1
-    print(f"wrote calibration profile to {out}")
-    print(f"# machine: {cpu} cpu(s); parallel measured with "
-          f"{profile.measured_workers} workers", file=sys.stderr)
-    for mode in sorted(profile.modes):
-        mc = profile.modes[mode]
-        print(f"# {mode:>8}: {mc.startup * 1e3:8.2f} ms startup "
-              f"+ {mc.per_pair * 1e6:8.2f} us/pair", file=sys.stderr)
-    model = CostModel(profile)
-    print("# auto-mode preview (warm index, workers = cpu count):", file=sys.stderr)
-    # The same candidate set Engine.join offers a warm find-relation join.
-    candidates = ("serial", "parallel", "disk")
-    for pairs in (100, 10_000, 1_000_000):
-        features = JoinFeatures(
-            r_count=max(1, pairs // 10),
-            s_count=max(1, pairs // 10),
-            pairs=float(pairs),
-            workers=cpu,
-            cpu_count=cpu,
-        )
-        decision = model.decide(features, candidates)
-        print(f"#   {pairs:>9,} pairs -> {decision.mode}", file=sys.stderr)
     return 0
 
 
@@ -588,14 +522,9 @@ def main(argv: list[str] | None = None) -> int:
         help="where the one verification loop gets its partitions: serial "
              "(one, in-process; batch is an alias), parallel (chunks over "
              "--workers processes), disk (out-of-core PBSM tiles), or auto "
-             "(cost-model pick when a calibration profile exists — see the "
-             "calibrate subcommand; otherwise serial/parallel by --workers)",
-    )
-    p.add_argument(
-        "--calibration", default=None, metavar="PATH",
-        help="cost-model calibration profile for --mode auto (default: "
-             "auto-discover from $REPRO_CALIBRATION, then "
-             "~/.cache/repro/calibration.json)",
+             "(parallel iff min(--workers, cpus) > 1 and the join has at "
+             "least 2,048 candidate pairs — the measured point where "
+             "forking a pool pays; otherwise serial; stderr names the pick)",
     )
     p.add_argument(
         "--index", action="store_true",
@@ -604,7 +533,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     p.add_argument(
         "--workers", type=_worker_count, default=1,
-        help="worker processes for preprocessing + verification (default 1)",
+        help="worker processes for preprocessing + verification (default "
+             "1); under --mode auto, verification of a small join stays "
+             "in-process regardless — --mode parallel forces the pool",
     )
     p.add_argument(
         "--trace", default=None, metavar="PATH",
@@ -638,8 +569,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     p.add_argument(
         "--partition-timeout", type=float, default=None, metavar="SECONDS",
-        help="per-partition deadline for parallel runs; a partition that "
-             "exceeds it is retried, then re-executed serially (default 300)",
+        help="per-partition deadline for parallel runs (APRIL build and "
+             "verification fan-outs alike); a partition that exceeds it is "
+             "retried, then re-executed serially (default 300)",
     )
     p.add_argument(
         "--max-retries", type=int, default=None, metavar="N",
@@ -714,11 +646,6 @@ def main(argv: list[str] | None = None) -> int:
         help="recent requests kept for GET /v1/runs/<id> dashboards "
              "(default 64)",
     )
-    p.add_argument(
-        "--calibration", default=None, metavar="PATH",
-        help="cost-model calibration profile for auto-mode requests "
-             "(default: auto-discover like the join subcommand)",
-    )
     p.add_argument("--quiet", action="store_true",
                    help="suppress per-request access log lines")
     p.set_defaults(func=cmd_serve)
@@ -748,34 +675,6 @@ def main(argv: list[str] | None = None) -> int:
         help="exit 1 when the bench-trend gate flags a regression",
     )
     p.set_defaults(func=cmd_report)
-
-    p = sub.add_parser(
-        "calibrate",
-        help="measure this machine and persist the auto-mode cost model",
-    )
-    p.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="profile destination (default: $REPRO_CALIBRATION, then "
-             "~/.cache/repro/calibration.json)",
-    )
-    p.add_argument(
-        "--workers", type=_worker_count, default=None,
-        help="parallel pool size to measure (default: min(4, cpus), "
-             "never less than 2 so the pool overhead is real)",
-    )
-    p.add_argument(
-        "--repeats", type=int, default=2, metavar="N",
-        help="timing repeats per measurement; the minimum is kept (default 2)",
-    )
-    p.add_argument(
-        "--scale", type=float, default=1.0,
-        help="scale factor for the two calibration workloads (default 1.0)",
-    )
-    p.add_argument(
-        "--include-disk", action="store_true",
-        help="also measure the out-of-core PBSM mode (slower)",
-    )
-    p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser(
         "build-index",

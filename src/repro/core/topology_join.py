@@ -18,9 +18,11 @@ on top of a private engine, so existing callers see identical behaviour
 while new code talks to :class:`~repro.store.Engine` directly (and gains
 the persistent warm cache).
 
-With ``workers > 1`` both preprocessing and the per-pair verification
-stage fan out over a process pool (:mod:`repro.parallel`); results are
-identical to a serial run, in the same ``(i, j)`` order.
+With ``workers > 1`` preprocessing fans out over a process pool
+(:mod:`repro.parallel`), and so does the per-pair verification stage
+once the candidate stream is long enough to pay for one (the engine's
+``mode="auto"`` rule); results are identical to a serial run, in the
+same ``(i, j)`` order.
 """
 
 from __future__ import annotations
@@ -59,7 +61,9 @@ class TopologyJoin:
     workers:
         Process-pool size for preprocessing and verification. ``1``
         (default) runs everything in-process; ``None`` picks a small
-        pool automatically. Results are identical for every value.
+        pool automatically; verification forks only past the
+        ``mode="auto"`` break-even. Results are identical for every
+        value.
     engine:
         The :class:`~repro.store.Engine` to execute on. Defaults to a
         private engine, preserving the historical per-instance caching;

@@ -7,9 +7,9 @@ write-only. Here they become data:
 
 * :func:`append_entry` is the single writer every ``benchmarks/``
   suite records through; it stamps the common **envelope**
-  (``schema_version``, UTC timestamp, git revision, machine
-  fingerprint from :mod:`repro.optimizer.cost`) so the trajectory is
-  uniformly attributable. Pre-envelope entries stay readable — every
+  (``schema_version``, UTC timestamp, git revision,
+  :func:`machine_fingerprint`) so the trajectory is uniformly
+  attributable. Pre-envelope entries stay readable — every
   reader treats the envelope as optional.
 * :func:`load_trajectories` ingests every ``BENCH_*.json`` under a
   root directory.
@@ -31,13 +31,15 @@ series. Metric *direction* is classified by name
 ``*_seconds``/``*_ratio``/``*_bytes`` regress upward, and calibration
 yardsticks (``calib_seconds``, ``baseline_*``) are never gated.
 
-Stdlib only; the one ``repro`` import (machine fingerprint) is lazy.
+Stdlib only.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import subprocess
+import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -53,6 +55,7 @@ __all__ = [
     "format_regressions",
     "load_trajectories",
     "load_trajectory",
+    "machine_fingerprint",
     "make_envelope",
     "metric_direction",
 ]
@@ -149,22 +152,23 @@ def _git_rev(cwd: Path) -> str | None:
     return rev if out.returncode == 0 and rev else None
 
 
+def machine_fingerprint() -> dict[str, Any]:
+    """What makes wall-clock numbers comparable: core count, platform,
+    interpreter version."""
+    return {
+        "cpu_count": os.cpu_count() or 1,
+        "platform": sys.platform,
+        "python": f"{sys.version_info.major}.{sys.version_info.minor}",
+    }
+
+
 def make_envelope(cwd: str | Path | None = None) -> dict[str, Any]:
     """The provenance envelope stamped onto every new bench entry."""
-    try:
-        from repro.optimizer.cost import CalibrationProfile
-
-        machine = CalibrationProfile.machine_fingerprint()
-    except Exception:  # pragma: no cover - fingerprint is best-effort
-        import os
-        import sys
-
-        machine = {"cpu_count": os.cpu_count() or 1, "platform": sys.platform}
     return {
         "schema_version": SCHEMA_VERSION,
         "recorded_utc": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
         "git_rev": _git_rev(Path(cwd) if cwd else Path.cwd()),
-        "machine": machine,
+        "machine": machine_fingerprint(),
     }
 
 

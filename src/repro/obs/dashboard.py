@@ -24,7 +24,6 @@ detail rides on ``title`` tooltips.
 from __future__ import annotations
 
 import html
-import json
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any
@@ -370,12 +369,6 @@ def _run_section(record: dict[str, Any], index: int) -> str:
     if metrics:
         parts.append(_quantile_rows(metrics))
 
-    cost = record.get("meta", {}).get("cost_model")
-    if cost:
-        parts.append("<h3>Cost-model decision</h3>")
-        parts.append(
-            f'<div class="spans">{_esc(json.dumps(cost, indent=2, sort_keys=True))}</div>'
-        )
     parts.append("</section>")
     return "".join(parts)
 

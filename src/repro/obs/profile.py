@@ -92,7 +92,6 @@ PHASE_ALIASES: dict[str, str] = {
     "tile": "orchestration",
     "disk_join": "orchestration",
     "serial_fallback": "orchestration",
-    "cost_model_decision": "orchestration",
 }
 
 _ENABLED = False

@@ -1,41 +1,17 @@
-"""Query-optimizer support: selectivity estimation and cost modelling.
+"""Query-optimizer support: selectivity estimation.
 
 The paper's introduction cites the use of topological relations in
 spatial query optimisation via multiscale histograms [19]. This package
-provides that substrate in two layers:
+provides that substrate: :mod:`repro.optimizer.selectivity` holds
+compact grid histograms summarising a dataset, and estimators for the
+cardinality of topological selections and joins — the numbers an
+optimiser needs to order joins or choose access paths *without*
+touching the data (:meth:`repro.store.Engine.estimate_pairs`).
 
-- :mod:`repro.optimizer.selectivity` — compact grid histograms
-  summarising a dataset, and estimators for the cardinality of
-  topological selections and joins: the numbers an optimiser needs to
-  order joins or choose access paths *without* touching the data.
-- :mod:`repro.optimizer.cost` — a calibrated per-mode cost model that
-  turns those cardinalities (plus core count and cache state) into an
-  execution-mode decision; :mod:`repro.optimizer.calibrate` measures
-  the machine that feeds it. This is what makes the engine's
-  ``mode="auto"`` informed instead of a workers-count heuristic.
+Execution-mode selection is not decided here: ``mode="auto"`` is the
+one measured break-even rule in :func:`repro.parallel.executor.auto_mode`.
 """
 
-from repro.optimizer.cost import (
-    CalibrationError,
-    CalibrationProfile,
-    CostModel,
-    Decision,
-    JoinFeatures,
-    ModeCost,
-    default_profile_path,
-    load_cost_model,
-)
 from repro.optimizer.selectivity import SpatialHistogram, estimate_join_candidates
 
-__all__ = [
-    "CalibrationError",
-    "CalibrationProfile",
-    "CostModel",
-    "Decision",
-    "JoinFeatures",
-    "ModeCost",
-    "SpatialHistogram",
-    "default_profile_path",
-    "estimate_join_candidates",
-    "load_cost_model",
-]
+__all__ = ["SpatialHistogram", "estimate_join_candidates"]

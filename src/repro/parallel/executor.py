@@ -100,6 +100,22 @@ def fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
+#: Candidate pairs below which ``mode="auto"`` stays in-process: forking
+#: and tearing down the pool costs 0.07–0.2 s per join, which a second
+#: core only earns back on a long enough stream. Measured break-even
+#: (table in docs/architecture.md, "Auto mode"): the pool loses below
+#: ~2,000 pairs and wins from there on.
+PARALLEL_MIN_PAIRS = 2048
+
+
+def auto_mode(workers: int | None, pairs: int) -> str:
+    """What ``mode="auto"`` runs for ``pairs`` candidates: ``"parallel"``
+    iff more than one worker can run at once *and* the stream amortises
+    the pool start-up, else ``"serial"``."""
+    usable = min(resolve_workers(workers), os.cpu_count() or 1)
+    return "parallel" if usable > 1 and pairs >= PARALLEL_MIN_PAIRS else "serial"
+
+
 @dataclass
 class ParallelRun:
     """Merged outcome of a partitioned verification run."""
@@ -389,8 +405,10 @@ def run_relate_parallel(
 
 
 __all__ = [
+    "PARALLEL_MIN_PAIRS",
     "PairOutcome",
     "ParallelRun",
+    "auto_mode",
     "default_workers",
     "fork_available",
     "resolve_workers",

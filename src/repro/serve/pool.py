@@ -135,7 +135,7 @@ def _worker_main(slot: int, conn, engine, inherited_conns) -> None:
     if engine is None:
         from repro.store.engine import Engine
 
-        engine = Engine(calibration="auto")
+        engine = Engine()
     conn.send(("ready", os.getpid()))
     while True:
         try:
@@ -190,10 +190,10 @@ class WorkerPool:
 
     ``engine`` (optional) is the parent's warm engine — fork it into
     every worker copy-on-write; with ``None`` each worker builds its
-    own ``Engine(calibration="auto")``. The pool must be
-    :meth:`start`-ed before use and :meth:`close`-d by its owner; a
-    worker that fails is respawned by the supervisor thread with
-    per-slot exponential backoff (reset on the next completed request).
+    own ``Engine()``. The pool must be :meth:`start`-ed before use and
+    :meth:`close`-d by its owner; a worker that fails is respawned by
+    the supervisor thread with per-slot exponential backoff (reset on
+    the next completed request).
     """
 
     def __init__(

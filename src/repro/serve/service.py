@@ -131,7 +131,7 @@ class JoinService:
         if engine is None:
             from repro.store.engine import Engine
 
-            engine = Engine(calibration="auto")
+            engine = Engine()
         if degrade not in DEGRADE_MODES:
             raise ValueError(
                 f"degrade must be one of {DEGRADE_MODES}, got {degrade!r}"
@@ -353,11 +353,6 @@ class JoinService:
                     "wall_seconds": response["wall_seconds"],
                     "service_seconds": service_seconds,
                     "queued_seconds": ticket.queued_seconds,
-                    **(
-                        {"cost_model": response["meta"]["cost_model"]}
-                        if "cost_model" in response.get("meta", {})
-                        else {}
-                    ),
                 },
             },
         )

@@ -245,10 +245,13 @@ class SpatialDataset:
         grid: RasterGrid,
         workers: int | None = 1,
         on_error: str = "rebuild",
+        partition_timeout: float | None = None,
+        max_retries: int | None = None,
     ) -> list:
         """APRIL lists for every geometry on ``grid`` — loaded from the
         index when a valid payload exists, built (and, for persistent
-        datasets, written back) otherwise.
+        datasets, written back) otherwise; ``partition_timeout`` /
+        ``max_retries`` bound the supervised build fan-out.
 
         A payload that exists but cannot be used — torn by a crashed
         writer, built on a different grid, or counting a different
@@ -274,7 +277,9 @@ class SpatialDataset:
             _observe_rebuild("april_payload")
         if payload is not None:
             _observe_cache("april_payload", "miss")
-        aprils = self._build_approximations(grid, workers)
+        aprils = self._build_approximations(
+            grid, workers, partition_timeout, max_retries
+        )
         if payload is not None:
             payload.parent.mkdir(parents=True, exist_ok=True)
             if self.payload_codec != "raw":
@@ -325,12 +330,24 @@ class SpatialDataset:
             "compression_ratio": plain / stored if stored else 1.0,
         }
 
-    def _build_approximations(self, grid: RasterGrid, workers: int | None) -> list:
+    def _build_approximations(
+        self,
+        grid: RasterGrid,
+        workers: int | None,
+        partition_timeout: float | None,
+        max_retries: int | None,
+    ) -> list:
         from repro.parallel import build_april_parallel
 
         t0 = time.perf_counter()
         with trace("store_build_april", count=len(self), grid_order=grid.order):
-            aprils = build_april_parallel(self.geometries, grid, workers=workers)
+            aprils = build_april_parallel(
+                self.geometries,
+                grid,
+                workers=workers,
+                partition_timeout=partition_timeout,
+                max_retries=max_retries,
+            )
         _observe_build("april", time.perf_counter() - t0)
         return aprils
 

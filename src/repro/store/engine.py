@@ -27,21 +27,17 @@ Cache traffic is observable through the metrics registry
 ``repro_store_build_seconds{what}``), and the warm-path proof counter
 ``repro_april_built_total`` stays at zero for a fully warm run.
 
-The engine also owns the ``mode="auto"`` decision: a calibrated cost
-model (:mod:`repro.optimizer.cost`) prices each execution mode from
-the input cardinalities, the exact candidate-pair count, the core
-count and the cache state, and the cheapest mode runs — with the
-workers-based rule as the calibration-free fallback. Decisions are
-recorded in ``JoinRun.meta["cost_model"]`` and ``repro_cost_model_*``
-counters/spans.
+``mode="auto"`` is one rule (:func:`repro.parallel.executor.auto_mode`):
+``parallel`` iff more than one worker can run at once and the exact
+candidate-pair count reaches the measured pool break-even, else
+``serial``. ``JoinRun.mode`` / ``.workers`` / ``.stats.pairs`` report
+everything the rule looked at.
 """
 
 from __future__ import annotations
 
 import atexit
-import os
 import tempfile
-import time
 from collections import OrderedDict
 from pathlib import Path
 from typing import Sequence
@@ -53,15 +49,7 @@ from repro.join.pipeline import PIPELINES
 from repro.join.run import JoinResult, JoinRun
 from repro.obs.metrics import get_registry, metrics_enabled
 from repro.obs.resources import resources_enabled, run_resources
-from repro.obs.trace import add_span, trace
-from repro.optimizer.cost import (
-    CalibrationProfile,
-    CostModel,
-    Decision,
-    JoinFeatures,
-    fallback_decision,
-    load_cost_model,
-)
+from repro.obs.trace import trace
 from repro.raster.compression import LazyAprilApproximation
 from repro.raster.grid import RasterGrid, pad_dataspace
 from repro.store.dataset import (
@@ -124,19 +112,6 @@ class Engine:
     Parameters bound the LRU caches; an engine with the defaults keeps
     a handful of datasets fully warm. One engine instance is not
     thread-safe; share it across sequential queries only.
-
-    ``calibration`` wires up the cost model behind ``mode="auto"``:
-
-    - ``None`` (default) — no model; auto falls back to the historical
-      workers-based rule, bit-identically. Library construction stays
-      deterministic regardless of what profiles exist on the machine.
-    - ``"auto"`` — discover the machine's persisted profile (written by
-      ``python -m repro calibrate``; see
-      :func:`repro.optimizer.cost.default_profile_path`). Absent or
-      stale profiles silently fall back. This is what
-      :func:`default_engine` (and therefore the CLI) uses.
-    - a path, :class:`CalibrationProfile` or :class:`CostModel` — use
-      exactly that calibration (paths must load; errors propagate).
     """
 
     def __init__(
@@ -147,14 +122,12 @@ class Engine:
         max_pair_sets: int = 32,
         max_payload_sets: int = 16,
         max_decoded_payload_bytes: int | None = None,
-        calibration: str | Path | CalibrationProfile | CostModel | None = None,
     ) -> None:
         self._datasets = _LRU(max_datasets, "dataset")
         self._objects = _LRU(max_object_sets, "objects")
         self._pairs = _LRU(max_pair_sets, "pairs")
         self._payloads = _LRU(max_payload_sets, "payload")
         self.max_decoded_payload_bytes = max_decoded_payload_bytes
-        self.cost_model = self._resolve_calibration(calibration)
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -191,18 +164,6 @@ class Engine:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
-
-    @staticmethod
-    def _resolve_calibration(calibration) -> CostModel | None:
-        if calibration is None:
-            return None
-        if isinstance(calibration, CostModel):
-            return calibration
-        if isinstance(calibration, CalibrationProfile):
-            return CostModel(calibration)
-        if calibration == "auto":
-            return load_cost_model()
-        return load_cost_model(calibration)
 
     # ------------------------------------------------------------------
     # dataset resolution
@@ -287,6 +248,8 @@ class Engine:
         *,
         with_april: bool = True,
         workers: int | None = 1,
+        partition_timeout: float | None = None,
+        max_retries: int | None = None,
     ) -> list[SpatialObject]:
         """The dataset's ``SpatialObject`` list for ``grid``.
 
@@ -294,7 +257,8 @@ class Engine:
         approximations are attached lazily (``with_april``) and come
         from :meth:`SpatialDataset.approximations`, i.e. from the
         persistent payload when one exists — the warm path that skips
-        rasterisation entirely.
+        rasterisation entirely. ``partition_timeout``/``max_retries``
+        bound the supervised build fan-out of a cold one.
         """
         key = (dataset.content_hash, _grid_identity(grid))
         objects = self._objects.get(key)
@@ -307,12 +271,21 @@ class Engine:
             ]
             self._objects.put(key, objects)
         if with_april and objects and objects[0].april is None:
-            aprils = self._approximations(dataset, grid, workers)
+            aprils = self._approximations(
+                dataset, grid, workers, partition_timeout, max_retries
+            )
             for obj, approx in zip(objects, aprils):
                 obj.april = approx
         return objects
 
-    def _approximations(self, dataset: SpatialDataset, grid: RasterGrid, workers):
+    def _approximations(
+        self,
+        dataset: SpatialDataset,
+        grid: RasterGrid,
+        workers,
+        partition_timeout: float | None,
+        max_retries: int | None,
+    ):
         """The dataset's approximation list for ``grid``, LRU-cached.
 
         Compressed payloads carry their own bounded decoded-object
@@ -325,7 +298,12 @@ class Engine:
         key = (dataset.content_hash, _grid_identity(grid))
         aprils = self._payloads.get(key)
         if aprils is None:
-            aprils = dataset.approximations(grid, workers=workers)
+            aprils = dataset.approximations(
+                grid,
+                workers=workers,
+                partition_timeout=partition_timeout,
+                max_retries=max_retries,
+            )
             if (
                 self.max_decoded_payload_bytes is not None
                 and aprils
@@ -382,13 +360,13 @@ class Engine:
         self._payloads.clear()
 
     # ------------------------------------------------------------------
-    # cost-model support
+    # auto mode + selectivity
     # ------------------------------------------------------------------
     def estimate_pairs(self, r: SpatialDataset, s: SpatialDataset) -> float:
         """Estimated candidate-pair cardinality of the MBR join, from
         selectivity histograms of the two datasets — without running
-        the join. (``mode="auto"`` prices the exact count instead: the
-        pair set it is about to verify.)"""
+        the join. (``mode="auto"`` looks at the exact count instead:
+        the pair set it is about to verify.)"""
         from repro.optimizer.selectivity import (
             SpatialHistogram,
             estimate_join_candidates,
@@ -400,73 +378,16 @@ class Engine:
             SpatialHistogram.build(s.boxes, extent=extent),
         )
 
-    def _april_warm(self, dataset: SpatialDataset, grid: RasterGrid) -> bool:
-        """Whether approximations for ``grid`` are already available —
-        attached to a cached object set or persisted in the index —
-        i.e. whether a join on this grid skips rasterisation."""
-        objects = self._objects._data.get((dataset.content_hash, _grid_identity(grid)))
-        if objects and objects[0].april is not None:
-            return True
-        payload = dataset.approximation_path(grid)
-        return payload is not None and payload.exists()
+    @staticmethod
+    def _decide_auto(workers: int | None, pairs: int) -> str:
+        """What ``mode="auto"`` means for :meth:`join` and
+        :meth:`execute` alike — the one rule,
+        :func:`repro.parallel.executor.auto_mode`, on the exact pair
+        count (``workers=None`` resolves through ``default_workers()``
+        there, so a 1-CPU machine runs serial)."""
+        from repro.parallel.executor import auto_mode
 
-    def _decide_auto(
-        self,
-        workers: int | None,
-        *,
-        method: str,
-        predicate: TopologicalRelation | None,
-        r_count: int,
-        s_count: int,
-        pairs: int,
-        warm: bool,
-        disk: bool,
-    ) -> tuple[Decision, int]:
-        """Resolve ``mode="auto"``: the decision and the resolved workers.
-
-        The one place :meth:`join` and :meth:`execute` build the
-        model's features and candidate set. With a cost model, the
-        cheapest predicted candidate wins (serial first, so ties keep
-        the in-process run; ``disk`` joins the race only where the
-        caller can run it, and then only above the profile's pair
-        threshold); the decision and the full prediction table are
-        recorded as a span and in ``repro_cost_model_*`` counters.
-        Without one, the workers rule applies — on *resolved* workers,
-        so ``workers=None`` on a 1-CPU machine lands on serial.
-        """
-        from repro.parallel.executor import resolve_workers
-
-        t0 = time.perf_counter()
-        workers = resolve_workers(workers)
-        if self.cost_model is not None:
-            features = JoinFeatures(
-                r_count=r_count,
-                s_count=s_count,
-                pairs=float(pairs),
-                workers=workers,
-                cpu_count=os.cpu_count() or 1,
-                warm=warm,
-                needs_april=predicate is not None or PIPELINES[method].uses_april,
-            )
-            candidates = ["serial", "parallel"]
-            if disk and predicate is None:
-                candidates.append("disk")
-            decision = self.cost_model.decide(features, candidates)
-        else:
-            decision = fallback_decision(workers)
-        self._decide_seconds = time.perf_counter() - t0
-        if metrics_enabled():
-            registry = get_registry()
-            registry.inc(
-                "repro_cost_model_decisions_total",
-                mode=decision.mode,
-                source=decision.source,
-            )
-            for mode, seconds in decision.predicted.items():
-                registry.observe(
-                    "repro_cost_model_predicted_seconds", seconds, mode=mode
-                )
-        return decision, workers
+        return auto_mode(workers, pairs)
 
     def _attach_resources(self, run: JoinRun) -> None:
         """Stamp the resource summary onto the run envelope when the
@@ -477,28 +398,6 @@ class Engine:
             )
             if summary is not None:
                 run.meta["resources"] = summary
-
-    def _observe_auto(self, decision: Decision, run: JoinRun) -> None:
-        """Fold an auto-decided run's wall time back into the model and
-        attach the decision to the run envelope."""
-        run.meta["cost_model"] = decision.to_meta()
-        # Emitted after the run so the join's own span tree stays the
-        # first exported root (the shape trace consumers pin on).
-        features = decision.features
-        add_span(
-            "cost_model_decision",
-            getattr(self, "_decide_seconds", 0.0),
-            decision=decision.mode,
-            source=decision.source,
-            pairs=round(features.pairs, 1) if features is not None else None,
-            workers=features.workers if features is not None else None,
-        )
-        if (
-            self.cost_model is not None
-            and decision.source == "calibration"
-            and decision.features is not None
-        ):
-            self.cost_model.observe_run(run.mode, decision.features, run.wall_seconds)
 
     # ------------------------------------------------------------------
     # execution
@@ -537,22 +436,19 @@ class Engine:
         directory when omitted). ``run.mode`` reports what ran.
         ``predicate`` switches from find-relation to a relate_p join.
 
-        ``mode="auto"`` consults the engine's cost model (see the class
-        docstring's ``calibration`` parameter): input cardinalities, the
-        exact candidate-pair count (the cached MBR join the run then
-        verifies), the machine's core count and the cache state (warm
-        payloads vs cold rasterisation) price out serial vs parallel
-        (vs disk, above the profile's pair threshold), and the cheapest
-        predicted mode runs. The decision, its source and the full
-        prediction table land in ``run.meta["cost_model"]`` and in
-        ``repro_cost_model_*`` counters/spans. Engines without
-        calibration fall back to the workers rule — parallel iff the
-        *resolved* worker count exceeds one (``workers=None`` resolves
-        through ``default_workers()`` first, so a 1-CPU machine runs
-        serial).
+        ``mode="auto"`` is one rule
+        (:func:`repro.parallel.executor.auto_mode`): ``"parallel"`` iff
+        ``min(workers, cpu count) > 1`` *and* the exact candidate-pair
+        count (the cached MBR join the run then verifies) reaches
+        ``PARALLEL_MIN_PAIRS``, the measured point where a forked pool
+        starts to pay; otherwise ``"serial"``. It never picks
+        ``"disk"``. ``workers=None`` resolves through
+        ``default_workers()`` first, so a 1-CPU machine runs serial.
+        Pass ``mode="parallel"`` to force a pool below the break-even.
 
         Fault-tolerance knobs: ``partition_timeout``/``max_retries``
-        bound the supervised parallel fan-out (see
+        bound every supervised fan-out of the join — the cold APRIL
+        build and the verification alike (see
         :mod:`repro.resilience.supervisor`); ``on_index_error="rebuild"``
         repairs unusable index directories instead of raising;
         ``strict=False`` quarantines malformed source-file rows instead
@@ -577,43 +473,7 @@ class Engine:
             s, on_error=on_index_error, strict=strict, quarantine=s_quarantine
         )
         needs_april = predicate is not None or PIPELINES[method].uses_april
-        decision: Decision | None = None
-        run: JoinRun | None = None
-        if mode != "disk":
-            with trace("topology_join", method=method, mode=mode) as span:
-                grid = self.join_grid(rd, sd, grid_order)
-                pairs = self.pairs(rd, sd)
-                if mode == "auto":
-                    decision, workers = self._decide_auto(
-                        workers,
-                        method=method,
-                        predicate=predicate,
-                        r_count=len(rd),
-                        s_count=len(sd),
-                        pairs=len(pairs),
-                        warm=self._april_warm(rd, grid) and self._april_warm(sd, grid),
-                        disk=True,
-                    )
-                    mode = decision.mode
-                    if span is not None:
-                        span.attrs["mode"] = mode
-                if mode != "disk":
-                    run = self._execute(
-                        method,
-                        self.objects(rd, grid, with_april=needs_april, workers=workers),
-                        self.objects(sd, grid, with_april=needs_april, workers=workers),
-                        pairs,
-                        mode=mode,
-                        predicate=predicate,
-                        workers=workers,
-                        include_disjoint=include_disjoint,
-                        chunk_size=chunk_size,
-                        partition=partition,
-                        tiles_per_dim=tiles_per_dim,
-                        partition_timeout=partition_timeout,
-                        max_retries=max_retries,
-                    )
-        if run is None:
+        if mode == "disk":
             if predicate is not None:
                 raise ValueError("disk mode does not support relate_p predicates")
             run = self._disk_join(
@@ -625,8 +485,40 @@ class Engine:
                 include_disjoint=include_disjoint,
                 workdir=workdir,
             )
-        if decision is not None:
-            self._observe_auto(decision, run)
+        else:
+            with trace("topology_join", method=method, mode=mode) as span:
+                grid = self.join_grid(rd, sd, grid_order)
+                pairs = self.pairs(rd, sd)
+                if mode == "auto":
+                    mode = self._decide_auto(workers, len(pairs))
+                    if span is not None:
+                        span.attrs["mode"] = mode
+                r_objects, s_objects = (
+                    self.objects(
+                        dataset,
+                        grid,
+                        with_april=needs_april,
+                        workers=workers,
+                        partition_timeout=partition_timeout,
+                        max_retries=max_retries,
+                    )
+                    for dataset in (rd, sd)
+                )
+                run = self._execute(
+                    method,
+                    r_objects,
+                    s_objects,
+                    pairs,
+                    mode=mode,
+                    predicate=predicate,
+                    workers=workers,
+                    include_disjoint=include_disjoint,
+                    chunk_size=chunk_size,
+                    partition=partition,
+                    tiles_per_dim=tiles_per_dim,
+                    partition_timeout=partition_timeout,
+                    max_retries=max_retries,
+                )
         self._attach_resources(run)
         run.meta.update(
             r=rd.name, s=sd.name, r_count=len(rd), s_count=len(sd), grid_order=grid_order
@@ -660,8 +552,7 @@ class Engine:
         the in-memory modes only: ``"disk"`` (which re-partitions whole
         datasets on disk) and unknown modes raise :class:`ValueError`
         instead of silently running something else. ``mode="auto"``
-        decides exactly like :meth:`join` — cost model when the engine
-        has one, resolved-workers rule otherwise.
+        decides exactly like :meth:`join`.
         """
         self._check_open()
         if mode not in MODES:
@@ -671,19 +562,8 @@ class Engine:
                 "execute() runs in-memory modes only; disk joins re-partition "
                 "whole datasets on disk — use Engine.join(..., mode='disk')"
             )
-        decision: Decision | None = None
         if mode == "auto":
-            decision, workers = self._decide_auto(
-                workers,
-                method=method,
-                predicate=predicate,
-                r_count=len(r_objects),
-                s_count=len(s_objects),
-                pairs=len(pairs),
-                warm=True,  # objects arrive prepared; nothing left to rasterise
-                disk=False,
-            )
-            mode = decision.mode
+            mode = self._decide_auto(workers, len(pairs))
         run = self._execute(
             method,
             r_objects,
@@ -699,8 +579,6 @@ class Engine:
             partition_timeout=partition_timeout,
             max_retries=max_retries,
         )
-        if decision is not None:
-            self._observe_auto(decision, run)
         self._attach_resources(run)
         return run
 
@@ -812,17 +690,12 @@ _DEFAULT_ENGINE: Engine | None = None
 
 
 def default_engine() -> Engine:
-    """The process-wide engine the CLI and convenience APIs share.
-
-    Unlike a bare ``Engine()``, the default engine discovers the
-    machine's persisted calibration profile (``python -m repro
-    calibrate``), so CLI ``--mode auto`` joins are cost-model-driven
-    wherever a profile exists — and fall back to the workers rule
-    where none does.
-    """
+    """The process-wide engine the CLI and convenience APIs share: a
+    plain ``Engine()``, created on first use and closed at interpreter
+    exit."""
     global _DEFAULT_ENGINE
     if _DEFAULT_ENGINE is None:
-        _DEFAULT_ENGINE = Engine(calibration="auto")
+        _DEFAULT_ENGINE = Engine()
         atexit.register(_close_default_engine)
     return _DEFAULT_ENGINE
 

@@ -148,65 +148,16 @@ class TestCliObservability:
         assert record["spans"] and record["metrics"]
         assert "# explain pair" in err or not record.get("explain_samples")
 
-    def test_calibrate_then_auto_join(self, wkt_files, tmp_path, capsys, monkeypatch):
-        import json
-
-        from repro.obs.report import read_jsonl
-        from repro.optimizer.cost import PROFILE_ENV
-
+    def test_auto_names_its_pick_and_calibrate_is_gone(self, wkt_files, capsys):
         r, s = wkt_files
-        profile_path = tmp_path / "calibration.json"
-        monkeypatch.setenv(PROFILE_ENV, str(profile_path))
-        assert main(["calibrate", "--repeats", "1", "--scale", "0.4"]) == 0
-        out, err = capsys.readouterr()
-        assert profile_path.exists()
-        assert "wrote calibration profile" in out
-        assert "auto-mode preview" in err
-
-        # The profile carries the modes that are distinct ways to run
-        # (batch is an alias of serial), and the preview scores the
-        # warm-find candidate set.
-        profile = json.loads(profile_path.read_text())
-        assert set(profile["modes"]) == {"serial", "parallel"}
-        previewed = {
-            line.rsplit("-> ", 1)[1].strip()
-            for line in err.splitlines()
-            if "pairs ->" in line
-        }
-        assert previewed <= {"serial", "parallel", "disk"}
-        assert previewed
-
-        log_path = tmp_path / "runs.jsonl"
-        assert main([
-            "join", r, s, "--grid-order", "9", "--workers", "4",
-            "--run-log", str(log_path),
-        ]) == 0
-        err = capsys.readouterr().err
-        assert "# auto mode ->" in err
-        (record,) = read_jsonl(log_path)
-        decision = record["meta"]["cost_model"]
-        assert decision["source"] == "calibration"
-        assert decision["decision"] == record["meta"]["run"]["mode"]
-        assert "predicted_seconds" in decision
-
-    def test_join_explicit_calibration_flag(self, wkt_files, tmp_path, capsys, monkeypatch):
-        from repro.optimizer.cost import PROFILE_ENV
-        from tests.test_optimizer_cost import make_profile
-
-        r, s = wkt_files
-        monkeypatch.setenv(PROFILE_ENV, "")  # no ambient discovery
-        path = make_profile(cpu=None).save(tmp_path / "cal.json")
-        assert main([
-            "join", r, s, "--grid-order", "9", "--workers", "4",
-            "--calibration", str(path),
-        ]) == 0
-        err = capsys.readouterr().err
-        assert "# auto mode -> serial (calibration)" in err
-
-    def test_join_bad_calibration_path_aborts(self, wkt_files, tmp_path):
-        r, s = wkt_files
-        with pytest.raises(SystemExit, match="absent"):
-            main(["join", r, s, "--calibration", str(tmp_path / "absent.json")])
+        with pytest.raises(SystemExit) as exit_info:
+            main(["calibrate"])
+        assert exit_info.value.code == 2
+        capsys.readouterr()
+        # Far below the pool break-even: --workers 4 stays in-process,
+        # and stderr says so.
+        assert main(["join", r, s, "--grid-order", "9", "--workers", "4"]) == 0
+        assert "# auto mode -> serial" in capsys.readouterr().err
 
     def test_join_trace_to_stderr(self, wkt_files, capsys):
         r, s = wkt_files

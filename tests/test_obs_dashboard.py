@@ -59,7 +59,6 @@ def _run_record():
                 }
             ]
         },
-        "meta": {"cost_model": {"decision": "serial", "source": "fallback"}},
     }
 
 
@@ -107,7 +106,6 @@ class TestRunSection:
         assert "Resources" in html and "max RSS" in html
         assert "payload stored" in html
         assert "Histogram quantiles" in html
-        assert "Cost-model decision" in html
 
     def test_flamegraph_cells_proportional(self):
         html = render_dashboard([_run_record()], None)

@@ -166,6 +166,18 @@ class TestStatsMerge:
 
 
 class TestTopologyJoinWorkers:
+    @pytest.fixture(autouse=True)
+    def force_pool(self, monkeypatch):
+        # TopologyJoin has no ``mode``: it runs ``auto``, which forks
+        # only past the break-even on a multi-core box — lift both so
+        # ``workers=2`` on this small fixture still exercises the pool.
+        import os
+
+        import repro.parallel.executor as executor
+
+        monkeypatch.setattr(executor, "PARALLEL_MIN_PAIRS", 1)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
     @pytest.fixture(scope="class")
     def inputs(self):
         rng = np.random.default_rng(7)
@@ -222,7 +234,7 @@ class TestCliWorkers:
         save_wkt_file(s_path, generate_blobs(rng, 12, region, (4, 20), (8, 24)))
 
         assert main(["join", str(r_path), str(s_path), "--workers", "2",
-                     "--grid-order", "8"]) == 0
+                     "--mode", "parallel", "--grid-order", "8"]) == 0
         parallel_out = capsys.readouterr().out
         assert main(["join", str(r_path), str(s_path), "--grid-order", "8"]) == 0
         serial_out = capsys.readouterr().out

@@ -2,6 +2,7 @@
 
 import json
 import multiprocessing
+import time
 
 import pytest
 
@@ -307,17 +308,23 @@ class TestEngineChaosAcceptance:
         # exactly the baseline links.
         failpoints.arm("worker.crash", "nth:1")
         failpoints.arm("worker.hang", "nth:2", hang_seconds=30.0)
+        started = time.perf_counter()
         try:
             chaotic = Engine().join(
                 tmp_path / "r_idx",
                 tmp_path / "s_idx",
                 grid_order=10,
+                mode="parallel",
                 workers=2,
                 partition_timeout=1.0,
                 max_retries=3,
             )
         finally:
             failpoints.disarm_all()
+        # Bounded in time: the 1 s deadline reaches the APRIL rebuild
+        # fan-out as well as the verification, so no 30 s hang is ever
+        # waited out.
+        assert time.perf_counter() - started < 60
 
         assert [(l.r_index, l.s_index, l.relation) for l in chaotic.results] == [
             (l.r_index, l.s_index, l.relation) for l in baseline.results

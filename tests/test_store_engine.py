@@ -102,13 +102,36 @@ class TestModes:
         ]
         assert matches == expected
 
-    def test_auto_mode_follows_workers(self, inputs):
+    def test_auto_mode_follows_workers(self, inputs, monkeypatch):
+        # auto forks only when workers > 1 can run at once *and* the
+        # join is past the pool break-even; this fixture is far below.
+        import os
+
+        import repro.parallel.executor as executor
+
         districts, blobs = inputs
         engine = Engine()
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert engine.join(districts, blobs, grid_order=9).mode == "serial"
+        assert engine.join(districts, blobs, grid_order=9, workers=2).mode == "serial"
+        monkeypatch.setattr(executor, "PARALLEL_MIN_PAIRS", 1)
         assert engine.join(districts, blobs, grid_order=9).mode == "serial"
         assert (
             engine.join(districts, blobs, grid_order=9, workers=2).mode == "parallel"
         )
+
+    def test_execute_rejects_disk_and_unknown_modes(self, inputs):
+        districts, blobs = inputs
+        engine = Engine()
+        rd, sd = engine.dataset(districts), engine.dataset(blobs)
+        grid = engine.join_grid(rd, sd, 9)
+        r_objects = engine.objects(rd, grid)
+        s_objects = engine.objects(sd, grid)
+        pairs = engine.pairs(rd, sd)
+        with pytest.raises(ValueError, match="disk"):
+            engine.execute("P+C", r_objects, s_objects, pairs, mode="disk")
+        with pytest.raises(ValueError, match="turbo"):
+            engine.execute("P+C", r_objects, s_objects, pairs, mode="turbo")
 
     def test_unknown_mode_rejected(self, inputs):
         districts, blobs = inputs
