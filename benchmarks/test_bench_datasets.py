@@ -8,7 +8,7 @@ produce Table 3's candidate streams.
 import pytest
 
 from repro.datasets import load_dataset
-from repro.join.mbr_join import grid_partitioned_mbr_join, plane_sweep_mbr_join
+from repro.join.mbr_join import plane_sweep_mbr_join
 from repro.raster import RasterGrid, build_april
 from repro.datasets.catalog import REGION
 
@@ -27,10 +27,8 @@ def test_table2_april_construction(benchmark, dataset):
     benchmark.extra_info["total_intervals"] = sum(len(a.p) + len(a.c) for a in approx)
 
 
-@pytest.mark.parametrize("algorithm", ("sweep", "grid"))
-def test_table3_mbr_join(benchmark, algorithm):
+def test_table3_mbr_join(benchmark):
     r_boxes = [p.bbox for p in load_dataset("OLE", scale=0.5).polygons]
     s_boxes = [p.bbox for p in load_dataset("OPE", scale=0.5).polygons]
-    join = plane_sweep_mbr_join if algorithm == "sweep" else grid_partitioned_mbr_join
-    pairs = benchmark(join, r_boxes, s_boxes)
+    pairs = benchmark(plane_sweep_mbr_join, r_boxes, s_boxes)
     benchmark.extra_info["pairs"] = len(pairs)

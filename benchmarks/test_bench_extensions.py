@@ -42,13 +42,6 @@ class TestRTreeBench:
         total = benchmark(run)
         assert total >= 0
 
-    def test_rtree_join(self, benchmark, lake_boxes):
-        parks = [p.bbox for p in load_dataset("OPE", scale=0.5).polygons]
-        lakes_tree = RTree(lake_boxes)
-        parks_tree = RTree(parks)
-        pairs = benchmark(lakes_tree.join, parks_tree)
-        assert isinstance(pairs, list)
-
 
 class TestSelectionBench:
     @pytest.mark.parametrize("predicate", [T.INTERSECTS, T.INSIDE], ids=lambda p: p.value)

@@ -1,7 +1,8 @@
 """Supervised-pool overhead and recovery benchmark.
 
 The fault-tolerant executor replaced the bare ``pool.map`` fan-out with
-per-partition supervision (deadlines, start-acks, retry bookkeeping).
+per-partition supervision (one task at a time over a private pipe per
+worker, deadlines, retry bookkeeping).
 This benchmark certifies that supervision is free when nothing fails:
 the parallel/serial wall-clock ratio of a clean run must stay within
 the acceptance bound of the comparable ``BENCH_parallel.json`` entries

@@ -10,7 +10,7 @@
 - :mod:`repro.join.stats` — per-run counters and stage timings.
 """
 
-from repro.join.mbr_join import grid_partitioned_mbr_join, plane_sweep_mbr_join
+from repro.join.mbr_join import plane_sweep_mbr_join
 from repro.join.objects import SpatialObject, make_objects
 from repro.join.pipeline import (
     PIPELINES,
@@ -38,7 +38,6 @@ __all__ = [
     "SpatialObject",
     "Stage",
     "StandardTwoPhasePipeline",
-    "grid_partitioned_mbr_join",
     "make_objects",
     "plane_sweep_mbr_join",
     "relate_predicate",

@@ -19,12 +19,12 @@ from __future__ import annotations
 import json
 import time
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from repro.geometry.box import Box
 from repro.geometry.polygon import Polygon
 from repro.geometry.wkt import dumps_wkt, loads_wkt_geometry
-from repro.join.mbr_join import plane_sweep_mbr_join
+from repro.join.mbr_join import TileLayout, plane_sweep_mbr_join
 from repro.join.objects import SpatialObject
 from repro.join.pipeline import PIPELINES, verify_find_relation
 from repro.join.run import JoinResult, JoinRun
@@ -74,14 +74,16 @@ class DiskPartitionedJoin:
         if side not in ("r", "s"):
             raise ValueError("side must be 'r' or 's'")
         self._write_meta(extent)
+        layout = TileLayout(extent, self.tiles_per_dim)
         handles: dict[tuple[int, int], list[str]] = {}
         replicas = 0
         for oid, polygon in enumerate(polygons):
-            for tile in self._tiles_of_box(polygon.bbox, extent):
-                handles.setdefault(tile, []).append(
-                    f"{oid}\t{dumps_wkt(polygon, precision=17)}"
-                )
-                replicas += 1
+            tx0, ty0, tx1, ty1 = layout.tile_range(polygon.bbox)
+            line = f"{oid}\t{dumps_wkt(polygon, precision=17)}"
+            for tx in range(tx0, tx1 + 1):
+                for ty in range(ty0, ty1 + 1):
+                    handles.setdefault((tx, ty), []).append(line)
+                    replicas += 1
         for (tx, ty), lines in handles.items():
             path = self._tile_path(side, tx, ty)
             path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -114,20 +116,6 @@ class DiskPartitionedJoin:
     def _tile_path(self, side: str, tx: int, ty: int) -> Path:
         return self.workdir / f"{side}_{tx}_{ty}.part"
 
-    def _tiles_of_box(self, box: Box, extent: Box) -> Iterator[tuple[int, int]]:
-        tw = extent.width / self.tiles_per_dim
-        th = extent.height / self.tiles_per_dim
-        tx0 = self._clamp(int((box.xmin - extent.xmin) / tw))
-        tx1 = self._clamp(int((box.xmax - extent.xmin) / tw))
-        ty0 = self._clamp(int((box.ymin - extent.ymin) / th))
-        ty1 = self._clamp(int((box.ymax - extent.ymin) / th))
-        for tx in range(tx0, tx1 + 1):
-            for ty in range(ty0, ty1 + 1):
-                yield (tx, ty)
-
-    def _clamp(self, value: int) -> int:
-        return min(self.tiles_per_dim - 1, max(0, value))
-
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
@@ -159,8 +147,7 @@ class DiskPartitionedJoin:
     ) -> tuple[list[JoinResult], JoinRunStats, int]:
         extent = self._load_meta()
         grid = RasterGrid(pad_dataspace(extent), order=self.grid_order)
-        tw = extent.width / self.tiles_per_dim
-        th = extent.height / self.tiles_per_dim
+        layout = TileLayout(extent, self.tiles_per_dim)
 
         total_stats = JoinRunStats(method=self.method)
         results: list[JoinResult] = []
@@ -185,15 +172,15 @@ class DiskPartitionedJoin:
                     pairs = plane_sweep_mbr_join(
                         [o.box for o in r_objects], [o.box for o in s_objects]
                     )
-                    # Reference-point deduplication.
-                    owned = []
-                    for i, j in pairs:
-                        ref_x = max(r_objects[i].box.xmin, s_objects[j].box.xmin)
-                        ref_y = max(r_objects[i].box.ymin, s_objects[j].box.ymin)
-                        own_x = self._clamp(int((ref_x - extent.xmin) / tw))
-                        own_y = self._clamp(int((ref_y - extent.ymin) / th))
-                        if (own_x, own_y) == (tx, ty):
-                            owned.append((i, j))
+                    # Reference-point deduplication: only the owner
+                    # tile of a pair reports it.
+                    r_spans = [layout.tile_range(o.box) for o in r_objects]
+                    s_spans = [layout.tile_range(o.box) for o in s_objects]
+                    owned = [
+                        (i, j)
+                        for i, j in pairs
+                        if layout.owner_tile(r_spans[i], s_spans[j]) == (tx, ty)
+                    ]
                     if tile_span is not None:
                         tile_span.attrs.update(
                             r_objects=len(r_objects),

@@ -1,22 +1,21 @@
 """The filter step: MBR intersection joins.
 
 Produces the stream of candidate pairs ``(i, j)`` whose MBRs intersect,
-which the topology pipelines then process. Two algorithms:
+which the topology pipelines then process:
+:func:`plane_sweep_mbr_join`, the forward-scan plane sweep of [39] —
+sort both inputs by ``xmin`` and scan, comparing each rectangle only
+against opposite-side rectangles whose x-intervals reach it (tested
+against the brute-force product; the paper excludes this step's cost
+from all measurements).
 
-- :func:`plane_sweep_mbr_join` — the forward-scan plane sweep of [39]:
-  sort both inputs by ``xmin`` and scan, comparing each rectangle only
-  against opposite-side rectangles whose x-intervals reach it.
-- :func:`grid_partitioned_mbr_join` — a partition-based variant in the
-  spirit of PBSM [27]: hash rectangles to uniform tiles, sweep within
-  each tile, and deduplicate with the reference-point rule.
-
-Both return identical pair sets (tested against the brute-force
-product); the paper excludes this step's cost from all measurements.
+:class:`TileLayout` is the single definition of PBSM-style [27] tile
+arithmetic — which tiles a box is replicated to and which one tile
+owns an intersecting pair — for the out-of-core join
+(:mod:`repro.join.diskjoin`), the only partitioner that tiles.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -72,9 +71,10 @@ def plane_sweep_mbr_join(
 class TileLayout:
     """A uniform ``tiles_per_dim x tiles_per_dim`` partitioning grid.
 
-    Shared by :func:`grid_partitioned_mbr_join` and the parallel
-    executor's tile partitioner so that tile assignment and owner-tile
-    deduplication always use the *same* float arithmetic.
+    Replication (:meth:`tile_range`) and owner-tile deduplication
+    (:meth:`owner_tile`) live together so both always use the *same*
+    float arithmetic: every intersecting pair is owned by exactly one
+    tile, and that tile is one both boxes were replicated to.
     """
 
     universe: Box
@@ -121,99 +121,9 @@ class TileLayout:
         owner_y = min(max(ry0, sy0), ry1, sy1)
         return owner_x, owner_y
 
-    @staticmethod
-    def for_boxes(
-        r_boxes: Sequence[Box],
-        s_boxes: Sequence[Box],
-        tiles_per_dim: int | None = None,
-    ) -> "TileLayout":
-        universe = Box.union_all([Box.union_all(r_boxes), Box.union_all(s_boxes)])
-        if tiles_per_dim is None:
-            tiles_per_dim = max(1, int(math.sqrt(len(r_boxes) + len(s_boxes)) / 2))
-        return TileLayout(universe, max(1, tiles_per_dim))
-
-
-def grid_partitioned_mbr_join(
-    r_boxes: Sequence[Box],
-    s_boxes: Sequence[Box],
-    tiles_per_dim: int | None = None,
-) -> list[tuple[int, int]]:
-    """Partition-based MBR join with reference-point deduplication.
-
-    The dataspace is split into ``tiles_per_dim^2`` uniform tiles
-    (defaulting to ``~sqrt(N)`` per dimension); every rectangle is
-    replicated to each tile it overlaps; tiles are swept independently;
-    a pair is emitted only by the tile owning the lower-left corner of
-    the pair's intersection (the *reference point*), so no duplicates.
-    The owner tile is derived from the boxes' replicated tile spans —
-    never from fresh float arithmetic — so a pair can never be assigned
-    to a tile it was not replicated to (which would silently drop it).
-    """
-    if not r_boxes or not s_boxes:
-        return []
-    layout = TileLayout.for_boxes(r_boxes, s_boxes, tiles_per_dim)
-
-    Entry = tuple[int, Box, tuple[int, int, int, int]]
-    tiles_r: dict[tuple[int, int], list[Entry]] = {}
-    tiles_s: dict[tuple[int, int], list[Entry]] = {}
-    for store, boxes in ((tiles_r, r_boxes), (tiles_s, s_boxes)):
-        for idx, b in enumerate(boxes):
-            span = layout.tile_range(b)
-            cx0, cy0, cx1, cy1 = span
-            for tx in range(cx0, cx1 + 1):
-                for ty in range(cy0, cy1 + 1):
-                    store.setdefault((tx, ty), []).append((idx, b, span))
-
-    result: list[tuple[int, int]] = []
-    for key, r_items in tiles_r.items():
-        s_items = tiles_s.get(key)
-        if not s_items:
-            continue
-        for i, rb, r_span in r_items:
-            for j, sb, s_span in s_items:
-                if not rb.intersects(sb):
-                    continue
-                if layout.owner_tile(r_span, s_span) == key:
-                    result.append((i, j))
-    return result
-
-
-def partition_pairs_by_tile(
-    r_boxes: Sequence[Box],
-    s_boxes: Sequence[Box],
-    pairs: Sequence[tuple[int, int]],
-    tiles_per_dim: int | None = None,
-) -> list[list[tuple[int, int]]]:
-    """Group candidate pairs into spatially coherent buckets.
-
-    Each pair is assigned to exactly one bucket — the owner tile of its
-    MBR intersection's reference point, computed with the same layout
-    arithmetic as :func:`grid_partitioned_mbr_join`. Buckets are
-    returned in row-major tile order; within a bucket, pairs keep their
-    input order. Used by the parallel executor's ``partition="tiles"``
-    mode, where spatial coherence improves worker cache locality.
-    """
-    if not pairs:
-        return []
-    layout = TileLayout.for_boxes(r_boxes, s_boxes, tiles_per_dim)
-    spans_r: dict[int, tuple[int, int, int, int]] = {}
-    spans_s: dict[int, tuple[int, int, int, int]] = {}
-    buckets: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for i, j in pairs:
-        r_span = spans_r.get(i)
-        if r_span is None:
-            r_span = spans_r[i] = layout.tile_range(r_boxes[i])
-        s_span = spans_s.get(j)
-        if s_span is None:
-            s_span = spans_s[j] = layout.tile_range(s_boxes[j])
-        buckets.setdefault(layout.owner_tile(r_span, s_span), []).append((i, j))
-    return [buckets[key] for key in sorted(buckets)]
-
 
 __all__ = [
     "TileLayout",
     "brute_force_mbr_join",
-    "grid_partitioned_mbr_join",
-    "partition_pairs_by_tile",
     "plane_sweep_mbr_join",
 ]

@@ -1,15 +1,14 @@
 """An in-memory R-tree over MBRs (STR bulk loading).
 
 The filter step of a topology join needs two access paths: a *join*
-between two MBR collections (see :mod:`repro.join.mbr_join`) and a
+between two MBR collections (:mod:`repro.join.mbr_join`) and a
 *selection* — all objects whose MBR intersects a query window, used by
 topological selection queries (Sec. 1's "topological relations as
-predicates in selection queries"). This module provides the classic
-Sort-Tile-Recursive (STR) packed R-tree [Leutenegger et al.] with:
+predicates in selection queries"). This module is the selection path:
+the classic Sort-Tile-Recursive (STR) packed R-tree [Leutenegger et
+al.] with:
 
 - :meth:`RTree.query` — window intersection selection;
-- :meth:`RTree.join` — R-tree x R-tree spatial join by synchronized
-  descent (equivalent output to the sweep join, different access path);
 - :meth:`RTree.nearest_mbr` — MBR-distance nearest neighbour (utility
   for data exploration; not used by the paper's pipeline).
 
@@ -140,34 +139,6 @@ class RTree:
                 )
             else:
                 stack.extend(node.children)
-        return result
-
-    def join(self, other: "RTree") -> list[tuple[int, int]]:
-        """All index pairs (i from self, j from other) with intersecting
-        MBRs, by synchronized tree descent."""
-        if self._root is None or other._root is None:
-            return []
-        result: list[tuple[int, int]] = []
-        stack = [(self._root, other._root)]
-        while stack:
-            a, b = stack.pop()
-            if not a.box.intersects(b.box):
-                continue
-            if a.is_leaf and b.is_leaf:
-                for abox, i in a.entries:
-                    for bbox, j in b.entries:
-                        if abox.intersects(bbox):
-                            result.append((i, j))
-            elif a.is_leaf:
-                stack.extend((a, child) for child in b.children)
-            elif b.is_leaf:
-                stack.extend((child, b) for child in a.children)
-            else:
-                # Descend the larger node to keep the pairing balanced.
-                if a.box.area >= b.box.area:
-                    stack.extend((child, b) for child in a.children)
-                else:
-                    stack.extend((a, child) for child in b.children)
         return result
 
     def nearest_mbr(self, x: float, y: float) -> int | None:

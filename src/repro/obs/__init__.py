@@ -26,6 +26,11 @@ Cooperating parts, all off by default and all stdlib-only:
   self-contained static HTML file (``repro report``).
 - :mod:`repro.obs.progress` — throttled per-worker heartbeats.
 
+Forked workers carry their share home through one trio:
+:func:`begin_worker_capture` in the child before a task,
+:func:`export_worker_capture` in the child after it, and
+:func:`merge_worker_capture` in the parent on the payload.
+
 Enable pieces independently (``set_tracing`` / ``set_metrics`` /
 ``set_progress`` / ``set_profiling`` / ``set_resources``) or the
 always-cheap trio at once with :func:`enable_all`; the CLI flags
@@ -57,6 +62,7 @@ from repro.obs.metrics import (
     set_metrics,
 )
 from repro.obs.profile import (
+    begin_worker_capture as _profile_begin_worker_capture,
     collapsed_stacks,
     export_profile,
     format_phase_table,
@@ -103,6 +109,61 @@ from repro.obs.trace import (
 )
 
 
+def begin_worker_capture() -> None:
+    """Swap in fresh collectors in a forked worker, before its task.
+
+    The enabled flags travel by fork inheritance; only the collected
+    data must be reset so the worker exports nothing but its own. The
+    profiler additionally re-arms its interval timer — itimers do not
+    survive ``fork``, unlike every other piece of obs state.
+    """
+    if tracing_enabled():
+        reset_tracing()
+    if metrics_enabled():
+        reset_metrics()
+    if profiling_enabled():
+        _profile_begin_worker_capture()
+    if resources_enabled():
+        reset_resources()
+
+
+def export_worker_capture() -> dict | None:
+    """What the worker collected since :func:`begin_worker_capture` —
+    spans, metrics, profile, resources — as one picklable payload, or
+    ``None`` when everything is off."""
+    payload: dict = {}
+    if tracing_enabled():
+        payload["spans"] = export_spans()
+    if metrics_enabled():
+        payload["metrics"] = get_registry()
+    if profiling_enabled():
+        payload["profile"] = export_profile()
+    if resources_enabled():
+        payload["resources"] = export_resources()
+    return payload or None
+
+
+def merge_worker_capture(payload: dict | None) -> list:
+    """Fold one worker's export into this process's registry, profile
+    and resource figures; returns its span dicts, which the caller
+    grafts under its open span (:func:`attach_spans`) or files with a
+    request record.
+
+    Counters add, profile samples add and resource peaks merge with
+    ``max``, so merging payloads in task order gives the same totals
+    for every worker count and scheduling.
+    """
+    if not payload:
+        return []
+    if payload.get("metrics") is not None and metrics_enabled():
+        get_registry().merge(payload["metrics"])
+    if payload.get("profile"):
+        merge_profiles([payload["profile"]])
+    if payload.get("resources"):
+        merge_resources([payload["resources"]])
+    return payload.get("spans") or []
+
+
 def enable_all() -> None:
     """Switch tracing, metrics and progress on together.
 
@@ -140,6 +201,7 @@ __all__ = [
     "append_entry",
     "append_jsonl",
     "attach_spans",
+    "begin_worker_capture",
     "check_regressions",
     "collapsed_stacks",
     "compute_trends",
@@ -148,6 +210,7 @@ __all__ = [
     "export_profile",
     "export_resources",
     "export_spans",
+    "export_worker_capture",
     "format_phase_table",
     "format_regressions",
     "get_registry",
@@ -156,6 +219,7 @@ __all__ = [
     "make_envelope",
     "merge_profiles",
     "merge_resources",
+    "merge_worker_capture",
     "metrics_enabled",
     "parse_prometheus",
     "phase_table",

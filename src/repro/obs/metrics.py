@@ -20,8 +20,8 @@ Zero and negative observations land in a dedicated underflow bucket so
 
 Like :mod:`repro.obs.trace`, the module is import-cycle free (stdlib
 only), off by default, and fork-friendly: a worker calls
-:func:`begin_worker_capture` to record into a fresh registry and ships
-it back through the result pipe (everything here pickles).
+:func:`repro.obs.begin_worker_capture` to record into a fresh registry
+and ships it back through the result pipe (everything here pickles).
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from typing import Any
 __all__ = [
     "Histogram",
     "MetricsRegistry",
-    "begin_worker_capture",
     "get_registry",
     "metrics_enabled",
     "parse_prometheus",

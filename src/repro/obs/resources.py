@@ -24,7 +24,7 @@ stored/decoded bytes joined from the existing metric counters
 (``repro_april_bytes`` / ``repro_payload_decoded_bytes_total``).
 
 Fork model matches the rest of ``repro.obs``: workers inherit the
-enabled flag, :func:`begin_worker_capture` restarts capture,
+enabled flag, :func:`repro.obs.begin_worker_capture` restarts capture,
 :func:`export_resources` returns a picklable payload, and
 :func:`merge_resources` folds worker payloads in (peaks combine with
 ``max``, the only order-independent choice, so the merge is
@@ -51,7 +51,6 @@ except ImportError:  # pragma: no cover - non-POSIX
     _resource = None  # type: ignore[assignment]
 
 __all__ = [
-    "begin_worker_capture",
     "export_resources",
     "max_rss_bytes",
     "merge_resources",
@@ -136,16 +135,6 @@ def reset_resources() -> None:
     _RUN_PEAK = 0
     if _ENABLED and tracemalloc.is_tracing():
         tracemalloc.reset_peak()
-
-
-def begin_worker_capture() -> None:
-    """Start fresh capture in a forked worker.
-
-    The worker inherited the parent's enabled flag and hook
-    registration by ``fork``; tracemalloc keeps tracing across the
-    fork, so only the accumulated figures need clearing.
-    """
-    reset_resources()
 
 
 def max_rss_bytes() -> int | None:

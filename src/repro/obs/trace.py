@@ -14,10 +14,10 @@ Design constraints, in order:
    call returns a shared no-op context manager after a single module
    attribute check.
 2. **Fork-friendly.** Worker processes inherit the enabled flag by
-   ``fork``; :func:`begin_worker_capture` swaps in a fresh collector so
-   a worker exports only its own spans (as plain dicts, cheap to
-   pickle), which the parent grafts back in partition order — the same
-   deterministic order as the ``(i, j)``-sorted result merge.
+   ``fork``; :func:`repro.obs.begin_worker_capture` swaps in a fresh
+   collector so a worker exports only its own spans (as plain dicts,
+   cheap to pickle), which the parent grafts back in partition order —
+   the same deterministic order as the ``(i, j)``-sorted result merge.
 3. **Reconcilable.** Besides wall-clock spans (:func:`trace`), code can
    attach *aggregate* spans with a pre-measured duration
    (:func:`add_span`) — e.g. the summed per-pair refinement time — so
@@ -38,7 +38,6 @@ __all__ = [
     "Span",
     "add_span",
     "attach_spans",
-    "begin_worker_capture",
     "export_spans",
     "get_spans",
     "register_span_hook",
@@ -240,16 +239,6 @@ def attach_spans(spans: list[dict[str, Any]]) -> None:
         return
     for data in spans:
         _COLLECTOR.attach(Span.from_dict(data))
-
-
-def begin_worker_capture() -> None:
-    """Start a fresh collector in a forked worker.
-
-    Workers inherit the parent's collector (and any half-built tree) by
-    copy-on-write; capturing into a fresh one keeps the export limited
-    to spans the worker itself produced.
-    """
-    reset_tracing()
 
 
 def span_totals(spans: list[Span] | None = None) -> dict[str, float]:

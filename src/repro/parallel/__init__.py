@@ -6,12 +6,12 @@ spatial joins [39]. This package scales the three hot stages across
 cores:
 
 - :func:`run_find_relation_parallel` / :func:`run_relate_parallel` —
-  chunk or tile-partition the candidate-pair stream, run the one
-  verification function of :mod:`repro.join.pipeline` on every
-  partition in fork-based worker processes, merge deterministically in
-  ``(i, j)`` order.
+  cut the candidate-pair stream into contiguous chunks, run the one
+  verification function of :mod:`repro.join.pipeline` on every chunk in
+  supervised forked workers, merge deterministically in ``(i, j)``
+  order.
 - :func:`build_april_parallel` — fan out APRIL rasterisation, the
-  dominant preprocessing cost.
+  dominant preprocessing cost, over the same chunks and workers.
 
 ``workers=1``, tiny inputs and platforms without ``fork`` are the
 one-partition case of the same code, run in-process; every parallel

@@ -1,43 +1,38 @@
-"""Pair-stream chunking policy for the parallel executor.
+"""The one in-memory splitter: contiguous chunks.
 
-Chunks are contiguous slices of the candidate stream. The default
-targets several chunks per worker so stragglers (chunks dense in
-refinement-bound pairs) are rebalanced by the pool instead of stalling
-the join on its slowest slice.
+Both fan-outs — candidate pairs to verify, polygons to rasterise — cut
+their input into contiguous slices, several per worker, so stragglers
+(chunks dense in refinement-bound pairs or high-vertex polygons) are
+rebalanced across workers instead of stalling the run on its slowest
+slice.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Sequence, TypeVar
+
+T = TypeVar("T")
 
 #: Target number of chunks handed to each worker; >1 smooths skew.
 CHUNKS_PER_WORKER = 4
 
 
-def chunk_pairs(
-    pairs: Sequence[tuple[int, int]],
-    workers: int,
-    chunk_size: int | None = None,
-) -> list[list[tuple[int, int]]]:
-    """Split ``pairs`` into contiguous chunks for worker dispatch.
+def chunk_pairs(items: Sequence[T], workers: int) -> list[list[T]]:
+    """Split ``items`` (a pair stream, or any sequence) into roughly
+    ``workers * CHUNKS_PER_WORKER`` equal contiguous chunks.
 
-    With ``chunk_size=None`` the stream is cut into roughly
-    ``workers * CHUNKS_PER_WORKER`` equal chunks. Every input pair lands
-    in exactly one chunk and relative order is preserved, so executors
-    that concatenate chunk results in chunk order reproduce the input
-    order exactly.
+    Every item lands in exactly one chunk and relative order is
+    preserved, so concatenating chunk results in chunk order reproduces
+    the input order exactly.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    pairs = list(pairs)
-    if not pairs:
+    items = list(items)
+    if not items:
         return []
-    if chunk_size is None:
-        chunk_size = max(1, math.ceil(len(pairs) / (workers * CHUNKS_PER_WORKER)))
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    return [pairs[k : k + chunk_size] for k in range(0, len(pairs), chunk_size)]
+    size = max(1, math.ceil(len(items) / (workers * CHUNKS_PER_WORKER)))
+    return [items[k : k + size] for k in range(0, len(items), size)]
 
 
 __all__ = ["CHUNKS_PER_WORKER", "chunk_pairs"]

@@ -4,21 +4,21 @@ The verification stage is embarrassingly parallel: every candidate pair
 is verified independently. This module is the one partition fan-out
 over the two verification functions of :mod:`repro.join.pipeline`
 (:func:`~repro.join.pipeline.verify_find_relation`,
-:func:`~repro.join.pipeline.verify_relate`): it partitions the
-candidate stream — into contiguous chunks or into spatially coherent
-PBSM-style tiles (:func:`~repro.join.mbr_join.partition_pairs_by_tile`)
-— runs the verification function on every partition in a fork-based
-process pool, and merges the per-partition rows deterministically in
-``(i, j)`` order, so a parallel run is bit-for-bit comparable to a
-serial one regardless of worker count or scheduling. One worker is the
-one-partition case: the same function, called in-process.
+:func:`~repro.join.pipeline.verify_relate`): it cuts the candidate
+stream into contiguous chunks
+(:func:`~repro.parallel.chunking.chunk_pairs`), runs the verification
+function on every chunk in supervised forked workers, and merges the
+per-partition rows deterministically in ``(i, j)`` order, so a parallel
+run is bit-for-bit comparable to a serial one regardless of worker
+count or scheduling. One worker is the one-partition case: the same
+function, called in-process.
 
-Worker state travels by fork inheritance (the parent installs the
-object lists in a module global right before the pool is created), so
-nothing large is pickled per task; only the compact per-pair outcome
-tuples come back through the result pipe. On platforms without the
-``fork`` start method everything runs as the in-process one-partition
-case.
+Worker state travels by fork inheritance (the task function is a
+closure over the object lists and the partitions, which forked workers
+simply inherit), so nothing large is pickled per task; only the compact
+per-pair outcome tuples come back through the result pipe. On platforms
+without the ``fork`` start method everything runs as the in-process
+one-partition case.
 
 Timing semantics: the merged :class:`~repro.join.stats.JoinRunStats`
 carries *summed worker CPU time* in ``filter_seconds`` /
@@ -38,7 +38,6 @@ from typing import Callable, Sequence
 from repro.resilience.failpoints import maybe_fail_worker
 from repro.resilience.supervisor import SupervisionReport, supervised_map
 
-from repro.join.mbr_join import partition_pairs_by_tile
 from repro.join.objects import SpatialObject, reset_access_tracking
 from repro.join.pipeline import (
     PIPELINES,
@@ -49,32 +48,17 @@ from repro.join.pipeline import (
     verify_relate,
 )
 from repro.join.stats import JoinRunStats
-from repro.obs.metrics import get_registry, metrics_enabled, reset_metrics
-from repro.obs.profile import (
-    begin_worker_capture as profile_begin_worker_capture,
-    export_profile,
-    merge_profiles,
-    profiling_enabled,
-)
-from repro.obs.resources import (
-    begin_worker_capture as resources_begin_worker_capture,
-    export_resources,
-    merge_resources,
-    resources_enabled,
-)
-from repro.obs.trace import (
+from repro.obs import (
     attach_spans,
-    export_spans,
-    reset_tracing,
+    begin_worker_capture,
+    export_worker_capture,
+    get_registry,
+    merge_worker_capture,
+    metrics_enabled,
     trace,
-    tracing_enabled,
 )
 from repro.parallel.chunking import chunk_pairs
 from repro.topology.de9im import TopologicalRelation
-
-#: Parent-side state installed immediately before the pool forks;
-#: workers read it via copy-on-write inheritance, never via pickling.
-_STATE: dict = {}
 
 
 def default_workers() -> int:
@@ -122,8 +106,7 @@ class ParallelRun:
 
     #: Find-relation: one :data:`PairOutcome` per candidate pair;
     #: relate_p: the pairs satisfying the predicate. Sorted by
-    #: ``(i, j)`` — deterministic across worker counts, chunk sizes and
-    #: partitioning strategies.
+    #: ``(i, j)`` — deterministic across worker counts.
     results: list
     stats: JoinRunStats
     #: End-to-end elapsed seconds, including pool startup.
@@ -140,117 +123,6 @@ class ParallelRun:
         return self.results
 
 
-def _worker_obs_begin() -> None:
-    """Swap in fresh obs collectors in a forked worker.
-
-    The enabled flags travel by fork inheritance; only the collected
-    data must be reset so the worker exports nothing but its own. The
-    profiler additionally re-arms its interval timer — itimers do not
-    survive ``fork``, unlike every other piece of obs state.
-    """
-    if tracing_enabled():
-        reset_tracing()
-    if metrics_enabled():
-        reset_metrics()
-    if profiling_enabled():
-        profile_begin_worker_capture()
-    if resources_enabled():
-        resources_begin_worker_capture()
-
-
-def _worker_obs_export() -> dict | None:
-    """The worker's spans/metrics/profile/resources, or ``None`` when off."""
-    payload: dict = {}
-    if tracing_enabled():
-        payload["spans"] = export_spans()
-    if metrics_enabled():
-        payload["metrics"] = get_registry()
-    if profiling_enabled():
-        payload["profile"] = export_profile()
-    if resources_enabled():
-        payload["resources"] = export_resources()
-    return payload or None
-
-
-def _merge_worker_obs(payloads: Sequence[dict | None]) -> None:
-    """Fold worker obs payloads into the parent, in partition order.
-
-    ``pool.map`` returns results in task order, so the grafted span
-    forest and the merged registry are deterministic for any worker
-    count — the same guarantee the ``(i, j)``-sorted result merge
-    gives. Profile sample counters add commutatively and resource
-    peaks merge with ``max``, so those are order-independent outright.
-    """
-    for payload in payloads:
-        if not payload:
-            continue
-        if "spans" in payload:
-            attach_spans(payload["spans"])
-        if "metrics" in payload:
-            get_registry().merge(payload["metrics"])
-        if payload.get("profile"):
-            merge_profiles([payload["profile"]])
-        if payload.get("resources"):
-            merge_resources([payload["resources"]])
-
-
-def _verify_partition(part_index: int, fallback: bool = False) -> Verified:
-    """Run the installed verification function on one partition."""
-    part = _STATE["parts"][part_index]
-    attrs = {"fallback": True} if fallback else {}
-    with trace("partition", part=part_index, pairs=len(part), **attrs):
-        return _STATE["verify"](
-            _STATE["subject"],
-            _STATE["r_objects"],
-            _STATE["s_objects"],
-            part,
-            label=f"{_STATE['label']} part={part_index}"
-            + (" (fallback)" if fallback else ""),
-        )
-
-
-def _worker(task: tuple[int, int]) -> tuple[Verified, dict | None]:
-    part_index, attempt = task
-    maybe_fail_worker(part_index, attempt)
-    _worker_obs_begin()
-    return _verify_partition(part_index), _worker_obs_export()
-
-
-def _fallback(part_index: int) -> tuple[Verified, None]:
-    """In-parent re-execution of one poisoned partition.
-
-    Runs the same pure computation as :func:`_worker` but without the
-    failpoint boundary and without swapping obs collectors: metrics and
-    spans record straight into the parent's registry/tracer, so the
-    merged totals still equal a serial run's.
-    """
-    return _verify_partition(part_index, fallback=True), None
-
-
-# ----------------------------------------------------------------------
-# orchestration
-# ----------------------------------------------------------------------
-def _partition(
-    r_objects: Sequence[SpatialObject],
-    s_objects: Sequence[SpatialObject],
-    pairs: list[tuple[int, int]],
-    workers: int,
-    chunk_size: int | None,
-    partition: str,
-    tiles_per_dim: int | None,
-) -> list[list[tuple[int, int]]]:
-    if partition == "chunks":
-        return chunk_pairs(pairs, workers, chunk_size)
-    if partition == "tiles":
-        return partition_pairs_by_tile(
-            [o.box for o in r_objects],
-            [o.box for o in s_objects],
-            pairs,
-            tiles_per_dim,
-        )
-    raise ValueError(f"unknown partition strategy {partition!r}; use 'chunks' or 'tiles'")
-
-
 def _fan_out(
     verify: Callable[..., Verified],
     subject: Pipeline | TopologicalRelation,
@@ -261,9 +133,6 @@ def _fan_out(
     s_objects: Sequence[SpatialObject],
     pairs: Sequence[tuple[int, int]],
     workers: int | None,
-    chunk_size: int | None,
-    partition: str,
-    tiles_per_dim: int | None,
     partition_timeout: float | None,
     max_retries: int | None,
 ) -> ParallelRun:
@@ -272,7 +141,7 @@ def _fan_out(
 
     ``workers <= 1``, a trivially small stream and platforms without
     ``fork`` are the one-partition case, run in this process. Otherwise
-    partitions run in a supervised forked pool: each attempt has a
+    chunks run in supervised forked workers: each attempt has a
     ``partition_timeout`` deadline, failed/hung/crashed partitions are
     retried at most ``max_retries`` times, and poisoned partitions
     re-execute serially in-parent — the merged result is identical to
@@ -294,34 +163,50 @@ def _fan_out(
                 verify(subject, r_objects, s_objects, pairs, label=f"{label} serial")
             ]
     else:
-        parts = _partition(
-            r_objects, s_objects, pairs, workers, chunk_size, partition, tiles_per_dim
-        )
-        # Installed right before the pool forks (workers inherit it
-        # copy-on-write) and kept until every path — normal, retry,
-        # timeout, in-parent fallback — has finished.
-        _STATE.update(
-            verify=verify,
-            subject=subject,
-            label=label,
-            r_objects=list(r_objects),
-            s_objects=list(s_objects),
-            parts=parts,
-        )
-        try:
-            with trace(span, **attrs, workers=workers, partitions=len(parts)):
-                part_results, supervision = supervised_map(
-                    _worker,
-                    len(parts),
-                    workers=workers,
-                    serial_runner=_fallback,
-                    stage=stage,
-                    partition_timeout=partition_timeout,
-                    max_retries=max_retries,
+        parts = chunk_pairs(pairs, workers)
+
+        def verify_part(part_index: int, fallback: bool = False) -> Verified:
+            part = parts[part_index]
+            extra = {"fallback": True} if fallback else {}
+            with trace("partition", part=part_index, pairs=len(part), **extra):
+                return verify(
+                    subject,
+                    r_objects,
+                    s_objects,
+                    part,
+                    label=f"{label} part={part_index}"
+                    + (" (fallback)" if fallback else ""),
                 )
-                _merge_worker_obs([obs for _, obs in part_results])
-        finally:
-            _STATE.clear()
+
+        def worker(task: tuple[int, int]) -> tuple[Verified, dict | None]:
+            part_index, attempt = task
+            maybe_fail_worker(part_index, attempt)
+            begin_worker_capture()
+            return verify_part(part_index), export_worker_capture()
+
+        def rerun_in_parent(part_index: int) -> tuple[Verified, None]:
+            # The same pure computation as ``worker`` but without the
+            # failpoint boundary and without swapping obs collectors:
+            # metrics and spans record straight into the parent's
+            # registry/tracer, so the merged totals still equal a
+            # serial run's.
+            return verify_part(part_index, fallback=True), None
+
+        with trace(span, **attrs, workers=workers, partitions=len(parts)):
+            part_results, supervision = supervised_map(
+                worker,
+                len(parts),
+                workers=workers,
+                serial_runner=rerun_in_parent,
+                stage=stage,
+                partition_timeout=partition_timeout,
+                max_retries=max_retries,
+            )
+            # Task order, so the grafted span forest and the merged
+            # registry are the same for any worker count — the
+            # guarantee the ``(i, j)``-sorted row merge gives.
+            for _, captured in part_results:
+                attach_spans(merge_worker_capture(captured))
         verified = [v for v, _ in part_results]
         if metrics_enabled():
             registry = get_registry()
@@ -356,9 +241,6 @@ def run_find_relation_parallel(
     s_objects: Sequence[SpatialObject],
     pairs: Sequence[tuple[int, int]],
     workers: int | None = None,
-    chunk_size: int | None = None,
-    partition: str = "chunks",
-    tiles_per_dim: int | None = None,
     partition_timeout: float | None = None,
     max_retries: int | None = None,
 ) -> ParallelRun:
@@ -375,8 +257,7 @@ def run_find_relation_parallel(
         raise KeyError(f"unknown pipeline {name!r}; available: {list(PIPELINES)}")
     return _fan_out(
         verify_find_relation, PIPELINES[name], "find", {"method": name}, name,
-        r_objects, s_objects, pairs, workers, chunk_size, partition,
-        tiles_per_dim, partition_timeout, max_retries,
+        r_objects, s_objects, pairs, workers, partition_timeout, max_retries,
     )
 
 
@@ -386,9 +267,6 @@ def run_relate_parallel(
     s_objects: Sequence[SpatialObject],
     pairs: Sequence[tuple[int, int]],
     workers: int | None = None,
-    chunk_size: int | None = None,
-    partition: str = "chunks",
-    tiles_per_dim: int | None = None,
     partition_timeout: float | None = None,
     max_retries: int | None = None,
 ) -> ParallelRun:
@@ -399,8 +277,7 @@ def run_relate_parallel(
     """
     return _fan_out(
         verify_relate, predicate, "relate", {"predicate": predicate.value}, "relate",
-        r_objects, s_objects, pairs, workers, chunk_size, partition,
-        tiles_per_dim, partition_timeout, max_retries,
+        r_objects, s_objects, pairs, workers, partition_timeout, max_retries,
     )
 
 

@@ -2,15 +2,15 @@
 
 Rasterisation is the dominant preprocessing cost (the APRIL paper
 reports it dwarfing join time for fine grids), and every polygon is
-rasterised independently — a perfect fan-out. The polygon list is
-installed in a module global before the pool forks (copy-on-write
-inheritance, nothing pickled per task); only the interval lists travel
-back through the result pipe.
+rasterised independently — a perfect fan-out. Forked workers inherit
+the polygon chunks with the task closure (copy-on-write, nothing
+pickled per task); only the interval lists travel back through the
+result pipe.
 
 Stays serial for ``workers <= 1``, tiny inputs and platforms without
-``fork``. The fan-out itself runs under the supervised pool
+``fork``. The fan-out itself runs under the supervised workers
 (:mod:`repro.resilience.supervisor`): a crashed or hung worker costs a
-bounded retry, and a span whose result cannot come back through the
+bounded retry, and a chunk whose result cannot come back through the
 pipe is rebuilt serially in-parent — never silently, always counted in
 ``repro_resilience_fallback_total{stage="preprocess"}`` — so the caller
 always gets the exact serial result. A genuinely broken polygon still
@@ -20,7 +20,6 @@ original error.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 from repro.geometry.polygon import Polygon
@@ -30,31 +29,17 @@ from repro.raster.april import AprilApproximation, build_april, observe_april_me
 from repro.raster.grid import RasterGrid
 from repro.resilience.failpoints import maybe_fail_worker
 from repro.resilience.supervisor import supervised_map
+from repro.parallel.chunking import chunk_pairs
 from repro.parallel.executor import default_workers, fork_available
 
 #: Below this input size the pool startup dominates; stay serial.
 MIN_PARALLEL_POLYGONS = 8
-
-_STATE: dict = {}
-
-
-def _build_span_task(task: tuple[int, int]) -> list[AprilApproximation]:
-    span_index, attempt = task
-    maybe_fail_worker(span_index, attempt)
-    return _build_span(span_index)
-
-
-def _build_span(span_index: int) -> list[AprilApproximation]:
-    lo, hi = _STATE["spans"][span_index]
-    grid = _STATE["grid"]
-    return [build_april(p, grid) for p in _STATE["polygons"][lo:hi]]
 
 
 def build_april_parallel(
     polygons: Sequence[Polygon],
     grid: RasterGrid,
     workers: int | None = None,
-    chunk_size: int | None = None,
     partition_timeout: float | None = None,
     max_retries: int | None = None,
 ) -> list[AprilApproximation]:
@@ -73,29 +58,26 @@ def build_april_parallel(
     ):
         return [build_april(p, grid) for p in polygons]
 
-    if chunk_size is None:
-        chunk_size = max(1, math.ceil(len(polygons) / (workers * 4)))
-    spans = [
-        (k, min(k + chunk_size, len(polygons)))
-        for k in range(0, len(polygons), chunk_size)
-    ]
+    chunks = chunk_pairs(polygons, workers)
 
-    _STATE.update(polygons=polygons, grid=grid, spans=spans)
-    try:
-        with trace(
-            "build_april_parallel", count=len(polygons), workers=workers
-        ):
-            parts, _ = supervised_map(
-                _build_span_task,
-                len(spans),
-                workers=workers,
-                serial_runner=_build_span,
-                stage="preprocess",
-                partition_timeout=partition_timeout,
-                max_retries=max_retries,
-            )
-    finally:
-        _STATE.clear()
+    def build_chunk(chunk_index: int) -> list[AprilApproximation]:
+        return [build_april(p, grid) for p in chunks[chunk_index]]
+
+    def worker(task: tuple[int, int]) -> list[AprilApproximation]:
+        chunk_index, attempt = task
+        maybe_fail_worker(chunk_index, attempt)
+        return build_chunk(chunk_index)
+
+    with trace("build_april_parallel", count=len(polygons), workers=workers):
+        parts, _ = supervised_map(
+            worker,
+            len(chunks),
+            workers=workers,
+            serial_runner=build_chunk,
+            stage="preprocess",
+            partition_timeout=partition_timeout,
+            max_retries=max_retries,
+        )
     approximations = [approx for part in parts for approx in part]
     if metrics_enabled():
         # Worker registries from this pool are discarded with the

@@ -11,6 +11,9 @@ layers build their fault tolerance on:
   ``store.torn_write``, ``io.bad_row``), armed via API or the
   ``REPRO_FAILPOINTS`` environment variable, so every chaos schedule
   replays bit-identically.
+- :mod:`repro.resilience.worker` — :class:`SupervisedWorker`, the one
+  forked-child-on-a-private-pipe primitive (ready handshake, death as
+  EOF, kill) under both the batch fan-out and the serving pool.
 - :mod:`repro.resilience.supervisor` — :func:`supervised_map`, the
   ``pool.map`` replacement with per-task deadlines, dead-worker
   detection, bounded retries with backoff, and an in-parent serial
@@ -45,6 +48,7 @@ from repro.resilience.supervisor import (
     SupervisionReport,
     supervised_map,
 )
+from repro.resilience.worker import SupervisedWorker, WorkerDied, WorkerError
 
 __all__ = [
     "DEFAULT_MAX_RETRIES",
@@ -53,7 +57,10 @@ __all__ = [
     "KNOWN_SITES",
     "QuarantineReport",
     "QuarantinedRow",
+    "SupervisedWorker",
     "SupervisionReport",
+    "WorkerDied",
+    "WorkerError",
     "arm",
     "armed",
     "atomic_write_bytes",

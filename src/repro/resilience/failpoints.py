@@ -59,7 +59,7 @@ KNOWN_SITES = (
 )
 
 #: Default sleep for ``worker.hang`` — far past any test deadline; the
-#: supervised pool's terminate-on-exit kills the sleeper.
+#: supervisor kills the sleeper at its deadline.
 DEFAULT_HANG_SECONDS = 3600.0
 
 #: Default delay for ``serve.slow_response`` — long enough to be visible

@@ -2,29 +2,35 @@
 
 A bare ``Pool.map`` has three failure modes that all end the same way —
 a join that never returns: a worker OOM-killed mid-task leaves its
-``AsyncResult`` unresolved forever, a worker stuck in a pathological
-refinement hangs the barrier, and a task whose result cannot travel the
-pipe poisons the whole map call. :func:`supervised_map` replaces the
-barrier with per-task supervision:
+result unresolved forever, a worker stuck in a pathological refinement
+hangs the barrier, and a task whose result cannot travel the pipe
+poisons the whole map call. :func:`supervised_map` replaces the barrier
+with per-task supervision over
+:class:`~repro.resilience.worker.SupervisedWorker` processes, each on
+its own pipe:
 
-- every task gets its own **deadline** (``partition_timeout`` seconds
-  per attempt, measured from dispatch);
-- worker processes are **polled for deaths** (pid watching on the
-  pool's process table, cross-checked against per-task start
-  acknowledgements sent through a fork-inherited sentinel queue); a
-  detected death immediately fails exactly the task the dead worker
-  was running instead of waiting out its deadline;
+- the parent hands every idle worker one task at a time, so it always
+  knows which ``(task, attempt)`` each worker holds;
+- every attempt gets its own **deadline** (``partition_timeout``
+  seconds from the moment a worker receives it); a worker still busy at
+  its deadline is SIGKILLed *then* and a fresh one forked in its place;
+- a worker's **death is EOF on its pipe**: the wait that collects
+  results wakes at once and fails exactly the task the dead worker
+  held, without polling and without waiting out the deadline;
 - failed tasks are **retried** with exponential backoff, at most
-  ``max_retries`` times, re-dispatched to the (auto-repopulated) pool;
+  ``max_retries`` times;
 - tasks that exhaust their retries fall back to **in-parent serial
   re-execution** — slower but isolated from every worker pathology —
   so the merged result is complete for *any* failure schedule.
 
-Tasks must be idempotent and side-effect free (the executor's partition
-workers are pure functions of inherited state): a speculative retry may
-race its hung predecessor, and the first accepted result per task wins;
-late duplicates are discarded unread, which keeps per-worker metric
-payloads exactly-once.
+Recovery time is therefore bounded: a task costs at most
+``(max_retries + 1) * partition_timeout`` plus its backoffs and one
+serial re-run, whatever its workers do.
+
+Tasks must be side-effect free (the executor's partition workers are
+pure functions of inherited state). A failed attempt's worker is dead
+before its retry starts, so every task is answered at most once, which
+keeps per-worker metric payloads exactly-once.
 
 Everything is observable: retries, timeouts, worker deaths and serial
 fallbacks surface as ``repro_resilience_*`` counters (when metrics are
@@ -33,16 +39,21 @@ on) and are summarised in the returned :class:`SupervisionReport`.
 
 from __future__ import annotations
 
+import heapq
 import logging
-import multiprocessing
-import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 from repro.obs.metrics import get_registry, metrics_enabled
 from repro.obs.trace import trace
 from repro.resilience import failpoints
+from repro.resilience.worker import (
+    SupervisedWorker,
+    WorkerDied,
+    WorkerError,
+    wait_readable,
+)
 
 log = logging.getLogger("repro.resilience")
 
@@ -51,7 +62,6 @@ log = logging.getLogger("repro.resilience")
 DEFAULT_PARTITION_TIMEOUT = 300.0
 DEFAULT_MAX_RETRIES = 2
 DEFAULT_BACKOFF = 0.05
-_POLL_INTERVAL = 0.02
 
 
 @dataclass
@@ -88,47 +98,6 @@ def _observe(name: str, value: int = 1, **labels) -> None:
         get_registry().inc(name, value, **labels)
 
 
-@dataclass
-class _Attempt:
-    async_result: object
-    attempt: int
-    deadline: float | None
-    dispatched: float
-
-
-#: Start-acknowledgement queue, installed in the parent immediately
-#: before the pool forks so workers inherit it. Each task announces
-#: ``(index, attempt, pid)`` as its first action, which lets the parent
-#: map a disappeared pid to exactly the task it was running — even for
-#: worker generations born and killed entirely between two polls.
-_ACK = None
-
-
-def _acked_worker(payload):
-    worker, task = payload
-    if _ACK is not None:
-        _ACK.put((task[0], task[1], os.getpid()))
-    return worker(task)
-
-
-def _kill_hung_worker(running: dict, index: int, attempt: int) -> None:
-    """SIGKILL the worker running a timed-out attempt, if known.
-
-    A hung worker would otherwise occupy its pool slot until the pool
-    is torn down, starving the very retries meant to replace its task;
-    killing it makes the pool repopulate a fresh worker immediately.
-    The ack map is pruned so the ensuing death is not double-counted.
-    """
-    for pid, task in list(running.items()):
-        if task == (index, attempt):
-            running.pop(pid)
-            try:
-                os.kill(pid, 9)  # signal.SIGKILL
-            except (OSError, ProcessLookupError):
-                pass
-            return
-
-
 def supervised_map(
     worker: Callable,
     task_count: int,
@@ -144,10 +113,10 @@ def supervised_map(
 
     Returns ``(results, report)`` with ``results`` index-aligned —
     exactly what ``pool.map(worker, range(task_count))`` would return on
-    a healthy pool, whatever the workers did. The caller is responsible
-    for installing any fork-inherited state *before* calling and
-    clearing it *after* (the serial fallback reads the same state, so
-    it must stay installed for the duration).
+    a healthy pool, whatever the workers did. ``worker`` runs in forked
+    children, which inherit it: a closure over the task's state works,
+    and nothing but ``(index, attempt)`` and the result is pickled.
+    ``serial_runner(index)`` is the in-parent fallback.
     """
     if partition_timeout is None:
         partition_timeout = DEFAULT_PARTITION_TIMEOUT
@@ -167,144 +136,88 @@ def supervised_map(
     # workers inherit both the sites and the parent's arming pid.
     failpoints._ensure_env_loaded()
 
-    global _ACK
-    ctx = multiprocessing.get_context("fork")
-    fallback: list[int] = []
-    _ACK = ctx.SimpleQueue()
+    clock = time.monotonic
+    #: ``(not-before time, index, attempt)``, soonest first: first
+    #: attempts are due at once, retries when their backoff elapses.
+    queue: list[tuple[float, int, int]] = [(0.0, k, 1) for k in range(task_count)]
+    live: list[SupervisedWorker] = []
+    idle: list[SupervisedWorker] = []
+    #: worker -> the ``(index, attempt, deadline)`` it was handed.
+    busy: dict[SupervisedWorker, tuple[int, int, float]] = {}
+
+    def spawn() -> None:
+        fresh = SupervisedWorker(
+            worker, name=f"repro-{stage}-worker", siblings=live
+        )
+        live.append(fresh)
+        idle.append(fresh)
+
+    def replace(dead: SupervisedWorker) -> None:
+        live.remove(dead)
+        dead.kill()
+        spawn()
+
+    def fail(index: int, attempt: int, kind: str) -> None:
+        if attempt > max_retries:
+            report.fallbacks += 1
+            report.fallback_tasks.append(index)
+            _observe("repro_resilience_fallback_total", stage=stage)
+            log.warning(
+                "%s task %d failed attempt %d (%s); falling back to serial",
+                stage, index, attempt, kind,
+            )
+        else:
+            report.retries += 1
+            delay = backoff * (2 ** (attempt - 1))
+            heapq.heappush(queue, (clock() + delay, index, attempt + 1))
+            _observe("repro_resilience_retry_total", stage=stage, kind=kind)
+            log.warning(
+                "%s task %d attempt %d failed (%s); retrying in %.3fs",
+                stage, index, attempt, kind, delay,
+            )
+
     try:
-        with ctx.Pool(processes=workers) as pool:
-            clock = time.monotonic
-
-            def dispatch(index: int, attempt: int) -> _Attempt:
-                now = clock()
-                return _Attempt(
-                    async_result=pool.apply_async(
-                        _acked_worker, ((worker, (index, attempt)),)
-                    ),
-                    attempt=attempt,
-                    deadline=now + partition_timeout,
-                    dispatched=now,
-                )
-
-            pending: dict[int, _Attempt] = {
-                k: dispatch(k, 1) for k in range(task_count)
-            }
-            #: index -> (next attempt, not-before time): backoff queue.
-            waiting: dict[int, tuple[int, float]] = {}
-            #: pid -> (index, attempt) last acknowledged as running there.
-            running: dict[int, tuple[int, int]] = {}
-            #: Timed-out attempts whose execution may still be sitting
-            #: in the pool's task queue (they expired before ever
-            #: starting). If one later starts and is hung, it would
-            #: silently occupy a pool slot and starve the retries
-            #: dispatched to replace it.
-            stale: set[tuple[int, int]] = set()
-            #: Discarded async results of timed-out attempts, so a
-            #: stale execution that *completed* can be told apart from
-            #: one that is hung.
-            orphans: dict[tuple[int, int], object] = {}
-            #: pid -> (kill-at time, task) for stale executions that
-            #: did start. The kill is deferred a full
-            #: ``partition_timeout`` from their start-ack and skipped
-            #: if the orphan result arrived: SIGKILLing a worker that
-            #: might be mid-operation on a shared pool queue can
-            #: corrupt the queue's lock and deadlock the pool, so only
-            #: provably overdue — hence hung inside the task body —
-            #: workers are shot.
-            doomed: dict[int, tuple[float, tuple[int, int]]] = {}
-
-            def fail(index: int, kind: str) -> None:
-                att = pending.pop(index)
-                if kind == "timeout":
-                    stale.add((index, att.attempt))
-                    orphans[(index, att.attempt)] = att.async_result
-                if att.attempt > max_retries:
-                    report.fallbacks += 1
-                    report.fallback_tasks.append(index)
-                    fallback.append(index)
-                    _observe("repro_resilience_fallback_total", stage=stage)
-                    log.warning(
-                        "%s task %d failed attempt %d (%s); falling back to serial",
-                        stage, index, att.attempt, kind,
-                    )
-                else:
-                    report.retries += 1
-                    delay = backoff * (2 ** (att.attempt - 1))
-                    waiting[index] = (att.attempt + 1, clock() + delay)
-                    _observe("repro_resilience_retry_total", stage=stage, kind=kind)
-                    log.warning(
-                        "%s task %d attempt %d failed (%s); retrying in %.3fs",
-                        stage, index, att.attempt, kind, delay,
-                    )
-
-            while pending or waiting:
-                progressed = False
-                now = clock()
-                # Collect finished attempts; expire blown deadlines.
-                for index, att in list(pending.items()):
-                    if att.async_result.ready():
-                        progressed = True
-                        try:
-                            results[index] = att.async_result.get()
-                            del pending[index]
-                        except Exception:
-                            report.worker_errors += 1
-                            fail(index, "error")
-                    elif att.deadline is not None and now > att.deadline:
-                        progressed = True
-                        report.timeouts += 1
-                        _kill_hung_worker(running, index, att.attempt)
-                        fail(index, "timeout")
-                # Drain start-acks, then reap: a pid that acknowledged a
-                # still-pending attempt but no longer appears in the
-                # pool's (auto-repopulated) process table died mid-task.
-                while not _ACK.empty():
-                    index, attempt, pid = _ACK.get()
-                    running[pid] = (index, attempt)
-                    doomed.pop(pid, None)
-                    if (index, attempt) in stale:
-                        stale.discard((index, attempt))
-                        doomed[pid] = (clock() + partition_timeout, (index, attempt))
-                for pid, (kill_at, task) in list(doomed.items()):
-                    if now < kill_at:
-                        continue
-                    del doomed[pid]
-                    orphan = orphans.pop(task, None)
-                    if orphan is not None and orphan.ready():
-                        continue  # completed on its own; worker is healthy
-                    running.pop(pid, None)
-                    try:
-                        os.kill(pid, 9)  # signal.SIGKILL
-                    except (OSError, ProcessLookupError):
-                        pass
-                alive = {p.pid for p in pool._pool if p.is_alive()}
-                for pid in list(running):
-                    if pid in alive:
-                        continue
-                    index, attempt = running.pop(pid)
-                    doomed.pop(pid, None)
-                    att = pending.get(index)
-                    if att is not None and att.attempt == attempt:
-                        report.worker_deaths += 1
-                        _observe(
-                            "repro_resilience_worker_deaths_total", stage=stage
-                        )
-                        fail(index, "death")
-                        progressed = True
-                # Re-dispatch retries whose backoff has elapsed.
-                for index, (attempt, not_before) in list(waiting.items()):
-                    if now >= not_before:
-                        del waiting[index]
-                        pending[index] = dispatch(index, attempt)
-                        progressed = True
-                if not progressed:
-                    time.sleep(_POLL_INTERVAL)
-            # Pool __exit__ terminates remaining (hung or healthy) workers.
+        for _ in range(min(workers, task_count)):
+            spawn()
+        while queue or busy:
+            now = clock()
+            while idle and queue and queue[0][0] <= now:
+                _, index, attempt = heapq.heappop(queue)
+                hand = idle.pop()
+                hand.send((index, attempt))
+                busy[hand] = (index, attempt, now + partition_timeout)
+            # Sleep until a reply or a death is readable, the earliest
+            # deadline passes, or a backoff an idle worker could take
+            # elapses — whichever comes first.
+            wake = [deadline for _, _, deadline in busy.values()]
+            if idle and queue:
+                wake.append(queue[0][0])
+            for done in wait_readable(list(busy), max(0.0, min(wake) - now)):
+                index, attempt, _ = busy.pop(done)
+                try:
+                    results[index] = done.recv()
+                except WorkerError:
+                    report.worker_errors += 1
+                    fail(index, attempt, "error")
+                except WorkerDied:
+                    report.worker_deaths += 1
+                    _observe("repro_resilience_worker_deaths_total", stage=stage)
+                    fail(index, attempt, "death")
+                    replace(done)
+                    continue
+                idle.append(done)
+            now = clock()
+            for hung, (index, attempt, deadline) in list(busy.items()):
+                if now >= deadline:
+                    del busy[hung]
+                    report.timeouts += 1
+                    fail(index, attempt, "timeout")
+                    replace(hung)
     finally:
-        queue, _ACK = _ACK, None
-        queue.close()
+        for remaining in live:
+            remaining.kill()
 
-    for index in fallback:
+    for index in report.fallback_tasks:
         with trace("serial_fallback", stage=stage, task=index):
             results[index] = serial_runner(index)
     return results, report

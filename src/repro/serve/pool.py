@@ -1,13 +1,15 @@
 """Supervised engine-worker pool for the join service.
 
-PR 5's ``supervised_map`` gave batch runs crash isolation: fork
-workers, watch deadlines, detect death, respawn, fall back serially.
-This module promotes that machinery to the serving layer. A
-:class:`WorkerPool` owns N long-lived engine worker *processes*, forked
-after store warm-up so every worker inherits the parent engine's warm
-caches copy-on-write, each speaking a private duplex pipe. The HTTP
-handler threads stay a thin coordinator: validate, admit, dispatch to
-an idle worker, relay the reply.
+``supervised_map`` gives batch runs crash isolation on
+:class:`~repro.resilience.worker.SupervisedWorker` processes: fork,
+watch deadlines, detect death, respawn, fall back serially. This module
+puts the same primitive under the serving layer. A :class:`WorkerPool`
+owns N long-lived slots, each one ``SupervisedWorker`` forked after
+store warm-up so it inherits the parent engine's warm caches
+copy-on-write and speaks a private duplex pipe; the pool adds what is
+policy — the idle list, per-slot respawn backoff, quorum, the failure
+vocabulary. The HTTP handler threads stay a thin coordinator: validate,
+admit, dispatch to an idle worker, relay the reply.
 
 What isolation buys over the PR 9 single-flight lock:
 
@@ -39,14 +41,17 @@ Failure vocabulary (``WorkerFailure.reason``): ``worker_crash``,
 from __future__ import annotations
 
 import logging
-import multiprocessing
-import os
-import signal
 import threading
 import time
 
-from repro.obs.metrics import get_registry, metrics_enabled
+from repro.obs import (
+    begin_worker_capture,
+    export_worker_capture,
+    get_registry,
+    metrics_enabled,
+)
 from repro.resilience import failpoints
+from repro.resilience.worker import SupervisedWorker, WorkerDied, WorkerError
 
 log = logging.getLogger("repro.serve")
 
@@ -58,11 +63,6 @@ DEFAULT_MAX_SPAWN_BACKOFF = 5.0
 #: How long a dispatch waits for an idle worker before declaring the
 #: pool exhausted (all workers busy; dead slots fail fast instead).
 DEFAULT_ACQUIRE_TIMEOUT = 1.0
-
-#: Seconds to wait for a freshly forked worker's ready ack.
-READY_TIMEOUT = 30.0
-
-_STOP = ("stop",)
 
 
 class WorkerFailure(RuntimeError):
@@ -79,21 +79,10 @@ class WorkerFailure(RuntimeError):
 # ----------------------------------------------------------------------
 # worker side
 # ----------------------------------------------------------------------
-def _worker_obs_begin() -> None:
-    from repro.parallel import executor
-
-    executor._worker_obs_begin()
-
-
-def _worker_obs_export() -> dict | None:
-    from repro.parallel import executor
-
-    return executor._worker_obs_export()
-
-
-def _execute_join(engine, request: dict) -> tuple:
-    """Run one join request, mapping errors exactly like the service's
-    single-flight path so pool and lock answers are interchangeable."""
+def execute_join(engine, request: dict) -> tuple:
+    """Run one join request on ``engine``; returns ``(status, error,
+    run)``. Pool workers and the service's in-process path both run
+    this, so pool and lock answers are interchangeable."""
     from repro.serve.schema import parse_predicate
 
     predicate = (
@@ -118,70 +107,46 @@ def _execute_join(engine, request: dict) -> tuple:
     return 200, None, run
 
 
-def _worker_main(slot: int, conn, engine, inherited_conns) -> None:
-    """The engine worker loop: recv request, join, send reply.
+def _request_handler(engine):
+    """The handler a slot's worker runs per request: join, reply.
 
-    Runs in a fork child. ``inherited_conns`` are the *other* workers'
-    pipe ends open in the parent at fork time; closing our copies keeps
-    each pipe's EOF semantics intact (a crashed worker's death must be
-    the last close of its end, so the parent's poll wakes immediately).
+    ``engine`` is the parent's warm engine, inherited copy-on-write;
+    with ``None`` the worker builds its own on first use.
     """
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    for other in inherited_conns:
-        try:
-            other.close()
-        except OSError:
-            pass
-    if engine is None:
-        from repro.store.engine import Engine
 
-        engine = Engine()
-    conn.send(("ready", os.getpid()))
-    while True:
-        try:
-            message = conn.recv()
-        except (EOFError, OSError):
-            break  # parent is gone; no one to serve
-        if message[0] == "stop":
-            break
-        request = message[1]
+    def handle(request: dict) -> tuple:
+        nonlocal engine
+        if engine is None:
+            from repro.store.engine import Engine
+
+            engine = Engine()
         key = (request["r"], request["s"])
         seq = request["seq"]
         # Failpoints first: an armed crash/hang takes the worker down
         # mid-request, exactly like a real fault would.
         failpoints.maybe_fail_serve(key, seq)
-        _worker_obs_begin()
-        try:
-            status, error, run = _execute_join(engine, request)
-        except Exception as exc:  # defensive: never kill the loop quietly
-            status, error, run = 500, f"internal error: {exc}", None
-        obs = _worker_obs_export()
+        begin_worker_capture()
+        status, error, run = execute_join(engine, request)
+        obs = export_worker_capture()
         delay = failpoints.serve_response_delay(key, seq)
         if delay > 0:
             time.sleep(delay)
         if status == 200:
-            reply = ("ok", run.to_wire(), obs)
-        else:
-            reply = ("error", status, error, obs)
-        try:
-            conn.send(reply)
-        except (BrokenPipeError, OSError):
-            break
+            return "ok", run.to_wire(), obs
+        return "error", status, error, obs
+
+    return handle
 
 
 # ----------------------------------------------------------------------
 # parent side
 # ----------------------------------------------------------------------
-class _Worker:
-    """One pool slot's live process + pipe, owned by the parent."""
+class _Slot(SupervisedWorker):
+    """One pool slot's live worker, owned by the parent."""
 
-    __slots__ = ("slot", "proc", "conn", "generation", "busy")
-
-    def __init__(self, slot: int, proc, conn, generation: int) -> None:
+    def __init__(self, slot: int, handler, siblings) -> None:
+        super().__init__(handler, name=f"serve-worker-{slot}", siblings=siblings)
         self.slot = slot
-        self.proc = proc
-        self.conn = conn
-        self.generation = generation
         self.busy = False
 
 
@@ -212,14 +177,19 @@ class WorkerPool:
         self.max_spawn_backoff = float(max_spawn_backoff)
         self.acquire_timeout = float(acquire_timeout)
         self._engine = engine
-        self._ctx = multiprocessing.get_context("fork")
+        #: Held around every fork. Whoever uses the engine in this
+        #: process (the service's in-parent joins) holds it meanwhile, so
+        #: no worker is forked while another thread is inside the engine:
+        #: a child born then inherits whatever lock that thread held —
+        #: a module's import lock, a ``cached_property``'s — locked
+        #: forever, and hangs on its first request.
+        self.fork_lock = threading.Lock()
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
-        self._workers: dict[int, _Worker | None] = {}
-        self._idle: list[_Worker] = []
+        self._workers: dict[int, _Slot | None] = {}
+        self._idle: list[_Slot] = []
         self._respawn_at: dict[int, float] = {}
         self._failstreak: dict[int, int] = {}
-        self._generation = 0
         self._seq = 0
         self._closing = False
         self._started = False
@@ -247,31 +217,16 @@ class WorkerPool:
             target=self._supervise, name="serve-pool-supervisor", daemon=True
         )
         self._supervisor.start()
-        self._observe_workers()
+        with self._lock:
+            self._observe_workers_locked()
         return self
 
-    def _spawn(self, slot: int) -> _Worker:
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
+    def _spawn(self, slot: int) -> _Slot:
         with self._lock:
-            self._generation += 1
-            generation = self._generation
-            inherited = [w.conn for w in self._workers.values() if w is not None]
-        proc = self._ctx.Process(
-            target=_worker_main,
-            args=(slot, child_conn, self._engine, inherited),
-            name=f"serve-worker-{slot}",
-        )
-        proc.start()
-        child_conn.close()  # the parent keeps only its own end
-        worker = _Worker(slot, proc, parent_conn, generation)
-        if not parent_conn.poll(READY_TIMEOUT):
-            proc.kill()
-            proc.join()
-            raise RuntimeError(f"serve worker {slot} never became ready")
-        ack = parent_conn.recv()
-        if ack[0] != "ready":  # pragma: no cover - protocol violation
-            raise RuntimeError(f"serve worker {slot} sent {ack!r} instead of ready")
-        log.info("serve worker %d up (pid %d, generation %d)", slot, ack[1], generation)
+            siblings = [w for w in self._workers.values() if w is not None]
+        with self.fork_lock:
+            worker = _Slot(slot, _request_handler(self._engine), siblings)
+        log.info("serve worker %d up (pid %d)", slot, worker.proc.pid)
         return worker
 
     def close(self, timeout: float = 10.0) -> None:
@@ -284,21 +239,9 @@ class WorkerPool:
             self._idle.clear()
             workers = [w for w in self._workers.values() if w is not None]
             self._cond.notify_all()
-        for worker in workers:
-            try:
-                worker.conn.send(_STOP)
-            except (BrokenPipeError, OSError):
-                pass
         deadline = time.monotonic() + timeout
         for worker in workers:
-            worker.proc.join(max(0.0, deadline - time.monotonic()))
-            if worker.proc.is_alive():
-                worker.proc.kill()
-                worker.proc.join()
-            try:
-                worker.conn.close()
-            except OSError:
-                pass
+            worker.stop(max(0.0, deadline - time.monotonic()))
         if self._supervisor is not None:
             self._supervisor.join(timeout=2.0)
         with self._lock:
@@ -331,29 +274,27 @@ class WorkerPool:
         """
         worker = self._acquire()
         request.setdefault("seq", self.next_seq())
+        worker.send(request)
         try:
-            worker.conn.send(("join", request))
-            if not worker.conn.poll(max(0.05, deadline)):
-                self._retire(worker, "worker_hang", kill=True)
+            if not worker.poll(max(0.05, deadline)):
                 raise WorkerFailure(
                     "worker_hang",
                     f"worker {worker.slot} exceeded the {deadline:.1f}s deadline",
-                    retry_after=self._respawn_eta(),
+                    retry_after=self._retire(worker, "worker_hang"),
                 )
-            reply = worker.conn.recv()
-        except WorkerFailure:
-            raise
-        except (EOFError, BrokenPipeError, OSError) as exc:
-            self._retire(worker, "worker_crash", kill=True)
+            reply = worker.recv()
+        except WorkerDied as exc:
             raise WorkerFailure(
                 "worker_crash",
-                f"worker {worker.slot} died mid-request ({exc.__class__.__name__})",
-                retry_after=self._respawn_eta(),
+                f"worker {worker.slot} died mid-request",
+                retry_after=self._retire(worker, "worker_crash"),
             ) from exc
+        except WorkerError as exc:
+            reply = ("error", 500, f"internal error: {exc}", None)
         self._release(worker)
         return reply
 
-    def _acquire(self) -> _Worker:
+    def _acquire(self) -> _Slot:
         end = time.monotonic() + self.acquire_timeout
         with self._cond:
             while True:
@@ -361,7 +302,7 @@ class WorkerPool:
                     raise WorkerFailure("pool_closed", "the pool is shutting down")
                 while self._idle:
                     worker = self._idle.pop()
-                    if worker.proc.is_alive():
+                    if worker.alive():
                         worker.busy = True
                         return worker
                     self._retire_locked(worker, "worker_exit")
@@ -382,36 +323,28 @@ class WorkerPool:
                     )
                 self._cond.wait(min(remaining, 0.05))
 
-    def _release(self, worker: _Worker) -> None:
-        stop_after = False
+    def _release(self, worker: _Slot) -> None:
         with self._cond:
             worker.busy = False
             self._failstreak[worker.slot] = 0
-            if self._closing:
-                stop_after = True
-            else:
+            # While closing, close() already sent this worker its stop.
+            if not self._closing:
                 self._idle.append(worker)
                 self._cond.notify_all()
-        if stop_after:
-            try:
-                worker.conn.send(_STOP)
-            except (BrokenPipeError, OSError):
-                pass
 
     # -- failure handling ----------------------------------------------
-    def _retire(self, worker: _Worker, reason: str, *, kill: bool = False) -> None:
+    def _retire(self, worker: _Slot, reason: str) -> float:
+        """Retire ``worker``; returns the seconds until a slot respawns."""
         with self._cond:
-            self._retire_locked(worker, reason, kill=kill)
+            self._retire_locked(worker, reason)
+            return self._respawn_eta_locked()
 
-    def _retire_locked(self, worker: _Worker, reason: str, *, kill: bool = False) -> None:
+    def _retire_locked(self, worker: _Slot, reason: str) -> None:
+        """Kill what is left of ``worker`` and schedule its slot's
+        respawn after the slot's backoff."""
         if self._workers.get(worker.slot) is not worker:
             return  # already retired
-        if kill and worker.proc.is_alive():
-            worker.proc.kill()
-        try:
-            worker.conn.close()
-        except OSError:
-            pass
+        worker.kill()
         self._workers[worker.slot] = None
         streak = self._failstreak.get(worker.slot, 0) + 1
         self._failstreak[worker.slot] = streak
@@ -430,10 +363,6 @@ class WorkerPool:
         self._cond.notify_all()
         self._observe_workers_locked()
 
-    def _respawn_eta(self) -> float:
-        with self._lock:
-            return self._respawn_eta_locked()
-
     def _respawn_eta_locked(self) -> float:
         now = time.monotonic()
         pending = [t - now for t in self._respawn_at.values() if t > now]
@@ -450,7 +379,7 @@ class WorkerPool:
                 # from outside, say) so readiness recovers untouched by
                 # traffic.
                 for worker in list(self._idle):
-                    if not worker.proc.is_alive():
+                    if not worker.alive():
                         self._idle.remove(worker)
                         self._retire_locked(worker, "worker_exit")
                 due = [
@@ -473,16 +402,15 @@ class WorkerPool:
                     continue
                 with self._cond:
                     if self._closing:
-                        worker.proc.kill()
-                        worker.proc.join()
+                        worker.kill()
                         return
                     self._workers[slot] = worker
                     self._idle.append(worker)
                     self.respawns_total += 1
                     self._cond.notify_all()
+                    self._observe_workers_locked()
                 if metrics_enabled():
                     get_registry().inc("repro_serve_worker_respawns_total")
-                self._observe_workers()
 
     # -- introspection -------------------------------------------------
     @property
@@ -490,52 +418,32 @@ class WorkerPool:
         """Minimum live workers for the pool to count as ready."""
         return self.size // 2 + 1
 
-    def live_workers(self) -> int:
-        with self._lock:
-            return sum(
-                1
-                for w in self._workers.values()
-                if w is not None and w.proc.is_alive()
-            )
+    def _live_locked(self) -> int:
+        return sum(1 for w in self._workers.values() if w is not None and w.alive())
 
     def snapshot(self) -> dict:
         with self._lock:
-            live = sum(
-                1
-                for w in self._workers.values()
-                if w is not None and w.proc.is_alive()
-            )
             busy = sum(
                 1 for w in self._workers.values() if w is not None and w.busy
             )
             return {
                 "size": self.size,
-                "live": live,
+                "live": self._live_locked(),
                 "busy": busy,
                 "quorum": self.quorum,
                 "respawns_total": self.respawns_total,
                 "failures_total": dict(sorted(self.failures_total.items())),
             }
 
-    def _observe_workers(self) -> None:
-        with self._lock:
-            self._observe_workers_locked()
-
     def _observe_workers_locked(self) -> None:
         if metrics_enabled():
-            live = sum(
-                1
-                for w in self._workers.values()
-                if w is not None and w.proc.is_alive()
-            )
-            get_registry().observe("repro_serve_pool_workers", live)
+            get_registry().observe("repro_serve_pool_workers", self._live_locked())
 
 
 __all__ = [
     "DEFAULT_ACQUIRE_TIMEOUT",
     "DEFAULT_MAX_SPAWN_BACKOFF",
     "DEFAULT_SPAWN_BACKOFF",
-    "READY_TIMEOUT",
     "WorkerFailure",
     "WorkerPool",
 ]

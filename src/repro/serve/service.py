@@ -49,15 +49,21 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any
 
-from repro.obs.metrics import get_registry, metrics_enabled
-from repro.obs.trace import export_spans, reset_tracing, tracing_enabled
+from repro.obs import (
+    export_spans,
+    get_registry,
+    merge_worker_capture,
+    metrics_enabled,
+    reset_tracing,
+    tracing_enabled,
+)
 from repro.serve.admission import (
     AdmissionController,
     BreakerBoard,
     BreakerOpen,
     ShedError,
 )
-from repro.serve.pool import WorkerFailure, WorkerPool
+from repro.serve.pool import WorkerFailure, WorkerPool, execute_join
 from repro.serve.schema import (
     API_VERSION,
     BuildIndexRequest,
@@ -66,7 +72,6 @@ from repro.serve.schema import (
     dumps_wire,
     error_document,
     loads_wire,
-    parse_predicate,
 )
 
 #: Default bind address/port of ``repro serve``.
@@ -144,7 +149,9 @@ class JoinService:
         self.root = Path(root).resolve() if root is not None else None
         self.run_history = run_history
         self.started = time.time()
-        self._engine_lock = threading.Lock()
+        # The engine is not thread-safe, and the pool must not fork a
+        # worker mid-join (see ``WorkerPool.fork_lock``): one lock.
+        self._engine_lock = pool.fork_lock if pool is not None else threading.Lock()
         self._obs_lock = threading.Lock()
         self._runs: OrderedDict[str, dict] = OrderedDict()
         self._runs_lock = threading.Lock()
@@ -188,35 +195,18 @@ class JoinService:
     # ------------------------------------------------------------------
     # endpoints
     # ------------------------------------------------------------------
-    def _direct_join(
-        self, request: JoinRequest, r_path: Path, s_path: Path, timeout: float
-    ) -> tuple[dict, list, float]:
+    def _direct_join(self, wire_request: dict) -> tuple[dict, list, float]:
         """One join on the in-process engine (the single-flight path and
-        the pool's serial degradation); returns ``(wire_doc, spans,
-        seconds)``."""
-        predicate = (
-            parse_predicate(request.predicate) if request.predicate else None
-        )
+        the pool's serial degradation), run and error-mapped by the same
+        :func:`~repro.serve.pool.execute_join` a pool worker runs;
+        returns ``(wire_doc, spans, seconds)``."""
         with self._engine_lock:
             if tracing_enabled():
                 reset_tracing()
             t0 = time.perf_counter()
-            try:
-                run = self.engine.join(
-                    r_path,
-                    s_path,
-                    method=request.method,
-                    grid_order=request.grid_order,
-                    mode=request.mode,
-                    predicate=predicate,
-                    workers=request.workers,
-                    include_disjoint=request.include_disjoint,
-                    partition_timeout=timeout or None,
-                )
-            except FileNotFoundError as exc:
-                raise ServiceError(404, str(exc)) from exc
-            except (ValueError, OSError) as exc:
-                raise ServiceError(400, str(exc)) from exc
+            status, error, run = execute_join(self.engine, wire_request)
+            if status != 200:
+                raise ServiceError(status, error)
             seconds = time.perf_counter() - t0
             spans = export_spans() if tracing_enabled() else []
         return run.to_wire(), spans, seconds
@@ -226,42 +216,14 @@ class JoinService:
         daemon's collectors; returns the worker's spans for the run
         record. Keeps ``/metrics`` (warm-path proofs included) and the
         per-request dashboards truthful under the pool."""
-        if not payload:
-            return []
         with self._obs_lock:
-            if payload.get("metrics") is not None and metrics_enabled():
-                get_registry().merge(payload["metrics"])
-            if payload.get("profile"):
-                from repro.obs.profile import merge_profiles
-
-                merge_profiles([payload["profile"]])
-            if payload.get("resources"):
-                from repro.obs.resources import merge_resources
-
-                merge_resources([payload["resources"]])
-        return payload.get("spans") or []
+            return merge_worker_capture(payload)
 
     def _pool_join(
-        self,
-        request: JoinRequest,
-        r_path: Path,
-        s_path: Path,
-        timeout: float,
-        breaker_keys: tuple,
+        self, wire_request: dict, timeout: float, breaker_keys: tuple
     ) -> tuple[dict, list, float, str | None]:
         """Dispatch one join to the worker pool, degrading per policy;
         returns ``(wire_doc, spans, seconds, degraded)``."""
-        wire_request = {
-            "r": str(r_path),
-            "s": str(s_path),
-            "method": request.method,
-            "grid_order": request.grid_order,
-            "mode": request.mode,
-            "predicate": request.predicate,
-            "workers": request.workers,
-            "include_disjoint": request.include_disjoint,
-            "partition_timeout": timeout or None,
-        }
         t0 = time.perf_counter()
         try:
             reply = self.pool.submit(wire_request, deadline=max(0.05, timeout))
@@ -271,10 +233,7 @@ class JoinService:
                     get_registry().inc(
                         "repro_serve_degraded_total", action="serial"
                     )
-                doc, spans, seconds = self._direct_join(
-                    request, r_path, s_path, timeout
-                )
-                return doc, spans, seconds, "serial"
+                return (*self._direct_join(wire_request), "serial")
             if exc.reason in ("worker_crash", "worker_hang"):
                 if self.breakers is not None:
                     self.breakers.failure(breaker_keys)
@@ -319,15 +278,25 @@ class JoinService:
                     retry_after=exc.retry_after,
                 ) from exc
         with self.admission.admit(endpoint) as ticket:
+            timeout = ticket.remaining_seconds
+            wire_request = {
+                "r": str(r_path),
+                "s": str(s_path),
+                "method": request.method,
+                "grid_order": request.grid_order,
+                "mode": request.mode,
+                "predicate": request.predicate,
+                "workers": request.workers,
+                "include_disjoint": request.include_disjoint,
+                "partition_timeout": timeout or None,
+            }
             degraded = None
             if self.pool is not None:
                 response, spans, service_seconds, degraded = self._pool_join(
-                    request, r_path, s_path, ticket.remaining_seconds, breaker_keys
+                    wire_request, timeout, breaker_keys
                 )
             else:
-                response, spans, service_seconds = self._direct_join(
-                    request, r_path, s_path, ticket.remaining_seconds
-                )
+                response, spans, service_seconds = self._direct_join(wire_request)
         response["request_id"] = request_id
         response["service"] = {
             "seconds": service_seconds,
@@ -493,6 +462,10 @@ def _endpoint_label(path: str) -> str:
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    #: Headers and body leave as two writes; with Nagle on, the kernel
+    #: holds the second until the client's delayed ACK of the first
+    #: (~40 ms on every response).
+    disable_nagle_algorithm = True
     server: ServiceServer
 
     # -- plumbing ------------------------------------------------------

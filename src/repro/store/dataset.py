@@ -43,7 +43,6 @@ from typing import Sequence
 from repro.geometry.box import Box
 from repro.geometry.polygon import Polygon
 from repro.geometry.wkt import dumps_wkt, loads_wkt_geometry
-from repro.join.rtree import RTree
 from repro.obs.metrics import get_registry, metrics_enabled
 from repro.obs.trace import trace
 from repro.raster.grid import RasterGrid, pad_dataspace
@@ -222,11 +221,6 @@ class SpatialDataset:
     @cached_property
     def extent(self) -> Box:
         return Box.union_all(self.boxes)
-
-    @cached_property
-    def rtree(self) -> RTree:
-        """Packed STR R-tree over the MBRs (selection access path)."""
-        return RTree(self.boxes)
 
     def grid(self, order: int) -> RasterGrid:
         """The dataset's own grid: its padded extent at ``order``."""

@@ -413,9 +413,7 @@ class Engine:
         predicate: TopologicalRelation | None = None,
         workers: int | None = 1,
         include_disjoint: bool = False,
-        chunk_size: int | None = None,
-        partition: str = "chunks",
-        tiles_per_dim: int | None = None,
+        tiles_per_dim: int = 4,
         workdir: str | Path | None = None,
         partition_timeout: float | None = None,
         max_retries: int | None = None,
@@ -430,10 +428,11 @@ class Engine:
         come from and how many processes verify them: ``"serial"`` —
         one partition, in-process (``"batch"`` is an alias: the batched
         filter is *the* filter of every method and of relate_p);
-        ``"parallel"`` — chunk or tile partitions fanned out over
-        ``workers`` forked processes; ``"disk"`` — out-of-core PBSM
-        tiles (``workdir`` holds the partition files; a temporary
-        directory when omitted). ``run.mode`` reports what ran.
+        ``"parallel"`` — contiguous chunks fanned out over ``workers``
+        forked processes; ``"disk"`` — out-of-core PBSM tiles,
+        ``tiles_per_dim`` per axis (``workdir`` holds the partition
+        files; a temporary directory when omitted). ``run.mode``
+        reports what ran.
         ``predicate`` switches from find-relation to a relate_p join.
 
         ``mode="auto"`` is one rule
@@ -481,7 +480,7 @@ class Engine:
                 sd,
                 method=method,
                 grid_order=grid_order,
-                tiles_per_dim=tiles_per_dim or 4,
+                tiles_per_dim=tiles_per_dim,
                 include_disjoint=include_disjoint,
                 workdir=workdir,
             )
@@ -513,9 +512,6 @@ class Engine:
                     predicate=predicate,
                     workers=workers,
                     include_disjoint=include_disjoint,
-                    chunk_size=chunk_size,
-                    partition=partition,
-                    tiles_per_dim=tiles_per_dim,
                     partition_timeout=partition_timeout,
                     max_retries=max_retries,
                 )
@@ -539,9 +535,6 @@ class Engine:
         predicate: TopologicalRelation | None = None,
         workers: int | None = 1,
         include_disjoint: bool = False,
-        chunk_size: int | None = None,
-        partition: str = "chunks",
-        tiles_per_dim: int | None = None,
         partition_timeout: float | None = None,
         max_retries: int | None = None,
     ) -> JoinRun:
@@ -573,9 +566,6 @@ class Engine:
             predicate=predicate,
             workers=workers,
             include_disjoint=include_disjoint,
-            chunk_size=chunk_size,
-            partition=partition,
-            tiles_per_dim=tiles_per_dim,
             partition_timeout=partition_timeout,
             max_retries=max_retries,
         )

@@ -63,13 +63,6 @@ class TestParallel:
                 "NOPE", scenario.r_objects, scenario.s_objects, scenario.pairs
             )
 
-    def test_custom_chunk_size(self, scenario):
-        run = run_find_relation_parallel(
-            "P+C", scenario.r_objects, scenario.s_objects, scenario.pairs,
-            workers=2, chunk_size=3,
-        )
-        assert run.stats.pairs == len(scenario.pairs)
-
 
 class TestRelateTiming:
     """One timing semantic for relate_p, whatever the worker count:

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import Box
-from repro.join.mbr_join import brute_force_mbr_join
 from repro.join.rtree import RTree
 
 
@@ -96,26 +95,6 @@ class TestQuery:
         got = sorted(tree.query(window))
         want = sorted(i for i, b in enumerate(boxes) if b.intersects(window))
         assert got == want
-
-
-class TestJoin:
-    @given(boxes_strategy(40), boxes_strategy(40))
-    @settings(max_examples=80)
-    def test_join_matches_bruteforce(self, r, s):
-        got = sorted(RTree(r, fanout=4).join(RTree(s, fanout=4)))
-        assert got == sorted(brute_force_mbr_join(r, s))
-
-    def test_join_empty(self):
-        assert RTree([]).join(RTree([Box(0, 0, 1, 1)])) == []
-        assert RTree([Box(0, 0, 1, 1)]).join(RTree([])) == []
-
-    def test_join_agrees_with_sweep_on_scenario(self):
-        from repro.datasets import load_dataset
-        from repro.join.mbr_join import plane_sweep_mbr_join
-
-        r = [p.bbox for p in load_dataset("OLE", 0.2).polygons]
-        s = [p.bbox for p in load_dataset("OPE", 0.2).polygons]
-        assert sorted(RTree(r).join(RTree(s))) == sorted(plane_sweep_mbr_join(r, s))
 
 
 class TestNearest:

@@ -30,19 +30,12 @@ class TestChunking:
         chunks = chunk_pairs(pairs, workers=4)
         assert [p for c in chunks for p in c] == pairs
 
-    def test_explicit_chunk_size(self):
-        pairs = [(i, 0) for i in range(10)]
-        chunks = chunk_pairs(pairs, workers=2, chunk_size=3)
-        assert [len(c) for c in chunks] == [3, 3, 3, 1]
-
     def test_empty_stream(self):
         assert chunk_pairs([], workers=4) == []
 
     def test_invalid_arguments_rejected(self):
         with pytest.raises(ValueError):
             chunk_pairs([(0, 0)], workers=0)
-        with pytest.raises(ValueError):
-            chunk_pairs([(0, 0)], workers=2, chunk_size=0)
 
 
 class TestFindRelationParallel:
@@ -71,25 +64,19 @@ class TestFindRelationParallel:
         assert len(baseline) == len(scenario.pairs)
         for variant in (
             run_find_relation_parallel("P+C", *args, workers=2),
-            run_find_relation_parallel("P+C", *args, workers=4, chunk_size=3),
-            run_find_relation_parallel("P+C", *args, workers=2, partition="tiles"),
+            run_find_relation_parallel("P+C", *args, workers=4),
         ):
             assert variant.results == baseline
 
-    def test_tile_partitioning_covers_all_pairs(self, scenario):
-        run = run_find_relation_parallel(
-            "P+C", scenario.r_objects, scenario.s_objects, scenario.pairs,
-            workers=2, partition="tiles", tiles_per_dim=4,
-        )
-        assert run.stats.pairs == len(scenario.pairs)
-        assert run.partitions > 1
-
     def test_unknown_partition_rejected(self, scenario):
-        with pytest.raises(ValueError):
-            run_find_relation_parallel(
-                "P+C", scenario.r_objects, scenario.s_objects, scenario.pairs,
-                workers=2, partition="shards",
-            )
+        # Contiguous chunks are the one way to split: there is no
+        # partitioning option left to pass.
+        for option in ({"partition": "tiles"}, {"chunk_size": 3}, {"tiles_per_dim": 4}):
+            with pytest.raises(TypeError):
+                run_find_relation_parallel(
+                    "P+C", scenario.r_objects, scenario.s_objects, scenario.pairs,
+                    workers=2, **option,
+                )
 
     def test_unknown_pipeline_rejected(self, scenario):
         with pytest.raises(KeyError):

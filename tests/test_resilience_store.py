@@ -316,14 +316,16 @@ class TestEngineChaosAcceptance:
                 grid_order=10,
                 mode="parallel",
                 workers=2,
-                partition_timeout=1.0,
+                partition_timeout=0.5,
                 max_retries=3,
             )
         finally:
             failpoints.disarm_all()
-        # Bounded in time: the 1 s deadline reaches the APRIL rebuild
+        # Bounded in time: the 0.5 s deadline reaches the APRIL rebuild
         # fan-out as well as the verification, so no 30 s hang is ever
-        # waited out.
+        # waited out. (Every partition of three fan-outs hangs once and
+        # a deadline runs from the moment a worker takes the attempt, so
+        # the schedule costs 3 x 8 x 0.5 s over two workers.)
         assert time.perf_counter() - started < 60
 
         assert [(l.r_index, l.s_index, l.relation) for l in chaotic.results] == [

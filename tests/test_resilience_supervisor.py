@@ -2,12 +2,15 @@
 
 Every test asserts the contract that matters — results identical to a
 clean serial run, whatever the failure schedule — plus the supervision
-accounting and the ``_STATE`` lifecycle regression (the fork-inherited
-state globals must be empty after every exit path: normal, retry,
-timeout, and serial fallback).
+accounting, a recovery-time budget, and the lifecycle regression: no
+fan-out state outlives its call (no module global to clear, and no
+worker process left behind on any exit path: normal, retry, timeout,
+serial fallback).
 """
 
 import multiprocessing
+import os
+import signal
 import time
 
 import pytest
@@ -19,6 +22,7 @@ from repro.parallel.executor import run_find_relation_parallel, run_relate_paral
 from repro.parallel.preprocess import build_april_parallel
 from repro.raster.april import build_april
 from repro.resilience import failpoints
+from repro.resilience.failpoints import FailpointSpec
 from repro.resilience.supervisor import SupervisionReport, supervised_map
 from repro.topology import TopologicalRelation as T
 
@@ -48,8 +52,8 @@ def serial_run(scenario):
 
 
 def _chaos_find(scenario, **kwargs):
+    # Two workers cut the stream into 2 * CHUNKS_PER_WORKER partitions.
     kwargs.setdefault("workers", 2)
-    kwargs.setdefault("chunk_size", max(1, len(scenario.pairs) // 8))
     return run_find_relation_parallel(
         "P+C", scenario.r_objects, scenario.s_objects, scenario.pairs, **kwargs
     )
@@ -131,6 +135,65 @@ class TestSupervisedMap:
         # attempts = max_retries + 1 per task
         assert report.retries == 3
 
+    @fork_only
+    def test_unpicklable_result_falls_back_serially(self):
+        def unpicklable(task):
+            return lambda: task  # a closure cannot travel the pipe
+
+        results, report = supervised_map(
+            unpicklable, 2, workers=2, serial_runner=_double_serial,
+            stage="t", max_retries=1, backoff=0.001,
+        )
+        assert results == [0, 2]
+        assert report.worker_errors == 4 and report.fallbacks == 2
+
+    @fork_only
+    def test_killed_worker_fails_only_its_own_task(self):
+        # Task 0's first worker is SIGKILLed mid-task while task 1 is in
+        # flight on the sibling: only task 0 is retried, and task 1's
+        # answer is the one its first (only) attempt computed.
+        def worker(task):
+            index, attempt = task
+            if index == 0 and attempt == 1:
+                time.sleep(0.05)
+                os.kill(os.getpid(), signal.SIGKILL)
+            if index == 1:
+                time.sleep(0.2)
+            return index, attempt
+
+        results, report = supervised_map(
+            worker, 2, workers=2, serial_runner=_double_serial,
+            stage="t", backoff=0.001,
+        )
+        assert results == [(0, 2), (1, 1)]
+        assert report.worker_deaths == 1 and report.retries == 1
+        assert report.timeouts == 0 and report.fallbacks == 0
+
+    @fork_only
+    def test_overdue_worker_is_killed_at_its_deadline_and_replaced(self, tmp_path):
+        # One worker, so the retry can only run on the respawned slot.
+        def worker(task):
+            index, attempt = task
+            if attempt == 1:
+                (tmp_path / "hung.pid").write_text(str(os.getpid()))
+                time.sleep(30.0)
+            return os.getpid()
+
+        start = time.monotonic()
+        results, report = supervised_map(
+            worker, 1, workers=1, serial_runner=_double_serial,
+            stage="t", partition_timeout=0.2, backoff=0.001,
+        )
+        elapsed = time.monotonic() - start
+        hung_pid = int((tmp_path / "hung.pid").read_text())
+        assert report.timeouts == 1 and report.retries == 1
+        assert report.fallbacks == 0
+        # Killed *at* the deadline — not polled for, not waited out.
+        assert 0.2 <= elapsed < 0.2 + 1.0
+        assert results[0] != hung_pid
+        with pytest.raises(ProcessLookupError):
+            os.kill(hung_pid, 0)
+
 
 # ----------------------------------------------------------------------
 # executor chaos schedules
@@ -145,7 +208,6 @@ class TestFindRelationChaos:
         assert run.supervision.worker_deaths == run.partitions
         assert run.supervision.retries == run.partitions
         assert run.supervision.fallbacks == 0
-        assert executor._STATE == {}
 
     def test_hang_past_deadline(self, scenario, serial_run):
         failpoints.arm("worker.hang", "times:1", hang_seconds=30.0)
@@ -156,20 +218,47 @@ class TestFindRelationChaos:
         assert run.supervision.timeouts >= run.partitions
         # Bounded: nowhere near the 30s hang, even with retries queued.
         assert wall < 15.0
-        assert executor._STATE == {}
+
+    def test_recovery_time_budget_for_a_partition_that_always_hangs(
+        self, scenario, serial_run
+    ):
+        # ``prob`` draws are a pure function of (seed, site, key, hit):
+        # pick the seed under which exactly one partition hangs, on
+        # both of its attempts, and no other partition ever does.
+        partitions, attempts = 8, 2
+        for seed in range(100_000):
+            spec = FailpointSpec(site="worker.hang", mode="prob", arg=0.3, seed=seed)
+            hangs = {
+                (part, hit)
+                for part in range(partitions)
+                for hit in range(1, attempts + 1)
+                if spec.evaluate(part, hit)
+            }
+            if len(hangs) == attempts and len({part for part, _ in hangs}) == 1:
+                break
+        (poisoned,) = {part for part, _ in hangs}
+        failpoints.arm("worker.hang", "prob:0.3", seed=seed, hang_seconds=30.0)
+        start = time.monotonic()
+        run = _chaos_find(scenario, partition_timeout=0.5, max_retries=1)
+        elapsed = time.monotonic() - start
+        assert run.partitions == partitions
+        assert run.results == serial_run.results
+        assert run.supervision.timeouts == attempts
+        assert run.supervision.fallback_tasks == [poisoned]
+        # Both attempts are cut at their deadline, then one partition is
+        # re-verified in-parent (less than the whole serial join).
+        assert elapsed < 0.5 * attempts + serial_run.wall_seconds + 2.0
 
     def test_always_crash_exhausts_to_serial_fallback(self, scenario, serial_run):
         with failpoints.inject({"worker.crash": "always"}):
             run = _chaos_find(scenario, partition_timeout=30.0, max_retries=1)
         assert run.results == serial_run.results
         assert run.supervision.fallbacks == run.partitions
-        assert executor._STATE == {}
 
     def test_crash_probabilistically(self, scenario, serial_run):
         with failpoints.inject({"worker.crash": "prob:0.5"}, seed=11):
             run = _chaos_find(scenario, partition_timeout=30.0, max_retries=3)
         assert run.results == serial_run.results
-        assert executor._STATE == {}
 
     def test_metrics_counters_emitted(self, scenario, serial_run):
         set_metrics(True)
@@ -204,12 +293,10 @@ class TestRelateChaos:
         with failpoints.inject({"worker.crash": "times:1"}):
             run = run_relate_parallel(
                 T.INTERSECTS, scenario.r_objects, scenario.s_objects, scenario.pairs,
-                workers=2, chunk_size=max(1, len(scenario.pairs) // 6),
-                partition_timeout=30.0, max_retries=2,
+                workers=2, partition_timeout=30.0, max_retries=2,
             )
         assert run.matches == serial.matches
         assert run.supervision.worker_deaths == run.partitions
-        assert executor._STATE == {}
 
 
 @fork_only
@@ -227,7 +314,6 @@ class TestPreprocessChaos:
             assert (a.p.starts == b.p.starts).all()
             assert (a.p.ends == b.p.ends).all()
             assert (a.c.starts == b.c.starts).all()
-        assert preprocess._STATE == {}
 
     def test_poisoned_preprocess_falls_back(self, scenario):
         polygons = [obj.polygon for obj in scenario.r_objects]
@@ -239,7 +325,6 @@ class TestPreprocessChaos:
             )
         assert len(built) == len(expected)
         assert (built[0].p.starts == expected[0].p.starts).all()
-        assert preprocess._STATE == {}
 
 
 class TestStateLifecycle:
@@ -247,20 +332,32 @@ class TestStateLifecycle:
         run_find_relation_parallel(
             "P+C", scenario.r_objects, scenario.s_objects, scenario.pairs, workers=1
         )
-        assert executor._STATE == {}
         build_april_parallel(
             [obj.polygon for obj in scenario.r_objects[:4]], scenario.grid, workers=1
         )
-        assert preprocess._STATE == {}
+        # The one-partition case forks nothing, and the fan-out keeps
+        # its state in closures: there is no module global to clear.
+        assert multiprocessing.active_children() == []
+        assert not hasattr(executor, "_STATE")
+        assert not hasattr(preprocess, "_STATE")
 
     @fork_only
     def test_parallel_paths_leave_state_empty(self, scenario):
+        # Every exit path — clean, crash + retry, hang + kill, serial
+        # fallback — reaps every worker it forked, hung ones included.
+        polygons = [obj.polygon for obj in scenario.r_objects]
         _chaos_find(scenario)
-        assert executor._STATE == {}
-        build_april_parallel(
-            [obj.polygon for obj in scenario.r_objects], scenario.grid, workers=2
-        )
-        assert preprocess._STATE == {}
+        build_april_parallel(polygons, scenario.grid, workers=2)
+        assert multiprocessing.active_children() == []
+        with failpoints.inject({"worker.crash": "times:1"}):
+            _chaos_find(scenario, max_retries=2)
+        assert multiprocessing.active_children() == []
+        with failpoints.inject({"worker.hang": "always"}, hang_seconds=30.0):
+            build_april_parallel(
+                polygons[:16], scenario.grid, workers=2,
+                partition_timeout=0.1, max_retries=0,
+            )
+        assert multiprocessing.active_children() == []
 
     def test_supervision_report_shape(self):
         report = SupervisionReport(tasks=3)

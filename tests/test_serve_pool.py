@@ -212,6 +212,25 @@ class TestWorkerPoolHTTP:
             finally:
                 ps.stop()
 
+    def test_crash_to_next_good_answer_is_bounded(self, data_root):
+        # One worker and no serial degradation: after the crash only a
+        # respawned worker can answer, so the time to the next 200 is
+        # the pool's recovery time — EOF detection, the slot's first
+        # backoff, a supervisor tick and one fork — not a timeout.
+        with failpoints.inject({"serve.worker_crash": "nth:1"}):
+            ps = _PoolServer(data_root, workers=1, degrade="shed", spawn_backoff=0.05)
+            try:
+                status, doc = post_json(f"{ps.url}/v1/join", join_payload())
+                assert status == 503 and doc["reason"] == "worker_crash"
+                crashed = time.monotonic()
+                assert wait_for(
+                    lambda: post_json(f"{ps.url}/v1/join", join_payload())[0] == 200,
+                    timeout=5.0,
+                )
+                assert time.monotonic() - crashed < 0.05 + 2.0
+            finally:
+                ps.stop()
+
     def test_worker_hang_hits_the_deadline_and_is_killed(self, data_root):
         with failpoints.inject({"serve.worker_hang": "nth:1"}):
             ps = _PoolServer(data_root, workers=2, deadline=1.0)
@@ -498,6 +517,26 @@ class TestPoolUnit:
         assert info.value.reason == "pool_closed"
         pool.close()  # idempotent
         engine.close()
+
+    def test_no_worker_is_forked_while_the_parent_runs_a_join(self):
+        # A worker forked while another thread is inside the engine
+        # inherits that thread's locks (import locks, cached_property
+        # locks) held forever and hangs on its first request: respawns
+        # wait for the service's engine lock.
+        engine = Engine()
+        pool = WorkerPool(1, engine=engine, spawn_backoff=0.01).start()
+        service = JoinService(engine, pool=pool)
+        try:
+            assert service._engine_lock is pool.fork_lock
+            with service._engine_lock:  # "a join is running in the parent"
+                os.kill(pool._workers[0].proc.pid, signal.SIGKILL)
+                assert wait_for(lambda: pool.snapshot()["live"] == 0)
+                time.sleep(0.15)  # backoff long over, still no fork
+                assert pool.snapshot()["respawns_total"] == 0
+            assert wait_for(lambda: pool.snapshot()["live"] == 1)
+            assert pool.snapshot()["respawns_total"] == 1
+        finally:
+            service.close()
 
     def test_service_rejects_unknown_degrade_mode(self):
         engine = Engine()

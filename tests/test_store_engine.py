@@ -52,15 +52,14 @@ class TestModes:
         serial = join("serial")
         runs = {
             "batch": join("batch"),
-            "chunks": join("parallel", workers=2),
-            "tiles": join("parallel", workers=2, partition="tiles"),
+            "parallel": join("parallel", workers=2),
             "disk": join("disk", tiles_per_dim=3, workdir=tmp_path / "disk"),
         }
         for name, run in runs.items():
             assert _identity(run) == _identity(serial), (method, name)
         # ``mode`` reports what ran: batch is an alias of serial.
         assert serial.mode == runs["batch"].mode == "serial"
-        assert runs["chunks"].mode == runs["tiles"].mode == "parallel"
+        assert runs["parallel"].mode == "parallel"
         assert runs["disk"].mode == "disk"
         assert {type(r) for r in runs.values()} == {JoinRun}
 
@@ -137,6 +136,18 @@ class TestModes:
         districts, blobs = inputs
         with pytest.raises(ValueError, match="mode"):
             Engine().join(districts, blobs, grid_order=9, mode="turbo")
+
+    def test_partitioning_options_are_gone(self, inputs):
+        # One splitter: contiguous chunks, nothing to choose.
+        # ``tiles_per_dim`` survives on ``join`` for ``mode="disk"`` only.
+        districts, blobs = inputs
+        engine = Engine()
+        for option in ({"partition": "tiles"}, {"chunk_size": 3}):
+            with pytest.raises(TypeError):
+                engine.join(districts, blobs, grid_order=9, **option)
+        for option in ({"partition": "chunks"}, {"chunk_size": 3}, {"tiles_per_dim": 4}):
+            with pytest.raises(TypeError):
+                engine.execute("P+C", [], [], [], **option)
 
     def test_disk_rejects_predicate(self, inputs):
         districts, blobs = inputs
