@@ -19,7 +19,8 @@ gates at the two grid configurations they are about:
   recorded alongside, ungated, for the trajectory.
 
 Both configurations assert the join rows are bit-identical across
-codecs and across the vectorised / ``_reference_*`` decoders. Appends
+codecs, and the stored payloads decode identically through the block
+decoder and the scalar oracle (``tests/oracles``). Appends
 an entry to ``BENCH_COMPRESS.json`` at the repo root so the codec's
 size and speed are tracked across commits.
 """
@@ -34,8 +35,9 @@ import pytest
 from repro.datasets import load_scenario
 from repro.datasets.io import save_wkt_file
 from repro.obs.metrics import get_registry, reset_metrics, set_metrics
-from repro.raster.kernels import reference_kernels
 from repro.store import Engine, build_dataset
+
+from tests.oracles import compression as oracle_compression
 
 SCENARIO = "OLE-OPE"
 SCALE = 0.4
@@ -122,15 +124,19 @@ def test_compressed_payloads(codec_indexes, tmp_path_factory):
     finally:
         set_metrics(False)
 
-    # Bit-identical rows: varint vs raw, warm vs cold, and the warm
-    # varint join repeated with the scalar reference decoder.
+    # Bit-identical rows: varint vs raw, warm vs cold; and every stored
+    # varint object decodes the same through the block decoder and the
+    # scalar oracle.
     assert _rows(varint_run) == _rows(cold)
     assert _rows(raw_run) == _rows(cold)
-    with reference_kernels():
-        reference_run = Engine().join(
-            varint_base / "r_idx", varint_base / "s_idx", grid_order=GRID_ORDER
-        )
-    assert _rows(reference_run) == _rows(cold)
+    engine = Engine()
+    rd, sd = (engine.dataset(varint_base / name) for name in ("r_idx", "s_idx"))
+    grid = engine.join_grid(rd, sd, GRID_ORDER)
+    for dataset in (rd, sd):
+        payload = dataset.approximations(grid)[0].payload
+        for k, fast in enumerate(payload.decode_block(range(len(payload)))):
+            scalar = oracle_compression.decode_one(payload, k)
+            assert (fast.p, fast.c) == (scalar.p, scalar.c)
 
     # Size gate at the fine grid: rebuild both codec index pairs one
     # order finer and compare total payload footprints.

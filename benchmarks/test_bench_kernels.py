@@ -2,7 +2,7 @@
 
 Times every hot-path primitive — the Sec. 3.2 interval relations, the
 interval set operations, Hilbert bulk indexing and polygon
-rasterisation — against its ``_reference_*`` loop, plus the end-to-end
+rasterisation — against its scalar oracle (``tests/oracles``), plus the end-to-end
 serial and parallel join wall-clock, and appends the measurements to the
 ``BENCH_kernels.json`` trajectory at the repo root.
 
@@ -27,8 +27,12 @@ from repro.join.pipeline import run_find_relation
 from repro.parallel import run_find_relation_parallel
 from repro.raster import RasterGrid, rasterize_polygon
 from repro.raster import kernels
-from repro.raster.hilbert import _reference_hilbert_xy2d_bulk, hilbert_xy2d_bulk
+from repro.raster.hilbert import hilbert_xy2d_bulk
 from repro.raster.intervals import IntervalList
+
+from tests.oracles import hilbert as oracle_hilbert
+from tests.oracles import intervals as oracle_intervals
+from tests.oracles import rasterize as oracle_rasterize
 
 SIZES = (64, 1024, 16384)
 #: Floor demanded of the vectorised overlaps/inside relations.
@@ -84,29 +88,29 @@ def test_interval_primitives(n):
     cases = {
         "overlaps": (
             lambda: kernels.overlaps(x.starts, x.ends, y.starts, y.ends),
-            lambda: x._reference_overlaps(y),
+            lambda: oracle_intervals.overlaps(x, y),
         ),
         "inside": (
             lambda: kernels.inside(x.starts, x.ends, cover.starts, cover.ends),
-            lambda: x._reference_inside(cover),
+            lambda: oracle_intervals.inside(x, cover),
         ),
         "matches": (
             lambda: kernels.matches(x.starts, x.ends, x.starts, x.ends),
-            lambda: x._reference_matches(x),
+            lambda: oracle_intervals.matches(x, x),
         ),
         "intersection": (
             lambda: kernels.intersection(
                 x.starts, x.ends, cover.starts, cover.ends
             ),
-            lambda: x._reference_intersection(cover),
+            lambda: oracle_intervals.intersection(x, cover),
         ),
         "union": (
             lambda: kernels.union(x.starts, x.ends, y.starts, y.ends),
-            lambda: x._reference_union(y),
+            lambda: oracle_intervals.union(x, y),
         ),
         "difference": (
             lambda: kernels.difference(x.starts, x.ends, y.starts, y.ends),
-            lambda: x._reference_difference(y),
+            lambda: oracle_intervals.difference(x, y),
         ),
     }
     entry = {
@@ -175,7 +179,7 @@ def test_hilbert_bulk():
     ys = rng.integers(0, 1 << order, size=65536)
     fast = best_seconds(lambda: hilbert_xy2d_bulk(order, xs, ys))
     ref = best_seconds(
-        lambda: _reference_hilbert_xy2d_bulk(order, xs.copy(), ys.copy())
+        lambda: oracle_hilbert.hilbert_xy2d_bulk(order, xs.copy(), ys.copy())
     )
     record(
         {
@@ -204,8 +208,9 @@ def test_rasterize():
     polygon = _blob(64, radius=320.0, cx=500.0, cy=500.0)
 
     fast = best_seconds(lambda: rasterize_polygon(polygon, grid), target=0.4)
-    with kernels.reference_kernels():
-        ref = best_seconds(lambda: rasterize_polygon(polygon, grid), target=0.4)
+    ref = best_seconds(
+        lambda: oracle_rasterize.rasterize_polygon(polygon, grid), target=0.4
+    )
     record(
         {
             "kind": "rasterize",

@@ -11,7 +11,6 @@ persistent dataset indexes built with ``build-index``::
     python -m repro join r_idx s_idx --index          # warm: no rasterising
     python -m repro explain r.wkt s.wkt --index 3 7   # why did P+C decide that?
     python -m repro select data.geojson --query "POLYGON((...))" --predicate intersects
-    python -m repro approximate data.wkt --grid-order 12 --out approx.npz
     python -m repro stats data.wkt
     python -m repro serve --root indexes/       # long-lived HTTP join service
 
@@ -133,7 +132,6 @@ def _emit_obs(
     """Write trace/metrics/run-log artifacts after a join run."""
     from repro import obs
 
-    stats = run.stats
     explain_samples = []
     if args.explain_sample and r_objects is not None:
         refined = [
@@ -152,8 +150,29 @@ def _emit_obs(
             for line in sample["rendered"].splitlines():
                 print(f"#   {line}", file=sys.stderr)
 
+    if not (args.trace or args.metrics_out or args.profile or args.run_log):
+        return
+    report = obs.build_run_report(
+        run,
+        args.method,
+        spans=bool(args.trace),
+        metrics=bool(args.metrics_out),
+        profile=bool(args.profile),
+        explain_samples=explain_samples,
+        meta={
+            "r_file": args.r,
+            "s_file": args.s,
+            "grid_order": args.grid_order,
+            "workers": args.workers,
+            # The canonical envelope summary (api_version-stamped,
+            # derived from JoinRun.to_wire) instead of hand-picked
+            # duplicates of its fields — the run log speaks the
+            # same v1 contract as the serve API.
+            "run": run.to_dict(),
+            **extra_meta,
+        },
+    )
     if args.trace:
-        spans = obs.export_spans()
         if args.trace == "-":
             for span in obs.get_spans():
                 print(span.render(), file=sys.stderr)
@@ -161,7 +180,7 @@ def _emit_obs(
             import json as _json
 
             Path(args.trace).write_text(
-                _json.dumps(spans, indent=2) + "\n", encoding="utf-8"
+                _json.dumps(report.spans, indent=2) + "\n", encoding="utf-8"
             )
             print(f"# wrote span trace to {args.trace}", file=sys.stderr)
     if args.metrics_out:
@@ -169,49 +188,23 @@ def _emit_obs(
             args.metrics_out, obs.get_registry()
         )
         print(f"# wrote metrics to {json_path} and {prom_path}", file=sys.stderr)
-    profile_payload = None
     if args.profile:
-        payload = obs.export_profile()
-        if payload is not None:
-            spans = obs.get_spans() if args.trace else None
-            rows = obs.phase_table(spans=spans, payload=payload)
-            profile_payload = {**payload, "phase_table": rows}
+        if report.profile is not None:
             Path(args.profile).write_text(
-                obs.collapsed_stacks(payload) + "\n", encoding="utf-8"
+                obs.collapsed_stacks(report.profile) + "\n", encoding="utf-8"
             )
             print(
-                f"# wrote {payload['samples']} collapsed profile samples "
+                f"# wrote {report.profile['samples']} collapsed profile samples "
                 f"to {args.profile}",
                 file=sys.stderr,
             )
-            for line in obs.format_phase_table(rows).splitlines():
+            table = obs.format_phase_table(report.profile["phase_table"])
+            for line in table.splitlines():
                 print(f"# {line}", file=sys.stderr)
         # Stop sampling: a live ITIMER_PROF outliving its handler would
         # kill the interpreter on the way out.
         obs.set_profiling(False)
     if args.run_log:
-        report = obs.RunReport(
-            kind="join_run",
-            method=args.method,
-            stats=stats.to_dict(),
-            spans=obs.export_spans() if args.trace else [],
-            metrics=obs.get_registry().to_dict() if args.metrics_out else None,
-            profile=profile_payload,
-            resources=run.meta.get("resources"),
-            explain_samples=explain_samples,
-            meta={
-                "r_file": args.r,
-                "s_file": args.s,
-                "grid_order": args.grid_order,
-                "workers": args.workers,
-                # The canonical envelope summary (api_version-stamped,
-                # derived from JoinRun.to_wire) instead of hand-picked
-                # duplicates of its fields — the run log speaks the
-                # same v1 contract as the serve API.
-                "run": run.to_dict(),
-                **extra_meta,
-            },
-        )
         obs.append_jsonl(args.run_log, report.to_dict())
         print(f"# appended run report to {args.run_log}", file=sys.stderr)
 
@@ -466,25 +459,6 @@ def cmd_select(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_approximate(args: argparse.Namespace) -> int:
-    from repro.geometry.box import Box
-    from repro.parallel import build_april_parallel
-    from repro.raster.grid import RasterGrid, pad_dataspace
-    from repro.raster.storage import save_approximations
-
-    data = _load_geometries(args.data)
-    extent = pad_dataspace(Box.union_all([g.bbox for g in data]))
-    grid = RasterGrid(extent, order=args.grid_order)
-    approximations = build_april_parallel(data, grid, workers=args.workers)
-    save_approximations(args.out, approximations, codec=args.payload_codec)
-    total = sum(a.nbytes for a in approximations)
-    print(
-        f"wrote {len(approximations)} approximations "
-        f"({total / 1024:.1f} KiB of intervals) to {args.out}"
-    )
-    return 0
-
-
 def cmd_stats(args: argparse.Namespace) -> int:
     data = _load_geometries(args.data)
     vertices = [g.num_vertices for g in data]
@@ -723,18 +697,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--predicate", default="intersects")
     p.add_argument("--grid-order", type=int, default=11)
     p.set_defaults(func=cmd_select)
-
-    p = sub.add_parser("approximate", help="precompute APRIL approximations to .npz")
-    p.add_argument("data")
-    p.add_argument("--out", required=True)
-    p.add_argument("--grid-order", type=int, default=11)
-    p.add_argument("--payload-codec", choices=("varint", "raw"), default="varint",
-                   help="payload layout to write (default varint)")
-    p.add_argument(
-        "--workers", type=_worker_count, default=1,
-        help="worker processes for rasterisation (default 1)",
-    )
-    p.set_defaults(func=cmd_approximate)
 
     p = sub.add_parser("stats", help="dataset statistics")
     p.add_argument("data")

@@ -1,10 +1,11 @@
-"""High-level facade over the paper's contribution.
+"""High-level classes over the paper's contribution.
 
-:class:`TopologyJoin` ties the whole stack together for downstream
-users: give it two polygon collections, and it handles grid sizing,
-APRIL preprocessing (with optional persistence), the MBR filter-step
-join, and streaming find-relation / relate_p results through any of the
-four pipelines — the P+C method of the paper by default.
+:class:`TopologyJoin` is the class-shaped way in for downstream users:
+give it two polygon collections, and the store engine behind it handles
+grid sizing, APRIL preprocessing, the MBR filter-step join, and
+find-relation / relate_p results through any of the four pipelines —
+the P+C method of the paper by default. :class:`TopologySelection`
+answers topological window queries over one collection.
 """
 
 from repro.core.selection import TopologySelection

@@ -1,4 +1,4 @@
-"""End-to-end spatial topology joins (compatibility facade).
+"""End-to-end spatial topology joins (alias over the store engine).
 
 Everything the paper's evaluation pipeline does, behind one class::
 
@@ -9,26 +9,18 @@ Everything the paper's evaluation pipeline does, behind one class::
     inside = list(join.pairs_satisfying(T.INSIDE))   # relate_p join
     join.stats("P+C")                                # JoinRunStats
 
-Since PR 4 this class is a thin layer over the store engine
-(:class:`repro.store.Engine`), which owns dataset resolution, grid
-construction, APRIL caching and execution-mode dispatch. ``TopologyJoin``
-keeps the historical per-instance semantics — lazy preprocessing, the
-``preprocessed=`` ``.npz`` escape hatch, streaming ``find_relations`` —
-on top of a private engine, so existing callers see identical behaviour
-while new code talks to :class:`~repro.store.Engine` directly (and gains
-the persistent warm cache).
-
-With ``workers > 1`` preprocessing fans out over a process pool
-(:mod:`repro.parallel`), and so does the per-pair verification stage
-once the candidate stream is long enough to pay for one (the engine's
-``mode="auto"`` rule); results are identical to a serial run, in the
-same ``(i, j)`` order.
+The class binds two polygon collections, a grid order, a method and a
+worker count to an :class:`~repro.store.Engine` (private by default) and
+forwards: every join method is one :meth:`Engine.join
+<repro.store.Engine.join>` call, so dataset preparation, lazy APRIL
+attachment, the MBR filter step and ``mode="auto"`` are the engine's —
+there is no second implementation here. Persistence is the engine's
+too: build index directories (``build-index`` / ``build_dataset``) and
+join those.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
-from pathlib import Path
 from typing import Iterator, Sequence
 
 from repro.geometry.polygon import Polygon
@@ -36,9 +28,7 @@ from repro.join.objects import SpatialObject
 from repro.join.pipeline import PIPELINES
 from repro.join.run import JoinResult, JoinRun
 from repro.join.stats import JoinRunStats
-from repro.obs.trace import trace
 from repro.raster.grid import RasterGrid
-from repro.raster.storage import StoreError, load_approximations, save_approximations
 from repro.store.dataset import SpatialDataset
 from repro.store.engine import Engine
 from repro.topology.de9im import TopologicalRelation
@@ -55,9 +45,6 @@ class TopologyJoin:
         Hilbert grid order; the grid covers the union of both extents.
     method:
         One of ``"ST2"``, ``"OP2"``, ``"APRIL"``, ``"P+C"`` (default).
-    preprocessed:
-        Optional pair of ``.npz`` paths (for r and s) previously written
-        by :meth:`save_preprocessing`; skips rasterisation on load.
     workers:
         Process-pool size for preprocessing and verification. ``1``
         (default) runs everything in-process; ``None`` picks a small
@@ -66,8 +53,8 @@ class TopologyJoin:
         value.
     engine:
         The :class:`~repro.store.Engine` to execute on. Defaults to a
-        private engine, preserving the historical per-instance caching;
-        pass a shared engine to reuse its dataset/approximation caches.
+        private engine (per-instance caching); pass a shared engine to
+        reuse its dataset/approximation caches.
     """
 
     def __init__(
@@ -76,7 +63,6 @@ class TopologyJoin:
         s_polygons: Sequence[Polygon],
         grid_order: int = 11,
         method: str = "P+C",
-        preprocessed: tuple[str | Path, str | Path] | None = None,
         workers: int | None = 1,
         engine: Engine | None = None,
     ) -> None:
@@ -92,45 +78,27 @@ class TopologyJoin:
         self._engine = engine if engine is not None else Engine()
         self._rd = SpatialDataset.from_polygons(list(r_polygons), name="r")
         self._sd = SpatialDataset.from_polygons(list(s_polygons), name="s")
-        self._preprocessed = preprocessed
         #: The most recent :meth:`run` / :meth:`run_predicate`'s
         #: :class:`~repro.join.run.JoinRun` (wall time, worker and
         #: partition counts), or None before the first run.
         self.last_run: JoinRun | None = None
 
     # ------------------------------------------------------------------
-    # lazy preprocessing
+    # the engine's derived state, read-only
     # ------------------------------------------------------------------
-    @cached_property
+    @property
     def grid(self) -> RasterGrid:
         return self._engine.join_grid(self._rd, self._sd, self.grid_order)
 
-    @cached_property
+    @property
     def r_objects(self) -> list[SpatialObject]:
-        return self._make_objects(self._rd, side=0)
+        return self._objects(self._rd)
 
-    @cached_property
+    @property
     def s_objects(self) -> list[SpatialObject]:
-        return self._make_objects(self._sd, side=1)
+        return self._objects(self._sd)
 
-    def _make_objects(self, dataset: SpatialDataset, side: int) -> list[SpatialObject]:
-        if self._preprocessed is not None:
-            approximations = load_approximations(
-                self._preprocessed[side], expected_grid=self.grid
-            )
-            if len(approximations) != len(dataset):
-                raise StoreError(
-                    f"preprocessed file holds {len(approximations)} approximations "
-                    f"for {len(dataset)} polygons"
-                )
-            return [
-                SpatialObject(
-                    oid=oid, polygon=polygon, box=polygon.bbox, april=approx
-                )
-                for oid, (polygon, approx) in enumerate(
-                    zip(dataset.geometries, approximations)
-                )
-            ]
+    def _objects(self, dataset: SpatialDataset) -> list[SpatialObject]:
         return self._engine.objects(
             dataset,
             self.grid,
@@ -138,49 +106,26 @@ class TopologyJoin:
             workers=self.workers,
         )
 
-    def _ensure_april(self) -> None:
-        """Backfill APRIL approximations an APRIL-free method skipped."""
-        for dataset, objects in ((self._rd, self.r_objects), (self._sd, self.s_objects)):
-            if any(o.april is None for o in objects):
-                aprils = dataset.approximations(self.grid, workers=self.workers)
-                for obj, approx in zip(objects, aprils):
-                    if obj.april is None:
-                        obj.april = approx
-
-    @cached_property
+    @property
     def candidate_pairs(self) -> list[tuple[int, int]]:
         """The filter step: pairs whose MBRs intersect."""
-        # Touch the object lists first: loading a `preprocessed=` pair
-        # validates it (count + grid) on first access, and historically
-        # candidate_pairs was that first access.
-        self.r_objects
-        self.s_objects
         return self._engine.pairs(self._rd, self._sd)
-
-    def save_preprocessing(self, r_path: str | Path, s_path: str | Path) -> None:
-        """Persist both inputs' APRIL approximations for future runs."""
-        self._ensure_april()
-        save_approximations(r_path, [o.require_april() for o in self.r_objects])
-        save_approximations(s_path, [o.require_april() for o in self.s_objects])
 
     # ------------------------------------------------------------------
     # joins
     # ------------------------------------------------------------------
-    def _execute(
+    def _join(
         self,
         method: str,
         *,
         predicate: TopologicalRelation | None = None,
-        include_disjoint: bool = True,
+        include_disjoint: bool = False,
     ) -> JoinRun:
-        if predicate is not None or PIPELINES[method].uses_april:
-            self._ensure_april()
-        return self._engine.execute(
-            method,
-            self.r_objects,
-            self.s_objects,
-            self.candidate_pairs,
-            mode="auto",
+        return self._engine.join(
+            self._rd,
+            self._sd,
+            method=method,
+            grid_order=self.grid_order,
             predicate=predicate,
             workers=self.workers,
             include_disjoint=include_disjoint,
@@ -195,10 +140,8 @@ class TopologyJoin:
         (which still unpacks as ``links, stats``); the run is also kept
         on ``self.last_run``.
         """
-        with trace("topology_join", method=self.method):
-            run = self._execute(self.method, include_disjoint=include_disjoint)
-        self.last_run = run
-        return run
+        self.last_run = self._join(self.method, include_disjoint=include_disjoint)
+        return self.last_run
 
     def run_predicate(self, predicate: TopologicalRelation) -> JoinRun:
         """One relate_p pass returning matches and statistics.
@@ -207,15 +150,13 @@ class TopologyJoin:
         kind ``"relate"`` (which unpacks as ``matches, stats`` with
         ``(i, j)`` tuples), kept on ``self.last_run``.
         """
-        with trace("topology_join", predicate=predicate.value):
-            run = self._execute(self.method, predicate=predicate)
-        self.last_run = run
-        return run
+        self.last_run = self._join(self.method, predicate=predicate)
+        return self.last_run
 
     def find_relations(self, include_disjoint: bool = False) -> Iterator[JoinResult]:
         """Stream the most specific relation of every candidate pair,
         in ``(i, j)`` order regardless of worker count."""
-        yield from self._execute(
+        yield from self._join(
             self.method, include_disjoint=include_disjoint
         ).results
 
@@ -223,14 +164,11 @@ class TopologyJoin:
         self, predicate: TopologicalRelation
     ) -> Iterator[tuple[int, int]]:
         """relate_p join: candidate pairs for which ``predicate`` holds."""
-        yield from self._execute(self.method, predicate=predicate).matches
+        yield from self._join(self.method, predicate=predicate).matches
 
     def stats(self, method: str | None = None) -> JoinRunStats:
         """Run the full join with stage timing and return its statistics."""
-        method = method or self.method
-        if method not in PIPELINES:
-            raise KeyError(f"unknown method {method!r}; available: {list(PIPELINES)}")
-        return self._execute(method).stats
+        return self._join(method or self.method).stats
 
     def report(self) -> "RunReport":
         """Structured :class:`~repro.obs.report.RunReport` of the last run.
@@ -240,30 +178,21 @@ class TopologyJoin:
         table) and resource summary when the corresponding collectors
         were on. Raises :class:`RuntimeError` before any run.
         """
-        from repro.obs.metrics import get_registry, metrics_enabled
-        from repro.obs.profile import export_profile, phase_table, profiling_enabled
-        from repro.obs.report import RunReport
-        from repro.obs.trace import export_spans, tracing_enabled
+        from repro.obs.metrics import metrics_enabled
+        from repro.obs.profile import profiling_enabled
+        from repro.obs.report import build_run_report
+        from repro.obs.trace import tracing_enabled
 
         run = self.last_run
         if run is None:
             raise RuntimeError("no join has run yet; call run() first")
-        profile = None
-        if profiling_enabled():
-            payload = export_profile()
-            if payload is not None:
-                profile = {**payload, "phase_table": phase_table(payload=payload)}
-        return RunReport(
-            kind=run.kind,
-            method=run.method,
-            stats=run.stats.to_dict(),
-            spans=export_spans() if tracing_enabled() else [],
-            metrics=get_registry().to_dict() if metrics_enabled() else None,
-            profile=profile,
-            resources=run.meta.get("resources"),
-            meta={
-                k: v for k, v in run.meta.items() if k != "resources"
-            },
+        return build_run_report(
+            run,
+            self.method,
+            spans=tracing_enabled(),
+            metrics=metrics_enabled(),
+            profile=profiling_enabled(),
+            meta={k: v for k, v in run.meta.items() if k != "resources"},
         )
 
 

@@ -292,9 +292,7 @@ def intermediate_filter_batch(items: Sequence[FilterItem]) -> list[IFResult]:
     connected equal-MBR one opens with ``¬overlap(rC, sC) ⟹ disjoint``;
     that screen — which resolves the bulk of a real candidate stream —
     is evaluated for the whole batch via :func:`batch_c_overlaps`, and
-    only surviving pairs run the scalar decision tree. With the
-    reference kernels selected the batch degrades to the per-pair path,
-    so ``REPRO_REFERENCE_KERNELS=1`` exercises the loops end to end.
+    only surviving pairs run the scalar decision tree.
 
     Compressed payloads make the screen decode-aware: pairs whose
     summary rows already prove a verdict (:func:`_summary_screen`) are
@@ -302,9 +300,6 @@ def intermediate_filter_batch(items: Sequence[FilterItem]) -> list[IFResult]:
     interval lists are block-decoded (inside
     :func:`batch_c_overlaps`) into the searchsorted kernels.
     """
-    if kernels.reference_kernels_enabled():
-        return [intermediate_filter(*item) for item in items]
-
     results: list[IFResult | None] = [None] * len(items)
     screened: list[int] = []
     for k, (case, r, s, connected) in enumerate(items):

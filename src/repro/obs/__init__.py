@@ -81,6 +81,7 @@ from repro.obs.progress import (
 from repro.obs.report import (
     RunReport,
     append_jsonl,
+    build_run_report,
     read_jsonl,
     sample_explanations,
     write_metrics_files,
@@ -202,6 +203,7 @@ __all__ = [
     "append_jsonl",
     "attach_spans",
     "begin_worker_capture",
+    "build_run_report",
     "check_regressions",
     "collapsed_stacks",
     "compute_trends",

@@ -10,8 +10,8 @@ experiment harness writes the same envelope for its results, giving
 joins and experiments one uniform artifact format.
 
 Imports from ``repro`` are deferred into the functions that need them
-(the explain sampler), keeping the ``repro.obs`` package import-cycle
-free so every layer can instrument itself.
+(the report builder, the explain sampler), keeping the ``repro.obs``
+package import-cycle free so every layer can instrument itself.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ __all__ = [
     "REPORT_FORMAT_VERSION",
     "RunReport",
     "append_jsonl",
+    "build_run_report",
     "read_jsonl",
     "sample_explanations",
     "write_metrics_files",
@@ -84,6 +85,49 @@ class RunReport:
             resources=data.get("resources"),
             meta=dict(data.get("meta", {})),
         )
+
+
+def build_run_report(
+    run,
+    method: str,
+    *,
+    spans: bool,
+    metrics: bool,
+    profile: bool,
+    explain_samples: Sequence[dict[str, Any]] = (),
+    meta: dict[str, Any],
+) -> RunReport:
+    """The envelope of one :class:`~repro.join.run.JoinRun`.
+
+    The single ``JoinRun`` -> :class:`RunReport` mapping, shared by the
+    CLI's ``--run-log`` and ``TopologyJoin.report()``. ``method`` is the
+    method the caller asked for (a relate_p run's own label lives in
+    ``stats["method"]``); ``spans`` / ``metrics`` / ``profile`` say
+    which live collectors the caller wants exported into the record —
+    the profiler payload gets its phase table attached, and the
+    resource summary rides along whenever the engine stamped one on the
+    run.
+    """
+    from repro.obs.metrics import get_registry
+    from repro.obs.profile import export_profile, phase_table
+    from repro.obs.trace import export_spans
+
+    profile_payload = None
+    if profile:
+        payload = export_profile()
+        if payload is not None:
+            profile_payload = {**payload, "phase_table": phase_table(payload=payload)}
+    return RunReport(
+        kind="join_run",
+        method=method,
+        stats=run.stats.to_dict(),
+        spans=export_spans() if spans else [],
+        metrics=get_registry().to_dict() if metrics else None,
+        explain_samples=list(explain_samples),
+        profile=profile_payload,
+        resources=run.meta.get("resources"),
+        meta=meta,
+    )
 
 
 def append_jsonl(path: str | Path, record: dict[str, Any]) -> None:

@@ -12,11 +12,21 @@ touching the data:
 - two average-sized MBRs with centers uniform in the same bucket
   intersect with probability ``min(1, (wr+ws)/bw) * min(1, (hr+hs)/bh)``.
 
-These are the numbers a query optimiser needs — the MBR-join output
-size bounds every topology pipeline's work. Estimates are tested to be
-(a) zero on empty regions, (b) capped by the population, and (c) within
-a small factor of the truth on uniform and scenario workloads; the
-point is relative cost, not exact counts.
+These are the numbers a query optimiser would need — the MBR-join
+output size bounds every topology pipeline's work. Estimates are tested
+to be (a) zero on empty regions, (b) capped by the population, and (c)
+within a small factor of the truth on uniform and scenario workloads.
+
+**Measured accuracy, and who relies on it.** On the outside-in
+benchmark's fixed-map workloads (``bench/run.py``, metric
+``optimizer.estimate_rel_err`` = ``|estimate - true| / true``) the join
+estimate is off by 0.85–0.90 on three of the four — the average-extent
+model does not survive skewed MBR sizes (a few parks against thousands
+of buildings). Nothing in the engine decides on it: ``mode="auto"``
+reads the *exact* candidate count of the pair set it is about to
+verify. Treat the estimators as an order-of-magnitude planning aid for
+callers of :meth:`repro.store.Engine.estimate_pairs`, not as a cost
+model.
 """
 
 from __future__ import annotations

@@ -9,11 +9,10 @@ partially covered). Merge-join relations between interval lists
 (*overlap*, *match*, *inside*, *contains*) run in linear time and are
 the primitive operations of the paper's intermediate filters (Sec. 3.2).
 
-Every hot-path primitive has two implementations: vectorised numpy
-kernels (:mod:`repro.raster.kernels`, the default) and the original
-scalar loops, selected globally with ``REPRO_REFERENCE_KERNELS=1`` (or
-:func:`set_reference_kernels` at runtime) and differentially tested
-against each other.
+Every hot-path primitive has one implementation here — vectorised
+numpy kernels (:mod:`repro.raster.kernels`). The original scalar loops
+are the oracles of the test tree (``tests/oracles``), differentially
+tested against these.
 """
 
 from repro.raster.april import AprilApproximation, build_april
@@ -24,11 +23,6 @@ from repro.raster.compression import (
 from repro.raster.grid import RasterGrid, pad_dataspace
 from repro.raster.hilbert import hilbert_d2xy, hilbert_xy2d, hilbert_xy2d_bulk
 from repro.raster.intervals import IntervalList
-from repro.raster.kernels import (
-    reference_kernels,
-    reference_kernels_enabled,
-    set_reference_kernels,
-)
 from repro.raster.rasterize import RasterizationError, rasterize_polygon
 
 __all__ = [
@@ -44,7 +38,4 @@ __all__ = [
     "hilbert_xy2d_bulk",
     "pad_dataspace",
     "rasterize_polygon",
-    "reference_kernels",
-    "reference_kernels_enabled",
-    "set_reference_kernels",
 ]

@@ -8,28 +8,23 @@ lists by 4-6x. The codec is lossless and self-delimiting, so compressed
 lists concatenate into dataset-level blobs.
 
 Since PR 7 this module is the store's real payload format, not a
-demonstration codec, and it carries two implementations of every
-primitive:
+demonstration codec. Every primitive is a whole-dataset numpy pass —
+varint byte sizes from threshold comparisons, scattered masked writes
+on encode, terminal-byte scans plus masked accumulation on decode, and
+segmented cumulative sums to rebuild absolute interval bounds. One
+:class:`CompressedAprilPayload` holds a whole grid's approximations as
+a single contiguous byte blob plus a per-object offset/summary table,
+so each object decodes independently. The original pure-Python scalar
+codec is the oracle (``tests/oracles/compression.py``), differentially
+tested byte-for-byte against this one
+(``tests/test_compression_differential.py``).
 
-- **vectorised** (the default): whole-dataset numpy passes — varint
-  byte sizes from threshold comparisons, scattered masked writes on
-  encode, terminal-byte scans plus masked accumulation on decode, and
-  segmented cumulative sums to rebuild absolute interval bounds. One
-  :class:`CompressedAprilPayload` holds a whole grid's approximations
-  as a single contiguous byte blob plus a per-object offset/summary
-  table, so each object decodes independently;
-- **reference** (the original pure-Python scalar loops, kept as
-  ``_reference_*``): selected globally with ``REPRO_REFERENCE_KERNELS=1``
-  or :func:`repro.raster.kernels.set_reference_kernels`, and
-  differentially tested byte-for-byte against the vectorised codec
-  (``tests/test_compression_differential.py``).
-
-The wire format is identical for both: per interval list a varint
-count, then per interval a varint *gap* (distance from the previous
-interval's end; the first gap is the absolute start) and a varint
-*length*; one object is its P stream followed by its C stream. The
-dataset blob is simply every object's stream back to back, with byte
-offsets kept in the summary table.
+The wire format: per interval list a varint count, then per interval a
+varint *gap* (distance from the previous interval's end; the first gap
+is the absolute start) and a varint *length*; one object is its P
+stream followed by its C stream. The dataset blob is simply every
+object's stream back to back, with byte offsets kept in the summary
+table.
 """
 
 from __future__ import annotations
@@ -40,7 +35,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.obs.metrics import get_registry, metrics_enabled
-from repro.raster import kernels
 from repro.raster.april import AprilApproximation
 from repro.raster.grid import RasterGrid
 from repro.raster.intervals import IntervalList
@@ -61,22 +55,6 @@ def _observe_decoded_bytes(nbytes: int) -> None:
         get_registry().inc("repro_payload_decoded_bytes_total", value=int(nbytes))
 
 
-# ----------------------------------------------------------------------
-# scalar reference codec (the original implementation)
-# ----------------------------------------------------------------------
-def _write_varint(out: bytearray, value: int) -> None:
-    if value < 0:
-        raise ValueError("varint cannot encode negative values")
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return
-
-
 def _read_varint(data, pos: int) -> tuple[int, int]:
     result = 0
     shift = 0
@@ -91,31 +69,6 @@ def _read_varint(data, pos: int) -> tuple[int, int]:
         shift += 7
         if shift > 70:
             raise ValueError("varint too long")
-
-
-def _reference_encode_intervals(intervals: IntervalList) -> bytes:
-    out = bytearray()
-    _write_varint(out, len(intervals))
-    previous_end = 0
-    for start, end in intervals:
-        _write_varint(out, start - previous_end)
-        _write_varint(out, end - start)
-        previous_end = end
-    return bytes(out)
-
-
-def _reference_decode_intervals(data: bytes, pos: int = 0) -> tuple[IntervalList, int]:
-    count, pos = _read_varint(data, pos)
-    pairs = []
-    cursor = 0
-    for _ in range(count):
-        gap, pos = _read_varint(data, pos)
-        length, pos = _read_varint(data, pos)
-        start = cursor + gap
-        end = start + length
-        pairs.append((start, end))
-        cursor = end
-    return IntervalList(pairs), pos
 
 
 # ----------------------------------------------------------------------
@@ -137,7 +90,7 @@ def varint_sizes(values: np.ndarray) -> np.ndarray:
 def varint_encode(values: np.ndarray) -> np.ndarray:
     """LEB128-encode an int64 array into one contiguous uint8 stream.
 
-    Byte-identical to writing each value through the scalar reference
+    Byte-identical to writing each value through the scalar oracle
     encoder in order. At most nine masked passes: pass ``i`` scatters
     byte ``i`` of every value long enough to have one, with the
     continuation bit set unless it is the value's last byte.
@@ -216,6 +169,28 @@ def _segmented_bounds(
     return ends - lengths, ends
 
 
+def _reject_wrapped(ends: np.ndarray, counts: np.ndarray) -> None:
+    """Raise if a list's deltas summed past int64 (bytes from disk).
+
+    ``ends`` are :func:`_segmented_bounds` results for streams whose
+    gaps are ``>= 0`` and lengths ``>= 1`` (varints, checked by the
+    caller), so inside one list every end must exceed the one before
+    it, and the first must exceed 0. A running sum that crosses
+    ``2**63`` wraps below its predecessor — each step adds less than
+    ``2**64`` — so this test finds every overflow, where a scalar
+    decoder would grow a Python integer past what the arrays can hold.
+    Without it the wrapped bounds break the sorted/disjoint invariant
+    every ``searchsorted`` kernel relies on.
+    """
+    previous = np.zeros(ends.size, dtype=np.int64)
+    previous[1:] = ends[:-1]
+    first = np.zeros(counts.size, dtype=np.int64)
+    first[1:] = np.cumsum(counts)[:-1]
+    previous[first[counts > 0]] = 0
+    if (ends <= previous).any():
+        raise ValueError("corrupt payload: interval bounds overflow int64")
+
+
 def _delta_streams(
     lists: Sequence[IntervalList],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -236,7 +211,7 @@ def _delta_streams(
 
 
 # ----------------------------------------------------------------------
-# public per-list codec (dispatches on the reference switch)
+# public per-list codec
 # ----------------------------------------------------------------------
 def encode_intervals(intervals: IntervalList) -> bytes:
     """Encode a sorted disjoint interval list losslessly.
@@ -245,8 +220,6 @@ def encode_intervals(intervals: IntervalList) -> bytes:
     from the previous interval's end; the first gap is the absolute
     start) and a varint *length*.
     """
-    if kernels.reference_kernels_enabled():
-        return _reference_encode_intervals(intervals)
     n = len(intervals)
     values = np.empty(1 + 2 * n, dtype=np.int64)
     values[0] = n
@@ -260,8 +233,6 @@ def encode_intervals(intervals: IntervalList) -> bytes:
 
 def decode_intervals(data: bytes, pos: int = 0) -> tuple[IntervalList, int]:
     """Decode one interval list; returns it and the next read position."""
-    if kernels.reference_kernels_enabled():
-        return _reference_decode_intervals(data, pos)
     count, pos = _read_varint(data, pos)
     if count == 0:
         return IntervalList(), pos
@@ -278,15 +249,15 @@ def decode_intervals(data: bytes, pos: int = 0) -> tuple[IntervalList, int]:
     values = varint_decode(window[: last + 1], expected=2 * count)
     gaps = values[0::2]
     lengths = values[1::2]
-    starts, ends = _segmented_bounds(
-        gaps, lengths, np.array([count], dtype=np.int64)
-    )
+    counts = np.array([count], dtype=np.int64)
+    starts, ends = _segmented_bounds(gaps, lengths, counts)
     if (lengths < 1).any():
         k = int(np.argmax(lengths < 1))
         raise ValueError(f"empty or inverted interval [{starts[k]}, {ends[k]})")
+    _reject_wrapped(ends, counts)
     if (gaps[1:] == 0).any():
         # Adjacent runs in a non-canonical stream: coalesce exactly as
-        # the reference decoder's IntervalList constructor would.
+        # the scalar decoder's IntervalList constructor would.
         return IntervalList(np.stack([starts, ends], axis=1)), pos + last + 1
     return IntervalList._from_arrays(starts, ends), pos + last + 1
 
@@ -400,11 +371,11 @@ class CompressedAprilPayload:
     ) -> "CompressedAprilPayload":
         """Encode a dataset's approximations into one payload.
 
-        The vectorised path assembles a single int64 value stream —
-        ``[|P|, P deltas..., |C|, C deltas...]`` per object — with
-        scattered writes and varint-encodes it in one call; the byte
-        output is identical to concatenating the scalar reference
-        encoder's per-object streams (differentially tested).
+        Assembles a single int64 value stream — ``[|P|, P deltas...,
+        |C|, C deltas...]`` per object — with scattered writes and
+        varint-encodes it in one call; the byte output is identical to
+        concatenating the scalar oracle encoder's per-object streams
+        (differentially tested).
         """
         if not approximations:
             raise ValueError("nothing to encode: empty approximation sequence")
@@ -413,47 +384,29 @@ class CompressedAprilPayload:
         c_counts, c_gaps, c_lens = _delta_streams([a.c for a in approximations])
         n = len(approximations)
 
-        if kernels.reference_kernels_enabled():
-            blob = np.frombuffer(
-                b"".join(
-                    _reference_encode_intervals(a.p) + _reference_encode_intervals(a.c)
-                    for a in approximations
-                ),
-                dtype=np.uint8,
-            )
-            sizes = None
-        else:
-            per_object = 2 + 2 * p_counts + 2 * c_counts
-            value_off = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(per_object, out=value_off[1:])
-            values = np.empty(int(value_off[-1]), dtype=np.int64)
-            values[value_off[:-1]] = p_counts
-            values[value_off[:-1] + 1 + 2 * p_counts] = c_counts
-            p_base = np.repeat(value_off[:-1] + 1, p_counts)
-            p_within = np.arange(p_gaps.size, dtype=np.int64) - np.repeat(
-                np.concatenate(([0], np.cumsum(p_counts)[:-1])), p_counts
-            )
-            values[p_base + 2 * p_within] = p_gaps
-            values[p_base + 2 * p_within + 1] = p_lens
-            c_base = np.repeat(value_off[:-1] + 2 + 2 * p_counts, c_counts)
-            c_within = np.arange(c_gaps.size, dtype=np.int64) - np.repeat(
-                np.concatenate(([0], np.cumsum(c_counts)[:-1])), c_counts
-            )
-            values[c_base + 2 * c_within] = c_gaps
-            values[c_base + 2 * c_within + 1] = c_lens
-            blob = varint_encode(values)
-            sizes = varint_sizes(values)
+        per_object = 2 + 2 * p_counts + 2 * c_counts
+        value_off = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(per_object, out=value_off[1:])
+        values = np.empty(int(value_off[-1]), dtype=np.int64)
+        values[value_off[:-1]] = p_counts
+        values[value_off[:-1] + 1 + 2 * p_counts] = c_counts
+        p_base = np.repeat(value_off[:-1] + 1, p_counts)
+        p_within = np.arange(p_gaps.size, dtype=np.int64) - np.repeat(
+            np.concatenate(([0], np.cumsum(p_counts)[:-1])), p_counts
+        )
+        values[p_base + 2 * p_within] = p_gaps
+        values[p_base + 2 * p_within + 1] = p_lens
+        c_base = np.repeat(value_off[:-1] + 2 + 2 * p_counts, c_counts)
+        c_within = np.arange(c_gaps.size, dtype=np.int64) - np.repeat(
+            np.concatenate(([0], np.cumsum(c_counts)[:-1])), c_counts
+        )
+        values[c_base + 2 * c_within] = c_gaps
+        values[c_base + 2 * c_within + 1] = c_lens
+        blob = varint_encode(values)
+        sizes = varint_sizes(values)
 
         offsets = np.zeros(n + 1, dtype=np.int64)
-        if sizes is None:
-            cursor = 0
-            for k, a in enumerate(approximations):
-                cursor += len(_reference_encode_intervals(a.p)) + len(
-                    _reference_encode_intervals(a.c)
-                )
-                offsets[k + 1] = cursor
-        else:
-            np.cumsum(np.add.reduceat(sizes, value_off[:-1]), out=offsets[1:])
+        np.cumsum(np.add.reduceat(sizes, value_off[:-1]), out=offsets[1:])
 
         summary = _build_summary(approximations, p_counts, c_counts)
         return cls(grid, blob, offsets, summary, max_decoded_bytes=max_decoded_bytes)
@@ -472,7 +425,10 @@ class CompressedAprilPayload:
         store does not persist it; this constructor recovers it with
         one vectorised varint pass over the whole blob — counts, cell
         bounds and covered-cell totals per object — without building a
-        single :class:`IntervalList`.
+        single :class:`IntervalList`. This is where stored bytes enter,
+        so malformed streams (offsets off the value grid, empty
+        intervals, deltas summing past int64) raise ``ValueError`` here
+        and never reach the summary the zero-decode screens trust.
         """
         blob = np.ascontiguousarray(blob, dtype=np.uint8)
         offsets = np.ascontiguousarray(offsets, dtype=np.int64)
@@ -511,6 +467,7 @@ class CompressedAprilPayload:
             if gaps.size and (lengths < 1).any():
                 raise ValueError("corrupt payload: empty or inverted interval")
             starts, ends = _segmented_bounds(gaps, lengths, counts)
+            _reject_wrapped(ends, counts)
             first_idx = np.concatenate(([0], np.cumsum(counts)[:-1]))
             cum_lens = np.concatenate(([0], np.cumsum(lengths)))
             cells = cum_lens[first_idx + counts] - cum_lens[first_idx]
@@ -589,12 +546,8 @@ class CompressedAprilPayload:
             else:
                 missing.append(k)
         if missing:
-            if kernels.reference_kernels_enabled():
-                decoded = [self._reference_decode_one(k) for k in missing]
-            else:
-                decoded = self._decode_many(missing)
             fresh = 0
-            for k, approx in zip(missing, decoded):
+            for k, approx in zip(missing, self._decode_many(missing)):
                 found[k] = approx
                 self._insert(k, approx)
                 fresh += approx.nbytes
@@ -604,15 +557,6 @@ class CompressedAprilPayload:
     def approximations(self) -> list["LazyAprilApproximation"]:
         """One lazy, duck-typed approximation per object."""
         return [LazyAprilApproximation(self, k) for k in range(len(self))]
-
-    def _reference_decode_one(self, index: int) -> AprilApproximation:
-        lo, hi = int(self.offsets[index]), int(self.offsets[index + 1])
-        data = self.blob[lo:hi].tobytes()
-        p, pos = _reference_decode_intervals(data)
-        c, pos = _reference_decode_intervals(data, pos)
-        if pos != len(data):
-            raise ValueError(f"payload object {index}: trailing bytes after decode")
-        return self._validated(index, p, c)
 
     def _decode_many(self, indices: list[int]) -> list[AprilApproximation]:
         slices = [self.blob[int(self.offsets[k]): int(self.offsets[k + 1])]

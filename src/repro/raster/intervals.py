@@ -7,12 +7,11 @@ Sec. 3.2 — *overlap*, *match*, *inside*, *contains* — are single-pass
 merge joins, each ``O(|X| + |Y|)`` exactly because the intervals within
 a list are disjoint and sorted.
 
-Two implementations back every relation and set operation: vectorised
-``searchsorted``-based kernels (:mod:`repro.raster.kernels`, the
-default) and the original scalar merge loops, kept as ``_reference_*``
-methods and selected globally with ``REPRO_REFERENCE_KERNELS=1``. The
-differential suite (``tests/test_kernels_differential.py``) asserts the
-two agree on thousands of generated inputs.
+Every relation and set operation is one vectorised
+``searchsorted``-based kernel (:mod:`repro.raster.kernels`); the
+original scalar merge loops are the oracles of ``tests/oracles``, and
+the differential suite (``tests/test_kernels_differential.py``) asserts
+the two agree on thousands of generated inputs.
 
 All boolean predicates return plain Python ``bool`` — numpy scalars
 never leak across this API boundary (``np.bool_`` is truthy-compatible
@@ -26,8 +25,6 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from repro.raster import kernels
-
-_EMPTY_ARRAY = np.empty(0, dtype=np.int64)
 
 
 class IntervalList:
@@ -49,10 +46,7 @@ class IntervalList:
         if bad.any():
             k = int(np.argmax(bad))
             raise ValueError(f"empty or inverted interval [{starts[k]}, {ends[k]})")
-        if kernels.reference_kernels_enabled():
-            self.starts, self.ends = _reference_coalesce(starts, ends)
-        else:
-            self.starts, self.ends = kernels.coalesce(starts, ends)
+        self.starts, self.ends = kernels.coalesce(starts, ends)
 
     # ------------------------------------------------------------------
     # constructors
@@ -128,8 +122,6 @@ class IntervalList:
     # ------------------------------------------------------------------
     def overlaps(self, other: "IntervalList") -> bool:
         """'X,Y overlap': some pair of intervals shares a cell id."""
-        if kernels.reference_kernels_enabled():
-            return self._reference_overlaps(other)
         return kernels.overlaps(self.starts, self.ends, other.starts, other.ends)
 
     def matches(self, other: "IntervalList") -> bool:
@@ -141,8 +133,6 @@ class IntervalList:
 
         An empty X is vacuously inside anything.
         """
-        if kernels.reference_kernels_enabled():
-            return self._reference_inside(other)
         return kernels.inside(self.starts, self.ends, other.starts, other.ends)
 
     def contains(self, other: "IntervalList") -> bool:
@@ -153,120 +143,19 @@ class IntervalList:
     # set operations (used by tests and diagnostics)
     # ------------------------------------------------------------------
     def intersection(self, other: "IntervalList") -> "IntervalList":
-        if kernels.reference_kernels_enabled():
-            return self._reference_intersection(other)
         return IntervalList._from_arrays(
             *kernels.intersection(self.starts, self.ends, other.starts, other.ends)
         )
 
     def union(self, other: "IntervalList") -> "IntervalList":
-        if kernels.reference_kernels_enabled():
-            return self._reference_union(other)
         return IntervalList._from_arrays(
             *kernels.union(self.starts, self.ends, other.starts, other.ends)
         )
 
     def difference(self, other: "IntervalList") -> "IntervalList":
-        if kernels.reference_kernels_enabled():
-            return self._reference_difference(other)
         return IntervalList._from_arrays(
             *kernels.difference(self.starts, self.ends, other.starts, other.ends)
         )
-
-    # ------------------------------------------------------------------
-    # reference implementations (the original scalar merge loops)
-    # ------------------------------------------------------------------
-    def _reference_overlaps(self, other: "IntervalList") -> bool:
-        xs, xe = self.starts, self.ends
-        ys, ye = other.starts, other.ends
-        i = j = 0
-        nx, ny = xs.size, ys.size
-        while i < nx and j < ny:
-            if xs[i] < ye[j] and ys[j] < xe[i]:
-                return True
-            if xe[i] <= ye[j]:
-                i += 1
-            else:
-                j += 1
-        return False
-
-    def _reference_inside(self, other: "IntervalList") -> bool:
-        xs, xe = self.starts, self.ends
-        ys, ye = other.starts, other.ends
-        ny = ys.size
-        j = 0
-        for i in range(xs.size):
-            s = xs[i]
-            e = xe[i]
-            while j < ny and ye[j] < e:
-                j += 1
-            if j >= ny or not (ys[j] <= s and e <= ye[j]):
-                return False
-        return True
-
-    def _reference_matches(self, other: "IntervalList") -> bool:
-        return (
-            self.starts.size == other.starts.size
-            and bool(np.array_equal(self.starts, other.starts))
-            and bool(np.array_equal(self.ends, other.ends))
-        )
-
-    def _reference_intersection(self, other: "IntervalList") -> "IntervalList":
-        xs, xe = self.starts, self.ends
-        ys, ye = other.starts, other.ends
-        i = j = 0
-        out: list[tuple[int, int]] = []
-        while i < xs.size and j < ys.size:
-            lo = max(xs[i], ys[j])
-            hi = min(xe[i], ye[j])
-            if lo < hi:
-                out.append((int(lo), int(hi)))
-            if xe[i] <= ye[j]:
-                i += 1
-            else:
-                j += 1
-        return IntervalList(out)
-
-    def _reference_union(self, other: "IntervalList") -> "IntervalList":
-        return IntervalList(list(self) + list(other))
-
-    def _reference_difference(self, other: "IntervalList") -> "IntervalList":
-        out: list[tuple[int, int]] = []
-        ys, ye = other.starts, other.ends
-        j = 0
-        for s, e in self:
-            cur = s
-            while j < ys.size and ye[j] <= cur:
-                j += 1
-            k = j
-            while k < ys.size and ys[k] < e:
-                if ys[k] > cur:
-                    out.append((cur, int(ys[k])))
-                cur = max(cur, int(ye[k]))
-                k += 1
-            if cur < e:
-                out.append((cur, e))
-        return IntervalList(out)
-
-
-def _reference_coalesce(
-    starts: np.ndarray, ends: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The original sort-and-merge construction loop."""
-    pairs = sorted((int(s), int(e)) for s, e in zip(starts, ends))
-    merged: list[list[int]] = []
-    for s, e in pairs:
-        if merged and s <= merged[-1][1]:
-            if e > merged[-1][1]:
-                merged[-1][1] = e
-        else:
-            merged.append([s, e])
-    if not merged:
-        return _EMPTY_ARRAY, _EMPTY_ARRAY
-    return (
-        np.array([m[0] for m in merged], dtype=np.int64),
-        np.array([m[1] for m in merged], dtype=np.int64),
-    )
 
 
 #: Shared empty list (e.g. the P list of a thin polygon with no full cells).

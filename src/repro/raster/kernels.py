@@ -1,4 +1,4 @@
-"""Vectorised APRIL kernels and the reference-implementation switch.
+"""Vectorised APRIL kernels.
 
 The Sec. 3.2 interval relations are linear merge-joins; the original
 implementations walk them with Python ``while`` loops doing scalar
@@ -16,14 +16,12 @@ pairwise disjoint, maximally coalesced, half-open) and return plain
 Python/numpy values; :class:`~repro.raster.intervals.IntervalList`
 wraps them behind its public methods.
 
-**The reference switch.** The original loops are kept as
-``_reference_*`` methods/functions next to each vectorised kernel and
-selected globally via the ``REPRO_REFERENCE_KERNELS=1`` environment
-variable (or :func:`set_reference_kernels` at runtime). The
-differential test suite runs both implementations against each other on
-thousands of generated inputs, so the soundness of the intermediate
-filter — which *proves* topological relations from these primitives —
-is continuously checked against the slow-but-obvious code.
+**The oracles.** The original loops live in the test tree
+(``tests/oracles``), not here: the differential suite
+(``tests/test_kernels_differential.py``) runs them against these
+kernels on thousands of generated inputs, so the soundness of the
+intermediate filter — which *proves* topological relations from these
+primitives — is continuously checked against the slow-but-obvious code.
 
 Why ``searchsorted`` is sound here: within one list the intervals are
 disjoint and coalesced, so ``starts`` *and* ``ends`` are each strictly
@@ -35,44 +33,13 @@ interval ``[s, e)``, the y intervals it overlaps are exactly those with
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from typing import Iterator
-
 import numpy as np
-
-#: Environment variable selecting the reference (pure-loop) kernels.
-REFERENCE_ENV_VAR = "REPRO_REFERENCE_KERNELS"
-
-_use_reference = os.environ.get(REFERENCE_ENV_VAR, "").strip() not in ("", "0")
 
 #: Sentinel bound for interval complements; far above any Hilbert id
 #: (``4**16 = 2**32``) yet safely inside int64.
 _SENTINEL = np.int64(1) << 62
 
 _EMPTY = np.empty(0, dtype=np.int64)
-
-
-def reference_kernels_enabled() -> bool:
-    """Whether the slow reference implementations are globally selected."""
-    return _use_reference
-
-
-def set_reference_kernels(enabled: bool) -> None:
-    """Select reference (True) or vectorised (False) kernels globally."""
-    global _use_reference
-    _use_reference = bool(enabled)
-
-
-@contextmanager
-def reference_kernels(enabled: bool = True) -> Iterator[None]:
-    """Context manager toggling the kernel selection (used by tests)."""
-    previous = _use_reference
-    set_reference_kernels(enabled)
-    try:
-        yield
-    finally:
-        set_reference_kernels(previous)
 
 
 # ----------------------------------------------------------------------
@@ -262,7 +229,6 @@ def pack_lists(lists) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 __all__ = [
-    "REFERENCE_ENV_VAR",
     "coalesce",
     "difference",
     "inside",
@@ -272,8 +238,5 @@ __all__ = [
     "overlaps",
     "overlaps_batch",
     "pack_lists",
-    "reference_kernels",
-    "reference_kernels_enabled",
-    "set_reference_kernels",
     "union",
 ]

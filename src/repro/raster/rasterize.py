@@ -20,24 +20,21 @@ that land exactly on a grid line mark both sides (and all four cells at
 a grid corner), which handles edges running along grid lines and exact
 corner crossings.
 
-Two implementations: the default computes all crossings of all edges in
-one bulk numpy pass (a single floor/ceil sweep over concatenated edge
-arrays, a lexsort for per-edge span ordering, and scatter-marking via
-flat indices); the original per-edge Python walk is kept and selected
-by ``REPRO_REFERENCE_KERNELS=1``. Both produce bit-identical grids —
-they evaluate the same IEEE expressions — which the differential suite
-checks exactly.
+All crossings of all edges are computed in one bulk numpy pass (a
+single floor/ceil sweep over concatenated edge arrays, a lexsort for
+per-edge span ordering, and scatter-marking via flat indices). The
+original per-edge Python walk is its oracle
+(``tests/oracles/rasterize.py``): both evaluate the same IEEE
+expressions, so the differential suite demands bit-identical grids.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.raster import kernels
 from repro.topology.pip import points_strictly_inside
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -76,19 +73,11 @@ def rasterize_polygon(
             "use a coarser grid order"
         )
 
-    reference = kernels.reference_kernels_enabled()
     marked = np.zeros((height, width), dtype=bool)
-    if reference:
-        for a, b in polygon.edges():
-            _reference_mark_edge(marked, grid, a, b, col_lo, row_lo)
-    else:
-        _mark_edges_bulk(marked, grid, polygon, col_lo, row_lo)
+    _mark_edges_bulk(marked, grid, polygon, col_lo, row_lo)
 
     full = np.zeros((height, width), dtype=bool)
-    if reference:
-        _reference_classify_unmarked_runs(full, marked, polygon, grid, col_lo, row_lo)
-    else:
-        _classify_unmarked_runs(full, marked, polygon, grid, col_lo, row_lo)
+    _classify_unmarked_runs(full, marked, polygon, grid, col_lo, row_lo)
 
     prows, pcols = np.nonzero(marked)
     frows, fcols = np.nonzero(full)
@@ -98,7 +87,7 @@ def rasterize_polygon(
 
 
 # ----------------------------------------------------------------------
-# bulk boundary marking (default)
+# bulk boundary marking
 # ----------------------------------------------------------------------
 def _mark_edges_bulk(
     marked: np.ndarray,
@@ -237,99 +226,6 @@ def _classify_unmarked_runs(
     inside = points_strictly_inside(list(zip(px.tolist(), py.tolist())), polygon)
     for k in np.nonzero(np.asarray(inside))[0]:
         full[run_rows[k], run_starts[k] : run_ends[k]] = True
-
-
-# ----------------------------------------------------------------------
-# reference implementations (the original per-edge / per-cell walks)
-# ----------------------------------------------------------------------
-def _reference_mark_edge(
-    marked: np.ndarray,
-    grid: "RasterGrid",
-    a: tuple[float, float],
-    b: tuple[float, float],
-    col_lo: int,
-    row_lo: int,
-) -> None:
-    """Mark every cell whose closed extent the segment ``a-b`` touches."""
-    ua, va = grid.to_cell_units(a[0], a[1])
-    ub, vb = grid.to_cell_units(b[0], b[1])
-    du = ub - ua
-    dv = vb - va
-
-    ts = [0.0, 1.0]
-    if du != 0.0:
-        lo, hi = (ua, ub) if ua <= ub else (ub, ua)
-        for gx in range(math.ceil(lo), math.floor(hi) + 1):
-            ts.append((gx - ua) / du)
-    if dv != 0.0:
-        lo, hi = (va, vb) if va <= vb else (vb, va)
-        for gy in range(math.ceil(lo), math.floor(hi) + 1):
-            ts.append((gy - va) / dv)
-    ts = sorted(t for t in ts if 0.0 <= t <= 1.0)
-
-    height, width = marked.shape
-
-    def mark_point(u: float, v: float) -> None:
-        cu = math.floor(u)
-        cv = math.floor(v)
-        cols = (cu - 1, cu) if u == cu else (cu,)
-        rows = (cv - 1, cv) if v == cv else (cv,)
-        for c in cols:
-            lc = c - col_lo
-            if not 0 <= lc < width:
-                continue
-            for r in rows:
-                lr = r - row_lo
-                if 0 <= lr < height:
-                    marked[lr, lc] = True
-
-    # Endpoints and exact crossings (handles corner touches).
-    for t in ts:
-        mark_point(ua + t * du, va + t * dv)
-    # Span midpoints (handles the interior of the traversal and edges
-    # running exactly along a grid line).
-    for t0, t1 in zip(ts, ts[1:]):
-        if t1 > t0:
-            tm = (t0 + t1) / 2.0
-            mark_point(ua + tm * du, va + tm * dv)
-
-
-def _reference_classify_unmarked_runs(
-    full: np.ndarray,
-    marked: np.ndarray,
-    polygon: "Polygon",
-    grid: "RasterGrid",
-    col_lo: int,
-    row_lo: int,
-) -> None:
-    """Classify maximal unmarked runs per row by one interior test each."""
-    height, width = marked.shape
-    run_rows: list[int] = []
-    run_starts: list[int] = []
-    run_ends: list[int] = []
-    rep_points: list[tuple[float, float]] = []
-
-    for lr in range(height):
-        row_marked = marked[lr]
-        lc = 0
-        while lc < width:
-            if row_marked[lc]:
-                lc += 1
-                continue
-            start = lc
-            while lc < width and not row_marked[lc]:
-                lc += 1
-            run_rows.append(lr)
-            run_starts.append(start)
-            run_ends.append(lc)
-            rep_points.append(grid.cell_center(start + col_lo, lr + row_lo))
-
-    if not rep_points:
-        return
-    inside = points_strictly_inside(rep_points, polygon)
-    for k in range(len(rep_points)):
-        if inside[k]:
-            full[run_rows[k], run_starts[k] : run_ends[k]] = True
 
 
 __all__ = ["RasterCells", "RasterizationError", "rasterize_polygon"]

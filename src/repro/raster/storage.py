@@ -19,11 +19,12 @@ one of two layouts:
 
 Every load is validated: a payload with an unknown format version, a
 missing array, a torn/truncated archive, a blob failing its checksum,
-or — when the caller states the grid it is about to join on — a
-mismatched grid raises a typed :class:`StoreError` instead of silently
-yielding approximations that would compare garbage intervals. Callers
-that can rebuild pass ``on_error="rebuild"`` to get ``None`` back
-instead of the exception.
+a checksummed stream whose deltas overflow int64 or leave the grid's
+``4**order`` cell ids, or — when the caller states the grid it is about
+to join on — a mismatched grid raises a typed :class:`StoreError`
+instead of silently yielding approximations that would compare garbage
+intervals. Callers that can rebuild pass ``on_error="rebuild"`` to get
+``None`` back instead of the exception.
 
 Writes are crash-safe: the payload is serialised in memory and lands
 via :func:`repro.resilience.atomic.atomic_writer`, so a process killed
@@ -71,7 +72,6 @@ log = logging.getLogger("repro.resilience")
 #: the compressed dataset blob. Both remain readable.
 _RAW_VERSION = 1
 _COMPRESSED_VERSION = 2
-_FORMAT_VERSION = _RAW_VERSION  # kept: the raw layout's on-disk version
 
 #: Payload codecs :func:`save_approximations` understands; the first is
 #: the store-wide default.
@@ -341,6 +341,11 @@ def _read_compressed(path: Path, data, grid: RasterGrid) -> list:
         offsets = np.zeros(sizes.size + 1, dtype=np.int64)
         np.cumsum(sizes, out=offsets[1:])
         payload = CompressedAprilPayload.from_blob(grid, blob, offsets)
+        if max(int(payload.p_last.max()), int(payload.c_last.max())) > grid.num_cells:
+            raise ValueError(
+                f"cell ids beyond the order-{grid.order} grid's "
+                f"{grid.num_cells} cells"
+            )
     except ValueError as exc:
         raise StoreError(f"{path}: corrupt approximation file: {exc}") from exc
     return payload.approximations()

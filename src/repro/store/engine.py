@@ -365,8 +365,12 @@ class Engine:
     def estimate_pairs(self, r: SpatialDataset, s: SpatialDataset) -> float:
         """Estimated candidate-pair cardinality of the MBR join, from
         selectivity histograms of the two datasets — without running
-        the join. (``mode="auto"`` looks at the exact count instead:
-        the pair set it is about to verify.)"""
+        the join. An order-of-magnitude figure: its measured relative
+        error is 0.85–0.90 on three of the benchmark's four workloads
+        (``optimizer.estimate_rel_err``, see
+        :mod:`repro.optimizer.selectivity`), and nothing in the engine
+        decides on it — ``mode="auto"`` looks at the exact count
+        instead: the pair set it is about to verify."""
         from repro.optimizer.selectivity import (
             SpatialHistogram,
             estimate_join_candidates,
@@ -541,7 +545,7 @@ class Engine:
         """Run one verification pass over prepared objects and pairs.
 
         The lower-level sibling of :meth:`join` for callers that manage
-        their own objects (``TopologyJoin`` delegates here). Implements
+        their own objects (the benchmark's layer probes). Implements
         the in-memory modes only: ``"disk"`` (which re-partitions whole
         datasets on disk) and unknown modes raise :class:`ValueError`
         instead of silently running something else. ``mode="auto"``

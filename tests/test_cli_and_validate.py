@@ -55,13 +55,13 @@ class TestCli:
         assert "inside" in err
 
     def test_approximate(self, wkt_files, tmp_path, capsys):
+        # The subcommand is gone (index directories are the one
+        # persistence path): argparse rejects it like any unknown one.
         r, _ = wkt_files
-        out = tmp_path / "approx.npz"
-        assert main(["approximate", r, "--out", str(out), "--grid-order", "9"]) == 0
-        assert out.exists()
-        from repro.raster.storage import load_approximations
-
-        assert len(load_approximations(out)) == 15
+        with pytest.raises(SystemExit) as exit_info:
+            main(["approximate", r, "--out", str(tmp_path / "approx.npz")])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'approximate'" in capsys.readouterr().err
 
     def test_stats(self, wkt_files, capsys):
         r, _ = wkt_files

@@ -1,4 +1,4 @@
-"""Differential suite: vectorised payload codec vs the scalar reference.
+"""Differential suite: vectorised payload codec vs the scalar oracle.
 
 Since PR 7 the delta+varint codec is the store's real payload format,
 so a divergence between the numpy fast path and the original scalar
@@ -8,6 +8,9 @@ single-cell intervals and max-cell-id extremes — and asserts the two
 implementations agree byte for byte on encode, value for value on
 round-trips, and object for object on whole-dataset payload blobs,
 mirroring the PR 2 kernels pattern (``tests/test_kernels_differential``).
+The scalar side is ``tests/oracles/compression.py``. A last class pins
+the one place the two *must* differ: a stream whose deltas sum past
+int64, which Python integers survive and numpy arrays cannot.
 """
 
 import numpy as np
@@ -20,8 +23,6 @@ from repro.raster.compression import (
     CompressedAprilPayload,
     FLAG_P_ALL,
     FLAG_PARTIAL,
-    _reference_decode_intervals,
-    _reference_encode_intervals,
     block_decode,
     decode_intervals,
     encode_intervals,
@@ -29,8 +30,10 @@ from repro.raster.compression import (
     varint_encode,
     varint_sizes,
 )
-from repro.raster.kernels import reference_kernels
 from repro.raster.intervals import EMPTY_INTERVALS, IntervalList
+from repro.raster.storage import StoreError, load_approximations, save_approximations
+
+from tests.oracles import compression as oracle
 
 N_LISTS = 10_000
 #: The codec is grid-agnostic int64; it must survive cell ids far past
@@ -99,22 +102,18 @@ class TestVarintKernels:
                 np.random.default_rng(3).integers(0, 1 << 62, size=2000),
             ]
         )
-        from repro.raster.compression import _write_varint
-
         for v, size in zip(values.tolist(), varint_sizes(values).tolist()):
             out = bytearray()
-            _write_varint(out, v)
+            oracle.write_varint(out, v)
             assert size == len(out), f"size mismatch for {v}"
 
     def test_encode_matches_scalar(self):
         rng = np.random.default_rng(11)
         values = rng.integers(0, 1 << 62, size=5000)
         values[:10] = [0, 1, 127, 128, 16383, 16384, (1 << 62) - 1, 7, 300, 1 << 35]
-        from repro.raster.compression import _write_varint
-
         expected = bytearray()
         for v in values.tolist():
-            _write_varint(expected, v)
+            oracle.write_varint(expected, v)
         assert varint_encode(values).tobytes() == bytes(expected)
 
     def test_decode_roundtrip(self):
@@ -141,31 +140,24 @@ class TestVarintKernels:
 class TestIntervalCodecDifferential:
     def test_blobs_byte_identical(self, lists):
         for il in lists:
-            assert encode_intervals(il) == _reference_encode_intervals(il)
+            assert encode_intervals(il) == oracle.encode_intervals(il)
 
     def test_roundtrips_agree(self, lists):
         for il in lists:
-            data = _reference_encode_intervals(il)
+            data = oracle.encode_intervals(il)
             fast, fast_pos = decode_intervals(data)
-            ref, ref_pos = _reference_decode_intervals(data)
+            ref, ref_pos = oracle.decode_intervals(data)
             assert fast_pos == ref_pos == len(data)
             assert fast == ref == il
 
     def test_concatenated_stream_positions(self, lists):
-        stream = b"".join(_reference_encode_intervals(il) for il in lists[:500])
+        stream = b"".join(oracle.encode_intervals(il) for il in lists[:500])
         pos = ref_pos = 0
         for il in lists[:500]:
             fast, pos = decode_intervals(stream, pos)
-            ref, ref_pos = _reference_decode_intervals(stream, ref_pos)
+            ref, ref_pos = oracle.decode_intervals(stream, ref_pos)
             assert pos == ref_pos
             assert fast == ref == il
-
-    def test_reference_switch_selects_scalar(self, lists):
-        with reference_kernels():
-            for il in lists[:100]:
-                assert encode_intervals(il) == _reference_encode_intervals(il)
-                decoded, _ = decode_intervals(_reference_encode_intervals(il))
-                assert decoded == il
 
 
 # ----------------------------------------------------------------------
@@ -185,15 +177,14 @@ class TestPayloadDifferential:
     def test_blob_matches_reference_streams(self, lists):
         objects = self._payload_pairs(lists)
         payload = CompressedAprilPayload.from_approximations(objects)
-        expected = b"".join(
-            _reference_encode_intervals(a.p) + _reference_encode_intervals(a.c)
+        streams = [
+            oracle.encode_intervals(a.p) + oracle.encode_intervals(a.c)
             for a in objects
-        )
-        assert payload.blob.tobytes() == expected
-        with reference_kernels():
-            ref_payload = CompressedAprilPayload.from_approximations(objects)
-        assert ref_payload.blob.tobytes() == expected
-        assert (ref_payload.offsets == payload.offsets).all()
+        ]
+        assert payload.blob.tobytes() == b"".join(streams)
+        assert payload.offsets.tolist() == [0] + np.cumsum(
+            [len(stream) for stream in streams]
+        ).tolist()
 
     def test_block_decode_roundtrips(self, lists):
         objects = self._payload_pairs(lists)
@@ -207,9 +198,7 @@ class TestPayloadDifferential:
     def test_reference_decode_matches(self, lists):
         objects = self._payload_pairs(lists)
         payload = CompressedAprilPayload.from_approximations(objects)
-        with reference_kernels():
-            shadow = CompressedAprilPayload.from_approximations(objects)
-            ref_decoded = shadow.decode_block(range(len(objects)))
+        ref_decoded = [oracle.decode_one(payload, k) for k in range(len(objects))]
         fast_decoded = payload.decode_block(range(len(objects)))
         for ref, fast in zip(ref_decoded, fast_decoded):
             assert ref.p == fast.p
@@ -278,3 +267,72 @@ class TestPayloadDifferential:
             assert payload.is_decoded(a.index)
             assert a.p == eager.p
             assert a.c == eager.c
+
+
+# ----------------------------------------------------------------------
+# where on-disk bytes enter: sums past int64 are rejected, not wrapped
+# ----------------------------------------------------------------------
+class TestOverflowRejected:
+    """A CRC-valid stream whose deltas sum past 2**63 used to decode —
+    silently, through ``cumsum`` wrap-around — into an unsorted list
+    with negative bounds, breaking the invariant every ``searchsorted``
+    kernel's soundness rests on."""
+
+    GRID = RasterGrid(Box(0, 0, 1, 1), order=9)
+    #: One object: P = two intervals of gap 2**62 and length 2**62, C empty.
+    STREAM = varint_encode(
+        np.array([2, 1 << 62, 1 << 62, 1 << 62, 1 << 62, 0], dtype=np.int64)
+    )
+
+    def test_oracle_cannot_represent_it(self):
+        # Python integers do not wrap; the array constructor refuses.
+        with pytest.raises(OverflowError):
+            oracle.decode_intervals(self.STREAM.tobytes())
+
+    def test_decode_intervals_rejects(self):
+        with pytest.raises(ValueError, match="overflow"):
+            decode_intervals(self.STREAM.tobytes())
+
+    def test_from_blob_rejects_before_any_decode(self):
+        offsets = np.array([0, self.STREAM.size], dtype=np.int64)
+        with pytest.raises(ValueError, match="overflow"):
+            CompressedAprilPayload.from_blob(
+                self.GRID, self.STREAM, offsets
+            ).decode_block([0])
+
+    def _saved(self, path, values):
+        """A well-formed, CRC-valid ``.npz`` around a hand-made stream
+        (the summary is not persisted, so zeros will do)."""
+        blob = varint_encode(np.asarray(values, dtype=np.int64))
+        zeros = np.zeros(1, dtype=np.int64)
+        summary = dict.fromkeys(
+            ("p_count", "c_count", "p_cells", "c_cells",
+             "p_first", "p_last", "c_first", "c_last"), zeros,
+        )
+        summary["flags"] = np.zeros(1, dtype=np.uint8)
+        save_approximations(
+            path,
+            CompressedAprilPayload(
+                self.GRID, blob, np.array([0, blob.size]), summary
+            ),
+        )
+        return path
+
+    def test_saved_payload_raises_or_rebuilds(self, tmp_path):
+        path = self._saved(
+            tmp_path / "wrapped.npz", [2, 1 << 62, 1 << 62, 1 << 62, 1 << 62, 0]
+        )
+        with pytest.raises(StoreError, match="overflow"):
+            load_approximations(path, on_error="raise")
+        assert load_approximations(path, on_error="rebuild") is None
+
+    def test_saved_payload_beyond_grid_id_space(self, tmp_path):
+        # Sorted and in range for int64, but not cells of an order-9 grid.
+        cells = self.GRID.num_cells
+        path = self._saved(tmp_path / "beyond.npz", [0, 1, cells, 1])
+        with pytest.raises(StoreError, match="beyond"):
+            load_approximations(path)
+        assert load_approximations(path, on_error="rebuild") is None
+        inside = self._saved(tmp_path / "inside.npz", [0, 1, cells - 1, 1])
+        (only,) = load_approximations(inside)
+        assert list(only.c) == [(cells - 1, cells)]

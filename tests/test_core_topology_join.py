@@ -1,13 +1,18 @@
-"""Tests for the TopologyJoin facade and APRIL persistence."""
+"""Tests for the TopologyJoin alias and APRIL persistence."""
+
+import json
 
 import numpy as np
 import pytest
 
+from repro import obs
+from repro.__main__ import main
 from repro.core import JoinResult, TopologyJoin
+from repro.datasets.io import save_wkt_file
 from repro.datasets.synthetic import generate_blobs, generate_tessellation
 from repro.geometry import Box, Polygon
 from repro.raster import RasterGrid, build_april
-from repro.raster.storage import load_approximations, save_approximations
+from repro.raster.storage import StoreError, load_approximations, save_approximations
 from repro.topology import TopologicalRelation as T, most_specific_relation, relate
 
 
@@ -71,30 +76,13 @@ class TestTopologyJoin:
         with pytest.raises(ValueError):
             TopologyJoin(districts, [])
 
-    def test_preprocessing_roundtrip(self, inputs, tmp_path):
+    def test_preprocessed_keyword_is_gone(self, inputs):
+        # Index directories are the one persistence path; the private
+        # .npz side door (and save_preprocessing) went with PR 22.
         districts, blobs = inputs
-        join = TopologyJoin(districts, blobs, grid_order=9)
-        baseline = {(r.r_index, r.s_index): r.relation for r in join.find_relations()}
-        r_path = tmp_path / "districts.npz"
-        s_path = tmp_path / "blobs.npz"
-        join.save_preprocessing(r_path, s_path)
-
-        reloaded = TopologyJoin(
-            districts, blobs, grid_order=9, preprocessed=(r_path, s_path)
-        )
-        again = {(r.r_index, r.s_index): r.relation for r in reloaded.find_relations()}
-        assert again == baseline
-
-    def test_preprocessed_count_mismatch_rejected(self, inputs, tmp_path):
-        districts, blobs = inputs
-        join = TopologyJoin(districts, blobs, grid_order=9)
-        r_path = tmp_path / "r.npz"
-        s_path = tmp_path / "s.npz"
-        join.save_preprocessing(r_path, s_path)
-        with pytest.raises(ValueError):
-            TopologyJoin(
-                districts[:-1], blobs, grid_order=9, preprocessed=(r_path, s_path)
-            ).candidate_pairs  # triggers lazy load
+        with pytest.raises(TypeError):
+            TopologyJoin(districts, blobs, grid_order=9, preprocessed=("r.npz", "s.npz"))
+        assert not hasattr(TopologyJoin, "save_preprocessing")
 
     def test_join_result_fields(self, inputs):
         districts, blobs = inputs
@@ -173,12 +161,60 @@ class TestLazyApril:
         assert set(join.pairs_satisfying(T.CONTAINS)) == baseline
         assert all(o.april is not None for o in join.r_objects)
 
-    def test_save_preprocessing_backfills_april(self, inputs, tmp_path):
+
+class TestReport:
+    """``TopologyJoin.report()`` and the CLI's ``--run-log`` record are
+    one builder (``obs.build_run_report``) fed the same ``Engine.join``."""
+
+    @pytest.fixture(autouse=True)
+    def obs_off(self):
+        obs.disable_all()
+        yield
+        obs.disable_all()
+
+    def test_raises_before_any_run(self, inputs):
         districts, blobs = inputs
-        join = TopologyJoin(districts, blobs, grid_order=9, method="ST2")
-        join.save_preprocessing(tmp_path / "r.npz", tmp_path / "s.npz")
-        back = load_approximations(tmp_path / "r.npz")
-        assert len(back) == len(districts)
+        with pytest.raises(RuntimeError):
+            TopologyJoin(districts, blobs, grid_order=9).report()
+
+    def test_matches_cli_record(self, inputs, tmp_path, capsys):
+        districts, blobs = inputs
+        r_path, s_path = tmp_path / "r.wkt", tmp_path / "s.wkt"
+        save_wkt_file(r_path, districts)
+        save_wkt_file(s_path, blobs)
+        log = tmp_path / "runs.jsonl"
+        assert main([
+            "join", str(r_path), str(s_path), "--grid-order", "9",
+            "--trace", str(tmp_path / "trace.json"), "--run-log", str(log),
+        ]) == 0
+        capsys.readouterr()
+        (cli,) = [json.loads(line) for line in log.read_text().splitlines()]
+
+        obs.disable_all()
+        obs.set_tracing(True)
+        join = TopologyJoin(districts, blobs, grid_order=9)
+        join.run()
+        report = join.report().to_dict()
+
+        assert (report["kind"], report["method"]) == (cli["kind"], cli["method"])
+        assert report["kind"] == "join_run" and report["method"] == "P+C"
+        timed = {"filter_seconds", "refine_seconds", "total_seconds", "throughput"}
+        assert {k: v for k, v in report["stats"].items() if k not in timed} == {
+            k: v for k, v in cli["stats"].items() if k not in timed
+        }
+
+        def names(spans):
+            return [
+                (span["name"], names(span.get("children", []))) for span in spans
+            ]
+
+        def root(spans):
+            (found,) = [s for s in spans if s["name"] == "topology_join"]
+            return found
+
+        assert names([root(report["spans"])]) == names([root(cli["spans"])])
+        assert "metrics" not in report and "profile" not in report
+        assert report["meta"]["grid_order"] == 9
 
 
 class TestStorage:
@@ -201,6 +237,23 @@ class TestStorage:
     def test_empty_sequence_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             save_approximations(tmp_path / "x.npz", [])
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            RasterGrid(Box(0, 0, 64, 64), order=9),  # other order
+            RasterGrid(Box(0, 0, 65, 64), order=8),  # other dataspace
+        ],
+        ids=["order", "dataspace"],
+    )
+    def test_expected_grid_mismatch_rejected(self, tmp_path, other):
+        grid = RasterGrid(Box(0, 0, 64, 64), order=8)
+        path = tmp_path / "approx.npz"
+        save_approximations(path, [build_april(Polygon.box(1, 1, 9, 9), grid)])
+        assert len(load_approximations(path, expected_grid=grid)) == 1
+        with pytest.raises(StoreError, match="built on grid"):
+            load_approximations(path, expected_grid=other)
+        assert load_approximations(path, expected_grid=other, on_error="rebuild") is None
 
     def test_mixed_grids_rejected(self, tmp_path):
         g1 = RasterGrid(Box(0, 0, 64, 64), order=8)

@@ -1,23 +1,23 @@
-"""Differential suite: vectorised kernels vs the reference loops.
+"""Differential suite: vectorised kernels vs the scalar oracles.
 
 The intermediate filter *proves* topological relations from the interval
 primitives, so a wrong kernel silently corrupts join answers. This suite
-pits every vectorised kernel against its ``_reference_*`` loop on ~10k
-generated interval-list pairs biased toward the nasty cases — adjacent
-intervals, single-cell intervals, empty lists, identical lists,
-containment chains — plus exact-equality checks for the bulk rasteriser
-and the Hilbert lookup-table fast path, and end-to-end equivalence of
-the batched filter entry points.
+pits every vectorised kernel against its predecessor loop
+(``tests/oracles``) on ~10k generated interval-list pairs biased toward
+the nasty cases — adjacent intervals, single-cell intervals, empty
+lists, identical lists, containment chains — plus exact-equality checks
+for the bulk rasteriser and the Hilbert lookup-table fast path,
+equivalence of the batched filter entry points, and one end-to-end
+join-shaped differential: oracle-built APRILs and oracle-decided filter
+verdicts against the product's on a synthetic scenario.
 """
 
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
+from repro.datasets.synthetic import generate_blobs, generate_tessellation
 from repro.filters.intermediate import (
     batch_c_overlaps,
     intermediate_filter,
@@ -25,13 +25,16 @@ from repro.filters.intermediate import (
 )
 from repro.filters.mbr import classify_mbr_pair
 from repro.geometry import Box, Polygon
+from repro.join.mbr_join import plane_sweep_mbr_join
+from repro.join.objects import SpatialObject
+from repro.join.pipeline import PIPELINES
 from repro.raster import RasterGrid, build_april, kernels, rasterize_polygon
-from repro.raster.hilbert import (
-    _reference_hilbert_xy2d_bulk,
-    hilbert_xy2d,
-    hilbert_xy2d_bulk,
-)
+from repro.raster.hilbert import hilbert_xy2d, hilbert_xy2d_bulk
 from repro.raster.intervals import EMPTY_INTERVALS, IntervalList
+
+from tests.oracles import hilbert as oracle_hilbert
+from tests.oracles import intervals as oracle_intervals
+from tests.oracles import rasterize as oracle_rasterize
 
 N_PAIRS = 10_000
 #: Set operations build whole lists per op; a subset keeps the suite fast.
@@ -89,17 +92,17 @@ def pair_stream():
 class TestIntervalKernelsDifferential:
     def test_relations_match_reference(self, pair_stream):
         for x, y in pair_stream:
-            assert x.overlaps(y) == x._reference_overlaps(y)
-            assert y.overlaps(x) == y._reference_overlaps(x)
-            assert x.inside(y) == x._reference_inside(y)
-            assert y.inside(x) == y._reference_inside(x)
-            assert x.matches(y) == x._reference_matches(y)
+            assert x.overlaps(y) == oracle_intervals.overlaps(x, y)
+            assert y.overlaps(x) == oracle_intervals.overlaps(y, x)
+            assert x.inside(y) == oracle_intervals.inside(x, y)
+            assert y.inside(x) == oracle_intervals.inside(y, x)
+            assert x.matches(y) == oracle_intervals.matches(x, y)
 
     def test_set_ops_match_reference(self, pair_stream):
         for x, y in pair_stream[:N_SET_OP_PAIRS]:
-            assert x.intersection(y) == x._reference_intersection(y)
-            assert x.union(y) == x._reference_union(y)
-            assert x.difference(y) == x._reference_difference(y)
+            assert x.intersection(y) == oracle_intervals.intersection(x, y)
+            assert x.union(y) == oracle_intervals.union(x, y)
+            assert x.difference(y) == oracle_intervals.difference(x, y)
 
     def test_set_ops_canonical_form(self, pair_stream):
         # Results must satisfy the IntervalList invariant exactly:
@@ -118,10 +121,10 @@ class TestIntervalKernelsDifferential:
             lengths = rng.integers(1, 15, size=n)
             pairs = [(int(s), int(s + l)) for s, l in zip(starts, lengths)]
             fast = IntervalList(pairs)
-            with kernels.reference_kernels():
-                ref = IntervalList(pairs)
-            assert np.array_equal(fast.starts, ref.starts)
-            assert np.array_equal(fast.ends, ref.ends)
+            raw = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+            ref_starts, ref_ends = oracle_intervals.coalesce(raw[:, 0], raw[:, 1])
+            assert np.array_equal(fast.starts, ref_starts)
+            assert np.array_equal(fast.ends, ref_ends)
 
     def test_batch_kernels_match_pairwise(self, pair_stream):
         rng = np.random.default_rng(3)
@@ -168,8 +171,7 @@ class TestRasterizeDifferential:
     def test_bulk_marking_bit_identical(self, k):
         polygon = self.POLYGONS[k]
         fast = rasterize_polygon(polygon, self.GRID)
-        with kernels.reference_kernels():
-            ref = rasterize_polygon(polygon, self.GRID)
+        ref = oracle_rasterize.rasterize_polygon(polygon, self.GRID)
         assert np.array_equal(fast.partial, ref.partial)
         assert np.array_equal(fast.full, ref.full)
 
@@ -183,8 +185,7 @@ class TestRasterizeDifferential:
                 cy=float(rng.uniform(150, 850)),
             )
             fast = rasterize_polygon(polygon, self.GRID)
-            with kernels.reference_kernels():
-                ref = rasterize_polygon(polygon, self.GRID)
+            ref = oracle_rasterize.rasterize_polygon(polygon, self.GRID)
             assert np.array_equal(fast.partial, ref.partial)
             assert np.array_equal(fast.full, ref.full)
 
@@ -199,7 +200,7 @@ class TestHilbertDifferential:
         ys, xs = np.meshgrid(np.arange(side), np.arange(side))
         xs, ys = xs.ravel(), ys.ravel()
         fast = hilbert_xy2d_bulk(order, xs, ys)
-        ref = _reference_hilbert_xy2d_bulk(order, xs.copy(), ys.copy())
+        ref = oracle_hilbert.hilbert_xy2d_bulk(order, xs.copy(), ys.copy())
         scalar = [hilbert_xy2d(order, int(a), int(b)) for a, b in zip(xs, ys)]
         assert np.array_equal(fast, ref)
         assert fast.tolist() == scalar
@@ -210,7 +211,8 @@ class TestHilbertDifferential:
         xs = rng.integers(0, 1 << order, size=4000)
         ys = rng.integers(0, 1 << order, size=4000)
         fast = hilbert_xy2d_bulk(order, xs, ys)
-        assert np.array_equal(fast, _reference_hilbert_xy2d_bulk(order, xs.copy(), ys.copy()))
+        ref = oracle_hilbert.hilbert_xy2d_bulk(order, xs.copy(), ys.copy())
+        assert np.array_equal(fast, ref)
 
     def test_empty_and_validation(self):
         assert hilbert_xy2d_bulk(4, np.empty(0, int), np.empty(0, int)).size == 0
@@ -257,47 +259,87 @@ class TestBatchedFilterDifferential:
 
 
 # ----------------------------------------------------------------------
-# the switch itself, and the API type boundary
+# end to end: oracle-built APRILs, oracle-decided verdicts
 # ----------------------------------------------------------------------
-class TestKernelSwitch:
-    def test_runtime_toggle(self):
-        initial = kernels.reference_kernels_enabled()
-        try:
-            kernels.set_reference_kernels(False)
-            with kernels.reference_kernels():
-                assert kernels.reference_kernels_enabled()
-                with kernels.reference_kernels(False):
-                    assert not kernels.reference_kernels_enabled()
-                assert kernels.reference_kernels_enabled()
-            assert not kernels.reference_kernels_enabled()
-        finally:
-            kernels.set_reference_kernels(initial)
+class TestEndToEndDifferential:
+    """What ``REPRO_REFERENCE_KERNELS=1 python -m repro join`` used to
+    offer, as a test: a whole (small) join's approximations and filter
+    verdicts derived through the scalar oracles equal the product's."""
 
-    def test_env_variable_honoured_at_import(self):
-        code = (
-            "from repro.raster import kernels; "
-            "print(kernels.reference_kernels_enabled())"
-        )
-        env = dict(os.environ, REPRO_REFERENCE_KERNELS="1")
-        env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True, text=True, env=env,
-            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-        )
-        assert out.stdout.strip() == "True", out.stderr
+    @pytest.fixture(scope="class")
+    def scenario(self):
+        rng = np.random.default_rng(22)
+        region = Box(0, 0, 300, 300)
+        r_polys = generate_tessellation(rng, region, 3, 3, edge_points=6)
+        s_polys = generate_blobs(rng, 60, region, (2, 25), (8, 40))
+        grid = RasterGrid(Box(-1, -1, 301, 301), order=7)
 
-    @pytest.mark.parametrize("reference", (False, True))
-    def test_predicates_return_python_bool(self, reference):
-        # numpy scalars must not leak through the IntervalList API.
-        with kernels.reference_kernels(reference):
-            x = IntervalList([(2, 5), (9, 10)])
-            y = IntervalList([(0, 20)])
-            assert isinstance(x.covers_cell(3), bool)
-            assert isinstance(x.covers_cell(8), bool)
-            assert isinstance(x.overlaps(y), bool)
-            assert isinstance(x.inside(y), bool)
-            assert isinstance(x.contains(y), bool)
-            assert isinstance(x.matches(y), bool)
-            assert isinstance(x.overlaps(EMPTY_INTERVALS), bool)
-            assert isinstance(EMPTY_INTERVALS.inside(x), bool)
+        def objects(polygons):
+            return [
+                SpatialObject(
+                    oid=k, polygon=p, box=p.bbox, april=build_april(p, grid)
+                )
+                for k, p in enumerate(polygons)
+            ]
+
+        r_objects, s_objects = objects(r_polys), objects(s_polys)
+        pairs = sorted(
+            plane_sweep_mbr_join(
+                [o.box for o in r_objects], [o.box for o in s_objects]
+            )
+        )
+        return grid, r_objects, s_objects, pairs
+
+    def test_oracle_built_aprils_bit_identical(self, scenario):
+        grid, r_objects, s_objects, _ = scenario
+        for obj in r_objects + s_objects:
+            ref = oracle_rasterize.build_april(obj.polygon, grid)
+            for fast_list, ref_list in ((obj.april.p, ref.p), (obj.april.c, ref.c)):
+                assert np.array_equal(fast_list.starts, ref_list.starts)
+                assert np.array_equal(fast_list.ends, ref_list.ends)
+
+    def test_oracle_verdicts_match_batched_filter(self, scenario, monkeypatch):
+        _, r_objects, s_objects, pairs = scenario
+        assert len(pairs) > 50
+        fast = PIPELINES["P+C"].filter_pairs(r_objects, s_objects, pairs)
+
+        # The kernels.* entry points are the seam: every
+        # IntervalList.overlaps/inside/matches of the per-pair filter
+        # below runs the scalar merge loop instead.
+        calls = []
+
+        def through(oracle):
+            def relation(xs, xe, ys, ye):
+                calls.append(oracle.__name__)
+                return oracle(
+                    IntervalList._from_arrays(xs, xe),
+                    IntervalList._from_arrays(ys, ye),
+                )
+
+            return relation
+
+        for name in ("overlaps", "inside", "matches"):
+            monkeypatch.setattr(kernels, name, through(getattr(oracle_intervals, name)))
+        for (i, j), (verdict, _) in zip(pairs, fast):
+            r, s = r_objects[i], s_objects[j]
+            case = classify_mbr_pair(r.box, s.box)
+            connected = r.polygon.is_connected and s.polygon.is_connected
+            assert verdict == intermediate_filter(case, r.april, s.april, connected), (i, j)
+        assert {"overlaps", "inside"} <= set(calls)
+
+
+# ----------------------------------------------------------------------
+# the API type boundary
+# ----------------------------------------------------------------------
+def test_predicates_return_python_bool():
+    # numpy scalars must not leak through the IntervalList API.
+    x = IntervalList([(2, 5), (9, 10)])
+    y = IntervalList([(0, 20)])
+    assert isinstance(x.covers_cell(3), bool)
+    assert isinstance(x.covers_cell(8), bool)
+    assert isinstance(x.overlaps(y), bool)
+    assert isinstance(x.inside(y), bool)
+    assert isinstance(x.contains(y), bool)
+    assert isinstance(x.matches(y), bool)
+    assert isinstance(x.overlaps(EMPTY_INTERVALS), bool)
+    assert isinstance(EMPTY_INTERVALS.inside(x), bool)
