@@ -44,9 +44,8 @@ which is what the long-lived HTTP join service speaks
 (:mod:`repro.serve`, ``python -m repro serve``; see ``docs/serving.md``).
 """
 
-from repro.core import TopologyJoin
+from repro._lazy import lazy_exports
 from repro.geometry import Box, Polygon, Ring, dumps_wkt, loads_wkt
-from repro.join.diskjoin import DiskPartitionedJoin
 from repro.join.objects import SpatialObject, make_objects
 from repro.join.pipeline import PIPELINES, run_find_relation, run_relate
 from repro.join.run import WIRE_VERSION, JoinResult, JoinRun
@@ -59,11 +58,28 @@ from repro.store import (
     default_engine,
     open_dataset,
 )
-from repro.serve import JoinService, start_server
-from repro.serve.schema import API_VERSION, WireError, dumps_wire, loads_wire
 from repro.topology import DE9IM, TopologicalRelation, most_specific_relation, relate
 
 __version__ = "1.3.0"
+
+#: Public names whose modules no join runs — the HTTP daemon and its
+#: wire codec, the TopologyJoin/selection facade, the disk join. They
+#: resolve on first read (PEP 562), so ``import repro`` — which every
+#: ``python -m repro`` start pays before it reads its arguments — loads
+#: what a join over index directories needs and nothing else.
+_LAZY = {
+    "API_VERSION": "repro.serve.schema",
+    "DiskPartitionedJoin": "repro.join.diskjoin",
+    "JoinService": "repro.serve",
+    "TopologyJoin": "repro.core",
+    "WireError": "repro.serve.schema",
+    "dumps_wire": "repro.serve.schema",
+    "loads_wire": "repro.serve.schema",
+    "start_server": "repro.serve",
+}
+
+
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY)
 
 __all__ = [
     "API_VERSION",

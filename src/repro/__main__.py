@@ -44,14 +44,13 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.core import TopologySelection
-from repro.datasets.geojson import load_geojson
-from repro.datasets.io import load_wkt_file
-from repro.geometry import Polygon, loads_wkt_geometry
-from repro.geometry.multipolygon import MultiPolygon
 from repro.join.run import JoinRun
 from repro.store import MODES, Engine, StoreError, default_engine
-from repro.topology import TopologicalRelation, most_specific_relation, relate
+from repro.topology.de9im import TopologicalRelation
+
+# Everything else a subcommand needs is imported by its handler: the
+# process that runs ``join r_idx s_idx`` should not wait for the
+# selection index, the GeoJSON reader or the HTTP daemon to load.
 
 
 def _worker_count(value: str) -> int:
@@ -66,6 +65,10 @@ def _worker_count(value: str) -> int:
 
 def _load_geometries(path: str) -> list:
     """Load polygons/multipolygons from a .wkt or .geojson file."""
+    from repro.datasets.geojson import load_geojson
+    from repro.datasets.io import load_wkt_file
+    from repro.geometry import MultiPolygon, Polygon
+
     p = Path(path)
     if p.suffix.lower() in (".geojson", ".json"):
         geometries = [f.geometry for f in load_geojson(p)]
@@ -88,6 +91,8 @@ def _predicate(name: str) -> TopologicalRelation:
 
 
 def cmd_relate(args: argparse.Namespace) -> int:
+    from repro.topology import most_specific_relation, relate
+
     a_list = _load_geometries(args.a)
     b_list = _load_geometries(args.b)
     n = min(len(a_list), len(b_list))
@@ -390,6 +395,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_build_index(args: argparse.Namespace) -> int:
     from repro.resilience import QuarantineReport
     from repro.store import build_dataset
+    from repro.store.dataset import COLUMNS_NAME, GEOMETRY_NAME
 
     quarantine = QuarantineReport()
     try:
@@ -408,6 +414,12 @@ def cmd_build_index(args: argparse.Namespace) -> int:
         for line in quarantine.render().splitlines():
             print(f"# {line}", file=sys.stderr)
     print(f"indexed {len(dataset)} geometries into {args.index}")
+    wkt_bytes, bin_bytes = (
+        (dataset.path / name).stat().st_size for name in (GEOMETRY_NAME, COLUMNS_NAME)
+    )
+    print(f"# geometry: {GEOMETRY_NAME} {wkt_bytes:,} B (authoritative dump) + "
+          f"{COLUMNS_NAME} {bin_bytes:,} B (columnar copy: opening the index "
+          f"reads it instead of parsing the dump)", file=sys.stderr)
     if args.no_approximate:
         print("# approximations deferred: the first join against each "
               "partner dataset builds and persists them", file=sys.stderr)
@@ -441,6 +453,9 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
 
 def cmd_select(args: argparse.Namespace) -> int:
+    from repro.core import TopologySelection
+    from repro.geometry import MultiPolygon, Polygon, loads_wkt_geometry
+
     data = _load_geometries(args.data)
     query = loads_wkt_geometry(args.query)
     if not isinstance(query, (Polygon, MultiPolygon)):
@@ -460,16 +475,23 @@ def cmd_select(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    data = _load_geometries(args.data)
-    vertices = [g.num_vertices for g in data]
-    areas = [g.area for g in data]
-    print(f"geometries:     {len(data)}")
+    if Path(args.data).is_dir():
+        # An index answers from its offset tables; areas need the exact
+        # geometry, which stats on an index does not build.
+        dataset = _resolve_dataset(default_engine(), args.data, True)
+        vertices, connected, areas = dataset.num_vertices, dataset.connected, None
+    else:
+        data = _load_geometries(args.data)
+        vertices = [g.num_vertices for g in data]
+        connected = [g.is_connected for g in data]
+        areas = [g.area for g in data]
+    print(f"geometries:     {len(vertices)}")
     print(f"vertices:       total {sum(vertices)}, "
           f"min {min(vertices)}, max {max(vertices)}, "
           f"mean {sum(vertices) / len(vertices):.1f}")
-    print(f"area:           total {sum(areas):.3f}, max {max(areas):.3f}")
-    multis = sum(1 for g in data if not g.is_connected)
-    print(f"multipolygons:  {multis}")
+    if areas is not None:
+        print(f"area:           total {sum(areas):.3f}, max {max(areas):.3f}")
+    print(f"multipolygons:  {connected.count(False)}")
     return 0
 
 
@@ -699,7 +721,7 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("stats", help="dataset statistics")
-    p.add_argument("data")
+    p.add_argument("data", help="a .wkt/.geojson file or a dataset index directory")
     p.set_defaults(func=cmd_stats)
 
     args = parser.parse_args(argv)

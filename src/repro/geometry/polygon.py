@@ -50,6 +50,16 @@ class Polygon:
     # ------------------------------------------------------------------
     # constructors
     # ------------------------------------------------------------------
+    @classmethod
+    def from_normalised(cls, shell: Ring, holes: tuple[Ring, ...] = ()) -> "Polygon":
+        """A polygon over rings already in stored orientation (shell
+        CCW, holes CW), skipping the orientation pass — the counterpart
+        of :meth:`Ring.from_normalised` for stored geometry."""
+        polygon = cls.__new__(cls)
+        polygon.shell = shell
+        polygon.holes = holes
+        return polygon
+
     @staticmethod
     def box(xmin: float, ymin: float, xmax: float, ymax: float) -> "Polygon":
         """An axis-aligned rectangle polygon."""

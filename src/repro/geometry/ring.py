@@ -41,6 +41,20 @@ class Ring:
             raise ValueError("ring collapses to fewer than 3 distinct vertices")
         self.coords: list[Coord] = deduped
 
+    @classmethod
+    def from_normalised(cls, coords: list[Coord]) -> "Ring":
+        """A ring over ``coords`` exactly as given, skipping validation.
+
+        For readers of rings this class already normalised once (the
+        columnar geometry file of :mod:`repro.store.columns`): the
+        caller vouches that ``coords`` is what ``Ring(coords).coords``
+        would be — open, float pairs, no repeated neighbours, at least
+        three vertices.
+        """
+        ring = cls.__new__(cls)
+        ring.coords = coords
+        return ring
+
     # ------------------------------------------------------------------
     # basic accessors
     # ------------------------------------------------------------------

@@ -44,7 +44,7 @@ class PairExplanation:
 def explain_pair(r: SpatialObject, s: SpatialObject) -> PairExplanation:
     """Trace the P+C pipeline on one candidate pair."""
     case = classify_mbr_pair(r.box, s.box)
-    connected = r.polygon.is_connected and s.polygon.is_connected
+    connected = r.is_connected and s.is_connected
     trace = PairExplanation(mbr_case=case, connected=connected)
 
     if case is MBRRelationship.DISJOINT:

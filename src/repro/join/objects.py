@@ -9,7 +9,6 @@ exact geometry is actually accessed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from repro.geometry.box import Box
@@ -18,21 +17,63 @@ from repro.raster.april import AprilApproximation, build_april
 from repro.raster.grid import RasterGrid
 
 
-@dataclass
 class SpatialObject:
-    """One dataset entity: id, exact geometry, MBR, APRIL approximation."""
+    """One dataset entity: id, exact geometry, MBR, APRIL approximation.
 
-    oid: int
-    polygon: Polygon
-    box: Box
-    april: AprilApproximation | None = None
-    #: Set to True by pipelines whenever the exact geometry is read.
-    geometry_accessed: bool = field(default=False, compare=False)
+    ``is_connected`` is the one fact about the exact geometry the filters
+    need for *every* candidate pair, so it is held beside the MBR; the
+    geometry itself may be deferred (:meth:`deferred`) and is then looked
+    up the first time :attr:`polygon` is read — by refinement, for the
+    pairs the filters could not settle.
+    """
+
+    __slots__ = (
+        "oid", "box", "april", "is_connected", "geometry_accessed",
+        "_polygon", "_geometries",
+    )
+
+    def __init__(
+        self,
+        oid: int,
+        polygon: Polygon,
+        box: Box,
+        april: AprilApproximation | None = None,
+    ) -> None:
+        geometry = polygon  # a Polygon or a MultiPolygon, despite the name
+        self._set(oid, box, april, geometry.is_connected, geometry, None)
+
+    @classmethod
+    def deferred(
+        cls, oid: int, geometries: Sequence[Polygon], box: Box, is_connected: bool
+    ) -> "SpatialObject":
+        """Object ``oid`` of ``geometries``, which is only indexed when
+        the polygon is first read (a
+        :class:`~repro.store.columns.LazyGeometries` builds it then)."""
+        obj = cls.__new__(cls)
+        obj._set(oid, box, None, is_connected, None, geometries)
+        return obj
+
+    def _set(self, oid, box, april, is_connected, polygon, geometries) -> None:
+        self.oid = oid
+        self.box = box
+        self.april = april
+        self.is_connected: bool = is_connected
+        #: Set to True by pipelines whenever the exact geometry is read.
+        self.geometry_accessed = False
+        self._polygon = polygon
+        self._geometries = geometries
 
     @staticmethod
     def from_polygon(oid: int, polygon: Polygon, grid: RasterGrid | None = None) -> "SpatialObject":
         april = build_april(polygon, grid) if grid is not None else None
         return SpatialObject(oid=oid, polygon=polygon, box=polygon.bbox, april=april)
+
+    @property
+    def polygon(self) -> Polygon:
+        polygon = self._polygon
+        if polygon is None:
+            polygon = self._polygon = self._geometries[self.oid]
+        return polygon
 
     @property
     def num_vertices(self) -> int:
@@ -47,6 +88,12 @@ class SpatialObject:
         """Read the exact geometry, recording the access for statistics."""
         self.geometry_accessed = True
         return self.polygon
+
+    def __repr__(self) -> str:
+        return (
+            f"SpatialObject(oid={self.oid!r}, box={self.box!r}, "
+            f"april={self.april!r})"
+        )
 
 
 def make_objects(

@@ -150,7 +150,7 @@ class OptimizedTwoPhasePipeline(Pipeline):
 
     def filter_pair(self, r: SpatialObject, s: SpatialObject) -> tuple[IFResult, Stage]:
         case = classify_mbr_pair(r.box, s.box)
-        connected = r.polygon.is_connected and s.polygon.is_connected
+        connected = r.is_connected and s.is_connected
         if case is MBRRelationship.DISJOINT:
             return IFResult(definite=T.DISJOINT), Stage.MBR
         if case is MBRRelationship.CROSS and connected:
@@ -166,7 +166,7 @@ class AprilIntersectionPipeline(Pipeline):
 
     def filter_pair(self, r: SpatialObject, s: SpatialObject) -> tuple[IFResult, Stage]:
         case = classify_mbr_pair(r.box, s.box)
-        connected = r.polygon.is_connected and s.polygon.is_connected
+        connected = r.is_connected and s.is_connected
         if case is MBRRelationship.DISJOINT:
             return IFResult(definite=T.DISJOINT), Stage.MBR
         if case is MBRRelationship.CROSS and connected:
@@ -201,7 +201,7 @@ class AprilIntersectionPipeline(Pipeline):
             r = r_objects[i]
             s = s_objects[j]
             case = classify_mbr_pair(r.box, s.box)
-            connected = r.polygon.is_connected and s.polygon.is_connected
+            connected = r.is_connected and s.is_connected
             if case is MBRRelationship.DISJOINT:
                 out[k] = (IFResult(definite=T.DISJOINT), Stage.MBR)
                 continue
@@ -236,7 +236,7 @@ class ProgressiveConservativePipeline(Pipeline):
 
     def filter_pair(self, r: SpatialObject, s: SpatialObject) -> tuple[IFResult, Stage]:
         case = classify_mbr_pair(r.box, s.box)
-        connected = r.polygon.is_connected and s.polygon.is_connected
+        connected = r.is_connected and s.is_connected
         if case is MBRRelationship.DISJOINT or (
             case is MBRRelationship.CROSS and connected
         ):
@@ -263,7 +263,7 @@ class ProgressiveConservativePipeline(Pipeline):
             r = r_objects[i]
             s = s_objects[j]
             case = classify_mbr_pair(r.box, s.box)
-            connected = r.polygon.is_connected and s.polygon.is_connected
+            connected = r.is_connected and s.is_connected
             if case is MBRRelationship.DISJOINT or (
                 case is MBRRelationship.CROSS and connected
             ):
@@ -466,7 +466,7 @@ def _relate_filter_pair(
         s.box,
         r.require_april(),
         s.require_april(),
-        r.polygon.is_connected and s.polygon.is_connected,
+        r.is_connected and s.is_connected,
     )
 
 

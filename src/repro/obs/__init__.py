@@ -42,16 +42,7 @@ carry real enabled-path cost. The submodules import nothing from
 instrument itself freely.
 """
 
-from repro.obs.bench import (
-    Trend,
-    append_entry,
-    check_regressions,
-    compute_trends,
-    format_regressions,
-    load_trajectories,
-    make_envelope,
-)
-from repro.obs.dashboard import render_dashboard, write_dashboard
+from repro._lazy import lazy_exports
 from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
@@ -78,14 +69,6 @@ from repro.obs.progress import (
     progress_reporter,
     set_progress,
 )
-from repro.obs.report import (
-    RunReport,
-    append_jsonl,
-    build_run_report,
-    read_jsonl,
-    sample_explanations,
-    write_metrics_files,
-)
 from repro.obs.resources import (
     export_resources,
     merge_resources,
@@ -108,6 +91,33 @@ from repro.obs.trace import (
     tracing_enabled,
     unregister_span_hook,
 )
+
+
+#: Re-exports of the reporting side — run reports, the bench gate, the
+#: HTML dashboard — resolved on first read (PEP 562): no join needs
+#: them, and every layer imports this package. ``profile`` and
+#: ``resources`` stay eager because the verification loop and the engine
+#: import those two modules themselves.
+_LAZY = {
+    "Trend": "repro.obs.bench",
+    "append_entry": "repro.obs.bench",
+    "check_regressions": "repro.obs.bench",
+    "compute_trends": "repro.obs.bench",
+    "format_regressions": "repro.obs.bench",
+    "load_trajectories": "repro.obs.bench",
+    "make_envelope": "repro.obs.bench",
+    "render_dashboard": "repro.obs.dashboard",
+    "write_dashboard": "repro.obs.dashboard",
+    "RunReport": "repro.obs.report",
+    "append_jsonl": "repro.obs.report",
+    "build_run_report": "repro.obs.report",
+    "read_jsonl": "repro.obs.report",
+    "sample_explanations": "repro.obs.report",
+    "write_metrics_files": "repro.obs.report",
+}
+
+
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY)
 
 
 def begin_worker_capture() -> None:

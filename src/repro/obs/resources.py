@@ -39,7 +39,6 @@ gate covers.
 from __future__ import annotations
 
 import sys
-import tracemalloc
 from typing import Any
 
 from . import trace as _trace
@@ -61,6 +60,10 @@ __all__ = [
     "set_resources",
 ]
 
+#: The stdlib module, bound by the first ``set_resources(True)``: every
+#: use below runs only while enabled, and a process that never enables
+#: accounting (every plain CLI join) should not pay for the import.
+tracemalloc = None
 _ENABLED = False
 _STARTED_TRACEMALLOC = False
 #: One entry per open span: ``{"enter_current": int, "pending_peak": int}``.
@@ -106,10 +109,12 @@ def set_resources(enabled: bool) -> None:
     remembers that, so disabling stops it only when this module started
     it) and registers the span hooks.
     """
-    global _ENABLED, _STARTED_TRACEMALLOC
+    global _ENABLED, _STARTED_TRACEMALLOC, tracemalloc
     if enabled == _ENABLED:
         return
     if enabled:
+        import tracemalloc
+
         if not tracemalloc.is_tracing():
             tracemalloc.start()
             _STARTED_TRACEMALLOC = True

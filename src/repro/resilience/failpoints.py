@@ -52,6 +52,7 @@ KNOWN_SITES = (
     "worker.crash",  # SIGKILL the current worker process at task start
     "worker.hang",   # sleep past any reasonable deadline at task start
     "store.torn_write",  # write a truncated payload, as a crash mid-persist would
+    "store.crash_mid_save",  # SIGKILL between an index's two geometry files
     "io.bad_row",    # treat an input row as malformed during dataset load
     "serve.worker_crash",  # SIGKILL the serving engine worker mid-request
     "serve.worker_hang",   # serving worker sleeps past the request deadline
@@ -315,6 +316,16 @@ def maybe_fail_worker(key, attempt: int) -> None:
         os.kill(os.getpid(), signal.SIGKILL)
 
 
+def maybe_crash(site: str, key=None) -> None:
+    """Die here when ``site`` fires — SIGKILL, as a power cut or an OOM
+    kill would: no cleanup, nothing after this line runs. For sites on
+    a write path (``store.crash_mid_save``), where the point is what
+    the *next* process finds on disk; arm it in a process you can
+    afford to lose (a CLI child via ``REPRO_FAILPOINTS``)."""
+    if should_fire(site, key=key):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
 def maybe_fail_serve(key, hit: int) -> None:
     """Evaluate the serving-worker sites at a request boundary.
 
@@ -364,6 +375,7 @@ __all__ = [
     "disarm_all",
     "inject",
     "load_env_spec",
+    "maybe_crash",
     "maybe_fail_serve",
     "maybe_fail_worker",
     "parse_trigger",

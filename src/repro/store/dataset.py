@@ -10,9 +10,15 @@ index directory::
 
     index_dir/
       manifest.json      format version, counts, extent, content hash,
-                         source fingerprint, payload catalog
+                         source fingerprint, payload catalog, and the
+                         ``geometry_columns`` entry vouching for
+                         geometries.bin
       geometries.wkt     canonical geometry dump (one WKT per line,
-                         precision 17 — float64 round-trip exact)
+                         precision 17 — float64 round-trip exact); the
+                         authoritative copy, and the repair source
+      geometries.bin     the same geometries as flat arrays (coords,
+                         offset tables, MBRs — repro.store.columns), so
+                         opening reads and hashes instead of parsing
       april/
         g<order>_<ds>.npz  one payload per (grid order, dataspace),
                            written via raster.storage
@@ -27,6 +33,29 @@ Identity is content-addressed: ``content_hash`` is the SHA-256 of the
 canonical WKT dump (stable across formatting and storage), and
 ``source_sha256`` fingerprints the raw source file so a mutated source
 invalidates the index (the engine then rebuilds it).
+
+``save`` writes exactly the bytes ``content_hash`` hashes, so the raw
+SHA-256 of an untouched ``geometries.wkt`` *is* the manifest's
+``content_hash``. Opening an index verifies, in order:
+
+1. the manifest parses, has a readable ``format_version``, and (when a
+   source is given) still fingerprints that source;
+2. ``geometries.wkt`` hashes to ``content_hash`` — raw bytes first; a
+   dump whose bytes differ (reformatted by hand) is parsed and re-dumped
+   canonically, and must hash to ``content_hash`` then;
+3. with a ``geometry_columns`` entry ``{file, sha256, count, parts,
+   rings, vertices}``: the named file hashes to ``sha256``, decodes to
+   exactly those counts, and ``count`` equals the manifest's.
+
+An index that passes 2 on raw bytes and has the entry never parses WKT:
+boxes come from the columns, ``content_hash`` from the verified
+manifest value, and ``geometries`` is a
+:class:`~repro.store.columns.LazyGeometries` that builds a polygon when
+one is first read. An index without the entry (written before the
+columnar file existed) parses the dump as it always did; the manifest
+alone decides, and a read never upgrades an index — re-run
+``build-index`` for that. ``format_version`` stays 2: the dump is
+intact, so builds that predate the entry ignore it and open the index.
 """
 
 from __future__ import annotations
@@ -53,8 +82,10 @@ from repro.raster.storage import (
     load_approximations,
     save_approximations,
 )
-from repro.resilience.atomic import atomic_write_text
+from repro.resilience.atomic import atomic_write_bytes, atomic_write_text
+from repro.resilience.failpoints import maybe_crash
 from repro.resilience.quarantine import QuarantineReport
+from repro.store.columns import GeometryColumns, LazyGeometries, read_columns
 
 log = logging.getLogger("repro.resilience")
 
@@ -65,6 +96,7 @@ MANIFEST_VERSION = 2
 _READABLE_MANIFEST_VERSIONS = (1, 2)
 MANIFEST_NAME = "manifest.json"
 GEOMETRY_NAME = "geometries.wkt"
+COLUMNS_NAME = "geometries.bin"
 APRIL_DIR = "april"
 #: repr-exact float64 round trip, so the canonical dump (and therefore
 #: the content hash) is stable across save/load cycles.
@@ -150,17 +182,23 @@ def load_geometry_file(
     return areal
 
 
-def _read_geometry_dump(path: Path) -> list:
-    """Read a canonical ``geometries.wkt`` dump (one WKT per line)."""
-    if not path.exists():
-        raise StoreError(f"{path.parent}: index has no {path.name}")
-    geometries = []
-    with path.open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                geometries.append(loads_wkt_geometry(line))
-    return geometries
+def _read_dump_bytes(path: Path) -> bytes:
+    try:
+        return path.read_bytes()
+    except FileNotFoundError:
+        raise StoreError(f"{path.parent}: index has no {path.name}") from None
+
+
+def _parse_geometry_dump(path: Path, dump: bytes) -> list:
+    """Parse the bytes of a ``geometries.wkt`` dump (one WKT per line)."""
+    try:
+        return [
+            loads_wkt_geometry(line)
+            for line in dump.decode("utf-8").split("\n")
+            if line.strip()
+        ]
+    except ValueError as exc:
+        raise StoreError(f"{path}: corrupt geometry dump: {exc}") from exc
 
 
 # ----------------------------------------------------------------------
@@ -185,8 +223,9 @@ class SpatialDataset:
         source_sha256: str | None = None,
         payload_codec: str = DEFAULT_PAYLOAD_CODEC,
     ) -> None:
-        geometries = list(geometries)
-        if not geometries:
+        if not isinstance(geometries, LazyGeometries):
+            geometries = list(geometries)
+        if not len(geometries):
             raise ValueError("a dataset must contain at least one geometry")
         if payload_codec not in PAYLOAD_CODECS:
             raise ValueError(
@@ -214,9 +253,23 @@ class SpatialDataset:
     def content_hash(self) -> str:
         return content_hash(self.geometries)
 
+    # Per-geometry facts a join or ``repro stats`` asks of *every*
+    # object. An index opened through its columnar file arrives with all
+    # of them (and content_hash) already filled in from the columns and
+    # the verified manifest, so none of these builds a geometry there.
     @cached_property
     def boxes(self) -> list[Box]:
         return [g.bbox for g in self.geometries]
+
+    @cached_property
+    def connected(self) -> list[bool]:
+        """``is_connected`` per geometry: what the filters need to know
+        about the exact geometry of every candidate pair."""
+        return [g.is_connected for g in self.geometries]
+
+    @cached_property
+    def num_vertices(self) -> list[int]:
+        return [g.num_vertices for g in self.geometries]
 
     @cached_property
     def extent(self) -> Box:
@@ -395,7 +448,15 @@ class SpatialDataset:
         index_dir = Path(index_dir)
         index_dir.mkdir(parents=True, exist_ok=True)
         lines = [dumps_wkt(g, precision=_WKT_PRECISION) for g in self.geometries]
-        atomic_write_text(index_dir / GEOMETRY_NAME, "\n".join(lines) + "\n")
+        dump = ("\n".join(lines) + "\n").encode("utf-8")
+        columns = GeometryColumns.from_geometries(self.geometries)
+        blob = columns.to_bytes()
+        # Both geometry files land atomically and the manifest last: a
+        # crash anywhere in between leaves files the old manifest (or
+        # none) does not vouch for, which open() refuses.
+        atomic_write_bytes(index_dir / GEOMETRY_NAME, dump)
+        maybe_crash("store.crash_mid_save", key=index_dir.name)
+        atomic_write_bytes(index_dir / COLUMNS_NAME, blob)
         persistent = SpatialDataset(
             self.geometries,
             name=self.name,
@@ -404,7 +465,15 @@ class SpatialDataset:
             source_sha256=self.source_sha256,
             payload_codec=self.payload_codec,
         )
-        persistent._write_manifest(persistent._manifest())
+        # The dump's bytes are exactly what content_hash() hashes.
+        persistent.__dict__["content_hash"] = hashlib.sha256(dump).hexdigest()
+        manifest = persistent._manifest()
+        manifest["geometry_columns"] = {
+            "file": COLUMNS_NAME,
+            "sha256": hashlib.sha256(blob).hexdigest(),
+            **columns.counts(),
+        }
+        persistent._write_manifest(manifest)
         return persistent
 
     @classmethod
@@ -417,16 +486,18 @@ class SpatialDataset:
         """Load a dataset from its index directory.
 
         Raises :class:`StoreError` when the manifest is missing or has
-        an unknown format version, when the stored geometries do not
-        match the recorded content hash, or when ``source`` is given
+        an unknown format version, when the stored geometries — the
+        dump, or the columnar file the manifest names — do not match
+        the recorded hashes and counts, or when ``source`` is given
         and its bytes no longer match the recorded fingerprint (the
         index is stale; rebuild it).
 
         With ``on_error="rebuild"`` an unusable index is repaired in
         place instead: rebuilt from ``source`` when one is given and
         readable, else re-manifested from a readable ``geometries.wkt``
-        dump; only when neither recovery works does the original
-        :class:`StoreError` propagate. Every repair is counted in
+        dump (which rewrites ``geometries.bin`` from it too); only when
+        neither recovery works does the original :class:`StoreError`
+        propagate. Every repair is counted in
         ``repro_resilience_rebuild_total{artifact="dataset_index"}``.
         """
         if on_error not in ("raise", "rebuild"):
@@ -439,11 +510,8 @@ class SpatialDataset:
             log.warning("unusable dataset index, rebuilding: %s", exc)
             return cls._rebuild_index(Path(index_dir), source, exc)
 
-    @classmethod
-    def _open_strict(
-        cls, index_dir: str | Path, source: str | Path | None
-    ) -> "SpatialDataset":
-        index_dir = Path(index_dir)
+    @staticmethod
+    def _read_manifest(index_dir: Path) -> dict:
         manifest_path = index_dir / MANIFEST_NAME
         if not manifest_path.exists():
             raise StoreError(f"{index_dir}: not a dataset index (no {MANIFEST_NAME})")
@@ -457,6 +525,14 @@ class SpatialDataset:
                 f"{index_dir}: unsupported index format version {version!r} "
                 f"(this build reads versions {list(_READABLE_MANIFEST_VERSIONS)})"
             )
+        return manifest
+
+    @classmethod
+    def _open_strict(
+        cls, index_dir: str | Path, source: str | Path | None
+    ) -> "SpatialDataset":
+        index_dir = Path(index_dir)
+        manifest = cls._read_manifest(index_dir)
         if source is not None:
             fingerprint = file_sha256(source)
             if fingerprint != manifest.get("source_sha256"):
@@ -464,7 +540,30 @@ class SpatialDataset:
                     f"{index_dir}: stale index — {source} has changed since the "
                     "index was built (content-hash mismatch); rebuild the index"
                 )
-        geometries = _read_geometry_dump(index_dir / GEOMETRY_NAME)
+        dump_path = index_dir / GEOMETRY_NAME
+        dump = _read_dump_bytes(dump_path)
+        recorded_hash = manifest.get("content_hash")
+        geometries = None
+        if hashlib.sha256(dump).hexdigest() != recorded_hash:
+            # Not the bytes save() wrote. A dump reformatted by hand still
+            # holds the same geometries: compare the canonical re-dump.
+            geometries = _parse_geometry_dump(dump_path, dump)
+            if content_hash(geometries) != recorded_hash:
+                raise StoreError(
+                    f"{index_dir}: corrupt index — stored geometries do not match "
+                    "the manifest's content hash"
+                )
+        derived = {"content_hash": recorded_hash}
+        entry = manifest.get("geometry_columns")
+        if entry is not None:
+            geometries = LazyGeometries(read_columns(index_dir, entry))
+            derived.update(
+                boxes=geometries.boxes(),
+                connected=geometries.connected(),
+                num_vertices=geometries.num_vertices(),
+            )
+        elif geometries is None:
+            geometries = _parse_geometry_dump(dump_path, dump)
         if len(geometries) != manifest.get("count"):
             raise StoreError(
                 f"{index_dir}: corrupt index — {len(geometries)} geometries stored, "
@@ -481,11 +580,7 @@ class SpatialDataset:
             # raw so the directory remains readable by the old build.
             payload_codec=manifest.get("payload_codec", "raw"),
         )
-        if dataset.content_hash != manifest.get("content_hash"):
-            raise StoreError(
-                f"{index_dir}: corrupt index — stored geometries do not match "
-                "the manifest's content hash"
-            )
+        dataset.__dict__.update(derived)  # fills the cached properties
         return dataset
 
     @classmethod
@@ -496,8 +591,10 @@ class SpatialDataset:
 
         Prefers the source file — it is the ground truth and covers every
         corruption, including a lost geometry dump; falls back to
-        re-manifesting a readable ``geometries.wkt``. Re-raises ``cause``
-        when neither exists intact.
+        re-saving from a readable ``geometries.wkt`` (a bad columnar file
+        under a manifest that still matches the dump is rewritten with the
+        manifest's identity kept; anything else is re-manifested).
+        Re-raises ``cause`` when neither exists intact.
         """
         if source is not None and Path(source).exists():
             src = Path(source)
@@ -511,16 +608,36 @@ class SpatialDataset:
             _observe_rebuild("dataset_index")
             return persistent
         geometry_path = index_dir / GEOMETRY_NAME
-        if geometry_path.exists():
-            try:
-                geometries = _read_geometry_dump(geometry_path)
-            except (StoreError, ValueError):
-                raise cause
-            if geometries:
-                persistent = cls(geometries, name=index_dir.name).save(index_dir)
-                _observe_rebuild("dataset_index")
-                return persistent
-        raise cause
+        try:
+            dump = _read_dump_bytes(geometry_path)
+            geometries = _parse_geometry_dump(geometry_path, dump)
+        except StoreError:
+            raise cause
+        if not geometries:
+            raise cause
+        # A manifest that still vouches for this very dump (only the
+        # columnar file was bad) keeps its identity; otherwise the dump is
+        # all that is known, and the index is re-manifested around it.
+        kept: dict = {}
+        try:
+            manifest = cls._read_manifest(index_dir)
+        except StoreError:
+            pass
+        else:
+            if manifest.get("content_hash") == hashlib.sha256(dump).hexdigest():
+                kept = manifest
+        persistent = cls(
+            geometries,
+            name=kept.get("name", index_dir.name),
+            source=kept.get("source"),
+            source_sha256=kept.get("source_sha256"),
+            # As in _open_strict: a manifest without the field is version 1.
+            payload_codec=(
+                kept.get("payload_codec", "raw") if kept else DEFAULT_PAYLOAD_CODEC
+            ),
+        ).save(index_dir)
+        _observe_rebuild("dataset_index")
+        return persistent
 
     @classmethod
     def from_polygons(
@@ -581,6 +698,7 @@ def open_dataset(
 
 __all__ = [
     "APRIL_DIR",
+    "COLUMNS_NAME",
     "GEOMETRY_NAME",
     "MANIFEST_NAME",
     "MANIFEST_VERSION",

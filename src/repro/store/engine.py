@@ -263,10 +263,11 @@ class Engine:
         key = (dataset.content_hash, _grid_identity(grid))
         objects = self._objects.get(key)
         if objects is None:
+            geometries = dataset.geometries
             objects = [
-                SpatialObject(oid=oid, polygon=polygon, box=box)
-                for oid, (polygon, box) in enumerate(
-                    zip(dataset.geometries, dataset.boxes)
+                SpatialObject.deferred(oid, geometries, box, connected)
+                for oid, (box, connected) in enumerate(
+                    zip(dataset.boxes, dataset.connected)
                 )
             ]
             self._objects.put(key, objects)
