@@ -8,22 +8,9 @@ Benchmarks use reduced-scale scenarios so that ``pytest benchmarks/
 import pytest
 
 from repro.datasets import load_scenario
-from repro.obs.bench import append_entry
 
 BENCH_SCALE = 0.4
 BENCH_GRID_ORDER = 10
-
-
-def record_entry(path, entry: dict) -> dict:
-    """Append one entry to a ``BENCH_*.json`` trajectory file.
-
-    The single write path for every benchmark writer: delegates to
-    :func:`repro.obs.bench.append_entry`, which stamps the common
-    envelope (schema version, UTC timestamp, git revision, machine
-    fingerprint) so trajectories stay comparable across machines and
-    time. Returns the enveloped entry.
-    """
-    return append_entry(path, entry)
 
 
 @pytest.fixture(scope="session")

@@ -28,10 +28,9 @@ Observability (``join`` subcommand)::
 ``--profile`` turns on the sampling profiler and resource accounting for
 the run: collapsed flamegraph stacks land in PATH, the per-phase
 self-time table on stderr, and both payloads in the ``--run-log``
-report. ``report`` renders run logs and bench trajectories into one
-static HTML dashboard::
+report. ``report`` renders run logs into one static HTML dashboard::
 
-    python -m repro report runs.jsonl --out report.html --bench-root .
+    python -m repro report runs.jsonl --out report.html
 
 The experiment harness has its own entry point
 (``python -m repro.experiments``), as does the dataset catalog
@@ -376,19 +375,8 @@ def cmd_report(args: argparse.Namespace) -> int:
                 raise SystemExit(f"{args.run_log}: malformed JSONL line: {exc}") from exc
         if args.latest > 0:
             runs = runs[-args.latest:]
-    trends = None
-    trajectories = obs.load_trajectories(args.bench_root)
-    if trajectories:
-        trends = [t.to_dict() for t in obs.compute_trends(trajectories)]
-    out = obs.write_dashboard(args.out, runs, trends=trends)
+    out = obs.write_dashboard(args.out, runs)
     print(f"wrote dashboard to {out} ({out.stat().st_size:,} bytes)")
-    if trends is not None:
-        regressions = [t for t in trends if t.get("flagged")]
-        report = {"checked": len(trends), "regressions": regressions}
-        for line in obs.format_regressions(report).splitlines():
-            print(f"# {line}", file=sys.stderr)
-        if regressions and args.fail_on_regression:
-            return 1
     return 0
 
 
@@ -406,7 +394,6 @@ def cmd_build_index(args: argparse.Namespace) -> int:
             workers=args.workers,
             strict=not args.quarantine,
             quarantine=quarantine,
-            payload_codec=args.payload_codec,
         )
     except (StoreError, ValueError) as exc:
         raise SystemExit(f"{args.data}: {exc}") from exc
@@ -648,7 +635,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser(
         "report",
-        help="render run logs + bench trajectories into a static HTML dashboard",
+        help="render run logs into a static HTML dashboard",
     )
     p.add_argument(
         "run_log", nargs="?", default=None,
@@ -659,16 +646,8 @@ def main(argv: list[str] | None = None) -> int:
         help="dashboard destination (default report.html)",
     )
     p.add_argument(
-        "--bench-root", default=".", metavar="DIR",
-        help="directory holding BENCH_*.json trajectories (default .)",
-    )
-    p.add_argument(
         "--latest", type=int, default=5, metavar="N",
         help="render only the newest N run reports (default 5; 0 = all)",
-    )
-    p.add_argument(
-        "--fail-on-regression", action="store_true",
-        help="exit 1 when the bench-trend gate flags a regression",
     )
     p.set_defaults(func=cmd_report)
 
@@ -685,10 +664,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--no-approximate", action="store_true",
                    help="skip payload precomputation; the first join builds "
                         "and persists payloads lazily")
-    p.add_argument("--payload-codec", choices=("varint", "raw"), default="varint",
-                   help="on-disk APRIL payload layout: 'varint' (compressed "
-                        "delta+varint blob, the default) or 'raw' (version-1 "
-                        "flat arrays readable by older builds)")
     p.add_argument(
         "--workers", type=_worker_count, default=1,
         help="worker processes for rasterisation (default 1)",

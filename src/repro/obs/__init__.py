@@ -19,9 +19,6 @@ Cooperating parts, all off by default and all stdlib-only:
   bytes joined from the metric counters.
 - :mod:`repro.obs.report` — structured run reports and the JSONL run
   log; sampled per-pair deep traces reuse :mod:`repro.join.explain`.
-- :mod:`repro.obs.bench` — bench-trajectory ingestion (``BENCH_*.json``
-  under a common envelope), per-metric trends, and the noise-aware
-  regression gate.
 - :mod:`repro.obs.dashboard` — everything above rendered into one
   self-contained static HTML file (``repro report``).
 - :mod:`repro.obs.progress` — throttled per-worker heartbeats.
@@ -93,19 +90,12 @@ from repro.obs.trace import (
 )
 
 
-#: Re-exports of the reporting side — run reports, the bench gate, the
-#: HTML dashboard — resolved on first read (PEP 562): no join needs
+#: Re-exports of the reporting side — run reports and the HTML
+#: dashboard — resolved on first read (PEP 562): no join needs
 #: them, and every layer imports this package. ``profile`` and
 #: ``resources`` stay eager because the verification loop and the engine
 #: import those two modules themselves.
 _LAZY = {
-    "Trend": "repro.obs.bench",
-    "append_entry": "repro.obs.bench",
-    "check_regressions": "repro.obs.bench",
-    "compute_trends": "repro.obs.bench",
-    "format_regressions": "repro.obs.bench",
-    "load_trajectories": "repro.obs.bench",
-    "make_envelope": "repro.obs.bench",
     "render_dashboard": "repro.obs.dashboard",
     "write_dashboard": "repro.obs.dashboard",
     "RunReport": "repro.obs.report",
@@ -207,16 +197,12 @@ __all__ = [
     "ProgressReporter",
     "RunReport",
     "Span",
-    "Trend",
     "add_span",
-    "append_entry",
     "append_jsonl",
     "attach_spans",
     "begin_worker_capture",
     "build_run_report",
-    "check_regressions",
     "collapsed_stacks",
-    "compute_trends",
     "disable_all",
     "enable_all",
     "export_profile",
@@ -224,11 +210,8 @@ __all__ = [
     "export_spans",
     "export_worker_capture",
     "format_phase_table",
-    "format_regressions",
     "get_registry",
     "get_spans",
-    "load_trajectories",
-    "make_envelope",
     "merge_profiles",
     "merge_resources",
     "merge_worker_capture",

@@ -1,19 +1,16 @@
-"""Self-contained HTML dashboard for run logs and bench trajectories.
+"""Self-contained HTML dashboard for run logs.
 
 ``repro report`` renders everything the other ``repro.obs`` modules
 capture — run stats, span trees, the sampling profiler's flamegraph
-and phase table, resource accounting, metric quantiles, and the
-bench-trajectory trends with their regression flags — into **one
-static HTML file**: inline CSS, inline SVG sparklines, no JavaScript,
-no network fetches, nothing but the standard library. The file is the
-artifact a CI job uploads and a reader opens locally.
+and phase table, resource accounting and metric quantiles — into **one
+static HTML file**: inline CSS, no JavaScript, no network fetches,
+nothing but the standard library. The file is the artifact a CI job
+uploads and a reader opens locally.
 
 Rendering choices follow the repo's charting conventions: a single
 accent hue for single-series marks (light/dark variants selected via
 ``prefers-color-scheme``), text always in text colors (marks carry the
-color), reserved status colors only for regression badges and always
-paired with an icon + label, tables with tabular numerals for
-everything that must align.
+color), tables with tabular numerals for everything that must align.
 
 The flamegraph is an *icicle* layout built from the profiler's
 collapsed stacks: nested flex rows whose widths are proportional to
@@ -45,7 +42,6 @@ _CSS = """
   --surface-1: #fcfcfb; --page: #f9f9f7;
   --text-1: #0b0b0b; --text-2: #52514e; --muted: #898781;
   --grid: #e1e0d9; --axis: #c3c2b7; --border: rgba(11,11,11,0.10);
-  --series-1: #2a78d6; --good-text: #006300; --critical: #d03b3b;
 }
 @media (prefers-color-scheme: dark) {
   :root {
@@ -53,7 +49,6 @@ _CSS = """
     --surface-1: #1a1a19; --page: #0d0d0d;
     --text-1: #ffffff; --text-2: #c3c2b7; --muted: #898781;
     --grid: #2c2c2a; --axis: #383835; --border: rgba(255,255,255,0.10);
-    --series-1: #3987e5; --good-text: #0ca30c; --critical: #d03b3b;
   }
 }
 * { box-sizing: border-box; }
@@ -88,14 +83,6 @@ td.num, th.num { text-align: right; font-variant-numeric: tabular-nums; }
   border-right: 2px solid var(--surface-1);
   border-bottom: 2px solid var(--surface-1); }
 .frow { display: flex; }
-.badge { display: inline-block; border-radius: 4px; padding: 0 6px;
-  font-size: 12px; font-weight: 600; }
-.badge.reg { color: #ffffff; background: var(--critical); }
-.delta-good { color: var(--good-text); }
-.delta { color: var(--text-2); }
-svg.spark { display: block; }
-.spark polyline { fill: none; stroke: var(--series-1); stroke-width: 2; }
-.spark circle { fill: var(--series-1); }
 .footer { color: var(--muted); font-size: 12px; margin-top: 24px; }
 """
 
@@ -128,35 +115,6 @@ def _fmt_bytes(n: Any) -> str:
             return f"{value:,.1f} {unit}" if unit != "B" else f"{int(value)} B"
         value /= 1024
     return f"{value:,.1f} GiB"
-
-
-# ----------------------------------------------------------------------
-# sparkline
-# ----------------------------------------------------------------------
-def _sparkline(values: list[float], width: int = 150, height: int = 32) -> str:
-    """Inline SVG sparkline (single series, accent hue, end-dot)."""
-    if not values:
-        return ""
-    lo, hi = min(values), max(values)
-    span = (hi - lo) or 1.0
-    pad = 4.0
-    n = len(values)
-    step = (width - 2 * pad) / max(1, n - 1)
-    points = []
-    for i, v in enumerate(values):
-        x = pad + i * step
-        y = pad + (height - 2 * pad) * (1.0 - (v - lo) / span)
-        points.append(f"{x:.1f},{y:.1f}")
-    last_x, last_y = points[-1].split(",")
-    title = f"{n} runs; min {_fmt(lo)}, max {_fmt(hi)}"
-    return (
-        f'<svg class="spark" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" role="img" aria-label="{_esc(title)}">'
-        f"<title>{_esc(title)}</title>"
-        f'<polyline points="{" ".join(points)}"/>'
-        f'<circle cx="{last_x}" cy="{last_y}" r="2.5"/>'
-        "</svg>"
-    )
 
 
 # ----------------------------------------------------------------------
@@ -374,76 +332,24 @@ def _run_section(record: dict[str, Any], index: int) -> str:
 
 
 # ----------------------------------------------------------------------
-# bench trajectory section
-# ----------------------------------------------------------------------
-def _trend_rows(trends: list[dict[str, Any]]) -> str:
-    rows = []
-    for t in trends:
-        change = t.get("change_pct")
-        if t.get("flagged"):
-            badge = '<span class="badge reg" title="beyond noise threshold">▲ regression</span>'
-        elif change is None:
-            badge = '<span class="delta">first run</span>'
-        else:
-            better = (change < 0) == (t.get("direction") == "lower")
-            cls = "delta-good" if better and abs(change) > 1e-9 else "delta"
-            arrow = "▼" if change < 0 else ("▲" if change > 0 else "·")
-            badge = f'<span class="{cls}">{arrow} {change:+.1f}%</span>'
-        ctx = " ".join(f"{k}={v}" for k, v in t.get("context", {}).items())
-        rows.append(
-            "<tr>"
-            f"<td>{_esc(t['file'])}</td>"
-            f"<td>{_esc(t['kind'])}<br><span class='delta'>{_esc(ctx)}</span></td>"
-            f"<td>{_esc(t['metric'])}</td>"
-            f"<td>{_sparkline([float(v) for v in t.get('values', [])])}</td>"
-            f"<td class=num>{_fmt(t.get('latest'))}</td>"
-            f"<td>{badge}</td>"
-            "</tr>"
-        )
-    return "".join(rows)
-
-
-def _bench_section(trends: list[dict[str, Any]]) -> str:
-    flagged = sum(1 for t in trends if t.get("flagged"))
-    note = (
-        f"{len(trends)} series tracked, "
-        f"{flagged} regression(s) beyond the noise threshold."
-    )
-    return (
-        '<section class="card">'
-        "<h2>Bench trajectory</h2>"
-        f'<p class="sub">{_esc(note)}</p>'
-        "<table><thead><tr><th>trajectory</th><th>bench</th><th>metric</th>"
-        "<th>trend</th><th class=num>latest</th><th>vs baseline</th>"
-        f"</tr></thead><tbody>{_trend_rows(trends)}</tbody></table>"
-        "</section>"
-    )
-
-
-# ----------------------------------------------------------------------
 # page
 # ----------------------------------------------------------------------
 def render_dashboard(
     runs: list[dict[str, Any]],
-    trends: list[dict[str, Any]] | None = None,
     title: str = "repro observability report",
     generated: str | None = None,
 ) -> str:
-    """Render run records and bench trends into one static HTML page."""
+    """Render run records into one static HTML page."""
     if generated is None:
         generated = datetime.now(timezone.utc).strftime("%Y-%m-%d %H:%M UTC")
     body = [f"<h1>{_esc(title)}</h1>"]
     sub = f"Generated {generated} · {len(runs)} run(s)"
-    if trends is not None:
-        sub += f" · {len(trends)} bench series"
     body.append(f'<p class="sub">{_esc(sub)}</p>')
     for i, record in enumerate(runs):
         body.append(_run_section(record, i))
-    if trends:
-        body.append(_bench_section(trends))
-    if not runs and not trends:
+    if not runs:
         body.append('<section class="card"><p class="sub">Nothing to report: '
-                    "no run records and no bench trajectories.</p></section>")
+                    "no run records.</p></section>")
     body.append(
         '<p class="footer">Self-contained report — no scripts, no network. '
         "Rendered by repro.obs.dashboard.</p>"
@@ -460,10 +366,9 @@ def render_dashboard(
 def write_dashboard(
     path: str | Path,
     runs: list[dict[str, Any]],
-    trends: list[dict[str, Any]] | None = None,
     title: str = "repro observability report",
 ) -> Path:
     """Render and write the dashboard; returns the written path."""
     path = Path(path)
-    path.write_text(render_dashboard(runs, trends, title=title), encoding="utf-8")
+    path.write_text(render_dashboard(runs, title=title), encoding="utf-8")
     return path

@@ -31,9 +31,8 @@ enabled flag, :func:`repro.obs.begin_worker_capture` restarts capture,
 deterministic).
 
 Stdlib only. ``tracemalloc`` costs real time while tracing is on
-(every allocation is recorded), which is why this module is opt-in and
-its *disabled* path — one flag check — is what the BENCH_obs overhead
-gate covers.
+(every allocation is recorded), which is why this module is opt-in; its
+*disabled* path is one flag check.
 """
 
 from __future__ import annotations

@@ -2,20 +2,21 @@
 
 The paper's preprocessing ("conducted once per object") pays off only
 if approximations are stored and reloaded across join runs. This module
-packs a whole dataset's P/C interval lists into one ``.npz`` file in
-one of two layouts:
+packs a whole dataset's P/C interval lists into one ``.npz`` file.
+Two layouts exist on disk; one is written:
 
-- ``codec="varint"`` (version 2, the default): the dataset-level
-  delta+varint blob of :class:`repro.raster.compression
+- ``varint`` (version 2, what :func:`save_approximations` writes): the
+  dataset-level delta+varint blob of :class:`repro.raster.compression
   .CompressedAprilPayload` — one contiguous byte buffer plus the
   per-object offset/summary table, checksummed with CRC-32. Loading
   builds the payload and returns *lazy* approximations that decode
   per object on first touch, so a warm join reads a fraction of the
   plain bytes.
-- ``codec="raw"`` (version 1, the pre-PR-7 layout): per-object interval
-  arrays concatenated with offset indexes, loaded eagerly. Still
-  written on request (``--payload-codec raw``) and always readable, so
-  existing indexes keep working unchanged.
+- ``raw`` (version 1, the pre-PR-7 layout): per-object interval arrays
+  concatenated with offset indexes, loaded eagerly. Read-only: the
+  product has no writer for it (tests build theirs with
+  ``tests/oracles/storage.py``), and indexes that hold it keep opening
+  and joining unchanged.
 
 Every load is validated: a payload with an unknown format version, a
 missing array, a torn/truncated archive, a blob failing its checksum,
@@ -73,10 +74,9 @@ log = logging.getLogger("repro.resilience")
 _RAW_VERSION = 1
 _COMPRESSED_VERSION = 2
 
-#: Payload codecs :func:`save_approximations` understands; the first is
-#: the store-wide default.
-PAYLOAD_CODECS = ("varint", "raw")
-DEFAULT_PAYLOAD_CODEC = PAYLOAD_CODECS[0]
+#: The codec :func:`save_approximations` writes, recorded in every new
+#: payload and manifest so older builds know how to read them.
+PAYLOAD_CODEC = "varint"
 
 
 class StoreError(ValueError):
@@ -99,77 +99,46 @@ def _observe_payload_bytes(kind: str, nbytes: int, codec: str) -> None:
 def save_approximations(
     path: str | Path,
     approximations: Sequence[AprilApproximation],
-    codec: str = DEFAULT_PAYLOAD_CODEC,
 ) -> None:
-    """Write a dataset's approximations (plus their grid) to ``path``.
+    """Write a dataset's approximations (plus their grid) to ``path`` as
+    the version-2 compressed blob.
 
     All approximations must share one grid — the same requirement the
-    filters impose at comparison time. ``codec`` picks the layout:
-    ``"varint"`` (default) writes the version-2 compressed blob,
-    ``"raw"`` the version-1 flat arrays (bit-compatible with pre-PR-7
-    builds).
+    filters impose at comparison time.
     """
-    if codec not in PAYLOAD_CODECS:
-        raise ValueError(f"unknown payload codec {codec!r}; available: {list(PAYLOAD_CODECS)}")
     if isinstance(approximations, CompressedAprilPayload):
-        grid = approximations.grid
-        if codec == "raw":
-            approximations = approximations.decode_block(range(len(approximations)))
+        compressed = approximations
     else:
         if not approximations:
             raise ValueError("nothing to save: empty approximation sequence")
-        grid = approximations[0].grid
         for a in approximations[1:]:
             a.check_compatible(approximations[0])
-
+        compressed = _shared_payload(approximations)
+        if compressed is None:
+            compressed = CompressedAprilPayload.from_approximations(approximations)
+    grid = compressed.grid
     ds = grid.dataspace
+    # The stored form is deliberately minimal: the varint blob under
+    # an outer LZMA filter, per-object byte sizes as a second varint
+    # stream, and a CRC over the *uncompressed* blob. The summary
+    # table is derivable, so it is rebuilt at load time
+    # (CompressedAprilPayload.from_blob) instead of stored. Members
+    # are already entropy-coded, hence plain ``savez`` — zlib-ing
+    # them again would only burn CPU.
+    blob_bytes = compressed.blob.tobytes()
     buffer = io.BytesIO()
-    if codec == "raw":
-        def pack(lists: list[IntervalList]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-            offsets = np.zeros(len(lists) + 1, dtype=np.int64)
-            for k, il in enumerate(lists):
-                offsets[k + 1] = offsets[k] + len(il)
-            starts = np.concatenate([il.starts for il in lists]) if offsets[-1] else np.empty(0, np.int64)
-            ends = np.concatenate([il.ends for il in lists]) if offsets[-1] else np.empty(0, np.int64)
-            return offsets, starts, ends
-
-        p_off, p_starts, p_ends = pack([a.p for a in approximations])
-        c_off, c_starts, c_ends = pack([a.c for a in approximations])
-        np.savez_compressed(
-            buffer,
-            version=np.int64(_RAW_VERSION),
-            grid_order=np.int64(grid.order),
-            dataspace=np.array([ds.xmin, ds.ymin, ds.xmax, ds.ymax]),
-            p_offsets=p_off, p_starts=p_starts, p_ends=p_ends,
-            c_offsets=c_off, c_starts=c_starts, c_ends=c_ends,
-        )
-    else:
-        if isinstance(approximations, CompressedAprilPayload):
-            compressed = approximations
-        else:
-            compressed = _shared_payload(approximations)
-            if compressed is None:
-                compressed = CompressedAprilPayload.from_approximations(approximations)
-        # The stored form is deliberately minimal: the varint blob under
-        # an outer LZMA filter, per-object byte sizes as a second varint
-        # stream, and a CRC over the *uncompressed* blob. The summary
-        # table is derivable, so it is rebuilt at load time
-        # (CompressedAprilPayload.from_blob) instead of stored. Members
-        # are already entropy-coded, hence plain ``savez`` — zlib-ing
-        # them again would only burn CPU.
-        blob_bytes = compressed.blob.tobytes()
-        np.savez(
-            buffer,
-            version=np.int64(_COMPRESSED_VERSION),
-            codec=np.array(codec),
-            grid_order=np.int64(grid.order),
-            dataspace=np.array([ds.xmin, ds.ymin, ds.xmax, ds.ymax]),
-            blob=np.frombuffer(
-                lzma.compress(blob_bytes, preset=6), dtype=np.uint8
-            ),
-            sizes=varint_encode(np.diff(compressed.offsets)),
-            blob_crc32=np.uint32(zlib.crc32(blob_bytes)),
-        )
+    np.savez(
+        buffer,
+        version=np.int64(_COMPRESSED_VERSION),
+        codec=np.array(PAYLOAD_CODEC),
+        grid_order=np.int64(grid.order),
+        dataspace=np.array([ds.xmin, ds.ymin, ds.xmax, ds.ymax]),
+        blob=np.frombuffer(
+            lzma.compress(blob_bytes, preset=6), dtype=np.uint8
+        ),
+        sizes=varint_encode(np.diff(compressed.offsets)),
+        blob_crc32=np.uint32(zlib.crc32(blob_bytes)),
+    )
     payload = buffer.getvalue()
     path = Path(path)
     if should_fire("store.torn_write", key=path.name):
@@ -352,8 +321,7 @@ def _read_compressed(path: Path, data, grid: RasterGrid) -> list:
 
 
 __all__ = [
-    "DEFAULT_PAYLOAD_CODEC",
-    "PAYLOAD_CODECS",
+    "PAYLOAD_CODEC",
     "StoreError",
     "load_approximations",
     "payload_codec",

@@ -10,9 +10,9 @@ serving literature reports — p50/p95/p99 latency (exact order
 statistics over the sample, not histogram-bucket approximations),
 throughput, and the shed rate (fraction answered ``429``).
 
-``benchmarks/test_bench_serve.py`` drives this against an in-process
-server and records the report into ``BENCH_serve.json`` through the
-enveloped bench writer. Stdlib-only (``urllib`` transport).
+The service tests drive this against an in-process server; the
+end-to-end serving numbers come from ``python3 bench/run.py``, which has
+its own client. Stdlib-only (``urllib`` transport).
 """
 
 from __future__ import annotations

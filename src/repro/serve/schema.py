@@ -46,6 +46,8 @@ API_VERSION = WIRE_VERSION
 #: the wire API.
 JOIN_METHODS = ("ST2", "OP2", "APRIL", "P+C")
 JOIN_MODES = ("auto", "serial", "batch", "parallel", "disk")
+#: ``raw`` is a valid request value that selects nothing: the store
+#: writes varint payloads only and the response names what was written.
 PAYLOAD_CODECS = ("varint", "raw")
 
 

@@ -328,6 +328,7 @@ class JoinService:
         return 200, response
 
     def handle_build_index(self, payload: Any) -> tuple[int, dict]:
+        from repro.raster.storage import PAYLOAD_CODEC
         from repro.store.dataset import build_dataset
 
         request = BuildIndexRequest.from_dict(payload)
@@ -342,7 +343,6 @@ class JoinService:
                     index,
                     grid_order=request.grid_order if request.approximate else None,
                     workers=request.workers,
-                    payload_codec=request.payload_codec,
                 )
             except FileNotFoundError as exc:
                 raise ServiceError(404, str(exc)) from exc
@@ -354,7 +354,9 @@ class JoinService:
             "request_id": request_id,
             "index": str(index),
             "geometries": len(dataset),
-            "payload_codec": request.payload_codec,
+            # What was written, not what was asked for: wire v1 validates
+            # the request's field, but the store has one payload layout.
+            "payload_codec": PAYLOAD_CODEC,
             "seconds": seconds,
         }
 

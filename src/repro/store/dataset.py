@@ -4,7 +4,7 @@ The paper's preprocessing is "conducted once per object", yet until
 PR 4 the repo rebuilt APRIL approximations on every join construction
 unless the caller hand-managed ``.npz`` paths. A :class:`SpatialDataset`
 turns preprocessing into a build-once artifact: it bundles the
-geometries, their MBRs, a packed STR R-tree, and APRIL P/C interval
+geometries, their MBRs and per-geometry facts, and APRIL P/C interval
 payloads, and can persist the whole bundle into a versioned on-disk
 index directory::
 
@@ -74,10 +74,10 @@ from repro.geometry.polygon import Polygon
 from repro.geometry.wkt import dumps_wkt, loads_wkt_geometry
 from repro.obs.metrics import get_registry, metrics_enabled
 from repro.obs.trace import trace
+from repro.raster.compression import CompressedAprilPayload
 from repro.raster.grid import RasterGrid, pad_dataspace
 from repro.raster.storage import (
-    DEFAULT_PAYLOAD_CODEC,
-    PAYLOAD_CODECS,
+    PAYLOAD_CODEC,
     StoreError,
     load_approximations,
     save_approximations,
@@ -90,8 +90,7 @@ from repro.store.columns import GeometryColumns, LazyGeometries, read_columns
 log = logging.getLogger("repro.resilience")
 
 #: Version 2 added the ``payload_codec`` field (PR 7); version-1
-#: manifests are still opened transparently and default to ``raw``,
-#: matching the payloads such indexes actually contain.
+#: manifests, and the raw payloads such indexes contain, still open.
 MANIFEST_VERSION = 2
 _READABLE_MANIFEST_VERSIONS = (1, 2)
 MANIFEST_NAME = "manifest.json"
@@ -208,7 +207,7 @@ class SpatialDataset:
     """A polygon collection plus everything a join needs precomputed.
 
     In-memory datasets (``path is None``) cache their derived bundles
-    (boxes, extent, R-tree, content hash) for the process lifetime;
+    (boxes, extent, content hash) for the process lifetime;
     persistent datasets additionally load/store APRIL payloads in their
     index directory.
     """
@@ -221,23 +220,16 @@ class SpatialDataset:
         path: str | Path | None = None,
         source: str | Path | None = None,
         source_sha256: str | None = None,
-        payload_codec: str = DEFAULT_PAYLOAD_CODEC,
     ) -> None:
         if not isinstance(geometries, LazyGeometries):
             geometries = list(geometries)
         if not len(geometries):
             raise ValueError("a dataset must contain at least one geometry")
-        if payload_codec not in PAYLOAD_CODECS:
-            raise ValueError(
-                f"unknown payload codec {payload_codec!r}; "
-                f"available: {list(PAYLOAD_CODECS)}"
-            )
         self.geometries = geometries
         self.name = name
         self.path = Path(path) if path is not None else None
         self.source = Path(source) if source is not None else None
         self.source_sha256 = source_sha256
-        self.payload_codec = payload_codec
 
     def __len__(self) -> int:
         return len(self.geometries)
@@ -328,23 +320,18 @@ class SpatialDataset:
             grid, workers, partition_timeout, max_retries
         )
         if payload is not None:
+            # Encode once, persist the encoded payload, and serve the
+            # same lazy form a warm load would — so cold and warm joins
+            # run the identical decode-aware path. The fresh decoded
+            # objects seed the payload's cache; no decode work is thrown
+            # away.
             payload.parent.mkdir(parents=True, exist_ok=True)
-            if self.payload_codec != "raw":
-                # Encode once, persist the encoded payload, and serve
-                # the same lazy form a warm load would — so cold and
-                # warm joins run the identical decode-aware path. The
-                # fresh decoded objects seed the payload's cache; no
-                # decode work is thrown away.
-                from repro.raster.compression import CompressedAprilPayload
-
-                compressed = CompressedAprilPayload.from_approximations(aprils)
-                for k, approx in enumerate(aprils):
-                    compressed._insert(k, approx)
-                save_approximations(payload, compressed, codec=self.payload_codec)
-                self._register_payload(grid, payload)
-                return compressed.approximations()
-            save_approximations(payload, aprils, codec=self.payload_codec)
+            compressed = CompressedAprilPayload.from_approximations(aprils)
+            for k, approx in enumerate(aprils):
+                compressed._insert(k, approx)
+            save_approximations(payload, compressed)
             self._register_payload(grid, payload)
+            return compressed.approximations()
         return aprils
 
     def payload_stats(self, grid: RasterGrid) -> dict | None:
@@ -411,7 +398,7 @@ class SpatialDataset:
             "source": str(self.source) if self.source else None,
             "source_sha256": self.source_sha256,
             "extent": [ext.xmin, ext.ymin, ext.xmax, ext.ymax],
-            "payload_codec": self.payload_codec,
+            "payload_codec": PAYLOAD_CODEC,
             "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
             "approximations": [],
         }
@@ -433,7 +420,7 @@ class SpatialDataset:
             "grid_order": grid.order,
             "dataspace": [ds.xmin, ds.ymin, ds.xmax, ds.ymax],
             "count": len(self),
-            "codec": self.payload_codec,
+            "codec": PAYLOAD_CODEC,
         }
         entries = [
             e for e in manifest.get("approximations", []) if e["file"] != entry["file"]
@@ -463,7 +450,6 @@ class SpatialDataset:
             path=index_dir,
             source=self.source,
             source_sha256=self.source_sha256,
-            payload_codec=self.payload_codec,
         )
         # The dump's bytes are exactly what content_hash() hashes.
         persistent.__dict__["content_hash"] = hashlib.sha256(dump).hexdigest()
@@ -575,10 +561,6 @@ class SpatialDataset:
             path=index_dir,
             source=manifest.get("source"),
             source_sha256=manifest.get("source_sha256"),
-            # Version-1 manifests predate the codec field; their indexes
-            # hold raw payloads, and new payloads written into them stay
-            # raw so the directory remains readable by the old build.
-            payload_codec=manifest.get("payload_codec", "raw"),
         )
         dataset.__dict__.update(derived)  # fills the cached properties
         return dataset
@@ -631,10 +613,6 @@ class SpatialDataset:
             name=kept.get("name", index_dir.name),
             source=kept.get("source"),
             source_sha256=kept.get("source_sha256"),
-            # As in _open_strict: a manifest without the field is version 1.
-            payload_codec=(
-                kept.get("payload_codec", "raw") if kept else DEFAULT_PAYLOAD_CODEC
-            ),
         ).save(index_dir)
         _observe_rebuild("dataset_index")
         return persistent
@@ -659,16 +637,13 @@ def build_dataset(
     name: str | None = None,
     strict: bool = True,
     quarantine: QuarantineReport | None = None,
-    payload_codec: str = DEFAULT_PAYLOAD_CODEC,
 ) -> SpatialDataset:
     """Build a persistent index for a ``.wkt``/``.geojson`` source file.
 
     With ``grid_order`` set, the APRIL payload for the dataset's *own*
     padded-extent grid is precomputed too (warm self-joins / selection);
     payloads for join-partner union grids are added lazily by the first
-    cold join against each partner. ``payload_codec`` selects the
-    on-disk payload layout: ``"varint"`` (default, compressed) or
-    ``"raw"`` (the version-1 flat arrays older builds read).
+    cold join against each partner.
     """
     source = Path(source)
     t0 = time.perf_counter()
@@ -678,7 +653,6 @@ def build_dataset(
         name=name or source.stem,
         source=source,
         source_sha256=file_sha256(source),
-        payload_codec=payload_codec,
     )
     persistent = dataset.save(index_dir)
     if grid_order is not None:

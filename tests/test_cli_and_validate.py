@@ -159,6 +159,40 @@ class TestCliObservability:
         assert main(["join", r, s, "--grid-order", "9", "--workers", "4"]) == 0
         assert "# auto mode -> serial" in capsys.readouterr().err
 
+    def test_report_renders_every_run_and_takes_no_bench_flags(
+        self, wkt_files, tmp_path, capsys
+    ):
+        r, s = wkt_files
+        log_path, out_path = tmp_path / "runs.jsonl", tmp_path / "r.html"
+        for extra in ([], ["--predicate", "intersects"]):
+            assert main(["join", r, s, "--grid-order", "9", "--trace", "-",
+                         "--run-log", str(log_path), *extra]) == 0
+        capsys.readouterr()
+        assert main(["report", str(log_path), "--out", str(out_path)]) == 0
+        assert "wrote dashboard" in capsys.readouterr().out
+        html = out_path.read_text(encoding="utf-8")
+        assert "Run 1 — join_run / P+C" in html and "Run 2 — " in html
+        assert html.count("Span tree") == 2
+        assert "Bench trajectory" not in html
+        # The trajectory gate went with repro.obs.bench (v1.4.0).
+        for flag in (["--bench-root", "."], ["--fail-on-regression"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["report", str(log_path), *flag])
+            assert exit_info.value.code == 2
+            assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
+    def test_build_index_takes_no_payload_codec(self, wkt_files, tmp_path, capsys):
+        r, _ = wkt_files
+        with pytest.raises(SystemExit) as exit_info:
+            main(["build-index", r, "--index", str(tmp_path / "idx"),
+                  "--payload-codec", "raw"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --payload-codec raw" in capsys.readouterr().err
+        assert not (tmp_path / "idx").exists()
+        assert main(["build-index", r, "--index", str(tmp_path / "idx"),
+                     "--grid-order", "8"]) == 0
+        assert "# payload codec varint:" in capsys.readouterr().err
+
     def test_join_trace_to_stderr(self, wkt_files, capsys):
         r, s = wkt_files
         assert main(["join", r, s, "--grid-order", "9", "--trace", "-"]) == 0

@@ -2,9 +2,9 @@
 
 ``import repro`` and a ``join`` over index directories must not pull in
 the HTTP daemon, the selection/TopologyJoin facade, the disk join, the
-dashboard, the bench gate or tracemalloc — a fresh-process join waits
-for every module it imports. Each check runs in a child interpreter so
-this suite's own imports cannot mask an eager one.
+dashboard or tracemalloc — a fresh-process join waits for every module
+it imports. Each check runs in a child interpreter so this suite's own
+imports cannot mask an eager one.
 """
 
 import json
@@ -24,7 +24,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 #: What a join over index directories has no use for.
 NOT_FOR_A_JOIN = (
     "repro.serve", "repro.core", "repro.join.diskjoin", "repro.obs.dashboard",
-    "repro.obs.bench", "http.server", "urllib.request", "tracemalloc",
+    "http.server", "urllib.request", "tracemalloc",
 )
 
 
@@ -77,7 +77,7 @@ def test_every_public_name_still_resolves():
         "    exec(f'from {package.__name__} import *', scope)\n"
         "    assert names <= set(scope)\n"
         "from repro import Engine, Polygon, JoinService, TopologyJoin\n"
-        "from repro.obs import render_dashboard, check_regressions, build_run_report\n"
+        "from repro.obs import render_dashboard, build_run_report\n"
         "try:\n"
         "    repro.no_such_name\n"
         "except AttributeError:\n"
@@ -85,6 +85,26 @@ def test_every_public_name_still_resolves():
         "else:\n"
         "    raise SystemExit('a missing name must be an AttributeError')\n"
     )
+
+
+def test_the_bench_gate_is_gone():
+    # repro.obs.bench and its seven re-exports went in v1.4.0;
+    # bench/run.py is the one performance instrument.
+    import importlib
+
+    import repro.obs
+
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.obs.bench")
+    for name in ("Trend", "append_entry", "check_regressions", "format_regressions",
+                 "make_envelope"):
+        assert name not in repro.obs.__all__ and name not in dir(repro.obs)
+        with pytest.raises(AttributeError):
+            getattr(repro.obs, name)
+        with pytest.raises(ImportError):
+            exec(f"from repro.obs import {name}")
+    # ...and the two trajectory readers: no public name is about them.
+    assert not [n for n in dir(repro.obs) if "trend" in n.lower() or "traject" in n]
 
 
 @pytest.mark.parametrize("command", ["serve", "report", "select", "explain", "stats", "relate"])
@@ -109,6 +129,5 @@ def test_handlers_import_what_they_moved_out_of_the_module(tmp_path, capsys):
     assert "equals" in capsys.readouterr().out
     assert main(["explain", data, data, "--index", "0", "0", "--grid-order", "6"]) == 0
     assert "relation: equals" in capsys.readouterr().out
-    assert main(["report", "--out", str(tmp_path / "report.html"),
-                 "--bench-root", str(tmp_path)]) == 0
+    assert main(["report", "--out", str(tmp_path / "report.html")]) == 0
     assert (tmp_path / "report.html").exists()

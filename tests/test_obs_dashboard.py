@@ -2,6 +2,8 @@
 
 import re
 
+import pytest
+
 from repro.obs.dashboard import render_dashboard, write_dashboard
 
 
@@ -62,43 +64,27 @@ def _run_record():
     }
 
 
-def _trend(flagged=False, change=5.0):
-    return {
-        "file": "BENCH_parallel.json",
-        "kind": "parallel_speedup",
-        "context": {"workers": 4},
-        "metric": "parallel_seconds",
-        "direction": "lower",
-        "values": [1.0, 1.1, 1.05],
-        "latest": 1.05,
-        "baseline": 1.05,
-        "change_pct": change,
-        "threshold_pct": 25.0,
-        "flagged": flagged,
-    }
-
-
 class TestSelfContained:
     def test_no_script_no_network(self):
-        html = render_dashboard([_run_record()], [_trend()])
+        html = render_dashboard([_run_record()])
         assert "<script" not in html.lower()
         assert "http://" not in html and "https://" not in html
         assert "@import" not in html and "url(" not in html
 
     def test_single_document_with_inline_style(self):
-        html = render_dashboard([], None)
+        html = render_dashboard([])
         assert html.startswith("<!DOCTYPE html>")
         assert "<style>" in html
         assert html.count("<html") == 1
 
     def test_dark_mode_styles_present(self):
-        html = render_dashboard([], None)
+        html = render_dashboard([])
         assert "prefers-color-scheme: dark" in html
 
 
 class TestRunSection:
     def test_stat_tiles_and_sections(self):
-        html = render_dashboard([_run_record()], None)
+        html = render_dashboard([_run_record()])
         assert "candidate pairs" in html
         assert "Span tree" in html and "run_find_relation" in html
         assert "Profile — 10 samples" in html
@@ -108,61 +94,54 @@ class TestRunSection:
         assert "Histogram quantiles" in html
 
     def test_flamegraph_cells_proportional(self):
-        html = render_dashboard([_run_record()], None)
+        html = render_dashboard([_run_record()])
         assert html.count('class="fcell"') >= 3  # root + two leaves
         assert re.search(r'width:\d+\.\d+%', html)
 
     def test_mem_attrs_hidden_in_span_tree(self):
-        html = render_dashboard([_run_record()], None)
+        html = render_dashboard([_run_record()])
         assert "mem_peak_bytes" not in html.split("Resources")[0]
 
     def test_html_escaped(self):
         record = _run_record()
         record["method"] = '<img src=x onerror="x">'
-        html = render_dashboard([record], None)
+        html = render_dashboard([record])
         assert "<img" not in html
         assert "&lt;img" in html
 
     def test_empty_profile_renders_placeholder(self):
         record = _run_record()
         record["profile"]["stacks"] = {}
-        html = render_dashboard([record], None)
+        html = render_dashboard([record])
         assert "No samples collected." in html
 
 
 class TestBenchSection:
-    def test_sparkline_svg_rendered(self):
-        html = render_dashboard([], [_trend()])
-        assert "<svg" in html and "polyline" in html
-
-    def test_regression_badge(self):
-        html = render_dashboard([], [_trend(flagged=True)])
-        assert "▲ regression" in html
-
-    def test_unflagged_shows_delta(self):
-        html = render_dashboard([], [_trend(flagged=False, change=-3.0)])
-        assert "▲ regression" not in html
-        assert "-3.0%" in html
-
-    def test_series_count_in_note(self):
-        html = render_dashboard([], [_trend(), _trend(flagged=True)])
-        assert "2 series tracked, 1 regression(s)" in html
+    """The bench-trajectory section went with ``repro.obs.bench``."""
 
     def test_no_trends_no_bench_section(self):
-        html = render_dashboard([_run_record()], None)
-        assert "Bench trajectory" not in html
+        html = render_dashboard([_run_record()])
+        assert "Bench trajectory" not in html and "bench series" not in html
+        assert "<svg" not in html
+
+    def test_trends_keyword_is_gone(self, tmp_path):
+        with pytest.raises(TypeError):
+            render_dashboard([_run_record()], trends=[])
+        with pytest.raises(TypeError):
+            write_dashboard(tmp_path / "report.html", [_run_record()], trends=[])
+
+    def test_empty_page_says_so(self):
+        assert "Nothing to report: no run records." in render_dashboard([])
 
 
 class TestWrite:
     def test_write_dashboard_round_trip(self, tmp_path):
-        out = write_dashboard(
-            tmp_path / "report.html", [_run_record()], [_trend()]
-        )
+        out = write_dashboard(tmp_path / "report.html", [_run_record()])
         assert out.exists()
         text = out.read_text(encoding="utf-8")
         assert "</html>" in text
 
     def test_deterministic_given_generated(self):
-        a = render_dashboard([_run_record()], [_trend()], generated="T")
-        b = render_dashboard([_run_record()], [_trend()], generated="T")
+        a = render_dashboard([_run_record()], generated="T")
+        b = render_dashboard([_run_record()], generated="T")
         assert a == b

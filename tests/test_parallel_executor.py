@@ -55,6 +55,9 @@ class TestFindRelationParallel:
         assert run.stats.resolved_if == serial.resolved_if
         assert run.stats.r_objects_accessed == serial.r_objects_accessed
         assert run.stats.s_objects_accessed == serial.s_objects_accessed
+        # Nothing failed, so supervision (None when nothing was forked)
+        # has no retry, death, timeout or fallback to report.
+        assert run.supervision is None or run.supervision.clean
         assert run.wall_seconds > 0
 
     def test_results_deterministic_across_configurations(self, scenario):

@@ -187,6 +187,7 @@ class TestWorkerPoolHTTP:
                 assert json.dumps(doc["results"]) == json.dumps(expected)
             snap = ps.pool.snapshot()
             assert snap["live"] == 2 and snap["respawns_total"] == 0
+            assert snap["failures_total"] == {}
         finally:
             ps.stop()
 
@@ -482,7 +483,7 @@ class TestMixedChaos:
                 assert report.requests == 12
                 assert report.ok == 12, [o for o in report.outcomes if o.status != 200]
                 # The three injected faults forced retries, and the
-                # summary records them (what BENCH_serve.json ingests).
+                # summary records them.
                 assert report.retries_total >= 3
                 assert report.retried_requests >= 1
                 summary = report.to_dict()

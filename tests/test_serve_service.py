@@ -115,6 +115,21 @@ class TestJoinEndpoint:
         assert status == 200
         assert len(doc["results"]) > 0
 
+    def test_build_index_accepts_raw_but_writes_varint(self, server, data_root):
+        # Wire v1 still takes the field; the store has one payload layout
+        # and the response names the one that was written.
+        from repro.raster.storage import payload_codec
+
+        base, _service = server
+        status, doc = post_json(
+            f"{base}/v1/build-index",
+            {"data": "r.wkt", "index": "r_idx", "grid_order": 8, "payload_codec": "raw"},
+        )
+        assert status == 200
+        assert doc["payload_codec"] == "varint"
+        (payload,) = (data_root / "r_idx" / "april").glob("*.npz")
+        assert payload_codec(payload) == "varint"
+
     def test_wire_violation_maps_to_400(self, server):
         base, _service = server
         status, doc = post_json(f"{base}/v1/join", {"r": "r.wkt"})
@@ -257,7 +272,38 @@ class TestAdmission:
         # One-at-a-time service, zero queue, six closed-loop clients:
         # overload must shed.
         assert report.shed > 0
+        assert admission.shed_total == report.shed
         assert report.p99_seconds >= report.p50_seconds
+
+    def test_warm_load_is_all_200_and_rasterises_nothing(self, data_root):
+        # Two closed-loop clients against a roomy queue: nothing is shed,
+        # and once one request has warmed the engine none builds an
+        # approximation.
+        service = JoinService(
+            Engine(), root=data_root,
+            admission=AdmissionController(max_inflight=1, max_queue=64),
+        )
+        server, thread = start_server(service)
+        host, port = server.server_address
+        url = f"http://{host}:{port}/v1/join"
+        obs.set_metrics(True)
+        try:
+            assert post_json(url, join_payload())[0] == 200
+            obs.reset_metrics()
+            report = run_load(url, join_payload(), clients=2, requests_per_client=8)
+            built = sum(
+                value
+                for key, value in obs.get_registry().counter_values().items()
+                if key.startswith("repro_april_built_total")
+            )
+        finally:
+            obs.set_metrics(False)
+            obs.reset_metrics()
+            stop_server(server, thread)
+        assert report.ok == report.requests == 16
+        assert report.shed == 0 and report.errors == 0
+        assert report.p50_seconds <= report.p95_seconds <= report.p99_seconds
+        assert built == 0
 
     def test_graceful_drain_waits_for_inflight(self, server):
         base, service = server

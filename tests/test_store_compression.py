@@ -1,15 +1,18 @@
 """Backward compatibility and repair for compressed payload storage.
 
-PR 7 makes the delta+varint blob the store's default payload layout
-(format version 2) while every pre-existing index keeps its version-1
-raw arrays on disk. These tests pin the compatibility contract:
+PR 7 made the delta+varint blob the store's payload layout (format
+version 2); since v1.4.0 it is the only layout written, while every
+index built before — or with the old ``--payload-codec raw`` — keeps
+its version-1 raw arrays on disk. These tests pin the compatibility
+contract:
 
-- a ``payload_codec=raw`` index written by the new code is the exact
-  version-1 layout, opens in a *fresh process*, and warm-joins with
-  byte-identical stdout and ``repro_april_built_total == 0``;
-- v1 manifests (no ``payload_codec`` field) open as ``raw`` so an old
-  build reading the same directory later still understands every
-  payload the new build writes into it;
+- a raw index (fixtures written by the v1 writer kept in
+  ``tests/oracles/storage.py``) opens in a *fresh process* and
+  warm-joins with stdout byte-identical to a varint index of the same
+  data and ``repro_april_built_total == 0``;
+- v1 manifests (no ``payload_codec`` field) open, their raw payloads
+  load, and a payload the new build adds lands as varint beside them;
+- no layer takes a codec any more;
 - a corrupted compressed blob is detected (checksum/decompress error)
   and repaired by the PR 5 ``on_error="rebuild"`` path;
 - the engine's payload LRU and the payload's bounded decoded cache
@@ -30,8 +33,15 @@ from repro.datasets import load_scenario
 from repro.datasets.io import save_wkt_file
 from repro.obs.metrics import get_registry, reset_metrics, set_metrics
 from repro.raster.compression import CompressedAprilPayload
-from repro.raster.storage import StoreError, load_approximations, payload_codec
-from repro.store import Engine, build_dataset, open_dataset
+from repro.raster.storage import (
+    StoreError,
+    load_approximations,
+    payload_codec,
+    save_approximations,
+)
+from repro.store import Engine, SpatialDataset, build_dataset, open_dataset
+
+from tests.oracles.storage import save_raw_approximations
 
 REPO_SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -59,11 +69,32 @@ def counter(name_with_labels):
     return get_registry().counter_values().get(name_with_labels, 0)
 
 
+def _rows(run):
+    return [(l.r_index, l.s_index, l.relation, l.filtered) for l in run.results]
+
+
+def to_raw_index(index_dir):
+    """Make ``index_dir`` what ``build-index --payload-codec raw`` left
+    behind before v1.4.0: every payload in the version-1 layout, the
+    manifest and its catalog entries saying ``raw``."""
+    for payload in (index_dir / "april").glob("*.npz"):
+        save_raw_approximations(payload, load_approximations(payload))
+    manifest_path = index_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["payload_codec"] = "raw"
+    for entry in manifest["approximations"]:
+        entry["codec"] = "raw"
+    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
+
+
 def _build_pair(base, r_file, s_file, codec):
-    build_dataset(r_file, base / "r_idx", grid_order=None, payload_codec=codec)
-    build_dataset(s_file, base / "s_idx", grid_order=None, payload_codec=codec)
+    build_dataset(r_file, base / "r_idx", grid_order=None)
+    build_dataset(s_file, base / "s_idx", grid_order=None)
     # The cold join persists the shared-grid payloads into both dirs.
     Engine().join(base / "r_idx", base / "s_idx", grid_order=10)
+    if codec == "raw":
+        to_raw_index(base / "r_idx")
+        to_raw_index(base / "s_idx")
     return base / "r_idx", base / "s_idx"
 
 
@@ -123,33 +154,80 @@ class TestRawBackwardCompat:
                          if n == "repro_payload_stored_bytes_total"
                          and ("codec", codec) in labels)
             assert stored > 0, f"{codec} stored-bytes counter missing"
+        # Joining it left the raw index as it was: nothing re-encoded.
+        assert all(payload_codec(f) == "raw" for f in (raw_r / "april").glob("*.npz"))
 
-    def test_v1_manifest_defaults_to_raw(self, tmp_path, wkt_files):
-        r_file, _ = wkt_files
+    def test_v1_manifest_opens_and_gets_varint_beside_raw(self, tmp_path, wkt_files):
+        r_file, s_file = wkt_files
         build_dataset(r_file, tmp_path / "idx", grid_order=10)
         manifest_path = tmp_path / "idx" / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
         assert manifest["format_version"] == 2
         assert manifest["payload_codec"] == "varint"
+        assert [e["codec"] for e in manifest["approximations"]] == ["varint"]
 
-        # Rewrite as a pre-PR-7 manifest: version 1, no codec field,
-        # no payload catalog entries.
+        # Rewrite as a pre-PR-7 index: version 1, no codec fields, the
+        # own-grid payload in the raw layout.
+        to_raw_index(tmp_path / "idx")
+        manifest = json.loads(manifest_path.read_text())
         manifest["format_version"] = 1
         del manifest["payload_codec"]
-        manifest["approximations"] = []
+        for entry in manifest["approximations"]:
+            del entry["codec"]
         manifest_path.write_text(json.dumps(manifest))
-        for f in (tmp_path / "idx" / "april").glob("*.npz"):
-            f.unlink()
+        (old_payload,) = (tmp_path / "idx" / "april").glob("*.npz")
 
         dataset = open_dataset(tmp_path / "idx")
-        assert dataset.payload_codec == "raw"
-        grid = dataset.grid(10)
-        dataset.approximations(grid)
-        payloads = list((tmp_path / "idx" / "april").glob("*.npz"))
-        assert payloads
-        # New payloads written into a v1 index stay in the v1 layout,
-        # so the old build that owns this index can still read them.
-        assert all(payload_codec(f) == "raw" for f in payloads)
+        aprils = dataset.approximations(dataset.grid(10), on_error="raise")
+        assert len(aprils) == len(dataset)
+        assert payload_codec(old_payload) == "raw"  # loaded, not rewritten
+
+        # A join against a partner adds the shared-grid payload — varint,
+        # beside the raw one — and the rows are those of the source files.
+        expected = Engine().join(r_file, s_file, grid_order=10)
+        joined = Engine().join(tmp_path / "idx", s_file, grid_order=10)
+        assert _rows(joined) == _rows(expected)
+        codecs = {f.name: payload_codec(f) for f in (tmp_path / "idx" / "april").glob("*.npz")}
+        assert sorted(codecs.values()) == ["raw", "varint"]
+        manifest = json.loads(manifest_path.read_text())
+        assert {e["file"]: e.get("codec") for e in manifest["approximations"]} == {
+            f"april/{name}": (None if codec == "raw" else "varint")
+            for name, codec in codecs.items()
+        }
+
+    def test_no_layer_takes_a_codec(self, tmp_path, wkt_files):
+        r_file, _ = wkt_files
+        with pytest.raises(TypeError):
+            build_dataset(r_file, tmp_path / "idx", payload_codec="raw")
+        dataset = build_dataset(r_file, tmp_path / "idx", grid_order=10)
+        with pytest.raises(TypeError):
+            SpatialDataset(list(dataset.geometries), payload_codec="raw")
+        assert not hasattr(dataset, "payload_codec")
+        aprils = dataset.approximations(dataset.grid(10))
+        with pytest.raises(TypeError):
+            save_approximations(tmp_path / "p.npz", aprils, codec="raw")
+        with pytest.raises(TypeError):
+            save_approximations(tmp_path / "p.npz", aprils, "raw")
+
+
+class TestPayloadSize:
+    def test_varint_is_3x_smaller_than_raw_on_a_fine_grid(self, tmp_path):
+        # The size half of the retired compression benchmark, which is
+        # deterministic: at grid order 14 the varint payloads of the
+        # OLE-OPE pair are at least 3x smaller than the raw layout's.
+        data = load_scenario("OLE-OPE", scale=0.4, grid_order=14)
+        raw_bytes = varint_bytes = 0
+        for side, objects in (("r", data.r_objects), ("s", data.s_objects)):
+            aprils = [o.april for o in objects]
+            save_approximations(tmp_path / f"{side}_varint.npz", aprils)
+            save_raw_approximations(tmp_path / f"{side}_raw.npz", aprils)
+            varint_bytes += (tmp_path / f"{side}_varint.npz").stat().st_size
+            raw_bytes += (tmp_path / f"{side}_raw.npz").stat().st_size
+            # Same intervals either way.
+            for a, b in zip(load_approximations(tmp_path / f"{side}_raw.npz"),
+                            load_approximations(tmp_path / f"{side}_varint.npz")):
+                assert (a.p, a.c) == (b.p, b.c)
+        assert raw_bytes / varint_bytes >= 3.0
 
 
 class TestCorruptionRepair:
