@@ -9,7 +9,7 @@ import pytest
 
 from repro.datasets import load_dataset
 from repro.join.mbr_join import plane_sweep_mbr_join
-from repro.raster import RasterGrid, build_april
+from repro.raster import RasterGrid, build_april_many
 from repro.datasets.catalog import REGION
 
 GRID = RasterGrid(REGION.expanded(1e-6), order=10)
@@ -19,10 +19,7 @@ GRID = RasterGrid(REGION.expanded(1e-6), order=10)
 def test_table2_april_construction(benchmark, dataset):
     polygons = load_dataset(dataset, scale=0.2).polygons[:40]
 
-    def build_all():
-        return [build_april(p, GRID) for p in polygons]
-
-    approx = benchmark(build_all)
+    approx = benchmark(build_april_many, polygons, GRID)
     benchmark.extra_info["polygons"] = len(polygons)
     benchmark.extra_info["total_intervals"] = sum(len(a.p) + len(a.c) for a in approx)
 

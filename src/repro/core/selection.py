@@ -17,7 +17,7 @@ from repro.filters.relate_filters import RelateVerdict, relate_filter
 from repro.geometry.box import Box
 from repro.geometry.polygon import Polygon
 from repro.join.rtree import RTree
-from repro.raster.april import AprilApproximation, build_april
+from repro.raster.april import AprilApproximation, build_april, build_april_many
 from repro.raster.grid import RasterGrid
 from repro.topology.de9im import TopologicalRelation, relation_holds
 from repro.topology.relate import relate
@@ -62,7 +62,7 @@ class TopologySelection:
 
     @cached_property
     def _approximations(self) -> list[AprilApproximation]:
-        return [build_april(p, self.grid) for p in self.polygons]
+        return build_april_many(self.polygons, self.grid)
 
     # ------------------------------------------------------------------
     # queries

@@ -14,7 +14,7 @@ from repro.datasets.catalog import (
     load_dataset,
 )
 from repro.experiments.common import ExperimentResult
-from repro.raster.april import build_april
+from repro.raster.april import build_april_many
 from repro.raster.grid import RasterGrid
 
 
@@ -28,9 +28,7 @@ def run_table2(scale: float = 1.0, grid_order: int = DEFAULT_GRID_ORDER) -> Expe
     grid = RasterGrid(REGION.expanded(1e-6), order=grid_order)
     for name, (description, _) in DATASETS.items():
         dataset = load_dataset(name, scale)
-        approx_bytes = sum(
-            build_april(polygon, grid).nbytes for polygon in dataset.polygons
-        )
+        approx_bytes = sum(a.nbytes for a in build_april_many(dataset.polygons, grid))
         result.add_row(
             name,
             description,

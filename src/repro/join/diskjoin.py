@@ -31,7 +31,7 @@ from repro.join.run import JoinResult, JoinRun
 from repro.join.stats import JoinRunStats
 from repro.obs.metrics import get_registry, metrics_enabled
 from repro.obs.trace import trace
-from repro.raster.april import build_april
+from repro.raster.april import build_april_many
 from repro.raster.grid import RasterGrid, pad_dataspace
 from repro.topology.de9im import TopologicalRelation
 
@@ -222,23 +222,22 @@ class DiskPartitionedJoin:
         return results, total_stats, max(tiles_joined, 1)
 
     def _load_tile(self, path: Path, grid: RasterGrid) -> list[SpatialObject]:
-        objects = []
+        oids = []
+        geometries = []
         with path.open("r", encoding="utf-8") as fh:
             for line in fh:
                 line = line.strip()
                 if not line:
                     continue
                 oid_text, wkt = line.split("\t", 1)
-                geometry = loads_wkt_geometry(wkt)
-                objects.append(
-                    SpatialObject(
-                        oid=int(oid_text),
-                        polygon=geometry,
-                        box=geometry.bbox,
-                        april=build_april(geometry, grid),
-                    )
-                )
-        return objects
+                oids.append(int(oid_text))
+                geometries.append(loads_wkt_geometry(wkt))
+        return [
+            SpatialObject(oid=oid, polygon=geometry, box=geometry.bbox, april=april)
+            for oid, geometry, april in zip(
+                oids, geometries, build_april_many(geometries, grid)
+            )
+        ]
 
 
 __all__ = ["DiskJoinResult", "DiskPartitionedJoin"]

@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 from repro.geometry.box import Box
 from repro.geometry.polygon import Polygon
-from repro.raster.april import AprilApproximation, build_april
+from repro.raster.april import AprilApproximation, build_april, build_april_many
 from repro.raster.grid import RasterGrid
 
 
@@ -101,7 +101,12 @@ def make_objects(
     grid: RasterGrid | None = None,
 ) -> list[SpatialObject]:
     """Wrap a polygon dataset into spatial objects (preprocessing step)."""
-    return [SpatialObject.from_polygon(i, p, grid) for i, p in enumerate(polygons)]
+    polygons = list(polygons)
+    aprils = build_april_many(polygons, grid) if grid is not None else [None] * len(polygons)
+    return [
+        SpatialObject(oid=i, polygon=p, box=p.bbox, april=april)
+        for i, (p, april) in enumerate(zip(polygons, aprils))
+    ]
 
 
 def reset_access_tracking(objects: Sequence[SpatialObject]) -> None:

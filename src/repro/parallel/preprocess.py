@@ -4,8 +4,9 @@ Rasterisation is the dominant preprocessing cost (the APRIL paper
 reports it dwarfing join time for fine grids), and every polygon is
 rasterised independently — a perfect fan-out. Forked workers inherit
 the polygon chunks with the task closure (copy-on-write, nothing
-pickled per task); only the interval lists travel back through the
-result pipe.
+pickled per task); each builds its chunk with one
+:func:`~repro.raster.april.build_april_many` call, and only the
+interval lists travel back through the result pipe.
 
 Stays serial for ``workers <= 1``, tiny inputs and platforms without
 ``fork``. The fan-out itself runs under the supervised workers
@@ -25,7 +26,7 @@ from typing import Sequence
 from repro.geometry.polygon import Polygon
 from repro.obs.metrics import metrics_enabled
 from repro.obs.trace import trace
-from repro.raster.april import AprilApproximation, build_april, observe_april_metrics
+from repro.raster.april import AprilApproximation, build_april_many, observe_april_metrics
 from repro.raster.grid import RasterGrid
 from repro.resilience.failpoints import maybe_fail_worker
 from repro.resilience.supervisor import supervised_map
@@ -45,8 +46,8 @@ def build_april_parallel(
 ) -> list[AprilApproximation]:
     """APRIL approximations for ``polygons``, in input order.
 
-    Bit-identical to ``[build_april(p, grid) for p in polygons]`` for
-    every worker count and every worker failure schedule.
+    Bit-identical to ``build_april_many(polygons, grid)`` for every
+    worker count and every worker failure schedule.
     """
     polygons = list(polygons)
     if workers is None:
@@ -56,12 +57,12 @@ def build_april_parallel(
         or len(polygons) < MIN_PARALLEL_POLYGONS
         or not fork_available()
     ):
-        return [build_april(p, grid) for p in polygons]
+        return build_april_many(polygons, grid)
 
     chunks = chunk_pairs(polygons, workers)
 
     def build_chunk(chunk_index: int) -> list[AprilApproximation]:
-        return [build_april(p, grid) for p in chunks[chunk_index]]
+        return build_april_many(chunks[chunk_index], grid)
 
     def worker(task: tuple[int, int]) -> list[AprilApproximation]:
         chunk_index, attempt = task
@@ -69,7 +70,7 @@ def build_april_parallel(
         return build_chunk(chunk_index)
 
     with trace("build_april_parallel", count=len(polygons), workers=workers):
-        parts, _ = supervised_map(
+        parts, report = supervised_map(
             worker,
             len(chunks),
             workers=workers,
@@ -78,14 +79,17 @@ def build_april_parallel(
             partition_timeout=partition_timeout,
             max_retries=max_retries,
         )
-    approximations = [approx for part in parts for approx in part]
     if metrics_enabled():
         # Worker registries from this pool are discarded with the
         # workers; recording parent-side keeps the interval-size
-        # distributions identical to a serial build.
-        for approx in approximations:
-            observe_april_metrics(approx)
-    return approximations
+        # distributions identical to a serial build. A chunk rebuilt
+        # in-parent was recorded by its build already.
+        rebuilt = set(report.fallback_tasks)
+        for index, part in enumerate(parts):
+            if index not in rebuilt:
+                for approx in part:
+                    observe_april_metrics(approx)
+    return [approx for part in parts for approx in part]
 
 
 __all__ = ["MIN_PARALLEL_POLYGONS", "build_april_parallel"]

@@ -15,7 +15,7 @@ are the oracles of the test tree (``tests/oracles``), differentially
 tested against these.
 """
 
-from repro.raster.april import AprilApproximation, build_april
+from repro.raster.april import AprilApproximation, build_april, build_april_many
 from repro.raster.compression import (
     CompressedAprilPayload,
     LazyAprilApproximation,
@@ -33,6 +33,7 @@ __all__ = [
     "RasterGrid",
     "RasterizationError",
     "build_april",
+    "build_april_many",
     "hilbert_d2xy",
     "hilbert_xy2d",
     "hilbert_xy2d_bulk",

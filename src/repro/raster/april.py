@@ -12,6 +12,16 @@ For an object ``o`` on a grid ``G``:
 These invariants (``P ⊆ C``; ``P`` cells avoid the boundary; ``C``
 covers the object) are exactly what the Sec. 3.2 intermediate filters
 rely on, and are property-tested in ``tests/test_raster_april.py``.
+
+:func:`build_april_many` is the one producer: it cuts a dataset into
+batches of at most ``_BATCH_CELLS`` window cells, rasterises each batch
+in one pass (:func:`~repro.raster.rasterize.rasterize_batch`), maps all
+of the batch's cells to Hilbert ids at once and sorts them under a
+``(geometry, id)`` key. The cells come from boolean masks, so the ids
+are already unique and a sort — not a hash ``unique`` — orders them;
+an interval breaks wherever consecutive keys differ by more than one,
+and each geometry takes its slice. :func:`build_april` is the batch of
+one.
 """
 
 from __future__ import annotations
@@ -23,12 +33,19 @@ import numpy as np
 
 from repro.obs.metrics import get_registry, metrics_enabled
 from repro.obs.trace import trace
+from repro.raster import kernels
 from repro.raster.grid import RasterGrid
-from repro.raster.intervals import IntervalList
-from repro.raster.rasterize import rasterize_polygon
+from repro.raster.intervals import EMPTY_INTERVALS, IntervalList
+from repro.raster.rasterize import CellWindows, rasterize_batch
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.geometry.polygon import Polygon
+
+#: Window cells per rasterisation batch; a geometry whose window alone
+#: exceeds it is a batch of its own. Large enough that the fixed numpy
+#: cost of a batch is shared by dozens of small polygons, small enough
+#: that the batch buffers stay a rounding error of the peak RSS.
+_BATCH_CELLS = 2_048
 
 
 @dataclass(frozen=True)
@@ -62,32 +79,16 @@ def build_april(
     max_cells: int = 64_000_000,
 ) -> AprilApproximation:
     """Rasterise ``polygon`` on ``grid`` and build its P and C lists."""
-    cells = rasterize_polygon(polygon, grid, max_cells=max_cells)
-
-    if cells.full.size:
-        full_ids = grid.hilbert_ids_bulk(cells.full[:, 0], cells.full[:, 1])
-    else:
-        full_ids = np.empty(0, dtype=np.int64)
-    if cells.partial.size:
-        partial_ids = grid.hilbert_ids_bulk(cells.partial[:, 0], cells.partial[:, 1])
-    else:
-        partial_ids = np.empty(0, dtype=np.int64)
-
-    p_list = IntervalList.from_cells(full_ids)
-    c_list = IntervalList.from_cells(np.concatenate((full_ids, partial_ids)))
-    approx = AprilApproximation(grid=grid, p=p_list, c=c_list)
-    if metrics_enabled():
-        observe_april_metrics(approx)
-    return approx
+    return build_april_many([polygon], grid, max_cells=max_cells)[0]
 
 
 def observe_april_metrics(approx: AprilApproximation) -> None:
     """Record one approximation's interval-list size distributions.
 
-    Called by :func:`build_april` directly; the parallel preprocessor
-    calls it parent-side for pool-built approximations (whose worker
-    registries are discarded), keeping the counts identical to a
-    serial build for every worker count.
+    Called by :func:`build_april_many` once per object; the parallel
+    preprocessor calls it parent-side for pool-built approximations
+    (whose worker registries are discarded), keeping the counts
+    identical to a serial build for every worker count.
     """
     registry = get_registry()
     # One increment per rasterised object: the warm-path proof counter.
@@ -100,14 +101,82 @@ def observe_april_metrics(approx: AprilApproximation) -> None:
 
 
 def build_april_many(
-    polygons: Iterable["Polygon"],
+    geometries: Iterable["Polygon"],
     grid: RasterGrid,
     max_cells: int = 64_000_000,
 ) -> list[AprilApproximation]:
-    """Build approximations for a whole dataset (the preprocessing step)."""
-    polygons = list(polygons)
-    with trace("build_april_many", count=len(polygons)):
-        return [build_april(p, grid, max_cells=max_cells) for p in polygons]
+    """Build approximations for a whole dataset (the preprocessing step).
+
+    Raises :class:`~repro.raster.rasterize.RasterizationError` before
+    building anything when some geometry's MBR covers more than
+    ``max_cells`` cells.
+    """
+    geometries = list(geometries)
+    with trace("build_april_many", count=len(geometries)):
+        windows = CellWindows.of(geometries, grid, max_cells)
+        approximations: list[AprilApproximation] = []
+        for part in _batches(windows.width * windows.height):
+            batch = windows[part]
+            marked, full = rasterize_batch(geometries[part], grid, batch)
+            p_lists, c_lists = _interval_lists(grid, batch, marked, full)
+            approximations += [
+                AprilApproximation(grid=grid, p=p, c=c) for p, c in zip(p_lists, c_lists)
+            ]
+    if metrics_enabled():
+        for approx in approximations:
+            observe_april_metrics(approx)
+    return approximations
+
+
+def _batches(cells: np.ndarray) -> list[slice]:
+    """Consecutive runs of windows holding at most ``_BATCH_CELLS``
+    cells between them, or one window that alone holds more."""
+    parts = []
+    start = held = 0
+    for k, n in enumerate(cells.tolist()):
+        if held and held + n > _BATCH_CELLS:
+            parts.append(slice(start, k))
+            start, held = k, 0
+        held += n
+    if cells.size:
+        parts.append(slice(start, cells.size))
+    return parts
+
+
+def _interval_lists(
+    grid: RasterGrid, windows: CellWindows, marked: np.ndarray, full: np.ndarray
+) -> tuple[list[IntervalList], list[IntervalList]]:
+    """Every window's P (``full`` cells) and C (``full | marked``) lists."""
+    cells = np.flatnonzero(marked | full)
+    window, col, row = windows.cells(cells)
+    # A guard bit above the largest id keeps one window's last id and
+    # the next window's first from ever being consecutive keys.
+    shift = 2 * grid.order + 1
+    keys = (window << shift) | grid.hilbert_ids_bulk(col, row)
+    p_keys = np.sort(keys[full[cells]])
+    keys.sort()
+    return (
+        _split_intervals(p_keys, shift, len(windows)),
+        _split_intervals(keys, shift, len(windows)),
+    )
+
+
+def _split_intervals(keys: np.ndarray, shift: int, count: int) -> list[IntervalList]:
+    """Coalesce sorted unique ``(window << shift) | id`` keys into one
+    interval list per window."""
+    if keys.size == 0:
+        return [EMPTY_INTERVALS] * count
+    first, end = kernels.runs(keys)
+    # An id is below 2**(shift - 1), so ``end`` never carries into the
+    # window bits.
+    mask = (1 << shift) - 1
+    starts = first & mask
+    ends = end & mask
+    bounds = np.searchsorted(first >> shift, np.arange(count + 1)).tolist()
+    return [
+        IntervalList._from_arrays(starts[a:b], ends[a:b]) if b > a else EMPTY_INTERVALS
+        for a, b in zip(bounds, bounds[1:])
+    ]
 
 
 __all__ = [

@@ -53,17 +53,12 @@ class IntervalList:
     # ------------------------------------------------------------------
     @staticmethod
     def from_cells(cell_ids: Iterable[int] | np.ndarray) -> "IntervalList":
-        """Coalesce individual cell ids into maximal intervals."""
-        ids = np.unique(np.asarray(list(cell_ids) if not isinstance(cell_ids, np.ndarray) else cell_ids, dtype=np.int64))
+        """Coalesce individual cell ids (any order, repeats allowed)
+        into maximal intervals."""
+        ids = np.sort(np.asarray(list(cell_ids) if not isinstance(cell_ids, np.ndarray) else cell_ids, dtype=np.int64))
         if ids.size == 0:
             return EMPTY_INTERVALS
-        breaks = np.nonzero(np.diff(ids) > 1)[0]
-        starts = ids[np.concatenate(([0], breaks + 1))]
-        ends = ids[np.concatenate((breaks, [ids.size - 1]))] + 1
-        result = IntervalList.__new__(IntervalList)
-        result.starts = starts
-        result.ends = ends
-        return result
+        return IntervalList._from_arrays(*kernels.runs(ids))
 
     @staticmethod
     def _from_arrays(starts: np.ndarray, ends: np.ndarray) -> "IntervalList":

@@ -116,6 +116,16 @@ def coalesce(
     return s[first], reach[last]
 
 
+def runs(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Maximal runs of consecutive integers in sorted nonempty ``ids``
+    as canonical half-open intervals. Repeats differ by zero, which
+    never breaks a run, so ``ids`` need not be deduplicated first."""
+    breaks = np.flatnonzero(np.diff(ids) > 1) + 1
+    starts = ids[np.concatenate(([0], breaks))]
+    ends = ids[np.concatenate((breaks - 1, [ids.size - 1]))] + 1
+    return starts, ends
+
+
 def intersection(
     xs: np.ndarray, xe: np.ndarray, ys: np.ndarray, ye: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -238,5 +248,6 @@ __all__ = [
     "overlaps",
     "overlaps_batch",
     "pack_lists",
+    "runs",
     "union",
 ]

@@ -13,7 +13,8 @@ algorithm guarantees this for the midpoints it classifies).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from itertools import chain
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -29,26 +30,41 @@ _SCALAR_CUTOFF = 4
 _CHUNK_BUDGET = 3_000_000
 
 
+def edge_arrays(
+    geometries: Iterable["Polygon"],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Edge coordinate arrays ``(ax, ay, bx, by)`` of every ring of
+    ``geometries``, plus the ``offsets`` of each geometry's edges.
+
+    Edges come in ``edges()`` order — geometry by geometry, ring by
+    ring, each ring's implicit closing edge last — with the very float
+    values the generator yields, but from one pass over the rings'
+    ``coords`` lists instead of one Python tuple per edge.
+    """
+    coords: list = []
+    ring_ends: list[int] = []
+    offsets = [0]
+    for geometry in geometries:
+        for ring in geometry.rings():
+            coords += ring.coords
+            ring_ends.append(len(coords))
+        offsets.append(len(coords))
+    flat = np.fromiter(chain.from_iterable(coords), dtype=np.float64, count=2 * len(coords))
+    xs, ys = flat[0::2], flat[1::2]
+    ends = np.asarray(ring_ends, dtype=np.int64)
+    # Edge k runs from vertex k to k + 1, except that a ring's last
+    # vertex closes back to the ring's first.
+    succ = np.arange(1, len(coords) + 1)
+    succ[ends - 1] = np.concatenate(([0], ends[:-1]))
+    return xs, ys, xs[succ], ys[succ], np.asarray(offsets, dtype=np.int64)
+
+
 def _edge_arrays(polygon: "Polygon") -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Cached per-polygon edge coordinate arrays ``(ax, ay, bx, by)``."""
     cached = polygon.__dict__.get("_pip_edge_arrays")
     if cached is not None:
         return cached
-    ax_list: list[float] = []
-    ay_list: list[float] = []
-    bx_list: list[float] = []
-    by_list: list[float] = []
-    for (ax, ay), (bx, by) in polygon.edges():
-        ax_list.append(ax)
-        ay_list.append(ay)
-        bx_list.append(bx)
-        by_list.append(by)
-    arrays = (
-        np.asarray(ax_list),
-        np.asarray(ay_list),
-        np.asarray(bx_list),
-        np.asarray(by_list),
-    )
+    arrays = edge_arrays([polygon])[:4]
     polygon.__dict__["_pip_edge_arrays"] = arrays
     return arrays
 
@@ -89,4 +105,4 @@ def points_strictly_inside(points: Sequence[Coord], polygon: "Polygon") -> np.nd
     return out
 
 
-__all__ = ["points_strictly_inside"]
+__all__ = ["edge_arrays", "points_strictly_inside"]

@@ -1,12 +1,14 @@
 """The original per-edge / per-cell rasteriser walks.
 
-Oracles for the bulk boundary marking and run classification of
-:mod:`repro.raster.rasterize`. Both evaluate the same IEEE expressions
-as the product code, so grids must be bit-identical.
-:func:`rasterize_polygon` composes the two walks the way the product
-function composes its bulk passes; :func:`build_april` goes on to the P
-and C lists through the oracle Hilbert loop and the oracle coalesce, so
-an approximation can be derived without touching any product kernel.
+Oracles for the batched boundary marking and scanline parity fill of
+:mod:`repro.raster.rasterize`. The marking walk evaluates the same IEEE
+expressions as the product code, and one point-in-polygon test per
+unmarked run classifies what the parity fill classifies cell by cell,
+so grids must be bit-identical. :func:`rasterize_polygon` composes the
+two walks for one polygon; :func:`build_april` goes on to the P and C
+lists through the oracle Hilbert loop and the oracle coalesce, so an
+approximation can be derived without touching any product kernel — the
+reference for ``build_april_many`` whatever batch a polygon lands in.
 """
 
 from __future__ import annotations

@@ -6,7 +6,8 @@ pits every vectorised kernel against its predecessor loop
 (``tests/oracles``) on ~10k generated interval-list pairs biased toward
 the nasty cases — adjacent intervals, single-cell intervals, empty
 lists, identical lists, containment chains — plus exact-equality checks
-for the bulk rasteriser and the Hilbert lookup-table fast path,
+for the bulk rasteriser, the batched APRIL builder (whatever the batch)
+and the Hilbert lookup-table fast path,
 equivalence of the batched filter entry points, and one end-to-end
 join-shaped differential: oracle-built APRILs and oracle-decided filter
 verdicts against the product's on a synthetic scenario.
@@ -24,13 +25,22 @@ from repro.filters.intermediate import (
     intermediate_filter_batch,
 )
 from repro.filters.mbr import classify_mbr_pair
-from repro.geometry import Box, Polygon
+from repro.geometry import Box, MultiPolygon, Polygon
 from repro.join.mbr_join import plane_sweep_mbr_join
 from repro.join.objects import SpatialObject
 from repro.join.pipeline import PIPELINES
-from repro.raster import RasterGrid, build_april, kernels, rasterize_polygon
+from repro.raster import (
+    RasterGrid,
+    april,
+    build_april,
+    build_april_many,
+    kernels,
+    pad_dataspace,
+    rasterize_polygon,
+)
 from repro.raster.hilbert import hilbert_xy2d, hilbert_xy2d_bulk
 from repro.raster.intervals import EMPTY_INTERVALS, IntervalList
+from repro.raster.rasterize import CellWindows
 
 from tests.oracles import hilbert as oracle_hilbert
 from tests.oracles import intervals as oracle_intervals
@@ -175,19 +185,128 @@ class TestRasterizeDifferential:
         assert np.array_equal(fast.partial, ref.partial)
         assert np.array_equal(fast.full, ref.full)
 
-    def test_random_blobs_bit_identical(self):
+    @staticmethod
+    def blobs():
         rng = np.random.default_rng(5)
-        for _ in range(15):
-            polygon = _blob(
+        return [
+            _blob(
                 int(rng.integers(3, 40)),
                 radius=float(rng.uniform(5, 200)),
                 cx=float(rng.uniform(150, 850)),
                 cy=float(rng.uniform(150, 850)),
             )
+            for _ in range(15)
+        ]
+
+    def test_random_blobs_bit_identical(self):
+        for polygon in self.blobs():
             fast = rasterize_polygon(polygon, self.GRID)
             ref = oracle_rasterize.rasterize_polygon(polygon, self.GRID)
             assert np.array_equal(fast.partial, ref.partial)
             assert np.array_equal(fast.full, ref.full)
+
+
+def _assert_oracle_lists(approximations, geometries, grid, refs=None):
+    """Each approximation's P and C equal the oracle's, array for array."""
+    assert len(approximations) == len(geometries)
+    for k, (approx, geometry) in enumerate(zip(approximations, geometries)):
+        ref = refs[k] if refs is not None else oracle_rasterize.build_april(geometry, grid)
+        for fast_list, ref_list in ((approx.p, ref.p), (approx.c, ref.c)):
+            assert np.array_equal(fast_list.starts, ref_list.starts), k
+            assert np.array_equal(fast_list.ends, ref_list.ends), k
+
+
+class TestBatchedBuildDifferential:
+    """``build_april_many`` against ``tests/oracles/rasterize.build_april``:
+    whatever batch a geometry lands in, its lists are the oracle's."""
+
+    GRID = TestRasterizeDifferential.GRID
+
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        geometries = TestRasterizeDifferential.POLYGONS + TestRasterizeDifferential.blobs()
+        refs = [oracle_rasterize.build_april(g, self.GRID) for g in geometries]
+        return geometries, refs
+
+    @pytest.mark.parametrize("budget", [1, 512, april._BATCH_CELLS, 1 << 30])
+    def test_one_call_any_budget(self, dataset, budget, monkeypatch):
+        monkeypatch.setattr(april, "_BATCH_CELLS", budget)
+        geometries, refs = dataset
+        _assert_oracle_lists(build_april_many(geometries, self.GRID), geometries, self.GRID, refs)
+
+    def test_shuffled_batches_of_random_sizes(self, dataset):
+        geometries, refs = dataset
+        rng = np.random.default_rng(25)
+        for _ in range(6):
+            order = rng.permutation(len(geometries))
+            cuts = np.sort(rng.choice(np.arange(1, len(order)), size=4, replace=False))
+            for part in np.split(order, cuts):
+                _assert_oracle_lists(
+                    build_april_many([geometries[k] for k in part], self.GRID),
+                    [geometries[k] for k in part],
+                    self.GRID,
+                    [refs[k] for k in part],
+                )
+
+    def test_dataspace_hugging_polygon_then_another_in_one_batch(self, monkeypatch):
+        # Without a guard bit between the geometry and the id in the sort
+        # key, the last id of the full-grid window coalesces with id 0 of
+        # the next window.
+        monkeypatch.setattr(april, "_BATCH_CELLS", 1 << 30)
+        geometries = [Polygon.box(0, 0, 1000, 1000), Polygon.box(0, 0, 3, 3), _blob(64)]
+        approximations = build_april_many(geometries, self.GRID)
+        assert approximations[0].c.cell_count == self.GRID.num_cells
+        assert list(approximations[0].c) == [(0, self.GRID.num_cells)]
+        _assert_oracle_lists(approximations, geometries, self.GRID)
+
+    def test_holes_and_multipolygons(self):
+        ring = [(100, 100), (700, 120), (720, 650), (120, 700)]
+        geometries = [
+            Polygon(ring, [[(200, 200), (400, 200), (400, 400), (200, 400)]]),
+            Polygon(ring, [[(200.5, 200.5), (300, 210), (250, 300)],
+                           [(500, 500), (600, 500), (600, 600)]]),
+            MultiPolygon([_blob(12, 60, 200, 200), _blob(30, 90, 640, 610)]),
+            MultiPolygon([Polygon.box(0, 0, 125, 125), Polygon.box(125, 125, 250, 250)]),
+        ]
+        _assert_oracle_lists(build_april_many(geometries, self.GRID), geometries, self.GRID)
+
+    def test_web_mercator_magnitudes_through_pad_dataspace(self, monkeypatch):
+        x0, y0 = 2.0037e7 - 4000.0, 1.9e7
+        geometries = [
+            Polygon.box(x0, y0, x0 + 4000.0, y0 + 2500.0),  # hugs the extent
+            Polygon.box(x0 + 812.5, y0 + 312.5, x0 + 1937.5, y0 + 1250.0),
+            Polygon([(x0 + 100.25, y0 + 90.5), (x0 + 3900.0, y0 + 120.0),
+                     (x0 + 2000.0, y0 + 2400.75)]),
+            _blob(40, 700.0, x0 + 2000.0, y0 + 1250.0),
+        ]
+        grid = RasterGrid(
+            pad_dataspace(Box.union_all([g.bbox for g in geometries])), order=9
+        )
+        for budget in (1, 1 << 30):
+            monkeypatch.setattr(april, "_BATCH_CELLS", budget)
+            _assert_oracle_lists(build_april_many(geometries, grid), geometries, grid)
+
+    def test_edge_one_ulp_off_a_grid_line(self):
+        # The left edge leans from one ulp left of u = 3 onto it; some of
+        # its centre-line crossings round to exactly 3.0. Column 3 must
+        # come out as the oracle has it: full where no rounding pushed
+        # the boundary into it, partial where one did.
+        grid = RasterGrid(Box(0, 0, 16, 16), order=4)
+        x = math.nextafter(3.0, 0.0)
+        geometries = [Polygon([(x, 0.25), (10.5, 0.25), (10.5, 5.75), (3.0, 5.75)])]
+        approximations = build_april_many(geometries, grid)
+        assert approximations[0].p.covers_cell(grid.hilbert_id(3, 1))
+        _assert_oracle_lists(approximations, geometries, grid)
+
+    def test_window_larger_than_the_budget(self):
+        small = [Polygon.box(10 + 7 * k, 10, 14 + 7 * k, 13) for k in range(6)]
+        big = _blob(48, radius=300.0)
+        geometries = small[:3] + [big] + small[3:]
+        cells = CellWindows.of(geometries, self.GRID, 64_000_000)
+        sizes = (cells.width * cells.height).tolist()
+        assert sizes[3] > april._BATCH_CELLS > sum(sizes) - sizes[3]
+        assert april._batches(np.asarray(sizes)) == [slice(0, 3), slice(3, 4), slice(4, 7)]
+        _assert_oracle_lists(build_april_many(geometries, self.GRID), geometries, self.GRID)
 
 
 # ----------------------------------------------------------------------

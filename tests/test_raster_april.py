@@ -9,12 +9,18 @@ from hypothesis import strategies as st
 
 from repro.geometry import Box, Location, Polygon
 from repro.geometry.predicates import locate_point_in_polygon
+from repro.obs.metrics import get_registry, reset_metrics, set_metrics
+from repro.parallel import build_april_parallel
 from repro.raster import (
     RasterGrid,
     RasterizationError,
+    april,
     build_april,
+    build_april_many,
     rasterize_polygon,
 )
+from repro.resilience import failpoints
+from repro.store import SpatialDataset
 
 GRID = RasterGrid(Box(0, 0, 16, 16), order=4)  # 16x16 unit cells
 
@@ -104,6 +110,20 @@ class TestRasterize:
         with pytest.raises(RasterizationError):
             rasterize_polygon(Polygon.box(0, 0, 16, 16), grid, max_cells=100)
 
+    def test_oversized_window_names_its_geometry_and_writes_no_payload(self, tmp_path):
+        geometries = [Polygon.box(k, k, k + 0.5, k + 0.5) for k in range(3)]
+        geometries.insert(2, Polygon.box(0, 0, 1000, 1000))
+        with pytest.raises(RasterizationError, match="polygon 2 "):
+            build_april_many(geometries, RasterGrid(Box(0, 0, 1000, 1000), order=10),
+                             max_cells=100_000)
+        # At order 16 the big box spans 65536^2 cells, over the default
+        # cap; the store must surface that before writing anything.
+        dataset = SpatialDataset.from_polygons(geometries).save(tmp_path / "idx")
+        grid = dataset.grid(16)
+        with pytest.raises(RasterizationError, match="polygon 2 "):
+            dataset.approximations(grid)
+        assert not dataset.approximation_path(grid).exists()
+
     def test_hole_cells_not_full(self):
         donut = Polygon(
             [(1, 1), (9, 1), (9, 9), (1, 9)], [[(3, 3), (7, 3), (7, 7), (3, 7)]]
@@ -169,6 +189,37 @@ class TestAprilInvariants:
                     continue
                 center = GRID.cell_center(col, row)
                 assert locate_point_in_polygon(center, poly) is Location.EXTERIOR
+
+    @pytest.mark.parametrize(
+        "build", ["serial", "one-by-one", "tiny-batches", "workers=2", "workers=2 rebuilt"]
+    )
+    def test_built_counter_counts_each_object_once(self, build, monkeypatch):
+        polygons = self.POLYGONS * 2
+        if build == "tiny-batches":
+            monkeypatch.setattr(april, "_BATCH_CELLS", 1)
+        set_metrics(True)
+        reset_metrics()
+        try:
+            if build == "one-by-one":
+                built = [build_april(p, GRID) for p in polygons]
+            elif build == "workers=2":
+                built = build_april_parallel(polygons, GRID, workers=2)
+            elif build == "workers=2 rebuilt":
+                # Every chunk dies in its worker and is rebuilt in-parent.
+                with failpoints.inject({"worker.crash": "always"}):
+                    built = build_april_parallel(
+                        polygons, GRID, workers=2, partition_timeout=30.0, max_retries=0
+                    )
+            else:
+                built = build_april_many(polygons, GRID)
+            counted = get_registry().counter_values().get("repro_april_built_total", 0)
+        finally:
+            set_metrics(False)
+            reset_metrics()
+        assert counted == len(polygons)
+        assert [(a.p, a.c) for a in built] == [
+            (a.p, a.c) for a in build_april_many(polygons, GRID)
+        ]
 
     def test_thin_polygon_empty_p(self):
         ap = build_april(Polygon([(0.1, 0.1), (9.9, 0.2), (9.9, 0.3)]), GRID)

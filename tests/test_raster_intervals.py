@@ -1,5 +1,6 @@
 """Unit and property tests for IntervalList and its merge-join relations."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -45,6 +46,14 @@ class TestConstruction:
 
     def test_from_cells_empty(self):
         assert IntervalList.from_cells([]) is EMPTY_INTERVALS
+
+    @given(st.lists(st.integers(0, 80), max_size=40))
+    def test_from_cells_unsorted_with_repeats_equals_one_interval_per_cell(self, cells):
+        got = IntervalList.from_cells(np.asarray(cells, dtype=np.int64))
+        ref = IntervalList([(c, c + 1) for c in cells])
+        assert np.array_equal(got.starts, ref.starts)
+        assert np.array_equal(got.ends, ref.ends)
+        assert got.starts.dtype == got.ends.dtype == np.int64
 
     @given(cell_sets())
     def test_from_cells_roundtrip(self, cells):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import Location, MultiPolygon, Polygon
-from repro.topology.pip import points_strictly_inside
+from repro.topology.pip import _edge_arrays, edge_arrays, points_strictly_inside
 
 
 def regular(n, cx, cy, radius):
@@ -71,3 +71,32 @@ class TestBulkMatchesScalar:
 
     def test_empty_points(self):
         assert points_strictly_inside([], DONUT).size == 0
+
+
+class TestEdgeArrays:
+    GEOMETRIES = [
+        DONUT,
+        regular(7, 1.5, -2.25, 3.0),
+        MultiPolygon([DONUT.translated(30, 0), regular(5, 0, 0, 1.0)]),
+    ]
+
+    @staticmethod
+    def from_generator(geometry):
+        edges = list(geometry.edges())
+        return (
+            [a[0] for a, _ in edges], [a[1] for a, _ in edges],
+            [b[0] for _, b in edges], [b[1] for _, b in edges],
+        )
+
+    def test_equal_to_the_edges_generator(self):
+        for geometry in self.GEOMETRIES:
+            arrays = _edge_arrays(geometry)
+            assert [a.tolist() for a in arrays] == list(self.from_generator(geometry))
+
+    def test_batch_concatenates_geometries_with_offsets(self):
+        ax, ay, bx, by, offsets = edge_arrays(self.GEOMETRIES)
+        assert offsets.tolist()[0] == 0 and offsets[-1] == ax.size
+        for k, geometry in enumerate(self.GEOMETRIES):
+            part = slice(offsets[k], offsets[k + 1])
+            got = [ax[part].tolist(), ay[part].tolist(), bx[part].tolist(), by[part].tolist()]
+            assert got == list(self.from_generator(geometry))
