@@ -302,52 +302,31 @@ def cmd_join(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     from repro import obs
-    from repro.serve import AdmissionController, BreakerBoard, JoinService, WorkerPool
+    from repro.serve import AdmissionController, JoinService
     from repro.serve import serve as run_service
 
     # The daemon is an observability surface: /metrics and the
     # per-request dashboards need the registry and span collector live.
+    # Set before the service forks its workers, which inherit the flags.
     obs.set_metrics(True)
     obs.set_tracing(True)
-    engine = Engine()
-    # With a pool, inflight defaults to the worker count so admitted
-    # requests map one-to-one onto workers; single-flight keeps 1.
-    max_inflight = args.max_inflight
-    if max_inflight is None:
-        max_inflight = args.pool_workers if args.pool_workers > 0 else 1
+    # One pool worker per admitted request: the service sizes its pool
+    # from the admission controller.
     admission = AdmissionController(
-        max_inflight=max_inflight,
+        max_inflight=args.max_inflight,
         max_queue=args.max_queue,
         default_deadline=args.deadline,
     )
-    pool = breakers = None
-    if args.pool_workers > 0:
-        pool = WorkerPool(args.pool_workers, engine=engine).start()
-        if args.breaker_threshold > 0:
-            breakers = BreakerBoard(
-                threshold=args.breaker_threshold,
-                cooldown=args.breaker_cooldown,
-            )
     service = JoinService(
-        engine,
         admission=admission,
         root=args.root,
         run_history=args.run_history,
-        pool=pool,
-        breakers=breakers,
-        degrade=args.degrade,
     )
 
     def _ready(host: str, port: int) -> None:
-        pool_note = (
-            f", pool_workers={args.pool_workers}, degrade={args.degrade}"
-            if pool is not None
-            else ""
-        )
         print(f"# repro serve listening on http://{host}:{port} "
-              f"(api v1; max_inflight={max_inflight}, "
-              f"max_queue={args.max_queue}, deadline={args.deadline:g}s"
-              f"{pool_note})",
+              f"(api v1; max_inflight={args.max_inflight}, "
+              f"max_queue={args.max_queue}, deadline={args.deadline:g}s)",
               file=sys.stderr)
 
     return run_service(
@@ -587,32 +566,10 @@ def main(argv: list[str] | None = None) -> int:
              "the process can read — bind only to localhost then)",
     )
     p.add_argument(
-        "--max-inflight", type=int, default=None, metavar="N",
-        help="joins executing concurrently (default: --pool-workers when "
-             "a pool is enabled, else 1 — the in-process engine is "
-             "single-worker)",
-    )
-    p.add_argument(
-        "--pool-workers", type=int, default=0, metavar="N",
-        help="fork N supervised engine worker processes after warm-up "
-             "(crash/hang isolation + true join concurrency; default 0 "
-             "keeps the single-flight in-process engine)",
-    )
-    p.add_argument(
-        "--breaker-threshold", type=int, default=3, metavar="N",
-        help="consecutive worker failures per dataset before its circuit "
-             "breaker opens (pool mode only; default 3, 0 disables)",
-    )
-    p.add_argument(
-        "--breaker-cooldown", type=float, default=5.0, metavar="SECONDS",
-        help="seconds an open breaker waits before admitting its "
-             "half-open probe (default 5)",
-    )
-    p.add_argument(
-        "--degrade", choices=("serial", "shed"), default="serial",
-        help="policy when no live pool worker exists: run the join "
-             "in-process behind the engine lock (serial, default) or "
-             "answer 503 until a respawn lands (shed)",
+        "--max-inflight", type=_worker_count, default=1, metavar="N",
+        help="requests executing at once, each in one of N supervised "
+             "engine worker processes (default 1; raise it only where "
+             "N cores are free for joins)",
     )
     p.add_argument(
         "--max-queue", type=int, default=8, metavar="N",
@@ -622,7 +579,8 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument(
         "--deadline", type=float, default=300.0, metavar="SECONDS",
         help="per-request deadline: queue wait counts against it and the "
-             "remainder bounds parallel partitions (default 300)",
+             "remainder bounds the request's worker and its parallel "
+             "partitions (default 300)",
     )
     p.add_argument(
         "--run-history", type=int, default=64, metavar="N",

@@ -335,8 +335,7 @@ def maybe_fail_serve(key, hit: int) -> None:
     across respawns, which reset a worker's in-process hit counters.
 
     Same parent guard as :func:`maybe_fail_worker`: the arming process
-    (the daemon, which also runs the ``--degrade serial`` in-parent
-    fallback) is immune by construction; only forked engine workers
+    (the daemon) is immune by construction; only forked engine workers
     crash or hang.
     """
     _ensure_env_loaded()

@@ -1,9 +1,10 @@
-"""``repro.serve`` — the long-lived join service over the warm Engine.
+"""``repro.serve`` — the long-lived join service over warm engine workers.
 
 A zero-dependency daemon (stdlib :class:`~http.server.ThreadingHTTPServer`)
-that keeps one memoised :class:`~repro.store.engine.Engine` warm and
-speaks the frozen v1 wire API (:mod:`repro.serve.schema`). Start it with
-``python -m repro serve`` or embed it:
+that runs every join and index build in a supervised pool of forked
+workers, each keeping one memoised :class:`~repro.store.engine.Engine`
+warm, and speaks the frozen v1 wire API (:mod:`repro.serve.schema`).
+Start it with ``python -m repro serve`` or embed it:
 
     from repro.serve import AdmissionController, JoinService, start_server
 
@@ -15,8 +16,7 @@ Package layout: :mod:`~repro.serve.schema` (the frozen wire contract),
 per-dataset circuit breakers), :mod:`~repro.serve.pool` (supervised
 forked engine workers: crash/hang isolation, respawn with backoff),
 :mod:`~repro.serve.service` (endpoints, HTTP transport, graceful
-drain), :mod:`~repro.serve.loadgen` (closed-loop load measurement with
-``Retry-After``-aware retries).
+drain).
 """
 
 from repro.serve.admission import (
@@ -27,7 +27,6 @@ from repro.serve.admission import (
     ShedError,
     Ticket,
 )
-from repro.serve.loadgen import LoadReport, get_json, post_json, run_load
 from repro.serve.pool import WorkerFailure, WorkerPool
 from repro.serve.schema import (
     API_VERSION,
@@ -43,7 +42,6 @@ from repro.serve.schema import (
 from repro.serve.service import (
     DEFAULT_HOST,
     DEFAULT_PORT,
-    DEGRADE_MODES,
     JoinService,
     ServiceError,
     serve,
@@ -60,11 +58,9 @@ __all__ = [
     "CircuitBreaker",
     "DEFAULT_HOST",
     "DEFAULT_PORT",
-    "DEGRADE_MODES",
     "ERROR_REASONS",
     "JoinRequest",
     "JoinService",
-    "LoadReport",
     "ServiceError",
     "ShedError",
     "Ticket",
@@ -73,10 +69,7 @@ __all__ = [
     "WorkerPool",
     "dumps_wire",
     "error_document",
-    "get_json",
     "loads_wire",
-    "post_json",
-    "run_load",
     "serve",
     "start_server",
     "stop_server",

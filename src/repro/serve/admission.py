@@ -5,8 +5,8 @@ Mamoulis): long-lived workers own warm state, a thin coordinator admits
 requests. Warm joins are CPU-bound, so letting an unbounded backlog
 build only converts overload into unbounded latency; instead the
 controller holds a hard cap on concurrently *executing* requests
-(``max_inflight`` — matched to how many engine workers exist, one by
-default) and a hard cap on *waiting* requests (``max_queue``).
+(``max_inflight`` — the daemon runs one engine worker per slot) and a
+hard cap on *waiting* requests (``max_queue``).
 Everything beyond either bound is shed immediately with ``429`` — the
 client's signal to back off — rather than queued into timeout.
 
@@ -182,7 +182,9 @@ class AdmissionController:
 #: transition: the latest sample is the current state).
 BREAKER_STATES = {"closed": 0, "half_open": 1, "open": 2}
 
-#: Defaults for ``--breaker-threshold`` / ``--breaker-cooldown``.
+#: Consecutive worker failures that open a dataset's circuit, and the
+#: seconds it then stays open before a half-open probe — the daemon's
+#: breakers always use these.
 DEFAULT_BREAKER_THRESHOLD = 3
 DEFAULT_BREAKER_COOLDOWN = 5.0
 

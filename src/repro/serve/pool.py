@@ -1,37 +1,42 @@
-"""Supervised engine-worker pool for the join service.
+"""Supervised engine-worker pool: where the join service runs its work.
 
 ``supervised_map`` gives batch runs crash isolation on
 :class:`~repro.resilience.worker.SupervisedWorker` processes: fork,
 watch deadlines, detect death, respawn, fall back serially. This module
 puts the same primitive under the serving layer. A :class:`WorkerPool`
-owns N long-lived slots, each one ``SupervisedWorker`` forked after
-store warm-up so it inherits the parent engine's warm caches
-copy-on-write and speaks a private duplex pipe; the pool adds what is
-policy — the idle list, per-slot respawn backoff, quorum, the failure
-vocabulary. The HTTP handler threads stay a thin coordinator: validate,
-admit, dispatch to an idle worker, relay the reply.
+owns N long-lived slots, each one ``SupervisedWorker`` speaking a
+private duplex pipe; the pool adds what is policy — the idle list,
+per-slot respawn backoff, quorum, the failure vocabulary. Every join
+and every index build the daemon answers runs in one of these workers,
+which builds its own :class:`~repro.store.engine.Engine` on its first
+join and keeps it warm across requests. The HTTP handler threads stay
+a thin coordinator: validate, admit, dispatch to an idle worker, relay
+the reply.
 
-What isolation buys over the PR 9 single-flight lock:
+What the pool buys:
 
-- **Crashes don't take the daemon.** A worker SIGKILLed mid-join (OOM
-  killer, C-extension fault, armed ``serve.worker_crash`` failpoint)
-  closes its pipe; the dispatching thread sees EOF, answers *that one
-  request* with a 503, and the supervisor respawns the slot with
-  exponential backoff. Every other in-flight request is untouched.
+- **Crashes don't take the daemon.** A worker SIGKILLed mid-request
+  (OOM killer, C-extension fault, armed ``serve.worker_crash``
+  failpoint) closes its pipe; the dispatching thread sees EOF, answers
+  *that one request* with a 503, and the supervisor respawns the slot
+  with exponential backoff. Every other in-flight request is untouched.
 - **Hangs don't either.** The dispatcher waits at most the request's
   admission deadline on the pipe; past it the worker is SIGKILLed and
   the slot respawned (``serve.worker_hang`` exercises this).
 - **True concurrency.** Each worker is a separate process with its own
   engine, so ``--max-inflight N`` over N workers genuinely parallelises
-  warm joins on multi-core boxes — ROADMAP's "join service, layer 2".
+  warm joins on multi-core boxes.
+- **No fork from a busy process.** A request that asks for ``workers >
+  1`` forks its fan-out from a single-threaded worker, never from the
+  threaded daemon.
 
 Results stay byte-identical to a direct :meth:`Engine.join`: the worker
-returns the frozen ``run.to_wire()`` document and the parent
-serializes it with the same deterministic :func:`dumps_wire` as the
-single-flight path. Workers also export their per-request obs state
-(spans, metrics, profile, resources — the PR 8 worker-capture pattern),
-which the service folds into the daemon registry so ``/metrics`` and
-the per-request dashboards keep working under the pool.
+returns the frozen ``run.to_wire()`` document and the daemon
+serializes it with the deterministic :func:`dumps_wire`. Workers also
+export their per-request obs state (spans, metrics, profile, resources
+— the PR 8 worker-capture pattern), which the service folds into the
+daemon registry so ``/metrics`` and the per-request dashboards see the
+work the workers did.
 
 Failure vocabulary (``WorkerFailure.reason``): ``worker_crash``,
 ``worker_hang``, ``pool_exhausted`` (no live worker to dispatch to),
@@ -79,61 +84,82 @@ class WorkerFailure(RuntimeError):
 # ----------------------------------------------------------------------
 # worker side
 # ----------------------------------------------------------------------
-def execute_join(engine, request: dict) -> tuple:
-    """Run one join request on ``engine``; returns ``(status, error,
-    run)``. Pool workers and the service's in-process path both run
-    this, so pool and lock answers are interchangeable."""
+def execute_join(engine, request: dict) -> dict:
+    """Run one join request on ``engine``; returns its wire document."""
     from repro.serve.schema import parse_predicate
 
     predicate = (
         parse_predicate(request["predicate"]) if request.get("predicate") else None
     )
-    try:
-        run = engine.join(
-            request["r"],
-            request["s"],
-            method=request["method"],
-            grid_order=request["grid_order"],
-            mode=request["mode"],
-            predicate=predicate,
-            workers=request["workers"],
-            include_disjoint=request["include_disjoint"],
-            partition_timeout=request["partition_timeout"],
-        )
-    except FileNotFoundError as exc:
-        return 404, str(exc), None
-    except (ValueError, OSError) as exc:
-        return 400, str(exc), None
-    return 200, None, run
+    return engine.join(
+        request["r"],
+        request["s"],
+        method=request["method"],
+        grid_order=request["grid_order"],
+        mode=request["mode"],
+        predicate=predicate,
+        workers=request["workers"],
+        include_disjoint=request["include_disjoint"],
+        partition_timeout=request["partition_timeout"],
+    ).to_wire()
 
 
-def _request_handler(engine):
-    """The handler a slot's worker runs per request: join, reply.
+def execute_build_index(request: dict) -> dict:
+    """Build one persistent dataset index; returns what the response
+    reports about it."""
+    from repro.raster.storage import PAYLOAD_CODEC
+    from repro.store.dataset import build_dataset
 
-    ``engine`` is the parent's warm engine, inherited copy-on-write;
-    with ``None`` the worker builds its own on first use.
+    dataset = build_dataset(
+        request["data"],
+        request["index"],
+        grid_order=request["grid_order"],
+        workers=request["workers"],
+    )
+    # What was written, not what was asked for: wire v1 validates the
+    # request's field, but the store has one payload layout.
+    return {"geometries": len(dataset), "payload_codec": PAYLOAD_CODEC}
+
+
+def _request_handler():
+    """The handler a slot's worker runs per request: execute, reply.
+
+    The worker builds its own engine on its first join and keeps it
+    warm for every later one. A missing input answers 404, any other
+    bad input 400.
     """
+    engine = None
 
     def handle(request: dict) -> tuple:
         nonlocal engine
-        if engine is None:
-            from repro.store.engine import Engine
-
-            engine = Engine()
-        key = (request["r"], request["s"])
+        build = request["op"] == "build-index"
+        if build:
+            key = (request["data"], request["index"])
+        else:
+            key = (request["r"], request["s"])
         seq = request["seq"]
         # Failpoints first: an armed crash/hang takes the worker down
         # mid-request, exactly like a real fault would.
         failpoints.maybe_fail_serve(key, seq)
         begin_worker_capture()
-        status, error, run = execute_join(engine, request)
+        try:
+            if build:
+                reply = ("ok", execute_build_index(request))
+            else:
+                if engine is None:
+                    from repro.store.engine import Engine
+
+                    engine = Engine()
+                reply = ("ok", execute_join(engine, request))
+        except FileNotFoundError as exc:
+            reply = ("error", 404, str(exc))
+        except (ValueError, OSError) as exc:
+            reply = ("error", 400, str(exc))
         obs = export_worker_capture()
         delay = failpoints.serve_response_delay(key, seq)
         if delay > 0:
             time.sleep(delay)
-        if status == 200:
-            return "ok", run.to_wire(), obs
-        return "error", status, error, obs
+        return (*reply, obs)
 
     return handle
 
@@ -153,19 +179,17 @@ class _Slot(SupervisedWorker):
 class WorkerPool:
     """N supervised engine workers behind the admission gate.
 
-    ``engine`` (optional) is the parent's warm engine — fork it into
-    every worker copy-on-write; with ``None`` each worker builds its
-    own ``Engine()``. The pool must be :meth:`start`-ed before use and
-    :meth:`close`-d by its owner; a worker that fails is respawned by
-    the supervisor thread with per-slot exponential backoff (reset on
-    the next completed request).
+    Each worker builds its own ``Engine()`` on its first join. The pool
+    must be :meth:`start`-ed before use and :meth:`close`-d by its
+    owner; a worker that fails is respawned by the supervisor thread
+    with per-slot exponential backoff (reset on the next completed
+    request).
     """
 
     def __init__(
         self,
         size: int,
         *,
-        engine=None,
         spawn_backoff: float = DEFAULT_SPAWN_BACKOFF,
         max_spawn_backoff: float = DEFAULT_MAX_SPAWN_BACKOFF,
         acquire_timeout: float = DEFAULT_ACQUIRE_TIMEOUT,
@@ -176,13 +200,8 @@ class WorkerPool:
         self.spawn_backoff = float(spawn_backoff)
         self.max_spawn_backoff = float(max_spawn_backoff)
         self.acquire_timeout = float(acquire_timeout)
-        self._engine = engine
-        #: Held around every fork. Whoever uses the engine in this
-        #: process (the service's in-parent joins) holds it meanwhile, so
-        #: no worker is forked while another thread is inside the engine:
-        #: a child born then inherits whatever lock that thread held —
-        #: a module's import lock, a ``cached_property``'s — locked
-        #: forever, and hangs on its first request.
+        #: Held around every fork of a pool worker, so forks never
+        #: overlap one another.
         self.fork_lock = threading.Lock()
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
@@ -225,7 +244,7 @@ class WorkerPool:
         with self._lock:
             siblings = [w for w in self._workers.values() if w is not None]
         with self.fork_lock:
-            worker = _Slot(slot, _request_handler(self._engine), siblings)
+            worker = _Slot(slot, _request_handler(), siblings)
         log.info("serve worker %d up (pid %d)", slot, worker.proc.pid)
         return worker
 
@@ -308,7 +327,7 @@ class WorkerPool:
                     self._retire_locked(worker, "worker_exit")
                 if all(w is None for w in self._workers.values()):
                     # Every slot is dead and awaiting its backoff; do
-                    # not sit out the timeout — degrade immediately.
+                    # not sit out the timeout — refuse immediately.
                     raise WorkerFailure(
                         "pool_exhausted",
                         "no live worker",

@@ -1,16 +1,16 @@
-"""The long-lived join service: warm Engine behind a v1 HTTP API.
+"""The long-lived join service: warm engine workers behind a v1 HTTP API.
 
-``repro serve`` turns the warm-cache :class:`~repro.store.engine.Engine`
-into a daemon: a stdlib :class:`~http.server.ThreadingHTTPServer` whose
-handler threads are a thin coordinator — parse, validate, admit —
-around the engine worker(s). By default execution serialises through a
-lock on one in-process engine (the engine is not thread-safe); with
-``--pool-workers N`` requests dispatch to a supervised
-:class:`~repro.serve.pool.WorkerPool` of forked engine processes
-instead — crash/hang isolation, respawn with backoff, per-dataset
-circuit breakers (:class:`~repro.serve.admission.BreakerBoard`) and an
-operator-selectable degradation policy when no worker is live.
-Endpoints:
+``repro serve`` keeps warm-cache :class:`~repro.store.engine.Engine`
+workers behind a daemon: a stdlib
+:class:`~http.server.ThreadingHTTPServer` whose handler threads are a
+thin coordinator — parse, validate, admit, dispatch, serialize — around
+a supervised
+:class:`~repro.serve.pool.WorkerPool` of forked engine processes. The
+daemon never runs a join or builds an index itself: every such request
+goes to a worker, with crash/hang isolation, respawn with backoff and
+per-dataset circuit breakers
+(:class:`~repro.serve.admission.BreakerBoard`). With no live worker a
+request is refused with a 503 until a respawn lands. Endpoints:
 
 - ``POST /v1/join`` — run a find-relation join; responds with the
   frozen :meth:`JoinRun.to_wire` envelope plus a ``request_id`` and
@@ -32,7 +32,7 @@ counters and ``repro_serve_latency_seconds{endpoint}`` histograms (whose
 p50/p90/p99 ride the registry's quantile export), on top of the
 admission controller's shed/queue metrics. Graceful drain on
 SIGTERM/SIGINT: stop accepting, let in-flight requests finish (bounded),
-close the engine, exit 0.
+stop the workers, exit 0.
 
 Datasets are resolved *on the server*, confined to an optional
 ``root`` directory — a request naming a path outside it is refused.
@@ -49,21 +49,14 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any
 
-from repro.obs import (
-    export_spans,
-    get_registry,
-    merge_worker_capture,
-    metrics_enabled,
-    reset_tracing,
-    tracing_enabled,
-)
+from repro.obs import get_registry, merge_worker_capture, metrics_enabled
 from repro.serve.admission import (
     AdmissionController,
     BreakerBoard,
     BreakerOpen,
     ShedError,
 )
-from repro.serve.pool import WorkerFailure, WorkerPool, execute_join
+from repro.serve.pool import WorkerFailure, WorkerPool
 from repro.serve.schema import (
     API_VERSION,
     BuildIndexRequest,
@@ -84,12 +77,6 @@ MAX_BODY_BYTES = 1 << 20
 
 #: Seconds the graceful drain waits for in-flight work before giving up.
 DRAIN_TIMEOUT = 30.0
-
-
-#: The pool degradation policies when no live worker exists:
-#: ``serial`` runs the join in-process (bounded by the engine lock,
-#: immune to worker failpoints by construction), ``shed`` answers 503.
-DEGRADE_MODES = ("serial", "shed")
 
 
 class ServiceError(Exception):
@@ -120,38 +107,28 @@ class JoinService:
     Handlers return ``(status, document)`` pairs; the HTTP layer only
     serializes. Tests may drive a service instance directly, or over a
     real socket via :func:`start_server`.
+
+    Without a ``pool`` the service starts its own, one worker per
+    admitted request (``admission.max_inflight``); without ``breakers``
+    it uses a :class:`BreakerBoard` with the default threshold and
+    cooldown. Either way :meth:`close` stops the pool.
     """
 
     def __init__(
         self,
-        engine=None,
         *,
         admission: AdmissionController | None = None,
         root: str | Path | None = None,
         run_history: int = 64,
         pool: WorkerPool | None = None,
         breakers: BreakerBoard | None = None,
-        degrade: str = "serial",
     ) -> None:
-        if engine is None:
-            from repro.store.engine import Engine
-
-            engine = Engine()
-        if degrade not in DEGRADE_MODES:
-            raise ValueError(
-                f"degrade must be one of {DEGRADE_MODES}, got {degrade!r}"
-            )
-        self.engine = engine
         self.admission = admission or AdmissionController()
-        self.pool = pool
-        self.breakers = breakers
-        self.degrade = degrade
+        self.pool = pool or WorkerPool(self.admission.max_inflight).start()
+        self.breakers = breakers or BreakerBoard()
         self.root = Path(root).resolve() if root is not None else None
         self.run_history = run_history
         self.started = time.time()
-        # The engine is not thread-safe, and the pool must not fork a
-        # worker mid-join (see ``WorkerPool.fork_lock``): one lock.
-        self._engine_lock = pool.fork_lock if pool is not None else threading.Lock()
         self._obs_lock = threading.Lock()
         self._runs: OrderedDict[str, dict] = OrderedDict()
         self._runs_lock = threading.Lock()
@@ -195,50 +172,25 @@ class JoinService:
     # ------------------------------------------------------------------
     # endpoints
     # ------------------------------------------------------------------
-    def _direct_join(self, wire_request: dict) -> tuple[dict, list, float]:
-        """One join on the in-process engine (the single-flight path and
-        the pool's serial degradation), run and error-mapped by the same
-        :func:`~repro.serve.pool.execute_join` a pool worker runs;
-        returns ``(wire_doc, spans, seconds)``."""
-        with self._engine_lock:
-            if tracing_enabled():
-                reset_tracing()
-            t0 = time.perf_counter()
-            status, error, run = execute_join(self.engine, wire_request)
-            if status != 200:
-                raise ServiceError(status, error)
-            seconds = time.perf_counter() - t0
-            spans = export_spans() if tracing_enabled() else []
-        return run.to_wire(), spans, seconds
+    def _dispatch(
+        self, request: dict, timeout: float, breaker_keys: tuple = ()
+    ) -> tuple[dict, list, float]:
+        """Run one request on a pool worker; returns ``(document,
+        spans, seconds)``.
 
-    def _merge_worker_obs(self, payload: dict | None) -> list:
-        """Fold one pool worker's per-request obs export into the
-        daemon's collectors; returns the worker's spans for the run
-        record. Keeps ``/metrics`` (warm-path proofs included) and the
-        per-request dashboards truthful under the pool."""
-        with self._obs_lock:
-            return merge_worker_capture(payload)
-
-    def _pool_join(
-        self, wire_request: dict, timeout: float, breaker_keys: tuple
-    ) -> tuple[dict, list, float, str | None]:
-        """Dispatch one join to the worker pool, degrading per policy;
-        returns ``(wire_doc, spans, seconds, degraded)``."""
+        A crash or hang costs this request a 503 and counts against the
+        circuits of ``breaker_keys``; a pool with no live worker answers
+        503 ``pool_exhausted`` with the earliest respawn as
+        ``retry_after``. The worker's per-request obs export is folded
+        into the daemon's collectors, so ``/metrics`` (warm-path proofs
+        included) and the per-request dashboards see its work.
+        """
         t0 = time.perf_counter()
         try:
-            reply = self.pool.submit(wire_request, deadline=max(0.05, timeout))
+            reply = self.pool.submit(request, deadline=max(0.05, timeout))
         except WorkerFailure as exc:
-            if exc.reason == "pool_exhausted" and self.degrade == "serial":
-                if metrics_enabled():
-                    get_registry().inc(
-                        "repro_serve_degraded_total", action="serial"
-                    )
-                return (*self._direct_join(wire_request), "serial")
             if exc.reason in ("worker_crash", "worker_hang"):
-                if self.breakers is not None:
-                    self.breakers.failure(breaker_keys)
-            elif metrics_enabled():
-                get_registry().inc("repro_serve_degraded_total", action="shed")
+                self.breakers.failure(breaker_keys)
             raise ServiceError(
                 503,
                 str(exc),
@@ -246,17 +198,15 @@ class JoinService:
                 retry_after=exc.retry_after,
             ) from exc
         seconds = time.perf_counter() - t0
-        if self.breakers is not None:
-            # Any reply — success or client error — means the worker is
-            # healthy; only crashes and hangs count against the circuit.
-            self.breakers.success(breaker_keys)
+        # Any reply — success or client error — means the worker is
+        # healthy; only crashes and hangs count against the circuit.
+        self.breakers.success(breaker_keys)
+        with self._obs_lock:
+            spans = merge_worker_capture(reply[-1])
         if reply[0] == "error":
-            _tag, status, message, obs = reply
-            self._merge_worker_obs(obs)
+            _tag, status, message, _obs = reply
             raise ServiceError(status, message)
-        _tag, doc, obs = reply
-        spans = self._merge_worker_obs(obs)
-        return doc, spans, seconds, None
+        return reply[1], spans, seconds
 
     def handle_join(
         self, payload: Any, *, require_predicate: bool = False
@@ -267,19 +217,19 @@ class JoinService:
         s_path = self._resolve(request.s)
         request_id = self._request_id()
         breaker_keys = (request.r, request.s)
-        if self.breakers is not None:
-            try:
-                self.breakers.admit(breaker_keys)
-            except BreakerOpen as exc:
-                raise ServiceError(
-                    503,
-                    str(exc),
-                    reason="breaker_open",
-                    retry_after=exc.retry_after,
-                ) from exc
+        try:
+            self.breakers.admit(breaker_keys)
+        except BreakerOpen as exc:
+            raise ServiceError(
+                503,
+                str(exc),
+                reason="breaker_open",
+                retry_after=exc.retry_after,
+            ) from exc
         with self.admission.admit(endpoint) as ticket:
             timeout = ticket.remaining_seconds
             wire_request = {
+                "op": "join",
                 "r": str(r_path),
                 "s": str(s_path),
                 "method": request.method,
@@ -290,19 +240,14 @@ class JoinService:
                 "include_disjoint": request.include_disjoint,
                 "partition_timeout": timeout or None,
             }
-            degraded = None
-            if self.pool is not None:
-                response, spans, service_seconds, degraded = self._pool_join(
-                    wire_request, timeout, breaker_keys
-                )
-            else:
-                response, spans, service_seconds = self._direct_join(wire_request)
+            response, spans, service_seconds = self._dispatch(
+                wire_request, timeout, breaker_keys
+            )
         response["request_id"] = request_id
         response["service"] = {
             "seconds": service_seconds,
             "queued_seconds": ticket.queued_seconds,
             "endpoint": endpoint,
-            **({"degraded": degraded} if degraded else {}),
         }
         self._record_run(
             request_id,
@@ -328,35 +273,27 @@ class JoinService:
         return 200, response
 
     def handle_build_index(self, payload: Any) -> tuple[int, dict]:
-        from repro.raster.storage import PAYLOAD_CODEC
-        from repro.store.dataset import build_dataset
-
         request = BuildIndexRequest.from_dict(payload)
         data = self._resolve(request.data)
         index = self._resolve(request.index)
         request_id = self._request_id()
-        with self.admission.admit("build-index"):
-            t0 = time.perf_counter()
-            try:
-                dataset = build_dataset(
-                    data,
-                    index,
-                    grid_order=request.grid_order if request.approximate else None,
-                    workers=request.workers,
-                )
-            except FileNotFoundError as exc:
-                raise ServiceError(404, str(exc)) from exc
-            except (ValueError, OSError) as exc:
-                raise ServiceError(400, str(exc)) from exc
-            seconds = time.perf_counter() - t0
+        with self.admission.admit("build-index") as ticket:
+            built, _spans, seconds = self._dispatch(
+                {
+                    "op": "build-index",
+                    "data": str(data),
+                    "index": str(index),
+                    "grid_order": request.grid_order if request.approximate else None,
+                    "workers": request.workers,
+                },
+                ticket.remaining_seconds,
+            )
         return 200, {
             "api_version": API_VERSION,
             "request_id": request_id,
             "index": str(index),
-            "geometries": len(dataset),
-            # What was written, not what was asked for: wire v1 validates
-            # the request's field, but the store has one payload layout.
-            "payload_codec": PAYLOAD_CODEC,
+            "geometries": built["geometries"],
+            "payload_codec": built["payload_codec"],
             "seconds": seconds,
         }
 
@@ -378,16 +315,12 @@ class JoinService:
         from repro import __version__
 
         degraded_reasons = []
-        pool_snapshot = None
-        if self.pool is not None:
-            pool_snapshot = self.pool.snapshot()
-            if pool_snapshot["live"] < pool_snapshot["quorum"]:
-                degraded_reasons.append("below_quorum")
-        breaker_states: dict[str, str] = {}
-        if self.breakers is not None:
-            breaker_states = self.breakers.states()
-            if any(state != "closed" for state in breaker_states.values()):
-                degraded_reasons.append("breaker_open")
+        pool_snapshot = self.pool.snapshot()
+        if pool_snapshot["live"] < pool_snapshot["quorum"]:
+            degraded_reasons.append("below_quorum")
+        breaker_states = self.breakers.states()
+        if any(state != "closed" for state in breaker_states.values()):
+            degraded_reasons.append("breaker_open")
         ready = not degraded_reasons
         document = {
             "status": "ok" if ready else "degraded",
@@ -398,13 +331,11 @@ class JoinService:
             "uptime_seconds": time.time() - self.started,
             "admission": self.admission.snapshot(),
             "runs_recorded": len(self._runs),
+            "pool": pool_snapshot,
+            "breakers": breaker_states,
         }
         if degraded_reasons:
             document["degraded_reasons"] = degraded_reasons
-        if pool_snapshot is not None:
-            document["pool"] = pool_snapshot
-        if self.breakers is not None:
-            document["breakers"] = breaker_states
         return (200 if ready else 503), document
 
     def run_ids(self) -> tuple[int, dict]:
@@ -423,15 +354,10 @@ class JoinService:
         return render_dashboard([record], title=f"repro serve · run {request_id}")
 
     def close(self) -> None:
-        """Stop the worker pool and release the engine's warm state
-        (idempotent). Pool first: a worker mid-request gets its polite
-        stop only after the admission drain already emptied the
-        pipeline, and no respawn fires once shutdown began."""
-        if self.pool is not None:
-            self.pool.close()
-        close = getattr(self.engine, "close", None)
-        if close is not None:
-            close()
+        """Stop the worker pool (idempotent). A worker mid-request gets
+        its polite stop only after the admission drain already emptied
+        the pipeline, and no respawn fires once shutdown began."""
+        self.pool.close()
 
 
 # ----------------------------------------------------------------------
@@ -624,8 +550,8 @@ def stop_server(
     *,
     drain_timeout: float = DRAIN_TIMEOUT,
 ) -> bool:
-    """Graceful shutdown: stop accepting, drain in-flight work, close
-    the engine. Returns True when the drain completed in time."""
+    """Graceful shutdown: stop accepting, drain in-flight work, stop
+    the workers. Returns True when the drain completed in time."""
     server.shutdown()
     drained = server.service.admission.wait_idle(drain_timeout)
     server.server_close()
@@ -648,9 +574,14 @@ def serve(
 
     The blocking entry point behind ``repro serve``. ``ready`` (if
     given) is called with the bound ``(host, port)`` once the socket
-    listens — tests use it; the CLI prints the URL.
+    listens — tests use it; the CLI prints the URL. The service is
+    closed on the way out, also when the address cannot be bound.
     """
-    server = ServiceServer((host, port), service, quiet=quiet)
+    try:
+        server = ServiceServer((host, port), service, quiet=quiet)
+    except OSError:
+        service.close()
+        raise
     stop_requested = threading.Event()
 
     def _request_stop(signum, frame) -> None:
@@ -679,7 +610,6 @@ def serve(
 __all__ = [
     "DEFAULT_HOST",
     "DEFAULT_PORT",
-    "DEGRADE_MODES",
     "DRAIN_TIMEOUT",
     "MAX_BODY_BYTES",
     "JoinService",

@@ -145,9 +145,9 @@ class Engine:
         particular — is reclaimable now rather than at interpreter
         teardown, and marks the engine closed: further :meth:`join` /
         :meth:`execute` / :meth:`dataset` calls raise
-        :class:`RuntimeError`. Idempotent, so shutdown paths (service
-        drain, context-manager exit, the default engine's atexit hook)
-        can all call it without coordinating.
+        :class:`RuntimeError`. Idempotent, so shutdown paths
+        (context-manager exit, the default engine's atexit hook) can
+        all call it without coordinating.
         """
         if self._closed:
             return
@@ -326,32 +326,6 @@ class Engine:
                     span.attrs["pairs"] = len(pairs)
             self._pairs.put(key, pairs)
         return pairs
-
-    def warm(self, r, s, *, grid_order: int = 11, workers: int | None = 1) -> dict:
-        """Pre-load everything a join between ``r`` and ``s`` touches.
-
-        Resolves both datasets, attaches their APRIL approximations for
-        the shared grid, and runs the MBR filter — filling the same
-        LRUs :meth:`join` would, without executing the join. The
-        serving layer calls this before forking its worker pool so
-        every worker inherits warm caches copy-on-write instead of
-        warming ``N`` times; returns a small summary for logs.
-        """
-        self._check_open()
-        rd = self.dataset(r)
-        sd = self.dataset(s)
-        grid = self.join_grid(rd, sd, grid_order)
-        self.objects(rd, grid, workers=workers)
-        self.objects(sd, grid, workers=workers)
-        pairs = self.pairs(rd, sd)
-        return {
-            "r": rd.name,
-            "s": sd.name,
-            "grid_order": grid_order,
-            "r_count": len(rd),
-            "s_count": len(sd),
-            "pairs": len(pairs),
-        }
 
     def clear(self) -> None:
         """Drop every cached dataset, object set, pair set, payload."""

@@ -1,19 +1,20 @@
 """Chaos suite for the supervised engine-worker pool, over real HTTP.
 
 Every scenario the pool exists for, exercised end to end on a loopback
-socket: workers killed and hung mid-join (via the deterministic
-``serve.*`` failpoints, armed *before* the fork so children inherit
-them), per-dataset circuit breakers opening and half-open-probing
-closed, degradation to the in-parent serial path or shedding when the
-pool is exhausted, liveness/readiness divergence, SIGTERM drain with
-inflight pool requests, and a mixed-fault workload whose every request
-eventually succeeds with results byte-identical to a direct
-``Engine.join`` — while the daemon never restarts.
+socket: workers killed and hung mid-join or mid-build (via the
+deterministic ``serve.*`` failpoints, armed *before* the fork so
+children inherit them), per-dataset circuit breakers opening and
+half-open-probing closed, a 503 when the pool is exhausted,
+liveness/readiness divergence, SIGTERM drain with inflight pool
+requests, and a mixed-fault workload whose every request eventually
+succeeds with results byte-identical to a direct ``Engine.join`` —
+while the daemon never restarts.
 """
 
 import json
 import os
 import signal
+import socket
 import threading
 import time
 
@@ -28,14 +29,12 @@ from repro.serve import (
     JoinService,
     WorkerFailure,
     WorkerPool,
-    get_json,
-    post_json,
-    run_load,
     serve,
     start_server,
     stop_server,
 )
 from repro.store.engine import Engine
+from tests.loadgen import get_json, post_json, run_load
 
 
 @pytest.fixture()
@@ -72,23 +71,18 @@ def wait_for(predicate, timeout=10.0, interval=0.02):
 class _PoolServer:
     """One pooled service on a real socket, torn down deterministically."""
 
-    def __init__(self, data_root, *, workers=2, breakers=None, degrade="serial",
-                 deadline=5.0, spawn_backoff=0.05, max_inflight=None):
-        self.engine = Engine()
-        self.pool = WorkerPool(
-            workers, engine=self.engine, spawn_backoff=spawn_backoff
-        ).start()
+    def __init__(self, data_root, *, workers=2, breakers=None, deadline=5.0,
+                 spawn_backoff=0.05):
+        self.pool = WorkerPool(workers, spawn_backoff=spawn_backoff).start()
         self.service = JoinService(
-            self.engine,
             admission=AdmissionController(
-                max_inflight=max_inflight or workers,
+                max_inflight=workers,
                 max_queue=8,
                 default_deadline=deadline,
             ),
             root=data_root,
             pool=self.pool,
             breakers=breakers,
-            degrade=degrade,
         )
         self.server, self.thread = start_server(self.service)
         host, port = self.server.server_address
@@ -114,8 +108,8 @@ class TestServeFailpoints:
             failpoints.disarm("serve.slow_response")
 
     def test_armed_parent_is_immune(self):
-        # The arming process (the daemon running the serial degrade
-        # fallback) never crashes, hangs, or delays itself.
+        # The arming process (the daemon) never crashes, hangs, or
+        # delays itself.
         with failpoints.inject({"serve.worker_crash": "always",
                                 "serve.slow_response": "always"}):
             failpoints.maybe_fail_serve(("r", "s"), 1)  # would SIGKILL if armed here
@@ -213,13 +207,33 @@ class TestWorkerPoolHTTP:
             finally:
                 ps.stop()
 
-    def test_crash_to_next_good_answer_is_bounded(self, data_root):
-        # One worker and no serial degradation: after the crash only a
-        # respawned worker can answer, so the time to the next 200 is
-        # the pool's recovery time — EOF detection, the slot's first
-        # backoff, a supervisor tick and one fork — not a timeout.
+    def test_build_index_runs_in_a_worker_and_its_crash_is_isolated(self, data_root):
+        # A build forks its rasterisation fan-out from a worker, never
+        # from the threaded daemon, and a crash mid-build costs one 503.
+        build = {"data": "r.wkt", "index": "r_idx", "grid_order": 8, "workers": 2}
         with failpoints.inject({"serve.worker_crash": "nth:1"}):
-            ps = _PoolServer(data_root, workers=1, degrade="shed", spawn_backoff=0.05)
+            ps = _PoolServer(data_root, workers=1)
+            try:
+                status, doc = post_json(f"{ps.url}/v1/build-index", build)
+                assert status == 503 and doc["reason"] == "worker_crash"
+                assert doc["retry_after"] > 0
+                assert get_json(f"{ps.url}/v1/livez")[0] == 200
+                assert wait_for(lambda: ps.pool.snapshot()["live"] == 1)
+                status, doc = post_json(f"{ps.url}/v1/build-index", build)
+                assert status == 200 and doc["geometries"] == 6
+                status, doc = post_json(f"{ps.url}/v1/join", join_payload(r="r_idx"))
+                assert status == 200
+                assert doc["results"] == direct_rows(Engine(), data_root)
+            finally:
+                ps.stop()
+
+    def test_crash_to_next_good_answer_is_bounded(self, data_root):
+        # One worker: after the crash only a respawned worker can
+        # answer, so the time to the next 200 is the pool's recovery
+        # time — EOF detection, the slot's first backoff, a supervisor
+        # tick and one fork — not a timeout.
+        with failpoints.inject({"serve.worker_crash": "nth:1"}):
+            ps = _PoolServer(data_root, workers=1, spawn_backoff=0.05)
             try:
                 status, doc = post_json(f"{ps.url}/v1/join", join_payload())
                 assert status == 503 and doc["reason"] == "worker_crash"
@@ -313,7 +327,6 @@ class TestBreakerHTTP:
                 data_root,
                 workers=1,
                 breakers=BreakerBoard(threshold=2, cooldown=0.4),
-                degrade="shed",
             )
             try:
                 for _ in range(2):
@@ -344,30 +357,17 @@ class TestBreakerHTTP:
 
 
 class TestDegradation:
-    def test_serial_fallback_when_pool_exhausted(self, data_root):
+    def test_shed_when_pool_exhausted(self, data_root):
         with failpoints.inject({"serve.worker_crash": "nth:1"}):
             ps = _PoolServer(data_root, workers=1, spawn_backoff=5.0)
             try:
                 status, doc = post_json(f"{ps.url}/v1/join", join_payload())
                 assert status == 503 and doc["reason"] == "worker_crash"
-                # No live worker, respawn 5s away: the parent runs the
-                # join itself — immune to the (still armed) crash site.
-                status, doc = post_json(f"{ps.url}/v1/join", join_payload())
-                assert status == 200
-                assert doc["service"]["degraded"] == "serial"
-                assert doc["results"] == direct_rows(Engine(), data_root)
-            finally:
-                ps.stop()
-
-    def test_shed_when_pool_exhausted(self, data_root):
-        with failpoints.inject({"serve.worker_crash": "nth:1"}):
-            ps = _PoolServer(data_root, workers=1, spawn_backoff=5.0, degrade="shed")
-            try:
-                status, doc = post_json(f"{ps.url}/v1/join", join_payload())
-                assert status == 503 and doc["reason"] == "worker_crash"
+                # No live worker, respawn 5 s away: refused at once, with
+                # the respawn ETA as the retry hint.
                 status, doc = post_json(f"{ps.url}/v1/join", join_payload())
                 assert status == 503 and doc["reason"] == "pool_exhausted"
-                assert doc["retry_after"] > 0
+                assert 0 < doc["retry_after"] <= 5.0
             finally:
                 ps.stop()
 
@@ -408,10 +408,8 @@ class TestHealthSplit:
 class TestDrain:
     def test_sigterm_drains_inflight_pool_request(self, data_root):
         with failpoints.inject({"serve.slow_response": "always"}, hang_seconds=0.8):
-            engine = Engine()
-            pool = WorkerPool(1, engine=engine).start()
+            pool = WorkerPool(1).start()
             service = JoinService(
-                engine,
                 admission=AdmissionController(
                     max_inflight=1, max_queue=4, default_deadline=10.0
                 ),
@@ -469,7 +467,7 @@ class TestMixedChaos:
         with failpoints.inject(
             {"serve.worker_crash": "times:2", "serve.worker_hang": "nth:3"}
         ):
-            ps = _PoolServer(data_root, workers=2, deadline=1.5, degrade="shed")
+            ps = _PoolServer(data_root, workers=2, deadline=1.5)
             try:
                 report = run_load(
                     f"{ps.url}/v1/join",
@@ -510,39 +508,25 @@ class TestPoolUnit:
             WorkerPool(0)
 
     def test_submit_after_close_fails_cleanly(self, data_root):
-        engine = Engine()
-        pool = WorkerPool(1, engine=engine).start()
+        pool = WorkerPool(1).start()
         pool.close()
         with pytest.raises(WorkerFailure) as info:
             pool.submit({"seq": 1, "r": "x", "s": "y"}, deadline=1.0)
         assert info.value.reason == "pool_closed"
         pool.close()  # idempotent
-        engine.close()
 
-    def test_no_worker_is_forked_while_the_parent_runs_a_join(self):
-        # A worker forked while another thread is inside the engine
-        # inherits that thread's locks (import locks, cached_property
-        # locks) held forever and hangs on its first request: respawns
-        # wait for the service's engine lock.
-        engine = Engine()
-        pool = WorkerPool(1, engine=engine, spawn_backoff=0.01).start()
-        service = JoinService(engine, pool=pool)
-        try:
-            assert service._engine_lock is pool.fork_lock
-            with service._engine_lock:  # "a join is running in the parent"
-                os.kill(pool._workers[0].proc.pid, signal.SIGKILL)
-                assert wait_for(lambda: pool.snapshot()["live"] == 0)
-                time.sleep(0.15)  # backoff long over, still no fork
-                assert pool.snapshot()["respawns_total"] == 0
-            assert wait_for(lambda: pool.snapshot()["live"] == 1)
-            assert pool.snapshot()["respawns_total"] == 1
-        finally:
-            service.close()
-
-    def test_service_rejects_unknown_degrade_mode(self):
-        engine = Engine()
-        try:
-            with pytest.raises(ValueError, match="degrade"):
-                JoinService(engine, degrade="panic")
-        finally:
-            engine.close()
+    def test_serve_stops_the_workers_when_the_port_is_taken(self, data_root):
+        # The service forks its workers before serve() binds; a failed
+        # bind must not leave them running for the interpreter's exit
+        # to wait on.
+        pool = WorkerPool(1).start()
+        service = JoinService(root=data_root, pool=pool)
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            with pytest.raises(OSError):
+                serve(service, "127.0.0.1", taken.getsockname()[1],
+                      quiet=True, install_signals=False)
+        live = pool.snapshot()["live"]
+        pool.close()
+        assert live == 0

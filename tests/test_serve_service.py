@@ -1,12 +1,13 @@
 """The join service end to end: a real server on a loopback socket.
 
 Each test talks HTTP to an in-process :class:`ServiceServer` on an
-OS-assigned port — the exact transport production uses, minus the
-process boundary. Covered: response identity with a direct engine join,
-the predicate and build-index endpoints, health/metrics/dashboard
-surfaces, wire-error mapping (400/404/413), 429 load shedding under an
-occupied admission gate, graceful drain, and the engine lifecycle
-(close + context manager + closed guards).
+OS-assigned port, whose joins and index builds run in the service's
+forked worker pool — the exact transport and execution production use.
+Covered: response identity with a direct engine join, the predicate and
+build-index endpoints, that the daemon itself never joins or builds,
+health/metrics/dashboard surfaces, wire-error mapping (400/404/413),
+429 load shedding under an occupied admission gate, graceful drain, and
+the engine lifecycle (close + context manager + closed guards).
 """
 
 import threading
@@ -19,13 +20,11 @@ from repro.serve import (
     AdmissionController,
     JoinService,
     ShedError,
-    get_json,
-    post_json,
-    run_load,
     start_server,
     stop_server,
 )
 from repro.store.engine import Engine
+from tests.loadgen import get_json, post_json, run_load
 
 
 @pytest.fixture()
@@ -39,7 +38,7 @@ def data_root(tmp_path):
 
 @pytest.fixture()
 def server(data_root):
-    service = JoinService(Engine(), root=data_root)
+    service = JoinService(root=data_root)
     server, thread = start_server(service)
     host, port = server.server_address
     yield f"http://{host}:{port}", service
@@ -73,16 +72,23 @@ class TestJoinEndpoint:
     @pytest.mark.parametrize("endpoint, extra", [
         ("join", {}), ("predicate", {"predicate": "intersects"}),
     ])
-    def test_omitted_workers_is_one_worker(self, server, monkeypatch, endpoint, extra):
-        # The daemon must not size a pool from the machine's core count
-        # (and fork it from a handler thread) unless the request asks.
+    def test_omitted_workers_is_one_worker(self, data_root, monkeypatch, endpoint, extra):
+        # A join must not size a fan-out from the machine's core count
+        # unless the request asks. Patched before the pool forks, so the
+        # workers see four cores too.
         import os
 
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        base, _service = server
-        status, doc = post_json(
-            f"{base}/v1/{endpoint}", {"r": "r.wkt", "s": "s.wkt", "grid_order": 8, **extra}
-        )
+        service = JoinService(root=data_root)
+        server, thread = start_server(service)
+        host, port = server.server_address
+        try:
+            status, doc = post_json(
+                f"http://{host}:{port}/v1/{endpoint}",
+                {"r": "r.wkt", "s": "s.wkt", "grid_order": 8, **extra},
+            )
+        finally:
+            stop_server(server, thread)
         assert status == 200
         assert doc["workers"] == 1
         assert doc["mode"] == "serial"
@@ -129,6 +135,29 @@ class TestJoinEndpoint:
         assert doc["payload_codec"] == "varint"
         (payload,) = (data_root / "r_idx" / "april").glob("*.npz")
         assert payload_codec(payload) == "varint"
+
+    def test_daemon_process_never_joins_or_builds(self, server, monkeypatch):
+        # The workers were forked before these patches, so only work the
+        # daemon did itself would hit them.
+        import repro.store.dataset as dataset_module
+
+        def _refuse(*_args, **_kwargs):
+            raise AssertionError("the daemon process ran the work itself")
+
+        monkeypatch.setattr(Engine, "join", _refuse)
+        monkeypatch.setattr(dataset_module, "build_dataset", _refuse)
+        base, _service = server
+        status, doc = post_json(f"{base}/v1/join", join_payload())
+        assert status == 200 and doc["results"]
+        status, doc = post_json(
+            f"{base}/v1/predicate", join_payload(predicate="intersects")
+        )
+        assert status == 200 and doc["results"]
+        status, doc = post_json(
+            f"{base}/v1/build-index",
+            {"data": "r.wkt", "index": "r_idx", "grid_order": 8},
+        )
+        assert status == 200 and doc["geometries"] == 6
 
     def test_wire_violation_maps_to_400(self, server):
         base, _service = server
@@ -210,7 +239,7 @@ class TestObservabilitySurfaces:
         assert status == 404
 
     def test_run_history_is_bounded(self, data_root):
-        service = JoinService(Engine(), root=data_root, run_history=2)
+        service = JoinService(root=data_root, run_history=2)
         server, thread = start_server(service)
         host, port = server.server_address
         base = f"http://{host}:{port}"
@@ -228,7 +257,7 @@ class TestObservabilitySurfaces:
 class TestAdmission:
     def test_queue_full_sheds_429(self, data_root):
         admission = AdmissionController(max_inflight=1, max_queue=0)
-        service = JoinService(Engine(), root=data_root, admission=admission)
+        service = JoinService(root=data_root, admission=admission)
         server, thread = start_server(service)
         host, port = server.server_address
         base = f"http://{host}:{port}"
@@ -256,7 +285,7 @@ class TestAdmission:
 
     def test_load_generator_measures_sheds(self, data_root):
         admission = AdmissionController(max_inflight=1, max_queue=0)
-        service = JoinService(Engine(), root=data_root, admission=admission)
+        service = JoinService(root=data_root, admission=admission)
         server, thread = start_server(service)
         host, port = server.server_address
         try:
@@ -278,15 +307,16 @@ class TestAdmission:
     def test_warm_load_is_all_200_and_rasterises_nothing(self, data_root):
         # Two closed-loop clients against a roomy queue: nothing is shed,
         # and once one request has warmed the engine none builds an
-        # approximation.
+        # approximation. Metrics go on before the worker forks: it
+        # inherits the flag, and its counters travel back per request.
+        obs.set_metrics(True)
         service = JoinService(
-            Engine(), root=data_root,
+            root=data_root,
             admission=AdmissionController(max_inflight=1, max_queue=64),
         )
         server, thread = start_server(service)
         host, port = server.server_address
         url = f"http://{host}:{port}/v1/join"
-        obs.set_metrics(True)
         try:
             assert post_json(url, join_payload())[0] == 200
             obs.reset_metrics()
@@ -358,11 +388,12 @@ class TestEngineLifecycle:
         assert len(engine._objects) == 0
         assert len(engine._pairs) == 0
 
-    def test_service_close_closes_engine(self, data_root):
-        engine = Engine()
-        service = JoinService(engine, root=data_root)
+    def test_service_close_stops_its_workers(self, data_root):
+        service = JoinService(root=data_root)
+        assert service.pool.snapshot()["live"] == 1
         service.close()
-        assert engine.closed
+        service.close()
+        assert service.pool.snapshot()["live"] == 0
 
     def test_default_engine_registers_atexit_close(self):
         import atexit

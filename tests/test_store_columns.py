@@ -28,7 +28,7 @@ from repro.datasets.io import save_wkt_file
 from repro.datasets.synthetic import generate_blobs, generate_buildings
 from repro.geometry import Box, MultiPolygon, Polygon, dumps_wkt, loads_wkt_geometry
 from repro.obs.metrics import get_registry, reset_metrics, set_metrics
-from repro.serve import JoinService, post_json, start_server, stop_server
+from repro.serve import JoinService, start_server, stop_server
 from repro.store import (
     Engine,
     SpatialDataset,
@@ -39,6 +39,7 @@ from repro.store import (
 )
 from repro.store.columns import GeometryColumns, LazyGeometries
 from repro.topology import TopologicalRelation as T
+from tests.loadgen import post_json
 from tests.test_fuzz_soundness import small_polygons
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -210,7 +211,7 @@ class TestJoinIdentity:
 
     def test_daemon_index_join_equals_source_join(self, sources, indexes):
         direct = Engine().join(sources / "r.geojson", sources / "s.geojson", grid_order=GRID_ORDER)
-        service = JoinService(Engine(), root=indexes)
+        service = JoinService(root=indexes)
         server, thread = start_server(service)
         try:
             host, port = server.server_address
