@@ -302,7 +302,7 @@ def cmd_join(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     from repro import obs
-    from repro.serve import AdmissionController, JoinService
+    from repro.serve import JoinService, WorkerPool
     from repro.serve import serve as run_service
 
     # The daemon is an observability surface: /metrics and the
@@ -310,15 +310,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
     # Set before the service forks its workers, which inherit the flags.
     obs.set_metrics(True)
     obs.set_tracing(True)
-    # One pool worker per admitted request: the service sizes its pool
-    # from the admission controller.
-    admission = AdmissionController(
-        max_inflight=args.max_inflight,
-        max_queue=args.max_queue,
-        default_deadline=args.deadline,
-    )
     service = JoinService(
-        admission=admission,
+        pool=WorkerPool(
+            args.max_inflight, max_queue=args.max_queue, deadline=args.deadline
+        ),
         root=args.root,
         run_history=args.run_history,
     )

@@ -6,33 +6,30 @@ workers, each keeping one memoised :class:`~repro.store.engine.Engine`
 warm, and speaks the frozen v1 wire API (:mod:`repro.serve.schema`).
 Start it with ``python -m repro serve`` or embed it:
 
-    from repro.serve import AdmissionController, JoinService, start_server
+    from repro.serve import JoinService, WorkerPool, start_server
 
-    service = JoinService(root="indexes/")
+    service = JoinService(
+        root="indexes/", pool=WorkerPool(1, max_queue=8, deadline=300.0)
+    )
     server, thread = start_server(service, port=0)
 
-Package layout: :mod:`~repro.serve.schema` (the frozen wire contract),
-:mod:`~repro.serve.admission` (bounded queue + 429 load shedding +
-per-dataset circuit breakers), :mod:`~repro.serve.pool` (supervised
-forked engine workers: crash/hang isolation, respawn with backoff),
-:mod:`~repro.serve.service` (endpoints, HTTP transport, graceful
-drain).
+Package layout: :mod:`~repro.serve.schema` (the frozen wire contract
+and :class:`ServiceError`, the one refusal type),
+:mod:`~repro.serve.pool` (supervised forked engine workers and the one
+gate in front of them: bounded queue, 429 load shedding, crash/hang
+isolation, respawn with backoff), :mod:`~repro.serve.breakers`
+(per-dataset circuit breakers), :mod:`~repro.serve.service`
+(endpoints, HTTP transport, graceful drain).
 """
 
-from repro.serve.admission import (
-    AdmissionController,
-    BreakerBoard,
-    BreakerOpen,
-    CircuitBreaker,
-    ShedError,
-    Ticket,
-)
-from repro.serve.pool import WorkerFailure, WorkerPool
+from repro.serve.breakers import BreakerBoard, CircuitBreaker
+from repro.serve.pool import WorkerPool
 from repro.serve.schema import (
     API_VERSION,
     BuildIndexRequest,
     ERROR_REASONS,
     JoinRequest,
+    ServiceError,
     WireError,
     dumps_wire,
     error_document,
@@ -43,7 +40,6 @@ from repro.serve.service import (
     DEFAULT_HOST,
     DEFAULT_PORT,
     JoinService,
-    ServiceError,
     serve,
     start_server,
     stop_server,
@@ -51,9 +47,7 @@ from repro.serve.service import (
 
 __all__ = [
     "API_VERSION",
-    "AdmissionController",
     "BreakerBoard",
-    "BreakerOpen",
     "BuildIndexRequest",
     "CircuitBreaker",
     "DEFAULT_HOST",
@@ -62,10 +56,7 @@ __all__ = [
     "JoinRequest",
     "JoinService",
     "ServiceError",
-    "ShedError",
-    "Ticket",
     "WireError",
-    "WorkerFailure",
     "WorkerPool",
     "dumps_wire",
     "error_document",

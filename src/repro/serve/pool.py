@@ -1,31 +1,43 @@
-"""Supervised engine-worker pool: where the join service runs its work.
+"""Supervised engine-worker pool: the join service's one gate.
 
-``supervised_map`` gives batch runs crash isolation on
-:class:`~repro.resilience.worker.SupervisedWorker` processes: fork,
-watch deadlines, detect death, respawn, fall back serially. This module
-puts the same primitive under the serving layer. A :class:`WorkerPool`
-owns N long-lived slots, each one ``SupervisedWorker`` speaking a
-private duplex pipe; the pool adds what is policy — the idle list,
-per-slot respawn backoff, quorum, the failure vocabulary. Every join
-and every index build the daemon answers runs in one of these workers,
+The serving model is the partition-parallel one (Tsitsigkos &
+Mamoulis): long-lived workers own warm state, a thin coordinator admits
+requests. A :class:`WorkerPool` owns N long-lived slots, each one
+:class:`~repro.resilience.worker.SupervisedWorker` (the primitive
+``supervised_map`` runs batch fan-outs on) speaking a private duplex
+pipe; the pool adds what is policy — the idle list and its bounded
+queue, per-slot respawn backoff, quorum, the failure vocabulary. Every
+join and index build the daemon answers runs in one of these workers,
 which builds its own :class:`~repro.store.engine.Engine` on its first
-join and keeps it warm across requests. The HTTP handler threads stay
-a thin coordinator: validate, admit, dispatch to an idle worker, relay
-the reply.
+join and keeps it warm. The HTTP handler threads stay a thin
+coordinator: validate, submit to the pool, relay the reply.
 
-What the pool buys:
+The idle list is the admission gate. Warm joins are CPU-bound, so an
+unbounded backlog only converts overload into unbounded latency:
+
+- A request takes an idle live worker or, if fewer than ``max_queue``
+  requests already wait, waits for one — woken by the release that
+  frees it. An arrival beyond that bound gets ``429 queue_full``.
+- ``deadline`` bounds the whole request: a waiter whose deadline lapses
+  gets ``429 deadline``; what remains once it holds a worker bounds the
+  wait for the reply and is the engine's ``partition_timeout``.
+- An arrival that finds no live worker (every slot awaiting its
+  respawn) gets ``503 pool_exhausted`` at once, with the earliest
+  respawn as ``retry_after``; a waiter keeps its place for the respawn.
+  Once :meth:`WorkerPool.close` began: ``503 pool_closed``.
+
+What the workers buy:
 
 - **Crashes don't take the daemon.** A worker SIGKILLed mid-request
-  (OOM killer, C-extension fault, armed ``serve.worker_crash``
-  failpoint) closes its pipe; the dispatching thread sees EOF, answers
-  *that one request* with a 503, and the supervisor respawns the slot
-  with exponential backoff. Every other in-flight request is untouched.
-- **Hangs don't either.** The dispatcher waits at most the request's
-  admission deadline on the pipe; past it the worker is SIGKILLed and
-  the slot respawned (``serve.worker_hang`` exercises this).
-- **True concurrency.** Each worker is a separate process with its own
-  engine, so ``--max-inflight N`` over N workers genuinely parallelises
-  warm joins on multi-core boxes.
+  (OOM killer, armed ``serve.worker_crash`` failpoint) closes its pipe;
+  the dispatching thread sees EOF, answers *that one request* with
+  ``503 worker_crash``, and the supervisor respawns the slot with
+  exponential backoff.
+- **Hangs don't either.** Past the request's remaining deadline the
+  worker is SIGKILLed, the request answered ``503 worker_hang`` and the
+  slot respawned (``serve.worker_hang`` exercises this).
+- **True concurrency.** ``--max-inflight N`` over N worker processes
+  genuinely parallelises warm joins on multi-core boxes.
 - **No fork from a busy process.** A request that asks for ``workers >
   1`` forks its fan-out from a single-threaded worker, never from the
   threaded daemon.
@@ -33,14 +45,12 @@ What the pool buys:
 Results stay byte-identical to a direct :meth:`Engine.join`: the worker
 returns the frozen ``run.to_wire()`` document and the daemon
 serializes it with the deterministic :func:`dumps_wire`. Workers also
-export their per-request obs state (spans, metrics, profile, resources
-— the PR 8 worker-capture pattern), which the service folds into the
-daemon registry so ``/metrics`` and the per-request dashboards see the
-work the workers did.
-
-Failure vocabulary (``WorkerFailure.reason``): ``worker_crash``,
-``worker_hang``, ``pool_exhausted`` (no live worker to dispatch to),
-``pool_closed``. Stdlib-only; fork start method (POSIX).
+export their per-request obs state (spans, metrics, profile, resources),
+which the service folds into the daemon registry. Every refusal is a
+:class:`~repro.serve.schema.ServiceError`; every decision is observable
+(``repro_serve_shed_total`` by endpoint and reason,
+``repro_serve_inflight``, ``repro_serve_queue_wait_seconds`` and the
+worker counters). Stdlib-only; fork start method (POSIX).
 """
 
 from __future__ import annotations
@@ -56,29 +66,16 @@ from repro.obs import (
     metrics_enabled,
 )
 from repro.resilience import failpoints
+from repro.resilience.supervisor import DEFAULT_PARTITION_TIMEOUT
 from repro.resilience.worker import SupervisedWorker, WorkerDied, WorkerError
+from repro.serve.schema import ServiceError, parse_predicate
 
 log = logging.getLogger("repro.serve")
 
 #: First respawn delay after a worker failure; doubles per consecutive
-#: failure of the same slot up to :data:`DEFAULT_MAX_SPAWN_BACKOFF`.
-DEFAULT_SPAWN_BACKOFF = 0.1
-DEFAULT_MAX_SPAWN_BACKOFF = 5.0
-
-#: How long a dispatch waits for an idle worker before declaring the
-#: pool exhausted (all workers busy; dead slots fail fast instead).
-DEFAULT_ACQUIRE_TIMEOUT = 1.0
-
-
-class WorkerFailure(RuntimeError):
-    """A request the pool could not execute, with the failure class."""
-
-    def __init__(
-        self, reason: str, message: str | None = None, *, retry_after: float = 1.0
-    ) -> None:
-        super().__init__(message or reason)
-        self.reason = reason
-        self.retry_after = retry_after
+#: failure of the same slot up to :data:`MAX_SPAWN_BACKOFF`.
+SPAWN_BACKOFF = 0.1
+MAX_SPAWN_BACKOFF = 5.0
 
 
 # ----------------------------------------------------------------------
@@ -86,8 +83,6 @@ class WorkerFailure(RuntimeError):
 # ----------------------------------------------------------------------
 def execute_join(engine, request: dict) -> dict:
     """Run one join request on ``engine``; returns its wire document."""
-    from repro.serve.schema import parse_predicate
-
     predicate = (
         parse_predicate(request["predicate"]) if request.get("predicate") else None
     )
@@ -177,29 +172,31 @@ class _Slot(SupervisedWorker):
 
 
 class WorkerPool:
-    """N supervised engine workers behind the admission gate.
+    """N supervised engine workers, a queue of at most ``max_queue``
+    requests waiting for them, and a ``deadline`` in seconds on each
+    request (see the module docstring for the rules).
 
     Each worker builds its own ``Engine()`` on its first join. The pool
-    must be :meth:`start`-ed before use and :meth:`close`-d by its
-    owner; a worker that fails is respawned by the supervisor thread
-    with per-slot exponential backoff (reset on the next completed
-    request).
+    is started by :meth:`start` (the :class:`~repro.serve.service.JoinService`
+    that owns it calls it) and stopped by :meth:`close`; a worker that
+    fails is respawned by the supervisor thread with per-slot
+    exponential backoff (reset on the next completed request).
     """
 
     def __init__(
         self,
         size: int,
         *,
-        spawn_backoff: float = DEFAULT_SPAWN_BACKOFF,
-        max_spawn_backoff: float = DEFAULT_MAX_SPAWN_BACKOFF,
-        acquire_timeout: float = DEFAULT_ACQUIRE_TIMEOUT,
+        max_queue: int = 8,
+        deadline: float = DEFAULT_PARTITION_TIMEOUT,
     ) -> None:
         if size < 1:
             raise ValueError(f"pool size must be >= 1, got {size}")
+        if max_queue < 0:
+            raise ValueError(f"max_queue must be >= 0, got {max_queue}")
         self.size = size
-        self.spawn_backoff = float(spawn_backoff)
-        self.max_spawn_backoff = float(max_spawn_backoff)
-        self.acquire_timeout = float(acquire_timeout)
+        self.max_queue = max_queue
+        self.deadline = float(deadline)
         #: Held around every fork of a pool worker, so forks never
         #: overlap one another.
         self.fork_lock = threading.Lock()
@@ -212,6 +209,11 @@ class WorkerPool:
         self._seq = 0
         self._closing = False
         self._started = False
+        #: Requests holding a worker, and requests waiting for one.
+        self._inflight = 0
+        self._queued = 0
+        self.admitted_total = 0
+        self.shed_total = 0
         self.respawns_total = 0
         self.failures_total: dict[str, int] = {}
         self._supervisor: threading.Thread | None = None
@@ -282,81 +284,135 @@ class WorkerPool:
             self._seq += 1
             return self._seq
 
-    def submit(self, request: dict, *, deadline: float) -> tuple:
-        """Dispatch one request to an idle worker and wait for its reply.
+    def submit(self, request: dict, *, endpoint: str) -> tuple[tuple, float, float]:
+        """Run one request on a worker: wait for an idle one, dispatch,
+        wait for its reply within what remains of the deadline.
 
-        Returns the worker's reply tuple (``("ok", wire_doc, obs)`` or
-        ``("error", status, message, obs)``).
-        Raises :class:`WorkerFailure` when the worker crashes,
-        outlives ``deadline`` (it is then SIGKILLed), or no live worker
-        exists.
+        Returns ``(reply, queued_seconds, seconds)``: the worker's reply
+        tuple (``("ok", result, obs)`` or ``("error", status, message,
+        obs)``), the wait for the worker, and the time from taking it to
+        the reply. Raises :class:`~repro.serve.schema.ServiceError` for
+        every refusal and failure (see the module docstring).
         """
-        worker = self._acquire()
-        request.setdefault("seq", self.next_seq())
-        worker.send(request)
+        worker, queued = self._acquire(endpoint)
+        t0 = time.perf_counter()
         try:
-            if not worker.poll(max(0.05, deadline)):
-                raise WorkerFailure(
+            remaining = max(0.0, self.deadline - queued)
+            request["partition_timeout"] = remaining or None
+            request.setdefault("seq", self.next_seq())
+            worker.send(request)
+            if not worker.poll(max(0.05, remaining)):
+                raise self._failure(
+                    worker,
                     "worker_hang",
-                    f"worker {worker.slot} exceeded the {deadline:.1f}s deadline",
-                    retry_after=self._retire(worker, "worker_hang"),
+                    f"worker {worker.slot} exceeded the {remaining:.1f}s deadline",
                 )
-            reply = worker.recv()
-        except WorkerDied as exc:
-            raise WorkerFailure(
-                "worker_crash",
-                f"worker {worker.slot} died mid-request",
-                retry_after=self._retire(worker, "worker_crash"),
-            ) from exc
-        except WorkerError as exc:
-            reply = ("error", 500, f"internal error: {exc}", None)
-        self._release(worker)
-        return reply
+            try:
+                reply = worker.recv()
+            except WorkerDied as exc:
+                raise self._failure(
+                    worker, "worker_crash", f"worker {worker.slot} died mid-request"
+                ) from exc
+            except WorkerError as exc:
+                reply = ("error", 500, f"internal error: {exc}", None)
+        finally:
+            self._release(worker)
+        return reply, queued, time.perf_counter() - t0
 
-    def _acquire(self) -> _Slot:
-        end = time.monotonic() + self.acquire_timeout
+    def _idle_worker_locked(self) -> _Slot | None:
+        while self._idle:
+            worker = self._idle.pop()
+            if worker.alive():
+                return worker
+            self._retire_locked(worker, "worker_exit")
+        return None
+
+    def _shed_locked(self, endpoint: str, reason: str) -> ServiceError:
+        self.shed_total += 1
+        if metrics_enabled():
+            get_registry().inc("repro_serve_shed_total", endpoint=endpoint, reason=reason)
+        return ServiceError(
+            429, f"{endpoint}: shed ({reason})", reason=reason, retry_after=1.0
+        )
+
+    def _acquire(self, endpoint: str) -> tuple[_Slot, float]:
+        """Take an idle live worker, queueing for one within the bounds;
+        returns it with the seconds the request waited."""
+        t0 = time.monotonic()
         with self._cond:
-            while True:
-                if self._closing:
-                    raise WorkerFailure("pool_closed", "the pool is shutting down")
-                while self._idle:
-                    worker = self._idle.pop()
-                    if worker.alive():
-                        worker.busy = True
-                        return worker
-                    self._retire_locked(worker, "worker_exit")
+            # close() empties the idle list and nothing refills it.
+            worker = self._idle_worker_locked()
+            if worker is None and not self._closing:
                 if all(w is None for w in self._workers.values()):
-                    # Every slot is dead and awaiting its backoff; do
-                    # not sit out the timeout — refuse immediately.
-                    raise WorkerFailure(
-                        "pool_exhausted",
-                        "no live worker",
+                    # Every slot awaits its respawn: nothing to queue for.
+                    raise ServiceError(
+                        503, "no live worker", reason="pool_exhausted",
                         retry_after=self._respawn_eta_locked(),
                     )
-                remaining = end - time.monotonic()
-                if remaining <= 0:
-                    raise WorkerFailure(
-                        "pool_exhausted",
-                        f"all {self.size} workers busy",
-                        retry_after=1.0,
-                    )
-                self._cond.wait(min(remaining, 0.05))
+                if self._queued >= self.max_queue:
+                    raise self._shed_locked(endpoint, "queue_full")
+                self._queued += 1
+                try:
+                    while worker is None and not self._closing:
+                        remaining = self.deadline - (time.monotonic() - t0)
+                        if remaining <= 0:
+                            raise self._shed_locked(endpoint, "deadline")
+                        self._cond.wait(remaining)
+                        worker = self._idle_worker_locked()
+                finally:
+                    self._queued -= 1
+                    if worker is None:
+                        self._cond.notify_all()  # for wait_idle
+            if worker is None:
+                raise ServiceError(
+                    503, "the pool is shutting down", reason="pool_closed",
+                    retry_after=1.0,
+                )
+            worker.busy = True
+            self._inflight += 1
+            self.admitted_total += 1
+            inflight = self._inflight
+        queued = time.monotonic() - t0
+        if metrics_enabled():
+            registry = get_registry()
+            registry.observe("repro_serve_inflight", inflight)
+            registry.observe(
+                "repro_serve_queue_wait_seconds", queued, endpoint=endpoint
+            )
+        return worker, queued
 
     def _release(self, worker: _Slot) -> None:
+        """End a request: its worker, unless retired, goes back on the
+        idle list, and the waiters hear of it."""
         with self._cond:
             worker.busy = False
-            self._failstreak[worker.slot] = 0
+            self._inflight -= 1
             # While closing, close() already sent this worker its stop.
-            if not self._closing:
+            if self._workers.get(worker.slot) is worker and not self._closing:
+                self._failstreak[worker.slot] = 0
                 self._idle.append(worker)
-                self._cond.notify_all()
+            self._cond.notify_all()
+
+    def wait_idle(self, timeout: float) -> bool:
+        """Block until no request holds or waits for a worker (the
+        graceful drain step); False if ``timeout`` lapsed first."""
+        end = time.monotonic() + timeout
+        with self._cond:
+            while self._inflight or self._queued:
+                remaining = end - time.monotonic()
+                if remaining <= 0:
+                    return False
+                self._cond.wait(remaining)
+            return True
 
     # -- failure handling ----------------------------------------------
-    def _retire(self, worker: _Slot, reason: str) -> float:
-        """Retire ``worker``; returns the seconds until a slot respawns."""
+    def _failure(self, worker: _Slot, reason: str, message: str) -> ServiceError:
+        """Retire ``worker`` for ``reason``; the 503 its request gets,
+        with the seconds until a slot respawns as ``retry_after``."""
         with self._cond:
             self._retire_locked(worker, reason)
-            return self._respawn_eta_locked()
+            eta = self._respawn_eta_locked()
+        return ServiceError(503, message, reason=reason, retry_after=eta)
 
     def _retire_locked(self, worker: _Slot, reason: str) -> None:
         """Kill what is left of ``worker`` and schedule its slot's
@@ -367,9 +423,7 @@ class WorkerPool:
         self._workers[worker.slot] = None
         streak = self._failstreak.get(worker.slot, 0) + 1
         self._failstreak[worker.slot] = streak
-        backoff = min(
-            self.max_spawn_backoff, self.spawn_backoff * (2 ** (streak - 1))
-        )
+        backoff = min(MAX_SPAWN_BACKOFF, SPAWN_BACKOFF * (2 ** (streak - 1)))
         self._respawn_at[worker.slot] = time.monotonic() + backoff
         self.failures_total[reason] = self.failures_total.get(reason, 0) + 1
         if metrics_enabled():
@@ -379,7 +433,6 @@ class WorkerPool:
         log.warning(
             "serve worker %d retired (%s); respawn in %.2fs", worker.slot, reason, backoff
         )
-        self._cond.notify_all()
         self._observe_workers_locked()
 
     def _respawn_eta_locked(self) -> float:
@@ -415,9 +468,7 @@ class WorkerPool:
                 except Exception as exc:  # pragma: no cover - fork failure
                     log.error("respawn of serve worker %d failed: %s", slot, exc)
                     with self._lock:
-                        self._respawn_at[slot] = (
-                            time.monotonic() + self.max_spawn_backoff
-                        )
+                        self._respawn_at[slot] = time.monotonic() + MAX_SPAWN_BACKOFF
                     continue
                 with self._cond:
                     if self._closing:
@@ -454,15 +505,25 @@ class WorkerPool:
                 "failures_total": dict(sorted(self.failures_total.items())),
             }
 
+    def admission_snapshot(self) -> dict:
+        """The gate's state: the ``admission`` block of ``/v1/healthz``."""
+        with self._lock:
+            return {
+                "inflight": self._inflight,
+                "queued": self._queued,
+                "max_inflight": self.size,
+                "max_queue": self.max_queue,
+                "admitted_total": self.admitted_total,
+                "shed_total": self.shed_total,
+            }
+
     def _observe_workers_locked(self) -> None:
         if metrics_enabled():
             get_registry().observe("repro_serve_pool_workers", self._live_locked())
 
 
 __all__ = [
-    "DEFAULT_ACQUIRE_TIMEOUT",
-    "DEFAULT_MAX_SPAWN_BACKOFF",
-    "DEFAULT_SPAWN_BACKOFF",
-    "WorkerFailure",
+    "MAX_SPAWN_BACKOFF",
+    "SPAWN_BACKOFF",
     "WorkerPool",
 ]

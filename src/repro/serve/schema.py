@@ -55,7 +55,7 @@ PAYLOAD_CODECS = ("varint", "raw")
 #: document may carry. Clients branch on ``reason``, never on the
 #: human-readable ``error`` text.
 ERROR_REASONS = (
-    "queue_full",      # admission queue bound hit on arrival (429)
+    "queue_full",      # the pool's queue bound hit on arrival (429)
     "deadline",        # request deadline lapsed while queued (429)
     "worker_crash",    # engine worker died mid-request (503)
     "worker_hang",     # engine worker exceeded the deadline, was killed (503)
@@ -67,6 +67,29 @@ ERROR_REASONS = (
 
 class WireError(ValueError):
     """A payload that violates the wire schema (service answers 400)."""
+
+
+class ServiceError(Exception):
+    """A request the service refuses, with its HTTP status: the one
+    refusal type of the pool, its workers, the breakers and the service.
+
+    Transient refusals (429/503) carry a ``reason`` from
+    :data:`ERROR_REASONS` and a ``retry_after`` hint, which also becomes
+    the ``Retry-After`` header.
+    """
+
+    def __init__(
+        self,
+        status: int,
+        message: str,
+        *,
+        reason: str | None = None,
+        retry_after: float | None = None,
+    ) -> None:
+        super().__init__(message)
+        self.status = status
+        self.reason = reason
+        self.retry_after = retry_after
 
 
 def error_document(
@@ -284,6 +307,7 @@ __all__ = [
     "JOIN_MODES",
     "JoinRequest",
     "PAYLOAD_CODECS",
+    "ServiceError",
     "WireError",
     "dumps_wire",
     "error_document",

@@ -3,14 +3,13 @@
 ``repro serve`` keeps warm-cache :class:`~repro.store.engine.Engine`
 workers behind a daemon: a stdlib
 :class:`~http.server.ThreadingHTTPServer` whose handler threads are a
-thin coordinator — parse, validate, admit, dispatch, serialize — around
-a supervised
-:class:`~repro.serve.pool.WorkerPool` of forked engine processes. The
-daemon never runs a join or builds an index itself: every such request
-goes to a worker, with crash/hang isolation, respawn with backoff and
-per-dataset circuit breakers
-(:class:`~repro.serve.admission.BreakerBoard`). With no live worker a
-request is refused with a 503 until a respawn lands. Endpoints:
+thin coordinator — parse, validate, submit, serialize — around a
+supervised :class:`~repro.serve.pool.WorkerPool` of forked engine
+processes, which is also the one gate: it queues, sheds (429) and
+refuses (503). The daemon never runs a join or builds an index itself;
+per-dataset circuit breakers (:class:`~repro.serve.breakers.BreakerBoard`)
+stand in front of the pool. Every refusal is one
+:class:`~repro.serve.schema.ServiceError`. Endpoints:
 
 - ``POST /v1/join`` — run a find-relation join; responds with the
   frozen :meth:`JoinRun.to_wire` envelope plus a ``request_id`` and
@@ -30,7 +29,7 @@ request is refused with a 503 until a respawn lands. Endpoints:
 Every request is measured: ``repro_serve_requests_total{endpoint,status}``
 counters and ``repro_serve_latency_seconds{endpoint}`` histograms (whose
 p50/p90/p99 ride the registry's quantile export), on top of the
-admission controller's shed/queue metrics. Graceful drain on
+pool's shed/queue metrics. Graceful drain on
 SIGTERM/SIGINT: stop accepting, let in-flight requests finish (bounded),
 stop the workers, exit 0.
 
@@ -50,17 +49,13 @@ from pathlib import Path
 from typing import Any
 
 from repro.obs import get_registry, merge_worker_capture, metrics_enabled
-from repro.serve.admission import (
-    AdmissionController,
-    BreakerBoard,
-    BreakerOpen,
-    ShedError,
-)
-from repro.serve.pool import WorkerFailure, WorkerPool
+from repro.serve.breakers import BreakerBoard
+from repro.serve.pool import WorkerPool
 from repro.serve.schema import (
     API_VERSION,
     BuildIndexRequest,
     JoinRequest,
+    ServiceError,
     WireError,
     dumps_wire,
     error_document,
@@ -79,28 +74,6 @@ MAX_BODY_BYTES = 1 << 20
 DRAIN_TIMEOUT = 30.0
 
 
-class ServiceError(Exception):
-    """A request the service refuses, with its HTTP status.
-
-    Transient refusals (503) carry a machine-readable ``reason`` (see
-    :data:`repro.serve.schema.ERROR_REASONS`) and a ``retry_after``
-    hint that also becomes the ``Retry-After`` response header.
-    """
-
-    def __init__(
-        self,
-        status: int,
-        message: str,
-        *,
-        reason: str | None = None,
-        retry_after: float | None = None,
-    ) -> None:
-        super().__init__(message)
-        self.status = status
-        self.reason = reason
-        self.retry_after = retry_after
-
-
 class JoinService:
     """The HTTP-facing application object (transport-independent).
 
@@ -108,23 +81,20 @@ class JoinService:
     serializes. Tests may drive a service instance directly, or over a
     real socket via :func:`start_server`.
 
-    Without a ``pool`` the service starts its own, one worker per
-    admitted request (``admission.max_inflight``); without ``breakers``
-    it uses a :class:`BreakerBoard` with the default threshold and
-    cooldown. Either way :meth:`close` stops the pool.
+    The service starts its ``pool`` (by default ``WorkerPool(1)``: one
+    worker, the pool's default queue and deadline) and :meth:`close`
+    stops it; without ``breakers`` it uses a fresh :class:`BreakerBoard`.
     """
 
     def __init__(
         self,
         *,
-        admission: AdmissionController | None = None,
         root: str | Path | None = None,
         run_history: int = 64,
         pool: WorkerPool | None = None,
         breakers: BreakerBoard | None = None,
     ) -> None:
-        self.admission = admission or AdmissionController()
-        self.pool = pool or WorkerPool(self.admission.max_inflight).start()
+        self.pool = (pool or WorkerPool(1)).start()
         self.breakers = breakers or BreakerBoard()
         self.root = Path(root).resolve() if root is not None else None
         self.run_history = run_history
@@ -145,10 +115,17 @@ class JoinService:
         return f"{n:06d}-{uuid.uuid4().hex[:8]}"
 
     def _resolve(self, name: str) -> Path:
-        """A request's dataset path, confined to the service root."""
+        """A request's dataset path, confined to the service root. A
+        name the OS cannot represent (an embedded NUL byte, say) is a
+        400 like one that escapes the root."""
         if self.root is None:
             return Path(name)
-        path = (self.root / name).resolve()
+        try:
+            path = (self.root / name).resolve()
+        except (ValueError, OSError) as exc:
+            raise ServiceError(
+                400, f"dataset name {name!r} is not a valid path: {exc}"
+            ) from exc
         if path != self.root and self.root not in path.parents:
             raise ServiceError(400, f"dataset path {name!r} escapes the service root")
         return path
@@ -173,40 +150,36 @@ class JoinService:
     # endpoints
     # ------------------------------------------------------------------
     def _dispatch(
-        self, request: dict, timeout: float, breaker_keys: tuple = ()
-    ) -> tuple[dict, list, float]:
-        """Run one request on a pool worker; returns ``(document,
-        spans, seconds)``.
+        self, request: dict, endpoint: str, breaker_keys: tuple = ()
+    ) -> tuple[dict, list, float, float]:
+        """Run one request on a pool worker; returns ``(result, spans,
+        queued_seconds, seconds)``.
 
-        A crash or hang costs this request a 503 and counts against the
-        circuits of ``breaker_keys``; a pool with no live worker answers
-        503 ``pool_exhausted`` with the earliest respawn as
-        ``retry_after``. The worker's per-request obs export is folded
-        into the daemon's collectors, so ``/metrics`` (warm-path proofs
-        included) and the per-request dashboards see its work.
+        The circuits of ``breaker_keys`` admit the request first and
+        hear how it ended: a worker's reply (a 4xx included) is a
+        success, a crash or hang a failure, and a request that never
+        got a verdict (shed 429, ``pool_exhausted``, ``pool_closed``)
+        releases its probe. The worker's per-request obs export is
+        folded into the daemon's collectors, so ``/metrics`` (warm-path
+        proofs included) and the per-request dashboards see its work.
         """
-        t0 = time.perf_counter()
+        self.breakers.admit(breaker_keys)
+        settle = self.breakers.release
         try:
-            reply = self.pool.submit(request, deadline=max(0.05, timeout))
-        except WorkerFailure as exc:
+            reply, queued, seconds = self.pool.submit(request, endpoint=endpoint)
+            settle = self.breakers.success
+        except ServiceError as exc:
             if exc.reason in ("worker_crash", "worker_hang"):
-                self.breakers.failure(breaker_keys)
-            raise ServiceError(
-                503,
-                str(exc),
-                reason=exc.reason,
-                retry_after=exc.retry_after,
-            ) from exc
-        seconds = time.perf_counter() - t0
-        # Any reply — success or client error — means the worker is
-        # healthy; only crashes and hangs count against the circuit.
-        self.breakers.success(breaker_keys)
+                settle = self.breakers.failure
+            raise
+        finally:
+            settle(breaker_keys)
         with self._obs_lock:
             spans = merge_worker_capture(reply[-1])
         if reply[0] == "error":
             _tag, status, message, _obs = reply
             raise ServiceError(status, message)
-        return reply[1], spans, seconds
+        return reply[1], spans, queued, seconds
 
     def handle_join(
         self, payload: Any, *, require_predicate: bool = False
@@ -216,19 +189,8 @@ class JoinService:
         r_path = self._resolve(request.r)
         s_path = self._resolve(request.s)
         request_id = self._request_id()
-        breaker_keys = (request.r, request.s)
-        try:
-            self.breakers.admit(breaker_keys)
-        except BreakerOpen as exc:
-            raise ServiceError(
-                503,
-                str(exc),
-                reason="breaker_open",
-                retry_after=exc.retry_after,
-            ) from exc
-        with self.admission.admit(endpoint) as ticket:
-            timeout = ticket.remaining_seconds
-            wire_request = {
+        response, spans, queued_seconds, service_seconds = self._dispatch(
+            {
                 "op": "join",
                 "r": str(r_path),
                 "s": str(s_path),
@@ -238,15 +200,14 @@ class JoinService:
                 "predicate": request.predicate,
                 "workers": request.workers,
                 "include_disjoint": request.include_disjoint,
-                "partition_timeout": timeout or None,
-            }
-            response, spans, service_seconds = self._dispatch(
-                wire_request, timeout, breaker_keys
-            )
+            },
+            endpoint,
+            breaker_keys=(request.r, request.s),
+        )
         response["request_id"] = request_id
         response["service"] = {
             "seconds": service_seconds,
-            "queued_seconds": ticket.queued_seconds,
+            "queued_seconds": queued_seconds,
             "endpoint": endpoint,
         }
         self._record_run(
@@ -266,7 +227,7 @@ class JoinService:
                     "links": len(response["results"]),
                     "wall_seconds": response["wall_seconds"],
                     "service_seconds": service_seconds,
-                    "queued_seconds": ticket.queued_seconds,
+                    "queued_seconds": queued_seconds,
                 },
             },
         )
@@ -277,17 +238,16 @@ class JoinService:
         data = self._resolve(request.data)
         index = self._resolve(request.index)
         request_id = self._request_id()
-        with self.admission.admit("build-index") as ticket:
-            built, _spans, seconds = self._dispatch(
-                {
-                    "op": "build-index",
-                    "data": str(data),
-                    "index": str(index),
-                    "grid_order": request.grid_order if request.approximate else None,
-                    "workers": request.workers,
-                },
-                ticket.remaining_seconds,
-            )
+        built, _spans, _queued, seconds = self._dispatch(
+            {
+                "op": "build-index",
+                "data": str(data),
+                "index": str(index),
+                "grid_order": request.grid_order if request.approximate else None,
+                "workers": request.workers,
+            },
+            "build-index",
+        )
         return 200, {
             "api_version": API_VERSION,
             "request_id": request_id,
@@ -329,7 +289,7 @@ class JoinService:
             "live": True,
             "ready": ready,
             "uptime_seconds": time.time() - self.started,
-            "admission": self.admission.snapshot(),
+            "admission": self.pool.admission_snapshot(),
             "runs_recorded": len(self._runs),
             "pool": pool_snapshot,
             "breakers": breaker_states,
@@ -355,8 +315,9 @@ class JoinService:
 
     def close(self) -> None:
         """Stop the worker pool (idempotent). A worker mid-request gets
-        its polite stop only after the admission drain already emptied
-        the pipeline, and no respawn fires once shutdown began."""
+        its polite stop only after the drain (:meth:`WorkerPool.wait_idle`)
+        already emptied the pipeline, and no respawn fires once shutdown
+        began."""
         self.pool.close()
 
 
@@ -376,8 +337,8 @@ class ServiceServer(ThreadingHTTPServer):
 
 
 def _endpoint_label(path: str) -> str:
-    """Short endpoint label for metrics, consistent with the admission
-    controller's (``/v1/join`` → ``join``; dashboard ids collapse to
+    """Short endpoint label for metrics, consistent with the pool's
+    (``/v1/join`` → ``join``; dashboard ids collapse to
     ``runs`` so the label set stays bounded)."""
     if path.startswith("/v1/runs"):
         return "runs"
@@ -413,17 +374,8 @@ class _Handler(BaseHTTPRequestHandler):
     def _json_bytes(self, document: dict) -> bytes:
         return (dumps_wire(document) + "\n").encode("utf-8")
 
-    def _error_bytes(
-        self,
-        status: int,
-        message: str,
-        *,
-        reason: str | None = None,
-        retry_after: float | None = None,
-    ) -> bytes:
-        return self._json_bytes(
-            error_document(status, message, reason=reason, retry_after=retry_after)
-        )
+    def _error_bytes(self, status: int, message: str) -> bytes:
+        return self._json_bytes(error_document(status, message))
 
     def _read_body(self) -> bytes:
         length = int(self.headers.get("Content-Length") or 0)
@@ -497,20 +449,14 @@ class _Handler(BaseHTTPRequestHandler):
             else:
                 raise ServiceError(404, f"unknown path {self.path!r}")
             body = self._json_bytes(doc)
-        except ShedError as exc:
-            status = 429
-            body = self._error_bytes(
-                429, str(exc), reason=exc.reason, retry_after=exc.retry_after
-            )
-            headers = {"Retry_After": max(1, round(exc.retry_after))}
         except WireError as exc:
             status = 400
             body = self._error_bytes(400, str(exc))
         except ServiceError as exc:
             status = exc.status
-            body = self._error_bytes(
+            body = self._json_bytes(error_document(
                 exc.status, str(exc), reason=exc.reason, retry_after=exc.retry_after
-            )
+            ))
             if exc.retry_after is not None:
                 headers = {"Retry_After": max(1, round(exc.retry_after))}
         except Exception as exc:  # pragma: no cover - defensive 500
@@ -553,7 +499,7 @@ def stop_server(
     """Graceful shutdown: stop accepting, drain in-flight work, stop
     the workers. Returns True when the drain completed in time."""
     server.shutdown()
-    drained = server.service.admission.wait_idle(drain_timeout)
+    drained = server.service.pool.wait_idle(drain_timeout)
     server.server_close()
     if thread is not None:
         thread.join(timeout=drain_timeout)
@@ -598,7 +544,7 @@ def serve(
         if ready is not None:
             ready(server.server_address[0], server.server_address[1])
         server.serve_forever()
-        drained = server.service.admission.wait_idle(DRAIN_TIMEOUT)
+        drained = server.service.pool.wait_idle(DRAIN_TIMEOUT)
     finally:
         for sig, handler in previous.items():
             signal.signal(sig, handler)
@@ -613,7 +559,6 @@ __all__ = [
     "DRAIN_TIMEOUT",
     "MAX_BODY_BYTES",
     "JoinService",
-    "ServiceError",
     "ServiceServer",
     "serve",
     "start_server",

@@ -23,12 +23,13 @@ import pytest
 from repro import Polygon, dumps_wkt, obs
 from repro.resilience import failpoints
 from repro.serve import (
-    AdmissionController,
     BreakerBoard,
     CircuitBreaker,
     JoinService,
-    WorkerFailure,
+    ServiceError,
     WorkerPool,
+    breakers as breaker_module,
+    pool as pool_module,
     serve,
     start_server,
     stop_server,
@@ -59,6 +60,11 @@ def direct_rows(engine, data_root):
     return [[l.r_index, l.s_index, l.relation.value, l.filtered] for l in run.results]
 
 
+@pytest.fixture(autouse=True)
+def fast_respawn(monkeypatch):
+    monkeypatch.setattr(pool_module, "SPAWN_BACKOFF", 0.05)
+
+
 def wait_for(predicate, timeout=10.0, interval=0.02):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
@@ -71,15 +77,9 @@ def wait_for(predicate, timeout=10.0, interval=0.02):
 class _PoolServer:
     """One pooled service on a real socket, torn down deterministically."""
 
-    def __init__(self, data_root, *, workers=2, breakers=None, deadline=5.0,
-                 spawn_backoff=0.05):
-        self.pool = WorkerPool(workers, spawn_backoff=spawn_backoff).start()
+    def __init__(self, data_root, *, workers=2, breakers=None, deadline=5.0):
+        self.pool = WorkerPool(workers, max_queue=8, deadline=deadline)
         self.service = JoinService(
-            admission=AdmissionController(
-                max_inflight=workers,
-                max_queue=8,
-                default_deadline=deadline,
-            ),
             root=data_root,
             pool=self.pool,
             breakers=breakers,
@@ -120,18 +120,19 @@ class TestServeFailpoints:
 # circuit breaker state machine (unit)
 # ----------------------------------------------------------------------
 class TestCircuitBreakerUnit:
-    def test_opens_after_consecutive_failures_and_probe_closes(self):
-        board = BreakerBoard(threshold=2, cooldown=0.2)
+    def test_opens_after_consecutive_failures_and_probe_closes(self, monkeypatch):
+        monkeypatch.setattr(breaker_module, "BREAKER_THRESHOLD", 2)
+        monkeypatch.setattr(breaker_module, "BREAKER_COOLDOWN", 0.2)
+        board = BreakerBoard()
         keys = ("r.wkt", "s.wkt")
         board.admit(keys)
         board.failure(keys)
         board.admit(keys)  # one failure: still closed
         board.failure(keys)
         assert board.states() == {"r.wkt": "open", "s.wkt": "open"}
-        from repro.serve import BreakerOpen
-
-        with pytest.raises(BreakerOpen) as info:
+        with pytest.raises(ServiceError) as info:
             board.admit(keys)
+        assert info.value.reason == "breaker_open"
         assert info.value.retry_after > 0
         time.sleep(0.25)
         board.admit(keys)  # the half-open probe
@@ -233,7 +234,7 @@ class TestWorkerPoolHTTP:
         # time — EOF detection, the slot's first backoff, a supervisor
         # tick and one fork — not a timeout.
         with failpoints.inject({"serve.worker_crash": "nth:1"}):
-            ps = _PoolServer(data_root, workers=1, spawn_backoff=0.05)
+            ps = _PoolServer(data_root, workers=1)
             try:
                 status, doc = post_json(f"{ps.url}/v1/join", join_payload())
                 assert status == 503 and doc["reason"] == "worker_crash"
@@ -321,13 +322,11 @@ class TestWorkerPoolHTTP:
 # breaker + degradation over HTTP
 # ----------------------------------------------------------------------
 class TestBreakerHTTP:
-    def test_breaker_opens_fast_fails_then_probe_closes(self, data_root):
+    def test_breaker_opens_fast_fails_then_probe_closes(self, data_root, monkeypatch):
+        monkeypatch.setattr(breaker_module, "BREAKER_THRESHOLD", 2)
+        monkeypatch.setattr(breaker_module, "BREAKER_COOLDOWN", 0.4)
         with failpoints.inject({"serve.worker_crash": "times:2"}):
-            ps = _PoolServer(
-                data_root,
-                workers=1,
-                breakers=BreakerBoard(threshold=2, cooldown=0.4),
-            )
+            ps = _PoolServer(data_root, workers=1, breakers=BreakerBoard())
             try:
                 for _ in range(2):
                     assert wait_for(lambda: ps.pool.snapshot()["live"] == 1)
@@ -357,9 +356,10 @@ class TestBreakerHTTP:
 
 
 class TestDegradation:
-    def test_shed_when_pool_exhausted(self, data_root):
+    def test_shed_when_pool_exhausted(self, data_root, monkeypatch):
+        monkeypatch.setattr(pool_module, "SPAWN_BACKOFF", 5.0)
         with failpoints.inject({"serve.worker_crash": "nth:1"}):
-            ps = _PoolServer(data_root, workers=1, spawn_backoff=5.0)
+            ps = _PoolServer(data_root, workers=1)
             try:
                 status, doc = post_json(f"{ps.url}/v1/join", join_payload())
                 assert status == 503 and doc["reason"] == "worker_crash"
@@ -376,8 +376,9 @@ class TestDegradation:
 # liveness vs readiness
 # ----------------------------------------------------------------------
 class TestHealthSplit:
-    def test_livez_stays_up_while_healthz_degrades(self, data_root):
-        ps = _PoolServer(data_root, workers=2, spawn_backoff=1.0)
+    def test_livez_stays_up_while_healthz_degrades(self, data_root, monkeypatch):
+        monkeypatch.setattr(pool_module, "SPAWN_BACKOFF", 1.0)
+        ps = _PoolServer(data_root, workers=2)
         try:
             status, doc = get_json(f"{ps.url}/v1/healthz")
             assert status == 200 and doc["ready"] is True
@@ -408,14 +409,8 @@ class TestHealthSplit:
 class TestDrain:
     def test_sigterm_drains_inflight_pool_request(self, data_root):
         with failpoints.inject({"serve.slow_response": "always"}, hang_seconds=0.8):
-            pool = WorkerPool(1).start()
-            service = JoinService(
-                admission=AdmissionController(
-                    max_inflight=1, max_queue=4, default_deadline=10.0
-                ),
-                root=data_root,
-                pool=pool,
-            )
+            pool = WorkerPool(1, max_queue=4, deadline=10.0)
+            service = JoinService(root=data_root, pool=pool)
             address = {}
             listening = threading.Event()
             outcome = {}
@@ -432,7 +427,7 @@ class TestDrain:
             def _term():
                 listening.wait(5)
                 wait_for(
-                    lambda: service.admission.snapshot()["inflight"] >= 1, timeout=5.0
+                    lambda: pool.admission_snapshot()["inflight"] >= 1, timeout=5.0
                 )
                 os.kill(os.getpid(), signal.SIGTERM)
 
@@ -510,8 +505,8 @@ class TestPoolUnit:
     def test_submit_after_close_fails_cleanly(self, data_root):
         pool = WorkerPool(1).start()
         pool.close()
-        with pytest.raises(WorkerFailure) as info:
-            pool.submit({"seq": 1, "r": "x", "s": "y"}, deadline=1.0)
+        with pytest.raises(ServiceError) as info:
+            pool.submit({"seq": 1, "r": "x", "s": "y"}, endpoint="join")
         assert info.value.reason == "pool_closed"
         pool.close()  # idempotent
 

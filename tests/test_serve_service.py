@@ -6,20 +6,29 @@ forked worker pool — the exact transport and execution production use.
 Covered: response identity with a direct engine join, the predicate and
 build-index endpoints, that the daemon itself never joins or builds,
 health/metrics/dashboard surfaces, wire-error mapping (400/404/413),
-429 load shedding under an occupied admission gate, graceful drain, and
-the engine lifecycle (close + context manager + closed guards).
+the pool's gate (429 when its only worker is held, a lapsed deadline,
+a half-open breaker probe that never reached a worker), graceful
+drain, and the engine lifecycle (close + context manager + closed
+guards).
 """
 
+import os
+import signal
+import sys
 import threading
+import time
 import urllib.request
 
 import pytest
 
 from repro import Polygon, dumps_wkt, obs
+from repro.resilience import failpoints
 from repro.serve import (
-    AdmissionController,
     JoinService,
-    ShedError,
+    ServiceError,
+    WorkerPool,
+    breakers as breaker_module,
+    pool as pool_module,
     start_server,
     stop_server,
 )
@@ -49,6 +58,46 @@ def join_payload(**overrides):
     payload = {"r": "r.wkt", "s": "s.wkt", "mode": "serial", "grid_order": 8}
     payload.update(overrides)
     return payload
+
+
+def wait_for(predicate, timeout=10.0, interval=0.01):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(interval)
+    return predicate()
+
+
+class _Served:
+    """A service over ``pool`` on a loopback socket. Arm any
+    ``serve.*`` failpoint before constructing it: the workers fork here."""
+
+    def __init__(self, data_root, pool):
+        self.service = JoinService(root=data_root, pool=pool)
+        self.pool = pool
+        self.server, self.thread = start_server(self.service)
+        host, port = self.server.server_address
+        self.url = f"http://{host}:{port}"
+
+    def hold_the_worker(self, **overrides):
+        """POST a join from a background thread and return once it holds
+        a worker; ``join()`` the returned thread for its outcome."""
+        outcome = {}
+
+        def _post():
+            outcome["status"], outcome["doc"] = post_json(
+                f"{self.url}/v1/join", join_payload(**overrides)
+            )
+
+        thread = threading.Thread(target=_post, daemon=True)
+        thread.outcome = outcome
+        thread.start()
+        assert wait_for(lambda: self.pool.admission_snapshot()["inflight"] == 1)
+        return thread
+
+    def stop(self):
+        return stop_server(self.server, self.thread)
 
 
 class TestJoinEndpoint:
@@ -178,6 +227,18 @@ class TestJoinEndpoint:
         assert status == 400
         assert "escapes" in doc["error"]
 
+    @pytest.mark.parametrize("endpoint, payload", [
+        ("join", join_payload(r="a\u0000b")),
+        ("predicate", join_payload(s="a\u0000b", predicate="intersects")),
+        ("build-index", {"data": "r.wkt", "index": "a\u0000b", "grid_order": 8}),
+    ])
+    def test_name_with_nul_byte_is_400(self, server, endpoint, payload):
+        # Path.resolve() under the service root raises on a NUL byte.
+        base, _service = server
+        status, doc = post_json(f"{base}/v1/{endpoint}", payload)
+        assert status == 400, doc
+        assert "not a valid path" in doc["error"]
+
     def test_unknown_path_404(self, server):
         base, _service = server
         status, _doc = post_json(f"{base}/v1/evaluate", {})
@@ -255,37 +316,50 @@ class TestObservabilitySurfaces:
 
 
 class TestAdmission:
+    """The pool is the gate: a held worker, not a held ticket, makes
+    the next request queue or shed."""
+
     def test_queue_full_sheds_429(self, data_root):
-        admission = AdmissionController(max_inflight=1, max_queue=0)
-        service = JoinService(root=data_root, admission=admission)
-        server, thread = start_server(service)
-        host, port = server.server_address
-        base = f"http://{host}:{port}"
+        with failpoints.inject({"serve.slow_response": "always"}, hang_seconds=0.5):
+            served = _Served(data_root, WorkerPool(1, max_queue=0))
         try:
-            with admission.admit("other"):
-                status, doc = post_json(f"{base}/v1/join", join_payload())
+            holder = served.hold_the_worker()
+            status, doc = post_json(f"{served.url}/v1/join", join_payload())
             assert status == 429
+            assert doc["reason"] == "queue_full" and doc["retry_after"] > 0
             assert "shed" in doc["error"]
-            assert admission.shed_total == 1
-            # Gate released: the same request succeeds now.
-            status, _doc = post_json(f"{base}/v1/join", join_payload())
+            assert served.pool.admission_snapshot()["shed_total"] == 1
+            holder.join(10)
+            assert holder.outcome["status"] == 200
+            # Worker released: the same request succeeds now.
+            status, _doc = post_json(f"{served.url}/v1/join", join_payload())
             assert status == 200
         finally:
-            stop_server(server, thread)
+            served.stop()
 
-    def test_deadline_lapse_sheds(self):
-        admission = AdmissionController(
-            max_inflight=1, max_queue=4, default_deadline=0.05
-        )
-        with admission.admit("join"):
-            with pytest.raises(ShedError, match="deadline"):
-                with admission.admit("join"):
-                    pass
-        assert admission.idle()
+    def test_deadline_lapse_sheds(self, data_root, monkeypatch):
+        # The holder outlives the 0.3 s deadline and is killed at it; the
+        # waiter, which arrived after it, keeps waiting for the respawn
+        # (2 s away) and is shed when its own deadline lapses.
+        monkeypatch.setattr(pool_module, "SPAWN_BACKOFF", 2.0)
+        with failpoints.inject({"serve.slow_response": "always"}, hang_seconds=1.0):
+            served = _Served(data_root, WorkerPool(1, max_queue=4, deadline=0.3))
+        try:
+            holder = served.hold_the_worker()
+            t0 = time.monotonic()
+            status, doc = post_json(f"{served.url}/v1/join", join_payload())
+            assert status == 429 and doc["reason"] == "deadline", doc
+            assert 0.1 <= time.monotonic() - t0 < 2.0
+            holder.join(10)
+            assert holder.outcome["doc"]["reason"] == "worker_hang"
+            snapshot = served.pool.admission_snapshot()
+            assert snapshot["queued"] == 0 and snapshot["inflight"] == 0
+        finally:
+            served.stop()
 
     def test_load_generator_measures_sheds(self, data_root):
-        admission = AdmissionController(max_inflight=1, max_queue=0)
-        service = JoinService(root=data_root, admission=admission)
+        pool = WorkerPool(1, max_queue=0)
+        service = JoinService(root=data_root, pool=pool)
         server, thread = start_server(service)
         host, port = server.server_address
         try:
@@ -301,7 +375,7 @@ class TestAdmission:
         # One-at-a-time service, zero queue, six closed-loop clients:
         # overload must shed.
         assert report.shed > 0
-        assert admission.shed_total == report.shed
+        assert pool.admission_snapshot()["shed_total"] == report.shed
         assert report.p99_seconds >= report.p50_seconds
 
     def test_warm_load_is_all_200_and_rasterises_nothing(self, data_root):
@@ -310,10 +384,7 @@ class TestAdmission:
         # approximation. Metrics go on before the worker forks: it
         # inherits the flag, and its counters travel back per request.
         obs.set_metrics(True)
-        service = JoinService(
-            root=data_root,
-            admission=AdmissionController(max_inflight=1, max_queue=64),
-        )
+        service = JoinService(root=data_root, pool=WorkerPool(1, max_queue=64))
         server, thread = start_server(service)
         host, port = server.server_address
         url = f"http://{host}:{port}/v1/join"
@@ -335,22 +406,108 @@ class TestAdmission:
         assert report.p50_seconds <= report.p95_seconds <= report.p99_seconds
         assert built == 0
 
-    def test_graceful_drain_waits_for_inflight(self, server):
-        base, service = server
-        release = threading.Event()
-        entered = threading.Event()
+    def test_concurrent_submits_keep_the_books(self, data_root):
+        # More threads than workers and cores, switching often: every
+        # submit is admitted or shed exactly once, and the gate's
+        # counters come back to zero.
+        pool = WorkerPool(2, max_queue=3).start()
+        request = {
+            "op": "join", "r": str(data_root / "ghost.wkt"),
+            "s": str(data_root / "s.wkt"), "method": "P+C", "grid_order": 8,
+            "mode": "serial", "predicate": None, "workers": 1,
+            "include_disjoint": False,
+        }
+        outcomes = []
+        outcomes_lock = threading.Lock()
 
-        def _slow_request():
-            with service.admission.admit("join"):
-                entered.set()
-                release.wait(10)
+        def _client():
+            for _ in range(10):
+                try:
+                    outcome = pool.submit(dict(request), endpoint="join")[0][0]
+                except ServiceError as exc:
+                    outcome = exc.reason
+                with outcomes_lock:
+                    outcomes.append(outcome)
 
-        worker = threading.Thread(target=_slow_request, daemon=True)
-        worker.start()
-        assert entered.wait(5)
-        assert not service.admission.wait_idle(0.05)
-        release.set()
-        assert service.admission.wait_idle(5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=_client) for _ in range(12)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            pool.close()
+        snapshot = pool.admission_snapshot()
+        assert len(outcomes) == 120 and set(outcomes) <= {"error", "queue_full"}
+        assert snapshot["admitted_total"] == outcomes.count("error")  # the 404 reply
+        assert snapshot["shed_total"] == outcomes.count("queue_full")
+        assert snapshot["inflight"] == 0 and snapshot["queued"] == 0
+
+    def test_graceful_drain_waits_for_inflight(self, data_root):
+        with failpoints.inject({"serve.slow_response": "always"}, hang_seconds=0.5):
+            served = _Served(data_root, WorkerPool(1))
+        try:
+            holder = served.hold_the_worker()
+            assert not served.pool.wait_idle(0.05)
+            assert served.pool.wait_idle(5)
+            holder.join(10)
+            assert holder.outcome["status"] == 200
+        finally:
+            served.stop()
+
+
+class TestBreakerProbe:
+    """A half-open probe that never reached a worker frees its slot."""
+
+    def _open_circuit(self, service, keys):
+        service.breakers.admit(keys)
+        service.breakers.failure(keys)
+        status, doc = service.healthz()
+        assert status == 503 and "breaker_open" in doc["degraded_reasons"]
+        time.sleep(0.25)  # past the cooldown: the next request probes
+
+    def _assert_next_request_closes(self, served):
+        status, doc = post_json(f"{served.url}/v1/join", join_payload())
+        assert status == 200, doc
+        status, doc = get_json(f"{served.url}/v1/healthz")
+        assert status == 200 and doc["ready"] is True, doc
+        assert set(doc["breakers"].values()) == {"closed"}
+
+    def test_shed_or_exhausted_probe_does_not_wedge_the_circuit(
+        self, data_root, monkeypatch
+    ):
+        monkeypatch.setattr(breaker_module, "BREAKER_THRESHOLD", 1)
+        monkeypatch.setattr(breaker_module, "BREAKER_COOLDOWN", 0.2)
+        monkeypatch.setattr(pool_module, "SPAWN_BACKOFF", 0.5)
+        keys = ("r.wkt", "s.wkt")
+        with failpoints.inject({"serve.slow_response": "always"}, hang_seconds=0.3):
+            served = _Served(data_root, WorkerPool(1, max_queue=0))
+        try:
+            # 1. The probe is shed 429: other datasets hold the only
+            #    worker and nothing may queue.
+            for name in ("r", "s"):
+                wkt = (data_root / f"{name}.wkt").read_text()
+                (data_root / f"{name}2.wkt").write_text(wkt)
+            self._open_circuit(served.service, keys)
+            holder = served.hold_the_worker(r="r2.wkt", s="s2.wkt")
+            status, doc = post_json(f"{served.url}/v1/join", join_payload())
+            assert status == 429 and doc["reason"] == "queue_full", doc
+            holder.join(10)
+            self._assert_next_request_closes(served)
+            # 2. The probe finds no live worker: 503 pool_exhausted.
+            self._open_circuit(served.service, keys)
+            os.kill(served.pool._workers[0].proc.pid, signal.SIGKILL)
+            assert wait_for(lambda: served.pool.snapshot()["live"] == 0)
+            status, doc = post_json(f"{served.url}/v1/join", join_payload())
+            assert status == 503 and doc["reason"] == "pool_exhausted", doc
+            assert wait_for(lambda: served.pool.snapshot()["live"] == 1)
+            self._assert_next_request_closes(served)
+        finally:
+            served.stop()
 
 
 class TestEngineLifecycle:
