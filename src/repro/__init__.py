@@ -60,7 +60,7 @@ from repro.store import (
 )
 from repro.topology import DE9IM, TopologicalRelation, most_specific_relation, relate
 
-__version__ = "1.5.0"
+__version__ = "1.6.0"
 
 #: Public names whose modules no join runs — the HTTP daemon and its
 #: wire codec, the TopologyJoin/selection facade, the disk join. They

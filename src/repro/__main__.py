@@ -62,23 +62,6 @@ def _worker_count(value: str) -> int:
     return count
 
 
-def _load_geometries(path: str) -> list:
-    """Load polygons/multipolygons from a .wkt or .geojson file."""
-    from repro.datasets.geojson import load_geojson
-    from repro.datasets.io import load_wkt_file
-    from repro.geometry import MultiPolygon, Polygon
-
-    p = Path(path)
-    if p.suffix.lower() in (".geojson", ".json"):
-        geometries = [f.geometry for f in load_geojson(p)]
-    else:
-        geometries = load_wkt_file(p)
-    areal = [g for g in geometries if isinstance(g, (Polygon, MultiPolygon))]
-    if not areal:
-        raise SystemExit(f"{path}: no polygonal geometries found")
-    return areal
-
-
 def _predicate(name: str) -> TopologicalRelation:
     for relation in TopologicalRelation:
         if relation.value.replace(" ", "") == name.replace(" ", "").replace("_", "").lower():
@@ -89,11 +72,22 @@ def _predicate(name: str) -> TopologicalRelation:
     )
 
 
+def _load(path: str) -> list:
+    """Every polygonal geometry of a .wkt/.geojson file; a load error
+    (``path:line: reason``) exits with its message."""
+    from repro.store import load_geometry_file
+
+    try:
+        return load_geometry_file(path)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from exc
+
+
 def cmd_relate(args: argparse.Namespace) -> int:
     from repro.topology import most_specific_relation, relate
 
-    a_list = _load_geometries(args.a)
-    b_list = _load_geometries(args.b)
+    a_list = _load(args.a)
+    b_list = _load(args.b)
     n = min(len(a_list), len(b_list))
     for k in range(n):
         matrix = relate(a_list[k], b_list[k])
@@ -417,7 +411,7 @@ def cmd_select(args: argparse.Namespace) -> int:
     from repro.core import TopologySelection
     from repro.geometry import MultiPolygon, Polygon, loads_wkt_geometry
 
-    data = _load_geometries(args.data)
+    data = _load(args.data)
     query = loads_wkt_geometry(args.query)
     if not isinstance(query, (Polygon, MultiPolygon)):
         raise SystemExit("--query must be a POLYGON or MULTIPOLYGON WKT")
@@ -442,7 +436,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         dataset = _resolve_dataset(default_engine(), args.data, True)
         vertices, connected, areas = dataset.num_vertices, dataset.connected, None
     else:
-        data = _load_geometries(args.data)
+        data = _load(args.data)
         vertices = [g.num_vertices for g in data]
         connected = [g.is_connected for g in data]
         areas = [g.area for g in data]

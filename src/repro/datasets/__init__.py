@@ -16,24 +16,25 @@ deterministic synthetic stand-ins that reproduce each entity class's
 All generators take an explicit seed and are fully deterministic.
 """
 
-from repro.datasets.catalog import (
-    DATASETS,
-    SCENARIOS,
-    ScenarioData,
-    SpatialDataset,
-    dataset_names,
-    load_dataset,
-    load_scenario,
-    scenario_names,
-)
-from repro.datasets.io import load_wkt_file, save_wkt_file
-from repro.datasets.synthetic import (
-    blob_polygon,
-    generate_blobs,
-    generate_buildings,
-    generate_tessellation,
-    rectilinear_polygon,
-)
+from repro._lazy import lazy_exports
+
+#: Every name resolves on first read (PEP 562): a cold join reads its
+#: ``.wkt`` inputs through ``repro.datasets.io`` and must not wait for
+#: the catalog and the generators to load.
+_LAZY = {
+    **dict.fromkeys(
+        ("DATASETS", "SCENARIOS", "ScenarioData", "SpatialDataset", "dataset_names",
+         "load_dataset", "load_scenario", "scenario_names"),
+        "repro.datasets.catalog",
+    ),
+    **dict.fromkeys(("load_wkt_file", "save_wkt_file"), "repro.datasets.io"),
+    **dict.fromkeys(
+        ("blob_polygon", "generate_blobs", "generate_buildings", "generate_tessellation",
+         "rectilinear_polygon"),
+        "repro.datasets.synthetic",
+    ),
+}
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY)
 
 __all__ = [
     "DATASETS",

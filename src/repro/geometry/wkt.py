@@ -4,10 +4,17 @@ Supports ``POLYGON`` and ``MULTIPOLYGON`` (each part returned as a
 separate :class:`~repro.geometry.polygon.Polygon`), which is all the
 TIGER/OSM-style workloads need. The parser is a small recursive-descent
 tokenizer — strict enough to reject malformed input with a useful error,
-liberal about whitespace.
+liberal about whitespace. A coordinate must be finite: ``1e999`` parses
+to infinity and is rejected.
+
+Files of polygons are read by a vectorised reader
+(:func:`repro.datasets.io.read_wkt_columns`); this parser is its
+specification and the path every row it cannot vouch for takes.
 """
 
 from __future__ import annotations
+
+import math
 
 from repro.geometry.polygon import Polygon
 from repro.geometry.ring import Coord
@@ -132,10 +139,14 @@ class _Parser:
             self.pos += 1
         if start == self.pos:
             raise WktError(f"expected a number at position {start}")
+        token = self.text[start : self.pos]
         try:
-            return float(self.text[start : self.pos])
+            value = float(token)
         except ValueError as exc:
-            raise WktError(f"bad number {self.text[start:self.pos]!r}") from exc
+            raise WktError(f"bad number {token!r}") from exc
+        if not math.isfinite(value):  # 1e999 overflows to inf
+            raise WktError(f"non-finite coordinate {token!r} at position {start}")
+        return value
 
     def expect_end(self) -> None:
         self._skip_ws()

@@ -2,9 +2,10 @@
 
 Rasterisation is the dominant preprocessing cost (the APRIL paper
 reports it dwarfing join time for fine grids), and every polygon is
-rasterised independently — a perfect fan-out. Forked workers inherit
-the polygon chunks with the task closure (copy-on-write, nothing
-pickled per task); each builds its chunk with one
+rasterised independently — a perfect fan-out. The dataset is cut into
+contiguous chunks of its geometry columns; forked workers inherit them
+with the task closure (copy-on-write numpy buffers, nothing pickled per
+task); each builds its chunk with one
 :func:`~repro.raster.april.build_april_many` call, and only the
 interval lists travel back through the result pipe.
 
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from repro.geometry.columns import GeometryColumns
 from repro.geometry.polygon import Polygon
 from repro.obs.metrics import metrics_enabled
 from repro.obs.trace import trace
@@ -38,28 +40,29 @@ MIN_PARALLEL_POLYGONS = 8
 
 
 def build_april_parallel(
-    polygons: Sequence[Polygon],
+    polygons: "Sequence[Polygon] | GeometryColumns",
     grid: RasterGrid,
     workers: int | None = None,
     partition_timeout: float | None = None,
     max_retries: int | None = None,
 ) -> list[AprilApproximation]:
-    """APRIL approximations for ``polygons``, in input order.
+    """APRIL approximations for ``polygons`` (a polygon sequence or
+    geometry columns), in input order.
 
     Bit-identical to ``build_april_many(polygons, grid)`` for every
     worker count and every worker failure schedule.
     """
-    polygons = list(polygons)
+    columns = GeometryColumns.of(polygons)
     if workers is None:
         workers = default_workers()
     if (
         workers <= 1
-        or len(polygons) < MIN_PARALLEL_POLYGONS
+        or len(columns) < MIN_PARALLEL_POLYGONS
         or not fork_available()
     ):
-        return build_april_many(polygons, grid)
+        return build_april_many(columns, grid)
 
-    chunks = chunk_pairs(polygons, workers)
+    chunks = [columns[c[0] : c[-1] + 1] for c in chunk_pairs(range(len(columns)), workers)]
 
     def build_chunk(chunk_index: int) -> list[AprilApproximation]:
         return build_april_many(chunks[chunk_index], grid)
@@ -69,7 +72,7 @@ def build_april_parallel(
         maybe_fail_worker(chunk_index, attempt)
         return build_chunk(chunk_index)
 
-    with trace("build_april_parallel", count=len(polygons), workers=workers):
+    with trace("build_april_parallel", count=len(columns), workers=workers):
         parts, report = supervised_map(
             worker,
             len(chunks),

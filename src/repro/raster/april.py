@@ -13,10 +13,13 @@ These invariants (``P ⊆ C``; ``P`` cells avoid the boundary; ``C``
 covers the object) are exactly what the Sec. 3.2 intermediate filters
 rely on, and are property-tested in ``tests/test_raster_april.py``.
 
-:func:`build_april_many` is the one producer: it cuts a dataset into
-batches of at most ``_BATCH_CELLS`` window cells, rasterises each batch
-in one pass (:func:`~repro.raster.rasterize.rasterize_batch`), maps all
-of the batch's cells to Hilbert ids at once and sorts them under a
+:func:`build_april_many` is the one producer: it takes a dataset as
+columns (:class:`~repro.geometry.columns.GeometryColumns` — MBRs and
+flat edge arrays, no ``Polygon`` objects; a polygon sequence is
+flattened once), cuts it into batches of at most ``_BATCH_CELLS``
+window cells, rasterises each batch in one pass
+(:func:`~repro.raster.rasterize.rasterize_batch`), maps all of the
+batch's cells to Hilbert ids at once and sorts them under a
 ``(geometry, id)`` key. The cells come from boolean masks, so the ids
 are already unique and a sort — not a hash ``unique`` — orders them;
 an interval breaks wherever consecutive keys differ by more than one,
@@ -31,6 +34,7 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
+from repro.geometry.columns import GeometryColumns
 from repro.obs.metrics import get_registry, metrics_enabled
 from repro.obs.trace import trace
 from repro.raster import kernels
@@ -101,7 +105,7 @@ def observe_april_metrics(approx: AprilApproximation) -> None:
 
 
 def build_april_many(
-    geometries: Iterable["Polygon"],
+    geometries: "Iterable[Polygon] | GeometryColumns",
     grid: RasterGrid,
     max_cells: int = 64_000_000,
 ) -> list[AprilApproximation]:
@@ -111,13 +115,13 @@ def build_april_many(
     building anything when some geometry's MBR covers more than
     ``max_cells`` cells.
     """
-    geometries = list(geometries)
-    with trace("build_april_many", count=len(geometries)):
-        windows = CellWindows.of(geometries, grid, max_cells)
+    columns = GeometryColumns.of(geometries)
+    with trace("build_april_many", count=len(columns)):
+        windows = CellWindows.of(columns.boxes, grid, max_cells)
         approximations: list[AprilApproximation] = []
         for part in _batches(windows.width * windows.height):
             batch = windows[part]
-            marked, full = rasterize_batch(geometries[part], grid, batch)
+            marked, full = rasterize_batch(columns[part], grid, batch)
             p_lists, c_lists = _interval_lists(grid, batch, marked, full)
             approximations += [
                 AprilApproximation(grid=grid, p=p, c=c) for p, c in zip(p_lists, c_lists)

@@ -11,9 +11,11 @@ Splits the grid cells under each geometry's MBR into three classes:
 - empty — untouched cells entirely outside.
 
 A batch lays the MBR cell windows of its geometries end to end in one
-flat row-major buffer (:class:`CellWindows`), flattens every ring of
-every geometry into one set of edge arrays, and classifies all of their
-cells in a fixed number of numpy passes, whatever the batch size:
+flat row-major buffer (:class:`CellWindows`), takes the edges of every
+ring of every geometry from their columns
+(:meth:`~repro.geometry.columns.GeometryColumns.edge_arrays`), and
+classifies all of their cells in a fixed number of numpy passes,
+whatever the batch size:
 
 1. **Boundary marking.** All grid-line crossings of all edges come from
    one floor/ceil sweep, a lexsort orders them along each edge, and the
@@ -45,11 +47,11 @@ expressions, and the differential suite demands bit-identical grids.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.topology.pip import edge_arrays
+from repro.geometry.columns import GeometryColumns
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.geometry.polygon import Polygon
@@ -88,18 +90,13 @@ class CellWindows:
     base: np.ndarray
 
     @staticmethod
-    def of(
-        geometries: Sequence["Polygon"], grid: "RasterGrid", max_cells: int
-    ) -> "CellWindows":
-        """The windows of ``grid.cell_range_of_box(g.bbox)``, vectorised.
+    def of(boxes: np.ndarray, grid: "RasterGrid", max_cells: int) -> "CellWindows":
+        """The windows of ``grid.cell_range_of_box(box)`` for every row
+        ``(xmin, ymin, xmax, ymax)`` of ``boxes``, vectorised.
 
         Raises :class:`RasterizationError` naming the first geometry
         whose window exceeds ``max_cells``, before anything is built.
         """
-        boxes = np.array(
-            [(b.xmin, b.ymin, b.xmax, b.ymax) for b in (g.bbox for g in geometries)],
-            dtype=np.float64,
-        ).reshape(-1, 4)
         space = grid.dataspace
         last = grid.side - 1
         cols = np.clip(np.floor((boxes[:, 0::2] - space.xmin) / grid.cell_width), 0, last)
@@ -142,14 +139,14 @@ class CellWindows:
 
 
 def rasterize_batch(
-    geometries: Sequence["Polygon"], grid: "RasterGrid", windows: CellWindows
+    columns: GeometryColumns, grid: "RasterGrid", windows: CellWindows
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Classify every cell of ``windows`` (one per geometry).
+    """Classify every cell of ``windows`` (one per geometry of ``columns``).
 
     Returns two flat boolean buffers over the windows, ``(marked,
     full)``: the partial cells and the full cells (see module docstring).
     """
-    ax, ay, bx, by, offsets = edge_arrays(geometries)
+    ax, ay, bx, by, offsets = columns.edge_arrays()
     edge_window = np.repeat(np.arange(len(windows)), np.diff(offsets))
     space = grid.dataspace
     ua = (ax - space.xmin) / grid.cell_width
@@ -171,8 +168,9 @@ def rasterize_polygon(
 ) -> RasterCells:
     """Classify the cells under ``polygon``'s MBR: the one-geometry view
     of :func:`rasterize_batch`."""
-    windows = CellWindows.of([polygon], grid, max_cells)
-    marked, full = rasterize_batch([polygon], grid, windows)
+    columns = GeometryColumns.from_geometries([polygon])
+    windows = CellWindows.of(columns.boxes, grid, max_cells)
+    marked, full = rasterize_batch(columns, grid, windows)
 
     def cells(mask: np.ndarray) -> np.ndarray:
         _, col, row = windows.cells(np.flatnonzero(mask))

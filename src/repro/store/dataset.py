@@ -29,8 +29,17 @@ datasets runs on the padded union of their extents, so the first
 persists that payload into the index — every later join against the
 same partner loads it and performs zero rasterisation.
 
-Identity is content-addressed: ``content_hash`` is the SHA-256 of the
-canonical WKT dump (stable across formatting and storage), and
+Identity is content-addressed, twice over:
+
+- ``columns_sha256`` is the SHA-256 of the ``geometries.bin`` image
+  (:meth:`GeometryColumns.to_bytes
+  <repro.geometry.columns.GeometryColumns.to_bytes>`): the engine's
+  cache key. An index has it verified in its manifest; a parsed file or
+  an in-memory list hashes its columns once.
+- ``content_hash`` is the SHA-256 of the canonical WKT dump (stable
+  across formatting and storage): the manifest identity. It is computed
+  only when asked for — by :meth:`SpatialDataset.save` — never by a join.
+
 ``source_sha256`` fingerprints the raw source file so a mutated source
 invalidates the index (the engine then rebuilds it).
 
@@ -48,14 +57,16 @@ SHA-256 of an untouched ``geometries.wkt`` *is* the manifest's
    exactly those counts, and ``count`` equals the manifest's.
 
 An index that passes 2 on raw bytes and has the entry never parses WKT:
-boxes come from the columns, ``content_hash`` from the verified
-manifest value, and ``geometries`` is a
-:class:`~repro.store.columns.LazyGeometries` that builds a polygon when
-one is first read. An index without the entry (written before the
-columnar file existed) parses the dump as it always did; the manifest
-alone decides, and a read never upgrades an index — re-run
-``build-index`` for that. ``format_version`` stays 2: the dump is
-intact, so builds that predate the entry ignore it and open the index.
+it opens as :meth:`SpatialDataset.from_columns` — the dataset a parsed
+``.wkt`` file becomes too — so boxes and per-geometry facts come from
+the columns, both identities from the verified manifest, and
+``geometries`` is a :class:`~repro.store.columns.LazyGeometries` that
+builds a polygon when one is first read. An index without the entry
+(written before the columnar file existed) parses the dump as it always
+did; the manifest alone decides, and a read never upgrades an index —
+re-run ``build-index`` for that. ``format_version`` stays 2: the dump
+is intact, so builds that predate the entry ignore it and open the
+index.
 """
 
 from __future__ import annotations
@@ -70,6 +81,7 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.geometry.box import Box
+from repro.geometry.columns import GeometryColumns
 from repro.geometry.polygon import Polygon
 from repro.geometry.wkt import dumps_wkt, loads_wkt_geometry
 from repro.obs.metrics import get_registry, metrics_enabled
@@ -85,7 +97,7 @@ from repro.raster.storage import (
 from repro.resilience.atomic import atomic_write_bytes, atomic_write_text
 from repro.resilience.failpoints import maybe_crash
 from repro.resilience.quarantine import QuarantineReport
-from repro.store.columns import GeometryColumns, LazyGeometries, read_columns
+from repro.store.columns import LazyGeometries, read_columns
 
 log = logging.getLogger("repro.resilience")
 
@@ -150,35 +162,47 @@ def _observe_rebuild(artifact: str) -> None:
 # ----------------------------------------------------------------------
 # source loading
 # ----------------------------------------------------------------------
-def load_geometry_file(
+def load_geometry_columns(
     path: str | Path,
     strict: bool = True,
     quarantine: QuarantineReport | None = None,
-) -> list[Polygon]:
-    """Load the polygonal geometries of a ``.wkt`` or ``.geojson`` file.
+) -> GeometryColumns:
+    """The polygonal geometries of a ``.wkt`` or ``.geojson`` file, as
+    columns (a ``.wkt`` file never becomes ``Polygon`` objects).
 
     ``strict=True`` (the default) aborts on the first malformed row;
     with ``strict=False`` malformed rows are skipped into ``quarantine``
     (see :mod:`repro.resilience.quarantine`) and the healthy remainder
     is returned.
     """
-    from repro.datasets.geojson import load_geojson
-    from repro.datasets.io import load_wkt_file
-    from repro.geometry.multipolygon import MultiPolygon
+    from repro.datasets.io import read_wkt_columns
 
     p = Path(path)
     if quarantine is not None and not quarantine.source:
         quarantine.source = str(p)
     if p.suffix.lower() in (".geojson", ".json"):
-        geometries = [
-            f.geometry for f in load_geojson(p, strict=strict, report=quarantine)
-        ]
+        from repro.datasets.geojson import load_geojson
+        from repro.geometry.multipolygon import MultiPolygon
+
+        features = load_geojson(p, strict=strict, report=quarantine)
+        columns = GeometryColumns.from_geometries(
+            f.geometry for f in features if isinstance(f.geometry, (Polygon, MultiPolygon))
+        )
     else:
-        geometries = load_wkt_file(p, strict=strict, report=quarantine)
-    areal = [g for g in geometries if isinstance(g, (Polygon, MultiPolygon))]
-    if not areal:
+        columns = read_wkt_columns(p, strict=strict, report=quarantine)
+    if not len(columns):
         raise ValueError(f"{path}: no polygonal geometries found")
-    return areal
+    return columns
+
+
+def load_geometry_file(
+    path: str | Path,
+    strict: bool = True,
+    quarantine: QuarantineReport | None = None,
+) -> list:
+    """:func:`load_geometry_columns` as ``Polygon``/``MultiPolygon``
+    objects, for callers that want every exact geometry."""
+    return list(LazyGeometries(load_geometry_columns(path, strict, quarantine)))
 
 
 def _read_dump_bytes(path: Path) -> bytes:
@@ -207,9 +231,11 @@ class SpatialDataset:
     """A polygon collection plus everything a join needs precomputed.
 
     In-memory datasets (``path is None``) cache their derived bundles
-    (boxes, extent, content hash) for the process lifetime;
+    (columns, boxes, extent, identities) for the process lifetime;
     persistent datasets additionally load/store APRIL payloads in their
-    index directory.
+    index directory. ``content_hash`` and ``columns_sha256``, when the
+    caller already knows them (a verified manifest, a fresh save), are
+    taken as given instead of being recomputed.
     """
 
     def __init__(
@@ -220,6 +246,8 @@ class SpatialDataset:
         path: str | Path | None = None,
         source: str | Path | None = None,
         source_sha256: str | None = None,
+        content_hash: str | None = None,
+        columns_sha256: str | None = None,
     ) -> None:
         if not isinstance(geometries, LazyGeometries):
             geometries = list(geometries)
@@ -230,6 +258,17 @@ class SpatialDataset:
         self.path = Path(path) if path is not None else None
         self.source = Path(source) if source is not None else None
         self.source_sha256 = source_sha256
+        self._content_hash = content_hash
+        self._columns_sha256 = columns_sha256
+
+    @classmethod
+    def from_columns(cls, columns: GeometryColumns, **kwargs) -> "SpatialDataset":
+        """The dataset over ``columns``: every per-geometry fact comes
+        from the arrays, and a geometry is built on first access
+        (:class:`~repro.store.columns.LazyGeometries`). What a parsed
+        ``.wkt`` file and an opened index both become; ``kwargs`` are
+        the constructor's."""
+        return cls(LazyGeometries(columns), **kwargs)
 
     def __len__(self) -> int:
         return len(self.geometries)
@@ -241,27 +280,41 @@ class SpatialDataset:
     # ------------------------------------------------------------------
     # identity and derived bundles
     # ------------------------------------------------------------------
-    @cached_property
+    @property
     def content_hash(self) -> str:
-        return content_hash(self.geometries)
+        """SHA-256 of the canonical WKT dump: the manifest identity."""
+        if self._content_hash is None:
+            self._content_hash = content_hash(self.geometries)
+        return self._content_hash
+
+    @property
+    def columns_sha256(self) -> str:
+        """SHA-256 of the ``geometries.bin`` image: the cache identity."""
+        if self._columns_sha256 is None:
+            self._columns_sha256 = hashlib.sha256(self.columns.to_bytes()).hexdigest()
+        return self._columns_sha256
+
+    @cached_property
+    def columns(self) -> GeometryColumns:
+        if isinstance(self.geometries, LazyGeometries):
+            return self.geometries.columns
+        return GeometryColumns.from_geometries(self.geometries)
 
     # Per-geometry facts a join or ``repro stats`` asks of *every*
-    # object. An index opened through its columnar file arrives with all
-    # of them (and content_hash) already filled in from the columns and
-    # the verified manifest, so none of these builds a geometry there.
+    # object, read off the columns: none of these builds a geometry.
     @cached_property
     def boxes(self) -> list[Box]:
-        return [g.bbox for g in self.geometries]
+        return [Box(*row) for row in self.columns.boxes.tolist()]
 
     @cached_property
     def connected(self) -> list[bool]:
         """``is_connected`` per geometry: what the filters need to know
         about the exact geometry of every candidate pair."""
-        return [g.is_connected for g in self.geometries]
+        return self.columns.connected().tolist()
 
     @cached_property
     def num_vertices(self) -> list[int]:
-        return [g.num_vertices for g in self.geometries]
+        return self.columns.vertex_counts().tolist()
 
     @cached_property
     def extent(self) -> Box:
@@ -376,7 +429,7 @@ class SpatialDataset:
         t0 = time.perf_counter()
         with trace("store_build_april", count=len(self), grid_order=grid.order):
             aprils = build_april_parallel(
-                self.geometries,
+                self.columns,
                 grid,
                 workers=workers,
                 partition_timeout=partition_timeout,
@@ -436,8 +489,7 @@ class SpatialDataset:
         index_dir.mkdir(parents=True, exist_ok=True)
         lines = [dumps_wkt(g, precision=_WKT_PRECISION) for g in self.geometries]
         dump = ("\n".join(lines) + "\n").encode("utf-8")
-        columns = GeometryColumns.from_geometries(self.geometries)
-        blob = columns.to_bytes()
+        blob = self.columns.to_bytes()
         # Both geometry files land atomically and the manifest last: a
         # crash anywhere in between leaves files the old manifest (or
         # none) does not vouch for, which open() refuses.
@@ -450,14 +502,15 @@ class SpatialDataset:
             path=index_dir,
             source=self.source,
             source_sha256=self.source_sha256,
+            # The dump's bytes are exactly what content_hash() hashes.
+            content_hash=hashlib.sha256(dump).hexdigest(),
+            columns_sha256=hashlib.sha256(blob).hexdigest(),
         )
-        # The dump's bytes are exactly what content_hash() hashes.
-        persistent.__dict__["content_hash"] = hashlib.sha256(dump).hexdigest()
         manifest = persistent._manifest()
         manifest["geometry_columns"] = {
             "file": COLUMNS_NAME,
-            "sha256": hashlib.sha256(blob).hexdigest(),
-            **columns.counts(),
+            "sha256": persistent.columns_sha256,
+            **self.columns.counts(),
         }
         persistent._write_manifest(manifest)
         return persistent
@@ -539,30 +592,27 @@ class SpatialDataset:
                     f"{index_dir}: corrupt index — stored geometries do not match "
                     "the manifest's content hash"
                 )
-        derived = {"content_hash": recorded_hash}
-        entry = manifest.get("geometry_columns")
-        if entry is not None:
-            geometries = LazyGeometries(read_columns(index_dir, entry))
-            derived.update(
-                boxes=geometries.boxes(),
-                connected=geometries.connected(),
-                num_vertices=geometries.num_vertices(),
-            )
-        elif geometries is None:
-            geometries = _parse_geometry_dump(dump_path, dump)
-        if len(geometries) != manifest.get("count"):
-            raise StoreError(
-                f"{index_dir}: corrupt index — {len(geometries)} geometries stored, "
-                f"manifest records {manifest.get('count')}"
-            )
-        dataset = cls(
-            geometries,
+        identity = dict(
             name=manifest.get("name", index_dir.name),
             path=index_dir,
             source=manifest.get("source"),
             source_sha256=manifest.get("source_sha256"),
+            content_hash=recorded_hash,
         )
-        dataset.__dict__.update(derived)  # fills the cached properties
+        entry = manifest.get("geometry_columns")
+        if entry is not None:
+            dataset = cls.from_columns(
+                read_columns(index_dir, entry), columns_sha256=entry["sha256"], **identity
+            )
+        else:
+            if geometries is None:
+                geometries = _parse_geometry_dump(dump_path, dump)
+            dataset = cls(geometries, **identity)
+        if len(dataset) != manifest.get("count"):
+            raise StoreError(
+                f"{index_dir}: corrupt index — {len(dataset)} geometries stored, "
+                f"manifest records {manifest.get('count')}"
+            )
         return dataset
 
     @classmethod
@@ -580,8 +630,8 @@ class SpatialDataset:
         """
         if source is not None and Path(source).exists():
             src = Path(source)
-            dataset = cls(
-                load_geometry_file(src),
+            dataset = cls.from_columns(
+                load_geometry_columns(src),
                 name=src.stem,
                 source=src,
                 source_sha256=file_sha256(src),
@@ -647,9 +697,9 @@ def build_dataset(
     """
     source = Path(source)
     t0 = time.perf_counter()
-    geometries = load_geometry_file(source, strict=strict, quarantine=quarantine)
-    dataset = SpatialDataset(
-        geometries,
+    columns = load_geometry_columns(source, strict=strict, quarantine=quarantine)
+    dataset = SpatialDataset.from_columns(
+        columns,
         name=name or source.stem,
         source=source,
         source_sha256=file_sha256(source),
@@ -681,6 +731,7 @@ __all__ = [
     "content_hash",
     "file_sha256",
     "grid_key",
+    "load_geometry_columns",
     "load_geometry_file",
     "open_dataset",
 ]

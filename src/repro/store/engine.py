@@ -16,11 +16,18 @@ The engine memoises the expensive intermediates in bounded LRU caches:
 - **datasets** — parsed geometry collections, keyed by resolved path +
   a content fingerprint, so a mutated source file is a cache *miss*
   (never a stale hit);
-- **object sets** — ``SpatialObject`` lists per (dataset content hash,
-  grid), where APRIL approximations live; backed by the dataset's
-  persistent payloads, so a warm join — even in a brand-new process —
-  performs zero rasterisation;
+- **object sets** — ``SpatialObject`` lists per (dataset, grid), where
+  APRIL approximations live; backed by the dataset's persistent
+  payloads, so a warm join — even in a brand-new process — performs
+  zero rasterisation;
 - **candidate pairs** — the plane-sweep MBR join per dataset pair.
+
+A dataset's identity in the last two (and in the decoded-payload
+cache) is ``SpatialDataset.columns_sha256``, the SHA-256 of its
+``geometries.bin`` image: verified in an index's manifest, hashed once
+over the columns of a parsed file or an in-memory list. A ``.wkt`` file
+is read straight into those columns, so a cold join builds a
+``Polygon`` only for a pair that reaches refinement.
 
 Cache traffic is observable through the metrics registry
 (``repro_store_cache_total{cache,outcome}``,
@@ -56,8 +63,8 @@ from repro.store.dataset import (
     MANIFEST_NAME,
     SpatialDataset,
     _observe_cache,
-    content_hash,
     file_sha256,
+    load_geometry_columns,
 )
 from repro.topology.de9im import TopologicalRelation
 
@@ -182,9 +189,9 @@ class Engine:
         index directory (must hold a ``manifest.json``), a path to a
         ``.wkt``/``.geojson`` file, or a sequence of polygons. Cache
         keys embed a content fingerprint — the manifest bytes for an
-        index, the file bytes for a source file, the geometry content
-        hash for in-memory inputs — so mutating the source invalidates
-        the entry instead of serving stale geometry.
+        index, the file bytes for a source file, the SHA-256 of the
+        geometry columns for in-memory inputs — so mutating the source
+        invalidates the entry instead of serving stale geometry.
 
         ``on_error="rebuild"`` repairs an unusable index directory in
         place (see :meth:`SpatialDataset.open`); ``strict=False`` loads
@@ -210,21 +217,19 @@ class Engine:
             key = ("file", str(path.resolve()), file_sha256(path), strict)
             cached = self._datasets.get(key)
             if cached is None:
-                from repro.store.dataset import load_geometry_file
-
-                cached = SpatialDataset(
-                    load_geometry_file(path, strict=strict, quarantine=quarantine),
+                cached = SpatialDataset.from_columns(
+                    load_geometry_columns(path, strict=strict, quarantine=quarantine),
                     name=path.stem,
                     source=path,
                     source_sha256=key[2],
                 )
                 self._datasets.put(key, cached)
             return cached
-        polygons = list(source)
-        key = ("mem", content_hash(polygons))
+        dataset = SpatialDataset.from_polygons(list(source))
+        key = ("mem", dataset.columns_sha256)
         cached = self._datasets.get(key)
         if cached is None:
-            cached = SpatialDataset.from_polygons(polygons)
+            cached = dataset
             self._datasets.put(key, cached)
         return cached
 
@@ -253,14 +258,14 @@ class Engine:
     ) -> list[SpatialObject]:
         """The dataset's ``SpatialObject`` list for ``grid``.
 
-        Object lists are cached per (content hash, grid); APRIL
+        Object lists are cached per (``columns_sha256``, grid); APRIL
         approximations are attached lazily (``with_april``) and come
         from :meth:`SpatialDataset.approximations`, i.e. from the
         persistent payload when one exists — the warm path that skips
         rasterisation entirely. ``partition_timeout``/``max_retries``
         bound the supervised build fan-out of a cold one.
         """
-        key = (dataset.content_hash, _grid_identity(grid))
+        key = (dataset.columns_sha256, _grid_identity(grid))
         objects = self._objects.get(key)
         if objects is None:
             geometries = dataset.geometries
@@ -293,10 +298,10 @@ class Engine:
         cache, so keeping the *list* alive across object-set rebuilds
         is what lets repeated warm joins amortise decode work instead
         of re-reading and re-decoding the blob every time. The entry is
-        keyed like the object set (content hash + grid identity); a
-        mutated dataset therefore misses and reloads.
+        keyed like the object set (``columns_sha256`` + grid identity);
+        a mutated dataset therefore misses and reloads.
         """
-        key = (dataset.content_hash, _grid_identity(grid))
+        key = (dataset.columns_sha256, _grid_identity(grid))
         aprils = self._payloads.get(key)
         if aprils is None:
             aprils = dataset.approximations(
@@ -316,7 +321,7 @@ class Engine:
 
     def pairs(self, r: SpatialDataset, s: SpatialDataset) -> list[tuple[int, int]]:
         """The MBR filter step for the dataset pair, cached and sorted."""
-        key = (r.content_hash, s.content_hash)
+        key = (r.columns_sha256, s.columns_sha256)
         pairs = self._pairs.get(key)
         if pairs is None:
             with trace("mbr_filter_step") as span:

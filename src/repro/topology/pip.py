@@ -13,10 +13,11 @@ algorithm guarantees this for the midpoints it classifies).
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
+
+from repro.geometry.columns import GeometryColumns
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.geometry.polygon import Polygon
@@ -38,25 +39,11 @@ def edge_arrays(
 
     Edges come in ``edges()`` order — geometry by geometry, ring by
     ring, each ring's implicit closing edge last — with the very float
-    values the generator yields, but from one pass over the rings'
-    ``coords`` lists instead of one Python tuple per edge.
+    values the generator yields, from one flattening of the rings
+    (:meth:`GeometryColumns.edge_arrays`) instead of one Python tuple
+    per edge.
     """
-    coords: list = []
-    ring_ends: list[int] = []
-    offsets = [0]
-    for geometry in geometries:
-        for ring in geometry.rings():
-            coords += ring.coords
-            ring_ends.append(len(coords))
-        offsets.append(len(coords))
-    flat = np.fromiter(chain.from_iterable(coords), dtype=np.float64, count=2 * len(coords))
-    xs, ys = flat[0::2], flat[1::2]
-    ends = np.asarray(ring_ends, dtype=np.int64)
-    # Edge k runs from vertex k to k + 1, except that a ring's last
-    # vertex closes back to the ring's first.
-    succ = np.arange(1, len(coords) + 1)
-    succ[ends - 1] = np.concatenate(([0], ends[:-1]))
-    return xs, ys, xs[succ], ys[succ], np.asarray(offsets, dtype=np.int64)
+    return GeometryColumns.from_geometries(geometries).edge_arrays()
 
 
 def _edge_arrays(polygon: "Polygon") -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -26,6 +26,7 @@ from repro.filters.intermediate import (
 )
 from repro.filters.mbr import classify_mbr_pair
 from repro.geometry import Box, MultiPolygon, Polygon
+from repro.geometry.columns import GeometryColumns
 from repro.join.mbr_join import plane_sweep_mbr_join
 from repro.join.objects import SpatialObject
 from repro.join.pipeline import PIPELINES
@@ -302,7 +303,8 @@ class TestBatchedBuildDifferential:
         small = [Polygon.box(10 + 7 * k, 10, 14 + 7 * k, 13) for k in range(6)]
         big = _blob(48, radius=300.0)
         geometries = small[:3] + [big] + small[3:]
-        cells = CellWindows.of(geometries, self.GRID, 64_000_000)
+        boxes = GeometryColumns.from_geometries(geometries).boxes
+        cells = CellWindows.of(boxes, self.GRID, 64_000_000)
         sizes = (cells.width * cells.height).tolist()
         assert sizes[3] > april._BATCH_CELLS > sum(sizes) - sizes[3]
         assert april._batches(np.asarray(sizes)) == [slice(0, 3), slice(3, 4), slice(4, 7)]
