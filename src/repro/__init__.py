@@ -60,18 +60,16 @@ from repro.store import (
 )
 from repro.topology import DE9IM, TopologicalRelation, most_specific_relation, relate
 
-__version__ = "1.6.0"
+__version__ = "1.7.0"
 
 #: Public names whose modules no join runs — the HTTP daemon and its
-#: wire codec, the TopologyJoin/selection facade, the disk join. They
-#: resolve on first read (PEP 562), so ``import repro`` — which every
-#: ``python -m repro`` start pays before it reads its arguments — loads
-#: what a join over index directories needs and nothing else.
+#: wire codec. They resolve on first read (PEP 562), so
+#: ``import repro`` — which every ``python -m repro`` start pays before
+#: it reads its arguments — loads what a join over index directories
+#: needs and nothing else.
 _LAZY = {
     "API_VERSION": "repro.serve.schema",
-    "DiskPartitionedJoin": "repro.join.diskjoin",
     "JoinService": "repro.serve",
-    "TopologyJoin": "repro.core",
     "WireError": "repro.serve.schema",
     "dumps_wire": "repro.serve.schema",
     "loads_wire": "repro.serve.schema",
@@ -86,7 +84,6 @@ __all__ = [
     "AprilApproximation",
     "Box",
     "DE9IM",
-    "DiskPartitionedJoin",
     "Engine",
     "IntervalList",
     "JoinResult",
@@ -100,7 +97,6 @@ __all__ = [
     "SpatialObject",
     "StoreError",
     "TopologicalRelation",
-    "TopologyJoin",
     "WIRE_VERSION",
     "WireError",
     "__version__",

@@ -6,7 +6,6 @@ persistent dataset indexes built with ``build-index``::
     python -m repro relate a.wkt b.wkt                # one pair per line pair
     python -m repro join r.wkt s.wkt --method P+C     # full topology join
     python -m repro join r.wkt s.wkt --predicate inside
-    python -m repro join r.wkt s.wkt --mode disk      # out-of-core PBSM
     python -m repro build-index r.wkt --index r_idx   # persist the dataset
     python -m repro join r_idx s_idx --index          # warm: no rasterising
     python -m repro explain r.wkt s.wkt --index 3 7   # why did P+C decide that?
@@ -472,7 +471,7 @@ def main(argv: list[str] | None = None) -> int:
         "--mode", default="auto", choices=list(MODES),
         help="where the one verification loop gets its partitions: serial "
              "(one, in-process; batch is an alias), parallel (chunks over "
-             "--workers processes), disk (out-of-core PBSM tiles), or auto "
+             "--workers processes), or auto "
              "(parallel iff min(--workers, cpus) > 1 and the join has at "
              "least 2,048 candidate pairs — the measured point where "
              "forking a pool pays; otherwise serial; stderr names the pick)",

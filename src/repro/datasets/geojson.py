@@ -8,6 +8,7 @@ data in and out of the library. Properties are preserved per feature.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable
@@ -42,9 +43,9 @@ def geometry_from_geojson(obj: dict) -> Any:
         raise GeoJsonError(f"{gtype} geometry lacks coordinates")
     try:
         if gtype == "Point":
-            return (float(coords[0]), float(coords[1]))
+            return _point(coords[0], coords[1])
         if gtype == "LineString":
-            return LineString([(float(x), float(y)) for x, y in coords])
+            return LineString([_point(x, y) for x, y in coords])
         if gtype == "Polygon":
             return _polygon_from_rings(coords)
         if gtype == "MultiPolygon":
@@ -57,9 +58,19 @@ def geometry_from_geojson(obj: dict) -> Any:
 def _polygon_from_rings(rings) -> Polygon:
     if not rings:
         raise GeoJsonError("polygon needs at least a shell ring")
-    shell = [(float(x), float(y)) for x, y in rings[0]]
-    holes = [[(float(x), float(y)) for x, y in ring] for ring in rings[1:]]
+    shell = [_point(x, y) for x, y in rings[0]]
+    holes = [[_point(x, y) for x, y in ring] for ring in rings[1:]]
     return Polygon(shell, holes)
+
+
+def _point(x, y) -> tuple[float, float]:
+    """One coordinate pair; ``json.loads`` reads ``NaN``, ``Infinity``
+    and an overflowing literal such as ``1e999`` as non-finite floats,
+    which no geometry can hold."""
+    point = (float(x), float(y))
+    if not (math.isfinite(point[0]) and math.isfinite(point[1])):
+        raise ValueError(f"non-finite coordinate [{x!r}, {y!r}]")
+    return point
 
 
 def load_geojson(
@@ -70,11 +81,12 @@ def load_geojson(
     """Read a FeatureCollection / Feature / bare geometry.
 
     ``source`` may be a path, a JSON string, or an already-parsed dict.
-    ``strict=True`` (the default) aborts on the first malformed feature;
-    with ``strict=False`` bad FeatureCollection entries are skipped into
-    ``report`` (a :class:`~repro.resilience.quarantine.QuarantineReport`),
-    recorded by their 1-based feature index. A document that is not
-    valid JSON at all still raises — there is no row to salvage.
+    ``strict=True`` (the default) aborts on the first malformed feature,
+    naming its 1-based index; with ``strict=False`` bad
+    FeatureCollection entries are skipped into ``report`` (a
+    :class:`~repro.resilience.quarantine.QuarantineReport`), recorded by
+    that index. A document that is not valid JSON at all still raises —
+    there is no row to salvage.
     """
     if isinstance(source, dict):
         doc = source
@@ -88,9 +100,7 @@ def load_geojson(
     dtype = doc.get("type")
     if dtype == "FeatureCollection":
         entries = doc.get("features", [])
-        if strict:
-            return [_feature_from(obj) for obj in entries]
-        if report is None:
+        if report is None and not strict:
             from repro.resilience.quarantine import QuarantineReport
 
             report = QuarantineReport(
@@ -103,6 +113,8 @@ def load_geojson(
             try:
                 features.append(_feature_from(obj))
             except GeoJsonError as exc:
+                if strict:
+                    raise GeoJsonError(f"feature {number}: {exc}") from exc
                 report.record(number, str(exc), json.dumps(obj, default=str))
         return features
     if dtype == "Feature":

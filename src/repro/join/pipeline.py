@@ -393,9 +393,8 @@ def verify_find_relation(
 
     The one find-relation verification loop: the in-process run calls
     it on the whole stream, forked workers (and their in-parent
-    fallback) on their partition, the disk join on each tile's owned
-    pairs. Access counters describe this partition alone; callers that
-    merge partitions deduplicate them.
+    fallback) on their partition. Access counters describe this
+    partition alone; callers that merge partitions deduplicate them.
     """
     inst = _Instruments(pipeline.name, label, r_objects, s_objects, len(pairs))
     stats, registry = inst.stats, inst.registry

@@ -46,40 +46,28 @@ class JoinResult:
     #: None for relate_p matches, where the stage is not tracked per pair.
     filtered: bool | None
 
-    # Aliases kept from the retired DiskJoinResult type, whose rows
-    # carried original dataset ids under these names.
-    @property
-    def r_id(self) -> int:
-        return self.r_index
-
-    @property
-    def s_id(self) -> int:
-        return self.s_index
-
 
 @dataclass
 class JoinRun:
     """What one join execution produced, independent of how it ran."""
 
-    #: Discovered links in ``(r_index, s_index)`` order. For disk joins
-    #: the indices are original dataset ids (identical numbering when
-    #: inputs are whole datasets, which is how the engine calls it).
+    #: Discovered links in ``(r_index, s_index)`` order.
     results: list[JoinResult]
     stats: JoinRunStats
     method: str
     #: What ran, not what was asked for: ``"serial"`` (one partition,
     #: in-process — also what ``mode="batch"`` and a one-worker
-    #: ``"parallel"`` request run), ``"parallel"`` (partitions fanned
-    #: out over ``workers`` processes) or ``"disk"`` (PBSM tiles).
+    #: ``"parallel"`` request run) or ``"parallel"`` (partitions fanned
+    #: out over ``workers`` processes).
     mode: str
     #: ``"find"`` for find-relation runs, ``"relate"`` for relate_p.
     kind: str = "find"
     predicate: TopologicalRelation | None = None
-    #: End-to-end elapsed seconds, including pool/tile orchestration.
+    #: End-to-end elapsed seconds, including pool orchestration.
     wall_seconds: float = 0.0
     workers: int = 1
     partitions: int = 1
-    #: Execution extras (cache outcomes, workdir, grid order, ...).
+    #: Execution extras (grid order, dataset names, quarantine, ...).
     meta: dict = field(default_factory=dict)
 
     @property

@@ -89,8 +89,7 @@ class JoinRunStats:
         object-access fields are summed too, which overcounts when the
         parts share objects — callers merging partitions of one join
         must overwrite ``*_objects_total`` / ``*_accessed`` with
-        deduplicated values (the parallel executor and the disk join
-        do exactly that).
+        deduplicated values (the parallel executor does exactly that).
         """
         merged = JoinRunStats(method=self.method)
         merged.pairs = self.pairs

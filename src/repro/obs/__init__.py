@@ -2,13 +2,13 @@
 
 Cooperating parts, all off by default and all stdlib-only:
 
-- :mod:`repro.obs.trace` — hierarchical span tracer. Stage-, tile- and
+- :mod:`repro.obs.trace` — hierarchical span tracer. Stage- and
   partition-level spans nested into one tree per run; ~ns disabled
   cost; worker spans serialize through the result pipe and merge in
   deterministic partition order.
 - :mod:`repro.obs.metrics` — labelled counters and fixed-log-bucket
   histograms (verdicts per MBR case, interval-list lengths, refinement
-  latency, pairs per worker/tile) with derived p50/p90/p99 quantiles,
+  latency, pairs per worker) with derived p50/p90/p99 quantiles,
   exported as JSON and Prometheus text exposition; per-worker
   registries merge exactly.
 - :mod:`repro.obs.profile` — statistical sampling profiler attributing

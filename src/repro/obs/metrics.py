@@ -1,7 +1,7 @@
 """Counters and fixed-log-bucket histograms with JSON/Prometheus export.
 
 The quantities the paper aggregates per run (verdicts per MBR case,
-interval-list lengths, refinement latency, pairs per worker/tile) are
+interval-list lengths, refinement latency, pairs per worker) are
 exactly the ones worth watching per *deployment*: the same counters and
 distributions, labelled, mergeable across workers, and exportable both
 as JSON (for the run reports) and in the Prometheus text exposition

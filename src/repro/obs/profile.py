@@ -89,8 +89,6 @@ PHASE_ALIASES: dict[str, str] = {
     "parallel_find": "orchestration",
     "parallel_relate": "orchestration",
     "partition": "orchestration",
-    "tile": "orchestration",
-    "disk_join": "orchestration",
     "serial_fallback": "orchestration",
 }
 

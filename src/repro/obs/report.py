@@ -100,7 +100,7 @@ def build_run_report(
     """The envelope of one :class:`~repro.join.run.JoinRun`.
 
     The single ``JoinRun`` -> :class:`RunReport` mapping, shared by the
-    CLI's ``--run-log`` and ``TopologyJoin.report()``. ``method`` is the
+    CLI's ``--run-log`` and library callers of ``Engine.join``. ``method`` is the
     method the caller asked for (a relate_p run's own label lives in
     ``stats["method"]``); ``spans`` / ``metrics`` / ``profile`` say
     which live collectors the caller wants exported into the record —

@@ -3,14 +3,14 @@
 The paper's whole evaluation is a cost breakdown (IF vs REF time,
 undetermined shares, per-scenario throughput); this tracer captures the
 same breakdown *inside* a single run: spans for preprocessing, the MBR
-filter step, each pipeline stage, each disk-join tile and each parallel
-partition, nested into one tree per run.
+filter step, each pipeline stage and each parallel partition, nested
+into one tree per run.
 
 Design constraints, in order:
 
 1. **Disabled cost ≈ zero.** Tracing is off by default; the hot per-pair
    loops never call into this module at all (instrumentation sits at
-   stage/tile/partition granularity), and the stage-level :func:`trace`
+   stage/partition granularity), and the stage-level :func:`trace`
    call returns a shared no-op context manager after a single module
    attribute check.
 2. **Fork-friendly.** Worker processes inherit the enabled flag by
@@ -204,7 +204,7 @@ def reset_tracing() -> None:
 def trace(name: str, **attrs: Any):
     """Open a timed span; a no-op context manager when tracing is off.
 
-    Intended for stage/tile/partition granularity — not per pair; the
+    Intended for stage/partition granularity — not per pair; the
     sampled deep traces (``join.explain``) cover per-pair detail.
     """
     if not _ENABLED:

@@ -45,6 +45,8 @@ API_VERSION = WIRE_VERSION
 #: the execution layer: adding an engine mode does not silently widen
 #: the wire API.
 JOIN_METHODS = ("ST2", "OP2", "APRIL", "P+C")
+#: ``disk`` is a valid request value for a retired execution mode: it
+#: runs as ``serial``, and the response's ``mode`` names what ran.
 JOIN_MODES = ("auto", "serial", "batch", "parallel", "disk")
 #: ``raw`` is a valid request value that selects nothing: the store
 #: writes varint payloads only and the response names what was written.
@@ -193,6 +195,17 @@ def _field(payload: Mapping, name: str, kind, default, *, required: bool = False
     raise AssertionError(f"unknown field kind {kind!r}")
 
 
+def _grid_order(payload: Mapping) -> int:
+    """The request's grid order, refused here (400, never dispatched)
+    unless a :class:`~repro.raster.grid.RasterGrid` can be built on it."""
+    grid_order = _field(payload, "grid_order", int, 11)
+    if not 1 <= grid_order <= 16:
+        raise WireError(
+            f"field 'grid_order': grid order must be in [1, 16], got {grid_order}"
+        )
+    return grid_order
+
+
 def parse_predicate(name: str) -> TopologicalRelation:
     """Resolve a wire predicate name to a relation (case/space tolerant)."""
     folded = name.replace(" ", "").replace("_", "").lower()
@@ -240,9 +253,9 @@ class JoinRequest:
         mode = _field(payload, "mode", str, "auto")
         if mode not in JOIN_MODES:
             raise WireError(f"unknown mode {mode!r}; available: {list(JOIN_MODES)}")
-        grid_order = _field(payload, "grid_order", int, 11)
-        if not 1 <= grid_order <= 20:
-            raise WireError(f"grid_order must be in [1, 20], got {grid_order}")
+        if mode == "disk":
+            mode = "serial"
+        grid_order = _grid_order(payload)
         workers = _field(payload, "workers", int, 1)
         if workers < 1:
             raise WireError(f"workers must be >= 1, got {workers}")
@@ -283,9 +296,7 @@ class BuildIndexRequest:
             raise WireError(
                 f"unknown payload_codec {codec!r}; available: {list(PAYLOAD_CODECS)}"
             )
-        grid_order = _field(payload, "grid_order", int, 11)
-        if not 1 <= grid_order <= 20:
-            raise WireError(f"grid_order must be in [1, 20], got {grid_order}")
+        grid_order = _grid_order(payload)
         workers = _field(payload, "workers", int, 1)
         if workers < 1:
             raise WireError(f"workers must be >= 1, got {workers}")

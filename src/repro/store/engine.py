@@ -1,15 +1,13 @@
-"""The warm-cache join engine: one front door for every execution mode.
+"""The warm-cache join engine: the one way to run a whole-dataset join.
 
 :meth:`Engine.join` accepts datasets in any form (index directories,
 ``.wkt``/``.geojson`` files, polygon lists, or
 :class:`~repro.store.dataset.SpatialDataset` objects) and always
-returns the same :class:`~repro.join.run.JoinRun` envelope. Every
-execution mode is a mapping onto one verification core
-(:func:`repro.join.pipeline.verify_find_relation` /
+returns the same :class:`~repro.join.run.JoinRun` envelope. It runs one
+verification core (:func:`repro.join.pipeline.verify_find_relation` /
 :func:`~repro.join.pipeline.verify_relate`): ``serial`` (and its alias
-``batch``) runs it on one partition in-process, ``parallel`` fans
-partitions out over ``workers`` processes, ``disk`` feeds it PBSM tiles
-spilled to disk.
+``batch``) on one partition in-process, ``parallel`` on contiguous
+chunks fanned out over ``workers`` processes.
 
 The engine memoises the expensive intermediates in bounded LRU caches:
 
@@ -44,7 +42,6 @@ everything the rule looked at.
 from __future__ import annotations
 
 import atexit
-import tempfile
 from collections import OrderedDict
 from pathlib import Path
 from typing import Sequence
@@ -70,7 +67,7 @@ from repro.topology.de9im import TopologicalRelation
 
 #: Execution modes :meth:`Engine.join` accepts (``batch`` is an alias
 #: of ``serial``).
-MODES = ("auto", "serial", "batch", "parallel", "disk")
+MODES = ("auto", "serial", "batch", "parallel")
 
 
 class _LRU:
@@ -240,8 +237,7 @@ class Engine:
         self, r: SpatialDataset, s: SpatialDataset, grid_order: int
     ) -> RasterGrid:
         """The shared grid a join between ``r`` and ``s`` runs on: the
-        padded union of both extents (identical to the historical
-        ``TopologyJoin.grid``)."""
+        padded union of both extents."""
         return RasterGrid(
             pad_dataspace(Box.union_all([r.extent, s.extent])), order=grid_order
         )
@@ -397,8 +393,6 @@ class Engine:
         predicate: TopologicalRelation | None = None,
         workers: int | None = 1,
         include_disjoint: bool = False,
-        tiles_per_dim: int = 4,
-        workdir: str | Path | None = None,
         partition_timeout: float | None = None,
         max_retries: int | None = None,
         on_index_error: str = "raise",
@@ -408,26 +402,23 @@ class Engine:
         whatever the execution mode.
 
         Every mode runs the same per-partition verification (batched
-        filter, then refinement); ``mode`` only picks where partitions
-        come from and how many processes verify them: ``"serial"`` —
-        one partition, in-process (``"batch"`` is an alias: the batched
-        filter is *the* filter of every method and of relate_p);
-        ``"parallel"`` — contiguous chunks fanned out over ``workers``
-        forked processes; ``"disk"`` — out-of-core PBSM tiles,
-        ``tiles_per_dim`` per axis (``workdir`` holds the partition
-        files; a temporary directory when omitted). ``run.mode``
-        reports what ran.
-        ``predicate`` switches from find-relation to a relate_p join.
+        filter, then refinement); ``mode`` only picks how many processes
+        verify the pairs: ``"serial"`` — one partition, in-process
+        (``"batch"`` is an alias: the batched filter is *the* filter of
+        every method and of relate_p); ``"parallel"`` — contiguous
+        chunks fanned out over ``workers`` forked processes.
+        ``run.mode`` reports what ran. ``predicate`` switches from
+        find-relation to a relate_p join.
 
         ``mode="auto"`` is one rule
         (:func:`repro.parallel.executor.auto_mode`): ``"parallel"`` iff
         ``min(workers, cpu count) > 1`` *and* the exact candidate-pair
         count (the cached MBR join the run then verifies) reaches
         ``PARALLEL_MIN_PAIRS``, the measured point where a forked pool
-        starts to pay; otherwise ``"serial"``. It never picks
-        ``"disk"``. ``workers=None`` resolves through
-        ``default_workers()`` first, so a 1-CPU machine runs serial.
-        Pass ``mode="parallel"`` to force a pool below the break-even.
+        starts to pay; otherwise ``"serial"``. ``workers=None``
+        resolves through ``default_workers()`` first, so a 1-CPU
+        machine runs serial. Pass ``mode="parallel"`` to force a pool
+        below the break-even.
 
         Fault-tolerance knobs: ``partition_timeout``/``max_retries``
         bound every supervised fan-out of the join — the cold APRIL
@@ -456,49 +447,36 @@ class Engine:
             s, on_error=on_index_error, strict=strict, quarantine=s_quarantine
         )
         needs_april = predicate is not None or PIPELINES[method].uses_april
-        if mode == "disk":
-            if predicate is not None:
-                raise ValueError("disk mode does not support relate_p predicates")
-            run = self._disk_join(
-                rd,
-                sd,
-                method=method,
-                grid_order=grid_order,
-                tiles_per_dim=tiles_per_dim,
-                include_disjoint=include_disjoint,
-                workdir=workdir,
-            )
-        else:
-            with trace("topology_join", method=method, mode=mode) as span:
-                grid = self.join_grid(rd, sd, grid_order)
-                pairs = self.pairs(rd, sd)
-                if mode == "auto":
-                    mode = self._decide_auto(workers, len(pairs))
-                    if span is not None:
-                        span.attrs["mode"] = mode
-                r_objects, s_objects = (
-                    self.objects(
-                        dataset,
-                        grid,
-                        with_april=needs_april,
-                        workers=workers,
-                        partition_timeout=partition_timeout,
-                        max_retries=max_retries,
-                    )
-                    for dataset in (rd, sd)
-                )
-                run = self._execute(
-                    method,
-                    r_objects,
-                    s_objects,
-                    pairs,
-                    mode=mode,
-                    predicate=predicate,
+        with trace("topology_join", method=method, mode=mode) as span:
+            grid = self.join_grid(rd, sd, grid_order)
+            pairs = self.pairs(rd, sd)
+            if mode == "auto":
+                mode = self._decide_auto(workers, len(pairs))
+                if span is not None:
+                    span.attrs["mode"] = mode
+            r_objects, s_objects = (
+                self.objects(
+                    dataset,
+                    grid,
+                    with_april=needs_april,
                     workers=workers,
-                    include_disjoint=include_disjoint,
                     partition_timeout=partition_timeout,
                     max_retries=max_retries,
                 )
+                for dataset in (rd, sd)
+            )
+            run = self._execute(
+                method,
+                r_objects,
+                s_objects,
+                pairs,
+                mode=mode,
+                predicate=predicate,
+                workers=workers,
+                include_disjoint=include_disjoint,
+                partition_timeout=partition_timeout,
+                max_retries=max_retries,
+            )
         self._attach_resources(run)
         run.meta.update(
             r=rd.name, s=sd.name, r_count=len(rd), s_count=len(sd), grid_order=grid_order
@@ -525,20 +503,14 @@ class Engine:
         """Run one verification pass over prepared objects and pairs.
 
         The lower-level sibling of :meth:`join` for callers that manage
-        their own objects (the benchmark's layer probes). Implements
-        the in-memory modes only: ``"disk"`` (which re-partitions whole
-        datasets on disk) and unknown modes raise :class:`ValueError`
-        instead of silently running something else. ``mode="auto"``
-        decides exactly like :meth:`join`.
+        their own objects (the benchmark's layer probes). Takes the same
+        modes; an unknown one raises :class:`ValueError` instead of
+        silently running something else. ``mode="auto"`` decides
+        exactly like :meth:`join`.
         """
         self._check_open()
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}; available: {list(MODES)}")
-        if mode == "disk":
-            raise ValueError(
-                "execute() runs in-memory modes only; disk joins re-partition "
-                "whole datasets on disk — use Engine.join(..., mode='disk')"
-            )
         if mode == "auto":
             mode = self._decide_auto(workers, len(pairs))
         run = self._execute(
@@ -601,42 +573,6 @@ class Engine:
             workers=fan.workers,
             partitions=fan.partitions,
         )
-
-    def _disk_join(
-        self,
-        rd: SpatialDataset,
-        sd: SpatialDataset,
-        *,
-        method: str,
-        grid_order: int,
-        tiles_per_dim: int,
-        include_disjoint: bool,
-        workdir: str | Path | None,
-    ) -> JoinRun:
-        from repro.join.diskjoin import DiskPartitionedJoin
-
-        # The unpadded union extent: DiskPartitionedJoin pads it itself,
-        # so tiles share exactly the grid join_grid() would produce.
-        extent = Box.union_all([rd.extent, sd.extent])
-
-        def _run(directory: str | Path) -> JoinRun:
-            disk = DiskPartitionedJoin(
-                directory,
-                tiles_per_dim=tiles_per_dim,
-                grid_order=grid_order,
-                method=method,
-            )
-            disk.partition("r", rd.geometries, extent)
-            disk.partition("s", sd.geometries, extent)
-            return disk.run(include_disjoint=include_disjoint)
-
-        if workdir is not None:
-            run = _run(workdir)
-        else:
-            with tempfile.TemporaryDirectory(prefix="repro-diskjoin-") as tmp:
-                run = _run(tmp)
-            run.meta["workdir"] = None  # partitions were temporary
-        return run
 
     def explain(self, r, s, i: int, j: int, *, grid_order: int = 11):
         """The P+C filter narration for one pair of the two datasets

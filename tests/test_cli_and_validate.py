@@ -193,6 +193,14 @@ class TestCliObservability:
                      "--grid-order", "8"]) == 0
         assert "# payload codec varint:" in capsys.readouterr().err
 
+    def test_join_has_no_disk_mode(self, wkt_files, capsys):
+        # The disk spill went in v1.7.0; --mode serial runs the same rows.
+        r, s = wkt_files
+        with pytest.raises(SystemExit) as exit_info:
+            main(["join", r, s, "--grid-order", "9", "--mode", "disk"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'disk'" in capsys.readouterr().err
+
     def test_join_trace_to_stderr(self, wkt_files, capsys):
         r, s = wkt_files
         assert main(["join", r, s, "--grid-order", "9", "--trace", "-"]) == 0

@@ -91,6 +91,99 @@ class TestGeoJson:
             load_geojson("{not json")
 
 
+#: ``json.loads`` reads each of these as a non-finite float.
+NON_FINITE = ["1e999", "-1e999", "NaN", "Infinity"]
+#: One feature of each kind, ``{v}`` standing for the bad coordinate.
+BAD_GEOMETRIES = {
+    "Point": '{{"type": "Point", "coordinates": [{v}, 1]}}',
+    "LineString": '{{"type": "LineString", "coordinates": [[0, 0], [5, {v}]]}}',
+    "Polygon": '{{"type": "Polygon", "coordinates": [[[0, 0], [40, 0], [40, {v}], [0, 0]]]}}',
+}
+
+
+def geojson_with(features, bad=None, at=2):
+    """A FeatureCollection of ``features`` as text, with the raw
+    geometry text ``bad`` spliced in as feature number ``at``."""
+    rows = [
+        json.dumps({"type": "Feature", "geometry": geometry_to_geojson(g), "properties": {}})
+        for g in features
+    ]
+    if bad is not None:
+        rows.insert(at - 1, f'{{"type": "Feature", "geometry": {bad}, "properties": {{}}}}')
+    return '{"type": "FeatureCollection", "features": [' + ", ".join(rows) + "]}"
+
+
+class TestNonFiniteCoordinates:
+    """A coordinate that is not finite makes its feature malformed:
+    strict loads name it, lenient loads quarantine it."""
+
+    CLEAN = [Polygon.box(k * 30, 0, k * 30 + 20, 20) for k in range(4)]
+
+    @pytest.mark.parametrize("literal", NON_FINITE)
+    @pytest.mark.parametrize("kind", sorted(BAD_GEOMETRIES))
+    def test_feature_is_malformed(self, kind, literal):
+        from repro.resilience import QuarantineReport
+
+        text = geojson_with(self.CLEAN, BAD_GEOMETRIES[kind].format(v=literal), at=3)
+        with pytest.raises(GeoJsonError, match="feature 3: .*non-finite coordinate"):
+            load_geojson(text)
+        report = QuarantineReport()
+        features = load_geojson(text, strict=False, report=report)
+        assert [f.geometry for f in features] == self.CLEAN
+        assert [row.line_number for row in report.rows] == [3]
+        assert "non-finite coordinate" in report.rows[0].reason
+
+    @pytest.fixture()
+    def files(self, tmp_path):
+        from repro.store import set_default_engine
+
+        s = [Polygon.box(k * 30 + 10, 5, k * 30 + 35, 15) for k in range(4)]
+        (tmp_path / "s.geojson").write_text(geojson_with(s))
+        (tmp_path / "r.geojson").write_text(geojson_with(self.CLEAN))
+        set_default_engine(None)
+        yield tmp_path
+        set_default_engine(None)
+
+    @pytest.mark.parametrize("kind, literal", [
+        ("Polygon", "1e999"), ("Polygon", "NaN"), ("Point", "Infinity"), ("LineString", "1e999"),
+    ])
+    def test_join_refuses_or_quarantines(self, files, capsys, kind, literal):
+        from repro.__main__ import main
+
+        bad = files / "bad.geojson"
+        bad.write_text(geojson_with(self.CLEAN, BAD_GEOMETRIES[kind].format(v=literal)))
+        args = [str(files / "s.geojson"), "--grid-order", "8"]
+        assert main(["join", str(files / "r.geojson"), *args]) == 0
+        clean = capsys.readouterr().out
+        assert clean
+        with pytest.raises(SystemExit) as refused:
+            main(["join", str(bad), *args])
+        assert f"{bad}: feature 2: " in str(refused.value.code)
+        assert "non-finite coordinate" in str(refused.value.code)
+        assert main(["join", str(bad), *args, "--quarantine"]) == 0
+        quarantined = capsys.readouterr()
+        assert "1 row(s) quarantined" in quarantined.err
+        assert quarantined.out == clean
+
+    @pytest.mark.parametrize("kind, literal", [("Polygon", "-1e999"), ("Point", "NaN")])
+    def test_build_index_refuses_or_quarantines(self, files, capsys, kind, literal):
+        from repro.__main__ import main
+        from repro.store import open_dataset
+
+        bad = files / "bad.geojson"
+        bad.write_text(geojson_with(self.CLEAN, BAD_GEOMETRIES[kind].format(v=literal)))
+        index = files / "idx"
+        with pytest.raises(SystemExit) as refused:
+            main(["build-index", str(bad), "--index", str(index), "--grid-order", "8"])
+        assert f"{bad}: feature 2: " in str(refused.value.code)
+        assert "non-finite coordinate" in str(refused.value.code)
+        assert not index.exists()
+        assert main(["build-index", str(bad), "--index", str(index), "--grid-order", "8",
+                     "--quarantine"]) == 0
+        assert "1 row(s) quarantined" in capsys.readouterr().err
+        assert len(open_dataset(index)) == len(self.CLEAN)
+
+
 class TestRCC8:
     def test_bijection(self):
         assert len(TO_RCC8) == 8

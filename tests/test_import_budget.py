@@ -1,10 +1,10 @@
 """The import budget: a process loads only what its command runs.
 
 ``import repro`` and a ``join`` over index directories must not pull in
-the HTTP daemon, the selection/TopologyJoin facade, the disk join, the
-dashboard or tracemalloc — a fresh-process join waits for every module
-it imports. Each check runs in a child interpreter so this suite's own
-imports cannot mask an eager one.
+the HTTP daemon, the selection class, the dashboard or tracemalloc — a
+fresh-process join waits for every module it imports. Each check runs
+in a child interpreter so this suite's own imports cannot mask an eager
+one.
 """
 
 import json
@@ -23,7 +23,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: What a join over index directories has no use for.
 NOT_FOR_A_JOIN = (
-    "repro.serve", "repro.core", "repro.join.diskjoin", "repro.obs.dashboard",
+    "repro.serve", "repro.core", "repro.obs.dashboard",
     "http.server", "urllib.request", "tracemalloc",
 )
 
@@ -76,7 +76,8 @@ def test_every_public_name_still_resolves():
         "    scope = {}\n"
         "    exec(f'from {package.__name__} import *', scope)\n"
         "    assert names <= set(scope)\n"
-        "from repro import Engine, Polygon, JoinService, TopologyJoin\n"
+        "from repro import Engine, Polygon, JoinService\n"
+        "assert not hasattr(repro, 'TopologyJoin') and not hasattr(repro, 'DiskPartitionedJoin')\n"
         "from repro.obs import render_dashboard, build_run_report\n"
         "try:\n"
         "    repro.no_such_name\n"

@@ -1,16 +1,11 @@
-"""Tests for the MBR intersection join (the filter-step producer) and
-the tile arithmetic the disk-partitioned join builds on."""
+"""Tests for the MBR intersection join (the filter-step producer)."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import Box
-from repro.join.mbr_join import (
-    TileLayout,
-    brute_force_mbr_join,
-    plane_sweep_mbr_join,
-)
+from repro.join.mbr_join import brute_force_mbr_join, plane_sweep_mbr_join
 
 
 def boxes_strategy(n_max=30):
@@ -56,42 +51,3 @@ class TestPlaneSweep:
     def test_matches_bruteforce(self, r, s):
         assert sorted(plane_sweep_mbr_join(r, s)) == sorted(brute_force_mbr_join(r, s))
 
-
-def shared_tiles_owning(layout, r_box, s_box):
-    """The tiles both boxes are replicated to that claim the pair: a
-    tile-partitioned join reports the pair once iff this is one tile."""
-    rx0, ry0, rx1, ry1 = r_span = layout.tile_range(r_box)
-    sx0, sy0, sx1, sy1 = s_span = layout.tile_range(s_box)
-    owner = layout.owner_tile(r_span, s_span)
-    return [
-        (tx, ty)
-        for tx in range(max(rx0, sx0), min(rx1, sx1) + 1)
-        for ty in range(max(ry0, sy0), min(ry1, sy1) + 1)
-        if (tx, ty) == owner
-    ]
-
-
-class TestGridPartitioned:
-    def test_empty(self):
-        # A zero-area universe (every box the same point) has no tile
-        # width to divide by; everything falls in tile (0, 0).
-        layout = TileLayout(Box(3, 3, 3, 3), 4)
-        point = Box(3, 3, 3, 3)
-        assert layout.tile_range(point) == (0, 0, 0, 0)
-        assert shared_tiles_owning(layout, point, point) == [(0, 0)]
-
-    def test_no_duplicates_for_spanning_boxes(self):
-        # One huge box overlapping many tiles must be owned once.
-        layout = TileLayout(Box(0, 0, 100, 100), 8)
-        r, s = Box(0, 0, 100, 100), Box(10, 10, 90, 90)
-        assert layout.tile_range(r) == (0, 0, 7, 7)
-        assert shared_tiles_owning(layout, r, s) == [(0, 0)]
-
-    @given(boxes_strategy(), boxes_strategy(), st.integers(1, 6))
-    @settings(max_examples=120)
-    def test_matches_bruteforce(self, r, s, tiles):
-        if not r or not s:
-            return
-        layout = TileLayout(Box.union_all(r + s), tiles)
-        for i, j in brute_force_mbr_join(r, s):
-            assert len(shared_tiles_owning(layout, r[i], s[j])) == 1

@@ -7,18 +7,14 @@ The contracts under test are the ones the run reports depend on:
 - tracing/metrics never change results, for any worker count;
 - per-worker registries merged in the parent equal the serial run's
   counters *exactly* (timing histograms excluded by construction:
-  partition- and tile-dependent quantities are recorded only as
-  histograms, never counters).
+  partition-dependent quantities are recorded only as histograms,
+  never counters).
 """
 
-import numpy as np
 import pytest
 
 from repro import obs
 from repro.datasets import load_scenario
-from repro.datasets.synthetic import generate_blobs, generate_tessellation
-from repro.geometry import Box
-from repro.join.diskjoin import DiskPartitionedJoin
 from repro.join.pipeline import run_find_relation
 from repro.parallel import run_find_relation_parallel, run_relate_parallel
 from repro.topology import TopologicalRelation as T
@@ -145,56 +141,3 @@ class TestCounterEquality:
         )
         assert verdicts == stats.pairs
 
-
-class TestDiskJoin:
-    @staticmethod
-    def _inputs():
-        rng = np.random.default_rng(17)
-        region = Box(0, 0, 400, 400)
-        districts = generate_tessellation(rng, region, 3, 3, edge_points=6)
-        blobs = generate_blobs(rng, 40, region, (3, 40), (8, 40))
-        return districts, blobs, region.expanded(1.0)
-
-    def test_disk_verdict_counters_equal_serial(self, tmp_path):
-        # Tiles go through the same verification loop as every other
-        # partition, so the disk join emits the same verdict counters.
-        from repro.store import Engine
-
-        districts, blobs, _extent = self._inputs()
-        engine = Engine()
-        obs.set_metrics(True)
-        counters = {}
-        for mode in ("serial", "disk"):
-            obs.reset_metrics()
-            engine.join(
-                districts, blobs, grid_order=9, mode=mode,
-                tiles_per_dim=2, workdir=tmp_path / mode,
-            )
-            counters[mode] = {
-                k: v
-                for k, v in obs.get_registry().counter_values().items()
-                if k.startswith("repro_verdicts_total")
-            }
-        assert counters["serial"]
-        assert counters["disk"] == counters["serial"]
-
-    def test_tile_spans_and_skew_histogram(self, tmp_path):
-        districts, blobs, extent = self._inputs()
-        join = DiskPartitionedJoin(tmp_path, tiles_per_dim=2, grid_order=9)
-        join.partition("r", districts, extent)
-        join.partition("s", blobs, extent)
-
-        obs.set_tracing(True)
-        obs.set_metrics(True)
-        obs.reset_metrics()
-        results, stats = join.run()
-        assert results
-        (root,) = obs.get_spans()
-        assert root.name == "disk_join"
-        tiles = [s for s in root.children if s.name == "tile"]
-        assert tiles
-        for tile in tiles:
-            assert {"tx", "ty", "pairs", "owned"} <= set(tile.attrs)
-        hist_export = obs.get_registry().to_dict()["histograms"]
-        tile_hist = [h for h in hist_export if h["name"] == "repro_tile_pairs"]
-        assert tile_hist and tile_hist[0]["count"] == len(tiles)

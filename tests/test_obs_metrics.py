@@ -119,7 +119,7 @@ class TestExport:
         reg.inc("repro_verdicts_total", method="P+C", stage="refinement", value=2)
         reg.observe("repro_refine_latency_seconds", 0.003, method="P+C")
         reg.observe("repro_refine_latency_seconds", 0.004, method="P+C")
-        reg.observe("repro_tile_pairs", 120.0, method="APRIL")
+        reg.observe("repro_april_intervals", 120.0, list="p")
         return reg
 
     def test_to_dict_is_json_serialisable(self):

@@ -70,7 +70,7 @@ class TestLifecycle:
 
 class TestPhaseAttribution:
     def test_normalize_structural_names(self):
-        for name in ("topology_join", "partition", "parallel_find", "tile"):
+        for name in ("topology_join", "partition", "parallel_find", "serial_fallback"):
             assert prof.normalize_phase(name) == "orchestration"
 
     def test_normalize_keeps_work_phases(self):

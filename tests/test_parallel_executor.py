@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core import TopologyJoin
 from repro.datasets import load_scenario
 from repro.datasets.synthetic import generate_blobs, generate_tessellation
 from repro.geometry import Box
@@ -16,6 +15,7 @@ from repro.parallel import (
     run_relate_parallel,
 )
 from repro.raster import build_april
+from repro.store import Engine
 from repro.topology import TopologicalRelation as T
 
 
@@ -158,8 +158,8 @@ class TestStatsMerge:
 class TestTopologyJoinWorkers:
     @pytest.fixture(autouse=True)
     def force_pool(self, monkeypatch):
-        # TopologyJoin has no ``mode``: it runs ``auto``, which forks
-        # only past the break-even on a multi-core box — lift both so
+        # ``Engine.join`` runs ``auto`` by default, which forks only
+        # past the break-even on a multi-core box — lift both so
         # ``workers=2`` on this small fixture still exercises the pool.
         import os
 
@@ -176,39 +176,32 @@ class TestTopologyJoinWorkers:
         blobs = generate_blobs(rng, 30, region, (2, 20), (8, 40))
         return districts, blobs
 
-    def test_find_relations_identical(self, inputs):
+    @staticmethod
+    def _join(inputs, workers, **kwargs):
         districts, blobs = inputs
-        serial = list(
-            TopologyJoin(districts, blobs, grid_order=9, workers=1).find_relations()
-        )
-        parallel = list(
-            TopologyJoin(districts, blobs, grid_order=9, workers=2).find_relations()
-        )
-        assert parallel == serial
+        return Engine().join(districts, blobs, grid_order=9, workers=workers, **kwargs)
+
+    def test_find_relations_identical(self, inputs):
+        serial = self._join(inputs, 1)
+        parallel = self._join(inputs, 2)
+        assert (serial.mode, parallel.mode) == ("serial", "parallel")
+        assert parallel.results == serial.results
 
     def test_pairs_satisfying_identical(self, inputs):
-        districts, blobs = inputs
-        serial = list(
-            TopologyJoin(districts, blobs, grid_order=9, workers=1)
-            .pairs_satisfying(T.CONTAINS)
-        )
-        parallel = list(
-            TopologyJoin(districts, blobs, grid_order=9, workers=2)
-            .pairs_satisfying(T.CONTAINS)
-        )
-        assert parallel == serial
+        serial = self._join(inputs, 1, predicate=T.CONTAINS)
+        parallel = self._join(inputs, 2, predicate=T.CONTAINS)
+        assert parallel.mode == "parallel"
+        assert parallel.matches == serial.matches
 
     def test_stats_counts_identical(self, inputs):
-        districts, blobs = inputs
-        serial = TopologyJoin(districts, blobs, grid_order=9, workers=1).stats()
-        parallel = TopologyJoin(districts, blobs, grid_order=9, workers=2).stats()
+        serial = self._join(inputs, 1).stats
+        parallel = self._join(inputs, 2).stats
         assert parallel.relation_counts == serial.relation_counts
         assert parallel.refined == serial.refined
 
     def test_invalid_workers_rejected(self, inputs):
-        districts, blobs = inputs
         with pytest.raises(ValueError):
-            TopologyJoin(districts, blobs, workers=0)
+            self._join(inputs, 0)
 
 
 class TestCliWorkers:

@@ -29,7 +29,7 @@ NAME_FIELDS = ("r", "s", "data", "index")
 VALID = {
     "method": st.sampled_from(JOIN_METHODS),
     "mode": st.sampled_from(JOIN_MODES),
-    "grid_order": st.integers(1, 20),
+    "grid_order": st.integers(1, 16),
     "predicate": st.sampled_from(["intersects", "inside", "covered by"]),
     "workers": st.integers(1, 4),
     "include_disjoint": st.booleans(),

@@ -11,12 +11,13 @@ additive.
 """
 
 import math
+import re
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from repro import Polygon
+from repro import Box, Polygon, RasterGrid
 from repro.join.run import WIRE_VERSION, JoinResult, JoinRun
 from repro.join.stats import JoinRunStats
 from repro.serve.schema import (
@@ -81,11 +82,18 @@ def golden_run() -> JoinRun:
 class TestRoundTrip:
     @pytest.mark.parametrize("mode", ["serial", "batch", "parallel", "disk"])
     def test_bit_identical_across_modes(self, mode):
+        # Every v1 mode name, as a request would carry it: ``batch`` and
+        # ``disk`` run as ``serial``.
+        request = JoinRequest.from_dict(
+            {"r": "r", "s": "s", "mode": mode, "grid_order": 8,
+             "workers": 2 if mode == "parallel" else 1}
+        )
         r, s = overlapping_inputs()
         run = Engine().join(
-            r, s, mode=mode, grid_order=8, workers=2 if mode == "parallel" else 1
+            r, s, mode=request.mode, grid_order=request.grid_order,
+            workers=request.workers,
         )
-        assert run.mode == ("serial" if mode == "batch" else mode)  # what ran
+        assert run.mode == ("parallel" if mode == "parallel" else "serial")  # what ran
         assert len(run.results) > 0
         wire = dumps_wire(run.to_wire())
         rebuilt = JoinRun.from_wire(loads_wire(wire))
@@ -211,6 +219,20 @@ class TestRequestSchemas:
             JoinRequest.from_dict({"r": "a", "s": "b", "predicate": "near"})
         with pytest.raises(WireError, match="grid_order"):
             JoinRequest.from_dict({"r": "a", "s": "b", "grid_order": 40})
+
+    @pytest.mark.parametrize("grid_order", [0, 17, 20])
+    def test_grid_order_outside_what_a_grid_serves(self, grid_order):
+        # The grid's own bound and message, checked before dispatch.
+        with pytest.raises(ValueError) as grid_refusal:
+            RasterGrid(Box(0, 0, 1, 1), order=grid_order)
+        message = re.escape(str(grid_refusal.value))
+        with pytest.raises(WireError, match=message):
+            JoinRequest.from_dict({"r": "a", "s": "b", "grid_order": grid_order})
+        with pytest.raises(WireError, match=message):
+            BuildIndexRequest.from_dict(
+                {"data": "a.wkt", "index": "a_idx", "grid_order": grid_order}
+            )
+        assert JoinRequest.from_dict({"r": "a", "s": "b", "grid_order": 16}).grid_order == 16
 
     def test_predicate_requirement(self):
         with pytest.raises(WireError, match="requires a 'predicate'"):

@@ -185,6 +185,30 @@ class TestJoinEndpoint:
         (payload,) = (data_root / "r_idx" / "april").glob("*.npz")
         assert payload_codec(payload) == "varint"
 
+    def test_disk_mode_answers_serial_rows(self, server):
+        # Wire v1 still takes "disk"; the join runs serially and the
+        # response names what ran.
+        base, _service = server
+        status, serial = post_json(f"{base}/v1/join", join_payload())
+        disk_status, disk = post_json(f"{base}/v1/join", join_payload(mode="disk"))
+        assert status == disk_status == 200
+        assert disk["mode"] == "serial"
+        assert disk["results"] == serial["results"] and disk["results"]
+
+    def test_grid_order_no_grid_serves_is_never_dispatched(self, server, data_root):
+        base, service = server
+        for endpoint, payload in (
+            ("join", join_payload(grid_order=17)),
+            ("build-index", {"data": "r.wkt", "index": "r_idx", "grid_order": 20}),
+        ):
+            before = service.pool.next_seq()
+            status, doc = post_json(f"{base}/v1/{endpoint}", payload)
+            assert status == 400
+            assert "grid order must be in [1, 16]" in doc["error"]
+            # Only this test's own calls advanced the dispatch sequence.
+            assert service.pool.next_seq() == before + 1
+        assert not (data_root / "r_idx").exists()
+
     def test_daemon_process_never_joins_or_builds(self, server, monkeypatch):
         # The workers were forked before these patches, so only work the
         # daemon did itself would hit them.

@@ -185,7 +185,7 @@ GRID_ORDER = 9
 
 class TestJoinIdentity:
     @pytest.mark.parametrize("mode, extra", [
-        ("serial", {}), ("parallel", {"workers": 2}), ("disk", {}),
+        ("serial", {}), ("parallel", {"workers": 2}),
     ])
     def test_index_join_equals_source_join(self, sources, indexes, mode, extra):
         from_files = Engine().join(

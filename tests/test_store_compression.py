@@ -16,7 +16,9 @@ contract:
 - a corrupted compressed blob is detected (checksum/decompress error)
   and repaired by the PR 5 ``on_error="rebuild"`` path;
 - the engine's payload LRU and the payload's bounded decoded cache
-  keep warm joins cheap without unbounded memory.
+  keep warm joins cheap without unbounded memory;
+- the payload file round-trips its lists and refuses mixed or
+  mismatched grids.
 """
 
 import json
@@ -31,7 +33,9 @@ import pytest
 
 from repro.datasets import load_scenario
 from repro.datasets.io import save_wkt_file
+from repro.geometry import Box, Polygon
 from repro.obs.metrics import get_registry, reset_metrics, set_metrics
+from repro.raster import RasterGrid, build_april
 from repro.raster.compression import CompressedAprilPayload
 from repro.raster.storage import (
     StoreError,
@@ -320,3 +324,53 @@ class TestEngineCaches:
         assert cached
         for aprils in cached:
             assert aprils[0].payload.max_decoded_bytes == 4096
+
+
+class TestStorage:
+    """``save_approximations``/``load_approximations`` on their own: the
+    file format every index payload is written in."""
+
+    def test_roundtrip_preserves_lists(self, tmp_path):
+        grid = RasterGrid(Box(0, 0, 64, 64), order=8)
+        polys = [
+            Polygon.box(1, 1, 9, 9),
+            Polygon([(20, 20), (30, 22), (25, 31)]),
+            Polygon([(40, 40), (40.2, 40.1), (40.1, 40.3)]),  # empty P list
+        ]
+        approx = [build_april(p, grid) for p in polys]
+        path = tmp_path / "approx.npz"
+        save_approximations(path, approx)
+        back = load_approximations(path)
+        assert len(back) == len(approx)
+        for a, b in zip(approx, back):
+            assert a.p == b.p and a.c == b.c
+            assert b.grid.compatible_with(grid)
+
+    def test_empty_sequence_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            save_approximations(tmp_path / "x.npz", [])
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            RasterGrid(Box(0, 0, 64, 64), order=9),  # other order
+            RasterGrid(Box(0, 0, 65, 64), order=8),  # other dataspace
+        ],
+        ids=["order", "dataspace"],
+    )
+    def test_expected_grid_mismatch_rejected(self, tmp_path, other):
+        grid = RasterGrid(Box(0, 0, 64, 64), order=8)
+        path = tmp_path / "approx.npz"
+        save_approximations(path, [build_april(Polygon.box(1, 1, 9, 9), grid)])
+        assert len(load_approximations(path, expected_grid=grid)) == 1
+        with pytest.raises(StoreError, match="built on grid"):
+            load_approximations(path, expected_grid=other)
+        assert load_approximations(path, expected_grid=other, on_error="rebuild") is None
+
+    def test_mixed_grids_rejected(self, tmp_path):
+        g1 = RasterGrid(Box(0, 0, 64, 64), order=8)
+        g2 = RasterGrid(Box(0, 0, 64, 64), order=9)
+        a = build_april(Polygon.box(1, 1, 5, 5), g1)
+        b = build_april(Polygon.box(1, 1, 5, 5), g2)
+        with pytest.raises(ValueError):
+            save_approximations(tmp_path / "x.npz", [a, b])

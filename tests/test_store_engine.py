@@ -40,7 +40,7 @@ def _identity(run: JoinRun):
 
 class TestModes:
     @pytest.mark.parametrize("method", ["ST2", "OP2", "APRIL", "P+C"])
-    def test_all_modes_agree(self, inputs, tmp_path, method):
+    def test_all_modes_agree(self, inputs, method):
         districts, blobs = inputs
         engine = Engine()
 
@@ -53,14 +53,12 @@ class TestModes:
         runs = {
             "batch": join("batch"),
             "parallel": join("parallel", workers=2),
-            "disk": join("disk", tiles_per_dim=3, workdir=tmp_path / "disk"),
         }
         for name, run in runs.items():
             assert _identity(run) == _identity(serial), (method, name)
         # ``mode`` reports what ran: batch is an alias of serial.
         assert serial.mode == runs["batch"].mode == "serial"
         assert runs["parallel"].mode == "parallel"
-        assert runs["disk"].mode == "disk"
         assert {type(r) for r in runs.values()} == {JoinRun}
 
     def test_relate_modes_agree(self, inputs):
@@ -127,10 +125,9 @@ class TestModes:
         r_objects = engine.objects(rd, grid)
         s_objects = engine.objects(sd, grid)
         pairs = engine.pairs(rd, sd)
-        with pytest.raises(ValueError, match="disk"):
-            engine.execute("P+C", r_objects, s_objects, pairs, mode="disk")
-        with pytest.raises(ValueError, match="turbo"):
-            engine.execute("P+C", r_objects, s_objects, pairs, mode="turbo")
+        for mode in ("disk", "turbo"):
+            with pytest.raises(ValueError, match=mode):
+                engine.execute("P+C", r_objects, s_objects, pairs, mode=mode)
 
     def test_unknown_mode_rejected(self, inputs):
         districts, blobs = inputs
@@ -139,7 +136,6 @@ class TestModes:
 
     def test_partitioning_options_are_gone(self, inputs):
         # One splitter: contiguous chunks, nothing to choose.
-        # ``tiles_per_dim`` survives on ``join`` for ``mode="disk"`` only.
         districts, blobs = inputs
         engine = Engine()
         for option in ({"partition": "tiles"}, {"chunk_size": 3}):
@@ -149,12 +145,19 @@ class TestModes:
             with pytest.raises(TypeError):
                 engine.execute("P+C", [], [], [], **option)
 
-    def test_disk_rejects_predicate(self, inputs):
+    def test_disk_mode_is_gone(self, inputs):
+        # ``Engine.join`` is the one whole-dataset join: no disk spill,
+        # and none of its keywords.
         districts, blobs = inputs
-        with pytest.raises(ValueError, match="disk"):
-            Engine().join(
-                districts, blobs, grid_order=9, mode="disk", predicate=T.CONTAINS
-            )
+        engine = Engine()
+        for predicate in (None, T.CONTAINS):
+            with pytest.raises(ValueError, match="disk"):
+                engine.join(
+                    districts, blobs, grid_order=9, mode="disk", predicate=predicate
+                )
+        for option in ({"tiles_per_dim": 4}, {"workdir": "tiles"}):
+            with pytest.raises(TypeError):
+                engine.join(districts, blobs, grid_order=9, **option)
 
 
 class TestLRU:
