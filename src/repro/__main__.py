@@ -24,10 +24,11 @@ Observability (``join`` subcommand)::
     python -m repro join r.wkt s.wkt --trace trace.json --metrics-out m.json \
         --explain-sample 3 --run-log runs.jsonl --progress --profile prof.txt
 
-``--profile`` turns on the sampling profiler and resource accounting for
-the run: collapsed flamegraph stacks land in PATH, the per-phase
-self-time table on stderr, and both payloads in the ``--run-log``
-report. ``report`` renders run logs into one static HTML dashboard::
+``--profile`` turns on the sampling profiler for the run: collapsed
+flamegraph stacks land in PATH, the per-phase self-time table on
+stderr, and the profile in the ``--run-log`` report (which always
+carries peak RSS). ``report`` renders run logs into one static HTML
+dashboard::
 
     python -m repro report runs.jsonl --out report.html
 
@@ -110,8 +111,6 @@ def _setup_obs(args: argparse.Namespace) -> None:
     if args.profile:
         obs.set_profiling(True)
         obs.reset_profile()
-        obs.set_resources(True)
-        obs.reset_resources()
         if not args.trace:
             # The phase table's rows come from the span tree; profile
             # without an explicit --trace still needs spans collected.
@@ -512,10 +511,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     p.add_argument(
         "--profile", default=None, metavar="PATH",
-        help="enable the sampling profiler + resource accounting; write "
-             "collapsed flamegraph stacks to PATH and the per-phase "
-             "self-time table to stderr (sampling interval via "
-             "$REPRO_PROFILE_INTERVAL, default 5ms)",
+        help="enable the sampling profiler (one sample per 5ms of CPU); "
+             "write collapsed flamegraph stacks to PATH and the per-phase "
+             "self-time table to stderr",
     )
     p.add_argument(
         "--partition-timeout", type=float, default=None, metavar="SECONDS",

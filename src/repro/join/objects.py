@@ -3,8 +3,8 @@
 The pipelines never want bare polygons — the whole point of the paper
 is that most pairs are resolved from the MBR and the APRIL lists alone,
 without touching exact geometry. :class:`SpatialObject` bundles the
-three representations and lets the statistics layer track when the
-exact geometry is actually accessed.
+three representations and defers the exact geometry until refinement
+reads it.
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ class SpatialObject:
     """
 
     __slots__ = (
-        "oid", "box", "april", "is_connected", "geometry_accessed",
-        "_polygon", "_geometries",
+        "oid", "box", "april", "is_connected", "_polygon", "_geometries",
     )
 
     def __init__(
@@ -58,8 +57,6 @@ class SpatialObject:
         self.box = box
         self.april = april
         self.is_connected: bool = is_connected
-        #: Set to True by pipelines whenever the exact geometry is read.
-        self.geometry_accessed = False
         self._polygon = polygon
         self._geometries = geometries
 
@@ -84,11 +81,6 @@ class SpatialObject:
             raise ValueError(f"object {self.oid} has no APRIL approximation")
         return self.april
 
-    def access_geometry(self) -> Polygon:
-        """Read the exact geometry, recording the access for statistics."""
-        self.geometry_accessed = True
-        return self.polygon
-
     def __repr__(self) -> str:
         return (
             f"SpatialObject(oid={self.oid!r}, box={self.box!r}, "
@@ -109,9 +101,4 @@ def make_objects(
     ]
 
 
-def reset_access_tracking(objects: Sequence[SpatialObject]) -> None:
-    for obj in objects:
-        obj.geometry_accessed = False
-
-
-__all__ = ["SpatialObject", "make_objects", "reset_access_tracking"]
+__all__ = ["SpatialObject", "make_objects"]

@@ -39,7 +39,7 @@ from repro.filters.intermediate import (
 )
 from repro.filters.mbr import MBRRelationship, classify_mbr_pair, mbr_candidates_for
 from repro.filters.relate_filters import RelateVerdict, relate_filter
-from repro.join.objects import SpatialObject, reset_access_tracking
+from repro.join.objects import SpatialObject
 from repro.join.stats import JoinRunStats
 from repro.obs.metrics import Histogram, get_registry, metrics_enabled
 from repro.obs.profile import clear_phase, profiling_enabled, set_phase
@@ -118,7 +118,7 @@ class Pipeline(ABC):
         self, r: SpatialObject, s: SpatialObject, candidates: Sequence[T]
     ) -> T:
         """Shared refinement: DE-9IM + selective mask matching."""
-        matrix = relate(r.access_geometry(), s.access_geometry())
+        matrix = relate(r.polygon, s.polygon)
         return most_specific_relation(matrix, candidates)
 
     def find_relation(self, r: SpatialObject, s: SpatialObject) -> FindRelationOutcome:
@@ -447,8 +447,6 @@ def run_find_relation(
     if isinstance(pipeline, str):
         pipeline = PIPELINES[pipeline]
     pairs = list(pairs)
-    reset_access_tracking(r_objects)
-    reset_access_tracking(s_objects)
     with trace("run_find_relation", method=pipeline.name, pairs=len(pairs)):
         return verify_find_relation(pipeline, r_objects, s_objects, pairs).stats
 
@@ -471,7 +469,7 @@ def _relate_filter_pair(
 
 def _refine_predicate(predicate: T, r: SpatialObject, s: SpatialObject) -> bool:
     """relate_p refinement: the pair's DE-9IM matrix against the mask."""
-    matrix = relate(r.access_geometry(), s.access_geometry())
+    matrix = relate(r.polygon, s.polygon)
     return relation_holds(matrix, predicate)
 
 
@@ -544,8 +542,6 @@ def run_relate(
     """Run ``relate_p`` over a candidate-pair stream (Table 5's metric):
     the statistics-only, one-partition view of :func:`verify_relate`."""
     pairs = list(pairs)
-    reset_access_tracking(r_objects)
-    reset_access_tracking(s_objects)
     with trace("run_relate", predicate=predicate.value, pairs=len(pairs)):
         return verify_relate(predicate, r_objects, s_objects, pairs).stats
 

@@ -14,9 +14,9 @@ Cooperating parts, all off by default and all stdlib-only:
 - :mod:`repro.obs.profile` — statistical sampling profiler attributing
   samples to the active span/phase; collapsed-stack flamegraph export
   and a deterministic per-phase self-time table.
-- :mod:`repro.obs.resources` — phase-level resource accounting:
-  tracemalloc peaks per span, process max-RSS, payload stored/decoded
-  bytes joined from the metric counters.
+- :mod:`repro.obs.resources` — the byte side of every run report:
+  process max-RSS and payload stored/decoded bytes joined from the
+  metric counters, read after the run (no switch, no hot-path cost).
 - :mod:`repro.obs.report` — structured run reports and the JSONL run
   log; sampled per-pair deep traces reuse :mod:`repro.join.explain`.
 - :mod:`repro.obs.dashboard` — everything above rendered into one
@@ -29,12 +29,12 @@ Forked workers carry their share home through one trio:
 :func:`merge_worker_capture` in the parent on the payload.
 
 Enable pieces independently (``set_tracing`` / ``set_metrics`` /
-``set_progress`` / ``set_profiling`` / ``set_resources``) or the
-always-cheap trio at once with :func:`enable_all`; the CLI flags
-``--trace``, ``--metrics-out``, ``--progress``, ``--profile`` map onto
-these. The deep-measurement pair (profiler, resource accounting) stays
-opt-in even under :func:`enable_all` because tracemalloc and sampling
-carry real enabled-path cost. The submodules import nothing from
+``set_progress`` / ``set_profiling``) or the always-cheap trio at
+once with :func:`enable_all`; the CLI flags ``--trace``,
+``--metrics-out``, ``--progress``, ``--profile`` map onto these. The
+sampling profiler stays opt-in even under :func:`enable_all` because
+signal delivery per interval is a real enabled-path cost. The
+submodules import nothing from
 ``repro`` at module level, so every layer — geometry to CLI — may
 instrument itself freely.
 """
@@ -66,35 +66,25 @@ from repro.obs.progress import (
     progress_reporter,
     set_progress,
 )
-from repro.obs.resources import (
-    export_resources,
-    merge_resources,
-    reset_resources,
-    resources_enabled,
-    run_resources,
-    set_resources,
-)
 from repro.obs.trace import (
     Span,
     add_span,
     attach_spans,
     export_spans,
     get_spans,
-    register_span_hook,
     reset_tracing,
     set_tracing,
     span_totals,
     trace,
     tracing_enabled,
-    unregister_span_hook,
 )
 
 
-#: Re-exports of the reporting side — run reports and the HTML
-#: dashboard — resolved on first read (PEP 562): no join needs
-#: them, and every layer imports this package. ``profile`` and
-#: ``resources`` stay eager because the verification loop and the engine
-#: import those two modules themselves.
+#: Re-exports of the reporting side — run reports, their resource
+#: summary and the HTML dashboard — resolved on first read (PEP 562):
+#: no join needs them, and every layer imports this package.
+#: ``profile`` stays eager because the verification loop imports it
+#: itself.
 _LAZY = {
     "render_dashboard": "repro.obs.dashboard",
     "write_dashboard": "repro.obs.dashboard",
@@ -104,6 +94,7 @@ _LAZY = {
     "read_jsonl": "repro.obs.report",
     "sample_explanations": "repro.obs.report",
     "write_metrics_files": "repro.obs.report",
+    "run_resources": "repro.obs.resources",
 }
 
 
@@ -124,13 +115,11 @@ def begin_worker_capture() -> None:
         reset_metrics()
     if profiling_enabled():
         _profile_begin_worker_capture()
-    if resources_enabled():
-        reset_resources()
 
 
 def export_worker_capture() -> dict | None:
     """What the worker collected since :func:`begin_worker_capture` —
-    spans, metrics, profile, resources — as one picklable payload, or
+    spans, metrics, profile — as one picklable payload, or
     ``None`` when everything is off."""
     payload: dict = {}
     if tracing_enabled():
@@ -139,20 +128,16 @@ def export_worker_capture() -> dict | None:
         payload["metrics"] = get_registry()
     if profiling_enabled():
         payload["profile"] = export_profile()
-    if resources_enabled():
-        payload["resources"] = export_resources()
     return payload or None
 
 
 def merge_worker_capture(payload: dict | None) -> list:
-    """Fold one worker's export into this process's registry, profile
-    and resource figures; returns its span dicts, which the caller
-    grafts under its open span (:func:`attach_spans`) or files with a
-    request record.
+    """Fold one worker's export into this process's registry and
+    profile; returns its span dicts, which the caller grafts under its
+    open span (:func:`attach_spans`) or files with a request record.
 
-    Counters add, profile samples add and resource peaks merge with
-    ``max``, so merging payloads in task order gives the same totals
-    for every worker count and scheduling.
+    Counters and profile samples add, so merging payloads in task order
+    gives the same totals for every worker count and scheduling.
     """
     if not payload:
         return []
@@ -160,18 +145,15 @@ def merge_worker_capture(payload: dict | None) -> list:
         get_registry().merge(payload["metrics"])
     if payload.get("profile"):
         merge_profiles([payload["profile"]])
-    if payload.get("resources"):
-        merge_resources([payload["resources"]])
     return payload.get("spans") or []
 
 
 def enable_all() -> None:
     """Switch tracing, metrics and progress on together.
 
-    The sampling profiler and resource accounting are *not* included:
-    both have measurable enabled-path cost (signal delivery per
-    interval; tracemalloc on every allocation) and are enabled
-    explicitly via ``set_profiling`` / ``set_resources``.
+    The sampling profiler is *not* included: signal delivery per
+    interval is a measurable enabled-path cost, so it is enabled
+    explicitly via ``set_profiling``.
     """
     set_tracing(True)
     set_metrics(True)
@@ -184,11 +166,9 @@ def disable_all() -> None:
     set_metrics(False)
     set_progress(False)
     set_profiling(False)
-    set_resources(False)
     reset_tracing()
     reset_metrics()
     reset_profile()
-    reset_resources()
 
 
 __all__ = [
@@ -206,14 +186,12 @@ __all__ = [
     "disable_all",
     "enable_all",
     "export_profile",
-    "export_resources",
     "export_spans",
     "export_worker_capture",
     "format_phase_table",
     "get_registry",
     "get_spans",
     "merge_profiles",
-    "merge_resources",
     "merge_worker_capture",
     "metrics_enabled",
     "parse_prometheus",
@@ -222,24 +200,19 @@ __all__ = [
     "progress_enabled",
     "progress_reporter",
     "read_jsonl",
-    "register_span_hook",
     "render_dashboard",
     "reset_metrics",
     "reset_profile",
-    "reset_resources",
     "reset_tracing",
-    "resources_enabled",
     "run_resources",
     "sample_explanations",
     "set_metrics",
     "set_profiling",
     "set_progress",
-    "set_resources",
     "set_tracing",
     "span_totals",
     "trace",
     "tracing_enabled",
-    "unregister_span_hook",
     "write_dashboard",
     "write_metrics_files",
 ]

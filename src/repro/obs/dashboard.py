@@ -2,7 +2,7 @@
 
 ``repro report`` renders everything the other ``repro.obs`` modules
 capture — run stats, span trees, the sampling profiler's flamegraph
-and phase table, resource accounting and metric quantiles — into **one
+and phase table, peak RSS and payload bytes, metric quantiles — into **one
 static HTML file**: inline CSS, no JavaScript, no network fetches,
 nothing but the standard library. The file is the artifact a CI job
 uploads and a reader opens locally.
@@ -187,6 +187,7 @@ def _span_lines(spans: list[dict[str, Any]], indent: int = 0) -> list[str]:
     lines = []
     for span in spans:
         attrs = span.get("attrs", {})
+        # Spans of run logs older than v1.8.0 carry ``mem_*`` figures.
         shown = " ".join(
             f"{k}={v}" for k, v in attrs.items() if not k.startswith("mem_")
         )
@@ -217,16 +218,12 @@ def _phase_table_html(rows: list[dict[str, Any]]) -> str:
 
 def _resources_html(res: dict[str, Any]) -> str:
     parts = ['<div class="tiles">']
-    for key, label, fmt in (
-        ("max_rss_bytes", "max RSS", _fmt_bytes),
-        ("tracemalloc_peak_bytes", "traced peak", _fmt_bytes),
-        ("tracemalloc_current_bytes", "traced now", _fmt_bytes),
-    ):
-        if res.get(key) is not None:
-            parts.append(
-                f'<div class="tile"><div class="v">{fmt(res[key])}</div>'
-                f'<div class="k">{_esc(label)}</div></div>'
-            )
+    rss = res.get("max_rss_bytes")
+    if rss is not None:
+        parts.append(
+            f'<div class="tile"><div class="v">{_fmt_bytes(rss)}</div>'
+            '<div class="k">max RSS</div></div>'
+        )
     payload = res.get("payload") or {}
     for key, label in (
         ("stored_bytes", "payload stored"),
@@ -238,18 +235,6 @@ def _resources_html(res: dict[str, Any]) -> str:
                 f'<div class="k">{_esc(label)}</div></div>'
             )
     parts.append("</div>")
-    peaks = res.get("phase_peaks") or {}
-    if peaks:
-        body = "".join(
-            f"<tr><td>{_esc(phase)}</td>"
-            f"<td class=num>{_fmt_bytes(peak)}</td></tr>"
-            for phase, peak in peaks.items()
-        )
-        parts.append(
-            "<table><thead><tr><th>phase</th>"
-            "<th class=num>peak traced bytes</th></tr></thead>"
-            f"<tbody>{body}</tbody></table>"
-        )
     return "".join(parts)
 
 

@@ -70,7 +70,8 @@ __all__ = [
     "set_profiling",
 ]
 
-#: Default seconds between samples; override with ``REPRO_PROFILE_INTERVAL``.
+#: Seconds between samples unless ``set_profiling(interval=...)`` says
+#: otherwise (the CLI's ``--profile`` always samples at this rate).
 DEFAULT_INTERVAL = 0.005
 
 #: Frames deeper than this are truncated (runaway recursion guard).
@@ -214,9 +215,9 @@ def set_profiling(
 ) -> None:
     """Turn sampling on or off (module-wide).
 
-    ``interval`` defaults to ``REPRO_PROFILE_INTERVAL`` (seconds) or
-    :data:`DEFAULT_INTERVAL`; ``backend`` forces ``"signal"`` or
-    ``"setprofile"`` instead of auto-detection.
+    ``interval`` (seconds) defaults to :data:`DEFAULT_INTERVAL`;
+    ``backend`` forces ``"signal"`` or ``"setprofile"`` instead of
+    auto-detection.
     """
     global _ENABLED, _BACKEND, _INTERVAL, _NEXT_SAMPLE
     if enabled and _ENABLED:
@@ -229,14 +230,7 @@ def set_profiling(
                 sys.setprofile(None)
         _ENABLED = False
         return
-    if interval is None:
-        try:
-            interval = float(os.environ.get("REPRO_PROFILE_INTERVAL", ""))
-        except ValueError:
-            interval = DEFAULT_INTERVAL
-        if not interval or interval <= 0:
-            interval = DEFAULT_INTERVAL
-    _INTERVAL = float(interval)
+    _INTERVAL = DEFAULT_INTERVAL if interval is None else float(interval)
     if backend is None:
         backend = "signal" if _signal_available() else "setprofile"
     if backend not in ("signal", "setprofile"):

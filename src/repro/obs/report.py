@@ -48,7 +48,8 @@ class RunReport:
     #: Sampling-profiler payload (:func:`repro.obs.profile.export_profile`
     #: plus its derived ``phase_table``) when ``--profile`` was on.
     profile: dict[str, Any] | None = None
-    #: Resource summary (:func:`repro.obs.resources.run_resources`).
+    #: Resource summary (:func:`repro.obs.resources.run_resources`);
+    #: every join-run report carries one.
     resources: dict[str, Any] | None = None
     meta: dict[str, Any] = field(default_factory=dict)
 
@@ -104,12 +105,13 @@ def build_run_report(
     method the caller asked for (a relate_p run's own label lives in
     ``stats["method"]``); ``spans`` / ``metrics`` / ``profile`` say
     which live collectors the caller wants exported into the record —
-    the profiler payload gets its phase table attached, and the
-    resource summary rides along whenever the engine stamped one on the
-    run.
+    the profiler payload gets its phase table attached. The resource
+    summary is always built (peak RSS, plus payload bytes while metrics
+    are on).
     """
-    from repro.obs.metrics import get_registry
+    from repro.obs.metrics import get_registry, metrics_enabled
     from repro.obs.profile import export_profile, phase_table
+    from repro.obs.resources import run_resources
     from repro.obs.trace import export_spans
 
     profile_payload = None
@@ -125,7 +127,7 @@ def build_run_report(
         metrics=get_registry().to_dict() if metrics else None,
         explain_samples=list(explain_samples),
         profile=profile_payload,
-        resources=run.meta.get("resources"),
+        resources=run_resources(get_registry() if metrics_enabled() else None),
         meta=meta,
     )
 

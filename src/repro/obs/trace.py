@@ -40,13 +40,11 @@ __all__ = [
     "attach_spans",
     "export_spans",
     "get_spans",
-    "register_span_hook",
     "reset_tracing",
     "set_tracing",
     "span_totals",
     "trace",
     "tracing_enabled",
-    "unregister_span_hook",
 ]
 
 
@@ -114,34 +112,6 @@ class _Collector:
 _ENABLED = False
 _COLLECTOR = _Collector()
 
-#: ``(on_enter, on_exit)`` callback pairs invoked around every span.
-#: Empty in the default configuration, so the only cost a hook adds to
-#: the *hookless* enabled path is one truthiness check per span; the
-#: disabled path never reaches it. Resource accounting
-#: (:mod:`repro.obs.resources`) registers here to annotate spans with
-#: memory figures without the tracer importing it.
-_SPAN_HOOKS: list[tuple] = []
-
-
-def register_span_hook(on_enter, on_exit) -> None:
-    """Install an ``(on_enter(span), on_exit(span))`` pair around spans.
-
-    Hooks fire only while tracing is enabled: enter-hooks after the span
-    is pushed on the open stack, exit-hooks after its duration is set
-    (so an exit-hook may attach attributes derived from the timing).
-    Registering the same pair twice is a no-op.
-    """
-    if (on_enter, on_exit) not in _SPAN_HOOKS:
-        _SPAN_HOOKS.append((on_enter, on_exit))
-
-
-def unregister_span_hook(on_enter, on_exit) -> None:
-    """Remove a hook pair installed by :func:`register_span_hook`."""
-    try:
-        _SPAN_HOOKS.remove((on_enter, on_exit))
-    except ValueError:
-        pass
-
 
 class _NullCtx:
     """Shared do-nothing context manager for the disabled path."""
@@ -170,17 +140,11 @@ class _SpanCtx:
     def __enter__(self) -> Span:
         _COLLECTOR.attach(self.span)
         _COLLECTOR.stack.append(self.span)
-        if _SPAN_HOOKS:
-            for on_enter, _on_exit in _SPAN_HOOKS:
-                on_enter(self.span)
         self._t0 = time.perf_counter()
         return self.span
 
     def __exit__(self, *exc: object) -> bool:
         self.span.seconds = time.perf_counter() - self._t0
-        if _SPAN_HOOKS:
-            for _on_enter, on_exit in _SPAN_HOOKS:
-                on_exit(self.span)
         _COLLECTOR.stack.pop()
         return False
 

@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 from repro.resilience.failpoints import maybe_fail_worker
 from repro.resilience.supervisor import SupervisionReport, supervised_map
 
-from repro.join.objects import SpatialObject, reset_access_tracking
+from repro.join.objects import SpatialObject
 from repro.join.pipeline import (
     PIPELINES,
     PairOutcome,
@@ -151,8 +151,6 @@ def _fan_out(
     pairs = list(pairs)
     workers = resolve_workers(workers)
     start = time.perf_counter()
-    reset_access_tracking(r_objects)
-    reset_access_tracking(s_objects)
 
     span = f"parallel_{stage}"
     supervision = None

@@ -51,8 +51,6 @@ from repro.join.mbr_join import plane_sweep_mbr_join
 from repro.join.objects import SpatialObject
 from repro.join.pipeline import PIPELINES
 from repro.join.run import JoinResult, JoinRun
-from repro.obs.metrics import get_registry, metrics_enabled
-from repro.obs.resources import resources_enabled, run_resources
 from repro.obs.trace import trace
 from repro.raster.compression import LazyAprilApproximation
 from repro.raster.grid import RasterGrid, pad_dataspace
@@ -68,6 +66,16 @@ from repro.topology.de9im import TopologicalRelation
 #: Execution modes :meth:`Engine.join` accepts (``batch`` is an alias
 #: of ``serial``).
 MODES = ("auto", "serial", "batch", "parallel")
+
+#: LRU capacities of every engine (tests monkeypatch them): datasets,
+#: object sets and pair sets, and approximation lists.
+MAX_DATASETS = 8
+MAX_OBJECT_SETS = 16
+MAX_PAIR_SETS = 32
+MAX_PAYLOAD_SETS = 16
+#: Decoded-object budget of each compressed payload the engine opens;
+#: ``None`` keeps the payload's own default.
+MAX_DECODED_PAYLOAD_BYTES: int | None = None
 
 
 class _LRU:
@@ -113,25 +121,16 @@ def _grid_identity(grid: RasterGrid) -> tuple:
 class Engine:
     """Resolves datasets, memoises their derived state, runs joins.
 
-    Parameters bound the LRU caches; an engine with the defaults keeps
-    a handful of datasets fully warm. One engine instance is not
-    thread-safe; share it across sequential queries only.
+    The LRU caches are bounded by the module's ``MAX_*`` constants,
+    which keep a handful of datasets fully warm. One engine instance is
+    not thread-safe; share it across sequential queries only.
     """
 
-    def __init__(
-        self,
-        *,
-        max_datasets: int = 8,
-        max_object_sets: int = 16,
-        max_pair_sets: int = 32,
-        max_payload_sets: int = 16,
-        max_decoded_payload_bytes: int | None = None,
-    ) -> None:
-        self._datasets = _LRU(max_datasets, "dataset")
-        self._objects = _LRU(max_object_sets, "objects")
-        self._pairs = _LRU(max_pair_sets, "pairs")
-        self._payloads = _LRU(max_payload_sets, "payload")
-        self.max_decoded_payload_bytes = max_decoded_payload_bytes
+    def __init__(self) -> None:
+        self._datasets = _LRU(MAX_DATASETS, "dataset")
+        self._objects = _LRU(MAX_OBJECT_SETS, "objects")
+        self._pairs = _LRU(MAX_PAIR_SETS, "pairs")
+        self._payloads = _LRU(MAX_PAYLOAD_SETS, "payload")
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -307,11 +306,11 @@ class Engine:
                 max_retries=max_retries,
             )
             if (
-                self.max_decoded_payload_bytes is not None
+                MAX_DECODED_PAYLOAD_BYTES is not None
                 and aprils
                 and isinstance(aprils[0], LazyAprilApproximation)
             ):
-                aprils[0].payload.max_decoded_bytes = self.max_decoded_payload_bytes
+                aprils[0].payload.max_decoded_bytes = MAX_DECODED_PAYLOAD_BYTES
             self._payloads.put(key, aprils)
         return aprils
 
@@ -368,16 +367,6 @@ class Engine:
         from repro.parallel.executor import auto_mode
 
         return auto_mode(workers, pairs)
-
-    def _attach_resources(self, run: JoinRun) -> None:
-        """Stamp the resource summary onto the run envelope when the
-        accounting is enabled; a no-op (one flag check) otherwise."""
-        if resources_enabled():
-            summary = run_resources(
-                get_registry() if metrics_enabled() else None
-            )
-            if summary is not None:
-                run.meta["resources"] = summary
 
     # ------------------------------------------------------------------
     # execution
@@ -477,7 +466,6 @@ class Engine:
                 partition_timeout=partition_timeout,
                 max_retries=max_retries,
             )
-        self._attach_resources(run)
         run.meta.update(
             r=rd.name, s=sd.name, r_count=len(rd), s_count=len(sd), grid_order=grid_order
         )
@@ -513,7 +501,7 @@ class Engine:
             raise ValueError(f"unknown mode {mode!r}; available: {list(MODES)}")
         if mode == "auto":
             mode = self._decide_auto(workers, len(pairs))
-        run = self._execute(
+        return self._execute(
             method,
             r_objects,
             s_objects,
@@ -525,8 +513,6 @@ class Engine:
             partition_timeout=partition_timeout,
             max_retries=max_retries,
         )
-        self._attach_resources(run)
-        return run
 
     def _execute(
         self,

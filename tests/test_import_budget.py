@@ -1,8 +1,9 @@
 """The import budget: a process loads only what its command runs.
 
-``import repro`` and a ``join`` over index directories must not pull in
-the HTTP daemon, the selection class, the dashboard or tracemalloc — a
-fresh-process join waits for every module it imports. Each check runs
+``import repro`` and a ``join`` over index directories — profiled or
+not — must not pull in the HTTP daemon, the selection class, the
+dashboard or tracemalloc: a fresh-process join waits for every module
+it imports. Each check runs
 in a child interpreter so this suite's own imports cannot mask an eager
 one.
 """
@@ -54,9 +55,12 @@ def test_join_over_indexes_stays_within_the_budget(tmp_path):
     out = child(
         "import json, sys\n"
         "from repro.__main__ import main\n"
-        "assert main(['join', sys.argv[1], sys.argv[2], '--index', '--grid-order', '8']) == 0\n"
+        "join = ['join', sys.argv[1], sys.argv[2], '--index', '--grid-order', '8']\n"
+        "assert main(join) == 0\n"
+        "assert main(join + ['--profile', sys.argv[3], '--run-log', sys.argv[4]]) == 0\n"
         "print(json.dumps(sorted(sys.modules)))\n",
         str(tmp_path / "r_idx"), str(tmp_path / "s_idx"),
+        str(tmp_path / "profile.txt"), str(tmp_path / "runs.jsonl"),
     )
     *rows, modules = out.strip().splitlines()
     assert len(rows) > 0

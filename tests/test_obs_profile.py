@@ -53,10 +53,11 @@ class TestLifecycle:
         prof.reset_profile()
         assert prof.export_profile() is None
 
-    def test_interval_env_var(self, monkeypatch):
+    def test_interval_defaults_to_5ms(self, monkeypatch):
+        # Only set_profiling(interval=...) changes it, never the environment.
         monkeypatch.setenv("REPRO_PROFILE_INTERVAL", "0.123")
         prof.set_profiling(True, backend="setprofile")
-        assert prof.sample_interval() == pytest.approx(0.123)
+        assert prof.sample_interval() == prof.DEFAULT_INTERVAL == 0.005
 
     def test_bad_backend_rejected(self):
         with pytest.raises(ValueError):

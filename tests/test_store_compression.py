@@ -44,6 +44,7 @@ from repro.raster.storage import (
     save_approximations,
 )
 from repro.store import Engine, SpatialDataset, build_dataset, open_dataset
+from repro.store import engine as engine_module
 
 from tests.oracles.storage import save_raw_approximations
 
@@ -315,10 +316,11 @@ class TestEngineCaches:
         assert small._decoded_nbytes <= bound or len(small._decoded) == 1
         assert len(small._decoded) < len(small)
 
-    def test_engine_override_reaches_payload(self, tmp_path, wkt_files):
+    def test_engine_override_reaches_payload(self, tmp_path, wkt_files, monkeypatch):
         r_file, s_file = wkt_files
         r_idx, s_idx = _build_pair(tmp_path, r_file, s_file, "varint")
-        engine = Engine(max_decoded_payload_bytes=4096)
+        monkeypatch.setattr(engine_module, "MAX_DECODED_PAYLOAD_BYTES", 4096)
+        engine = Engine()
         engine.join(r_idx, s_idx, grid_order=10)
         cached = [v for v in engine._payloads._data.values()]
         assert cached

@@ -9,6 +9,7 @@ from repro.geometry import Box, Polygon
 from repro.join.run import JoinRun
 from repro.obs.metrics import get_registry, reset_metrics, set_metrics
 from repro.store import Engine, build_dataset
+from repro.store import engine as engine_module
 from repro.store.engine import _LRU
 from repro.topology import TopologicalRelation as T
 
@@ -179,9 +180,10 @@ class TestLRU:
         assert lru.get("a") == 1
         assert lru.get("b") is None
 
-    def test_engine_object_cache_bounded(self, inputs):
+    def test_engine_object_cache_bounded(self, inputs, monkeypatch):
         districts, _ = inputs
-        engine = Engine(max_object_sets=2)
+        monkeypatch.setattr(engine_module, "MAX_OBJECT_SETS", 2)
+        engine = Engine()
         for order in (7, 8, 9):
             d = engine.dataset(districts)
             engine.objects(d, d.grid(order))
