@@ -84,15 +84,13 @@ def _load(path: str) -> list:
 
 
 def cmd_relate(args: argparse.Namespace) -> int:
-    from repro.topology import most_specific_relation, relate
+    from repro.topology import most_specific_relation, relate_many
 
     a_list = _load(args.a)
     b_list = _load(args.b)
-    n = min(len(a_list), len(b_list))
-    for k in range(n):
-        matrix = relate(a_list[k], b_list[k])
-        relation = most_specific_relation(matrix)
-        print(f"{k}\t{matrix.code}\t{relation.value}")
+    for k, details in enumerate(relate_many(list(zip(a_list, b_list)))):
+        relation = most_specific_relation(details.matrix)
+        print(f"{k}\t{details.matrix.code}\t{relation.value}")
     return 0
 
 

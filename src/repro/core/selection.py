@@ -5,7 +5,8 @@ often used as predicates in selection queries". This module provides
 that access path: index a polygon dataset once, then answer queries of
 the form *all objects o such that relate_p(o, Q)* for an ad-hoc query
 polygon ``Q`` — using the same three-stage pipeline as the join
-(R-tree MBR filter → APRIL relate_p filter → selective DE-9IM).
+(R-tree MBR filter → APRIL relate_p filter → one batched DE-9IM
+refinement of the candidates the filter leaves open).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from repro.join.rtree import RTree
 from repro.raster.april import AprilApproximation, build_april, build_april_many
 from repro.raster.grid import RasterGrid
 from repro.topology.de9im import TopologicalRelation, relation_holds
-from repro.topology.relate import relate
+from repro.topology.relate import relate_many
 
 
 class TopologySelection:
@@ -86,8 +87,8 @@ class TopologySelection:
             result = []
             checked = sorted(self._rtree.query(query_box))
 
-        stats = {"candidates": len(checked), "filtered": 0, "refined": 0}
         query_connected = query.is_connected
+        undecided = []
         for i in checked:
             verdict = relate_filter(
                 predicate,
@@ -98,14 +99,17 @@ class TopologySelection:
                 self.polygons[i].is_connected and query_connected,
             )
             if verdict is RelateVerdict.UNKNOWN:
-                stats["refined"] += 1
-                holds = relation_holds(relate(self.polygons[i], query), predicate)
-            else:
-                stats["filtered"] += 1
-                holds = verdict is RelateVerdict.YES
-            if holds:
+                undecided.append(i)
+            elif verdict is RelateVerdict.YES:
                 result.append(i)
-        self.last_query_stats = stats
+        # The pairs the filter left open, refined as one batch.
+        details = relate_many([(self.polygons[i], query) for i in undecided])
+        result += [i for i, d in zip(undecided, details) if relation_holds(d.matrix, predicate)]
+        self.last_query_stats = {
+            "candidates": len(checked),
+            "filtered": len(checked) - len(undecided),
+            "refined": len(undecided),
+        }
         return sorted(result)
 
     def count(self, query: Polygon, predicate: TopologicalRelation) -> int:

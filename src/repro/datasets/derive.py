@@ -110,11 +110,11 @@ def derive_dataset(
                 polygon.translated(span * rng.uniform(0.1, 0.3), span * rng.uniform(0.1, 0.3))
             )
 
-    from repro.topology import most_specific_relation, relate
+    from repro.topology import most_specific_relation, relate_many
 
     relations = [
-        most_specific_relation(relate(src, derived))
-        for src, derived in zip(source, polygons)
+        most_specific_relation(details.matrix)
+        for details in relate_many(list(zip(source, polygons)))
     ]
     return DerivedDataset(polygons=polygons, kinds=kinds, relations=relations)
 

@@ -13,7 +13,7 @@ from repro.datasets.catalog import DEFAULT_GRID_ORDER, load_scenario
 from repro.experiments.common import ExperimentResult
 from repro.geometry.simplify import simplify_polygon
 from repro.join.objects import make_objects
-from repro.join.pipeline import PIPELINES, run_find_relation
+from repro.join.pipeline import PIPELINES, run_find_relation, verify_find_relation
 
 DEFAULT_TOLERANCES = (0.1, 0.5, 2.0)
 
@@ -33,11 +33,8 @@ def run_ablation_simplify(
     )
 
     # Exact ground truth (any method; they agree).
-    pc = PIPELINES["P+C"]
-    truth = {
-        (i, j): pc.find_relation(data.r_objects[i], data.s_objects[j]).relation
-        for i, j in data.pairs
-    }
+    exact = verify_find_relation(PIPELINES["P+C"], data.r_objects, data.s_objects, data.pairs)
+    truth = {(i, j): relation for i, j, relation, _ in exact.rows}
     avg_vertices = (
         sum(o.num_vertices for o in data.r_objects + data.s_objects)
         / (len(data.r_objects) + len(data.s_objects))
@@ -45,8 +42,7 @@ def run_ablation_simplify(
 
     op2_stats = run_find_relation("OP2", data.r_objects, data.s_objects, data.pairs)
     result.add_row("OP2 exact", avg_vertices, op2_stats.throughput, 0.0)
-    pc_stats = run_find_relation("P+C", data.r_objects, data.s_objects, data.pairs)
-    result.add_row("P+C exact", avg_vertices, pc_stats.throughput, 0.0)
+    result.add_row("P+C exact", avg_vertices, exact.stats.throughput, 0.0)
 
     op2 = PIPELINES["OP2"]
     for tolerance in tolerances:
@@ -60,12 +56,10 @@ def run_ablation_simplify(
             sum(o.num_vertices for o in r_simplified + s_simplified)
             / (len(r_simplified) + len(s_simplified))
         )
-        stats = run_find_relation("OP2", r_simplified, s_simplified, data.pairs)
+        simplified = verify_find_relation(op2, r_simplified, s_simplified, data.pairs)
+        stats = simplified.stats
         wrong = sum(
-            1
-            for i, j in data.pairs
-            if op2.find_relation(r_simplified[i], s_simplified[j]).relation
-            is not truth[(i, j)]
+            1 for i, j, relation, _ in simplified.rows if relation is not truth[(i, j)]
         )
         result.add_row(
             f"OP2 simplified tol={tolerance:g}",

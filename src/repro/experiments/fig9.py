@@ -16,7 +16,7 @@ import time
 from repro.datasets.catalog import DEFAULT_GRID_ORDER, load_scenario
 from repro.experiments.common import ALL_METHODS, ExperimentResult
 from repro.experiments.fig8 import pair_complexity
-from repro.join.pipeline import PIPELINES, Stage
+from repro.join.pipeline import PIPELINES, verify_find_relation
 from repro.topology.de9im import TopologicalRelation as T
 
 
@@ -32,10 +32,10 @@ def run_fig9(
 
     best_pair: tuple[int, int] | None = None
     best_complexity = -1
-    for pair in data.pairs:
-        i, j = pair
-        outcome = pc.find_relation(data.r_objects[i], data.s_objects[j])
-        if outcome.relation is T.INSIDE and outcome.stage is not Stage.REFINEMENT:
+    rows = verify_find_relation(pc, data.r_objects, data.s_objects, data.pairs).rows
+    for i, j, relation, filtered in rows:
+        if relation is T.INSIDE and filtered:
+            pair = (i, j)
             complexity = pair_complexity(data, pair)
             if complexity > best_complexity:
                 best_complexity = complexity

@@ -19,7 +19,7 @@ from repro.experiments.common import ExperimentResult
 from repro.geometry.box import Box
 from repro.join.mbr_join import plane_sweep_mbr_join
 from repro.join.objects import make_objects
-from repro.join.pipeline import PIPELINES, Stage
+from repro.join.pipeline import PIPELINES, verify_find_relation
 from repro.raster.grid import RasterGrid
 from repro.topology.de9im import TopologicalRelation as T
 
@@ -44,11 +44,11 @@ def run_interlink_quality(
     pairs = plane_sweep_mbr_join([o.box for o in r_objects], [o.box for o in s_objects])
     pair_set = set(pairs)
 
-    pc = PIPELINES["P+C"]
-    found: dict[tuple[int, int], tuple[T, Stage]] = {}
-    for i, j in pairs:
-        outcome = pc.find_relation(r_objects[i], s_objects[j])
-        found[(i, j)] = (outcome.relation, outcome.stage)
+    rows = verify_find_relation(PIPELINES["P+C"], r_objects, s_objects, pairs).rows
+    # (relation, decided without refinement) per candidate pair.
+    found: dict[tuple[int, int], tuple[T, bool]] = {
+        (i, j): (relation, filtered) for i, j, relation, filtered in rows
+    }
 
     totals: Counter = Counter()
     recalled: Counter = Counter()
@@ -63,10 +63,10 @@ def run_interlink_quality(
                 recalled[truth] += 1
                 filtered[truth] += 1
                 continue
-        relation, stage = found.get((index, index), (T.DISJOINT, Stage.MBR))
+        relation, by_filter = found.get((index, index), (T.DISJOINT, True))
         if relation is truth:
             recalled[truth] += 1
-            if stage is not Stage.REFINEMENT:
+            if by_filter:
                 filtered[truth] += 1
 
     result = ExperimentResult(

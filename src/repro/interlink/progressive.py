@@ -26,7 +26,7 @@ from typing import Protocol, Sequence
 
 from repro.interlink.links import Link
 from repro.join.objects import SpatialObject
-from repro.join.pipeline import PIPELINES, Pipeline
+from repro.join.pipeline import PIPELINES, Pipeline, verify_find_relation
 from repro.topology.de9im import TopologicalRelation as T
 
 
@@ -159,14 +159,16 @@ class ProgressiveInterlinker:
             examined_pairs=len(ordered),
             total_pairs=len(self.pairs),
         )
-        for position, (i, j) in enumerate(ordered):
-            outcome = self.pipeline.find_relation(self.r_objects[i], self.s_objects[j])
-            if outcome.relation is T.DISJOINT and not include_disjoint:
+        # The join's own verification loop: rows come back in ``ordered``
+        # order, so a row's position is its discovery position.
+        rows = verify_find_relation(self.pipeline, self.r_objects, self.s_objects, ordered).rows
+        for position, (i, j, relation, _) in enumerate(rows):
+            if relation is T.DISJOINT and not include_disjoint:
                 continue
             report.links.append(
                 Link(
                     subject=f"{self.subject_prefix}{i}",
-                    relation=outcome.relation,
+                    relation=relation,
                     object=f"{self.object_prefix}{j}",
                 )
             )

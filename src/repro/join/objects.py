@@ -11,10 +11,13 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from repro.geometry.box import Box
 from repro.geometry.polygon import Polygon
 from repro.raster.april import AprilApproximation, build_april, build_april_many
 from repro.raster.grid import RasterGrid
+from repro.topology.kernel import GeometrySet, RelateDetails, relate_indexed
 
 
 class SpatialObject:
@@ -101,4 +104,40 @@ def make_objects(
     ]
 
 
-__all__ = ["SpatialObject", "make_objects"]
+def relate_objects(
+    r_objects: Sequence[SpatialObject],
+    s_objects: Sequence[SpatialObject],
+    pairs: Sequence[tuple[int, int]],
+) -> list[RelateDetails]:
+    """The DE-9IM details of every ``(r_objects[i], s_objects[j])`` pair
+    of ``pairs``, refined as one batch."""
+    r_set, r_idx = _geometry_set(r_objects, [i for i, _ in pairs])
+    s_set, s_idx = _geometry_set(s_objects, [j for _, j in pairs])
+    return relate_indexed(r_set, r_idx, s_set, s_idx)
+
+
+def _geometry_set(
+    objects: Sequence[SpatialObject], indices: Sequence[int]
+) -> tuple[GeometrySet, np.ndarray]:
+    """The geometries of ``objects[indices]`` and each one's index in
+    them: the dataset's own columns when every object defers to the same
+    columnar dataset (no polygon is built), otherwise the distinct
+    objects' polygons, flattened once."""
+    chosen = [objects[i] for i in indices]
+    sources = {id(obj._geometries) for obj in chosen}
+    source = chosen[0]._geometries if chosen else None
+    if len(sources) == 1 and hasattr(source, "columns"):
+        return GeometrySet.of(source), np.array([obj.oid for obj in chosen], dtype=np.int64)
+    slot: dict[int, int] = {}
+    polygons: list = []
+    index = []
+    for obj in chosen:
+        k = slot.get(id(obj))
+        if k is None:
+            k = slot[id(obj)] = len(polygons)
+            polygons.append(obj.polygon)
+        index.append(k)
+    return GeometrySet.of(polygons), np.array(index, dtype=np.int64)
+
+
+__all__ = ["SpatialObject", "make_objects", "relate_objects"]

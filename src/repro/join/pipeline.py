@@ -39,9 +39,9 @@ from repro.filters.intermediate import (
 )
 from repro.filters.mbr import MBRRelationship, classify_mbr_pair, mbr_candidates_for
 from repro.filters.relate_filters import RelateVerdict, relate_filter
-from repro.join.objects import SpatialObject
+from repro.join.objects import SpatialObject, relate_objects
 from repro.join.stats import JoinRunStats
-from repro.obs.metrics import Histogram, get_registry, metrics_enabled
+from repro.obs.metrics import get_registry, metrics_enabled
 from repro.obs.profile import clear_phase, profiling_enabled, set_phase
 from repro.obs.progress import progress_reporter
 from repro.obs.trace import add_span, trace
@@ -51,7 +51,6 @@ from repro.topology.de9im import (
     most_specific_relation,
     relation_holds,
 )
-from repro.topology.relate import relate
 
 
 @contextmanager
@@ -114,12 +113,26 @@ class Pipeline(ABC):
         """
         return [self.filter_pair(r_objects[i], s_objects[j]) for i, j in pairs]
 
+    def refine_pairs(
+        self,
+        r_objects: Sequence[SpatialObject],
+        s_objects: Sequence[SpatialObject],
+        items: Sequence[tuple[int, int, Sequence[T]]],
+    ) -> list[T]:
+        """Shared refinement of ``(i, j, candidates)`` items: one DE-9IM
+        batch (:func:`~repro.topology.kernel.relate_many`), then
+        selective mask matching per pair."""
+        details = relate_objects(r_objects, s_objects, [(i, j) for i, j, _ in items])
+        return [
+            most_specific_relation(d.matrix, candidates)
+            for d, (_, _, candidates) in zip(details, items)
+        ]
+
     def refine_pair(
         self, r: SpatialObject, s: SpatialObject, candidates: Sequence[T]
     ) -> T:
-        """Shared refinement: DE-9IM + selective mask matching."""
-        matrix = relate(r.polygon, s.polygon)
-        return most_specific_relation(matrix, candidates)
+        """Shared refinement of one pair: :meth:`refine_pairs`' batch of one."""
+        return self.refine_pairs([r], [s], [(0, 0, candidates)])[0]
 
     def find_relation(self, r: SpatialObject, s: SpatialObject) -> FindRelationOutcome:
         """Most specific topological relation of one candidate pair."""
@@ -306,7 +319,7 @@ class Verified(NamedTuple):
 
 class _Instruments:
     """What the two verification loops share besides the pairs: the
-    stage timers in ``stats``, progress ticks, the refine-latency
+    stage timers in ``stats``, progress ticks, the refine-batch
     histogram, profiler phase markers and the metrics registry."""
 
     def __init__(
@@ -323,9 +336,7 @@ class _Instruments:
         self.total = total
         self.registry = get_registry() if metrics_enabled() else None
         self.reporter = progress_reporter(label or method, total)
-        self.latencies = Histogram() if self.reporter is not None else None
-        # Local bool: the profiler-off path costs one check per refined pair.
-        self.profiling = profiling_enabled()
+        self.batches = 0
         self.touched_r: set[int] = set()
         self.touched_s: set[int] = set()
 
@@ -337,29 +348,26 @@ class _Instruments:
             yield
         self.stats.filter_seconds += time.perf_counter() - t0
 
-    def tick(self, k: int) -> None:
+    def tick(self, k: int, undecided: int) -> None:
         if self.reporter is not None and (k & 255) == 0:
-            self.reporter.tick(k, detail=f"{self.stats.refined} refined")
+            self.reporter.tick(k, detail=f"{undecided} to refine")
 
-    def refine(self, i: int, j: int, compute, *args):
-        """Pair ``(i, j)``'s refinement ``compute(*args)``, timed into
-        ``refine_seconds`` under the ``refine`` profiler phase (a plain
-        call, not a context manager: this runs once per refined pair)."""
-        self.touched_r.add(i)
-        self.touched_s.add(j)
-        if self.profiling:
-            set_phase("refine")
+    def refine(self, pairs: Sequence[tuple[int, int]], compute, *args):
+        """One refinement batch ``compute(*args)`` over ``pairs``, timed
+        into ``refine_seconds`` under the ``refine`` profiler phase and
+        observed once as ``repro_refine_batch_seconds``."""
+        for i, j in pairs:
+            self.touched_r.add(i)
+            self.touched_s.add(j)
         t0 = time.perf_counter()
-        result = compute(*args)
+        with _phase("refine"):
+            result = compute(*args)
         elapsed = time.perf_counter() - t0
-        if self.profiling:
-            clear_phase()
         self.stats.refine_seconds += elapsed
-        if self.reporter is not None:
-            self.latencies.observe(elapsed)
+        self.batches += 1
         if self.registry is not None:
             self.registry.observe(
-                "repro_refine_latency_seconds", elapsed, method=self.stats.method
+                "repro_refine_batch_seconds", elapsed, method=self.stats.method
             )
         return result
 
@@ -367,17 +375,15 @@ class _Instruments:
         stats = self.stats
         stats.r_objects_accessed = len(self.touched_r)
         stats.s_objects_accessed = len(self.touched_s)
-        # Aggregate of the per-pair refinements, attached with its
-        # measured duration so span totals reconcile with
-        # ``refine_seconds`` instead of re-timing the loop.
+        # The refinement batches, attached with their measured duration
+        # so span totals reconcile with ``refine_seconds``.
         add_span("refine", stats.refine_seconds, pairs=stats.refined)
         if self.reporter is not None:
             self.reporter.finish(detail=f"{stats.refined} refined")
-            if self.latencies.count:
+            if stats.refined:
                 self.reporter.summary(
-                    f"refine latency p50={self.latencies.quantile(0.50) * 1e3:.3f}ms "
-                    f"p95={self.latencies.quantile(0.95) * 1e3:.3f}ms "
-                    f"over {self.latencies.count} refined"
+                    f"refine: {stats.refined} pairs in {self.batches} batches, "
+                    f"{stats.refine_seconds * 1e3 / stats.refined:.3f} ms/pair"
                 )
         return Verified(rows, stats, self.touched_r, self.touched_s)
 
@@ -389,7 +395,8 @@ def verify_find_relation(
     pairs: Sequence[tuple[int, int]],
     label: str = "",
 ) -> Verified:
-    """Algorithm 1 over one partition: batched filter, then refinement.
+    """Algorithm 1 over one partition: batched filter, then one batched
+    refinement of every pair the filters left undecided.
 
     The one find-relation verification loop: the in-process run calls
     it on the whole stream, forked workers (and their in-parent
@@ -407,19 +414,13 @@ def verify_find_relation(
     )
     with inst.filtering():
         verdicts = pipeline.filter_pairs(r_objects, s_objects, pairs)
-    rows: list[PairOutcome] = []
-    for k, ((i, j), (verdict, stage)) in enumerate(zip(pairs, verdicts)):
-        inst.tick(k)
-        relation = verdict.definite
-        if relation is None:
-            assert verdict.refine_candidates is not None
-            relation = inst.refine(
-                i, j, pipeline.refine_pair,
-                r_objects[i], s_objects[j], verdict.refine_candidates,
-            )
-            stage = Stage.REFINEMENT
+
+    rows: list[PairOutcome] = [None] * len(pairs)  # type: ignore[list-item]
+
+    def record(k: int, relation: T, stage: Stage) -> None:
+        i, j = pairs[k]
         stats.record(relation, stage.value)
-        rows.append((i, j, relation, stage is not Stage.REFINEMENT))
+        rows[k] = (i, j, relation, stage is not Stage.REFINEMENT)
         if registry is not None:
             registry.inc(
                 "repro_verdicts_total",
@@ -428,6 +429,22 @@ def verify_find_relation(
                 stage=stage.value,
                 relation=relation.value,
             )
+
+    undecided: list[int] = []
+    for k, (verdict, stage) in enumerate(verdicts):
+        inst.tick(k, len(undecided))
+        if verdict.definite is None:
+            assert verdict.refine_candidates is not None
+            undecided.append(k)
+        else:
+            record(k, verdict.definite, stage)
+    if undecided:
+        items = [(*pairs[k], verdicts[k][0].refine_candidates) for k in undecided]
+        relations = inst.refine(
+            [pairs[k] for k in undecided], pipeline.refine_pairs, r_objects, s_objects, items
+        )
+        for k, relation in zip(undecided, relations):
+            record(k, relation, Stage.REFINEMENT)
     return inst.finish(rows)
 
 
@@ -467,10 +484,23 @@ def _relate_filter_pair(
     )
 
 
+def _refine_predicates(
+    predicate: T,
+    r_objects: Sequence[SpatialObject],
+    s_objects: Sequence[SpatialObject],
+    pairs: Sequence[tuple[int, int]],
+) -> list[bool]:
+    """relate_p refinement of many pairs: one DE-9IM batch, each
+    matrix against the mask."""
+    return [
+        relation_holds(d.matrix, predicate)
+        for d in relate_objects(r_objects, s_objects, pairs)
+    ]
+
+
 def _refine_predicate(predicate: T, r: SpatialObject, s: SpatialObject) -> bool:
-    """relate_p refinement: the pair's DE-9IM matrix against the mask."""
-    matrix = relate(r.polygon, s.polygon)
-    return relation_holds(matrix, predicate)
+    """relate_p refinement of one pair: the batch of one."""
+    return _refine_predicates(predicate, [r], [s], [(0, 0)])[0]
 
 
 def relate_predicate(
@@ -491,7 +521,8 @@ def verify_relate(
     pairs: Sequence[tuple[int, int]],
     label: str = "",
 ) -> Verified:
-    """``relate_p`` over one partition: Fig. 6 filters, then refinement.
+    """``relate_p`` over one partition: Fig. 6 filters, then one batched
+    refinement of the pairs they leave undecided.
 
     The one relate_p verification loop, shared by the same callers as
     :func:`verify_find_relation`. ``filter_seconds`` is the time inside
@@ -506,29 +537,35 @@ def verify_relate(
         verdicts = [
             _relate_filter_pair(predicate, r_objects[i], s_objects[j]) for i, j in pairs
         ]
-    matches: list[tuple[int, int]] = []
-    for k, ((i, j), verdict) in enumerate(zip(pairs, verdicts)):
-        inst.tick(k)
-        stats.pairs += 1
+    holds: list[bool] = [False] * len(pairs)
+    undecided: list[int] = []
+    for k, verdict in enumerate(verdicts):
+        inst.tick(k, len(undecided))
         if verdict is RelateVerdict.UNKNOWN:
-            holds = inst.refine(
-                i, j, _refine_predicate, predicate, r_objects[i], s_objects[j]
-            )
-            stage = "refinement"
-            stats.refined += 1
+            undecided.append(k)
         else:
-            holds = verdict is RelateVerdict.YES
-            stage = "if"
-            stats.resolved_if += 1
-        if holds:
+            holds[k] = verdict is RelateVerdict.YES
+    if undecided:
+        refined = [pairs[k] for k in undecided]
+        answers = inst.refine(
+            refined, _refine_predicates, predicate, r_objects, s_objects, refined
+        )
+        for k, answer in zip(undecided, answers):
+            holds[k] = answer
+    stats.pairs += len(pairs)
+    stats.refined += len(undecided)
+    stats.resolved_if += len(pairs) - len(undecided)
+    matches: list[tuple[int, int]] = []
+    for k, (i, j) in enumerate(pairs):
+        if holds[k]:
             stats.relation_counts[predicate] += 1
             matches.append((i, j))
         if registry is not None:
             registry.inc(
                 "repro_relate_verdicts_total",
                 predicate=predicate.value,
-                stage=stage,
-                verdict="yes" if holds else "no",
+                stage="if" if verdicts[k] is not RelateVerdict.UNKNOWN else "refinement",
+                verdict="yes" if holds[k] else "no",
             )
     return inst.finish(matches)
 

@@ -21,24 +21,23 @@ from repro.topology.relate import (
     relate,
     relate_details,
     relate_dimensioned,
+    relate_many,
     relate_pattern,
 )
-from repro.topology.sweep import BoundaryIntersections, boundary_intersections
 
 __all__ = [
     "DE9IM",
     "MASKS",
     "SPECIFIC_TO_GENERAL",
-    "BoundaryIntersections",
     "TopologicalRelation",
     "RelateDetails",
-    "boundary_intersections",
     "matrix_matches_any",
     "most_specific_relation",
     "intersects_mixed",
     "relate",
     "relate_details",
     "relate_dimensioned",
+    "relate_many",
     "relate_mixed",
     "relate_pattern",
 ]

@@ -5,8 +5,9 @@ itself is defined for 0-, 1- and 2-dimensional shapes, and the paper's
 application domains relate them freely (stations in districts, rivers
 against parks). This module computes boolean DE-9IM matrices for every
 mix of :class:`Point`-like tuples, :class:`LineString` and areal
-geometries (Polygon / MultiPolygon), reusing the boundary-subdivision
-machinery of :mod:`repro.topology.relate`.
+geometries (Polygon / MultiPolygon), reusing the edge-array primitives of
+:mod:`repro.topology.kernel` (a linestring is an edge array without a
+closing edge).
 
 Topology conventions (OGC, simplified to *simple* linestrings):
 
@@ -18,15 +19,26 @@ Topology conventions (OGC, simplified to *simple* linestrings):
 
 from __future__ import annotations
 
-from typing import Iterable
+import numpy as np
 
+from repro.geometry.columns import GeometryColumns
 from repro.geometry.linestring import LineString
 from repro.geometry.multipolygon import MultiPolygon
 from repro.geometry.polygon import Polygon
 from repro.geometry.predicates import Location
 from repro.topology.de9im import DE9IM
-from repro.topology.relate import _subedge_midpoints, relate_details
-from repro.topology.sweep import boundary_intersections
+from repro.topology.kernel import (
+    BOUNDARY,
+    EXTERIOR,
+    INTERIOR,
+    OVERLAP,
+    Contacts,
+    EdgeArrays,
+    edge_contacts,
+    free_midpoints,
+    locate_many,
+)
+from repro.topology.relate import relate_details
 
 Coord = tuple[float, float]
 Areal = (Polygon, MultiPolygon)
@@ -114,13 +126,19 @@ def _point_area(p: Coord, area) -> DE9IM:
 # line cases
 # ----------------------------------------------------------------------
 def _line_area(line: LineString, area) -> DE9IM:
-    inter = boundary_intersections(line, area)
+    columns = GeometryColumns.from_geometries([area])
+    line_edges = EdgeArrays.of_line(line.coords)
+    area_edges = EdgeArrays.of_geometries(columns, np.zeros(1, dtype=np.int64))
+    contacts = edge_contacts(line_edges, area_edges)
+
+    def locate(xs, ys):
+        return locate_many(columns, np.zeros(len(xs), dtype=np.int64), xs, ys)
 
     # Classify the line's non-ON sub-edge midpoints against the area.
-    midpoints = _subedge_midpoints(line, inter.cuts_r, inter.overlaps_r)
-    mid_locs = [area.locate(m) for m in midpoints]
-    ii = any(loc is Location.INTERIOR for loc in mid_locs)
-    ie = any(loc is Location.EXTERIOR for loc in mid_locs)
+    _, mx, my = free_midpoints(line_edges, contacts, "r")
+    mid_locs = locate(mx, my)
+    ii = bool((mid_locs == INTERIOR).any())
+    ie = bool((mid_locs == EXTERIOR).any())
 
     # Interior-of-line contact with the area's boundary: a collinear
     # overlap piece, or a recorded contact point that is not a line
@@ -129,38 +147,38 @@ def _line_area(line: LineString, area) -> DE9IM:
     # needed — an exact geometric re-check would reject float-computed
     # crossing coordinates.
     endpoints = set(line.endpoints)
-    contact_points = {p for pts in inter.cuts_r.values() for p in pts}
-    ib = bool(inter.overlaps_r) or any(p not in endpoints for p in contact_points)
+    contact_points = _points(contacts, "r")
+    ib = bool((contacts.kind == OVERLAP).any()) or any(
+        p not in endpoints for p in contact_points
+    )
 
     # Line boundary (endpoints) against the area.
-    bi = bb = be = False
-    for endpoint in endpoints:
-        where = area.locate(endpoint)
-        bi = bi or where is Location.INTERIOR
-        bb = bb or where is Location.BOUNDARY
-        be = be or where is Location.EXTERIOR
+    ends = np.array(sorted(endpoints), dtype=np.float64).reshape(-1, 2)
+    end_locs = locate(ends[:, 0], ends[:, 1])
+    bi = bool((end_locs == INTERIOR).any())
+    bb = bool((end_locs == BOUNDARY).any())
+    be = bool((end_locs == EXTERIOR).any())
 
     # Area side: its interior always has points off the (measure-zero)
     # line; its boundary escapes the line unless entirely covered.
-    s_free_midpoints = _subedge_midpoints(area, inter.cuts_s, inter.overlaps_s)
-    eb = bool(s_free_midpoints)
+    eb = bool(len(free_midpoints(area_edges, contacts, "s")[0]))
     return DE9IM.from_cells(ii, ib, ie, bi, bb, be, True, eb, True)
 
 
 def _line_line(r: LineString, s: LineString) -> DE9IM:
-    inter = boundary_intersections(r, s)
+    r_edges = EdgeArrays.of_line(r.coords)
+    s_edges = EdgeArrays.of_line(s.coords)
+    contacts = edge_contacts(r_edges, s_edges)
     r_ends = set(r.endpoints)
     s_ends = set(s.endpoints)
-    contact_points = {p for pts in inter.cuts_r.values() for p in pts} | {
-        p for pts in inter.cuts_s.values() for p in pts
-    }
+    contact_points = _points(contacts, "r") | _points(contacts, "s")
 
-    # Contact points lie on both lines by construction (the sweep only
-    # records mutual intersections), so interior-vs-boundary is purely
+    # Contact points lie on both lines by construction (only mutual
+    # intersections are recorded), so interior-vs-boundary is purely
     # an endpoint-membership question — exact re-checks would reject
     # float-computed crossing coordinates.
     # Shared 1-D pieces are interior-interior except at their very tips.
-    ii = bool(inter.overlaps_r) or any(
+    ii = bool((contacts.kind == OVERLAP).any()) or any(
         p not in r_ends and p not in s_ends for p in contact_points
     )
     ib = any(p not in r_ends and p in s_ends for p in contact_points)
@@ -170,12 +188,18 @@ def _line_line(r: LineString, s: LineString) -> DE9IM:
     )
 
     # Non-ON sub-edges witness interior points off the other line.
-    ie = bool(_subedge_midpoints(r, inter.cuts_r, inter.overlaps_r))
-    ei = bool(_subedge_midpoints(s, inter.cuts_s, inter.overlaps_s))
+    ie = bool(len(free_midpoints(r_edges, contacts, "r")[0]))
+    ei = bool(len(free_midpoints(s_edges, contacts, "s")[0]))
 
     be = any(not s.covers_point(p) for p in r_ends)
     eb = any(not r.covers_point(p) for p in s_ends)
     return DE9IM.from_cells(ii, ib, ie, bi, bb, be, ei, eb, True)
+
+
+def _points(contacts: Contacts, side: str) -> set[Coord]:
+    """The cut points of one side's edges, as coordinate tuples."""
+    _, xs, ys = contacts.cuts(side)
+    return set(zip(xs.tolist(), ys.tolist()))
 
 
 def intersects_mixed(a, b) -> bool:

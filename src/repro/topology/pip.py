@@ -1,10 +1,10 @@
 """Bulk point-in-polygon classification.
 
-The DE-9IM engine classifies many sub-edge midpoints against the same
-polygon; doing that point-by-point in pure Python is the dominant cost.
-This module vectorises the even-odd crossing test with numpy over all
-ring edges at once (even-odd parity over shell *and* hole edges gives
-exactly the polygon-with-holes interior).
+The even-odd crossing test over all ring edges (parity over shell *and*
+hole edges gives exactly the polygon-with-holes interior), for many
+points at once. Each point tests only the edges that straddle its y —
+the slab pass of :func:`repro.topology.kernel.slab_parity`, which the
+DE-9IM kernel runs over a whole batch of geometries.
 
 Points that lie exactly on the boundary get an arbitrary side — callers
 must only pass points known to be strictly off the boundary (the relate
@@ -18,17 +18,12 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from repro.geometry.columns import GeometryColumns
+from repro.topology.kernel import slab_parity
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.geometry.polygon import Polygon
 
 Coord = tuple[float, float]
-
-#: Below this many query points the scalar loop beats numpy dispatch.
-_SCALAR_CUTOFF = 4
-
-#: Cap on the (points x edges) matrix size per vectorised chunk (~24 MB).
-_CHUNK_BUDGET = 3_000_000
 
 
 def edge_arrays(
@@ -46,16 +41,6 @@ def edge_arrays(
     return GeometryColumns.from_geometries(geometries).edge_arrays()
 
 
-def _edge_arrays(polygon: "Polygon") -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Cached per-polygon edge coordinate arrays ``(ax, ay, bx, by)``."""
-    cached = polygon.__dict__.get("_pip_edge_arrays")
-    if cached is not None:
-        return cached
-    arrays = edge_arrays([polygon])[:4]
-    polygon.__dict__["_pip_edge_arrays"] = arrays
-    return arrays
-
-
 def points_strictly_inside(points: Sequence[Coord], polygon: "Polygon") -> np.ndarray:
     """Even-odd interior test for every point in ``points``.
 
@@ -63,33 +48,11 @@ def points_strictly_inside(points: Sequence[Coord], polygon: "Polygon") -> np.nd
     of ``polygon`` (holes excluded). Points exactly on the boundary are
     *not* handled — see the module docstring.
     """
-    n = len(points)
-    if n == 0:
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    if not len(pts):
         return np.zeros(0, dtype=bool)
-    if n < _SCALAR_CUTOFF:
-        from repro.geometry.predicates import Location
-
-        return np.array([polygon.locate(p) is Location.INTERIOR for p in points])
-
-    ax, ay, bx, by = _edge_arrays(polygon)
-    pts = np.asarray(points, dtype=float)
-    px = pts[:, 0]
-    py = pts[:, 1]
-
-    n_edges = len(ax)
-    out = np.zeros(n, dtype=bool)
-    chunk = max(1, _CHUNK_BUDGET // max(1, n_edges))
-    for start in range(0, n, chunk):
-        end = min(n, start + chunk)
-        cx = px[start:end, None]
-        cy = py[start:end, None]
-        straddles = (ay[None, :] > cy) != (by[None, :] > cy)
-        # Sign of (x_cross - x) * (by - ay) without dividing.
-        t = (cy - ay[None, :]) * (bx - ax)[None, :] - (cx - ax[None, :]) * (by - ay)[None, :]
-        t = np.where((by - ay)[None, :] < 0, -t, t)
-        crossings = np.count_nonzero(straddles & (t > 0.0), axis=1)
-        out[start:end] = (crossings & 1).astype(bool)
-    return out
+    columns = GeometryColumns.from_geometries([polygon])
+    return slab_parity(columns, np.zeros(len(pts), dtype=np.int64), pts[:, 0], pts[:, 1])
 
 
 __all__ = ["edge_arrays", "points_strictly_inside"]

@@ -1,70 +1,23 @@
 """Full DE-9IM computation for polygon pairs — the refinement step.
 
-Strategy (soundness arguments inline):
-
-1. Find every intersection between the two boundaries with the plane
-   sweep (:mod:`repro.topology.sweep`).
-2. Subdivide each boundary at those points. Each resulting *sub-edge*
-   interior lies entirely in one region (interior / boundary / exterior)
-   of the other polygon: region changes happen only across the other
-   boundary, and every boundary/boundary contact point is a subdivision
-   point. Collinear-overlap sub-edges are exactly the ON sub-edges and
-   are identified symbolically from the sweep output, so the numeric
-   classifier never sees a point on the other boundary.
-3. Classify the midpoint of every non-ON sub-edge as interior/exterior
-   of the other polygon (vectorised even-odd test).
-4. Assemble the matrix. Writing ``rB∩sI`` for "some r sub-edge midpoint
-   interior to s" etc., and using that polygon interiors are open,
-   connected, and adjacent to every point of their boundary:
-
-   - ``BI = rB∩sI``, ``IB = sB∩rI``, ``BE = rB∩sE``, ``EB = sB∩rE``
-     (a 1-D boundary piece meeting an open region is a whole sub-arc,
-     hence a whole sub-edge, hence a midpoint);
-   - ``BB`` = the sweep found any contact (exact);
-   - ``II = BI ∨ IB ∨ repr(r)∈int(s) ∨ repr(s)∈int(r)`` — a boundary
-     point of one shape inside the other's open interior has interior
-     points of its own shape arbitrarily close; the representative-point
-     disjuncts cover pairs whose boundaries never leave each other
-     (e.g. equal polygons);
-   - ``IE = BE ∨ IB ∨ repr(r)∈ext(s)`` — dual argument with the open
-     exterior; completeness follows from interior connectedness (a path
-     from ``repr(r)`` to a point of ``int(r)∩ext(s)`` crosses ``bnd(s)``
-     inside ``int(r)``); ``EI`` symmetric;
-   - ``EE = T`` for bounded geometries.
+The work happens in :mod:`repro.topology.kernel`: :func:`relate_many`
+refines a whole batch of pairs in a fixed number of numpy passes (the
+soundness argument is that module's docstring). The per-pair functions
+here are its batch of one, kept for callers that hold a single pair —
+``explain``, the ``relate`` subcommand, the ST2 oracle — and the
+dimensioned forms built on them. A caller that holds many pairs should
+call :func:`relate_many` once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.geometry.predicates import Location
 from repro.topology.de9im import DE9IM
-from repro.topology.pip import points_strictly_inside
-from repro.topology.sweep import boundary_intersections
+from repro.topology.kernel import DISJOINT_MATRIX, RelateDetails, relate_many
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.geometry.polygon import Polygon
-
-Coord = tuple[float, float]
-
-#: Matrix of two polygons with disjoint MBRs (the paper's Fig. 1 example).
-DISJOINT_MATRIX = DE9IM("FFTFFTTTT")
-
-#: Sub-edges shorter than this fraction of their parent edge are dropped:
-#: their midpoints sit too close to a subdivision point for the float
-#: classifier to be meaningful, and a region touched by a longer piece of
-#: boundary is always witnessed by some non-degenerate sub-edge.
-_MIN_SPAN = 1e-12
-
-
-@dataclass(frozen=True, slots=True)
-class RelateDetails:
-    """A DE-9IM matrix plus the facts needed to dimension it."""
-
-    matrix: DE9IM
-    #: True iff the boundaries share a 1-dimensional (collinear) piece.
-    boundary_overlap: bool
 
 
 def relate(r: "Polygon", s: "Polygon") -> DE9IM:
@@ -74,56 +27,7 @@ def relate(r: "Polygon", s: "Polygon") -> DE9IM:
 
 def relate_details(r: "Polygon", s: "Polygon") -> RelateDetails:
     """Boolean DE-9IM matrix plus boundary-overlap dimensionality."""
-    if r.bbox.disjoint(s.bbox):
-        return RelateDetails(DISJOINT_MATRIX, False)
-
-    inter = boundary_intersections(r, s)
-
-    r_mids = _subedge_midpoints(r, inter.cuts_r, inter.overlaps_r)
-    s_mids = _subedge_midpoints(s, inter.cuts_s, inter.overlaps_s)
-
-    rb_si, rb_se = _classify_midpoints(r_mids, s)
-    sb_ri, sb_re = _classify_midpoints(s_mids, r)
-
-    bb = inter.contact
-    bi = rb_si
-    ib = sb_ri
-    be = rb_se
-    eb = sb_re
-
-    # Representative-point fallbacks, computed lazily, with one witness
-    # per interior *component* (polygons have one; multipolygons one per
-    # part — a single witness would miss components whose boundary never
-    # leaves the other shape's boundary). A witness landing exactly on
-    # the other boundary has both interior and exterior points of the
-    # other shape arbitrarily close, so BOUNDARY implies II and IE/EI
-    # alike (it also implies IB/BI through the arc argument, but the
-    # direct implication is kept for numeric robustness).
-    locs_rs: list[Location] | None = None
-    locs_sr: list[Location] | None = None
-
-    ii = bi or ib
-    if not ii:
-        locs_rs = [s.locate(p) for p in r.representative_points()]
-        locs_sr = [r.locate(p) for p in s.representative_points()]
-        ii = any(loc is not Location.EXTERIOR for loc in locs_rs) or any(
-            loc is not Location.EXTERIOR for loc in locs_sr
-        )
-
-    ie = be or ib
-    if not ie:
-        if locs_rs is None:
-            locs_rs = [s.locate(p) for p in r.representative_points()]
-        ie = any(loc is not Location.INTERIOR for loc in locs_rs)
-    ei = eb or bi
-    if not ei:
-        if locs_sr is None:
-            locs_sr = [r.locate(p) for p in s.representative_points()]
-        ei = any(loc is not Location.INTERIOR for loc in locs_sr)
-
-    matrix = DE9IM.from_cells(ii, ib, ie, bi, bb, be, ei, eb, True)
-    boundary_overlap = bool(inter.overlaps_r) or bool(inter.overlaps_s)
-    return RelateDetails(matrix, boundary_overlap)
+    return relate_many([(r, s)])[0]
 
 
 #: Dimension of each matrix cell *when it is non-empty*, for valid
@@ -142,7 +46,7 @@ def relate_dimensioned(r: "Polygon", s: "Polygon") -> str:
     ``"212101212"`` for two properly overlapping polygons, or
     ``"FF2F01212"`` for a pair meeting at a single point. For valid
     polygons every cell's dimension is determined by the boolean matrix
-    except boundary/boundary, which needs the sweep's overlap records.
+    except boundary/boundary, which needs the boundary-overlap flag.
     """
     details = relate_details(r, s)
     out = []
@@ -177,70 +81,12 @@ def relate_pattern(r: "Polygon", s: "Polygon", pattern: str) -> bool:
     return True
 
 
-def _subedge_midpoints(
-    polygon: "Polygon",
-    cuts: dict[int, list[Coord]],
-    overlaps: dict[int, list[tuple[Coord, Coord]]],
-) -> list[Coord]:
-    """Midpoints of all non-ON sub-edges of ``polygon``'s boundary."""
-    midpoints: list[Coord] = []
-    for index, (a, b) in enumerate(polygon.edges()):
-        edge_cuts = cuts.get(index)
-        if not edge_cuts:
-            midpoints.append(((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0))
-            continue
-
-        dx = b[0] - a[0]
-        dy = b[1] - a[1]
-        norm = dx * dx + dy * dy
-        if norm == 0.0:
-            continue  # degenerate edge contributes nothing
-
-        def param(p: Coord) -> float:
-            return ((p[0] - a[0]) * dx + (p[1] - a[1]) * dy) / norm
-
-        ts = {0.0, 1.0}
-        for p in edge_cuts:
-            t = param(p)
-            if 0.0 < t < 1.0:
-                ts.add(t)
-        ordered = sorted(ts)
-
-        on_intervals = [
-            (param(lo), param(hi)) for lo, hi in overlaps.get(index, ())
-        ]
-        on_intervals = [(min(t0, t1), max(t0, t1)) for t0, t1 in on_intervals]
-
-        for t0, t1 in zip(ordered, ordered[1:]):
-            if t1 - t0 <= _MIN_SPAN:
-                continue
-            tm = (t0 + t1) / 2.0
-            if any(lo <= tm <= hi for lo, hi in on_intervals):
-                continue  # ON sub-edge: lies on the other boundary
-            midpoints.append((a[0] + tm * dx, a[1] + tm * dy))
-    return midpoints
-
-
-def _classify_midpoints(midpoints: list[Coord], other: "Polygon") -> tuple[bool, bool]:
-    """Return ``(any interior to other, any exterior to other)``."""
-    if not midpoints:
-        return False, False
-    bbox = other.bbox
-    candidates = [p for p in midpoints if bbox.contains_point(p[0], p[1])]
-    any_exterior = len(candidates) < len(midpoints)
-    if not candidates:
-        return False, any_exterior
-    inside = points_strictly_inside(candidates, other)
-    any_interior = bool(inside.any())
-    any_exterior = any_exterior or not bool(inside.all())
-    return any_interior, any_exterior
-
-
 __all__ = [
     "DISJOINT_MATRIX",
     "RelateDetails",
     "relate",
     "relate_details",
     "relate_dimensioned",
+    "relate_many",
     "relate_pattern",
 ]

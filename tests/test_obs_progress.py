@@ -97,8 +97,9 @@ class TestPipelineIntegration:
         set_progress(False)
         err = capsys.readouterr().err
         assert "done" in err and "pairs" in err
-        if stats.refined:  # latency summary rides on refined pairs only
-            assert "refine latency p50=" in err
+        if stats.refined:  # the refine summary rides on refined pairs only
+            assert f"refine: {stats.refined} pairs in 1 batches, " in err
+            assert " ms/pair" in err
 
     def test_disabled_run_emits_nothing(self, capsys):
         from repro.datasets import load_scenario

@@ -39,6 +39,7 @@ from repro.store import (
 )
 from repro.store.columns import GeometryColumns, LazyGeometries
 from repro.topology import TopologicalRelation as T
+from repro.topology import kernel
 from tests.loadgen import post_json
 from tests.test_fuzz_soundness import small_polygons
 
@@ -228,21 +229,44 @@ class TestJoinIdentity:
         assert doc["stats"]["refined"] == direct.stats.refined
 
 
+def witness_builds(monkeypatch) -> list:
+    """Record every representative-point fallback of the DE-9IM kernel:
+    the columns and the geometry ids whose polygons it reads."""
+    calls = []
+    real = kernel._witnesses
+
+    def spy(a, a_idx, b, b_idx, pairs, n):
+        calls.append((a.columns, a_idx[pairs].tolist()))
+        return real(a, a_idx, b, b_idx, pairs, n)
+
+    monkeypatch.setattr(kernel, "_witnesses", spy)
+    return calls
+
+
+def built_by(calls, dataset) -> list[int]:
+    return sorted({g for columns, ids in calls if columns is dataset.columns for g in ids})
+
+
 class TestGeometryOnDemand:
-    def test_join_materialises_exactly_the_refined_objects(self, indexes):
+    def test_join_materialises_exactly_the_refined_objects(self, indexes, monkeypatch):
         # Prime: the cold join registers its payloads in both manifests,
         # which (rightly) makes an engine re-open the changed indexes.
         Engine().join(indexes / "r_idx", indexes / "s_idx", grid_order=GRID_ORDER)
         engine = Engine()
+        calls = witness_builds(monkeypatch)
         run = engine.join(indexes / "r_idx", indexes / "s_idx", grid_order=GRID_ORDER)
         refined = [(l.r_index, l.s_index) for l in run.results if l.filtered is False]
         assert 0 < len(refined) < run.stats.pairs
         rd, sd = engine.dataset(indexes / "r_idx"), engine.dataset(indexes / "s_idx")
-        assert rd.geometries.materialised == sorted({i for i, _ in refined})
-        assert sd.geometries.materialised == sorted({j for _, j in refined})
-        for dataset, touched in ((rd, run.stats.r_objects_accessed),
-                                 (sd, run.stats.s_objects_accessed)):
-            assert len(dataset.geometries.materialised) == touched
+        # Refinement reads the columns: a polygon is built only for the
+        # objects whose representative points a fallback needed.
+        assert rd.geometries.materialised == built_by(calls, rd)
+        assert sd.geometries.materialised == built_by(calls, sd)
+        touched_r, touched_s = {i for i, _ in refined}, {j for _, j in refined}
+        assert set(rd.geometries.materialised) <= touched_r
+        assert set(sd.geometries.materialised) <= touched_s
+        assert run.stats.r_objects_accessed == len(touched_r)
+        assert run.stats.s_objects_accessed == len(touched_s)
         # The second join on the warm engine builds nothing new.
         built = [rd.geometries[i] for i in rd.geometries.materialised]
         again = engine.join(indexes / "r_idx", indexes / "s_idx", grid_order=GRID_ORDER)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import Location, MultiPolygon, Polygon
-from repro.topology.pip import _edge_arrays, edge_arrays, points_strictly_inside
+from repro.topology.pip import edge_arrays, points_strictly_inside
 
 
 def regular(n, cx, cy, radius):
@@ -56,7 +56,7 @@ class TestBulkMatchesScalar:
             assert bool(got[k]) == (where is Location.INTERIOR)
 
     def test_scalar_path_small_input(self):
-        points = [(10.0, 10.0), (3.0, 3.0)]  # below the vectorised cutoff
+        points = [(10.0, 10.0), (3.0, 3.0)]  # two points, one slab each
         got = points_strictly_inside(points, DONUT)
         assert not got[0]  # in the hole -> exterior
         assert got[1]  # on the band -> interior
@@ -90,7 +90,7 @@ class TestEdgeArrays:
 
     def test_equal_to_the_edges_generator(self):
         for geometry in self.GEOMETRIES:
-            arrays = _edge_arrays(geometry)
+            arrays = edge_arrays([geometry])[:4]
             assert [a.tolist() for a in arrays] == list(self.from_generator(geometry))
 
     def test_batch_concatenates_geometries_with_offsets(self):

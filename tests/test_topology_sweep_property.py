@@ -1,11 +1,12 @@
-"""Property test: the plane sweep finds the same contacts as brute force."""
+"""Property test: the kernel finds the same contacts as brute force."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import Polygon
 from repro.geometry.segment import segment_intersection
-from repro.topology.sweep import boundary_intersections
+from repro.topology.relate import relate_details
+from tests.test_topology_sweep import contacts, points
 
 
 def boxes_polygons():
@@ -49,18 +50,13 @@ class TestSweepMatchesBruteForce:
     @given(boxes_polygons() | triangles(), boxes_polygons() | triangles())
     @settings(max_examples=200, deadline=None)
     def test_contact_flag(self, r, s):
-        assert boundary_intersections(r, s).contact == brute_force_contact(r, s)
+        assert relate_details(r, s).matrix.BB == brute_force_contact(r, s)
 
     @given(boxes_polygons() | triangles(), boxes_polygons() | triangles())
     @settings(max_examples=120, deadline=None)
     def test_cut_points_superset_of_crossings(self, r, s):
         """Every brute-force intersection point appears among the cuts
-        recorded for r (sweep may add endpoints, never miss points)."""
-        result = boundary_intersections(r, s)
-        recorded = {p for pts in result.cuts_r.values() for p in pts}
-        for segs in result.overlaps_r.values():
-            for lo, hi in segs:
-                recorded.add(lo)
-                recorded.add(hi)
+        recorded for r (overlap ends included, no point missed)."""
+        recorded = points(contacts(r, s), "r")
         for point in brute_force_points(r, s):
             assert point in recorded

@@ -34,6 +34,7 @@ from repro.resilience.quarantine import QuarantineReport
 from repro.store import Engine, open_dataset, set_default_engine
 from repro.store.columns import LazyGeometries
 from tests.oracles import wkt as oracle
+from tests.test_store_columns import built_by, witness_builds
 
 
 def oracle_read(path, strict=True):
@@ -278,6 +279,7 @@ def test_cold_join_dumps_no_wkt_and_builds_only_refined_objects(tmp_path, monkey
     for module in (scalar_wkt, dataset_module, wkt_io):
         monkeypatch.setattr(module, "dumps_wkt", forbidden)
     engine = Engine()
+    calls = witness_builds(monkeypatch)
     run = engine.join(tmp_path / "r.wkt", tmp_path / "s.wkt", grid_order=9,
                       include_disjoint=True)
     assert [(l.r_index, l.s_index, l.relation, l.filtered) for l in run.results] == [
@@ -285,8 +287,10 @@ def test_cold_join_dumps_no_wkt_and_builds_only_refined_objects(tmp_path, monkey
     refined = [(l.r_index, l.s_index) for l in run.results if l.filtered is False]
     assert 0 < len(refined) < run.stats.pairs
     rd, sd = engine.dataset(tmp_path / "r.wkt"), engine.dataset(tmp_path / "s.wkt")
-    assert rd.geometries.materialised == sorted({i for i, _ in refined})
-    assert sd.geometries.materialised == sorted({j for _, j in refined})
+    assert rd.geometries.materialised == built_by(calls, rd)
+    assert sd.geometries.materialised == built_by(calls, sd)
+    assert set(rd.geometries.materialised) <= {i for i, _ in refined}
+    assert set(sd.geometries.materialised) <= {j for _, j in refined}
 
 
 def test_engine_keys_datasets_by_column_bytes(tmp_path):
