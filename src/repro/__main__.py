@@ -10,10 +10,11 @@ persistent dataset indexes built with ``build-index``::
     python -m repro join r_idx s_idx --index          # warm: no rasterising
     python -m repro explain r.wkt s.wkt --index 3 7   # why did P+C decide that?
     python -m repro select data.geojson --query "POLYGON((...))" --predicate intersects
+    python -m repro select r_idx --query "POLYGON((...))"   # rasterises the query only
     python -m repro stats data.wkt
     python -m repro serve --root indexes/       # long-lived HTTP join service
 
-``join`` and ``explain`` auto-detect index directories (any directory
+``join``, ``explain`` and ``select`` auto-detect index directories (any directory
 holding a ``manifest.json``); ``join --index`` makes that a requirement.
 The first (cold) join between two indexes persists the shared-grid
 APRIL payloads into both, so every later join over the pair loads them
@@ -49,7 +50,7 @@ from repro.topology.de9im import TopologicalRelation
 
 # Everything else a subcommand needs is imported by its handler: the
 # process that runs ``join r_idx s_idx`` should not wait for the
-# selection index, the GeoJSON reader or the HTTP daemon to load.
+# GeoJSON reader or the HTTP daemon to load.
 
 
 def _worker_count(value: str) -> int:
@@ -404,22 +405,20 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
 
 def cmd_select(args: argparse.Namespace) -> int:
-    from repro.core import TopologySelection
     from repro.geometry import MultiPolygon, Polygon, loads_wkt_geometry
 
-    data = _load(args.data)
+    engine = default_engine()
+    dataset = _resolve_dataset(engine, args.data, False)
     query = loads_wkt_geometry(args.query)
     if not isinstance(query, (Polygon, MultiPolygon)):
         raise SystemExit("--query must be a POLYGON or MULTIPOLYGON WKT")
-    index = TopologySelection(data, grid_order=args.grid_order)
     predicate = _predicate(args.predicate)
-    hits = index.select(query, predicate)
-    for i in hits:
-        print(i)
-    stats = index.last_query_stats
+    run = engine.select(dataset, query, predicate, grid_order=args.grid_order)
+    for link in run.results:
+        print(link.r_index)
     print(
-        f"# {len(hits)} objects {predicate.value} the query "
-        f"(candidates {stats.get('candidates', 0)}, refined {stats.get('refined', 0)})",
+        f"# {len(run.results)} objects {predicate.value} the query "
+        f"(candidates {run.stats.pairs}, refined {run.stats.refined})",
         file=sys.stderr,
     )
     return 0
@@ -630,8 +629,10 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--grid-order", type=int, default=11)
     p.set_defaults(func=cmd_explain)
 
-    p = sub.add_parser("select", help="topological selection over one file")
-    p.add_argument("data")
+    p = sub.add_parser(
+        "select", help="topological selection over one file or dataset index"
+    )
+    p.add_argument("data", help="a .wkt/.geojson file or a dataset index directory")
     p.add_argument("--query", required=True, help="query polygon as WKT")
     p.add_argument("--predicate", default="intersects")
     p.add_argument("--grid-order", type=int, default=11)

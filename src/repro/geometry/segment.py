@@ -12,6 +12,7 @@ ulps of error are tolerated by the downstream midpoint classification).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -165,10 +166,23 @@ def _crossing_point(a1: Coord, a2: Coord, b1: Coord, b2: Coord) -> Coord:
     dbx = b2[0] - b1[0]
     dby = b2[1] - b1[1]
     denom = dax * dby - day * dbx
-    t = ((b1[0] - a1[0]) * dby - (b1[1] - a1[1]) * dbx) / denom
+    t = ((b1[0] - a1[0]) * dby - (b1[1] - a1[1]) * dbx) / denom if denom else math.inf
+    if not math.isfinite(t):
+        # Nearly parallel: the float determinant cannot place the crossing.
+        t = float(exact_crossing_t(a1, a2, b1, b2))
     # Clamp against accumulated rounding so the point stays on the segment.
     t = min(1.0, max(0.0, t))
     return (a1[0] + t * dax, a1[1] + t * day)
+
+
+def exact_crossing_t(a1: Coord, a2: Coord, b1: Coord, b2: Coord) -> Fraction:
+    """Where ``b1-b2`` crosses ``a1-a2``, as the exact parameter along
+    ``a``: for nearly parallel segments whose exact orientations say
+    they cross while the float determinant of their directions is 0."""
+    a1x, a1y, a2x, a2y, b1x, b1y, b2x, b2y = map(Fraction, (*a1, *a2, *b1, *b2))
+    dbx, dby = b2x - b1x, b2y - b1y
+    denom = (a2x - a1x) * dby - (a2y - a1y) * dbx
+    return ((b1x - a1x) * dby - (b1y - a1y) * dbx) / denom
 
 
 def _collinear_intersection(a1: Coord, a2: Coord, b1: Coord, b2: Coord) -> SegmentIntersection:

@@ -5,7 +5,7 @@ which the topology pipelines then process:
 :func:`plane_sweep_mbr_join`, the forward-scan plane sweep of [39] —
 sort both inputs by ``xmin`` and scan, comparing each rectangle only
 against opposite-side rectangles whose x-intervals reach it (tested
-against the brute-force product; the paper excludes this step's cost
+against the brute-force product, ``tests/oracles/mbr_join.py``; the paper excludes this step's cost
 from all measurements).
 """
 
@@ -14,16 +14,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.geometry.box import Box
-
-
-def brute_force_mbr_join(r_boxes: Sequence[Box], s_boxes: Sequence[Box]) -> list[tuple[int, int]]:
-    """Quadratic reference implementation (tests and tiny inputs)."""
-    return [
-        (i, j)
-        for i, rb in enumerate(r_boxes)
-        for j, sb in enumerate(s_boxes)
-        if rb.intersects(sb)
-    ]
 
 
 def plane_sweep_mbr_join(
@@ -61,7 +51,4 @@ def plane_sweep_mbr_join(
     return result
 
 
-__all__ = [
-    "brute_force_mbr_join",
-    "plane_sweep_mbr_join",
-]
+__all__ = ["plane_sweep_mbr_join"]

@@ -55,22 +55,6 @@ def _observe_decoded_bytes(nbytes: int) -> None:
         get_registry().inc("repro_payload_decoded_bytes_total", value=int(nbytes))
 
 
-def _read_varint(data, pos: int) -> tuple[int, int]:
-    result = 0
-    shift = 0
-    while True:
-        if pos >= len(data):
-            raise ValueError("truncated varint")
-        byte = data[pos]
-        pos += 1
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result, pos
-        shift += 7
-        if shift > 70:
-            raise ValueError("varint too long")
-
-
 # ----------------------------------------------------------------------
 # vectorised varint kernels
 # ----------------------------------------------------------------------
@@ -208,84 +192,6 @@ def _delta_streams(
     first[1:] = np.cumsum(counts)[:-1]
     previous[first[counts > 0]] = 0
     return counts, starts - previous, ends - starts
-
-
-# ----------------------------------------------------------------------
-# public per-list codec
-# ----------------------------------------------------------------------
-def encode_intervals(intervals: IntervalList) -> bytes:
-    """Encode a sorted disjoint interval list losslessly.
-
-    Layout: varint count, then per interval a varint *gap* (distance
-    from the previous interval's end; the first gap is the absolute
-    start) and a varint *length*.
-    """
-    n = len(intervals)
-    values = np.empty(1 + 2 * n, dtype=np.int64)
-    values[0] = n
-    if n:
-        previous = np.zeros(n, dtype=np.int64)
-        previous[1:] = intervals.ends[:-1]
-        values[1::2] = intervals.starts - previous
-        values[2::2] = intervals.ends - intervals.starts
-    return varint_encode(values).tobytes()
-
-
-def decode_intervals(data: bytes, pos: int = 0) -> tuple[IntervalList, int]:
-    """Decode one interval list; returns it and the next read position."""
-    count, pos = _read_varint(data, pos)
-    if count == 0:
-        return IntervalList(), pos
-    # A count-interval list spans at most 18*count more bytes (two
-    # 9-byte varints per interval), so only that window is scanned —
-    # decoding a list out of a long concatenated stream stays local.
-    window = np.frombuffer(
-        data, dtype=np.uint8, offset=pos, count=min(len(data) - pos, 18 * count)
-    )
-    terminal_idx = np.nonzero(window < 0x80)[0]
-    if terminal_idx.size < 2 * count:
-        raise ValueError("truncated varint")
-    last = int(terminal_idx[2 * count - 1])
-    values = varint_decode(window[: last + 1], expected=2 * count)
-    gaps = values[0::2]
-    lengths = values[1::2]
-    counts = np.array([count], dtype=np.int64)
-    starts, ends = _segmented_bounds(gaps, lengths, counts)
-    if (lengths < 1).any():
-        k = int(np.argmax(lengths < 1))
-        raise ValueError(f"empty or inverted interval [{starts[k]}, {ends[k]})")
-    _reject_wrapped(ends, counts)
-    if (gaps[1:] == 0).any():
-        # Adjacent runs in a non-canonical stream: coalesce exactly as
-        # the scalar decoder's IntervalList constructor would.
-        return IntervalList(np.stack([starts, ends], axis=1)), pos + last + 1
-    return IntervalList._from_arrays(starts, ends), pos + last + 1
-
-
-def encode_approximation(approx) -> bytes:
-    """Encode one object's P and C lists (grid carried separately)."""
-    return encode_intervals(approx.p) + encode_intervals(approx.c)
-
-
-def decode_approximation(data: bytes, grid: RasterGrid, pos: int = 0) -> tuple[AprilApproximation, int]:
-    p, pos = decode_intervals(data, pos)
-    c, pos = decode_intervals(data, pos)
-    return AprilApproximation(grid=grid, p=p, c=c), pos
-
-
-def compression_ratio(approx, stored_nbytes: int | None = None) -> float:
-    """Plain two-words-per-interval bytes over actually stored bytes.
-
-    ``stored_nbytes`` is what the payload really occupies on disk (the
-    store's archive member, varint blob share, …); without it the ratio
-    falls back to the raw codec-stream length — an upper bound on disk
-    footprint, since the store compresses the stream further.
-    """
-    if stored_nbytes is None:
-        stored_nbytes = len(encode_approximation(approx))
-    if stored_nbytes <= 0:
-        return 1.0
-    return approx.nbytes / stored_nbytes
 
 
 # ----------------------------------------------------------------------
@@ -495,14 +401,6 @@ class CompressedAprilPayload:
     # ------------------------------------------------------------------
     # sizes
     # ------------------------------------------------------------------
-    @property
-    def stored_nbytes(self) -> int:
-        """Bytes this payload occupies before archive compression."""
-        arrays = (self.blob, self.offsets, self.p_count, self.c_count,
-                  self.p_cells, self.c_cells, self.p_first, self.p_last,
-                  self.c_first, self.c_last, self.flags)
-        return int(sum(a.nbytes for a in arrays))
-
     @property
     def plain_nbytes(self) -> int:
         """The two-words-per-interval footprint of the decoded form."""
@@ -752,11 +650,6 @@ __all__ = [
     "FLAG_P_ALL",
     "LazyAprilApproximation",
     "block_decode",
-    "compression_ratio",
-    "decode_approximation",
-    "decode_intervals",
-    "encode_approximation",
-    "encode_intervals",
     "varint_decode",
     "varint_encode",
     "varint_sizes",

@@ -1,4 +1,5 @@
-"""The warm-cache join engine: the one way to run a whole-dataset join.
+"""The warm-cache join engine: the one way to run a whole-dataset join
+or a selection query.
 
 :meth:`Engine.join` accepts datasets in any form (index directories,
 ``.wkt``/``.geojson`` files, polygon lists, or
@@ -7,7 +8,8 @@ returns the same :class:`~repro.join.run.JoinRun` envelope. It runs one
 verification core (:func:`repro.join.pipeline.verify_find_relation` /
 :func:`~repro.join.pipeline.verify_relate`): ``serial`` (and its alias
 ``batch``) on one partition in-process, ``parallel`` on contiguous
-chunks fanned out over ``workers`` processes.
+chunks fanned out over ``workers`` processes. :meth:`Engine.select`
+answers the paper's selection query with the same relate_p core.
 
 The engine memoises the expensive intermediates in bounded LRU caches:
 
@@ -42,14 +44,17 @@ everything the rule looked at.
 from __future__ import annotations
 
 import atexit
+import time
 from collections import OrderedDict
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from repro.geometry.box import Box
 from repro.join.mbr_join import plane_sweep_mbr_join
 from repro.join.objects import SpatialObject
-from repro.join.pipeline import PIPELINES
+from repro.join.pipeline import PIPELINES, verify_relate
 from repro.join.run import JoinResult, JoinRun
 from repro.obs.trace import trace
 from repro.raster.compression import LazyAprilApproximation
@@ -558,6 +563,58 @@ class Engine:
             wall_seconds=fan.wall_seconds,
             workers=fan.workers,
             partitions=fan.partitions,
+        )
+
+    def select(
+        self, data, query, predicate: TopologicalRelation, *, grid_order: int = 11
+    ) -> JoinRun:
+        """All objects ``o`` of ``data`` with ``predicate(o, query)``: the
+        selection query of the paper's Sec. 1, run as a relate_p join of
+        the dataset against the one object ``query``.
+
+        The object is the predicate's *first* argument: ``INSIDE``
+        selects objects lying inside the query region, ``CONTAINS``
+        objects containing it. ``data`` is anything :meth:`dataset`
+        resolves. The objects live on the dataset's own grid at
+        ``grid_order`` — the payload ``build-index --grid-order``
+        precomputes — so over such an index only the query is
+        rasterised. The MBR filter is one mask over the dataset's
+        boxes; :func:`~repro.join.pipeline.verify_relate` filters and
+        refines the window's pairs, and for ``DISJOINT`` every object
+        outside the window matches outright. Matches are ``(i, 0)``
+        pairs in ``i`` order; ``run.stats`` covers the window's pairs.
+        """
+        self._check_open()
+        dataset = self.dataset(data)
+        start = time.perf_counter()
+        with trace("topology_select", predicate=predicate.value):
+            grid = dataset.grid(grid_order)
+            objects = self.objects(dataset, grid)
+            box = query.bbox
+            xmin, ymin, xmax, ymax = dataset.columns.boxes.T
+            window = (
+                (xmin <= box.xmax) & (box.xmin <= xmax)
+                & (ymin <= box.ymax) & (box.ymin <= ymax)
+            )
+            verified = verify_relate(
+                predicate,
+                objects,
+                [SpatialObject.from_polygon(0, query, grid)],
+                [(i, 0) for i in np.flatnonzero(window).tolist()],
+            )
+        matches = verified.rows
+        if predicate is TopologicalRelation.DISJOINT:
+            outside = np.flatnonzero(~window).tolist()
+            matches = sorted(matches + [(i, 0) for i in outside])
+        return JoinRun(
+            results=[JoinResult(i, j, predicate, None) for i, j in matches],
+            stats=verified.stats,
+            method=verified.stats.method,
+            mode="serial",
+            kind="relate",
+            predicate=predicate,
+            wall_seconds=time.perf_counter() - start,
+            meta={"r": dataset.name, "r_count": len(dataset), "grid_order": grid_order},
         )
 
     def explain(self, r, s, i: int, j: int, *, grid_order: int = 11):

@@ -59,7 +59,12 @@ they replaced (``tests/oracles/relate.py``):
   the bound cannot vouch for are re-evaluated with ``Fraction``, so every
   sign equals :func:`~repro.geometry.segment.orientation`'s. Crossing
   points, overlap ends, cut parameters and midpoints use the scalar
-  float formulas operation for operation.
+  float formulas operation for operation. The one exception is a
+  crossing of nearly parallel edges, whose float direction determinant
+  is 0: its parameter is exact (as in the scalar code), and the
+  sub-edges of both edges, which run closer to the other boundary than
+  a float midpoint can resolve, are cut at exact points and classified
+  by exact midpoints (``_exact_midpoints``).
 - **Slab parity.** Each midpoint is tested only against the other
   geometry's edges that straddle its y: the geometry's distinct vertex
   ys cut the plane into horizontal slabs, and an edge spans the slabs
@@ -77,12 +82,18 @@ they replaced (``tests/oracles/relate.py``):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.geometry.columns import GeometryColumns
-from repro.geometry.segment import _ORIENT_EPS, _orientation_exact
+from repro.geometry.segment import (
+    _ORIENT_EPS,
+    _orientation_exact,
+    exact_crossing_t,
+    orientation,
+)
 from repro.topology.de9im import DE9IM
 
 #: Matrix of two polygons with disjoint MBRs (the paper's Fig. 1 example).
@@ -170,6 +181,9 @@ class Contacts(NamedTuple):
     py: np.ndarray
     qx: np.ndarray
     qy: np.ndarray
+    #: A crossing of nearly parallel edges (float direction determinant
+    #: 0): ``p`` is a rounding of an exact point no float can hold.
+    exact: np.ndarray
 
     def cuts(self, side: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(edge, x, y)`` of every cut point on one side's edges."""
@@ -285,12 +299,58 @@ def _classify_side(
     # Clipped-away edges lie outside the other MBR: exterior outright.
     outside = _any(edges.owner[~keep], n)
     edge, mx, my = free_midpoints(edges, contacts, side, keep)
+    # An edge cut at a nearly parallel crossing runs closer to the other
+    # boundary than a float midpoint can resolve: it is classified exactly.
+    shaky = np.unique((contacts.r if side == "r" else contacts.s)[contacts.exact])
+    sure = ~np.isin(edge, shaky)
+    edge, mx, my = edge[sure], mx[sure], my[sure]
     owner = edges.owner[edge]
     box = other.columns.boxes[other_idx[owner]]
     in_box = (box[:, 0] <= mx) & (mx <= box[:, 2]) & (box[:, 1] <= my) & (my <= box[:, 3])
     inside = np.zeros(len(mx), dtype=bool)
     inside[in_box] = slab_parity(other.columns, other_idx[owner[in_box]], mx[in_box], my[in_box])
-    return _any(owner[inside], n), outside | _any(owner[~inside], n)
+    any_in, any_out = _any(owner[inside], n), outside | _any(owner[~inside], n)
+    for e in shaky.tolist():
+        k = int(edges.owner[e])
+        theirs = EdgeArrays.of_geometries(other.columns, other_idx[k : k + 1])
+        ends = (edges.ax[e], edges.ay[e]), (edges.bx[e], edges.by[e])
+        for x, y in _exact_midpoints(*ends, theirs):
+            where = _locate_exact(theirs, x, y)
+            any_in[k] |= where == INTERIOR
+            any_out[k] |= where == EXTERIOR
+    return any_in, any_out
+
+
+def _exact_midpoints(p1, p2, other: EdgeArrays) -> list[tuple[Fraction, Fraction]]:
+    """Exact midpoints of the pieces of segment ``p1``–``p2`` between the
+    points where it meets ``other``'s edges: exact crossing points, and
+    the vertices of ``other`` on it (which end every shared piece)."""
+    ax, ay = map(Fraction, p1)
+    dx, dy = Fraction(p2[0]) - ax, Fraction(p2[1]) - ay
+    cuts = {Fraction(0), Fraction(1)}
+    for q1, q2 in zip(zip(other.ax.tolist(), other.ay.tolist()), zip(other.bx.tolist(), other.by.tolist())):
+        o1, o2 = orientation(p1, p2, q1), orientation(p1, p2, q2)
+        if o1 * o2 < 0 and orientation(q1, q2, p1) * orientation(q1, q2, p2) < 0:
+            cuts.add(exact_crossing_t(p1, p2, q1, q2))
+        for q, o in ((q1, o1), (q2, o2)):
+            t = ((Fraction(q[0]) - ax) * dx + (Fraction(q[1]) - ay) * dy) / (dx * dx + dy * dy)
+            if o == 0 and 0 < t < 1:
+                cuts.add(t)
+    cuts = sorted(cuts)
+    return [(ax + (s + t) / 2 * dx, ay + (s + t) / 2 * dy) for s, t in zip(cuts, cuts[1:])]
+
+
+def _locate_exact(edges: EdgeArrays, x: Fraction, y: Fraction) -> int:
+    """Location of the exact point ``(x, y)`` against a geometry's
+    ``edges``: even-odd parity, rational arithmetic throughout."""
+    inside = False
+    for ax, ay, bx, by in zip(*(map(Fraction, v.tolist()) for v in edges[1:])):
+        cross = (bx - ax) * (y - ay) - (by - ay) * (x - ax)
+        if cross == 0 and min(ax, bx) <= x <= max(ax, bx) and min(ay, by) <= y <= max(ay, by):
+            return BOUNDARY
+        if (ay > y) != (by > y) and (cross > 0) == (by > ay):
+            inside = not inside
+    return INTERIOR if inside else EXTERIOR
 
 
 def _witnesses(
@@ -364,7 +424,10 @@ def edge_contacts(
             found.append((ri[hit], si[hit]) + tuple(a[hit] for a in met))
     if not found:
         empty_i, empty_f = np.zeros(0, _I8), np.zeros(0)
-        return Contacts(empty_i, empty_i, np.zeros(0, np.int8), empty_f, empty_f, empty_f, empty_f)
+        return Contacts(
+            empty_i, empty_i, np.zeros(0, np.int8), empty_f, empty_f, empty_f, empty_f,
+            np.zeros(0, dtype=bool),
+        )
     return Contacts(*(np.concatenate(column) for column in zip(*found)))
 
 
@@ -441,7 +504,9 @@ def _on_overlap(span_edge, tm, overlaps, ax, ay, dx, dy, norm) -> np.ndarray:
 
 def _intersect(a1x, a1y, a2x, a2y, b1x, b1y, b2x, b2y) -> tuple[np.ndarray, ...]:
     """:func:`~repro.geometry.segment.segment_intersection` of every
-    segment pair ``a1-a2`` × ``b1-b2``: ``(kind, px, py, qx, qy)``."""
+    segment pair ``a1-a2`` × ``b1-b2``: ``(kind, px, py, qx, qy,
+    exact)``, ``exact`` marking the nearly parallel crossings whose
+    point came from an exact parameter."""
     o1 = orientation_signs(a1x, a1y, a2x, a2y, b1x, b1y)
     o2 = orientation_signs(a1x, a1y, a2x, a2y, b2x, b2y)
     o3 = orientation_signs(b1x, b1y, b2x, b2y, a1x, a1y)
@@ -449,6 +514,7 @@ def _intersect(a1x, a1y, a2x, a2y, b1x, b1y, b2x, b2y) -> tuple[np.ndarray, ...]
     kind = np.zeros(len(a1x), dtype=np.int8)
     px, py = np.zeros(len(a1x)), np.zeros(len(a1x))
     qx, qy = px.copy(), py.copy()
+    exact = np.zeros(len(a1x), dtype=bool)
 
     collinear = (o1 == 0) & (o2 == 0) & (o3 == 0) & (o4 == 0)
     crossing = ~collinear & (o1 != o2) & (o3 != o4) & (o1 != 0) & (o2 != 0) & (o3 != 0) & (o4 != 0)
@@ -458,7 +524,16 @@ def _intersect(a1x, a1y, a2x, a2y, b1x, b1y, b2x, b2y) -> tuple[np.ndarray, ...]
     dax, day = a2x[c] - a1x[c], a2y[c] - a1y[c]
     dbx, dby = b2x[c] - b1x[c], b2y[c] - b1y[c]
     denom = dax * dby - day * dbx
-    t = ((b1x[c] - a1x[c]) * dby - (b1y[c] - a1y[c]) * dbx) / denom
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = ((b1x[c] - a1x[c]) * dby - (b1y[c] - a1y[c]) * dbx) / denom
+    # Nearly parallel crossings whose float determinant is 0: exact t.
+    near = ~np.isfinite(t)
+    for k in np.flatnonzero(near).tolist():
+        i = c[k]
+        t[k] = float(exact_crossing_t(
+            (a1x[i], a1y[i]), (a2x[i], a2y[i]), (b1x[i], b1y[i]), (b2x[i], b2y[i])
+        ))
+    exact[c[near]] = True
     t = np.minimum(1.0, np.maximum(0.0, t))
     kind[c] = POINT
     px[c], py[c] = a1x[c] + t * dax, a1y[c] + t * day
@@ -485,7 +560,7 @@ def _intersect(a1x, a1y, a2x, a2y, b1x, b1y, b2x, b2y) -> tuple[np.ndarray, ...]
         kind[c] = k_
         px[c], py[c] = p_
         qx[c], qy[c] = q_
-    return kind, px, py, qx, qy
+    return kind, px, py, qx, qy, exact
 
 
 def _in_span(v, e1, e2) -> np.ndarray:

@@ -9,7 +9,7 @@ interval a varint gap and a varint length.
 from __future__ import annotations
 
 from repro.raster.april import AprilApproximation
-from repro.raster.compression import CompressedAprilPayload, _read_varint
+from repro.raster.compression import CompressedAprilPayload
 from repro.raster.intervals import IntervalList
 
 
@@ -26,6 +26,23 @@ def write_varint(out: bytearray, value: int) -> None:
             return
 
 
+def read_varint(data: bytes, pos: int) -> tuple[int, int]:
+    """One varint of ``data`` at ``pos``: the value and the next position."""
+    result = 0
+    shift = 0
+    while True:
+        if pos >= len(data):
+            raise ValueError("truncated varint")
+        byte = data[pos]
+        pos += 1
+        result |= (byte & 0x7F) << shift
+        if not byte & 0x80:
+            return result, pos
+        shift += 7
+        if shift > 70:
+            raise ValueError("varint too long")
+
+
 def encode_intervals(intervals: IntervalList) -> bytes:
     out = bytearray()
     write_varint(out, len(intervals))
@@ -38,12 +55,12 @@ def encode_intervals(intervals: IntervalList) -> bytes:
 
 
 def decode_intervals(data: bytes, pos: int = 0) -> tuple[IntervalList, int]:
-    count, pos = _read_varint(data, pos)
+    count, pos = read_varint(data, pos)
     pairs = []
     cursor = 0
     for _ in range(count):
-        gap, pos = _read_varint(data, pos)
-        length, pos = _read_varint(data, pos)
+        gap, pos = read_varint(data, pos)
+        length, pos = read_varint(data, pos)
         start = cursor + gap
         end = start + length
         pairs.append((start, end))

@@ -17,10 +17,11 @@ import math
 
 import numpy as np
 
+from repro.geometry.columns import GeometryColumns
 from repro.raster.april import AprilApproximation
 from repro.raster.intervals import IntervalList
 from repro.raster.rasterize import RasterCells
-from repro.topology.pip import points_strictly_inside
+from repro.topology.kernel import slab_parity
 
 from tests.oracles import hilbert, intervals
 
@@ -109,7 +110,9 @@ def classify_unmarked_runs(
 
     if not rep_points:
         return
-    inside = points_strictly_inside(rep_points, polygon)
+    px, py = np.asarray(rep_points, dtype=np.float64).T
+    columns = GeometryColumns.from_geometries([polygon])
+    inside = slab_parity(columns, np.zeros(len(px), dtype=np.int64), px, py)
     for k in range(len(rep_points)):
         if inside[k]:
             full[run_rows[k], run_starts[k] : run_ends[k]] = True

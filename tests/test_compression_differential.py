@@ -6,7 +6,8 @@ loops silently corrupts every persisted index. This suite generates
 ~10k randomized interval lists — biased toward empty lists,
 single-cell intervals and max-cell-id extremes — and asserts the two
 implementations agree byte for byte on encode, value for value on
-round-trips, and object for object on whole-dataset payload blobs,
+round-trips (one list per payload object), and object for object on
+whole-dataset payload blobs,
 mirroring the PR 2 kernels pattern (``tests/test_kernels_differential``).
 The scalar side is ``tests/oracles/compression.py``. A last class pins
 the one place the two *must* differ: a stream whose deltas sum past
@@ -24,8 +25,6 @@ from repro.raster.compression import (
     FLAG_P_ALL,
     FLAG_PARTIAL,
     block_decode,
-    decode_intervals,
-    encode_intervals,
     varint_decode,
     varint_encode,
     varint_sizes,
@@ -135,29 +134,54 @@ class TestVarintKernels:
 
 
 # ----------------------------------------------------------------------
-# per-list codec
+# one list per payload object
 # ----------------------------------------------------------------------
 class TestIntervalCodecDifferential:
+    """Every generated list as the P stream of its own payload object
+    (C empty), against the oracle's per-list streams."""
+
+    GRID = RasterGrid(Box(0, 0, 1, 1), order=16)
+
+    def _objects(self, lists):
+        return [
+            AprilApproximation(grid=self.GRID, p=il, c=EMPTY_INTERVALS) for il in lists
+        ]
+
     def test_blobs_byte_identical(self, lists):
-        for il in lists:
-            assert encode_intervals(il) == oracle.encode_intervals(il)
+        payload = CompressedAprilPayload.from_approximations(self._objects(lists))
+        blob = payload.blob.tobytes()
+        empty = oracle.encode_intervals(EMPTY_INTERVALS)
+        for k, il in enumerate(lists):
+            lo, hi = int(payload.offsets[k]), int(payload.offsets[k + 1])
+            assert blob[lo:hi] == oracle.encode_intervals(il) + empty
 
     def test_roundtrips_agree(self, lists):
-        for il in lists:
-            data = oracle.encode_intervals(il)
-            fast, fast_pos = decode_intervals(data)
-            ref, ref_pos = oracle.decode_intervals(data)
-            assert fast_pos == ref_pos == len(data)
-            assert fast == ref == il
+        payload = CompressedAprilPayload.from_approximations(self._objects(lists))
+        fast = payload.decode_block(range(len(lists)))
+        for k, il in enumerate(lists):
+            ref = oracle.decode_one(payload, k)
+            assert fast[k].p == ref.p == il
+            assert len(fast[k].c) == len(ref.c) == 0
 
     def test_concatenated_stream_positions(self, lists):
-        stream = b"".join(oracle.encode_intervals(il) for il in lists[:500])
-        pos = ref_pos = 0
+        """A payload rebuilt from the oracle's stream alone puts every
+        object where the oracle's decoder stops, and decodes it."""
+        stream = b"".join(
+            oracle.encode_intervals(il) + oracle.encode_intervals(EMPTY_INTERVALS)
+            for il in lists[:500]
+        )
+        positions = [0]
         for il in lists[:500]:
-            fast, pos = decode_intervals(stream, pos)
-            ref, ref_pos = oracle.decode_intervals(stream, ref_pos)
-            assert pos == ref_pos
-            assert fast == ref == il
+            ref, pos = oracle.decode_intervals(stream, positions[-1])
+            assert ref == il
+            _, pos = oracle.decode_intervals(stream, pos)
+            positions.append(pos)
+        payload = CompressedAprilPayload.from_blob(
+            self.GRID, np.frombuffer(stream, dtype=np.uint8), np.array(positions)
+        )
+        assert len(payload) == 500
+        for il, fast in zip(lists[:500], payload.decode_block(range(500))):
+            assert fast.p == il
 
 
 # ----------------------------------------------------------------------
@@ -288,10 +312,6 @@ class TestOverflowRejected:
         # Python integers do not wrap; the array constructor refuses.
         with pytest.raises(OverflowError):
             oracle.decode_intervals(self.STREAM.tobytes())
-
-    def test_decode_intervals_rejects(self):
-        with pytest.raises(ValueError, match="overflow"):
-            decode_intervals(self.STREAM.tobytes())
 
     def test_from_blob_rejects_before_any_decode(self):
         offsets = np.array([0, self.STREAM.size], dtype=np.int64)

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core import TopologySelection
 from repro.geometry import MultiPolygon, Polygon
+from repro.store import Engine
 from repro.topology import TopologicalRelation as T, relate
 from repro.topology.de9im import relation_holds
 
@@ -22,28 +22,32 @@ ADVERSARIAL_QUERY = MultiPolygon(
 
 
 @pytest.fixture(scope="module")
-def index():
-    return TopologySelection(DATA, grid_order=8)
+def engine():
+    with Engine() as engine:
+        yield engine
+
+
+def select(engine, predicate):
+    run = engine.select(DATA, ADVERSARIAL_QUERY, predicate, grid_order=8)
+    return [i for i, _ in run.matches]
 
 
 @pytest.mark.parametrize(
     "predicate", [T.DISJOINT, T.INTERSECTS, T.EQUALS, T.MEETS, T.INSIDE, T.COVERED_BY]
 )
-def test_multipolygon_query_sound(index, predicate):
-    got = index.select(ADVERSARIAL_QUERY, predicate)
+def test_multipolygon_query_sound(engine, predicate):
+    got = select(engine, predicate)
     want = sorted(
         i for i, g in enumerate(DATA) if relation_holds(relate(g, ADVERSARIAL_QUERY), predicate)
     )
     assert got == want
 
 
-def test_equal_mbr_disjoint_multis_classified_disjoint(index):
-    disjoint = index.select(ADVERSARIAL_QUERY, T.DISJOINT)
-    # DATA[2] is identical to the query's parts? No — it IS equal.
+def test_equal_mbr_disjoint_multis_classified_disjoint(engine):
+    disjoint = select(engine, T.DISJOINT)
     assert 0 in disjoint  # interleaved complement: disjoint despite equal MBRs
-    assert 3 in disjoint
+    assert 3 in disjoint  # outside the query's MBR window
 
 
-def test_equal_multipolygon_found(index):
-    equal = index.select(ADVERSARIAL_QUERY, T.EQUALS)
-    assert equal == [2]
+def test_equal_multipolygon_found(engine):
+    assert select(engine, T.EQUALS) == [2]

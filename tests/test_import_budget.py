@@ -1,8 +1,8 @@
 """The import budget: a process loads only what its command runs.
 
 ``import repro`` and a ``join`` over index directories — profiled or
-not — must not pull in the HTTP daemon, the selection class, the
-dashboard or tracemalloc: a fresh-process join waits for every module
+not — must not pull in the HTTP daemon, the dashboard or
+tracemalloc: a fresh-process join waits for every module
 it imports. Each check runs
 in a child interpreter so this suite's own imports cannot mask an eager
 one.
@@ -24,7 +24,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: What a join over index directories has no use for.
 NOT_FOR_A_JOIN = (
-    "repro.serve", "repro.core", "repro.obs.dashboard",
+    "repro.serve", "repro.obs.dashboard",
     "http.server", "urllib.request", "tracemalloc",
 )
 

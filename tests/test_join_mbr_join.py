@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import Box
-from repro.join.mbr_join import brute_force_mbr_join, plane_sweep_mbr_join
+from repro.join.mbr_join import plane_sweep_mbr_join
+
+from tests.oracles.mbr_join import brute_force_mbr_join
 
 
 def boxes_strategy(n_max=30):

@@ -11,11 +11,13 @@ import pytest
 
 from repro.datasets.synthetic import generate_blobs
 from repro.geometry import Box
-from repro.join.mbr_join import brute_force_mbr_join, plane_sweep_mbr_join
+from repro.join.mbr_join import plane_sweep_mbr_join
 from repro.join.objects import make_objects
 from repro.join.pipeline import run_find_relation
 from repro.parallel import run_find_relation_parallel
 from repro.raster import RasterGrid, pad_dataspace
+
+from tests.oracles.mbr_join import brute_force_mbr_join
 
 
 def random_boxes(rng: np.random.Generator, n: int) -> list[Box]:

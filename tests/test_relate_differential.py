@@ -204,6 +204,14 @@ class TestBudget:
         assert sum(total for total, _ in chunks) > budget
 
 
+#: Two nearly parallel segments whose exact orientation signs say they
+#: cross, while the float determinant of their directions is 0.
+NEAR_PARALLEL = (
+    (-3.166666666666667, -1.0), (-0.16666666666666674, 0.3333333333333333),
+    (-1.6666666666666667, -0.3333333333333333), (1.3333333333333333, 1.0),
+)
+
+
 class TestPrimitives:
     """The kernel's sign and segment passes against the scalar
     predicates they replace, on inputs where float64 alone goes wrong."""
@@ -223,7 +231,6 @@ class TestPrimitives:
         assert (naive != np.array(want)).any()  # the inputs are adversarial
         assert got.tolist() == want
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NEAR_PARALLEL cases
     def test_intersect_equals_segment_intersection(self):
         rng = np.random.default_rng(33)
         n = 6000
@@ -241,7 +248,14 @@ class TestPrimitives:
         swap = rng.integers(0, 2, (n, 1)).astype(bool)
         a1, b1 = np.where(swap, b1, a1), np.where(swap, a1, b1)
         a2, b2 = np.where(swap, b2, a2), np.where(swap, a2, b2)
-        kind, px, py, qx, qy = kernel._intersect(
+        # ...and NEAR_PARALLEL, either way round, after them.
+        near = np.array(NEAR_PARALLEL)
+        a1, a2, b1, b2 = (
+            np.concatenate([v, near[[k, (k + 2) % 4]]])
+            for k, v in enumerate((a1, a2, b1, b2))
+        )
+        n += 2
+        kind, px, py, qx, qy, exact = kernel._intersect(
             a1[:, 0], a1[:, 1], a2[:, 0], a2[:, 1], b1[:, 0], b1[:, 1], b2[:, 0], b2[:, 1])
         codes = {SegmentIntersectionKind.NONE: kernel.NONE,
                  SegmentIntersectionKind.CROSSING: kernel.POINT,
@@ -250,10 +264,7 @@ class TestPrimitives:
         seen = set()
         for k in range(n):
             ends = [tuple(map(float, v[k])) for v in (a1, a2, b1, b2)]
-            try:
-                want = segment_intersection(*ends)
-            except ZeroDivisionError:  # NEAR_PARALLEL below
-                continue
+            want = segment_intersection(*ends)
             seen.add(want.kind)
             assert kind[k] == codes[want.kind], k
             if want.kind is not SegmentIntersectionKind.NONE:
@@ -261,26 +272,48 @@ class TestPrimitives:
             if want.kind is SegmentIntersectionKind.OVERLAP:
                 assert (qx[k], qy[k]) == want.points[1], k
         assert seen == set(SegmentIntersectionKind)
+        near_rows = [segment_intersection(*(tuple(v[k]) for v in (a1, a2, b1, b2)))
+                     for k in (n - 2, n - 1)]
+        assert {w.kind for w in near_rows} == {SegmentIntersectionKind.CROSSING}
+        assert np.isfinite(px[-2:]).all() and np.isfinite(py[-2:]).all()
+        assert exact[n - 2:].all()
+        assert (kind[exact] == kernel.POINT).all()
 
 
-#: Two nearly parallel segments whose exact orientation signs say they
-#: cross, while the float determinant of their directions is 0.
-NEAR_PARALLEL = (
-    (-3.166666666666667, -1.0), (-0.16666666666666674, 0.3333333333333333),
-    (-1.6666666666666667, -0.3333333333333333), (1.3333333333333333, 1.0),
-)
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.xfail(
-    strict=True,
-    reason="bug: nearly parallel crossing edges whose float direction determinant is 0 — "
-    "segment._crossing_point divides by zero (the scalar refinement raises "
-    "ZeroDivisionError), the kernel's crossing point is NaN and the pair reads as meets",
-)
 def test_near_parallel_crossing_matches_exact_oracle():
+    # A float division by the 0 determinant once made the crossing point
+    # NaN (kernel) or raised ZeroDivisionError (scalar), and the pair
+    # read as meets; now t is exact, and so are the sub-edges of both
+    # edges, which run closer to each other than a float can resolve.
     a1, a2, b1, b2 = NEAR_PARALLEL
     r = Polygon([a1, a2, (a2[0], a1[1])])
     s = Polygon([b1, b2, (b1[0], b2[1])])
     assert relate_exact(r, s).matrix == DE9IM("TTTTTTTTT")
     assert relate_many([(r, s)])[0] == relate_exact(r, s)
+
+
+def near_parallel_triangles(rng, count):
+    """Triangle pairs on two nearly parallel edges that properly cross
+    while the float determinant of their directions is 0: ``b`` lies on
+    ``a``'s line up to the rounding of thirds and sixths."""
+    pairs = []
+    while len(pairs) < count:
+        a1, a2 = (tuple((rng.integers(-12, 13, 2) / 3 + rng.choice([0, 1 / 6], 2)).tolist())
+                  for _ in range(2))
+        t1, t2 = rng.choice([1 / 3, 2 / 3, 0.5, -0.5, 1.5, 0.25, 1 / 6, 5 / 6, 4 / 3], 2)
+        b1, b2 = (tuple(float(a1[i] + t * (a2[i] - a1[i])) for i in range(2)) for t in (t1, t2))
+        if a1 == a2 or b1 == b2 or (a2[0] - a1[0]) * (b2[1] - b1[1]) != (a2[1] - a1[1]) * (b2[0] - b1[0]):
+            continue
+        signs = [orientation(a1, a2, b1), orientation(a1, a2, b2),
+                 orientation(b1, b2, a1), orientation(b1, b2, a2)]
+        if signs[0] * signs[1] >= 0 or signs[2] * signs[3] >= 0:
+            continue
+        for r_apex, s_apex in (((a2[0], a1[1]), (b1[0], b2[1])), ((a1[0], a2[1]), (b2[0], b1[1]))):
+            if orientation(a1, a2, r_apex) and orientation(b1, b2, s_apex):
+                pairs.append((Polygon([a1, a2, r_apex]), Polygon([b1, b2, s_apex])))
+    return pairs
+
+
+def test_fuzzed_near_parallel_crossings_match_exact_oracle():
+    pairs = near_parallel_triangles(np.random.default_rng(1), 80)
+    assert relate_many(pairs) == [relate_exact(r, s) for r, s in pairs]

@@ -1,4 +1,5 @@
-"""Property tests: bulk point-in-polygon vs the scalar predicate."""
+"""Property tests: the kernel's even-odd slab pass vs the scalar
+predicate, and the columns' edge arrays vs the ``edges()`` generator."""
 
 import math
 
@@ -7,7 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import Location, MultiPolygon, Polygon
-from repro.topology.pip import edge_arrays, points_strictly_inside
+from repro.geometry.columns import GeometryColumns
+from repro.topology.kernel import slab_parity
+
+
+def points_strictly_inside(points, polygon):
+    """Parity of every point against every edge of ``polygon``: True is
+    interior for a point off the boundary."""
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    columns = GeometryColumns.from_geometries([polygon])
+    return slab_parity(columns, np.zeros(len(pts), dtype=np.int64), pts[:, 0], pts[:, 1])
+
+
+def edge_arrays(geometries):
+    return GeometryColumns.from_geometries(geometries).edge_arrays()
 
 
 def regular(n, cx, cy, radius):
