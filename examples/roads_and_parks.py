@@ -21,7 +21,6 @@ from repro.datasets.geojson import Feature, save_geojson
 from repro.datasets.synthetic import generate_roads
 from repro.geometry import Box
 from repro.topology.mixed import relate_mixed
-from repro.topology.rcc8 import RCC8
 
 
 def classify(road, park) -> str:
@@ -69,19 +68,6 @@ def main() -> None:
         indent=2,
     )
     print(f"\nwrote {len(crossing_ids)} park-crossing roads to {out}")
-
-    # Parks related to parks, in RCC8 vocabulary (for link discovery).
-    from repro.topology import most_specific_relation, relate
-    from repro.topology.rcc8 import relation_to_rcc8
-
-    rcc_counts: Counter = Counter()
-    for i, a in enumerate(parks):
-        for b in parks[i + 1 :]:
-            if not a.bbox.intersects(b.bbox):
-                rcc_counts[RCC8.DC] += 1
-                continue
-            rcc_counts[relation_to_rcc8(most_specific_relation(relate(a, b)))] += 1
-    print("park-park RCC8 relations:", {r.value: n for r, n in rcc_counts.most_common()})
 
 
 if __name__ == "__main__":

@@ -16,13 +16,10 @@ from typing import Callable
 
 from repro.datasets.catalog import DEFAULT_GRID_ORDER
 from repro.experiments.ablation import run_ablation_grid
-from repro.experiments.ablation_simplify import run_ablation_simplify
 from repro.experiments.common import ExperimentResult
 from repro.experiments.fig7 import run_fig7a, run_fig7b
 from repro.experiments.fig8 import run_fig8a, run_fig8b, run_table4
 from repro.experiments.fig9 import run_fig9
-from repro.experiments.interlink_quality import run_interlink_quality
-from repro.experiments.progressive import run_progressive
 from repro.experiments.table2 import run_table2
 from repro.experiments.table3 import run_table3
 from repro.experiments.table5 import run_table5
@@ -38,9 +35,6 @@ EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {
     "fig9": run_fig9,
     "table5": run_table5,
     "ablation-grid": run_ablation_grid,
-    "ablation-simplify": run_ablation_simplify,
-    "progressive": run_progressive,
-    "interlink-quality": run_interlink_quality,
 }
 
 #: Figure experiments also get an ASCII bar rendering of this column.

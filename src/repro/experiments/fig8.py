@@ -12,6 +12,7 @@ of its two polygons' vertex counts (Table 4). Then:
   P+C intermediate filter (P+C-IF), and P+C's residual refinement
   (P+C-REF). Expected shape: OP2-REF grows superlinearly; the P+C
   total stays nearly flat because fewer and fewer pairs are refined.
+  Each level's timings are the median of ``TIMING_RUNS`` runs.
 """
 
 from __future__ import annotations
@@ -25,6 +26,10 @@ from repro.join.stats import JoinRunStats
 
 NUM_LEVELS = 10
 DEFAULT_SCENARIO = "OLE-OPE"
+#: Fig. 8(b) is a timing shape: each level's OP2 and P+C joins run this
+#: many times and the run with the median ``total_seconds`` is kept, so
+#: one slow sample cannot invert it.
+TIMING_RUNS = 5
 
 
 def pair_complexity(data: ScenarioData, pair: tuple[int, int]) -> int:
@@ -49,8 +54,6 @@ def _levels(
     ranges: list[tuple[int, int]] = []
     for level in range(NUM_LEVELS):
         chunk = ranked[level * n // NUM_LEVELS : (level + 1) * n // NUM_LEVELS]
-        if not chunk:
-            chunk = []
         levels.append(chunk)
         if chunk:
             ranges.append(
@@ -79,17 +82,26 @@ def run_table4(
     return result
 
 
+def _median_run(runs: list[JoinRunStats]) -> JoinRunStats:
+    return sorted(runs, key=lambda stats: stats.total_seconds)[len(runs) // 2]
+
+
 @lru_cache(maxsize=4)
 def _per_level_stats(
     scenario: str, scale: float, grid_order: int
 ) -> tuple[list[JoinRunStats], list[JoinRunStats]]:
     data, levels, _ = _levels(scenario, scale, grid_order)
-    op2 = [
-        run_find_relation("OP2", data.r_objects, data.s_objects, chunk) for chunk in levels
-    ]
-    pc = [
-        run_find_relation("P+C", data.r_objects, data.s_objects, chunk) for chunk in levels
-    ]
+    op2: list[JoinRunStats] = []
+    pc: list[JoinRunStats] = []
+    for chunk in levels:
+        # The two methods' runs alternate, so a drift in machine speed
+        # during a level slows both alike.
+        runs: dict[str, list[JoinRunStats]] = {"OP2": [], "P+C": []}
+        for _ in range(TIMING_RUNS):
+            for method, samples in runs.items():
+                samples.append(run_find_relation(method, data.r_objects, data.s_objects, chunk))
+        op2.append(_median_run(runs["OP2"]))
+        pc.append(_median_run(runs["P+C"]))
     return op2, pc
 
 

@@ -122,7 +122,7 @@ class TestCli:
     def test_all_experiments_registered(self):
         assert set(EXPERIMENTS) == {
             "table2", "table3", "fig7a", "fig7b", "table4", "fig8a", "fig8b", "fig9",
-            "table5", "ablation-grid", "ablation-simplify", "progressive", "interlink-quality",
+            "table5", "ablation-grid",
         }
 
     def test_main_runs_one_experiment(self, capsys, tmp_path):

@@ -1,4 +1,4 @@
-"""Tests for GeoJSON IO, RCC8 mapping, and the road generator."""
+"""Tests for GeoJSON IO and the road generator."""
 
 import json
 
@@ -15,14 +15,6 @@ from repro.datasets.geojson import (
 )
 from repro.datasets.synthetic import generate_roads
 from repro.geometry import Box, LineString, MultiPolygon, Polygon
-from repro.topology import TopologicalRelation as T, most_specific_relation, relate
-from repro.topology.rcc8 import (
-    RCC8,
-    TO_RCC8,
-    rcc8_of_matrix,
-    rcc8_to_relation,
-    relation_to_rcc8,
-)
 
 DONUT = Polygon([(0, 0), (10, 0), (10, 10), (0, 10)], [[(3, 3), (7, 3), (7, 7), (3, 7)]])
 
@@ -182,41 +174,6 @@ class TestNonFiniteCoordinates:
                      "--quarantine"]) == 0
         assert "1 row(s) quarantined" in capsys.readouterr().err
         assert len(open_dataset(index)) == len(self.CLEAN)
-
-
-class TestRCC8:
-    def test_bijection(self):
-        assert len(TO_RCC8) == 8
-        assert len({v for v in TO_RCC8.values()}) == 8
-        for relation, rcc in TO_RCC8.items():
-            assert rcc8_to_relation(rcc) is relation
-
-    @pytest.mark.parametrize(
-        "r,s,expected",
-        [
-            (Polygon.box(0, 0, 5, 5), Polygon.box(10, 10, 15, 15), RCC8.DC),
-            (Polygon.box(0, 0, 5, 5), Polygon.box(5, 0, 10, 5), RCC8.EC),
-            (Polygon.box(0, 0, 5, 5), Polygon.box(3, 3, 8, 8), RCC8.PO),
-            (Polygon.box(0, 1, 3, 4), Polygon.box(0, 0, 5, 5), RCC8.TPP),
-            (Polygon.box(1, 1, 3, 3), Polygon.box(0, 0, 5, 5), RCC8.NTPP),
-            (Polygon.box(0, 0, 5, 5), Polygon.box(0, 1, 3, 4), RCC8.TPPI),
-            (Polygon.box(0, 0, 5, 5), Polygon.box(1, 1, 3, 3), RCC8.NTPPI),
-            (Polygon.box(0, 0, 5, 5), Polygon.box(0, 0, 5, 5), RCC8.EQ),
-        ],
-    )
-    def test_geometric_cases(self, r, s, expected):
-        assert rcc8_of_matrix(relate(r, s)) is expected
-
-    def test_inverses(self):
-        assert RCC8.TPP.inverse is RCC8.TPPI
-        assert RCC8.NTPPI.inverse is RCC8.NTPP
-        assert RCC8.EQ.inverse is RCC8.EQ
-        for rcc in RCC8:
-            assert rcc.inverse.inverse is rcc
-
-    def test_inverse_consistent_with_relations(self):
-        for relation, rcc in TO_RCC8.items():
-            assert relation_to_rcc8(relation.inverse) is rcc.inverse
 
 
 class TestRoadGenerator:
