@@ -25,7 +25,6 @@ from repro.topology import (
     TopologicalRelation as T,
     most_specific_relation,
     relate,
-    relate_dimensioned,
 )
 
 
@@ -39,8 +38,10 @@ def main() -> None:
     park = Polygon([(0, 0), (40, 2), (44, 38), (20, 46), (-2, 30)])
     lake = Polygon([(10, 10), (22, 8), (26, 20), (14, 24)])
     matrix = relate(lake, park)
-    print(f"lake vs park: boolean code {matrix.code}, "
-          f"dimensioned {relate_dimensioned(lake, park)}")
+    print(f"lake vs park: boolean code {matrix.code}")
+    print("     park I B E")
+    for k, part in enumerate("IBE"):
+        print(f"  lake {part}  {' '.join(matrix.code[3 * k : 3 * k + 3])}")
     print(f"most specific relation: {most_specific_relation(matrix).value}")
 
     # ------------------------------------------------------------ §2.3

@@ -23,7 +23,7 @@ and skips rasterisation entirely.
 Observability (``join`` subcommand)::
 
     python -m repro join r.wkt s.wkt --trace trace.json --metrics-out m.json \
-        --explain-sample 3 --run-log runs.jsonl --progress --profile prof.txt
+        --explain-sample 3 --run-log runs.jsonl --profile prof.txt
 
 ``--profile`` turns on the sampling profiler for the run: collapsed
 flamegraph stacks land in PATH, the per-phase self-time table on
@@ -105,8 +105,6 @@ def _setup_obs(args: argparse.Namespace) -> None:
     if args.metrics_out:
         obs.set_metrics(True)
         obs.reset_metrics()
-    if args.progress:
-        obs.set_progress(True)
     if args.profile:
         obs.set_profiling(True)
         obs.reset_profile()
@@ -405,13 +403,14 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
 
 def cmd_select(args: argparse.Namespace) -> int:
-    from repro.geometry import MultiPolygon, Polygon, loads_wkt_geometry
+    from repro.geometry import loads_wkt_geometry
 
+    try:
+        query = loads_wkt_geometry(args.query)
+    except ValueError as exc:  # WktError, or a ring the polygon refuses
+        raise SystemExit(f"--query must be a POLYGON or MULTIPOLYGON WKT: {exc}") from None
     engine = default_engine()
     dataset = _resolve_dataset(engine, args.data, False)
-    query = loads_wkt_geometry(args.query)
-    if not isinstance(query, (Polygon, MultiPolygon)):
-        raise SystemExit("--query must be a POLYGON or MULTIPOLYGON WKT")
     predicate = _predicate(args.predicate)
     run = engine.select(dataset, query, predicate, grid_order=args.grid_order)
     for link in run.results:
@@ -501,10 +500,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument(
         "--run-log", default=None, metavar="PATH",
         help="append a structured JSONL run report to PATH",
-    )
-    p.add_argument(
-        "--progress", action="store_true",
-        help="per-worker heartbeat lines on stderr during the run",
     )
     p.add_argument(
         "--profile", default=None, metavar="PATH",

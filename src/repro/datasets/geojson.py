@@ -1,8 +1,11 @@
 """GeoJSON interchange (RFC 7946 subset).
 
-Reads and writes FeatureCollections of Polygon, MultiPolygon,
-LineString and Point geometries — the lingua franca for getting real
-data in and out of the library. Properties are preserved per feature.
+Reads and writes FeatureCollections of Polygon and MultiPolygon
+geometries — the lingua franca for getting real data in and out of the
+library. Properties are preserved per feature. A Point or LineString
+feature is read and checked like any other (a non-finite coordinate
+makes it malformed) but kept only as plain coordinate tuples, which
+the datasets built from a file drop.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable
 
-from repro.geometry.linestring import LineString
 from repro.geometry.multipolygon import MultiPolygon
 from repro.geometry.polygon import Polygon
 
@@ -45,7 +47,7 @@ def geometry_from_geojson(obj: dict) -> Any:
         if gtype == "Point":
             return _point(coords[0], coords[1])
         if gtype == "LineString":
-            return LineString([_point(x, y) for x, y in coords])
+            return tuple(_point(x, y) for x, y in coords)
         if gtype == "Polygon":
             return _polygon_from_rings(coords)
         if gtype == "MultiPolygon":
@@ -148,10 +150,6 @@ def geometry_to_geojson(geometry) -> dict:
         }
     if isinstance(geometry, Polygon):
         return {"type": "Polygon", "coordinates": _polygon_rings(geometry)}
-    if isinstance(geometry, LineString):
-        return {"type": "LineString", "coordinates": [[x, y] for x, y in geometry.coords]}
-    if isinstance(geometry, tuple) and len(geometry) == 2:
-        return {"type": "Point", "coordinates": [geometry[0], geometry[1]]}
     raise GeoJsonError(f"unsupported geometry {type(geometry).__name__}")
 
 

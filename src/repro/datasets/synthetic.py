@@ -275,53 +275,10 @@ def generate_tessellation(
     return polygons
 
 
-# ----------------------------------------------------------------------
-# road networks (linestrings)
-# ----------------------------------------------------------------------
-def generate_roads(
-    rng: Rng,
-    count: int,
-    region: Box,
-    length_range: tuple[float, float] = (50.0, 400.0),
-    segments_range: tuple[int, int] = (4, 30),
-    wiggle: float = 0.35,
-) -> list["LineString"]:
-    """Random-walk polylines mimicking roads/rivers.
-
-    Each road starts at a random point with a random heading and takes
-    ``segments`` steps whose heading drifts by up to ``wiggle`` radians,
-    clamped into ``region``. Used by the mixed-dimension examples
-    (roads vs parks) — the find-relation pipeline itself is areal-only.
-    """
-    from repro.geometry.linestring import LineString
-
-    lo_len, hi_len = length_range
-    lo_seg, hi_seg = segments_range
-    roads: list[LineString] = []
-    for _ in range(count):
-        segments = int(rng.integers(lo_seg, hi_seg + 1))
-        total = rng.uniform(lo_len, hi_len)
-        step = total / segments
-        x = rng.uniform(region.xmin, region.xmax)
-        y = rng.uniform(region.ymin, region.ymax)
-        heading = rng.uniform(0.0, 2.0 * math.pi)
-        coords = [(x, y)]
-        for _ in range(segments):
-            heading += rng.uniform(-wiggle, wiggle)
-            x = min(region.xmax, max(region.xmin, x + step * math.cos(heading)))
-            y = min(region.ymax, max(region.ymin, y + step * math.sin(heading)))
-            if (x, y) != coords[-1]:
-                coords.append((x, y))
-        if len(coords) >= 2:
-            roads.append(LineString(coords))
-    return roads
-
-
 __all__ = [
     "blob_polygon",
     "generate_blobs",
     "generate_buildings",
-    "generate_roads",
     "generate_tessellation",
     "rectilinear_polygon",
 ]

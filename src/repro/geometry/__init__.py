@@ -1,7 +1,7 @@
 """Computational-geometry substrate.
 
 This package implements, from scratch, every geometric primitive the
-topology-join pipeline needs: points, axis-aligned boxes (MBRs), robust
+topology-join pipeline needs: axis-aligned boxes (MBRs), robust
 segment predicates, linear rings, polygons with holes, point-in-polygon
 location, and WKT input/output.
 
@@ -11,9 +11,7 @@ whole reproduction runs anywhere Python runs.
 """
 
 from repro.geometry.box import Box
-from repro.geometry.linestring import LineString
 from repro.geometry.multipolygon import MultiPolygon
-from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 from repro.geometry.predicates import Location, locate_point_in_polygon, locate_point_in_ring
 from repro.geometry.ring import Ring
@@ -29,10 +27,8 @@ from repro.geometry.wkt import dumps_wkt, loads_wkt, loads_wkt_geometry
 
 __all__ = [
     "Box",
-    "LineString",
     "Location",
     "MultiPolygon",
-    "Point",
     "Polygon",
     "Ring",
     "SegmentIntersection",

@@ -65,10 +65,6 @@ class Polygon:
         """An axis-aligned rectangle polygon."""
         return Polygon([(xmin, ymin), (xmax, ymin), (xmax, ymax), (xmin, ymax)])
 
-    @staticmethod
-    def from_box(b: Box) -> "Polygon":
-        return Polygon.box(b.xmin, b.ymin, b.xmax, b.ymax)
-
     # ------------------------------------------------------------------
     # accessors
     # ------------------------------------------------------------------

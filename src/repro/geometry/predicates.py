@@ -85,15 +85,9 @@ def locate_point_in_polygon(point: Coord, polygon: "Polygon") -> Location:
     return Location.INTERIOR
 
 
-def point_in_polygon(point: Coord, polygon: "Polygon") -> bool:
-    """True iff ``point`` is in the closed polygon (interior or boundary)."""
-    return locate_point_in_polygon(point, polygon) is not Location.EXTERIOR
-
-
 __all__ = [
     "Location",
     "locate_point_in_polygon",
     "locate_point_in_ring",
-    "point_in_polygon",
     "point_on_segment",
 ]

@@ -25,8 +25,7 @@ class WktError(ValueError):
 
 
 def dumps_wkt(geometry, precision: int = 9) -> str:
-    """Serialise a Polygon, MultiPolygon, LineString or point tuple."""
-    from repro.geometry.linestring import LineString
+    """Serialise a Polygon or MultiPolygon."""
     from repro.geometry.multipolygon import MultiPolygon
 
     if isinstance(geometry, MultiPolygon):
@@ -34,14 +33,6 @@ def dumps_wkt(geometry, precision: int = 9) -> str:
             f"({_polygon_body(part, precision)})" for part in geometry.parts
         )
         return f"MULTIPOLYGON ({bodies})"
-    if isinstance(geometry, LineString):
-        body = ", ".join(
-            f"{x:.{precision}g} {y:.{precision}g}" for x, y in geometry.coords
-        )
-        return f"LINESTRING ({body})"
-    if isinstance(geometry, tuple) and len(geometry) == 2:
-        x, y = geometry
-        return f"POINT ({x:.{precision}g} {y:.{precision}g})"
     return f"POLYGON ({_polygon_body(geometry, precision)})"
 
 
@@ -81,7 +72,6 @@ def loads_wkt_geometry(text: str):
     :class:`~repro.geometry.multipolygon.MultiPolygon` (even for one
     part, preserving the declared type).
     """
-    from repro.geometry.linestring import LineString
     from repro.geometry.multipolygon import MultiPolygon
 
     parser = _Parser(text)
@@ -90,12 +80,6 @@ def loads_wkt_geometry(text: str):
         geometry = parser.parse_polygon_body()
     elif geom_type == "MULTIPOLYGON":
         geometry = MultiPolygon(parser.parse_multipolygon_body())
-    elif geom_type == "LINESTRING":
-        geometry = LineString(parser.parse_ring())
-    elif geom_type == "POINT":
-        parser.take("(")
-        geometry = parser._parse_coord()
-        parser.take(")")
     else:
         raise WktError(f"unsupported WKT type: {geom_type!r}")
     parser.expect_end()

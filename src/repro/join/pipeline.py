@@ -43,7 +43,6 @@ from repro.join.objects import SpatialObject, relate_objects
 from repro.join.stats import JoinRunStats
 from repro.obs.metrics import get_registry, metrics_enabled
 from repro.obs.profile import clear_phase, profiling_enabled, set_phase
-from repro.obs.progress import progress_reporter
 from repro.obs.trace import add_span, trace
 from repro.topology.de9im import (
     SPECIFIC_TO_GENERAL,
@@ -156,6 +155,16 @@ class StandardTwoPhasePipeline(Pipeline):
         return IFResult(refine_candidates=tuple(SPECIFIC_TO_GENERAL)), Stage.MBR
 
 
+def _mbr_shortcut(case: MBRRelationship, connected: bool) -> tuple[IFResult, Stage] | None:
+    """The verdict of the two MBR cases that decide a pair outright
+    (Sec. 3.1), else None."""
+    if case is MBRRelationship.DISJOINT:
+        return IFResult(definite=T.DISJOINT), Stage.MBR
+    if case is MBRRelationship.CROSS and connected:
+        return IFResult(definite=T.INTERSECTS), Stage.MBR
+    return None
+
+
 class OptimizedTwoPhasePipeline(Pipeline):
     """OP2: the Sec. 3.1 MBR case analysis narrows the mask set."""
 
@@ -164,11 +173,31 @@ class OptimizedTwoPhasePipeline(Pipeline):
     def filter_pair(self, r: SpatialObject, s: SpatialObject) -> tuple[IFResult, Stage]:
         case = classify_mbr_pair(r.box, s.box)
         connected = r.is_connected and s.is_connected
-        if case is MBRRelationship.DISJOINT:
-            return IFResult(definite=T.DISJOINT), Stage.MBR
-        if case is MBRRelationship.CROSS and connected:
-            return IFResult(definite=T.INTERSECTS), Stage.MBR
+        decided = _mbr_shortcut(case, connected)
+        if decided is not None:
+            return decided
         return IFResult(refine_candidates=mbr_candidates_for(case, connected)), Stage.MBR
+
+
+def _aprils(r: SpatialObject, s: SpatialObject) -> tuple:
+    ra = r.require_april()
+    sa = s.require_april()
+    ra.check_compatible(sa)
+    return ra, sa
+
+
+def _april_verdict(
+    case: MBRRelationship, connected: bool, ra, sa, c_overlap: bool
+) -> tuple[IFResult, Stage]:
+    """APRIL's filter past the MBR shortcuts, given ``overlap(rC, sC)``."""
+    if not c_overlap:
+        return IFResult(definite=T.DISJOINT), Stage.INTERMEDIATE
+    candidates = mbr_candidates_for(case, connected)
+    if ra.c.overlaps(sa.p) or ra.p.overlaps(sa.c):
+        # Interiors provably intersect: disjoint and meets masks are
+        # dead, but the most specific relation is still unknown.
+        candidates = tuple(c for c in candidates if c not in (T.DISJOINT, T.MEETS))
+    return IFResult(refine_candidates=candidates), Stage.INTERMEDIATE
 
 
 class AprilIntersectionPipeline(Pipeline):
@@ -180,23 +209,11 @@ class AprilIntersectionPipeline(Pipeline):
     def filter_pair(self, r: SpatialObject, s: SpatialObject) -> tuple[IFResult, Stage]:
         case = classify_mbr_pair(r.box, s.box)
         connected = r.is_connected and s.is_connected
-        if case is MBRRelationship.DISJOINT:
-            return IFResult(definite=T.DISJOINT), Stage.MBR
-        if case is MBRRelationship.CROSS and connected:
-            return IFResult(definite=T.INTERSECTS), Stage.MBR
-
-        ra = r.require_april()
-        sa = s.require_april()
-        ra.check_compatible(sa)
-        if not ra.c.overlaps(sa.c):
-            return IFResult(definite=T.DISJOINT), Stage.INTERMEDIATE
-
-        candidates = mbr_candidates_for(case, connected)
-        if ra.c.overlaps(sa.p) or ra.p.overlaps(sa.c):
-            # Interiors provably intersect: disjoint and meets masks are
-            # dead, but the most specific relation is still unknown.
-            candidates = tuple(c for c in candidates if c not in (T.DISJOINT, T.MEETS))
-        return IFResult(refine_candidates=candidates), Stage.INTERMEDIATE
+        decided = _mbr_shortcut(case, connected)
+        if decided is not None:
+            return decided
+        ra, sa = _aprils(r, s)
+        return _april_verdict(case, connected, ra, sa, ra.c.overlaps(sa.c))
 
     def filter_pairs(
         self,
@@ -208,36 +225,19 @@ class AprilIntersectionPipeline(Pipeline):
         overlap join, so the whole stream is screened in one grouped
         kernel pass before the per-pair tail tests."""
         out: list[tuple[IFResult, Stage] | None] = [None] * len(pairs)
-        screened: list[int] = []
-        approx: list[tuple] = []
+        screened: list[tuple] = []
         for k, (i, j) in enumerate(pairs):
             r = r_objects[i]
             s = s_objects[j]
             case = classify_mbr_pair(r.box, s.box)
             connected = r.is_connected and s.is_connected
-            if case is MBRRelationship.DISJOINT:
-                out[k] = (IFResult(definite=T.DISJOINT), Stage.MBR)
-                continue
-            if case is MBRRelationship.CROSS and connected:
-                out[k] = (IFResult(definite=T.INTERSECTS), Stage.MBR)
-                continue
-            ra = r.require_april()
-            sa = s.require_april()
-            ra.check_compatible(sa)
-            screened.append(k)
-            approx.append((ra, sa, case, connected))
+            out[k] = _mbr_shortcut(case, connected)
+            if out[k] is None:
+                screened.append((k, case, connected, *_aprils(r, s)))
         if screened:
-            hits = batch_c_overlaps([(ra, sa) for ra, sa, _, _ in approx])
-            for hit, k, (ra, sa, case, connected) in zip(hits, screened, approx):
-                if not hit:
-                    out[k] = (IFResult(definite=T.DISJOINT), Stage.INTERMEDIATE)
-                    continue
-                candidates = mbr_candidates_for(case, connected)
-                if ra.c.overlaps(sa.p) or ra.p.overlaps(sa.c):
-                    candidates = tuple(
-                        c for c in candidates if c not in (T.DISJOINT, T.MEETS)
-                    )
-                out[k] = (IFResult(refine_candidates=candidates), Stage.INTERMEDIATE)
+            hits = batch_c_overlaps([(ra, sa) for *_, ra, sa in screened])
+            for hit, (k, *pair) in zip(hits, screened):
+                out[k] = _april_verdict(*pair, hit)
         return out  # type: ignore[return-value]
 
 
@@ -319,13 +319,12 @@ class Verified(NamedTuple):
 
 class _Instruments:
     """What the two verification loops share besides the pairs: the
-    stage timers in ``stats``, progress ticks, the refine-batch
-    histogram, profiler phase markers and the metrics registry."""
+    stage timers in ``stats``, the refine-batch histogram, profiler
+    phase markers and the metrics registry."""
 
     def __init__(
         self,
         method: str,
-        label: str,
         r_objects: Sequence[SpatialObject],
         s_objects: Sequence[SpatialObject],
         total: int,
@@ -335,8 +334,6 @@ class _Instruments:
         self.stats.s_objects_total = len(s_objects)
         self.total = total
         self.registry = get_registry() if metrics_enabled() else None
-        self.reporter = progress_reporter(label or method, total)
-        self.batches = 0
         self.touched_r: set[int] = set()
         self.touched_s: set[int] = set()
 
@@ -347,10 +344,6 @@ class _Instruments:
         with _phase("filter"), trace("filter", pairs=self.total):
             yield
         self.stats.filter_seconds += time.perf_counter() - t0
-
-    def tick(self, k: int, undecided: int) -> None:
-        if self.reporter is not None and (k & 255) == 0:
-            self.reporter.tick(k, detail=f"{undecided} to refine")
 
     def refine(self, pairs: Sequence[tuple[int, int]], compute, *args):
         """One refinement batch ``compute(*args)`` over ``pairs``, timed
@@ -364,7 +357,6 @@ class _Instruments:
             result = compute(*args)
         elapsed = time.perf_counter() - t0
         self.stats.refine_seconds += elapsed
-        self.batches += 1
         if self.registry is not None:
             self.registry.observe(
                 "repro_refine_batch_seconds", elapsed, method=self.stats.method
@@ -378,13 +370,6 @@ class _Instruments:
         # The refinement batches, attached with their measured duration
         # so span totals reconcile with ``refine_seconds``.
         add_span("refine", stats.refine_seconds, pairs=stats.refined)
-        if self.reporter is not None:
-            self.reporter.finish(detail=f"{stats.refined} refined")
-            if stats.refined:
-                self.reporter.summary(
-                    f"refine: {stats.refined} pairs in {self.batches} batches, "
-                    f"{stats.refine_seconds * 1e3 / stats.refined:.3f} ms/pair"
-                )
         return Verified(rows, stats, self.touched_r, self.touched_s)
 
 
@@ -393,7 +378,6 @@ def verify_find_relation(
     r_objects: Sequence[SpatialObject],
     s_objects: Sequence[SpatialObject],
     pairs: Sequence[tuple[int, int]],
-    label: str = "",
 ) -> Verified:
     """Algorithm 1 over one partition: batched filter, then one batched
     refinement of every pair the filters left undecided.
@@ -403,7 +387,7 @@ def verify_find_relation(
     fallback) on their partition. Access counters describe this
     partition alone; callers that merge partitions deduplicate them.
     """
-    inst = _Instruments(pipeline.name, label, r_objects, s_objects, len(pairs))
+    inst = _Instruments(pipeline.name, r_objects, s_objects, len(pairs))
     stats, registry = inst.stats, inst.registry
     # MBR cases are re-derived (cheap float compares) only when the
     # per-case verdict counters are actually wanted.
@@ -432,7 +416,6 @@ def verify_find_relation(
 
     undecided: list[int] = []
     for k, (verdict, stage) in enumerate(verdicts):
-        inst.tick(k, len(undecided))
         if verdict.definite is None:
             assert verdict.refine_candidates is not None
             undecided.append(k)
@@ -519,7 +502,6 @@ def verify_relate(
     r_objects: Sequence[SpatialObject],
     s_objects: Sequence[SpatialObject],
     pairs: Sequence[tuple[int, int]],
-    label: str = "",
 ) -> Verified:
     """``relate_p`` over one partition: Fig. 6 filters, then one batched
     refinement of the pairs they leave undecided.
@@ -529,9 +511,7 @@ def verify_relate(
     the filters, ``refine_seconds`` the time inside DE-9IM (Table 5's
     split) — for every worker count.
     """
-    inst = _Instruments(
-        f"relate[{predicate.value}]", label, r_objects, s_objects, len(pairs)
-    )
+    inst = _Instruments(f"relate[{predicate.value}]", r_objects, s_objects, len(pairs))
     stats, registry = inst.stats, inst.registry
     with inst.filtering():
         verdicts = [
@@ -540,7 +520,6 @@ def verify_relate(
     holds: list[bool] = [False] * len(pairs)
     undecided: list[int] = []
     for k, verdict in enumerate(verdicts):
-        inst.tick(k, len(undecided))
         if verdict is RelateVerdict.UNKNOWN:
             undecided.append(k)
         else:

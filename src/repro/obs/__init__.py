@@ -21,7 +21,6 @@ Cooperating parts, all off by default and all stdlib-only:
   log; sampled per-pair deep traces reuse :mod:`repro.join.explain`.
 - :mod:`repro.obs.dashboard` — everything above rendered into one
   self-contained static HTML file (``repro report``).
-- :mod:`repro.obs.progress` — throttled per-worker heartbeats.
 
 Forked workers carry their share home through one trio:
 :func:`begin_worker_capture` in the child before a task,
@@ -29,9 +28,9 @@ Forked workers carry their share home through one trio:
 :func:`merge_worker_capture` in the parent on the payload.
 
 Enable pieces independently (``set_tracing`` / ``set_metrics`` /
-``set_progress`` / ``set_profiling``) or the always-cheap trio at
-once with :func:`enable_all`; the CLI flags ``--trace``,
-``--metrics-out``, ``--progress``, ``--profile`` map onto these. The
+``set_profiling``) or the always-cheap pair at once with
+:func:`enable_all`; the CLI flags ``--trace``, ``--metrics-out`` and
+``--profile`` map onto these. The
 sampling profiler stays opt-in even under :func:`enable_all` because
 signal delivery per interval is a real enabled-path cost. The
 submodules import nothing from
@@ -59,12 +58,6 @@ from repro.obs.profile import (
     profiling_enabled,
     reset_profile,
     set_profiling,
-)
-from repro.obs.progress import (
-    ProgressReporter,
-    progress_enabled,
-    progress_reporter,
-    set_progress,
 )
 from repro.obs.trace import (
     Span,
@@ -149,7 +142,7 @@ def merge_worker_capture(payload: dict | None) -> list:
 
 
 def enable_all() -> None:
-    """Switch tracing, metrics and progress on together.
+    """Switch tracing and metrics on together.
 
     The sampling profiler is *not* included: signal delivery per
     interval is a measurable enabled-path cost, so it is enabled
@@ -157,14 +150,12 @@ def enable_all() -> None:
     """
     set_tracing(True)
     set_metrics(True)
-    set_progress(True)
 
 
 def disable_all() -> None:
     """Switch every observability feature off and drop collected data."""
     set_tracing(False)
     set_metrics(False)
-    set_progress(False)
     set_profiling(False)
     reset_tracing()
     reset_metrics()
@@ -174,7 +165,6 @@ def disable_all() -> None:
 __all__ = [
     "Histogram",
     "MetricsRegistry",
-    "ProgressReporter",
     "RunReport",
     "Span",
     "add_span",
@@ -197,8 +187,6 @@ __all__ = [
     "parse_prometheus",
     "phase_table",
     "profiling_enabled",
-    "progress_enabled",
-    "progress_reporter",
     "read_jsonl",
     "render_dashboard",
     "reset_metrics",
@@ -208,7 +196,6 @@ __all__ = [
     "sample_explanations",
     "set_metrics",
     "set_profiling",
-    "set_progress",
     "set_tracing",
     "span_totals",
     "trace",

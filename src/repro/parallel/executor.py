@@ -128,7 +128,6 @@ def _fan_out(
     subject: Pipeline | TopologicalRelation,
     stage: str,
     attrs: dict,
-    label: str,
     r_objects: Sequence[SpatialObject],
     s_objects: Sequence[SpatialObject],
     pairs: Sequence[tuple[int, int]],
@@ -157,9 +156,7 @@ def _fan_out(
     if workers <= 1 or len(pairs) < 2 or not fork_available():
         workers = 1
         with trace(span, **attrs, workers=1, partitions=1):
-            verified = [
-                verify(subject, r_objects, s_objects, pairs, label=f"{label} serial")
-            ]
+            verified = [verify(subject, r_objects, s_objects, pairs)]
     else:
         parts = chunk_pairs(pairs, workers)
 
@@ -167,14 +164,7 @@ def _fan_out(
             part = parts[part_index]
             extra = {"fallback": True} if fallback else {}
             with trace("partition", part=part_index, pairs=len(part), **extra):
-                return verify(
-                    subject,
-                    r_objects,
-                    s_objects,
-                    part,
-                    label=f"{label} part={part_index}"
-                    + (" (fallback)" if fallback else ""),
-                )
+                return verify(subject, r_objects, s_objects, part)
 
         def worker(task: tuple[int, int]) -> tuple[Verified, dict | None]:
             part_index, attempt = task
@@ -254,7 +244,7 @@ def run_find_relation_parallel(
     if name not in PIPELINES:
         raise KeyError(f"unknown pipeline {name!r}; available: {list(PIPELINES)}")
     return _fan_out(
-        verify_find_relation, PIPELINES[name], "find", {"method": name}, name,
+        verify_find_relation, PIPELINES[name], "find", {"method": name},
         r_objects, s_objects, pairs, workers, partition_timeout, max_retries,
     )
 
@@ -274,7 +264,7 @@ def run_relate_parallel(
     counters are identical for every worker count.
     """
     return _fan_out(
-        verify_relate, predicate, "relate", {"predicate": predicate.value}, "relate",
+        verify_relate, predicate, "relate", {"predicate": predicate.value},
         r_objects, s_objects, pairs, workers, partition_timeout, max_retries,
     )
 

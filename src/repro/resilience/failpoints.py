@@ -191,12 +191,6 @@ def armed(site: str) -> bool:
     return site in _SITES and _SITES[site].mode != "off"
 
 
-def active_sites() -> list[str]:
-    """The currently armed site names (env spec included)."""
-    _ensure_env_loaded()
-    return sorted(s for s, spec in _SITES.items() if spec.mode != "off")
-
-
 def load_env_spec(spec: str | None = None) -> list[str]:
     """Arm sites from a ``REPRO_FAILPOINTS``-style string.
 
@@ -367,7 +361,6 @@ __all__ = [
     "FailpointError",
     "FailpointSpec",
     "KNOWN_SITES",
-    "active_sites",
     "arm",
     "armed",
     "disarm",

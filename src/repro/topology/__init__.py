@@ -15,14 +15,11 @@ from repro.topology.de9im import (
     matrix_matches_any,
     most_specific_relation,
 )
-from repro.topology.mixed import intersects_mixed, relate_mixed
 from repro.topology.relate import (
     RelateDetails,
     relate,
     relate_details,
-    relate_dimensioned,
     relate_many,
-    relate_pattern,
 )
 
 __all__ = [
@@ -33,11 +30,7 @@ __all__ = [
     "RelateDetails",
     "matrix_matches_any",
     "most_specific_relation",
-    "intersects_mixed",
     "relate",
     "relate_details",
-    "relate_dimensioned",
     "relate_many",
-    "relate_mixed",
-    "relate_pattern",
 ]

@@ -134,52 +134,6 @@ SPECIFIC_TO_GENERAL: tuple[TopologicalRelation, ...] = (
 )
 
 
-#: For areal geometries: which predicates a most-specific relation implies
-#: (the Fig. 2 Venn diagram read outward). Used to answer relate_p queries
-#: from a find-relation result.
-IMPLICATIONS: dict[TopologicalRelation, frozenset[TopologicalRelation]] = {
-    TopologicalRelation.DISJOINT: frozenset({TopologicalRelation.DISJOINT}),
-    TopologicalRelation.INTERSECTS: frozenset({TopologicalRelation.INTERSECTS}),
-    TopologicalRelation.MEETS: frozenset(
-        {TopologicalRelation.MEETS, TopologicalRelation.INTERSECTS}
-    ),
-    TopologicalRelation.EQUALS: frozenset(
-        {
-            TopologicalRelation.EQUALS,
-            TopologicalRelation.COVERED_BY,
-            TopologicalRelation.COVERS,
-            TopologicalRelation.INTERSECTS,
-        }
-    ),
-    TopologicalRelation.INSIDE: frozenset(
-        {
-            TopologicalRelation.INSIDE,
-            TopologicalRelation.COVERED_BY,
-            TopologicalRelation.INTERSECTS,
-        }
-    ),
-    TopologicalRelation.COVERED_BY: frozenset(
-        {TopologicalRelation.COVERED_BY, TopologicalRelation.INTERSECTS}
-    ),
-    TopologicalRelation.CONTAINS: frozenset(
-        {
-            TopologicalRelation.CONTAINS,
-            TopologicalRelation.COVERS,
-            TopologicalRelation.INTERSECTS,
-        }
-    ),
-    TopologicalRelation.COVERS: frozenset(
-        {TopologicalRelation.COVERS, TopologicalRelation.INTERSECTS}
-    ),
-}
-
-
-def relation_implies(specific: TopologicalRelation, predicate: TopologicalRelation) -> bool:
-    """True iff a pair whose most specific relation is ``specific`` also
-    satisfies ``predicate`` (areal semantics, Fig. 2)."""
-    return predicate in IMPLICATIONS[specific]
-
-
 def matrix_matches_any(matrix: DE9IM, masks: Sequence[str]) -> bool:
     """True iff ``matrix`` satisfies at least one of ``masks``."""
     return any(matrix.matches(m) for m in masks)

@@ -154,12 +154,6 @@ class EdgeArrays(NamedTuple):
     by: np.ndarray
 
     @classmethod
-    def of_line(cls, coords) -> "EdgeArrays":
-        """A polyline's edges: an edge array without a closing edge."""
-        xy = np.asarray(coords, dtype=np.float64)
-        return cls(np.zeros(len(xy) - 1, _I8), xy[:-1, 0], xy[:-1, 1], xy[1:, 0], xy[1:, 1])
-
-    @classmethod
     def of_geometries(cls, columns: GeometryColumns, geoms: np.ndarray) -> "EdgeArrays":
         """Every edge of geometries ``geoms`` of ``columns`` (owner ``k``
         for ``geoms[k]``), in ``edges()`` order: ring by ring, each
@@ -377,7 +371,7 @@ def _witnesses(
 
 
 # ----------------------------------------------------------------------
-# edge-array primitives (also the line cases of repro.topology.mixed)
+# edge-array primitives
 # ----------------------------------------------------------------------
 def edge_contacts(
     r: EdgeArrays,

@@ -1,4 +1,4 @@
-"""Tests for the top-level CLI and the validity-report module."""
+"""Tests for the top-level CLI."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,7 @@ import pytest
 from repro.__main__ import main
 from repro.datasets.io import save_wkt_file
 from repro.datasets.synthetic import generate_blobs
-from repro.geometry import Box, LineString, MultiPolygon, Polygon
-from repro.topology.validate import is_valid_geometry, validity_report
+from repro.geometry import Box
 
 
 @pytest.fixture()
@@ -53,6 +52,19 @@ class TestCli:
                      "--grid-order", "9"]) == 0
         err = capsys.readouterr().err
         assert "inside" in err
+
+    @pytest.mark.parametrize("query, reason", [
+        ("CIRCLE (5 5)", "unsupported WKT type: 'CIRCLE'"),
+        ("POLYGON ((0 0, 1 0", "expected ')' at position 18, found '<end>'"),
+        ("LINESTRING (0 0, 1 1)", "unsupported WKT type: 'LINESTRING'"),
+        ("POINT (1 1)", "unsupported WKT type: 'POINT'"),
+    ])
+    def test_select_bad_query_is_one_line(self, wkt_files, query, reason):
+        r, _ = wkt_files
+        with pytest.raises(SystemExit) as refused:
+            main(["select", r, "--query", query])
+        message = refused.value.code
+        assert message == f"--query must be a POLYGON or MULTIPOLYGON WKT: {reason}"
 
     def test_approximate(self, wkt_files, tmp_path, capsys):
         # The subcommand is gone (index directories are the one
@@ -105,10 +117,8 @@ class TestCliObservability:
         from repro import obs
 
         obs.disable_all()
-        obs.set_progress(False)
         yield
         obs.disable_all()
-        obs.set_progress(False)
 
     def test_join_with_all_obs_flags(self, wkt_files, tmp_path, capsys):
         import json
@@ -263,63 +273,3 @@ class TestCliObservability:
         assert record["kind"] == "experiment"
         assert record["method"] == "table2"
         assert record["meta"]["result"]["rows"]
-
-
-class TestValidityReport:
-    def test_valid_polygon_empty_report(self):
-        assert validity_report(Polygon.box(0, 0, 10, 10)) == []
-        assert is_valid_geometry(Polygon.box(0, 0, 10, 10))
-
-    def test_bowtie_reported(self):
-        bowtie = Polygon([(0, 0), (4, 4), (4, 0), (0, 4)])
-        issues = validity_report(bowtie)
-        assert any(i.code == "ring-self-intersection" for i in issues)
-        assert not is_valid_geometry(bowtie)
-
-    def test_overlapping_edges_reported(self):
-        spike = Polygon([(0, 0), (8, 0), (4, 0), (4, 5)])
-        issues = validity_report(spike)
-        assert any(i.code in ("ring-overlap", "ring-self-intersection") for i in issues)
-
-    def test_hole_outside_shell(self):
-        bad = Polygon(
-            [(0, 0), (10, 0), (10, 10), (0, 10)],
-            [[(20, 20), (22, 20), (22, 22), (20, 22)]],
-        )
-        issues = validity_report(bad)
-        assert any(i.code == "hole-outside-shell" for i in issues)
-
-    def test_overlapping_holes(self):
-        bad = Polygon(
-            [(0, 0), (20, 0), (20, 20), (0, 20)],
-            [
-                [(2, 2), (10, 2), (10, 10), (2, 10)],
-                [(5, 5), (15, 5), (15, 15), (5, 15)],
-            ],
-        )
-        issues = validity_report(bad)
-        assert any(i.code == "holes-overlap" for i in issues)
-
-    def test_multipolygon_overlapping_parts(self):
-        bad = MultiPolygon([Polygon.box(0, 0, 10, 10), Polygon.box(5, 5, 15, 15)])
-        issues = validity_report(bad)
-        assert any(i.code == "parts-overlap" for i in issues)
-
-    def test_multipolygon_valid(self):
-        good = MultiPolygon([Polygon.box(0, 0, 5, 5), Polygon.box(10, 10, 15, 15)])
-        assert validity_report(good) == []
-
-    def test_linestring(self):
-        assert validity_report(LineString([(0, 0), (5, 5)])) == []
-        crossing = LineString([(0, 0), (4, 4), (4, 0), (0, 4)])
-        issues = validity_report(crossing)
-        assert issues and issues[0].code == "line-self-intersection"
-
-    def test_unsupported_type(self):
-        with pytest.raises(TypeError):
-            validity_report("nope")
-
-    def test_issue_str(self):
-        bowtie = Polygon([(0, 0), (4, 4), (4, 0), (0, 4)])
-        text = str(validity_report(bowtie)[0])
-        assert "ring-self-intersection" in text

@@ -1,4 +1,4 @@
-"""Tests for GeoJSON IO and the road generator."""
+"""Tests for GeoJSON IO."""
 
 import json
 
@@ -13,8 +13,8 @@ from repro.datasets.geojson import (
     load_geojson,
     save_geojson,
 )
-from repro.datasets.synthetic import generate_roads
-from repro.geometry import Box, LineString, MultiPolygon, Polygon
+from repro.datasets.synthetic import generate_blobs
+from repro.geometry import Box, MultiPolygon, Polygon
 
 DONUT = Polygon([(0, 0), (10, 0), (10, 10), (0, 10)], [[(3, 3), (7, 3), (7, 7), (3, 7)]])
 
@@ -32,28 +32,27 @@ class TestGeoJson:
         back = geometry_from_geojson(geometry_to_geojson(multi))
         assert back == multi
 
-    def test_linestring_roundtrip(self):
-        line = LineString([(0, 0), (5, 5), (10, 0)])
-        back = geometry_from_geojson(geometry_to_geojson(line))
-        assert back == line
+    def test_lines_and_points_read_as_plain_tuples(self):
+        line = {"type": "LineString", "coordinates": [[0, 0], [5, 5], [10, 0]]}
+        assert geometry_from_geojson(line) == ((0.0, 0.0), (5.0, 5.0), (10.0, 0.0))
+        assert geometry_from_geojson({"type": "Point", "coordinates": [3, 4]}) == (3.0, 4.0)
 
-    def test_point_roundtrip(self):
-        back = geometry_from_geojson(geometry_to_geojson((3.0, 4.0)))
-        assert back == (3.0, 4.0)
+    @pytest.mark.parametrize("geometry", [((0.0, 0.0), (1.0, 1.0)), (3.0, 4.0)])
+    def test_only_polygons_are_written(self, geometry):
+        with pytest.raises(GeoJsonError, match="unsupported geometry tuple"):
+            geometry_to_geojson(geometry)
 
     def test_feature_collection_file_roundtrip(self, tmp_path):
         path = tmp_path / "data.geojson"
-        n = save_geojson(
-            path,
-            [Feature(DONUT, {"name": "donut"}), LineString([(0, 0), (1, 1)])],
-            indent=2,
-        )
+        multi = MultiPolygon([Polygon.box(0, 0, 2, 2), Polygon.box(5, 5, 7, 7)])
+        n = save_geojson(path, [Feature(DONUT, {"name": "donut"}), multi], indent=2)
         assert n == 2
         features = load_geojson(path)
         assert len(features) == 2
         assert features[0].geometry == DONUT
         assert features[0].properties == {"name": "donut"}
-        assert isinstance(features[1].geometry, LineString)
+        assert features[1].geometry == multi
+        assert features[1].properties == {}
 
     def test_load_bare_geometry_dict(self):
         features = load_geojson({"type": "Point", "coordinates": [1, 2]})
@@ -176,25 +175,34 @@ class TestNonFiniteCoordinates:
         assert len(open_dataset(index)) == len(self.CLEAN)
 
 
-class TestRoadGenerator:
-    def test_count_and_region(self):
-        rng = np.random.default_rng(5)
+class TestMixedFeatureFiles:
+    """LineString and Point features are read, then left out of the
+    dataset: a file that mixes them in joins like its polygons alone."""
+
+    LINE = {"type": "LineString", "coordinates": [[0, 0], [150, 120], [200, 40]]}
+    POINT = {"type": "Point", "coordinates": [60, 60]}
+
+    def test_join_rows_equal_the_polygon_only_subset(self, tmp_path):
+        from repro.store import Engine
+
+        rng = np.random.default_rng(17)
         region = Box(0, 0, 200, 200)
-        roads = generate_roads(rng, 25, region)
-        assert len(roads) == 25
-        for road in roads:
-            assert region.contains_box(road.bbox)
-            assert road.num_vertices >= 2
+        r = generate_blobs(rng, 12, region, (10, 40), (8, 30))
+        s = generate_blobs(rng, 12, region, (10, 40), (8, 30))
+        geometries = [geometry_to_geojson(g) for g in r]
+        for at, other in ((0, self.LINE), (4, self.POINT), (8, self.LINE)):
+            geometries.insert(at, other)
+        features = [{"type": "Feature", "geometry": g, "properties": {}} for g in geometries]
+        mixed = {"type": "FeatureCollection", "features": features}
+        (tmp_path / "r_mixed.geojson").write_text(json.dumps(mixed))
+        (tmp_path / "r.geojson").write_text(geojson_with(r))
+        (tmp_path / "s.geojson").write_text(geojson_with(s))
+        assert len(load_geojson(tmp_path / "r_mixed.geojson")) == len(r) + 3
 
-    def test_deterministic(self):
-        region = Box(0, 0, 100, 100)
-        a = generate_roads(np.random.default_rng(7), 10, region)
-        b = generate_roads(np.random.default_rng(7), 10, region)
-        assert a == b
+        def rows(r_file):
+            run = Engine().join(tmp_path / r_file, tmp_path / "s.geojson", grid_order=8)
+            return [(x.r_index, x.s_index, x.relation, x.filtered) for x in run.results]
 
-    def test_lengths_in_range(self):
-        rng = np.random.default_rng(9)
-        roads = generate_roads(rng, 20, Box(0, 0, 1000, 1000), length_range=(50, 100))
-        for road in roads:
-            # Clamping at the border can shorten but never lengthen.
-            assert road.length <= 100 + 1e-9
+        expected = rows("r.geojson")
+        assert len(expected) > 5
+        assert rows("r_mixed.geojson") == expected

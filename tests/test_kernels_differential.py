@@ -448,6 +448,18 @@ class TestEndToEndDifferential:
             assert verdict == intermediate_filter(case, r.april, s.april, connected), (i, j)
         assert {"overlaps", "inside"} <= set(calls)
 
+    @pytest.mark.parametrize("method", ["APRIL", "P+C"])
+    def test_filter_pair_mapped_equals_filter_pairs(self, scenario, method):
+        _, r_objects, s_objects, _ = scenario
+        # Every pair, not only the MBR join's: the MBR shortcuts decide
+        # some, the intermediate filter others, and some stay open.
+        pairs = [(i, j) for i in range(len(r_objects)) for j in range(len(s_objects))]
+        pipeline = PIPELINES[method]
+        batched = pipeline.filter_pairs(r_objects, s_objects, pairs)
+        assert batched == [pipeline.filter_pair(r_objects[i], s_objects[j]) for i, j in pairs]
+        assert {stage.value for _, stage in batched} == {"mbr", "if"}
+        assert {v.definite is None for v, _ in batched} == {True, False}
+
 
 # ----------------------------------------------------------------------
 # the API type boundary

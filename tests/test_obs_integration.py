@@ -86,7 +86,6 @@ class TestResultsUnchanged:
             "P+C", *run_args(scenario), workers=1
         ).results
         obs.enable_all()
-        obs.set_progress(False)  # keep test output clean
         for workers in (1, 2, 4):
             obs.reset_tracing()
             obs.reset_metrics()
@@ -100,7 +99,6 @@ class TestResultsUnchanged:
             T.INSIDE, *run_args(scenario), workers=1
         ).matches
         obs.enable_all()
-        obs.set_progress(False)
         run = run_relate_parallel(T.INSIDE, *run_args(scenario), workers=3)
         assert run.matches == baseline
 
