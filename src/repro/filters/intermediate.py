@@ -34,7 +34,6 @@ import numpy as np
 from repro.filters.mbr import MBRRelationship
 from repro.raster import kernels
 from repro.raster.april import AprilApproximation
-from repro.raster.compression import LazyAprilApproximation, block_decode
 from repro.topology.de9im import TopologicalRelation as T
 
 
@@ -220,13 +219,7 @@ def batch_c_overlaps(
     screened through one :func:`repro.raster.kernels.overlaps_batch`
     call — one probe versus many lists, instead of one Python-dispatched
     merge-join per pair.
-
-    Compressed (lazy) approximations are block-decoded up front — one
-    gathered varint pass per payload over exactly the objects this
-    batch touches — instead of decoding one object at a time on
-    property access.
     """
-    block_decode(a for pair in pairs for a in pair)
     out = np.zeros(len(pairs), dtype=bool)
     groups: dict[int, list[int]] = {}
     for k, (r, _) in enumerate(pairs):
@@ -242,48 +235,6 @@ def batch_c_overlaps(
     return out
 
 
-def _summary_screen(
-    case: MBRRelationship, r: LazyAprilApproximation, s: LazyAprilApproximation
-) -> IFResult | None:
-    """A zero-decode verdict from the compressed summary table, or None.
-
-    Both approximations are lazy (compressed) here, and ``case`` is one
-    of the cases whose filter opens with ``¬overlap(rC, sC) ⟹
-    disjoint``. Two families of pairs resolve without touching the
-    blob, each provably returning *exactly* the scalar filter's verdict:
-
-    - **disjoint by bounds** — an empty C list, or C cell ranges
-      ``[c_first, c_last)`` that do not even overlap, imply
-      ``¬overlap(rC, sC)``, which is the first branch of every
-      applicable filter;
-    - **contained by ALL** — for the ``R_INSIDE_S`` case, when s's P
-      list is one single interval (``FLAG_P_ALL``) and r's whole C
-      range sits inside it, then ``rC ⊑ sP`` holds by containment of
-      contiguous ranges, and with ``P ⊆ C`` every premise of
-      ``if_inside``'s definite-*inside* branch follows; mirrored for
-      ``R_CONTAINS_S`` → *contains*.
-    """
-    r_n, r_f, r_l = r.c_count, r.c_first, r.c_last
-    s_n, s_f, s_l = s.c_count, s.c_first, s.c_last
-    if r_n == 0 or s_n == 0 or r_l <= s_f or s_l <= r_f:
-        return _definite(T.DISJOINT)
-    if (
-        case is MBRRelationship.R_INSIDE_S
-        and s.p_count == 1
-        and s.p_first <= r_f
-        and r_l <= s.p_last
-    ):
-        return _definite(T.INSIDE)
-    if (
-        case is MBRRelationship.R_CONTAINS_S
-        and r.p_count == 1
-        and r.p_first <= s_f
-        and s_l <= r.p_last
-    ):
-        return _definite(T.CONTAINS)
-    return None
-
-
 def intermediate_filter_batch(items: Sequence[FilterItem]) -> list[IFResult]:
     """Evaluate many intermediate-filter inputs, batching the hot screen.
 
@@ -293,12 +244,6 @@ def intermediate_filter_batch(items: Sequence[FilterItem]) -> list[IFResult]:
     that screen — which resolves the bulk of a real candidate stream —
     is evaluated for the whole batch via :func:`batch_c_overlaps`, and
     only surviving pairs run the scalar decision tree.
-
-    Compressed payloads make the screen decode-aware: pairs whose
-    summary rows already prove a verdict (:func:`_summary_screen`) are
-    decided with *zero* decode work, and only the survivors'
-    interval lists are block-decoded (inside
-    :func:`batch_c_overlaps`) into the searchsorted kernels.
     """
     results: list[IFResult | None] = [None] * len(items)
     screened: list[int] = []
@@ -311,13 +256,6 @@ def intermediate_filter_batch(items: Sequence[FilterItem]) -> list[IFResult]:
             results[k] = if_equals(r, s)
         else:
             r.check_compatible(s)
-            if isinstance(r, LazyAprilApproximation) and isinstance(
-                s, LazyAprilApproximation
-            ):
-                verdict = _summary_screen(case, r, s)
-                if verdict is not None:
-                    results[k] = verdict
-                    continue
             screened.append(k)
     if screened:
         hits = batch_c_overlaps([(items[k][1], items[k][2]) for k in screened])

@@ -16,10 +16,7 @@ tested against these.
 """
 
 from repro.raster.april import AprilApproximation, build_april, build_april_many
-from repro.raster.compression import (
-    CompressedAprilPayload,
-    LazyAprilApproximation,
-)
+from repro.raster.compression import CompressedAprilPayload
 from repro.raster.grid import RasterGrid, pad_dataspace
 from repro.raster.hilbert import hilbert_d2xy, hilbert_xy2d, hilbert_xy2d_bulk
 from repro.raster.intervals import IntervalList
@@ -29,7 +26,6 @@ __all__ = [
     "AprilApproximation",
     "CompressedAprilPayload",
     "IntervalList",
-    "LazyAprilApproximation",
     "RasterGrid",
     "RasterizationError",
     "build_april",

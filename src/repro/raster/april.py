@@ -39,7 +39,7 @@ from repro.obs.metrics import get_registry, metrics_enabled
 from repro.obs.trace import trace
 from repro.raster import kernels
 from repro.raster.grid import RasterGrid
-from repro.raster.intervals import EMPTY_INTERVALS, IntervalList
+from repro.raster.intervals import EMPTY_INTERVALS, IntervalList, split_lists
 from repro.raster.rasterize import CellWindows, rasterize_batch
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -174,13 +174,8 @@ def _split_intervals(keys: np.ndarray, shift: int, count: int) -> list[IntervalL
     # An id is below 2**(shift - 1), so ``end`` never carries into the
     # window bits.
     mask = (1 << shift) - 1
-    starts = first & mask
-    ends = end & mask
-    bounds = np.searchsorted(first >> shift, np.arange(count + 1)).tolist()
-    return [
-        IntervalList._from_arrays(starts[a:b], ends[a:b]) if b > a else EMPTY_INTERVALS
-        for a, b in zip(bounds, bounds[1:])
-    ]
+    offsets = np.searchsorted(first >> shift, np.arange(count + 1))
+    return split_lists(first & mask, end & mask, offsets)
 
 
 __all__ = [

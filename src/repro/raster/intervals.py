@@ -156,4 +156,54 @@ class IntervalList:
 #: Shared empty list (e.g. the P list of a thin polygon with no full cells).
 EMPTY_INTERVALS = IntervalList()
 
-__all__ = ["EMPTY_INTERVALS", "IntervalList"]
+
+def check_lists(
+    starts: np.ndarray, ends: np.ndarray, offsets: np.ndarray, num_cells: int
+) -> None:
+    """Raise ``ValueError`` unless ``offsets`` cut the flat ``starts`` /
+    ``ends`` arrays into valid interval lists of ids below ``num_cells``.
+
+    Valid means: the offsets run monotone from 0 to the array size,
+    every interval is non-empty, each list is sorted and disjoint, and
+    every id lies in ``[0, num_cells)``. Stored bytes pass this before
+    :func:`split_lists` trusts them. It also rejects a delta stream
+    whose running sum wrapped past int64: a grid has at most ``2**32``
+    cells, so a wrapped end is either negative, below its own start or
+    below the previous end.
+    """
+    offsets = np.asarray(offsets)
+    if (
+        offsets.size == 0
+        or int(offsets[0]) != 0
+        or int(offsets[-1]) != starts.size
+        or starts.size != ends.size
+        or (np.diff(offsets) < 0).any()
+    ):
+        raise ValueError("list offsets do not span the interval arrays")
+    if starts.size == 0:
+        return
+    if (starts >= ends).any():
+        raise ValueError("empty or inverted interval")
+    follows = starts[1:] >= ends[:-1]
+    heads = offsets[1:-1]
+    # The first interval of a list need not follow the last of the one before.
+    follows[heads[(heads > 0) & (heads < starts.size)] - 1] = True
+    if not follows.all():
+        raise ValueError("interval list is not sorted and disjoint")
+    if int(starts.min()) < 0 or int(ends.max()) > num_cells:
+        raise ValueError(f"cell ids beyond the grid's {num_cells} cells")
+
+
+def split_lists(
+    starts: np.ndarray, ends: np.ndarray, offsets: np.ndarray
+) -> list[IntervalList]:
+    """One list per ``offsets[k]:offsets[k + 1]`` slice of the flat
+    arrays, as views (an empty slice is :data:`EMPTY_INTERVALS`)."""
+    bounds = np.asarray(offsets).tolist()
+    return [
+        IntervalList._from_arrays(starts[a:b], ends[a:b]) if b > a else EMPTY_INTERVALS
+        for a, b in zip(bounds, bounds[1:])
+    ]
+
+
+__all__ = ["EMPTY_INTERVALS", "IntervalList", "check_lists", "split_lists"]

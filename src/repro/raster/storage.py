@@ -7,25 +7,27 @@ Two layouts exist on disk; one is written:
 
 - ``varint`` (version 2, what :func:`save_approximations` writes): the
   dataset-level delta+varint blob of :class:`repro.raster.compression
-  .CompressedAprilPayload` — one contiguous byte buffer plus the
-  per-object offset/summary table, checksummed with CRC-32. Loading
-  builds the payload and returns *lazy* approximations that decode
-  per object on first touch, so a warm join reads a fraction of the
-  plain bytes.
+  .CompressedAprilPayload` — one contiguous byte buffer plus per-object
+  byte sizes, checksummed with CRC-32.
 - ``raw`` (version 1, the pre-PR-7 layout): per-object interval arrays
-  concatenated with offset indexes, loaded eagerly. Read-only: the
-  product has no writer for it (tests build theirs with
-  ``tests/oracles/storage.py``), and indexes that hold it keep opening
-  and joining unchanged.
+  concatenated with offset indexes. Read-only: the product has no
+  writer for it (tests build theirs with ``tests/oracles/storage.py``),
+  and indexes that hold it keep opening and joining unchanged.
+
+Either layout decodes in one pass, at load, into plain
+:class:`~repro.raster.april.AprilApproximation` objects: the form a
+fresh build has, so cold and warm joins run the same code.
 
 Every load is validated: a payload with an unknown format version, a
 missing array, a torn/truncated archive, a blob failing its checksum,
-a checksummed stream whose deltas overflow int64 or leave the grid's
-``4**order`` cell ids, or — when the caller states the grid it is about
-to join on — a mismatched grid raises a typed :class:`StoreError`
-instead of silently yielding approximations that would compare garbage
-intervals. Callers that can rebuild pass ``on_error="rebuild"`` to get
-``None`` back instead of the exception.
+interval lists that are empty, unsorted, overlapping, overflow int64
+or leave the grid's ``4**order`` cell ids
+(:func:`repro.raster.intervals.check_lists`, for both layouts), or —
+when the caller states the grid it is about to join on — a mismatched
+grid raises a typed :class:`StoreError` instead of silently yielding
+approximations that would compare garbage intervals. Callers that can
+rebuild pass ``on_error="rebuild"`` to get ``None`` back instead of the
+exception.
 
 Writes are crash-safe: the payload is serialised in memory and lands
 via :func:`repro.resilience.atomic.atomic_writer`, so a process killed
@@ -34,11 +36,9 @@ mid-persist leaves either the previous complete payload or none at all
 exactly the pre-atomic failure (a truncated archive at the final path)
 for chaos tests.
 
-Loads and decodes are auditable: ``repro_payload_stored_bytes_total``
-counts the on-disk bytes read per codec, and
-``repro_payload_decoded_bytes_total`` (incremented by the payload as
-objects decode — at load time for the eager raw layout) counts the
-plain bytes materialised from them.
+Loads are auditable: ``repro_payload_stored_bytes_total`` counts the
+on-disk bytes read per codec, and ``repro_payload_decoded_bytes_total``
+the plain bytes decoded from them.
 """
 
 from __future__ import annotations
@@ -58,12 +58,11 @@ from repro.obs.metrics import get_registry, metrics_enabled
 from repro.raster.april import AprilApproximation
 from repro.raster.compression import (
     CompressedAprilPayload,
-    LazyAprilApproximation,
     varint_decode,
     varint_encode,
 )
 from repro.raster.grid import RasterGrid
-from repro.raster.intervals import IntervalList
+from repro.raster.intervals import check_lists, split_lists
 from repro.resilience.atomic import atomic_write_bytes
 from repro.resilience.failpoints import should_fire
 
@@ -89,10 +88,16 @@ class StoreError(ValueError):
     """
 
 
-def _observe_payload_bytes(kind: str, nbytes: int, codec: str) -> None:
-    if metrics_enabled() and nbytes:
-        get_registry().inc(
-            f"repro_payload_{kind}_bytes_total", value=int(nbytes), codec=codec
+def _observe_payload_bytes(path: Path, codec: str, approximations: list) -> None:
+    if metrics_enabled():
+        registry = get_registry()
+        registry.inc(
+            "repro_payload_stored_bytes_total", value=path.stat().st_size, codec=codec
+        )
+        registry.inc(
+            "repro_payload_decoded_bytes_total",
+            value=sum(a.nbytes for a in approximations),
+            codec=codec,
         )
 
 
@@ -113,18 +118,14 @@ def save_approximations(
             raise ValueError("nothing to save: empty approximation sequence")
         for a in approximations[1:]:
             a.check_compatible(approximations[0])
-        compressed = _shared_payload(approximations)
-        if compressed is None:
-            compressed = CompressedAprilPayload.from_approximations(approximations)
+        compressed = CompressedAprilPayload.from_approximations(approximations)
     grid = compressed.grid
     ds = grid.dataspace
     # The stored form is deliberately minimal: the varint blob under
     # an outer LZMA filter, per-object byte sizes as a second varint
-    # stream, and a CRC over the *uncompressed* blob. The summary
-    # table is derivable, so it is rebuilt at load time
-    # (CompressedAprilPayload.from_blob) instead of stored. Members
-    # are already entropy-coded, hence plain ``savez`` — zlib-ing
-    # them again would only burn CPU.
+    # stream, and a CRC over the *uncompressed* blob. Members are
+    # already entropy-coded, hence plain ``savez`` — zlib-ing them
+    # again would only burn CPU.
     blob_bytes = compressed.blob.tobytes()
     buffer = io.BytesIO()
     np.savez(
@@ -151,29 +152,6 @@ def save_approximations(
     atomic_write_bytes(path, payload)
 
 
-def _shared_payload(approximations: Sequence) -> CompressedAprilPayload | None:
-    """The payload behind a full, in-order lazy list — else ``None``.
-
-    Re-persisting approximations that were loaded compressed must not
-    decode and re-encode the whole dataset; a list that is exactly
-    ``payload.approximations()`` reuses the payload's arrays directly.
-    """
-    first = approximations[0]
-    if not isinstance(first, LazyAprilApproximation):
-        return None
-    payload = first.payload
-    if len(approximations) != len(payload):
-        return None
-    for k, a in enumerate(approximations):
-        if (
-            not isinstance(a, LazyAprilApproximation)
-            or a.payload is not payload
-            or a.index != k
-        ):
-            return None
-    return payload
-
-
 def load_approximations(
     path: str | Path,
     expected_grid: RasterGrid | None = None,
@@ -181,10 +159,8 @@ def load_approximations(
 ) -> list[AprilApproximation] | None:
     """Read approximations written by :func:`save_approximations`.
 
-    Both payload layouts load transparently: version-1 (raw) files
-    yield eager approximations, version-2 (varint) files yield lazy
-    ones backed by a shared :class:`CompressedAprilPayload` — callers
-    see a list of duck-type-compatible objects either way.
+    Both payload layouts load transparently into the same plain
+    approximations, decoded and checked in one pass.
 
     When ``expected_grid`` is given, the payload's recorded grid must
     be compatible with it (same order and dataspace) or a
@@ -249,15 +225,10 @@ def _read_payload(
                     f"{expected_grid.order} over {expected_grid.dataspace}"
                 )
             if version == _RAW_VERSION:
-                approximations = _read_raw(path, data, grid)
-                _observe_payload_bytes("stored", path.stat().st_size, "raw")
-                # The raw layout materialises every plain byte at load.
-                _observe_payload_bytes(
-                    "decoded", sum(a.nbytes for a in approximations), "raw"
-                )
-                return approximations
-            approximations = _read_compressed(path, data, grid)
-            _observe_payload_bytes("stored", path.stat().st_size, "varint")
+                codec, approximations = "raw", _read_raw(data, grid)
+            else:
+                codec, approximations = "varint", _read_compressed(path, data, grid)
+            _observe_payload_bytes(path, codec, approximations)
             return approximations
         except StoreError:
             raise
@@ -265,27 +236,22 @@ def _read_payload(
             raise StoreError(f"{path}: corrupt approximation file: missing {exc}") from exc
         except (zipfile.BadZipFile, zlib.error, OSError, EOFError, ValueError) as exc:
             # Member decompression of a torn archive fails lazily, while
-            # the arrays are being read — not at np.load time.
+            # the arrays are being read — not at np.load time; a list
+            # check failing lands here too.
             raise StoreError(f"{path}: corrupt approximation file: {exc}") from exc
 
 
-def _read_raw(path: Path, data, grid: RasterGrid) -> list[AprilApproximation]:
-    def unpack(prefix: str) -> list[IntervalList]:
+def _read_raw(data, grid: RasterGrid) -> list[AprilApproximation]:
+    lists = {}
+    for prefix in ("p", "c"):
         offsets = data[f"{prefix}_offsets"]
-        starts = data[f"{prefix}_starts"]
-        ends = data[f"{prefix}_ends"]
-        lists = []
-        for k in range(offsets.size - 1):
-            lo, hi = int(offsets[k]), int(offsets[k + 1])
-            lists.append(IntervalList._from_arrays(starts[lo:hi].copy(), ends[lo:hi].copy()))
-        return lists
-
-    p_lists = unpack("p")
-    c_lists = unpack("c")
-    if len(p_lists) != len(c_lists):
-        raise StoreError(f"{path}: corrupt approximation file: P/C counts differ")
+        starts, ends = data[f"{prefix}_starts"], data[f"{prefix}_ends"]
+        check_lists(starts, ends, offsets, grid.num_cells)
+        lists[prefix] = split_lists(starts, ends, offsets)
+    if len(lists["p"]) != len(lists["c"]):
+        raise ValueError("P/C counts differ")
     return [
-        AprilApproximation(grid=grid, p=p, c=c) for p, c in zip(p_lists, c_lists)
+        AprilApproximation(grid=grid, p=p, c=c) for p, c in zip(lists["p"], lists["c"])
     ]
 
 
@@ -309,15 +275,9 @@ def _read_compressed(path: Path, data, grid: RasterGrid) -> list:
         sizes = varint_decode(np.ascontiguousarray(data["sizes"], dtype=np.uint8))
         offsets = np.zeros(sizes.size + 1, dtype=np.int64)
         np.cumsum(sizes, out=offsets[1:])
-        payload = CompressedAprilPayload.from_blob(grid, blob, offsets)
-        if max(int(payload.p_last.max()), int(payload.c_last.max())) > grid.num_cells:
-            raise ValueError(
-                f"cell ids beyond the order-{grid.order} grid's "
-                f"{grid.num_cells} cells"
-            )
+        return CompressedAprilPayload(grid, blob, offsets).to_approximations()
     except ValueError as exc:
         raise StoreError(f"{path}: corrupt approximation file: {exc}") from exc
-    return payload.approximations()
 
 
 __all__ = [

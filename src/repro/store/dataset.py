@@ -86,7 +86,6 @@ from repro.geometry.polygon import Polygon
 from repro.geometry.wkt import dumps_wkt, loads_wkt_geometry
 from repro.obs.metrics import get_registry, metrics_enabled
 from repro.obs.trace import trace
-from repro.raster.compression import CompressedAprilPayload
 from repro.raster.grid import RasterGrid, pad_dataspace
 from repro.raster.storage import (
     PAYLOAD_CODEC,
@@ -373,18 +372,12 @@ class SpatialDataset:
             grid, workers, partition_timeout, max_retries
         )
         if payload is not None:
-            # Encode once, persist the encoded payload, and serve the
-            # same lazy form a warm load would — so cold and warm joins
-            # run the identical decode-aware path. The fresh decoded
-            # objects seed the payload's cache; no decode work is thrown
-            # away.
+            # Persist, and serve the lists just built: a warm load
+            # decodes to the same plain form, so cold and warm joins
+            # run the same path.
             payload.parent.mkdir(parents=True, exist_ok=True)
-            compressed = CompressedAprilPayload.from_approximations(aprils)
-            for k, approx in enumerate(aprils):
-                compressed._insert(k, approx)
-            save_approximations(payload, compressed)
+            save_approximations(payload, aprils)
             self._register_payload(grid, payload)
-            return compressed.approximations()
         return aprils
 
     def payload_stats(self, grid: RasterGrid) -> dict | None:

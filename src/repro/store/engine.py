@@ -22,8 +22,8 @@ The engine memoises the expensive intermediates in bounded LRU caches:
   zero rasterisation;
 - **candidate pairs** — the plane-sweep MBR join per dataset pair.
 
-A dataset's identity in the last two (and in the decoded-payload
-cache) is ``SpatialDataset.columns_sha256``, the SHA-256 of its
+A dataset's identity in the last two is
+``SpatialDataset.columns_sha256``, the SHA-256 of its
 ``geometries.bin`` image: verified in an index's manifest, hashed once
 over the columns of a parsed file or an in-memory list. A ``.wkt`` file
 is read straight into those columns, so a cold join builds a
@@ -57,7 +57,6 @@ from repro.join.objects import SpatialObject
 from repro.join.pipeline import PIPELINES, verify_relate
 from repro.join.run import JoinResult, JoinRun
 from repro.obs.trace import trace
-from repro.raster.compression import LazyAprilApproximation
 from repro.raster.grid import RasterGrid, pad_dataspace
 from repro.store.dataset import (
     MANIFEST_NAME,
@@ -73,14 +72,10 @@ from repro.topology.de9im import TopologicalRelation
 MODES = ("auto", "serial", "batch", "parallel")
 
 #: LRU capacities of every engine (tests monkeypatch them): datasets,
-#: object sets and pair sets, and approximation lists.
+#: object sets and pair sets.
 MAX_DATASETS = 8
 MAX_OBJECT_SETS = 16
 MAX_PAIR_SETS = 32
-MAX_PAYLOAD_SETS = 16
-#: Decoded-object budget of each compressed payload the engine opens;
-#: ``None`` keeps the payload's own default.
-MAX_DECODED_PAYLOAD_BYTES: int | None = None
 
 
 class _LRU:
@@ -135,7 +130,6 @@ class Engine:
         self._datasets = _LRU(MAX_DATASETS, "dataset")
         self._objects = _LRU(MAX_OBJECT_SETS, "objects")
         self._pairs = _LRU(MAX_PAIR_SETS, "pairs")
-        self._payloads = _LRU(MAX_PAYLOAD_SETS, "payload")
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -148,9 +142,9 @@ class Engine:
     def close(self) -> None:
         """Release the engine's warm state deterministically.
 
-        Drains every LRU (datasets, object sets, pair sets, decoded
-        payloads) so their memory — decoded APRIL blobs in
-        particular — is reclaimable now rather than at interpreter
+        Drains every LRU (datasets, object sets, pair sets) so their
+        memory — the objects' APRIL lists in particular — is
+        reclaimable now rather than at interpreter
         teardown, and marks the engine closed: further :meth:`join` /
         :meth:`execute` / :meth:`dataset` calls raise
         :class:`RuntimeError`. Idempotent, so shutdown paths
@@ -277,47 +271,15 @@ class Engine:
             ]
             self._objects.put(key, objects)
         if with_april and objects and objects[0].april is None:
-            aprils = self._approximations(
-                dataset, grid, workers, partition_timeout, max_retries
-            )
-            for obj, approx in zip(objects, aprils):
-                obj.april = approx
-        return objects
-
-    def _approximations(
-        self,
-        dataset: SpatialDataset,
-        grid: RasterGrid,
-        workers,
-        partition_timeout: float | None,
-        max_retries: int | None,
-    ):
-        """The dataset's approximation list for ``grid``, LRU-cached.
-
-        Compressed payloads carry their own bounded decoded-object
-        cache, so keeping the *list* alive across object-set rebuilds
-        is what lets repeated warm joins amortise decode work instead
-        of re-reading and re-decoding the blob every time. The entry is
-        keyed like the object set (``columns_sha256`` + grid identity);
-        a mutated dataset therefore misses and reloads.
-        """
-        key = (dataset.columns_sha256, _grid_identity(grid))
-        aprils = self._payloads.get(key)
-        if aprils is None:
             aprils = dataset.approximations(
                 grid,
                 workers=workers,
                 partition_timeout=partition_timeout,
                 max_retries=max_retries,
             )
-            if (
-                MAX_DECODED_PAYLOAD_BYTES is not None
-                and aprils
-                and isinstance(aprils[0], LazyAprilApproximation)
-            ):
-                aprils[0].payload.max_decoded_bytes = MAX_DECODED_PAYLOAD_BYTES
-            self._payloads.put(key, aprils)
-        return aprils
+            for obj, approx in zip(objects, aprils):
+                obj.april = approx
+        return objects
 
     def pairs(self, r: SpatialDataset, s: SpatialDataset) -> list[tuple[int, int]]:
         """The MBR filter step for the dataset pair, cached and sorted."""
@@ -333,11 +295,10 @@ class Engine:
         return pairs
 
     def clear(self) -> None:
-        """Drop every cached dataset, object set, pair set, payload."""
+        """Drop every cached dataset, object set and pair set."""
         self._datasets.clear()
         self._objects.clear()
         self._pairs.clear()
-        self._payloads.clear()
 
     # ------------------------------------------------------------------
     # auto mode + selectivity

@@ -76,4 +76,4 @@ def decode_one(payload: CompressedAprilPayload, index: int) -> AprilApproximatio
     c, pos = decode_intervals(data, pos)
     if pos != len(data):
         raise ValueError(f"payload object {index}: trailing bytes after decode")
-    return payload._validated(index, p, c)
+    return AprilApproximation(grid=payload.grid, p=p, c=c)

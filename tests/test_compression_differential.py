@@ -18,13 +18,10 @@ import numpy as np
 import pytest
 
 from repro.geometry import Box
-from repro.raster import RasterGrid, build_april
+from repro.raster import RasterGrid
 from repro.raster.april import AprilApproximation
 from repro.raster.compression import (
     CompressedAprilPayload,
-    FLAG_P_ALL,
-    FLAG_PARTIAL,
-    block_decode,
     varint_decode,
     varint_encode,
     varint_sizes,
@@ -35,9 +32,10 @@ from repro.raster.storage import StoreError, load_approximations, save_approxima
 from tests.oracles import compression as oracle
 
 N_LISTS = 10_000
-#: The codec is grid-agnostic int64; it must survive cell ids far past
-#: any real grid's range without varint overflow.
-MAX_CELL = (1 << 62) - 1
+#: The top id of the order-16 grid the lists decode on: the largest
+#: grid, so the largest ids a payload holds. The varint kernels are
+#: tested past it, up to ``2**62``.
+MAX_CELL = 4**16 - 1
 
 
 # ----------------------------------------------------------------------
@@ -54,7 +52,7 @@ def random_list(rng: np.random.Generator) -> IntervalList:
         cells = rng.integers(0, 80, size=int(rng.integers(1, 40)))
         return IntervalList.from_cells(cells)
     if kind == 3:  # sparse wide-range singletons
-        cells = rng.integers(0, 1 << 40, size=int(rng.integers(0, 12)))
+        cells = rng.integers(0, MAX_CELL, size=int(rng.integers(0, 12)))
         return IntervalList.from_cells(cells)
     if kind == 4:  # max-cell-id extreme: intervals touching the top
         start = MAX_CELL - int(rng.integers(1, 1000))
@@ -73,19 +71,6 @@ def random_list(rng: np.random.Generator) -> IntervalList:
 def lists():
     rng = np.random.default_rng(0x5EED)
     return [random_list(rng) for _ in range(N_LISTS)]
-
-
-@pytest.fixture(scope="module")
-def real_approximations():
-    """Real APRIL builds (P inside C, P avoiding the boundary)."""
-    rng = np.random.default_rng(7)
-    grid = RasterGrid(Box(0, 0, 100, 100), order=7)
-    out = []
-    from repro.datasets.synthetic import generate_blobs
-
-    for poly in generate_blobs(rng, 60, Box(5, 5, 95, 95), (3, 25), (6, 24)):
-        out.append(build_april(poly, grid))
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -157,7 +142,7 @@ class TestIntervalCodecDifferential:
 
     def test_roundtrips_agree(self, lists):
         payload = CompressedAprilPayload.from_approximations(self._objects(lists))
-        fast = payload.decode_block(range(len(lists)))
+        fast = payload.to_approximations()
         for k, il in enumerate(lists):
             ref = oracle.decode_one(payload, k)
             assert fast[k].p == ref.p == il
@@ -176,11 +161,11 @@ class TestIntervalCodecDifferential:
             assert ref == il
             _, pos = oracle.decode_intervals(stream, pos)
             positions.append(pos)
-        payload = CompressedAprilPayload.from_blob(
+        payload = CompressedAprilPayload(
             self.GRID, np.frombuffer(stream, dtype=np.uint8), np.array(positions)
         )
         assert len(payload) == 500
-        for il, fast in zip(lists[:500], payload.decode_block(range(500))):
+        for il, fast in zip(lists[:500], payload.to_approximations()):
             assert fast.p == il
 
 
@@ -213,84 +198,21 @@ class TestPayloadDifferential:
     def test_block_decode_roundtrips(self, lists):
         objects = self._payload_pairs(lists)
         payload = CompressedAprilPayload.from_approximations(objects)
-        order = np.random.default_rng(5).permutation(len(objects))
-        decoded = payload.decode_block(order.tolist())
-        for k, a in zip(order.tolist(), decoded):
-            assert a.p == objects[k].p
-            assert a.c == objects[k].c
+        stored = CompressedAprilPayload(payload.grid, payload.blob, payload.offsets)
+        decoded = stored.to_approximations()
+        assert len(decoded) == len(objects)
+        for a, b in zip(decoded, objects):
+            assert a.p == b.p
+            assert a.c == b.c
 
     def test_reference_decode_matches(self, lists):
         objects = self._payload_pairs(lists)
         payload = CompressedAprilPayload.from_approximations(objects)
         ref_decoded = [oracle.decode_one(payload, k) for k in range(len(objects))]
-        fast_decoded = payload.decode_block(range(len(objects)))
+        fast_decoded = payload.to_approximations()
         for ref, fast in zip(ref_decoded, fast_decoded):
             assert ref.p == fast.p
             assert ref.c == fast.c
-
-    def test_from_blob_rebuilds_summary(self, lists):
-        objects = self._payload_pairs(lists)
-        payload = CompressedAprilPayload.from_approximations(objects)
-        rebuilt = CompressedAprilPayload.from_blob(
-            payload.grid, payload.blob, payload.offsets
-        )
-        for name in ("p_count", "c_count", "p_cells", "c_cells",
-                     "p_first", "p_last", "c_first", "c_last", "flags"):
-            assert (getattr(rebuilt, name) == getattr(payload, name)).all(), name
-
-    def test_summary_table_values(self, real_approximations):
-        payload = CompressedAprilPayload.from_approximations(real_approximations)
-        for k, a in enumerate(real_approximations):
-            assert int(payload.p_count[k]) == len(a.p)
-            assert int(payload.c_count[k]) == len(a.c)
-            if len(a.p):
-                assert int(payload.p_first[k]) == int(a.p.starts[0])
-                assert int(payload.p_last[k]) == int(a.p.ends[-1])
-                assert int(payload.p_cells[k]) == int((a.p.ends - a.p.starts).sum())
-            if len(a.c):
-                assert int(payload.c_first[k]) == int(a.c.starts[0])
-                assert int(payload.c_last[k]) == int(a.c.ends[-1])
-                assert int(payload.c_cells[k]) == int((a.c.ends - a.c.starts).sum())
-            assert bool(payload.flags[k] & FLAG_P_ALL) == (len(a.p) == 1)
-            assert bool(payload.flags[k] & FLAG_PARTIAL) == (
-                int((a.c.ends - a.c.starts).sum()) > int((a.p.ends - a.p.starts).sum())
-            )
-
-    def test_lazy_screens_match_eager_filter(self, real_approximations):
-        """Decode-aware screens never change a filter verdict."""
-        from repro.filters.intermediate import intermediate_filter_batch
-        from repro.filters.mbr import MBRRelationship
-
-        payload = CompressedAprilPayload.from_approximations(real_approximations)
-        lazy = payload.approximations()
-        n = len(real_approximations)
-        cases = (
-            (MBRRelationship.OVERLAP, False),
-            (MBRRelationship.R_INSIDE_S, True),
-            (MBRRelationship.R_CONTAINS_S, True),
-            (MBRRelationship.CROSS, False),
-            (MBRRelationship.EQUAL, False),
-        )
-        items_eager, items_lazy = [], []
-        for i in range(n):
-            for j in range(n):
-                case, connected = cases[(i * n + j) % len(cases)]
-                items_eager.append(
-                    (case, real_approximations[i], real_approximations[j], connected)
-                )
-                items_lazy.append((case, lazy[i], lazy[j], connected))
-        assert intermediate_filter_batch(items_lazy) == intermediate_filter_batch(
-            items_eager
-        )
-
-    def test_block_decode_helper(self, real_approximations):
-        payload = CompressedAprilPayload.from_approximations(real_approximations)
-        lazy = payload.approximations()
-        block_decode(lazy)
-        for a, eager in zip(lazy, real_approximations):
-            assert payload.is_decoded(a.index)
-            assert a.p == eager.p
-            assert a.c == eager.c
 
 
 # ----------------------------------------------------------------------
@@ -314,27 +236,17 @@ class TestOverflowRejected:
             oracle.decode_intervals(self.STREAM.tobytes())
 
     def test_from_blob_rejects_before_any_decode(self):
+        # The wrapped end falls below its own start, which the list
+        # check every decode passes refuses.
         offsets = np.array([0, self.STREAM.size], dtype=np.int64)
-        with pytest.raises(ValueError, match="overflow"):
-            CompressedAprilPayload.from_blob(
-                self.GRID, self.STREAM, offsets
-            ).decode_block([0])
+        with pytest.raises(ValueError, match="inverted"):
+            CompressedAprilPayload(self.GRID, self.STREAM, offsets).to_approximations()
 
     def _saved(self, path, values):
-        """A well-formed, CRC-valid ``.npz`` around a hand-made stream
-        (the summary is not persisted, so zeros will do)."""
+        """A well-formed, CRC-valid ``.npz`` around a hand-made stream."""
         blob = varint_encode(np.asarray(values, dtype=np.int64))
-        zeros = np.zeros(1, dtype=np.int64)
-        summary = dict.fromkeys(
-            ("p_count", "c_count", "p_cells", "c_cells",
-             "p_first", "p_last", "c_first", "c_last"), zeros,
-        )
-        summary["flags"] = np.zeros(1, dtype=np.uint8)
         save_approximations(
-            path,
-            CompressedAprilPayload(
-                self.GRID, blob, np.array([0, blob.size]), summary
-            ),
+            path, CompressedAprilPayload(self.GRID, blob, np.array([0, blob.size]))
         )
         return path
 
@@ -342,7 +254,7 @@ class TestOverflowRejected:
         path = self._saved(
             tmp_path / "wrapped.npz", [2, 1 << 62, 1 << 62, 1 << 62, 1 << 62, 0]
         )
-        with pytest.raises(StoreError, match="overflow"):
+        with pytest.raises(StoreError, match="inverted"):
             load_approximations(path, on_error="raise")
         assert load_approximations(path, on_error="rebuild") is None
 

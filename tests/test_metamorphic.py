@@ -5,13 +5,16 @@ input whose effect on the rows is known without an oracle.
 - the grid order moves how many pairs are refined, never a row;
 - scaling every polygon by a power of two about the origin is exact in
   floating point, so it leaves every relation unchanged;
+- so is translating coordinates snapped to multiples of ``2**-30`` by
+  whole numbers small enough that no sum needs more than 53 bits;
 - index directories (the store and its payload codec) answer the rows
-  of the in-memory datasets they were built from.
+  of the in-memory datasets they were built from, for find-relation
+  and relate_p joins alike.
 
 The inputs are the engine suite's fixture (a tessellation and blobs,
 seed 21) and the catalog's ``TC`` x ``TZ`` at scale 0.2. The grid-order
-sweep runs on the fixture only: at order 12 the ``TC`` x ``TZ`` build
-alone takes several seconds.
+sweep and the translation run on the fixture only: at order 12 the
+``TC`` x ``TZ`` build alone takes several seconds.
 """
 
 import numpy as np
@@ -20,8 +23,9 @@ import pytest
 from repro.datasets import load_dataset
 from repro.datasets.io import save_wkt_file
 from repro.datasets.synthetic import generate_blobs, generate_tessellation
-from repro.geometry import Box
+from repro.geometry import Box, Polygon
 from repro.store import Engine, build_dataset
+from repro.topology.de9im import TopologicalRelation as T
 
 GRID_ORDER = 7
 
@@ -82,13 +86,45 @@ def test_power_of_two_scaling_keeps_rows(engine, inputs, factor):
     assert _rows(scaled) == _rows(base)
 
 
-def test_index_directories_answer_the_in_memory_rows(engine, inputs, tmp_path):
-    r, s = inputs
-    for name, polygons in (("r", r), ("s", s)):
-        save_wkt_file(tmp_path / f"{name}.wkt", polygons)
+def _snapped(polygon):
+    """``polygon`` with every coordinate rounded to a multiple of 2**-30."""
+
+    def snap(ring):
+        return [(round(x * 2**30) / 2**30, round(y * 2**30) / 2**30) for x, y in ring.coords]
+
+    return Polygon(snap(polygon.shell), [snap(hole) for hole in polygon.holes])
+
+
+def test_exact_translation_keeps_rows(engine):
+    r, s = ([_snapped(p) for p in side] for side in _fixture())
+    base = engine.join(r, s, grid_order=GRID_ORDER)
+    moved = engine.join(
+        [p.translated(1536, -2048) for p in r],
+        [p.translated(1536, -2048) for p in s],
+        grid_order=GRID_ORDER,
+    )
+    assert base.results
+    assert _rows(moved) == _rows(base)
+
+
+@pytest.mark.parametrize("predicate", [None, T.INSIDE], ids=["find", "inside"])
+def test_index_directories_answer_the_in_memory_rows(engine, inputs, tmp_path, predicate):
+    polygons = dict(zip("rs", inputs))
+    for name in "rs":
+        save_wkt_file(tmp_path / f"{name}.wkt", polygons[name])
         build_dataset(tmp_path / f"{name}.wkt", tmp_path / f"{name}_idx")
-    expected = _rows(engine.join(r, s, grid_order=GRID_ORDER))
-    # The cold join persists the payloads; a fresh engine decodes them.
-    for join_engine in (Engine(), Engine()):
-        run = join_engine.join(tmp_path / "r_idx", tmp_path / "s_idx", grid_order=GRID_ORDER)
-        assert _rows(run) == expected
+    # Both directions: every inside row of these inputs is an s in an r.
+    found = 0
+    for a, b in ("rs", "sr"):
+        expected = _rows(
+            engine.join(polygons[a], polygons[b], grid_order=GRID_ORDER, predicate=predicate)
+        )
+        found += len(expected)
+        # The cold join persists the payloads; a fresh engine decodes them.
+        for join_engine in (Engine(), Engine()):
+            run = join_engine.join(
+                tmp_path / f"{a}_idx", tmp_path / f"{b}_idx",
+                grid_order=GRID_ORDER, predicate=predicate,
+            )
+            assert _rows(run) == expected
+    assert found

@@ -2,8 +2,9 @@
 
 Each list is stored as one object of a :class:`CompressedAprilPayload`
 (its P stream; C is the same list) and read back through
-``decode_block`` or a payload rebuilt by ``from_blob``. The bytes are
-held to the scalar oracle's streams (``tests/oracles/compression.py``).
+``to_approximations`` of a payload rebuilt from its blob and offsets.
+The bytes are held to the scalar oracle's streams
+(``tests/oracles/compression.py``).
 """
 
 import numpy as np
@@ -19,7 +20,7 @@ from repro.raster.intervals import IntervalList
 
 from tests.oracles import compression as oracle
 
-#: The codec is grid-agnostic: ids past this grid's range must survive.
+#: The largest grid: ids up to its ``2**32`` cells must survive.
 LIST_GRID = RasterGrid(Box(0, 0, 1, 1), order=16)
 
 
@@ -31,13 +32,13 @@ def encode(*lists: IntervalList) -> CompressedAprilPayload:
 
 
 def roundtrip(*lists: IntervalList) -> list[IntervalList]:
-    """The lists back from the bytes alone: ``from_blob``, then one decode."""
+    """The lists back from the bytes alone, in one decode."""
     payload = encode(*lists)
     assert payload.blob.tobytes() == b"".join(
         oracle.encode_intervals(il) * 2 for il in lists
     )
-    rebuilt = CompressedAprilPayload.from_blob(LIST_GRID, payload.blob, payload.offsets)
-    decoded = rebuilt.decode_block(range(len(lists)))
+    rebuilt = CompressedAprilPayload(LIST_GRID, payload.blob, payload.offsets)
+    decoded = rebuilt.to_approximations()
     for a in decoded:
         assert a.p == a.c
     return [a.p for a in decoded]
@@ -65,9 +66,9 @@ class TestCodec:
         payload = encode(IntervalList([(5, 9)]))
         blob = payload.blob[:-1]
         with pytest.raises(ValueError):
-            CompressedAprilPayload.from_blob(
+            CompressedAprilPayload(
                 LIST_GRID, blob, np.array([0, blob.size])
-            ).decode_block([0])
+            ).to_approximations()
 
     @given(st.sets(st.integers(0, 5000), max_size=60))
     @settings(max_examples=120)
@@ -76,7 +77,7 @@ class TestCodec:
         assert roundtrip(il) == [il]
 
     def test_large_ids_no_overflow(self):
-        il = IntervalList([(2**40, 2**40 + 17)])
+        il = IntervalList([(2**32 - 17, 2**32)])
         assert roundtrip(il) == [il]
 
 
@@ -89,7 +90,7 @@ class TestApproximationCodec:
         assert payload.blob.tobytes() == (
             oracle.encode_intervals(approx.p) + oracle.encode_intervals(approx.c)
         )
-        (back,) = payload.decode_block([0])
+        (back,) = payload.to_approximations()
         assert back.p == approx.p and back.c == approx.c
 
     def test_compression_beats_plain_storage(self):
@@ -102,10 +103,7 @@ class TestApproximationCodec:
         polys = [Polygon.box(i, i, i + 5, i + 5) for i in range(0, 40, 7)]
         approx = [build_april(p, self.GRID) for p in polys]
         payload = CompressedAprilPayload.from_approximations(approx)
-        rebuilt = CompressedAprilPayload.from_blob(
-            self.GRID, payload.blob, payload.offsets
-        )
-        for k, a in enumerate(approx):
-            back = rebuilt.decode(k)
+        rebuilt = CompressedAprilPayload(self.GRID, payload.blob, payload.offsets)
+        for a, back in zip(approx, rebuilt.to_approximations(), strict=True):
             assert back.p == a.p and back.c == a.c
         assert int(rebuilt.offsets[-1]) == rebuilt.blob.size

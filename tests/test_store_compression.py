@@ -15,8 +15,8 @@ contract:
 - no layer takes a codec any more;
 - a corrupted compressed blob is detected (checksum/decompress error)
   and repaired by the PR 5 ``on_error="rebuild"`` path;
-- the engine's payload LRU and the payload's bounded decoded cache
-  keep warm joins cheap without unbounded memory;
+- a raw payload whose lists are corrupt is refused (or rebuilt) by the
+  same list check the varint layout passes;
 - the payload file round-trips its lists and refuses mixed or
   mismatched grids.
 """
@@ -36,7 +36,6 @@ from repro.datasets.io import save_wkt_file
 from repro.geometry import Box, Polygon
 from repro.obs.metrics import get_registry, reset_metrics, set_metrics
 from repro.raster import RasterGrid, build_april
-from repro.raster.compression import CompressedAprilPayload
 from repro.raster.storage import (
     StoreError,
     load_approximations,
@@ -44,7 +43,6 @@ from repro.raster.storage import (
     save_approximations,
 )
 from repro.store import Engine, SpatialDataset, build_dataset, open_dataset
-from repro.store import engine as engine_module
 
 from tests.oracles.storage import save_raw_approximations
 
@@ -279,53 +277,52 @@ class TestCorruptionRepair:
         assert load_approximations(payload_file) is not None
 
 
-class TestEngineCaches:
-    def test_payload_lru_survives_object_set_rebuild(self, tmp_path, wkt_files, metrics):
-        r_file, s_file = wkt_files
-        r_idx, s_idx = _build_pair(tmp_path, r_file, s_file, "varint")
-        engine = Engine()
-        first = engine.join(r_idx, s_idx, grid_order=10)
-        hits_before = counter(
-            'repro_store_cache_total{cache="payload",outcome="hit"}'
-        )
-        # Evicting the object sets is the case the payload LRU exists
-        # for: the rebuilt objects reattach the cached (already decoded)
-        # approximation lists instead of re-reading the blobs.
-        engine._objects.clear()
-        second = engine.join(r_idx, s_idx, grid_order=10)
-        hits_after = counter(
-            'repro_store_cache_total{cache="payload",outcome="hit"}'
-        )
-        assert hits_after > hits_before
-        rows = lambda run: [
-            (l.r_index, l.s_index, l.relation, l.filtered) for l in run.results
-        ]
-        assert rows(first) == rows(second)
+class TestRawListsChecked:
+    """The raw (version-1) reader runs the list check the varint layout
+    passes: offsets spanning the arrays, non-empty, sorted and disjoint
+    intervals, ids on the grid."""
 
-    def test_decoded_cache_bound_is_enforced(self, tmp_path, wkt_files):
-        r_file, _ = wkt_files
-        dataset = build_dataset(r_file, tmp_path / "idx", grid_order=10)
-        aprils = dataset.approximations(dataset.grid(10))
-        payload = aprils[0].payload
-        # Re-load with a bound smaller than the full plain form.
-        bound = payload.plain_nbytes // 4
-        small = CompressedAprilPayload.from_blob(
-            payload.grid, payload.blob, payload.offsets, max_decoded_bytes=bound
-        )
-        small.decode_block(range(len(small)))
-        assert small._decoded_nbytes <= bound or len(small._decoded) == 1
-        assert len(small._decoded) < len(small)
+    GRID = RasterGrid(Box(0, 0, 64, 64), order=4)  # 256 cells
 
-    def test_engine_override_reaches_payload(self, tmp_path, wkt_files, monkeypatch):
-        r_file, s_file = wkt_files
-        r_idx, s_idx = _build_pair(tmp_path, r_file, s_file, "varint")
-        monkeypatch.setattr(engine_module, "MAX_DECODED_PAYLOAD_BYTES", 4096)
-        engine = Engine()
-        engine.join(r_idx, s_idx, grid_order=10)
-        cached = [v for v in engine._payloads._data.values()]
-        assert cached
-        for aprils in cached:
-            assert aprils[0].payload.max_decoded_bytes == 4096
+    def _saved(self, path, starts, ends, offsets):
+        """A version-1 payload whose C arrays are the given ones (P empty)."""
+        ds = self.GRID.dataspace
+        empty = np.empty(0, dtype=np.int64)
+        np.savez(
+            path,
+            version=np.int64(1),
+            grid_order=np.int64(self.GRID.order),
+            dataspace=np.array([ds.xmin, ds.ymin, ds.xmax, ds.ymax]),
+            p_offsets=np.zeros(len(offsets), dtype=np.int64),
+            p_starts=empty,
+            p_ends=empty,
+            c_offsets=np.array(offsets, dtype=np.int64),
+            c_starts=np.array(starts, dtype=np.int64),
+            c_ends=np.array(ends, dtype=np.int64),
+        )
+        return path
+
+    @pytest.mark.parametrize(
+        "starts, ends, offsets",
+        [
+            ([9], [3], [0, 1]),
+            ([10**6], [10**6 + 1], [0, 1]),
+            ([5, 1], [7, 3], [0, 2]),
+            ([1, 5], [3, 7], [0, 1]),
+        ],
+        ids=["inverted", "beyond-grid", "unsorted", "offsets-short"],
+    )
+    def test_corrupt_lists_raise_or_rebuild(self, tmp_path, starts, ends, offsets):
+        path = self._saved(tmp_path / "raw.npz", starts, ends, offsets)
+        with pytest.raises(StoreError, match="corrupt approximation file"):
+            load_approximations(path)
+        assert load_approximations(path, on_error="rebuild") is None
+
+    def test_valid_lists_load(self, tmp_path):
+        path = self._saved(tmp_path / "raw.npz", [1, 5], [3, 256], [0, 2])
+        (only,) = load_approximations(path)
+        assert list(only.c) == [(1, 3), (5, 256)]
+        assert len(only.p) == 0
 
 
 class TestStorage:
