@@ -280,10 +280,10 @@ def cmd_join(args: argparse.Namespace) -> int:
         r_objects = s_objects = None
         if args.explain_sample:
             # Explain narrates the APRIL-based filters: fetch the cached
-            # object sets with approximations attached.
+            # object sets with approximations attached to the linked ones.
             grid = engine.join_grid(rd, sd, args.grid_order)
-            r_objects = engine.objects(rd, grid)
-            s_objects = engine.objects(sd, grid)
+            r_objects = engine.objects(rd, grid, ids={link.r_index for link in run.results})
+            s_objects = engine.objects(sd, grid, ids={link.s_index for link in run.results})
         extra = {"links": len(run.results)}
         _emit_obs(args, run, r_objects, s_objects, extra)
     return 0

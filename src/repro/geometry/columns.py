@@ -110,6 +110,23 @@ class GeometryColumns:
             multi=self.multi[start:stop],
         )
 
+    def take(self, ids) -> "GeometryColumns":
+        """Geometries ``ids`` (any order, repeats allowed) gathered into
+        new columns, offsets rebased: equal to the columns of
+        ``[geometries[i] for i in ids]``."""
+        ids = np.asarray(ids, dtype=_I8)
+        parts, geom_offsets = _gather(self.geom_offsets, ids)
+        rings, part_offsets = _gather(self.part_offsets, parts)
+        vertices, ring_offsets = _gather(self.ring_offsets, rings)
+        return GeometryColumns(
+            coords=self.coords[vertices],
+            ring_offsets=ring_offsets,
+            part_offsets=part_offsets,
+            geom_offsets=geom_offsets,
+            boxes=self.boxes[ids],
+            multi=self.multi[ids],
+        )
+
     # ------------------------------------------------------------------
     # what the join asks of every geometry — none of it builds one
     # ------------------------------------------------------------------
@@ -196,6 +213,25 @@ class GeometryColumns:
             boxes=boxes.reshape(-1, 4),
             multi=multi,
         )
+
+
+def ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``starts[k], ..., starts[k] + counts[k] - 1`` for every ``k``, end
+    to end."""
+    counts = np.asarray(counts, dtype=_I8)
+    total = int(counts.sum())
+    ends = np.cumsum(counts)
+    return np.arange(total, dtype=_I8) + np.repeat(np.asarray(starts, dtype=_I8) - (ends - counts), counts)
+
+
+def _gather(offsets: np.ndarray, chosen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The children of the ``chosen`` entries of an offset table, end to
+    end, and the rebased offset table over them."""
+    starts = offsets[chosen]
+    counts = offsets[chosen + 1] - starts
+    rebased = np.zeros(len(chosen) + 1, dtype=_I8)
+    np.cumsum(counts, out=rebased[1:])
+    return ranges(starts, counts), rebased
 
 
 __all__ = ["GeometryColumns"]

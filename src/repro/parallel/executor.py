@@ -29,14 +29,12 @@ including pool startup — the number speedup claims should be made from.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.resilience.failpoints import maybe_fail_worker
-from repro.resilience.supervisor import SupervisionReport, supervised_map
 
 from repro.join.objects import SpatialObject
 from repro.join.pipeline import (
@@ -60,6 +58,9 @@ from repro.obs import (
 from repro.parallel.chunking import chunk_pairs
 from repro.topology.de9im import TopologicalRelation
 
+if TYPE_CHECKING:
+    from repro.resilience.supervisor import SupervisionReport
+
 
 def default_workers() -> int:
     """Default degree of parallelism: up to four cores."""
@@ -80,7 +81,12 @@ def resolve_workers(workers: int | None) -> int:
 
 
 def fork_available() -> bool:
-    """Whether the copy-on-write ``fork`` start method exists here."""
+    """Whether the copy-on-write ``fork`` start method exists here.
+
+    Imported here, not at module level: only a fan-out asks, and a
+    serial join must not load ``multiprocessing``."""
+    import multiprocessing
+
     return "fork" in multiprocessing.get_all_start_methods()
 
 
@@ -158,6 +164,8 @@ def _fan_out(
         with trace(span, **attrs, workers=1, partitions=1):
             verified = [verify(subject, r_objects, s_objects, pairs)]
     else:
+        from repro.resilience.supervisor import supervised_map
+
         parts = chunk_pairs(pairs, workers)
 
         def verify_part(part_index: int, fallback: bool = False) -> Verified:

@@ -31,7 +31,6 @@ from repro.obs.trace import trace
 from repro.raster.april import AprilApproximation, build_april_many, observe_april_metrics
 from repro.raster.grid import RasterGrid
 from repro.resilience.failpoints import maybe_fail_worker
-from repro.resilience.supervisor import supervised_map
 from repro.parallel.chunking import chunk_pairs
 from repro.parallel.executor import default_workers, fork_available
 
@@ -61,6 +60,8 @@ def build_april_parallel(
         or not fork_available()
     ):
         return build_april_many(columns, grid)
+
+    from repro.resilience.supervisor import supervised_map
 
     chunks = [columns[c[0] : c[-1] + 1] for c in chunk_pairs(range(len(columns)), workers)]
 

@@ -28,6 +28,7 @@ Every recovery action is surfaced through :mod:`repro.obs` as
 failpoint catalogue and the degradation matrix.
 """
 
+from repro._lazy import lazy_exports
 from repro.resilience.atomic import atomic_write_bytes, atomic_write_text, atomic_writer
 from repro.resilience.failpoints import (
     KNOWN_SITES,
@@ -42,13 +43,21 @@ from repro.resilience.failpoints import (
     should_fire,
 )
 from repro.resilience.quarantine import QuarantinedRow, QuarantineReport
-from repro.resilience.supervisor import (
-    DEFAULT_MAX_RETRIES,
-    DEFAULT_PARTITION_TIMEOUT,
-    SupervisionReport,
-    supervised_map,
-)
-from repro.resilience.worker import SupervisedWorker, WorkerDied, WorkerError
+
+#: The fork machinery resolves on first read (PEP 562): a serial join
+#: never forks, so it must not wait for ``multiprocessing``, ``socket``,
+#: ``subprocess`` and ``selectors`` to load.
+_LAZY = {
+    **dict.fromkeys(
+        ("DEFAULT_MAX_RETRIES", "DEFAULT_PARTITION_TIMEOUT", "SupervisionReport",
+         "supervised_map"),
+        "repro.resilience.supervisor",
+    ),
+    **dict.fromkeys(
+        ("SupervisedWorker", "WorkerDied", "WorkerError"), "repro.resilience.worker"
+    ),
+}
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY)
 
 __all__ = [
     "DEFAULT_MAX_RETRIES",

@@ -334,15 +334,21 @@ class SpatialDataset:
     def approximations(
         self,
         grid: RasterGrid,
+        ids: Sequence[int] | None = None,
         workers: int | None = 1,
         on_error: str = "rebuild",
         partition_timeout: float | None = None,
         max_retries: int | None = None,
     ) -> list:
-        """APRIL lists for every geometry on ``grid`` — loaded from the
-        index when a valid payload exists, built (and, for persistent
-        datasets, written back) otherwise; ``partition_timeout`` /
-        ``max_retries`` bound the supervised build fan-out.
+        """APRIL lists on ``grid`` for the geometries ``ids`` (default:
+        every one), in ``ids`` order — loaded from the index when a
+        valid payload exists, built (and, for persistent datasets,
+        written back) otherwise; ``partition_timeout`` / ``max_retries``
+        bound the supervised build fan-out.
+
+        An index's payload is whole-dataset: it is loaded, or built for
+        every geometry and persisted, whatever ``ids`` asks for. An
+        in-memory dataset rasterises only ``ids``.
 
         A payload that exists but cannot be used — torn by a crashed
         writer, built on a different grid, or counting a different
@@ -353,7 +359,27 @@ class SpatialDataset:
         if on_error not in ("raise", "rebuild"):
             raise ValueError(f"on_error must be 'raise' or 'rebuild', got {on_error!r}")
         payload = self.approximation_path(grid)
-        if payload is not None and payload.exists():
+        if payload is None:
+            return self._build_approximations(
+                grid, ids, workers, partition_timeout, max_retries
+            )
+        aprils = self._payload_approximations(
+            grid, payload, workers, on_error, partition_timeout, max_retries
+        )
+        return aprils if ids is None else [aprils[i] for i in ids]
+
+    def _payload_approximations(
+        self,
+        grid: RasterGrid,
+        payload: Path,
+        workers: int | None,
+        on_error: str,
+        partition_timeout: float | None,
+        max_retries: int | None,
+    ) -> list:
+        """Every geometry's lists from the index's payload for ``grid``,
+        which is built and persisted first when missing or unusable."""
+        if payload.exists():
             aprils = load_approximations(payload, expected_grid=grid, on_error=on_error)
             if aprils is not None and len(aprils) == len(self.geometries):
                 _observe_cache("april_payload", "hit")
@@ -366,18 +392,16 @@ class SpatialDataset:
             # Unusable payload (torn archive, foreign grid, stale count):
             # rebuild from the geometries and overwrite it below.
             _observe_rebuild("april_payload")
-        if payload is not None:
-            _observe_cache("april_payload", "miss")
+        _observe_cache("april_payload", "miss")
         aprils = self._build_approximations(
-            grid, workers, partition_timeout, max_retries
+            grid, None, workers, partition_timeout, max_retries
         )
-        if payload is not None:
-            # Persist, and serve the lists just built: a warm load
-            # decodes to the same plain form, so cold and warm joins
-            # run the same path.
-            payload.parent.mkdir(parents=True, exist_ok=True)
-            save_approximations(payload, aprils)
-            self._register_payload(grid, payload)
+        # Persist, and serve the lists just built: a warm load decodes
+        # to the same plain form, so cold and warm joins run the same
+        # path.
+        payload.parent.mkdir(parents=True, exist_ok=True)
+        save_approximations(payload, aprils)
+        self._register_payload(grid, payload)
         return aprils
 
     def payload_stats(self, grid: RasterGrid) -> dict | None:
@@ -413,16 +437,18 @@ class SpatialDataset:
     def _build_approximations(
         self,
         grid: RasterGrid,
+        ids: Sequence[int] | None,
         workers: int | None,
         partition_timeout: float | None,
         max_retries: int | None,
     ) -> list:
         from repro.parallel import build_april_parallel
 
+        columns = self.columns if ids is None else self.columns.take(ids)
         t0 = time.perf_counter()
-        with trace("store_build_april", count=len(self), grid_order=grid.order):
+        with trace("store_build_april", count=len(columns), grid_order=grid.order):
             aprils = build_april_parallel(
-                self.columns,
+                columns,
                 grid,
                 workers=workers,
                 partition_timeout=partition_timeout,

@@ -29,6 +29,19 @@ over the columns of a parsed file or an in-memory list. A ``.wkt`` file
 is read straight into those columns, so a cold join builds a
 ``Polygon`` only for a pair that reaches refinement.
 
+APRIL is built on demand, as the paper computes it after the MBR
+filter. For a dataset without an index directory (a ``.wkt``/
+``.geojson`` file or a polygon list), :meth:`Engine.join` rasterises
+only the distinct objects of its candidate pairs, :meth:`Engine.select`
+only its window's objects and :meth:`Engine.explain` only its two; the
+object set keeps what was built, so a later query on the same grid
+builds only the objects still missing. An index directory loads its
+whole-dataset payload, or builds one for every object and persists it.
+
+A serial join imports no fork machinery: ``multiprocessing`` and the
+supervised workers (:mod:`repro.resilience.supervisor`,
+:mod:`repro.resilience.worker`) load only when a join forks a pool.
+
 Cache traffic is observable through the metrics registry
 (``repro_store_cache_total{cache,outcome}``,
 ``repro_store_build_seconds{what}``), and the warm-path proof counter
@@ -47,7 +60,7 @@ import atexit
 import time
 from collections import OrderedDict
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -245,6 +258,7 @@ class Engine:
         dataset: SpatialDataset,
         grid: RasterGrid,
         *,
+        ids: Iterable[int] | None = None,
         with_april: bool = True,
         workers: int | None = 1,
         partition_timeout: float | None = None,
@@ -258,6 +272,12 @@ class Engine:
         persistent payload when one exists — the warm path that skips
         rasterisation entirely. ``partition_timeout``/``max_retries``
         bound the supervised build fan-out of a cold one.
+
+        ``ids`` names the objects that need approximations (default:
+        every one). An index directory loads or builds its whole
+        payload regardless; any other dataset rasterises just the
+        named objects that have none yet, so the cached list may hold
+        approximations for some objects only.
         """
         key = (dataset.columns_sha256, _grid_identity(grid))
         objects = self._objects.get(key)
@@ -270,15 +290,21 @@ class Engine:
                 )
             ]
             self._objects.put(key, objects)
-        if with_april and objects and objects[0].april is None:
+        if not with_april:
+            return objects
+        if ids is None or dataset.path is not None:
+            ids = range(len(objects))
+        missing = [i for i in ids if objects[i].april is None]
+        if missing:
             aprils = dataset.approximations(
                 grid,
+                None if len(missing) == len(objects) else missing,
                 workers=workers,
                 partition_timeout=partition_timeout,
                 max_retries=max_retries,
             )
-            for obj, approx in zip(objects, aprils):
-                obj.april = approx
+            for i, approx in zip(missing, aprils):
+                objects[i].april = approx
         return objects
 
     def pairs(self, r: SpatialDataset, s: SpatialDataset) -> list[tuple[int, int]]:
@@ -413,12 +439,13 @@ class Engine:
                 self.objects(
                     dataset,
                     grid,
+                    ids=sorted({pair[side] for pair in pairs}),
                     with_april=needs_april,
                     workers=workers,
                     partition_timeout=partition_timeout,
                     max_retries=max_retries,
                 )
-                for dataset in (rd, sd)
+                for side, dataset in enumerate((rd, sd))
             )
             run = self._execute(
                 method,
@@ -550,18 +577,18 @@ class Engine:
         start = time.perf_counter()
         with trace("topology_select", predicate=predicate.value):
             grid = dataset.grid(grid_order)
-            objects = self.objects(dataset, grid)
             box = query.bbox
             xmin, ymin, xmax, ymax = dataset.columns.boxes.T
             window = (
                 (xmin <= box.xmax) & (box.xmin <= xmax)
                 & (ymin <= box.ymax) & (box.ymin <= ymax)
             )
+            inside = np.flatnonzero(window).tolist()
             verified = verify_relate(
                 predicate,
-                objects,
+                self.objects(dataset, grid, ids=inside),
                 [SpatialObject.from_polygon(0, query, grid)],
-                [(i, 0) for i in np.flatnonzero(window).tolist()],
+                [(i, 0) for i in inside],
             )
         matches = verified.rows
         if predicate is TopologicalRelation.DISJOINT:
@@ -592,8 +619,8 @@ class Engine:
         if not (0 <= j < len(sd)):
             raise IndexError(f"s index {j} out of range for {len(sd)} geometries")
         grid = self.join_grid(rd, sd, grid_order)
-        r_objects = self.objects(rd, grid)
-        s_objects = self.objects(sd, grid)
+        r_objects = self.objects(rd, grid, ids=[i])
+        s_objects = self.objects(sd, grid, ids=[j])
         return explain_pair(r_objects[i], s_objects[j])
 
 

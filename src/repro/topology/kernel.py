@@ -87,7 +87,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from repro.geometry.columns import GeometryColumns
+from repro.geometry.columns import GeometryColumns, ranges as _ranges
 from repro.geometry.segment import (
     _ORIENT_EPS,
     _orientation_exact,
@@ -295,8 +295,9 @@ def _classify_side(
     edge, mx, my = free_midpoints(edges, contacts, side, keep)
     # An edge cut at a nearly parallel crossing runs closer to the other
     # boundary than a float midpoint can resolve: it is classified exactly.
-    shaky = np.unique((contacts.r if side == "r" else contacts.s)[contacts.exact])
-    sure = ~np.isin(edge, shaky)
+    shaky = np.zeros(len(edges.owner), dtype=bool)
+    shaky[(contacts.r if side == "r" else contacts.s)[contacts.exact]] = True
+    sure = ~shaky[edge]
     edge, mx, my = edge[sure], mx[sure], my[sure]
     owner = edges.owner[edge]
     box = other.columns.boxes[other_idx[owner]]
@@ -304,7 +305,7 @@ def _classify_side(
     inside = np.zeros(len(mx), dtype=bool)
     inside[in_box] = slab_parity(other.columns, other_idx[owner[in_box]], mx[in_box], my[in_box])
     any_in, any_out = _any(owner[inside], n), outside | _any(owner[~inside], n)
-    for e in shaky.tolist():
+    for e in np.flatnonzero(shaky).tolist():
         k = int(edges.owner[e])
         theirs = EdgeArrays.of_geometries(other.columns, other_idx[k : k + 1])
         ends = (edges.ax[e], edges.ay[e]), (edges.bx[e], edges.by[e])
@@ -738,15 +739,6 @@ def _locate_in_rings(columns: GeometryColumns, ring: np.ndarray, px, py) -> np.n
 # ----------------------------------------------------------------------
 # segmented-array helpers
 # ----------------------------------------------------------------------
-def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """``starts[k], ..., starts[k] + counts[k] - 1`` for every ``k``, end
-    to end."""
-    counts = np.asarray(counts, dtype=_I8)
-    total = int(counts.sum())
-    ends = np.cumsum(counts)
-    return np.arange(total, dtype=_I8) + np.repeat(np.asarray(starts, dtype=_I8) - (ends - counts), counts)
-
-
 def _chunks(costs: np.ndarray) -> Iterator[slice]:
     """Consecutive runs of items whose costs sum to at most
     :data:`_BUDGET` (an item costing more forms a run alone)."""

@@ -1,9 +1,10 @@
 """The import budget: a process loads only what its command runs.
 
 ``import repro`` and a ``join`` over index directories — profiled or
-not — must not pull in the HTTP daemon, the dashboard or
-tracemalloc: a fresh-process join waits for every module
-it imports. Each check runs
+not — must not pull in the HTTP daemon, the dashboard,
+tracemalloc or ``numpy.ma``; a serial join — over files or index
+directories — must not pull in the fork machinery either: a
+fresh-process join waits for every module it imports. Each check runs
 in a child interpreter so this suite's own imports cannot mask an eager
 one.
 """
@@ -25,7 +26,13 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 #: What a join over index directories has no use for.
 NOT_FOR_A_JOIN = (
     "repro.serve", "repro.obs.dashboard",
-    "http.server", "urllib.request", "tracemalloc",
+    "http.server", "urllib.request", "tracemalloc", "numpy.ma",
+)
+
+#: What only a forked fan-out runs: a serial join loads none of it.
+FORK_MACHINERY = (
+    "multiprocessing", "socket", "subprocess", "selectors",
+    "repro.resilience.supervisor", "repro.resilience.worker",
 )
 
 
@@ -67,6 +74,28 @@ def test_join_over_indexes_stays_within_the_budget(tmp_path):
     loaded = set(json.loads(modules))
     assert not loaded.intersection(NOT_FOR_A_JOIN)
     assert {"repro.store.columns", "repro.join.pipeline"} <= loaded
+
+
+@pytest.mark.parametrize("inputs", ["files", "indexes"])
+def test_a_serial_join_loads_no_fork_machinery(tmp_path, inputs):
+    save_wkt_file(tmp_path / "r.wkt", [Polygon.box(k, 0, k + 1.5, 1.5) for k in range(6)])
+    save_wkt_file(tmp_path / "s.wkt", [Polygon.box(k + 0.5, 0.5, k + 2, 2) for k in range(6)])
+    if inputs == "files":
+        r, s = tmp_path / "r.wkt", tmp_path / "s.wkt"
+    else:
+        r, s = (build_dataset(tmp_path / f"{name}.wkt", tmp_path / f"{name}_idx").path
+                for name in ("r", "s"))
+    out = child(
+        "import json, sys\n"
+        "from repro.__main__ import main\n"
+        "assert main(['join', sys.argv[1], sys.argv[2], '--grid-order', '8']) == 0\n"
+        "print(json.dumps(sorted(sys.modules)))\n",
+        str(r), str(s),
+    )
+    *rows, modules = out.strip().splitlines()
+    assert len(rows) > 0
+    loaded = set(json.loads(modules))
+    assert not loaded.intersection(FORK_MACHINERY + NOT_FOR_A_JOIN)
 
 
 def test_every_public_name_still_resolves():

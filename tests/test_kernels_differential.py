@@ -326,7 +326,9 @@ class TestHilbertDifferential:
         assert np.array_equal(fast, ref)
         assert fast.tolist() == scalar
 
-    @pytest.mark.parametrize("order", (8, 10, 13, 16))
+    # Every order past the exhaustive ones, so every split of the order
+    # into a head and six-bit table steps is exercised.
+    @pytest.mark.parametrize("order", range(7, 17))
     def test_random_large_orders(self, order):
         rng = np.random.default_rng(order)
         xs = rng.integers(0, 1 << order, size=4000)

@@ -113,6 +113,17 @@ def test_save_open_equals_wkt_parse(geoms):
     assert opened.geometries.materialised == list(range(len(parsed)))
 
 
+@given(st.lists(geometries(), min_size=1, max_size=6), st.data())
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_take_equals_the_columns_of_the_chosen_geometries(geoms, data):
+    # What an on-demand APRIL build rasterises: any ids, any order, repeats.
+    ids = data.draw(st.lists(st.integers(0, len(geoms) - 1), max_size=8))
+    columns = GeometryColumns.from_geometries(geoms)
+    taken = columns.take(ids)
+    assert taken.to_bytes() == GeometryColumns.from_geometries([geoms[i] for i in ids]).to_bytes()
+    assert GeometryColumns.from_bytes(taken.to_bytes()).counts() == taken.counts()
+
+
 def test_columns_bytes_round_trip_and_size():
     geoms = [
         Polygon.box(0, 0, 4, 4),
