@@ -8,7 +8,8 @@
   merge-join sequences over APRIL P/C lists that either prove the most
   specific topological relation or narrow the refinement candidates.
 - :mod:`repro.filters.relate_filters` — the predicate-specific
-  ``relate_p`` filters of Sec. 3.3 / Fig. 6.
+  ``relate_p`` filters of Sec. 3.3 / Fig. 6, one decision tree per
+  predicate over the per-pair bits of :mod:`repro.filters.pair_bits`.
 """
 
 from repro.filters.intermediate import (

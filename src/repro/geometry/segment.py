@@ -14,7 +14,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # pragma: no cover
+    from fractions import Fraction
 
 # Shewchuk-style static error bound for the 2x2 orientation determinant.
 # If |det| exceeds _ORIENT_EPS times the magnitude of the partial products,
@@ -60,6 +63,8 @@ def _sign(value: float) -> int:
 
 
 def _orientation_exact(p: Coord, q: Coord, r: Coord) -> int:
+    from fractions import Fraction  # only an exact fallback needs it
+
     px, py = Fraction(p[0]), Fraction(p[1])
     qx, qy = Fraction(q[0]), Fraction(q[1])
     rx, ry = Fraction(r[0]), Fraction(r[1])
@@ -179,6 +184,8 @@ def exact_crossing_t(a1: Coord, a2: Coord, b1: Coord, b2: Coord) -> Fraction:
     """Where ``b1-b2`` crosses ``a1-a2``, as the exact parameter along
     ``a``: for nearly parallel segments whose exact orientations say
     they cross while the float determinant of their directions is 0."""
+    from fractions import Fraction
+
     a1x, a1y, a2x, a2y, b1x, b1y, b2x, b2y = map(Fraction, (*a1, *a2, *b1, *b2))
     dbx, dby = b2x - b1x, b2y - b1y
     denom = (a2x - a1x) * dby - (a2y - a1y) * dbx

@@ -31,6 +31,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
+import numpy as np
+
 from repro.filters.intermediate import (
     IFResult,
     batch_c_overlaps,
@@ -38,7 +40,7 @@ from repro.filters.intermediate import (
     intermediate_filter_batch,
 )
 from repro.filters.mbr import MBRRelationship, classify_mbr_pair, mbr_candidates_for
-from repro.filters.relate_filters import RelateVerdict, relate_filter
+from repro.filters.relate_filters import CODES, RelateVerdict, relate_verdicts
 from repro.join.objects import SpatialObject, relate_objects
 from repro.join.stats import JoinRunStats
 from repro.obs.metrics import get_registry, metrics_enabled
@@ -454,17 +456,8 @@ def run_find_relation(
 # ----------------------------------------------------------------------
 # relate_p (Sec. 3.3)
 # ----------------------------------------------------------------------
-def _relate_filter_pair(
-    predicate: T, r: SpatialObject, s: SpatialObject
-) -> RelateVerdict:
-    return relate_filter(
-        predicate,
-        r.box,
-        s.box,
-        r.require_april(),
-        s.require_april(),
-        r.is_connected and s.is_connected,
-    )
+_YES = CODES[RelateVerdict.YES]
+_UNKNOWN = CODES[RelateVerdict.UNKNOWN]
 
 
 def _refine_predicates(
@@ -489,10 +482,11 @@ def _refine_predicate(predicate: T, r: SpatialObject, s: SpatialObject) -> bool:
 def relate_predicate(
     predicate: T, r: SpatialObject, s: SpatialObject
 ) -> tuple[bool, Stage]:
-    """Does ``predicate`` hold for the pair? (Fig. 6 filter + fallback.)"""
-    verdict = _relate_filter_pair(predicate, r, s)
-    if verdict is not RelateVerdict.UNKNOWN:
-        return verdict is RelateVerdict.YES, Stage.INTERMEDIATE
+    """Does ``predicate`` hold for the pair? (Fig. 6 filter + fallback;
+    the batch of one of :func:`verify_relate`'s filter.)"""
+    code = relate_verdicts(predicate, [r], [s], [(0, 0)])[0]
+    if code != _UNKNOWN:
+        return bool(code == _YES), Stage.INTERMEDIATE
     with _phase("refine"):
         return _refine_predicate(predicate, r, s), Stage.REFINEMENT
 
@@ -503,8 +497,9 @@ def verify_relate(
     s_objects: Sequence[SpatialObject],
     pairs: Sequence[tuple[int, int]],
 ) -> Verified:
-    """``relate_p`` over one partition: Fig. 6 filters, then one batched
-    refinement of the pairs they leave undecided.
+    """``relate_p`` over one partition: the predicate's Fig. 6 tree over
+    the whole partition (:func:`~repro.filters.relate_filters.decide`),
+    then one batched refinement of the pairs it leaves undecided.
 
     The one relate_p verification loop, shared by the same callers as
     :func:`verify_find_relation`. ``filter_seconds`` is the time inside
@@ -514,38 +509,33 @@ def verify_relate(
     inst = _Instruments(f"relate[{predicate.value}]", r_objects, s_objects, len(pairs))
     stats, registry = inst.stats, inst.registry
     with inst.filtering():
-        verdicts = [
-            _relate_filter_pair(predicate, r_objects[i], s_objects[j]) for i, j in pairs
-        ]
-    holds: list[bool] = [False] * len(pairs)
-    undecided: list[int] = []
-    for k, verdict in enumerate(verdicts):
-        if verdict is RelateVerdict.UNKNOWN:
-            undecided.append(k)
-        else:
-            holds[k] = verdict is RelateVerdict.YES
-    if undecided:
-        refined = [pairs[k] for k in undecided]
-        answers = inst.refine(
+        codes = relate_verdicts(predicate, r_objects, s_objects, pairs)
+    holds = codes == _YES
+    undecided = np.flatnonzero(codes == _UNKNOWN)
+    if undecided.size:
+        refined = [pairs[k] for k in undecided.tolist()]
+        holds[undecided] = inst.refine(
             refined, _refine_predicates, predicate, r_objects, s_objects, refined
         )
-        for k, answer in zip(undecided, answers):
-            holds[k] = answer
     stats.pairs += len(pairs)
-    stats.refined += len(undecided)
-    stats.resolved_if += len(pairs) - len(undecided)
-    matches: list[tuple[int, int]] = []
-    for k, (i, j) in enumerate(pairs):
-        if holds[k]:
-            stats.relation_counts[predicate] += 1
-            matches.append((i, j))
-        if registry is not None:
-            registry.inc(
-                "repro_relate_verdicts_total",
-                predicate=predicate.value,
-                stage="if" if verdicts[k] is not RelateVerdict.UNKNOWN else "refinement",
-                verdict="yes" if holds[k] else "no",
-            )
+    stats.refined += int(undecided.size)
+    stats.resolved_if += len(pairs) - int(undecided.size)
+    matches = [tuple(pairs[k]) for k in np.flatnonzero(holds).tolist()]
+    if matches:
+        stats.relation_counts[predicate] += len(matches)
+    if registry is not None:
+        refined_mask = codes == _UNKNOWN
+        for stage, at_stage in (("if", ~refined_mask), ("refinement", refined_mask)):
+            for verdict, with_verdict in (("yes", holds), ("no", ~holds)):
+                count = int(np.count_nonzero(at_stage & with_verdict))
+                if count:
+                    registry.inc(
+                        "repro_relate_verdicts_total",
+                        count,
+                        predicate=predicate.value,
+                        stage=stage,
+                        verdict=verdict,
+                    )
     return inst.finish(matches)
 
 

@@ -82,8 +82,7 @@ they replaced (``tests/oracles/relate.py``):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -95,6 +94,9 @@ from repro.geometry.segment import (
     orientation,
 )
 from repro.topology.de9im import DE9IM
+
+if TYPE_CHECKING:  # pragma: no cover
+    from fractions import Fraction
 
 #: Matrix of two polygons with disjoint MBRs (the paper's Fig. 1 example).
 DISJOINT_MATRIX = DE9IM("FFTFFTTTT")
@@ -320,6 +322,8 @@ def _exact_midpoints(p1, p2, other: EdgeArrays) -> list[tuple[Fraction, Fraction
     """Exact midpoints of the pieces of segment ``p1``–``p2`` between the
     points where it meets ``other``'s edges: exact crossing points, and
     the vertices of ``other`` on it (which end every shared piece)."""
+    from fractions import Fraction  # only an exact fallback needs it
+
     ax, ay = map(Fraction, p1)
     dx, dy = Fraction(p2[0]) - ax, Fraction(p2[1]) - ay
     cuts = {Fraction(0), Fraction(1)}
@@ -338,6 +342,8 @@ def _exact_midpoints(p1, p2, other: EdgeArrays) -> list[tuple[Fraction, Fraction
 def _locate_exact(edges: EdgeArrays, x: Fraction, y: Fraction) -> int:
     """Location of the exact point ``(x, y)`` against a geometry's
     ``edges``: even-odd parity, rational arithmetic throughout."""
+    from fractions import Fraction
+
     inside = False
     for ax, ay, bx, by in zip(*(map(Fraction, v.tolist()) for v in edges[1:])):
         cross = (bx - ax) * (y - ay) - (by - ay) * (x - ax)

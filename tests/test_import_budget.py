@@ -2,7 +2,8 @@
 
 ``import repro`` and a ``join`` over index directories — profiled or
 not — must not pull in the HTTP daemon, the dashboard,
-tracemalloc or ``numpy.ma``; a serial join — over files or index
+tracemalloc, ``numpy.ma`` or ``fractions`` (only an exact refinement
+fallback needs it); a serial join — over files or index
 directories — must not pull in the fork machinery either: a
 fresh-process join waits for every module it imports. Each check runs
 in a child interpreter so this suite's own imports cannot mask an eager
@@ -26,7 +27,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 #: What a join over index directories has no use for.
 NOT_FOR_A_JOIN = (
     "repro.serve", "repro.obs.dashboard",
-    "http.server", "urllib.request", "tracemalloc", "numpy.ma",
+    "http.server", "urllib.request", "tracemalloc", "numpy.ma", "fractions",
 )
 
 #: What only a forked fan-out runs: a serial join loads none of it.

@@ -1,9 +1,10 @@
 """Tests for the multiprocessing parallel runner (repro.parallel)."""
 
+import numpy as np
 import pytest
 
 from repro.datasets import load_scenario
-from repro.filters.relate_filters import RelateVerdict
+from repro.filters.relate_filters import CODES, RelateVerdict
 from repro.join.pipeline import run_find_relation
 from repro.parallel import run_find_relation_parallel, run_relate_parallel
 from repro.topology import TopologicalRelation as T
@@ -78,12 +79,12 @@ class TestRelateTiming:
 
         import repro.join.pipeline as pipeline
 
-        def slow_undecided_filter(*args):
-            time.sleep(self.FILTER_SLEEP)
-            return RelateVerdict.UNKNOWN
+        def slow_undecided_filter(predicate, r_objects, s_objects, pairs):
+            time.sleep(self.FILTER_SLEEP * len(pairs))
+            return np.full(len(pairs), CODES[RelateVerdict.UNKNOWN], dtype=np.int8)
 
         # Forked workers inherit the patch.
-        monkeypatch.setattr(pipeline, "relate_filter", slow_undecided_filter)
+        monkeypatch.setattr(pipeline, "relate_verdicts", slow_undecided_filter)
         pairs = scenario.pairs[:16]
         run = run_relate_parallel(
             T.INTERSECTS, scenario.r_objects, scenario.s_objects, pairs, workers=workers

@@ -1,7 +1,10 @@
 """Metamorphic checks through ``Engine.join``: transformations of a join's
 input whose effect on the rows is known without an oracle.
 
-- swapping R and S yields the converse rows, ``(j, i, relation.inverse)``;
+- swapping R and S yields the converse rows, ``(j, i, relation.inverse)``,
+  and a relate_p join of S and R with the mirrored predicate (inside and
+  contains, covered by and covers; the rest are their own mirrors)
+  answers the swapped pairs, in-process and through the worker pool;
 - the grid order moves how many pairs are refined, never a row;
 - scaling every polygon by a power of two about the origin is exact in
   floating point, so it leaves every relation unchanged;
@@ -63,6 +66,32 @@ def test_swapping_inputs_gives_the_converse(engine, inputs):
     assert forward.results
     converse = sorted((j, i, relation.inverse) for i, j, relation in _rows(backward))
     assert sorted(_rows(forward)) == converse
+
+
+#: Each relate_p predicate and its converse: ``P(r, s)`` iff ``mirror(P)(s, r)``.
+MIRRORS = {
+    T.INSIDE: T.CONTAINS, T.CONTAINS: T.INSIDE,
+    T.COVERED_BY: T.COVERS, T.COVERS: T.COVERED_BY,
+    T.EQUALS: T.EQUALS, T.MEETS: T.MEETS,
+    T.DISJOINT: T.DISJOINT, T.INTERSECTS: T.INTERSECTS,
+}
+
+
+@pytest.mark.parametrize("mode", ["serial", "parallel"])
+def test_swapping_inputs_answers_the_mirrored_predicate(engine, inputs, mode):
+    r, s = inputs
+    options = dict(grid_order=GRID_ORDER, mode=mode, workers=2)
+    answered = {}
+    for predicate, mirrored in MIRRORS.items():
+        assert mirrored.inverse is predicate
+        forward = engine.join(r, s, predicate=predicate, **options)
+        backward = engine.join(s, r, predicate=mirrored, **options)
+        assert forward.mode == mode
+        swapped = sorted((j, i) for i, j, _ in _rows(backward))
+        assert sorted((i, j) for i, j, _ in _rows(forward)) == swapped, predicate
+        answered[predicate] = len(forward.results)
+    # Every inside row of these inputs is an s in an r.
+    assert answered[T.CONTAINS] and answered[T.INTERSECTS], answered
 
 
 def test_grid_order_moves_refinement_not_rows(engine):
