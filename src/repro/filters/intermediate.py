@@ -27,12 +27,8 @@ implications, written ``⊑`` for interval-list inside:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
 
 from repro.filters.mbr import MBRRelationship
-from repro.raster import kernels
 from repro.raster.april import AprilApproximation
 from repro.topology.de9im import TopologicalRelation as T
 
@@ -200,82 +196,12 @@ def intermediate_filter(
     return if_intersects(r, s)
 
 
-# ----------------------------------------------------------------------
-# batched evaluation (the join inner loop)
-# ----------------------------------------------------------------------
-#: One batched filter input: ``(mbr_case, r, s, connected)`` with the
-#: same contract as :func:`intermediate_filter`'s arguments.
-FilterItem = tuple[MBRRelationship, "AprilApproximation", "AprilApproximation", bool]
-
-
-def batch_c_overlaps(
-    pairs: Sequence[tuple[AprilApproximation, AprilApproximation]],
-) -> np.ndarray:
-    """``overlap(r.C, s.C)`` for many candidate pairs in few numpy passes.
-
-    Pairs sharing the same ``r`` approximation (the common shape of an
-    MBR-join candidate stream, which is sorted by the r index) are
-    grouped, their ``s`` C-lists packed back to back, and each group is
-    screened through one :func:`repro.raster.kernels.overlaps_batch`
-    call — one probe versus many lists, instead of one Python-dispatched
-    merge-join per pair.
-    """
-    out = np.zeros(len(pairs), dtype=bool)
-    groups: dict[int, list[int]] = {}
-    for k, (r, _) in enumerate(pairs):
-        groups.setdefault(id(r.c), []).append(k)
-    for ks in groups.values():
-        probe = pairs[ks[0]][0].c
-        cat_starts, cat_ends, offsets = kernels.pack_lists(
-            pairs[k][1].c for k in ks
-        )
-        out[ks] = kernels.overlaps_batch(
-            probe.starts, probe.ends, cat_starts, cat_ends, offsets
-        )
-    return out
-
-
-def intermediate_filter_batch(items: Sequence[FilterItem]) -> list[IFResult]:
-    """Evaluate many intermediate-filter inputs, batching the hot screen.
-
-    Produces exactly the per-pair verdicts of :func:`intermediate_filter`
-    (property-tested equivalence). Every case-specific filter except the
-    connected equal-MBR one opens with ``¬overlap(rC, sC) ⟹ disjoint``;
-    that screen — which resolves the bulk of a real candidate stream —
-    is evaluated for the whole batch via :func:`batch_c_overlaps`, and
-    only surviving pairs run the scalar decision tree.
-    """
-    results: list[IFResult | None] = [None] * len(items)
-    screened: list[int] = []
-    for k, (case, r, s, connected) in enumerate(items):
-        if case is MBRRelationship.DISJOINT:
-            results[k] = _definite(T.DISJOINT)
-        elif case is MBRRelationship.CROSS and connected:
-            results[k] = _definite(T.INTERSECTS)
-        elif case is MBRRelationship.EQUAL and connected:
-            results[k] = if_equals(r, s)
-        else:
-            r.check_compatible(s)
-            screened.append(k)
-    if screened:
-        hits = batch_c_overlaps([(items[k][1], items[k][2]) for k in screened])
-        for hit, k in zip(hits, screened):
-            if hit:
-                results[k] = intermediate_filter(*items[k])
-            else:
-                results[k] = _definite(T.DISJOINT)
-    return results  # type: ignore[return-value]
-
-
 __all__ = [
-    "FilterItem",
     "IFResult",
-    "batch_c_overlaps",
     "if_contains",
     "if_equals",
     "if_equals_disconnected",
     "if_inside",
     "if_intersects",
     "intermediate_filter",
-    "intermediate_filter_batch",
 ]

@@ -33,12 +33,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from repro.filters.intermediate import (
-    IFResult,
-    batch_c_overlaps,
-    intermediate_filter,
-    intermediate_filter_batch,
-)
+from repro.filters.intermediate import IFResult, intermediate_filter
 from repro.filters.mbr import MBRRelationship, classify_mbr_pair, mbr_candidates_for
 from repro.filters.relate_filters import CODES, RelateVerdict, relate_verdicts
 from repro.join.objects import SpatialObject, relate_objects
@@ -106,11 +101,12 @@ class Pipeline(ABC):
         s_objects: Sequence[SpatialObject],
         pairs: Sequence[tuple[int, int]],
     ) -> list[tuple[IFResult, Stage]]:
-        """Run the filter stage over a whole candidate stream.
+        """Run the filter stage over a whole candidate stream: the map
+        of :meth:`filter_pair` over ``pairs``, for every method.
 
-        Semantically identical to mapping :meth:`filter_pair`; APRIL-based
-        pipelines override it to amortise the interval merge-joins with
-        the batched kernels (:mod:`repro.raster.kernels`).
+        A pair's Fig. 5 flow is a few merge-joins of its own lists; a
+        candidate stream rarely shares an ``r`` between pairs, so there
+        is no probe to amortise across them (DESIGN §6).
         """
         return [self.filter_pair(r_objects[i], s_objects[j]) for i, j in pairs]
 
@@ -181,27 +177,6 @@ class OptimizedTwoPhasePipeline(Pipeline):
         return IFResult(refine_candidates=mbr_candidates_for(case, connected)), Stage.MBR
 
 
-def _aprils(r: SpatialObject, s: SpatialObject) -> tuple:
-    ra = r.require_april()
-    sa = s.require_april()
-    ra.check_compatible(sa)
-    return ra, sa
-
-
-def _april_verdict(
-    case: MBRRelationship, connected: bool, ra, sa, c_overlap: bool
-) -> tuple[IFResult, Stage]:
-    """APRIL's filter past the MBR shortcuts, given ``overlap(rC, sC)``."""
-    if not c_overlap:
-        return IFResult(definite=T.DISJOINT), Stage.INTERMEDIATE
-    candidates = mbr_candidates_for(case, connected)
-    if ra.c.overlaps(sa.p) or ra.p.overlaps(sa.c):
-        # Interiors provably intersect: disjoint and meets masks are
-        # dead, but the most specific relation is still unknown.
-        candidates = tuple(c for c in candidates if c not in (T.DISJOINT, T.MEETS))
-    return IFResult(refine_candidates=candidates), Stage.INTERMEDIATE
-
-
 class AprilIntersectionPipeline(Pipeline):
     """APRIL [14]: intermediate filter for intersection detection only."""
 
@@ -214,33 +189,17 @@ class AprilIntersectionPipeline(Pipeline):
         decided = _mbr_shortcut(case, connected)
         if decided is not None:
             return decided
-        ra, sa = _aprils(r, s)
-        return _april_verdict(case, connected, ra, sa, ra.c.overlaps(sa.c))
-
-    def filter_pairs(
-        self,
-        r_objects: Sequence[SpatialObject],
-        s_objects: Sequence[SpatialObject],
-        pairs: Sequence[tuple[int, int]],
-    ) -> list[tuple[IFResult, Stage]]:
-        """Batched form: every surviving pair opens with the ``rC × sC``
-        overlap join, so the whole stream is screened in one grouped
-        kernel pass before the per-pair tail tests."""
-        out: list[tuple[IFResult, Stage] | None] = [None] * len(pairs)
-        screened: list[tuple] = []
-        for k, (i, j) in enumerate(pairs):
-            r = r_objects[i]
-            s = s_objects[j]
-            case = classify_mbr_pair(r.box, s.box)
-            connected = r.is_connected and s.is_connected
-            out[k] = _mbr_shortcut(case, connected)
-            if out[k] is None:
-                screened.append((k, case, connected, *_aprils(r, s)))
-        if screened:
-            hits = batch_c_overlaps([(ra, sa) for *_, ra, sa in screened])
-            for hit, (k, *pair) in zip(hits, screened):
-                out[k] = _april_verdict(*pair, hit)
-        return out  # type: ignore[return-value]
+        ra = r.require_april()
+        sa = s.require_april()
+        ra.check_compatible(sa)
+        if not ra.c.overlaps(sa.c):
+            return IFResult(definite=T.DISJOINT), Stage.INTERMEDIATE
+        candidates = mbr_candidates_for(case, connected)
+        if ra.c.overlaps(sa.p) or ra.p.overlaps(sa.c):
+            # Interiors provably intersect: disjoint and meets masks are
+            # dead, but the most specific relation is still unknown.
+            candidates = tuple(c for c in candidates if c not in (T.DISJOINT, T.MEETS))
+        return IFResult(refine_candidates=candidates), Stage.INTERMEDIATE
 
 
 class ProgressiveConservativePipeline(Pipeline):
@@ -252,42 +211,15 @@ class ProgressiveConservativePipeline(Pipeline):
     def filter_pair(self, r: SpatialObject, s: SpatialObject) -> tuple[IFResult, Stage]:
         case = classify_mbr_pair(r.box, s.box)
         connected = r.is_connected and s.is_connected
-        if case is MBRRelationship.DISJOINT or (
-            case is MBRRelationship.CROSS and connected
-        ):
-            return intermediate_filter(case, None, None), Stage.MBR  # type: ignore[arg-type]
+        decided = _mbr_shortcut(case, connected)
+        if decided is not None:
+            return decided
         return (
             intermediate_filter(
                 case, r.require_april(), s.require_april(), connected
             ),
             Stage.INTERMEDIATE,
         )
-
-    def filter_pairs(
-        self,
-        r_objects: Sequence[SpatialObject],
-        s_objects: Sequence[SpatialObject],
-        pairs: Sequence[tuple[int, int]],
-    ) -> list[tuple[IFResult, Stage]]:
-        """Batched Algorithm 1: the Fig. 5 dispatch per pair with the
-        common ``rC × sC`` disjointness screen amortised over the stream
-        (:func:`~repro.filters.intermediate.intermediate_filter_batch`)."""
-        items = []
-        stages = []
-        for i, j in pairs:
-            r = r_objects[i]
-            s = s_objects[j]
-            case = classify_mbr_pair(r.box, s.box)
-            connected = r.is_connected and s.is_connected
-            if case is MBRRelationship.DISJOINT or (
-                case is MBRRelationship.CROSS and connected
-            ):
-                items.append((case, None, None, connected))
-                stages.append(Stage.MBR)
-            else:
-                items.append((case, r.require_april(), s.require_april(), connected))
-                stages.append(Stage.INTERMEDIATE)
-        return list(zip(intermediate_filter_batch(items), stages))
 
 
 #: The four evaluated methods, keyed by their paper names.
@@ -381,8 +313,8 @@ def verify_find_relation(
     s_objects: Sequence[SpatialObject],
     pairs: Sequence[tuple[int, int]],
 ) -> Verified:
-    """Algorithm 1 over one partition: batched filter, then one batched
-    refinement of every pair the filters left undecided.
+    """Algorithm 1 over one partition: the method's filter on each pair,
+    then one batched refinement of every pair it left undecided.
 
     The one find-relation verification loop: the in-process run calls
     it on the whole stream, forked workers (and their in-parent

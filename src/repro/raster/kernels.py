@@ -5,10 +5,9 @@ implementations walk them with Python ``while`` loops doing scalar
 indexing into numpy arrays — interpreter dispatch *plus* per-element
 ``np.int64`` boxing on every step. This module rewrites them as
 branch-free array kernels built on ``np.searchsorted`` over the sorted
-interval bounds, plus batched one-probe-vs-many forms that amortise a
-whole group of candidate pairs into a single numpy call — the shape the
-join inner loop produces (one ``r`` object screened against the ``C``
-lists of many ``s`` objects).
+interval bounds. They relate two lists at a time: the find-relation
+filter runs a pair's Fig. 5 flow as a few such calls, and relate_p's
+stream-wide bits are :mod:`repro.filters.pair_bits`.
 
 All kernels take raw ``starts``/``ends`` arrays satisfying the
 :class:`~repro.raster.intervals.IntervalList` invariant (sorted,
@@ -165,89 +164,13 @@ def difference(
     return intersection(xs, xe, comp_starts, comp_ends)
 
 
-# ----------------------------------------------------------------------
-# batched one-probe-vs-many forms (the join inner loop)
-# ----------------------------------------------------------------------
-def overlaps_batch(
-    xs: np.ndarray,
-    xe: np.ndarray,
-    cat_starts: np.ndarray,
-    cat_ends: np.ndarray,
-    offsets: np.ndarray,
-) -> np.ndarray:
-    """``overlaps(X, Y_k)`` for many Y lists in one numpy pass.
-
-    ``cat_starts``/``cat_ends`` concatenate the Y lists back to back;
-    ``offsets`` (length ``k+1``, ``offsets[0] == 0``) delimits them.
-    Only X must be globally sorted — each concatenated Y interval is
-    probed *into* X, so the concatenation order never matters — and the
-    per-list verdict is an ``np.logical_or.reduceat`` over the slices.
-    """
-    out = np.zeros(offsets.size - 1, dtype=bool)
-    if xs.size == 0 or cat_starts.size == 0:
-        return out
-    hits = np.searchsorted(xs, cat_ends, side="left") > np.searchsorted(
-        xe, cat_starts, side="right"
-    )
-    nonempty = offsets[:-1] < offsets[1:]
-    if nonempty.any():
-        # Consecutive nonempty offsets delimit exactly the nonempty
-        # slices (empty slices contribute zero elements in between).
-        out[nonempty] = np.logical_or.reduceat(hits, offsets[:-1][nonempty])
-    return out
-
-
-def inside_batch(
-    cat_starts: np.ndarray,
-    cat_ends: np.ndarray,
-    offsets: np.ndarray,
-    ys: np.ndarray,
-    ye: np.ndarray,
-) -> np.ndarray:
-    """``inside(X_k, Y)`` for many X lists against one Y in one pass."""
-    out = np.ones(offsets.size - 1, dtype=bool)
-    if cat_starts.size == 0:
-        return out  # every empty X is vacuously inside
-    if ys.size == 0:
-        return offsets[:-1] == offsets[1:]
-    covered = np.searchsorted(ys, cat_starts, side="right") == (
-        np.searchsorted(ye, cat_ends, side="left") + 1
-    )
-    nonempty = offsets[:-1] < offsets[1:]
-    if nonempty.any():
-        out[nonempty] = np.logical_and.reduceat(covered, offsets[:-1][nonempty])
-    return out
-
-
-def pack_lists(lists) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Concatenate interval lists for the ``*_batch`` kernels.
-
-    Returns ``(cat_starts, cat_ends, offsets)`` over any iterable of
-    objects exposing ``starts``/``ends`` arrays.
-    """
-    lists = list(lists)
-    offsets = np.zeros(len(lists) + 1, dtype=np.int64)
-    for k, il in enumerate(lists):
-        offsets[k + 1] = offsets[k] + il.starts.size
-    if offsets[-1] == 0:
-        return _EMPTY, _EMPTY, offsets
-    return (
-        np.concatenate([il.starts for il in lists]),
-        np.concatenate([il.ends for il in lists]),
-        offsets,
-    )
-
-
 __all__ = [
     "coalesce",
     "difference",
     "inside",
-    "inside_batch",
     "intersection",
     "matches",
     "overlaps",
-    "overlaps_batch",
-    "pack_lists",
     "runs",
     "union",
 ]

@@ -382,11 +382,11 @@ class Engine:
         """Join ``r`` with ``s`` and return one :class:`JoinRun`,
         whatever the execution mode.
 
-        Every mode runs the same per-partition verification (batched
-        filter, then refinement); ``mode`` only picks how many processes
+        Every mode runs the same per-partition verification (filter,
+        then refinement); ``mode`` only picks how many processes
         verify the pairs: ``"serial"`` — one partition, in-process
-        (``"batch"`` is an alias: the batched filter is *the* filter of
-        every method and of relate_p); ``"parallel"`` — contiguous
+        (``"batch"`` is an alias: find-relation and relate_p each have
+        one verification loop); ``"parallel"`` — contiguous
         chunks fanned out over ``workers`` forked processes.
         ``run.mode`` reports what ran. ``predicate`` switches from
         find-relation to a relate_p join.

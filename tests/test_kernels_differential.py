@@ -7,10 +7,10 @@ pits every vectorised kernel against its predecessor loop
 the nasty cases — adjacent intervals, single-cell intervals, empty
 lists, identical lists, containment chains — plus exact-equality checks
 for the bulk rasteriser, the batched APRIL builder (whatever the batch)
-and the Hilbert lookup-table fast path,
-equivalence of the batched filter entry points, and one end-to-end
-join-shaped differential: oracle-built APRILs and oracle-decided filter
-verdicts against the product's on a synthetic scenario.
+and the Hilbert lookup-table fast path, and one end-to-end join-shaped
+differential: oracle-built APRILs and oracle-decided filter verdicts
+against the product's on a synthetic scenario, with the stream API
+``Pipeline.filter_pairs`` pinned to the per-pair ``filter_pair``.
 """
 
 import math
@@ -19,11 +19,7 @@ import numpy as np
 import pytest
 
 from repro.datasets.synthetic import generate_blobs, generate_tessellation
-from repro.filters.intermediate import (
-    batch_c_overlaps,
-    intermediate_filter,
-    intermediate_filter_batch,
-)
+from repro.filters.intermediate import intermediate_filter
 from repro.filters.mbr import classify_mbr_pair
 from repro.geometry import Box, MultiPolygon, Polygon
 from repro.geometry.columns import GeometryColumns
@@ -136,20 +132,6 @@ class TestIntervalKernelsDifferential:
             ref_starts, ref_ends = oracle_intervals.coalesce(raw[:, 0], raw[:, 1])
             assert np.array_equal(fast.starts, ref_starts)
             assert np.array_equal(fast.ends, ref_ends)
-
-    def test_batch_kernels_match_pairwise(self, pair_stream):
-        rng = np.random.default_rng(3)
-        lists = [x for x, _ in pair_stream[:400]]
-        for _ in range(200):
-            probe = lists[int(rng.integers(0, len(lists)))]
-            group = [lists[int(k)] for k in rng.integers(0, len(lists), size=9)]
-            cat_s, cat_e, offsets = kernels.pack_lists(group)
-            got = kernels.overlaps_batch(
-                probe.starts, probe.ends, cat_s, cat_e, offsets
-            )
-            assert got.tolist() == [probe.overlaps(y) for y in group]
-            got = kernels.inside_batch(cat_s, cat_e, offsets, probe.starts, probe.ends)
-            assert got.tolist() == [y.inside(probe) for y in group]
 
 
 # ----------------------------------------------------------------------
@@ -341,44 +323,6 @@ class TestHilbertDifferential:
         assert hilbert_xy2d_bulk(4, np.empty(0, int), np.empty(0, int)).size == 0
         with pytest.raises(ValueError):
             hilbert_xy2d_bulk(4, np.array([16]), np.array([0]))
-
-
-# ----------------------------------------------------------------------
-# batched intermediate filter == scalar intermediate filter
-# ----------------------------------------------------------------------
-class TestBatchedFilterDifferential:
-    def test_batch_matches_scalar_on_random_objects(self):
-        rng = np.random.default_rng(11)
-        grid = RasterGrid(Box(0, 0, 1000, 1000), order=7)
-        polygons = []
-        for _ in range(40):
-            x0, y0 = rng.uniform(0, 900, size=2)
-            w, h = rng.uniform(5, 300, size=2)
-            polygons.append(Polygon.box(x0, y0, min(x0 + w, 1000), min(y0 + h, 1000)))
-        for _ in range(10):
-            polygons.append(
-                _blob(
-                    int(rng.integers(5, 24)),
-                    radius=float(rng.uniform(20, 120)),
-                    cx=float(rng.uniform(200, 800)),
-                    cy=float(rng.uniform(200, 800)),
-                )
-            )
-        approxes = [build_april(p, grid) for p in polygons]
-
-        items = []
-        for _ in range(600):
-            i, j = rng.integers(0, len(polygons), size=2)
-            case = classify_mbr_pair(polygons[i].bbox, polygons[j].bbox)
-            connected = bool(rng.integers(0, 2))
-            items.append((case, approxes[i], approxes[j], connected))
-
-        batched = intermediate_filter_batch(items)
-        for item, got in zip(items, batched):
-            assert got == intermediate_filter(*item)
-
-        hits = batch_c_overlaps([(r, s) for _, r, s, _ in items])
-        assert hits.tolist() == [r.c.overlaps(s.c) for _, r, s, _ in items]
 
 
 # ----------------------------------------------------------------------
