@@ -12,12 +12,13 @@ of its two polygons' vertex counts (Table 4). Then:
   P+C intermediate filter (P+C-IF), and P+C's residual refinement
   (P+C-REF). Expected shape: OP2-REF grows superlinearly; the P+C
   total stays nearly flat because fewer and fewer pairs are refined.
-  Each level's timings are the median of ``TIMING_RUNS`` runs.
+  Each level's timings are the median of ``TIMING_RUNS`` warm runs.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Callable, Hashable
 
 from repro.datasets.catalog import DEFAULT_GRID_ORDER, ScenarioData, load_scenario
 from repro.experiments.common import ExperimentResult
@@ -28,7 +29,7 @@ NUM_LEVELS = 10
 DEFAULT_SCENARIO = "OLE-OPE"
 #: Fig. 8(b) is a timing shape: each level's OP2 and P+C joins run this
 #: many times and the run with the median ``total_seconds`` is kept, so
-#: one slow sample cannot invert it.
+#: one slow sample cannot invert it. Fig. 7 and Table 5 time the same way.
 TIMING_RUNS = 5
 
 
@@ -86,6 +87,22 @@ def _median_run(runs: list[JoinRunStats]) -> JoinRunStats:
     return sorted(runs, key=lambda stats: stats.total_seconds)[len(runs) // 2]
 
 
+def alternating_medians(
+    runs: dict[Hashable, Callable[[], JoinRunStats]],
+) -> dict[Hashable, JoinRunStats]:
+    """The median run (:func:`_median_run`) of each of ``runs``: one
+    untimed warm-up of each, then ``TIMING_RUNS`` rounds that run them
+    in turn, so that first-use costs stay out and a drift in machine
+    speed slows every run alike."""
+    for run in runs.values():
+        run()
+    samples: dict[Hashable, list[JoinRunStats]] = {key: [] for key in runs}
+    for _ in range(TIMING_RUNS):
+        for key, run in runs.items():
+            samples[key].append(run())
+    return {key: _median_run(stats) for key, stats in samples.items()}
+
+
 @lru_cache(maxsize=4)
 def _per_level_stats(
     scenario: str, scale: float, grid_order: int
@@ -94,14 +111,12 @@ def _per_level_stats(
     op2: list[JoinRunStats] = []
     pc: list[JoinRunStats] = []
     for chunk in levels:
-        # The two methods' runs alternate, so a drift in machine speed
-        # during a level slows both alike.
-        runs: dict[str, list[JoinRunStats]] = {"OP2": [], "P+C": []}
-        for _ in range(TIMING_RUNS):
-            for method, samples in runs.items():
-                samples.append(run_find_relation(method, data.r_objects, data.s_objects, chunk))
-        op2.append(_median_run(runs["OP2"]))
-        pc.append(_median_run(runs["P+C"]))
+        medians = alternating_medians({
+            method: (lambda m=method: run_find_relation(m, data.r_objects, data.s_objects, chunk))
+            for method in ("OP2", "P+C")
+        })
+        op2.append(medians["OP2"])
+        pc.append(medians["P+C"])
     return op2, pc
 
 

@@ -5,13 +5,15 @@ the general find-relation P+C pipeline (independent of p) against the
 predicate-specific relate_p pipeline (Sec. 3.3). Expected shape:
 relate_p ≥ find relation for every p, with a dramatic factor for
 *meets*, whose non-satisfaction is nearly always provable from one or
-two interval merge-joins.
+two interval merge-joins. Every throughput is the median of alternating
+warm runs (:func:`repro.experiments.fig8.alternating_medians`).
 """
 
 from __future__ import annotations
 
 from repro.datasets.catalog import DEFAULT_GRID_ORDER, load_scenario
 from repro.experiments.common import ExperimentResult
+from repro.experiments.fig8 import alternating_medians
 from repro.join.pipeline import run_find_relation, run_relate
 from repro.topology.de9im import TopologicalRelation as T
 
@@ -26,8 +28,11 @@ def run_table5(
 ) -> ExperimentResult:
     """Regenerate Table 5 on the synthetic OLE-OPE analogue."""
     data = load_scenario(scenario, scale, grid_order)
-
-    find_stats = run_find_relation("P+C", data.r_objects, data.s_objects, data.pairs)
+    objects = (data.r_objects, data.s_objects, data.pairs)
+    runs = {"find": lambda: run_find_relation("P+C", *objects)}
+    runs.update({p: (lambda p=p: run_relate(p, *objects)) for p in predicates})
+    medians = alternating_medians(runs)
+    find_stats = medians["find"]
 
     result = ExperimentResult(
         experiment_id="Table 5",
@@ -38,7 +43,7 @@ def run_table5(
     relate_row = []
     undetermined_row = []
     for predicate in predicates:
-        stats = run_relate(predicate, data.r_objects, data.s_objects, data.pairs)
+        stats = medians[predicate]
         relate_row.append(stats.throughput)
         undetermined_row.append(stats.undetermined_pct)
     result.add_row("relate_p", *relate_row)

@@ -3,24 +3,17 @@
 - :mod:`repro.filters.mbr` — the *enhanced MBR filter* of Sec. 3.1:
   classifies how two MBRs intersect and derives the candidate-relation
   set of Fig. 4.
-- :mod:`repro.filters.intermediate` — the *intermediate filters* of
-  Sec. 3.2 / Fig. 5 (IFEquals, IFInside, IFContains, IFIntersects):
-  merge-join sequences over APRIL P/C lists that either prove the most
-  specific topological relation or narrow the refinement candidates.
+- :mod:`repro.filters.intermediate` — one decision tree per
+  find-relation method, P+C's with the *intermediate filters* of
+  Sec. 3.2 / Fig. 5 (IFEquals, IFInside, IFContains, IFIntersects),
+  whose leaves prove the most specific relation or narrow the
+  refinement candidates.
 - :mod:`repro.filters.relate_filters` — the predicate-specific
   ``relate_p`` filters of Sec. 3.3 / Fig. 6, one decision tree per
   predicate over the per-pair bits of :mod:`repro.filters.pair_bits`.
 """
 
-from repro.filters.intermediate import (
-    IFResult,
-    if_contains,
-    if_equals,
-    if_equals_disconnected,
-    if_inside,
-    if_intersects,
-    intermediate_filter,
-)
+from repro.filters.intermediate import FIND_TREES, IFResult, Leaf, Stage
 from repro.filters.mbr import (
     MBR_CANDIDATES,
     MBRRelationship,
@@ -30,17 +23,14 @@ from repro.filters.mbr import (
 from repro.filters.relate_filters import RelateVerdict, relate_filter
 
 __all__ = [
+    "FIND_TREES",
     "IFResult",
+    "Leaf",
     "MBRRelationship",
     "MBR_CANDIDATES",
     "RelateVerdict",
+    "Stage",
     "classify_mbr_pair",
-    "if_contains",
-    "if_equals",
-    "if_equals_disconnected",
-    "if_inside",
-    "if_intersects",
-    "intermediate_filter",
     "mbr_candidates",
     "relate_filter",
 ]

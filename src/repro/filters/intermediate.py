@@ -1,10 +1,13 @@
-"""The intermediate filters of Sec. 3.2 / Fig. 5.
+"""The find-relation filters of Sec. 3.1–3.2 (Fig. 4, Fig. 5, Alg. 1).
 
-Each filter receives the APRIL approximations of a candidate pair whose
-MBRs intersect in a particular way, runs a short sequence of linear
-merge-joins over the ``P``/``C`` interval lists, and returns an
-:class:`IFResult` — either a *definite* most-specific relation (no
-refinement needed) or the narrowed candidate set to refine against.
+Each method's filter stage is a decision tree (:data:`FIND_TREES`) of
+:class:`~repro.filters.relate_filters.If` nodes over the bits of
+:mod:`repro.filters.pair_bits`: the Fig. 4 MBR case, ``connected``
+where the case's flow depends on it, then (P+C's Fig. 5 flows) the
+Sec. 3.2 relations of the P/C lists. A :class:`Leaf` is an
+:class:`IFResult` — a *definite* most-specific relation or the
+candidates to refine — and its :class:`Stage`. The per-pair flows these
+trees replaced are ``tests/oracles/find_filters.py``.
 
 Soundness rests on the rasterisation invariants
 (:mod:`repro.raster.april`): a ``C`` list covers every cell its object
@@ -26,11 +29,21 @@ implications, written ``⊑`` for interval-list inside:
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
-from repro.filters.mbr import MBRRelationship
-from repro.raster.april import AprilApproximation
-from repro.topology.de9im import TopologicalRelation as T
+from repro.filters.mbr import MBRRelationship as M, mbr_candidates_for
+from repro.filters.relate_filters import If, _mirror
+from repro.topology.de9im import SPECIFIC_TO_GENERAL, TopologicalRelation as T
+
+
+class Stage(enum.Enum):
+    """Which pipeline stage produced the final relation of a pair."""
+
+    MBR = "mbr"
+    INTERMEDIATE = "if"
+    REFINEMENT = "refinement"
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,154 +67,202 @@ class IFResult:
         return self.refine_candidates is not None
 
 
-def _definite(relation: T) -> IFResult:
-    return IFResult(definite=relation)
+class Leaf(NamedTuple):
+    """A leaf of a find-relation tree: the filter's verdict and the
+    stage a definite verdict is attributed to."""
+
+    result: IFResult
+    stage: Stage
 
 
-def _refine(*candidates: T) -> IFResult:
-    return IFResult(refine_candidates=candidates)
+def _definite(relation: T, stage: Stage = Stage.INTERMEDIATE) -> Leaf:
+    return Leaf(IFResult(definite=relation), stage)
 
 
-def if_equals(r: AprilApproximation, s: AprilApproximation) -> IFResult:
-    """IFEquals — MBRs are equal (Fig. 4c candidates).
-
-    Disjoint is impossible here, so every branch either proves a
-    relation or refines a narrowed set.
-    """
-    r.check_compatible(s)
-    if r.c.matches(s.c):
-        # Identical conservative rasters: could be equals, or mutual
-        # near-coverage; only refinement can tell which is most specific.
-        return _refine(T.EQUALS, T.COVERED_BY, T.COVERS, T.INTERSECTS)
-    if r.c.inside(s.c):
-        # Equality is excluded (equal shapes raster identically).
-        if s.p and r.c.inside(s.p):
-            # r ⊆ int(s); with equal MBRs this branch is geometrically
-            # unreachable, but the paper's flow keeps it (and it stays
-            # sound: r ⊆ s and r ≠ s ⟹ covered by).
-            return _definite(T.COVERED_BY)
-        return _refine(T.COVERED_BY, T.MEETS, T.INTERSECTS)
-    if r.c.contains(s.c):
-        if r.p and r.p.contains(s.c):
-            return _definite(T.COVERS)
-        return _refine(T.COVERS, T.MEETS, T.INTERSECTS)
-    return _refine(T.MEETS, T.INTERSECTS)
+def _refine(*candidates: T, stage: Stage = Stage.INTERMEDIATE) -> Leaf:
+    return Leaf(IFResult(refine_candidates=candidates), stage)
 
 
-def if_inside(r: AprilApproximation, s: AprilApproximation) -> IFResult:
-    """IFInside — MBR(r) inside MBR(s) (Fig. 4a candidates)."""
-    r.check_compatible(s)
-    if not r.c.overlaps(s.c):
-        return _definite(T.DISJOINT)
-    if r.c.inside(s.c):
-        if s.p:
-            if r.c.inside(s.p):
-                return _definite(T.INSIDE)
-            if r.c.overlaps(s.p):
-                # Interiors certainly intersect; disjoint/meets are out.
-                # This is Algorithm 1's ``ref_inside`` outcome.
-                return _refine(T.INSIDE, T.COVERED_BY, T.INTERSECTS)
-        if r.p and r.p.overlaps(s.c):
-            # A cell interior to r is touched by s: II = T again.
-            return _refine(T.INSIDE, T.COVERED_BY, T.INTERSECTS)
-        return _refine(T.DISJOINT, T.INSIDE, T.COVERED_BY, T.MEETS, T.INTERSECTS)
-    # r touches cells outside s's conservative set, so r ⊄ s:
-    # inside/covered by are impossible.
-    if r.c.overlaps(s.p) or r.p.overlaps(s.c):
-        # Interiors intersect and containment is excluded, so the most
-        # specific relation is already known.
-        return _definite(T.INTERSECTS)
-    return _refine(T.DISJOINT, T.MEETS, T.INTERSECTS)
+def _inverse(leaf: Leaf) -> Leaf:
+    """The leaf seen from the other object: every relation inverted."""
+    definite, candidates = leaf.result.definite, leaf.result.refine_candidates
+    if definite is not None:
+        return _definite(definite.inverse, leaf.stage)
+    return _refine(*(c.inverse for c in candidates), stage=leaf.stage)
 
 
-def if_contains(r: AprilApproximation, s: AprilApproximation) -> IFResult:
-    """IFContains — MBR(r) contains MBR(s): the mirror of IFInside."""
-    mirrored = if_inside(s, r)
-    if mirrored.definite is not None:
-        return _definite(mirrored.definite.inverse)
-    assert mirrored.refine_candidates is not None
-    return _refine(*(c.inverse for c in mirrored.refine_candidates))
+def _node(bit: str, then, otherwise):
+    """``If(bit, then, otherwise)``, or the one subtree when both are
+    the same: a bit no leaf depends on is not read."""
+    return then if then == otherwise else If(bit, then, otherwise)
 
 
-def if_intersects(r: AprilApproximation, s: AprilApproximation) -> IFResult:
-    """IFIntersects — general MBR overlap (Fig. 4e candidates)."""
-    r.check_compatible(s)
-    if not r.c.overlaps(s.c):
-        return _definite(T.DISJOINT)
-    if r.c.overlaps(s.p) or r.p.overlaps(s.c):
-        return _definite(T.INTERSECTS)
-    return _refine(T.DISJOINT, T.MEETS, T.INTERSECTS)
+def _interiors_meet(then, otherwise) -> If:
+    """``overlap(rC, sP) or overlap(rP, sC)``: a C cell of one shape in
+    the other's P list puts a point of it in the other's interior."""
+    return If("overlap_rC_sP", then, If("overlap_rP_sC", then, otherwise))
 
 
-def if_equals_disconnected(r: AprilApproximation, s: AprilApproximation) -> IFResult:
-    """Equal-MBR filter for pairs where a shape may be disconnected.
+# ----------------------------------------------------------------------
+# the Fig. 5 flows
+# ----------------------------------------------------------------------
+#: IFIntersects — general MBR overlap (Fig. 4e candidates).
+IF_INTERSECTS = If(
+    "overlap_rC_sC",
+    _interiors_meet(_definite(T.INTERSECTS), _refine(T.DISJOINT, T.MEETS, T.INTERSECTS)),
+    _definite(T.DISJOINT),
+)
 
-    The Fig. 4(c) exclusions of *disjoint* (and the spanning argument
-    behind them) assume connected shapes: two multipolygons can share
-    an MBR while interleaving without touching. This variant keeps
-    disjoint/meets among the candidates unless interior intersection is
-    proven from the P lists. Containment *of the MBR-equal kind* is
-    still impossible for *inside/contains* (openness argument, no
-    connectivity needed), so those stay excluded.
-    """
-    r.check_compatible(s)
-    if not r.c.overlaps(s.c):
-        return _definite(T.DISJOINT)
-    interiors_meet = r.c.overlaps(s.p) or r.p.overlaps(s.c)
+_COVERED_BY_OPEN = _refine(T.COVERED_BY, T.MEETS, T.INTERSECTS)
+# rC ⊑ sC with equal MBRs: equality is excluded. An ``rC ⊑ sP`` here is
+# geometrically unreachable, but the paper's flow keeps the branch (r ⊆ s
+# and r ≠ s ⟹ covered by, which stays sound).
+_EQUAL_COVERED_BY = If(
+    "nonempty_sP", If("inside_rC_sP", _definite(T.COVERED_BY), _COVERED_BY_OPEN), _COVERED_BY_OPEN
+)
 
-    if r.c.matches(s.c):
-        candidates = [T.EQUALS, T.COVERED_BY, T.COVERS, T.MEETS, T.INTERSECTS, T.DISJOINT]
-    elif r.c.inside(s.c):
-        candidates = [T.COVERED_BY, T.MEETS, T.INTERSECTS, T.DISJOINT]
-    elif r.c.contains(s.c):
-        candidates = [T.COVERS, T.MEETS, T.INTERSECTS, T.DISJOINT]
-    else:
-        candidates = [T.MEETS, T.INTERSECTS, T.DISJOINT]
-    if interiors_meet:
-        candidates = [c for c in candidates if c not in (T.MEETS, T.DISJOINT)]
-        if candidates == [T.INTERSECTS]:
-            return _definite(T.INTERSECTS)
-    return _refine(*candidates)
-
-
-def intermediate_filter(
-    mbr_case: MBRRelationship,
-    r: AprilApproximation,
-    s: AprilApproximation,
-    connected: bool = True,
-) -> IFResult:
-    """Dispatch a candidate pair to its case-specific intermediate filter.
-
-    Implements the body of Algorithm 1 from the MBR case down to either
-    a definite relation or a refinement candidate set. ``DISJOINT`` and
-    ``CROSS`` MBR cases resolve without touching the interval lists —
-    *for connected shapes*. Pass ``connected=False`` when either input
-    may be a multipolygon: the CROSS shortcut and the equal-MBR
-    disjointness exclusion are then replaced by connectivity-safe
-    variants (IFInside/IFContains/IFIntersects are connectivity-free
-    and used unchanged).
-    """
-    if mbr_case is MBRRelationship.DISJOINT:
-        return _definite(T.DISJOINT)
-    if mbr_case is MBRRelationship.CROSS:
-        if connected:
-            return _definite(T.INTERSECTS)
-        return if_intersects(r, s)
-    if mbr_case is MBRRelationship.EQUAL:
-        return if_equals(r, s) if connected else if_equals_disconnected(r, s)
-    if mbr_case is MBRRelationship.R_INSIDE_S:
-        return if_inside(r, s)
-    if mbr_case is MBRRelationship.R_CONTAINS_S:
-        return if_contains(r, s)
-    return if_intersects(r, s)
+#: IFEquals — equal MBRs of connected shapes (Fig. 4c candidates):
+#: disjoint is impossible, so every leaf proves a relation or refines a
+#: narrowed set.
+IF_EQUALS = If(
+    "match_rC_sC",
+    # Identical conservative rasters: equals or mutual near-coverage,
+    # only refinement can tell which is most specific.
+    _refine(T.EQUALS, T.COVERED_BY, T.COVERS, T.INTERSECTS),
+    If("inside_rC_sC", _EQUAL_COVERED_BY,
+       If("inside_sC_rC", _mirror(_EQUAL_COVERED_BY, _inverse), _refine(T.MEETS, T.INTERSECTS))),
+)
 
 
-__all__ = [
-    "IFResult",
-    "if_contains",
-    "if_equals",
-    "if_equals_disconnected",
-    "if_inside",
-    "if_intersects",
-    "intermediate_filter",
-]
+def _equal_disconnected(interiors_meet: bool) -> If:
+    """Equal MBRs of shapes that may be disconnected (two multipolygons
+    can share an MBR and interleave without touching): disjoint and
+    meets stay unless the interiors meet; inside/contains stay out (an
+    openness argument, no connectivity needed)."""
+
+    def narrowed(*candidates: T) -> Leaf:
+        if interiors_meet:
+            candidates = tuple(c for c in candidates if c not in (T.MEETS, T.DISJOINT))
+            if candidates == (T.INTERSECTS,):
+                return _definite(T.INTERSECTS)
+        return _refine(*candidates)
+
+    return If(
+        "match_rC_sC",
+        narrowed(T.EQUALS, T.COVERED_BY, T.COVERS, T.MEETS, T.INTERSECTS, T.DISJOINT),
+        If("inside_rC_sC",
+           narrowed(T.COVERED_BY, T.MEETS, T.INTERSECTS, T.DISJOINT),
+           If("inside_sC_rC",
+              narrowed(T.COVERS, T.MEETS, T.INTERSECTS, T.DISJOINT),
+              narrowed(T.MEETS, T.INTERSECTS, T.DISJOINT))),
+    )
+
+
+#: IFEquals for pairs where a shape may be disconnected.
+IF_EQUALS_DISCONNECTED = If(
+    "overlap_rC_sC",
+    _interiors_meet(_equal_disconnected(True), _equal_disconnected(False)),
+    _definite(T.DISJOINT),
+)
+
+# Algorithm 1's ``ref_inside``: interiors meet, disjoint/meets are out.
+_INSIDE_MET = _refine(T.INSIDE, T.COVERED_BY, T.INTERSECTS)
+_INSIDE_OPEN = _refine(T.DISJOINT, T.INSIDE, T.COVERED_BY, T.MEETS, T.INTERSECTS)
+# A cell interior to r is touched by s: II = T again.
+_INSIDE_TAIL = If("nonempty_rP", If("overlap_rP_sC", _INSIDE_MET, _INSIDE_OPEN), _INSIDE_OPEN)
+
+#: IFInside — MBR(r) inside MBR(s) (Fig. 4a candidates).
+IF_INSIDE = If(
+    "overlap_rC_sC",
+    If("inside_rC_sC",
+       If("nonempty_sP",
+          If("inside_rC_sP", _definite(T.INSIDE),
+             If("overlap_rC_sP", _INSIDE_MET, _INSIDE_TAIL)),
+          _INSIDE_TAIL),
+       # r touches cells outside s's conservative set, so r ⊄ s: once
+       # the interiors meet, the most specific relation is known.
+       _interiors_meet(_definite(T.INTERSECTS), _refine(T.DISJOINT, T.MEETS, T.INTERSECTS))),
+    _definite(T.DISJOINT),
+)
+
+#: IFContains — MBR(r) contains MBR(s): the mirror of IFInside.
+IF_CONTAINS = _mirror(IF_INSIDE, _inverse)
+
+
+# ----------------------------------------------------------------------
+# the four methods
+# ----------------------------------------------------------------------
+def _by_mbr_case(flow: Callable[[M, bool], object]) -> object:
+    """The Fig. 4 case analysis of the MBRs, in
+    :func:`~repro.filters.mbr.classify_mbr_pair`'s order, then
+    ``flow(case, connected)``. Bits no leaf depends on are not read."""
+
+    def case(c: M):
+        return _node("connected", flow(c, True), flow(c, False))
+
+    return _node("mbr_disjoint", case(M.DISJOINT),
+                 _node("mbr_equal", case(M.EQUAL),
+                       _node("mbr_r_in_s", case(M.R_INSIDE_S),
+                             _node("mbr_s_in_r", case(M.R_CONTAINS_S),
+                                   _node("mbr_cross", case(M.CROSS), case(M.OVERLAP))))))
+
+
+def _mbr_shortcut(case: M, connected: bool) -> Leaf | None:
+    """The leaf of the MBR cases that decide a pair outright (Sec. 3.1)."""
+    if case is M.DISJOINT:
+        return _definite(T.DISJOINT, Stage.MBR)
+    if case is M.CROSS and connected:
+        return _definite(T.INTERSECTS, Stage.MBR)
+    return None
+
+
+def _st2(case: M, connected: bool) -> Leaf:
+    if case is M.DISJOINT:
+        return _definite(T.DISJOINT, Stage.MBR)
+    return _refine(*SPECIFIC_TO_GENERAL, stage=Stage.MBR)
+
+
+def _op2(case: M, connected: bool) -> Leaf:
+    return _mbr_shortcut(case, connected) or _refine(
+        *mbr_candidates_for(case, connected), stage=Stage.MBR
+    )
+
+
+def _april(case: M, connected: bool):
+    candidates = mbr_candidates_for(case, connected)
+    met = tuple(c for c in candidates if c not in (T.DISJOINT, T.MEETS))
+    return _mbr_shortcut(case, connected) or If(
+        "overlap_rC_sC", _interiors_meet(_refine(*met), _refine(*candidates)), _definite(T.DISJOINT)
+    )
+
+
+def _progressive_conservative(case: M, connected: bool):
+    flows = {
+        M.EQUAL: IF_EQUALS if connected else IF_EQUALS_DISCONNECTED,
+        M.R_INSIDE_S: IF_INSIDE,
+        M.R_CONTAINS_S: IF_CONTAINS,
+    }
+    return _mbr_shortcut(case, connected) or flows.get(case, IF_INTERSECTS)
+
+
+#: A pair's Fig. 4 case, as a tree whose leaves are the cases.
+MBR_CASES = _by_mbr_case(lambda case, connected: case)
+
+#: Each find-relation method's filter stage, keyed by its paper name
+#: (the methods are described in :mod:`repro.join.pipeline`).
+FIND_TREES = {
+    "ST2": _by_mbr_case(_st2),
+    "OP2": _by_mbr_case(_op2),
+    "APRIL": _by_mbr_case(_april),
+    "P+C": _by_mbr_case(_progressive_conservative),
+}
+
+
+def leaves(tree) -> tuple[Leaf, ...]:
+    """The distinct leaves of ``tree``, in the order a walk meets them."""
+    if not isinstance(tree, If):
+        return (tree,)
+    return tuple(dict.fromkeys(leaves(tree.then) + leaves(tree.otherwise)))
+
+
+__all__ = ["FIND_TREES", "IFResult", "Leaf", "MBR_CASES", "Stage", "leaves"]

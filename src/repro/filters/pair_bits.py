@@ -244,7 +244,8 @@ class PairBits:
             side = Side(
                 [o.box for o in chosen],
                 [o.is_connected for o in chosen],
-                [o.require_april() for o in chosen],
+                # Read only by a list bit, which refuses a missing one.
+                [o.april for o in chosen],
             )
             sides.append((side, slot.reshape(-1)))
         (r, r_slot), (s, s_slot) = sides
@@ -269,6 +270,8 @@ class PairBits:
         """Lists built on different grids cannot be compared."""
         if self._grids_checked:
             return
+        if any(a is None for side in "rs" for a in self.sides[side].aprils):
+            raise ValueError("a list bit read an object that has no APRIL approximation")
         grids = [
             {id(a.grid): a.grid for a in self.sides[side].aprils}.values() for side in "rs"
         ]

@@ -29,7 +29,7 @@ tree equals its handler on every assignment of the bits it can read
 from __future__ import annotations
 
 import enum
-from typing import NamedTuple, Sequence, Union
+from typing import Any, Callable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -55,11 +55,12 @@ VERDICTS = (NO, YES, UNKNOWN)
 
 
 class If(NamedTuple):
-    """A tree node: ``then`` where ``bit`` holds, else ``otherwise``."""
+    """A tree node: ``then`` where ``bit`` holds, else ``otherwise``.
+    Anything else in a tree is a leaf."""
 
     bit: str
-    then: "Tree"
-    otherwise: "Tree"
+    then: Any
+    otherwise: Any
 
 
 Tree = Union[If, RelateVerdict]
@@ -120,13 +121,13 @@ _MIRRORED_BITS = {
 _MIRRORED_BITS.update({v: k for k, v in _MIRRORED_BITS.items()})
 
 
-def _mirror(tree: Tree) -> Tree:
+def _mirror(tree: Tree, leaf: Callable[[Any], Any] = lambda verdict: verdict) -> Tree:
     """The tree of the converse predicate: every bit read with r and s
-    swapped."""
-    if isinstance(tree, RelateVerdict):
-        return tree
+    swapped, every leaf mapped by ``leaf``."""
+    if not isinstance(tree, If):
+        return leaf(tree)
     bit = _MIRRORED_BITS.get(tree.bit, tree.bit)
-    return If(bit, _mirror(tree.then), _mirror(tree.otherwise))
+    return If(bit, _mirror(tree.then, leaf), _mirror(tree.otherwise, leaf))
 
 
 def _negate(tree: Tree) -> Tree:
@@ -152,16 +153,17 @@ TREES: dict[T, Tree] = {
 }
 
 
-def decide(tree: Tree, bits: PairBits, count: int) -> np.ndarray:
-    """The verdict codes (:data:`CODES`) of ``tree`` for pairs
-    ``0..count-1`` of ``bits``: one masked pass per node, over the pairs
-    that reached it."""
+def decide(tree: Tree, bits: PairBits, count: int, codes: Mapping = CODES) -> np.ndarray:
+    """The leaf codes of ``tree`` for pairs ``0..count-1`` of ``bits``,
+    ``codes`` mapping each leaf to its code (:data:`CODES` for the
+    verdicts of relate_p): one masked pass per node, over the pairs that
+    reached it."""
     out = np.empty(count, dtype=np.int8)
     pending = [(tree, np.arange(count))]
     while pending:
         node, rows = pending.pop()
-        if isinstance(node, RelateVerdict):
-            out[rows] = CODES[node]
+        if not isinstance(node, If):
+            out[rows] = codes[node]
         elif rows.size:
             holds = bits.bit(node.bit, rows)
             pending.append((node.then, rows[holds]))

@@ -14,13 +14,9 @@ from repro.join.mbr_join import plane_sweep_mbr_join
 from repro.join.objects import SpatialObject, make_objects
 from repro.join.pipeline import (
     PIPELINES,
-    AprilIntersectionPipeline,
     FindRelationOutcome,
-    OptimizedTwoPhasePipeline,
     Pipeline,
-    ProgressiveConservativePipeline,
     Stage,
-    StandardTwoPhasePipeline,
     relate_predicate,
     run_find_relation,
     run_relate,
@@ -28,16 +24,12 @@ from repro.join.pipeline import (
 from repro.join.stats import JoinRunStats
 
 __all__ = [
-    "AprilIntersectionPipeline",
     "FindRelationOutcome",
     "JoinRunStats",
-    "OptimizedTwoPhasePipeline",
     "PIPELINES",
     "Pipeline",
-    "ProgressiveConservativePipeline",
     "SpatialObject",
     "Stage",
-    "StandardTwoPhasePipeline",
     "make_objects",
     "plane_sweep_mbr_join",
     "relate_predicate",

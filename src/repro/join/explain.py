@@ -4,19 +4,24 @@ Debugging a filter verdict (or teaching the method) needs to see the
 exact sequence Algorithm 1 executed: the MBR case, each interval
 merge-join and its result, the filter verdict, and — when refinement
 runs — the DE-9IM matrix and the mask that matched. ``explain_pair``
-re-runs the pipeline with instrumentation and renders the trace.
+walks the join's own P+C tree (:data:`repro.join.pipeline.PIPELINES`)
+for the pair, over the same bits, and renders every list bit it read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.filters.intermediate import intermediate_filter
-from repro.filters.mbr import MBRRelationship, classify_mbr_pair, mbr_candidates_for
+import numpy as np
+
+from repro.filters.intermediate import Stage
+from repro.filters.mbr import MBRRelationship, classify_mbr_pair
+from repro.filters.pair_bits import MBR_BITS, PairBits
+from repro.filters.relate_filters import If
 from repro.join.objects import SpatialObject
+from repro.join.pipeline import PIPELINES
 from repro.topology.de9im import TopologicalRelation as T, most_specific_relation
 from repro.topology.relate import relate
-
 
 @dataclass
 class PairExplanation:
@@ -41,53 +46,37 @@ class PairExplanation:
         return "\n".join(lines)
 
 
+def _check(name: str, holds: bool, bits: PairBits) -> str:
+    """A list bit as read (``rC inside sP = True``), with the sizes of
+    the lists it read."""
+    relation, first, *other = name.split("_")
+    sizes = (f"|{op}|={bits.sides[op[0]].lists(op[1]).lengths[0]}" for op in (first, *other))
+    return f"{' '.join((first, relation, *other))} = {holds}   ({', '.join(sizes)})"
+
+
 def explain_pair(r: SpatialObject, s: SpatialObject) -> PairExplanation:
     """Trace the P+C pipeline on one candidate pair."""
-    case = classify_mbr_pair(r.box, s.box)
-    connected = r.is_connected and s.is_connected
-    trace = PairExplanation(mbr_case=case, connected=connected)
+    trace = PairExplanation(
+        mbr_case=classify_mbr_pair(r.box, s.box),
+        connected=r.is_connected and s.is_connected,
+    )
+    pipeline = PIPELINES["P+C"]
+    bits = PairBits.of_objects([r], [s], [(0, 0)])
+    row = np.zeros(1, dtype=np.int64)
+    node = pipeline.tree
+    while isinstance(node, If):
+        holds = bool(bits.bit(node.bit, row)[0])
+        if node.bit not in MBR_BITS and node.bit != "connected":
+            trace.checks.append(_check(node.bit, holds, bits))
+        node = node.then if holds else node.otherwise
 
-    if case is MBRRelationship.DISJOINT:
-        trace.filter_verdict = "MBRs disjoint -> disjoint (definite)"
-        trace.relation = T.DISJOINT
-        return trace
-    if case is MBRRelationship.CROSS and connected:
-        trace.filter_verdict = "crossing MBRs of connected shapes -> intersects (definite)"
-        trace.relation = T.INTERSECTS
-        return trace
-
-    ra = r.require_april()
-    sa = s.require_april()
-
-    # Record the merge-join facts the filters may consult. (Cheap: each
-    # is a linear pass over short lists.)
-    cc = ra.c.overlaps(sa.c)
-    trace.checks.append(f"overlap(rC, sC) = {cc}   (|rC|={len(ra.c)}, |sC|={len(sa.c)})")
-    if cc:
-        if case in (MBRRelationship.EQUAL, MBRRelationship.R_INSIDE_S):
-            trace.checks.append(f"rC inside sC = {ra.c.inside(sa.c)}")
-        if case in (MBRRelationship.EQUAL, MBRRelationship.R_CONTAINS_S):
-            trace.checks.append(f"rC contains sC = {ra.c.contains(sa.c)}")
-        if case is MBRRelationship.EQUAL:
-            trace.checks.append(f"rC,sC match = {ra.c.matches(sa.c)}")
-        trace.checks.append(
-            f"overlap(rC, sP) = {ra.c.overlaps(sa.p)}   (|sP|={len(sa.p)})"
-        )
-        trace.checks.append(
-            f"overlap(rP, sC) = {ra.p.overlaps(sa.c)}   (|rP|={len(ra.p)})"
-        )
-        if sa.p:
-            trace.checks.append(f"rC inside sP = {ra.c.inside(sa.p)}")
-        if ra.p:
-            trace.checks.append(f"rP contains sC = {ra.p.contains(sa.c)}")
-
-    verdict = intermediate_filter(case, ra, sa, connected)
+    verdict, stage = node
     if verdict.definite is not None:
-        trace.filter_verdict = f"intermediate filter -> {verdict.definite.value} (definite)"
+        by = "MBR filter" if stage is Stage.MBR else "intermediate filter"
+        trace.filter_verdict = f"{by} -> {verdict.definite.value} (definite)"
         trace.relation = verdict.definite
         return trace
 
-    assert verdict.refine_candidates is not None
     names = ", ".join(c.value for c in verdict.refine_candidates)
     trace.filter_verdict = f"inconclusive -> refine against {{{names}}}"
     trace.refined = True

@@ -1,6 +1,7 @@
 """The four evaluated find-relation pipelines and the relate_p pipeline.
 
-Methods (paper Sec. 4):
+Methods (paper Sec. 4), each a filter tree of
+:mod:`repro.filters.intermediate`:
 
 - **ST2** — standard 2-phase: MBR disjointness test, then a full DE-9IM
   computation checked against all relation masks.
@@ -24,25 +25,24 @@ candidates that refinement runs.
 
 from __future__ import annotations
 
-import enum
 import time
-from abc import ABC, abstractmethod
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from repro.filters.intermediate import IFResult, intermediate_filter
-from repro.filters.mbr import MBRRelationship, classify_mbr_pair, mbr_candidates_for
-from repro.filters.relate_filters import CODES, RelateVerdict, relate_verdicts
+from repro.filters.intermediate import FIND_TREES, MBR_CASES, Leaf, Stage, leaves
+from repro.filters.mbr import MBRRelationship
+from repro.filters.pair_bits import PairBits
+from repro.filters.relate_filters import CODES, RelateVerdict, decide, relate_verdicts
 from repro.join.objects import SpatialObject, relate_objects
 from repro.join.stats import JoinRunStats
 from repro.obs.metrics import get_registry, metrics_enabled
 from repro.obs.profile import clear_phase, profiling_enabled, set_phase
 from repro.obs.trace import add_span, trace
 from repro.topology.de9im import (
-    SPECIFIC_TO_GENERAL,
     TopologicalRelation as T,
     most_specific_relation,
     relation_holds,
@@ -61,14 +61,6 @@ def _phase(name: str) -> Iterator[None]:
         clear_phase()
 
 
-class Stage(enum.Enum):
-    """Which pipeline stage produced the final relation of a pair."""
-
-    MBR = "mbr"
-    INTERMEDIATE = "if"
-    REFINEMENT = "refinement"
-
-
 @dataclass(frozen=True, slots=True)
 class FindRelationOutcome:
     """Find-relation answer for one pair plus its provenance."""
@@ -77,38 +69,44 @@ class FindRelationOutcome:
     stage: Stage
 
 
-class Pipeline(ABC):
-    """A find-relation method: a filter stage plus shared refinement."""
+class Pipeline:
+    """A find-relation method: a filter stage plus shared refinement.
 
-    #: Method name as used in the paper's plots.
-    name: str = "?"
-    #: Whether the method requires APRIL approximations.
-    uses_april: bool = False
+    The filter stage is the method's decision tree
+    (:data:`~repro.filters.intermediate.FIND_TREES`), walked over a
+    whole candidate stream by :func:`~repro.filters.relate_filters.decide`;
+    each :class:`~repro.filters.intermediate.Leaf` is the filter verdict
+    and the stage a *definite* verdict is attributed to.
+    """
 
-    @abstractmethod
-    def filter_pair(
-        self, r: SpatialObject, s: SpatialObject
-    ) -> tuple[IFResult, Stage]:
-        """Run the method's filter stage.
+    def __init__(self, name: str, uses_april: bool, tree) -> None:
+        #: Method name as used in the paper's plots.
+        self.name = name
+        #: Whether the method requires APRIL approximations.
+        self.uses_april = uses_april
+        self.tree = tree
+        #: The tree's leaves; :meth:`filter_codes` gives their indices.
+        self.leaves: tuple[Leaf, ...] = leaves(tree)
+        self._codes = {leaf: k for k, leaf in enumerate(self.leaves)}
 
-        Returns the filter verdict and the stage a *definite* verdict is
-        attributed to (``Stage.MBR`` or ``Stage.INTERMEDIATE``).
-        """
+    def filter_codes(self, bits: PairBits, count: int) -> np.ndarray:
+        """The index into :attr:`leaves` of pairs ``0..count-1`` of ``bits``."""
+        return decide(self.tree, bits, count, self._codes)
 
     def filter_pairs(
         self,
         r_objects: Sequence[SpatialObject],
         s_objects: Sequence[SpatialObject],
         pairs: Sequence[tuple[int, int]],
-    ) -> list[tuple[IFResult, Stage]]:
-        """Run the filter stage over a whole candidate stream: the map
-        of :meth:`filter_pair` over ``pairs``, for every method.
+    ) -> list[Leaf]:
+        """The filter stage's leaf for every ``(r_objects[i], s_objects[j])``
+        of ``pairs``, decided as one stream."""
+        bits = PairBits.of_objects(r_objects, s_objects, pairs)
+        return [self.leaves[c] for c in self.filter_codes(bits, len(pairs)).tolist()]
 
-        A pair's Fig. 5 flow is a few merge-joins of its own lists; a
-        candidate stream rarely shares an ``r`` between pairs, so there
-        is no probe to amortise across them (DESIGN §6).
-        """
-        return [self.filter_pair(r_objects[i], s_objects[j]) for i, j in pairs]
+    def filter_pair(self, r: SpatialObject, s: SpatialObject) -> Leaf:
+        """The filter stage of one pair: :meth:`filter_pairs`' batch of one."""
+        return self.filter_pairs([r], [s], [(0, 0)])[0]
 
     def refine_pairs(
         self,
@@ -142,94 +140,14 @@ class Pipeline(ABC):
         return FindRelationOutcome(relation, Stage.REFINEMENT)
 
 
-class StandardTwoPhasePipeline(Pipeline):
-    """ST2: plain MBR test, then refinement against all masks [25, 31]."""
-
-    name = "ST2"
-
-    def filter_pair(self, r: SpatialObject, s: SpatialObject) -> tuple[IFResult, Stage]:
-        if r.box.disjoint(s.box):
-            return IFResult(definite=T.DISJOINT), Stage.MBR
-        return IFResult(refine_candidates=tuple(SPECIFIC_TO_GENERAL)), Stage.MBR
-
-
-def _mbr_shortcut(case: MBRRelationship, connected: bool) -> tuple[IFResult, Stage] | None:
-    """The verdict of the two MBR cases that decide a pair outright
-    (Sec. 3.1), else None."""
-    if case is MBRRelationship.DISJOINT:
-        return IFResult(definite=T.DISJOINT), Stage.MBR
-    if case is MBRRelationship.CROSS and connected:
-        return IFResult(definite=T.INTERSECTS), Stage.MBR
-    return None
-
-
-class OptimizedTwoPhasePipeline(Pipeline):
-    """OP2: the Sec. 3.1 MBR case analysis narrows the mask set."""
-
-    name = "OP2"
-
-    def filter_pair(self, r: SpatialObject, s: SpatialObject) -> tuple[IFResult, Stage]:
-        case = classify_mbr_pair(r.box, s.box)
-        connected = r.is_connected and s.is_connected
-        decided = _mbr_shortcut(case, connected)
-        if decided is not None:
-            return decided
-        return IFResult(refine_candidates=mbr_candidates_for(case, connected)), Stage.MBR
-
-
-class AprilIntersectionPipeline(Pipeline):
-    """APRIL [14]: intermediate filter for intersection detection only."""
-
-    name = "APRIL"
-    uses_april = True
-
-    def filter_pair(self, r: SpatialObject, s: SpatialObject) -> tuple[IFResult, Stage]:
-        case = classify_mbr_pair(r.box, s.box)
-        connected = r.is_connected and s.is_connected
-        decided = _mbr_shortcut(case, connected)
-        if decided is not None:
-            return decided
-        ra = r.require_april()
-        sa = s.require_april()
-        ra.check_compatible(sa)
-        if not ra.c.overlaps(sa.c):
-            return IFResult(definite=T.DISJOINT), Stage.INTERMEDIATE
-        candidates = mbr_candidates_for(case, connected)
-        if ra.c.overlaps(sa.p) or ra.p.overlaps(sa.c):
-            # Interiors provably intersect: disjoint and meets masks are
-            # dead, but the most specific relation is still unknown.
-            candidates = tuple(c for c in candidates if c not in (T.DISJOINT, T.MEETS))
-        return IFResult(refine_candidates=candidates), Stage.INTERMEDIATE
-
-
-class ProgressiveConservativePipeline(Pipeline):
-    """P+C: the paper's Algorithm 1 with the Fig. 5 intermediate filters."""
-
-    name = "P+C"
-    uses_april = True
-
-    def filter_pair(self, r: SpatialObject, s: SpatialObject) -> tuple[IFResult, Stage]:
-        case = classify_mbr_pair(r.box, s.box)
-        connected = r.is_connected and s.is_connected
-        decided = _mbr_shortcut(case, connected)
-        if decided is not None:
-            return decided
-        return (
-            intermediate_filter(
-                case, r.require_april(), s.require_april(), connected
-            ),
-            Stage.INTERMEDIATE,
-        )
-
-
 #: The four evaluated methods, keyed by their paper names.
 PIPELINES: dict[str, Pipeline] = {
     p.name: p
     for p in (
-        StandardTwoPhasePipeline(),
-        OptimizedTwoPhasePipeline(),
-        AprilIntersectionPipeline(),
-        ProgressiveConservativePipeline(),
+        Pipeline("ST2", False, FIND_TREES["ST2"]),
+        Pipeline("OP2", False, FIND_TREES["OP2"]),
+        Pipeline("APRIL", True, FIND_TREES["APRIL"]),
+        Pipeline("P+C", True, FIND_TREES["P+C"]),
     )
 }
 
@@ -307,14 +225,20 @@ class _Instruments:
         return Verified(rows, stats, self.touched_r, self.touched_s)
 
 
+#: Each Fig. 4 case's code in :data:`~repro.filters.intermediate.MBR_CASES`.
+_CASES = tuple(MBRRelationship)
+_CASE_CODES = {case: k for k, case in enumerate(_CASES)}
+
+
 def verify_find_relation(
     pipeline: Pipeline,
     r_objects: Sequence[SpatialObject],
     s_objects: Sequence[SpatialObject],
     pairs: Sequence[tuple[int, int]],
 ) -> Verified:
-    """Algorithm 1 over one partition: the method's filter on each pair,
-    then one batched refinement of every pair it left undecided.
+    """Algorithm 1 over one partition: the method's tree over the whole
+    partition, then one batched refinement of every pair it left
+    undecided.
 
     The one find-relation verification loop: the in-process run calls
     it on the whole stream, forked workers (and their in-parent
@@ -322,46 +246,49 @@ def verify_find_relation(
     partition alone; callers that merge partitions deduplicate them.
     """
     inst = _Instruments(pipeline.name, r_objects, s_objects, len(pairs))
-    stats, registry = inst.stats, inst.registry
-    # MBR cases are re-derived (cheap float compares) only when the
-    # per-case verdict counters are actually wanted.
-    cases = (
-        [classify_mbr_pair(r_objects[i].box, s_objects[j].box).value for i, j in pairs]
-        if registry is not None
-        else None
-    )
+    stats, registry, leaves = inst.stats, inst.registry, pipeline.leaves
+    count = len(pairs)
     with inst.filtering():
-        verdicts = pipeline.filter_pairs(r_objects, s_objects, pairs)
+        bits = PairBits.of_objects(r_objects, s_objects, pairs)
+        codes = pipeline.filter_codes(bits, count)
+    definite = [leaf.result.definite for leaf in leaves]
+    decided = np.array([d is not None for d in definite], dtype=bool)[codes]
+    undecided = np.flatnonzero(~decided).tolist()
+    relations = [definite[c] for c in codes.tolist()]
+    if undecided:
+        items = [(*pairs[k], leaves[codes[k]].result.refine_candidates) for k in undecided]
+        refined = inst.refine(
+            [pairs[k] for k in undecided], pipeline.refine_pairs, r_objects, s_objects, items
+        )
+        for k, relation in zip(undecided, refined):
+            relations[k] = relation
+    rows: list[PairOutcome] = [
+        (i, j, relation, f) for (i, j), relation, f in zip(pairs, relations, decided.tolist())
+    ]
 
-    rows: list[PairOutcome] = [None] * len(pairs)  # type: ignore[list-item]
-
-    def record(k: int, relation: T, stage: Stage) -> None:
-        i, j = pairs[k]
-        stats.record(relation, stage.value)
-        rows[k] = (i, j, relation, stage is not Stage.REFINEMENT)
+    # Every pair's (MBR case, stage, relation), for the counters and the
+    # metrics: a definite leaf fixes the last two for all the pairs that
+    # reached it, so those are counted per (case, leaf) by one bincount.
+    cases = decide(MBR_CASES, bits, count, _CASE_CODES)
+    width = len(leaves)
+    per_case_leaf = np.bincount(cases.astype(np.int64) * width + codes, minlength=len(_CASES) * width)
+    outcomes: Counter = Counter()
+    for key in np.flatnonzero(per_case_leaf).tolist():
+        case, code = divmod(key, width)
+        if definite[code] is not None:
+            outcomes[_CASES[case], leaves[code].stage, definite[code]] += int(per_case_leaf[key])
+    outcomes.update((_CASES[cases[k]], Stage.REFINEMENT, relations[k]) for k in undecided)
+    for (case, stage, relation), n in outcomes.items():
+        stats.record(relation, stage.value, n)
         if registry is not None:
             registry.inc(
                 "repro_verdicts_total",
+                n,
                 method=pipeline.name,
-                case=cases[k],
+                case=case.value,
                 stage=stage.value,
                 relation=relation.value,
             )
-
-    undecided: list[int] = []
-    for k, (verdict, stage) in enumerate(verdicts):
-        if verdict.definite is None:
-            assert verdict.refine_candidates is not None
-            undecided.append(k)
-        else:
-            record(k, verdict.definite, stage)
-    if undecided:
-        items = [(*pairs[k], verdicts[k][0].refine_candidates) for k in undecided]
-        relations = inst.refine(
-            [pairs[k] for k in undecided], pipeline.refine_pairs, r_objects, s_objects, items
-        )
-        for k, relation in zip(undecided, relations):
-            record(k, relation, Stage.REFINEMENT)
     return inst.finish(rows)
 
 
@@ -485,15 +412,11 @@ def run_relate(
 
 
 __all__ = [
-    "AprilIntersectionPipeline",
     "FindRelationOutcome",
-    "OptimizedTwoPhasePipeline",
     "PIPELINES",
     "Pipeline",
-    "ProgressiveConservativePipeline",
     "PairOutcome",
     "Stage",
-    "StandardTwoPhasePipeline",
     "Verified",
     "relate_predicate",
     "run_find_relation",

@@ -71,15 +71,16 @@ class JoinRunStats:
             return 0.0
         return 100.0 * (self.r_objects_accessed + self.s_objects_accessed) / total
 
-    def record(self, relation: TopologicalRelation, stage: str) -> None:
-        self.pairs += 1
-        self.relation_counts[relation] += 1
+    def record(self, relation: TopologicalRelation, stage: str, count: int = 1) -> None:
+        """Count ``count`` pairs of ``relation`` settled at ``stage``."""
+        self.pairs += count
+        self.relation_counts[relation] += count
         if stage == "mbr":
-            self.resolved_mbr += 1
+            self.resolved_mbr += count
         elif stage == "if":
-            self.resolved_if += 1
+            self.resolved_if += count
         else:
-            self.refined += 1
+            self.refined += count
 
     def merge(self, *others: "JoinRunStats") -> "JoinRunStats":
         """Combine runs of the same method (e.g. across batches/workers).

@@ -12,7 +12,6 @@ from repro.topology.de9im import (
     MASKS,
     SPECIFIC_TO_GENERAL,
     TopologicalRelation,
-    matrix_matches_any,
     most_specific_relation,
 )
 from repro.topology.relate import (
@@ -28,7 +27,6 @@ __all__ = [
     "SPECIFIC_TO_GENERAL",
     "TopologicalRelation",
     "RelateDetails",
-    "matrix_matches_any",
     "most_specific_relation",
     "relate",
     "relate_details",

@@ -4,12 +4,17 @@ The paper's masks only use ``T``/``F``/``*``, so the matrix is stored as
 a 9-character string of ``T``/``F`` in row-major order: rows are the
 interior/boundary/exterior of ``r``, columns those of ``s`` —
 ``II IB IE  BI BB BE  EI EB EE`` flattened.
+
+A matrix has one of 512 codes, so mask matching is a lookup: the codes
+each relation's masks match are expanded once (:data:`MATCHING`). The
+string matcher it replaced is the oracle ``tests/oracles/de9im.py``.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Sequence
+from itertools import product
+from typing import Iterable
 
 _CELLS = ("II", "IB", "IE", "BI", "BB", "BE", "EI", "EB", "EE")
 
@@ -66,8 +71,10 @@ class DE9IM:
     def from_cells(
         ii: bool, ib: bool, ie: bool, bi: bool, bb: bool, be: bool, ei: bool, eb: bool, ee: bool
     ) -> "DE9IM":
-        bits = (ii, ib, ie, bi, bb, be, ei, eb, ee)
-        return DE9IM("".join("T" if b else "F" for b in bits))
+        # Nine booleans always make a valid code: no second validation.
+        matrix = DE9IM.__new__(DE9IM)
+        matrix.code = "".join(["T" if b else "F" for b in (ii, ib, ie, bi, bb, be, ei, eb, ee)])
+        return matrix
 
     def __getattr__(self, name: str) -> bool:
         try:
@@ -134,14 +141,22 @@ SPECIFIC_TO_GENERAL: tuple[TopologicalRelation, ...] = (
 )
 
 
-def matrix_matches_any(matrix: DE9IM, masks: Sequence[str]) -> bool:
-    """True iff ``matrix`` satisfies at least one of ``masks``."""
-    return any(matrix.matches(m) for m in masks)
+#: The codes each relation matches, of the 512 a matrix can have: its
+#: masks with every ``*`` expanded to both ``T`` and ``F``, built once.
+MATCHING: dict[TopologicalRelation, frozenset[str]] = {
+    relation: frozenset(
+        "".join(code) for mask in masks for code in product(*("TF" if c == "*" else c for c in mask))
+    )
+    for relation, masks in MASKS.items()
+}
+
+
+_BY_SPECIFICITY = tuple((relation, MATCHING[relation]) for relation in SPECIFIC_TO_GENERAL)
 
 
 def relation_holds(matrix: DE9IM, relation: TopologicalRelation) -> bool:
     """True iff ``relation`` holds for a pair with this DE-9IM matrix."""
-    return matrix_matches_any(matrix, MASKS[relation])
+    return matrix.code in MATCHING[relation]
 
 
 def most_specific_relation(
@@ -154,9 +169,11 @@ def most_specific_relation(
     *selective refinement*); the result is unchanged as long as the true
     relation is among the candidates, only fewer masks are tested.
     """
-    allowed = set(SPECIFIC_TO_GENERAL if candidates is None else candidates)
-    for relation in SPECIFIC_TO_GENERAL:
-        if relation in allowed and relation_holds(matrix, relation):
+    # Tuples, not sets or dicts keyed by relation: ``in`` on a tuple
+    # compares identities, where hashing an enum runs Python code.
+    allowed = SPECIFIC_TO_GENERAL if candidates is None else tuple(candidates)
+    for relation, codes in _BY_SPECIFICITY:
+        if matrix.code in codes and relation in allowed:
             return relation
     # Two areal geometries always satisfy either a candidate mask or
     # disjoint; reaching here means the candidate set was wrong.
@@ -169,8 +186,8 @@ __all__ = [
     "DE9IM",
     "MASKS",
     "SPECIFIC_TO_GENERAL",
+    "MATCHING",
     "TopologicalRelation",
-    "matrix_matches_any",
     "most_specific_relation",
     "relation_holds",
 ]

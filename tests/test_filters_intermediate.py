@@ -3,30 +3,76 @@
 Soundness contract: whenever a filter returns a *definite* relation, it
 must equal the ground truth from the DE-9IM engine; whenever it returns
 refinement candidates, the ground-truth relation must be among them.
+
+Each flow is run twice on the same lists: as the per-pair oracle
+(``tests/oracles/find_filters.py``) and as the product's tree
+(:mod:`repro.filters.intermediate`), which must reach the same result;
+the dispatcher's checks run the P+C tree of :data:`PIPELINES` too.
 """
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.filters.intermediate import (
+    IF_CONTAINS,
+    IF_EQUALS,
+    IF_INSIDE,
+    IF_INTERSECTS,
     IFResult,
-    if_contains,
-    if_equals,
-    if_inside,
-    if_intersects,
-    intermediate_filter,
+    leaves,
 )
 from repro.filters.mbr import MBRRelationship as M, classify_mbr_pair
+from repro.filters.pair_bits import PairBits, Side
+from repro.filters.relate_filters import decide
 from repro.geometry import Box, Polygon
+from repro.join.objects import SpatialObject
+from repro.join.pipeline import PIPELINES
 from repro.raster import RasterGrid, build_april
 from repro.topology import TopologicalRelation as T, most_specific_relation, relate
+from tests.oracles import find_filters as oracle
 
 GRID = RasterGrid(Box(0, 0, 64, 64), order=8)
 
 
 def ap(poly):
     return build_april(poly, GRID)
+
+
+def tree_result(tree, r, s) -> IFResult:
+    """The result the product's ``tree`` reaches on the approximations
+    ``r`` and ``s`` (a flow reads no MBR bit, so the boxes are moot)."""
+    box, one = Box(0, 0, 1, 1), np.zeros(1, dtype=np.int64)
+    bits = PairBits(Side([box], [True], [r]), Side([box], [True], [s]), one, one)
+    found = leaves(tree)
+    return found[decide(tree, bits, 1, {leaf: k for k, leaf in enumerate(found)})[0]].result
+
+
+def _checked(flow, tree):
+    """The oracle ``flow``, asserting that ``tree`` agrees on each call."""
+
+    def run(r, s):
+        result = flow(r, s)
+        assert tree_result(tree, r, s) == result
+        return result
+
+    return run
+
+
+if_equals = _checked(oracle.if_equals, IF_EQUALS)
+if_inside = _checked(oracle.if_inside, IF_INSIDE)
+if_contains = _checked(oracle.if_contains, IF_CONTAINS)
+if_intersects = _checked(oracle.if_intersects, IF_INTERSECTS)
+
+
+intermediate_filter = oracle.intermediate_filter
+
+
+def pc_result(r, s) -> IFResult:
+    """The P+C tree's result on two polygons."""
+    r_obj, s_obj = (SpatialObject.from_polygon(k, p, GRID) for k, p in enumerate((r, s)))
+    return PIPELINES["P+C"].filter_pair(r_obj, s_obj).result
 
 
 def truth(r, s):
@@ -191,10 +237,19 @@ class TestDispatcher:
     def test_mbr_disjoint(self):
         res = intermediate_filter(M.DISJOINT, None, None)
         assert res.definite is T.DISJOINT
+        # The tree decides it from the MBRs alone: no lists needed.
+        far = SpatialObject.from_polygon(0, Polygon.box(0, 0, 5, 5)), SpatialObject.from_polygon(
+            1, Polygon.box(20, 20, 30, 30)
+        )
+        assert PIPELINES["P+C"].filter_pair(*far).result == res
 
     def test_mbr_cross(self):
         res = intermediate_filter(M.CROSS, None, None)
         assert res.definite is T.INTERSECTS
+        cross = SpatialObject.from_polygon(0, Polygon.box(20, 5, 25, 55)), SpatialObject.from_polygon(
+            1, Polygon.box(5, 20, 55, 25)
+        )
+        assert PIPELINES["P+C"].filter_pair(*cross).result == res
 
     def test_cross_pair_end_to_end(self):
         tall = Polygon.box(20, 5, 25, 55)
@@ -203,6 +258,7 @@ class TestDispatcher:
         assert case is M.CROSS
         res = intermediate_filter(case, ap(tall), ap(wide))
         assert res.definite is T.INTERSECTS
+        assert pc_result(tall, wide) == res
         assert truth(tall, wide) is T.INTERSECTS
 
     @pytest.mark.parametrize(
@@ -219,6 +275,7 @@ class TestDispatcher:
         r, s = geoms[case]
         assert classify_mbr_pair(r.bbox, s.bbox) is case
         res = intermediate_filter(case, ap(r), ap(s))
+        assert pc_result(r, s) == res
         check_sound(res, r, s)
 
 
@@ -229,3 +286,5 @@ class TestGridMismatch:
         s = build_april(Polygon.box(10, 10, 20, 20), other)
         with pytest.raises(ValueError):
             if_equals(r, s)
+        with pytest.raises(ValueError):
+            tree_result(IF_EQUALS, r, s)

@@ -4,7 +4,8 @@ Generates random polygon soups with hypothesis and checks the central
 guarantees on every MBR-passing pair:
 
 1. every pipeline's find-relation answer equals the DE-9IM ground truth;
-2. every intermediate-filter *definite* verdict is truthful;
+2. every intermediate-filter *definite* verdict is truthful (the oracle
+   Fig. 5 flow, and the P+C tree, which must equal it);
 3. every relate_p YES/NO verdict is truthful, for all 8 predicates;
 4. the transpose/inverse symmetry of the whole stack.
 """
@@ -14,7 +15,6 @@ import math
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.filters.intermediate import intermediate_filter
 from repro.filters.mbr import classify_mbr_pair
 from repro.filters.relate_filters import RelateVerdict, relate_filter
 from repro.geometry import Box, Polygon
@@ -23,6 +23,7 @@ from repro.join.pipeline import PIPELINES
 from repro.raster import RasterGrid
 from repro.topology import TopologicalRelation as T, most_specific_relation, relate
 from repro.topology.de9im import relation_holds
+from tests.oracles.find_filters import intermediate_filter
 
 GRID = RasterGrid(Box(0, 0, 64, 64), order=7)
 
@@ -77,6 +78,7 @@ def test_intermediate_filter_definites_truthful(r, s):
     r_obj, s_obj = objects_for(r, s)
     case = classify_mbr_pair(r_obj.box, s_obj.box)
     verdict = intermediate_filter(case, r_obj.require_april(), s_obj.require_april())
+    assert PIPELINES["P+C"].filter_pair(r_obj, s_obj).result == verdict
     truth = most_specific_relation(relate(r, s))
     if verdict.definite is not None:
         assert verdict.definite is truth

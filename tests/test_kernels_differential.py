@@ -9,8 +9,10 @@ lists, identical lists, containment chains — plus exact-equality checks
 for the bulk rasteriser, the batched APRIL builder (whatever the batch)
 and the Hilbert lookup-table fast path, and one end-to-end join-shaped
 differential: oracle-built APRILs and oracle-decided filter verdicts
-against the product's on a synthetic scenario, with the stream API
-``Pipeline.filter_pairs`` pinned to the per-pair ``filter_pair``.
+(the per-pair Fig. 5 flows of ``tests/oracles/find_filters.py`` over
+the scalar interval loops) against the product's trees on a synthetic
+scenario, with the stream API ``Pipeline.filter_pairs`` pinned to the
+per-pair ``filter_pair``.
 """
 
 import math
@@ -19,7 +21,6 @@ import numpy as np
 import pytest
 
 from repro.datasets.synthetic import generate_blobs, generate_tessellation
-from repro.filters.intermediate import intermediate_filter
 from repro.filters.mbr import classify_mbr_pair
 from repro.geometry import Box, MultiPolygon, Polygon
 from repro.geometry.columns import GeometryColumns
@@ -40,6 +41,7 @@ from repro.raster.intervals import EMPTY_INTERVALS, IntervalList
 from repro.raster.rasterize import CellWindows
 
 from tests.oracles import hilbert as oracle_hilbert
+from tests.oracles.find_filters import intermediate_filter
 from tests.oracles import intervals as oracle_intervals
 from tests.oracles import rasterize as oracle_rasterize
 

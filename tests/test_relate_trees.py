@@ -1,16 +1,12 @@
 """The Fig. 6 decision trees equal the per-pair handlers they replaced.
 
-**A proof, by enumeration.** A handler of ``tests/oracles/relate_filters``
-reads its pair only through the MBR case, two strict MBR containments,
-``connected`` and eleven Sec. 3.2 relations of the P/C lists. Given
-stand-ins that answer those reads from a table, the handler is explored
-symbolically: each read of an unset fact forks the run, so the runs
-partition the whole space into cubes, each with the handler's verdict.
-The tree is evaluated by the product's own :func:`decide` over every
-row of that space — 6 MBR cases x 2 x 2 strictnesses x 2 connectivities
-x 2**11 list bits — and must give each cube's verdict on each of its
-rows. Inconsistent rows (a strict containment with crossing MBRs, say)
-are included: the two flows agree there too.
+**A proof, by enumeration** (``tests/symbolic.py``). A handler of
+``tests/oracles/relate_filters`` is explored symbolically over the bits
+it can read, which partitions the whole space into cubes, each with the
+handler's verdict. The tree is evaluated by the product's own
+:func:`decide` over every row of that space — 6 MBR cases x 2 x 2
+strictnesses x 2 connectivities x 2**11 list bits — and must give each
+cube's verdict on each of its rows.
 
 The kernel that computes the bits is checked separately: its MBR bits
 against :class:`~repro.geometry.box.Box` and
@@ -44,163 +40,32 @@ from repro.raster import RasterGrid, build_april
 from repro.raster.april import AprilApproximation
 from repro.raster.intervals import IntervalList
 from repro.topology.de9im import TopologicalRelation as T
+from tests import symbolic
 from tests.oracles import relate_filters as oracle
-
-CASES = tuple(M)
-LIST_BITS = tuple(b for b in BIT_NAMES if b not in MBR_BITS and b != "connected")
-#: The facts a handler may read, with their values.
-DOMAIN = {
-    "case": CASES,
-    "mbr_r_strictly_in_s": (False, True),
-    "mbr_s_strictly_in_r": (False, True),
-    "connected": (False, True),
-    **{bit: (False, True) for bit in LIST_BITS},
-}
-
-
-def _space() -> dict[str, np.ndarray]:
-    """Every row of ``DOMAIN``'s product, one column per fact (cases as
-    indices into ``CASES``)."""
-    radices = [len(values) for values in DOMAIN.values()]
-    index = np.arange(int(np.prod(radices)))
-    columns = {}
-    for name, radix in zip(DOMAIN, radices):
-        index, digit = np.divmod(index, radix)
-        columns[name] = digit if name == "case" else digit.astype(bool)
-    return columns
-
-
-class TableBits:
-    """:class:`PairBits` over the rows of :func:`_space`."""
-
-    def __init__(self, columns):
-        self.columns = columns
-        case = columns["case"]
-
-        def is_case(*cases):
-            return np.isin(case, [CASES.index(c) for c in cases])
-
-        self.derived = {
-            "mbr_disjoint": is_case(M.DISJOINT),
-            "mbr_equal": is_case(M.EQUAL),
-            "mbr_cross": is_case(M.CROSS),
-            "mbr_r_in_s": is_case(M.EQUAL, M.R_INSIDE_S),
-            "mbr_s_in_r": is_case(M.EQUAL, M.R_CONTAINS_S),
-        }
-
-    def bit(self, name, rows):
-        assert name in BIT_NAMES, name
-        column = self.derived[name] if name in self.derived else self.columns[name]
-        return column[rows]
-
-
-class Need(Exception):
-    """A handler read a fact the current run has not set."""
-
-
-class Facts:
-    def __init__(self, fixed):
-        self.fixed = fixed
-
-    def __call__(self, name):
-        assert name in DOMAIN, f"the handler reads {name}, which no bit names"
-        if name not in self.fixed:
-            raise Need(name)
-        return self.fixed[name]
-
-
-class StandInBox:
-    """A box that answers every question from the facts."""
-
-    def __init__(self, side, facts):
-        self.side, self.facts = side, facts
-
-    def disjoint(self, other):
-        return self.facts("case") is M.DISJOINT
-
-    def __eq__(self, other):
-        return self.facts("case") is M.EQUAL
-
-    def __ne__(self, other):
-        return not self == other
-
-    __hash__ = None
-
-    def contains_box(self, other):
-        own = M.R_INSIDE_S if self.side == "s" else M.R_CONTAINS_S
-        return self.facts("case") in (M.EQUAL, own)
-
-    def strictly_contains_box(self, other):
-        return self.facts(f"mbr_{other.side}_strictly_in_{self.side}")
-
-    def crosses(self, other):
-        return self.facts("case") is M.CROSS
-
-
-class StandInList:
-    def __init__(self, operand, facts):
-        self.operand, self.facts = operand, facts
-
-    def _pair(self, relation, other, symmetric):
-        a, b = self.operand, other.operand
-        if symmetric and a[0] == "s":
-            a, b = b, a
-        return self.facts(f"{relation}_{a}_{b}")
-
-    def overlaps(self, other):
-        return self._pair("overlap", other, True)
-
-    def inside(self, other):
-        return self._pair("inside", other, False)
-
-    def matches(self, other):
-        return self._pair("match", other, True)
-
-    def __bool__(self):
-        return self.facts(f"nonempty_{self.operand}")
-
-
-class StandInApril:
-    def __init__(self, side, facts):
-        self.p = StandInList(side + "P", facts)
-        self.c = StandInList(side + "C", facts)
-
-    def check_compatible(self, other):
-        pass
-
-
-class StandInFlag:
-    def __init__(self, name, facts):
-        self.name, self.facts = name, facts
-
-    def __bool__(self):
-        return self.facts(self.name)
+from tests.symbolic import (
+    DOMAIN,
+    LIST_BITS,
+    StandInApril,
+    StandInBox,
+    StandInFlag,
+    TableBits,
+)
 
 
 def handler_cubes(predicate):
     """The handler's verdict on every cube of ``DOMAIN``: ``(fixed facts,
     verdict)`` pairs whose cubes partition the product."""
-    cubes, todo = [], [{}]
-    while todo:
-        fixed = todo.pop()
-        facts = Facts(fixed)
-        try:
-            verdict = oracle.relate_filter(
-                predicate,
-                StandInBox("r", facts), StandInBox("s", facts),
-                StandInApril("r", facts), StandInApril("s", facts),
-                StandInFlag("connected", facts),
-            )
-        except Need as need:
-            todo += [{**fixed, need.args[0]: value} for value in DOMAIN[need.args[0]]]
-            continue
-        cubes.append((fixed, verdict))
-    return cubes
+    return symbolic.cubes(DOMAIN, lambda facts: oracle.relate_filter(
+        predicate,
+        StandInBox("r", facts), StandInBox("s", facts),
+        StandInApril("r", facts), StandInApril("s", facts),
+        StandInFlag("connected", facts),
+    ))
 
 
 @pytest.fixture(scope="module")
 def space():
-    return _space()
+    return symbolic.space(DOMAIN)
 
 
 @pytest.mark.parametrize("predicate", list(T), ids=lambda p: p.name)
@@ -211,9 +76,7 @@ def test_tree_equals_its_handler_on_every_bit_assignment(predicate, space):
     codes = decide(TREES[predicate], bits, rows)
     covered = np.zeros(rows, dtype=np.int64)
     for fixed, verdict in handler_cubes(predicate):
-        mask = np.ones(rows, dtype=bool)
-        for name, value in fixed.items():
-            mask &= space[name] == (CASES.index(value) if name == "case" else value)
+        mask = symbolic.rows_of(space, fixed)
         covered += mask
         wrong = np.flatnonzero(codes[mask] != CODES[verdict])
         assert wrong.size == 0, (fixed, verdict, VERDICTS[codes[mask][wrong[0]]])

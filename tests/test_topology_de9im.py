@@ -2,15 +2,19 @@
 
 import pytest
 
+from itertools import product
+
 from repro.topology.de9im import (
     DE9IM,
     MASKS,
+    MATCHING,
     SPECIFIC_TO_GENERAL,
     TopologicalRelation as T,
-    matrix_matches_any,
     most_specific_relation,
     relation_holds,
 )
+from tests.oracles import de9im as oracle
+from tests.oracles.de9im import matrix_matches_any
 
 
 class TestMatrix:
@@ -173,3 +177,33 @@ class TestMatchesAny:
     def test_any(self):
         assert matrix_matches_any(MEETS_M, MASKS[T.MEETS])
         assert not matrix_matches_any(MEETS_M, MASKS[T.EQUALS])
+
+
+ALL_CODES = ["".join(cells) for cells in product("TF", repeat=9)]
+
+
+class TestLookupEqualsTheStringMatcher:
+    def test_every_code_and_relation(self):
+        assert len(ALL_CODES) == 512
+        for code in ALL_CODES:
+            matrix = DE9IM(code)
+            for relation in T:
+                assert relation_holds(matrix, relation) == oracle.relation_holds(matrix, relation), (
+                    code, relation,
+                )
+            assert DE9IM.from_cells(*(c == "T" for c in code)) == matrix
+        assert set(MATCHING) == set(T)
+        assert all(MATCHING.values())
+
+    def test_most_specific_on_every_code_and_candidate_set(self):
+        candidate_sets = [None, *((r,) for r in T), tuple(SPECIFIC_TO_GENERAL[3:])]
+        for code in ALL_CODES:
+            matrix = DE9IM(code)
+            for candidates in candidate_sets:
+                try:
+                    want = oracle.most_specific_relation(matrix, candidates)
+                except ValueError:
+                    with pytest.raises(ValueError, match="matches none"):
+                        most_specific_relation(matrix, candidates)
+                else:
+                    assert most_specific_relation(matrix, candidates) is want, (code, candidates)
