@@ -8,16 +8,21 @@ any of them for any subset of a stream's pairs in a few numpy passes.
 
 **Packing.** The distinct objects of one call form two sides, r and s.
 Each side's boxes and connectivity are arrays indexed by the object's
-*slot*; its P and C lists are packed into CSR arrays (``starts`` and
-``ends`` back to back, ``offsets`` per slot) the first time a bit reads
-them. A pair is two slots, one per side.
+*slot*; a pair is two slots, one per side. An MBR bit or ``connected``
+is computed once for the whole stream, the first time a node reads it,
+and each node takes its rows of it. The interval lists go into one set
+of CSR arrays (:class:`PackedLists`): an operand such as ``rC`` (r's C
+lists) or ``sP`` is packed as one block the first time a bit reads it,
+so a stream packs only the operands its tree reaches, and an operand
+is a list id per pair. Every relation then runs over one array, with
+no bookkeeping for which side a list came from.
 
 **One keyed search per bit.** Cell ids lie below ``4**16 = 2**32`` on
 every grid (order ≤ 16), so an interval bound is at most ``2**32``, and
-the key ``slot * 2**33 + bound`` puts each list's bounds strictly
-between those of the lists around it. One ``searchsorted`` over a
-side's keyed bounds then searches every pair's *own* list at once: the
-lists before it add the same count to both sides of each comparison of
+the key ``list * 2**33 + bound`` puts each list's bounds strictly
+between those of the lists around it. One ``searchsorted`` over the
+keyed bounds then searches every pair's *own* list at once: the lists
+before it add the same count to both sides of each comparison of
 :mod:`repro.raster.kernels`, and the lists after it add nothing. The
 probe side's intervals are expanded pair by pair, and one scatter folds
 the per-interval answers back into one bit per pair.
@@ -32,7 +37,7 @@ import numpy as np
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
-#: Key stride between two slots' bounds: above every bound (≤ 2**32).
+#: Key stride between two lists' bounds: above every bound (≤ 2**32).
 _KEY = np.int64(1) << 33
 
 #: Probe intervals per expanded pass; a pair whose own list alone is
@@ -41,48 +46,56 @@ _BUDGET = 1 << 20
 
 
 class PackedLists:
-    """One side's interval lists of one kind as CSR arrays."""
+    """Interval lists as CSR arrays, appended a block at a time: list
+    ``k`` is ``bounds[:, offsets[k]:offsets[k + 1]]``, its starts over
+    its ends; ``keyed`` is ``bounds`` keyed by list (see above)."""
 
-    __slots__ = ("starts", "ends", "offsets", "lengths", "_keyed")
+    __slots__ = ("bounds", "keyed", "offsets", "lengths")
 
-    def __init__(self, lists: Sequence) -> None:
+    def __init__(self) -> None:
+        self.lengths = _EMPTY
+        self.offsets = np.zeros(1, dtype=np.int64)
+        self.bounds = self.keyed = np.empty((2, 0), dtype=np.int64)
+
+    def add(self, lists: Sequence) -> int:
+        """Append ``lists``; the id of the first of them."""
+        first = self.lengths.size
         starts = [il.starts for il in lists]
-        self.lengths = np.fromiter(map(len, starts), np.int64, len(starts))
-        self.offsets = np.zeros(len(starts) + 1, dtype=np.int64)
-        np.cumsum(self.lengths, out=self.offsets[1:])
-        self.starts = np.concatenate(starts or [_EMPTY])
-        self.ends = np.concatenate([il.ends for il in lists] or [_EMPTY])
-        self._keyed: tuple[np.ndarray, np.ndarray] | None = None
+        lengths = np.fromiter(map(len, starts), np.int64, len(starts))
+        bounds = np.concatenate(starts + [il.ends for il in lists] + [_EMPTY]).reshape(2, -1)
+        keys = (np.arange(first, first + lengths.size) * _KEY).repeat(lengths)
+        self.lengths = np.concatenate([self.lengths, lengths])
+        self.offsets = np.concatenate([self.offsets, self.offsets[-1] + lengths.cumsum()])
+        self.bounds = np.concatenate([self.bounds, bounds], axis=1)
+        self.keyed = np.concatenate([self.keyed, bounds + keys], axis=1)
+        return first
 
-    def keyed(self) -> tuple[np.ndarray, np.ndarray]:
-        """``starts`` and ``ends`` keyed by slot (sorted, see above)."""
-        if self._keyed is None:
-            slot = np.repeat(np.arange(self.lengths.size, dtype=np.int64) * _KEY, self.lengths)
-            self._keyed = (slot + self.starts, slot + self.ends)
-        return self._keyed
-
-    def expand(self, slots: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Every interval of the lists ``slots`` names, as ``(owner,
-        index)``: ``owner`` the position in ``slots`` of its list,
-        ``index`` its position in ``starts``/``ends``; in passes of at
-        most ``_BUDGET`` intervals."""
-        lengths = self.lengths[slots]
-        cum = np.cumsum(lengths)
+    def expand(self, ids: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Every interval of the lists ``ids`` names, as ``(owner,
+        index)``: ``owner`` the position in ``ids`` of its list,
+        ``index`` its column in ``bounds``; in passes of at
+        most ``_BUDGET`` intervals (one pass when they all fit)."""
+        lengths = self.lengths[ids]
+        cum = lengths.cumsum()
+        # Each interval's index is its position in the expansion plus
+        # this, per list.
+        shift = self.offsets[ids] - cum + lengths
         start = done = 0
-        while start < slots.size:
-            stop = max(int(np.searchsorted(cum, done + _BUDGET, "right")), start + 1)
-            lens = lengths[start:stop]
-            if cum[stop - 1] > done:
-                owner = np.repeat(np.arange(start, stop), lens)
-                first = self.offsets[slots[start:stop]] - (cum[start:stop] - lens - done)
-                yield owner, np.repeat(first, lens) + np.arange(cum[stop - 1] - done)
-            start, done = stop, int(cum[stop - 1])
+        while start < ids.size:
+            stop = ids.size
+            if cum[-1] - done > _BUDGET:
+                stop = max(int(cum.searchsorted(done + _BUDGET, "right")), start + 1)
+            end = int(cum[stop - 1])
+            if end > done:
+                owner = np.arange(start, stop).repeat(lengths[start:stop])
+                yield owner, shift[owner] + np.arange(done, end)
+            start, done = stop, end
 
 
 class Side:
     """The distinct objects of one side of a stream, by slot."""
 
-    __slots__ = ("boxes", "connected", "aprils", "_packed")
+    __slots__ = ("boxes", "connected", "aprils")
 
     def __init__(self, boxes, connected, aprils: Sequence) -> None:
         self.boxes = np.fromiter(
@@ -90,15 +103,6 @@ class Side:
         ).reshape(-1, 4)
         self.connected = np.asarray(connected, dtype=bool)
         self.aprils = aprils
-        self._packed: dict[str, PackedLists] = {}
-
-    def lists(self, kind: str) -> PackedLists:
-        """The ``"P"`` or ``"C"`` lists, packed on first use."""
-        packed = self._packed.get(kind)
-        if packed is None:
-            attr = kind.lower()
-            packed = self._packed[kind] = PackedLists([getattr(a, attr) for a in self.aprils])
-        return packed
 
 
 def _intersects(r, s):
@@ -147,66 +151,53 @@ MBR_BITS: dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
     "mbr_s_strictly_in_r": lambda r, s: _strictly_contains(r, s),
 }
 
-Operand = tuple[PackedLists, np.ndarray]
-
-
-def _by_target(rows: np.ndarray, t_slots: np.ndarray) -> np.ndarray:
-    """``rows`` ordered by target slot: the keys of one pass then rise
-    through the target's lists, and ``searchsorted`` stays in cache
-    (several times faster than keys in random order)."""
-    return rows[np.argsort(t_slots[rows], kind="stable")]
-
-
-def _overlap(x: Operand, y: Operand) -> np.ndarray:
+def _overlap(lists: PackedLists, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """``overlaps(X, Y)`` per pair, probing each pair's shorter list."""
-    out = np.zeros(x[1].size, dtype=bool)
-    flip = x[0].lengths[x[1]] > y[0].lengths[y[1]]
-    for (probe, p_slots), (target, t_slots), rows in (
-        (x, y, np.flatnonzero(~flip)), (y, x, np.flatnonzero(flip)),
-    ):
-        if not rows.size:
-            continue
-        rows = _by_target(rows, t_slots)
-        t_starts, t_ends = target.keyed()
-        for owner, idx in probe.expand(p_slots[rows]):
-            base = t_slots[rows[owner]] * _KEY
-            # [s, e) overlaps the target list iff count(ys < e) > count(ye <= s).
-            hits = t_starts.searchsorted(base + probe.ends[idx], "left") > t_ends.searchsorted(
-                base + probe.starts[idx], "right"
-            )
-            out[rows[owner[hits]]] = True
-    return out
+    flip = lists.lengths[x] > lists.lengths[y]
+    return _probe(lists, np.where(flip, y, x), np.where(flip, x, y), overlap=True)
 
 
-def _inside(x: Operand, y: Operand) -> np.ndarray:
+def _inside(lists: PackedLists, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """``inside(X, Y)`` per pair: every X interval in one Y interval."""
-    (probe, p_slots), (target, t_slots) = x, y
-    out = np.ones(p_slots.size, dtype=bool)
-    rows = _by_target(np.arange(p_slots.size), t_slots)
-    t_starts, t_ends = target.keyed()
-    for owner, idx in probe.expand(p_slots[rows]):
-        base = t_slots[rows[owner]] * _KEY
-        covered = t_starts.searchsorted(base + probe.starts[idx], "right") == (
-            t_ends.searchsorted(base + probe.ends[idx], "left") + 1
-        )
-        out[rows[owner[~covered]]] = False
-    return out
+    return _probe(lists, x, y, overlap=False)
 
 
-def _match(x: Operand, y: Operand) -> np.ndarray:
+def _probe(lists: PackedLists, probe: np.ndarray, target: np.ndarray, overlap: bool) -> np.ndarray:
+    """Per pair: does some ``probe`` interval overlap the ``target``
+    list (``overlap``), or does every one lie in one target interval?
+    The pairs are visited by target list: the keys of one pass then rise
+    through the target lists, and ``searchsorted`` stays in cache
+    (several times faster than keys in random order)."""
+    found = np.zeros(probe.size, dtype=bool)
+    order = target.argsort(kind="stable")
+    probe, target = probe[order], target[order]
+    t_starts, t_ends = lists.keyed
+    for owner, idx in lists.expand(probe):
+        s, e = lists.bounds.take(idx, axis=1) + target[owner] * _KEY
+        if overlap:
+            # [s, e) meets the target list iff count(ys < e) > count(ye <= s).
+            hit = t_starts.searchsorted(e, "left") > t_ends.searchsorted(s, "right")
+        else:
+            # ... and lies in one of its intervals iff that one is the last
+            # to start at or before s and the first to end at or after e.
+            hit = t_starts.searchsorted(s, "right") != t_ends.searchsorted(e, "left") + 1
+        found[order[owner[hit]]] = True
+    return found if overlap else ~found
+
+
+def _match(lists: PackedLists, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """``matches(X, Y)`` per pair: the same intervals."""
-    (xl, x_slots), (yl, y_slots) = x, y
-    out = xl.lengths[x_slots] == yl.lengths[y_slots]
+    out = lists.lengths[x] == lists.lengths[y]
     rows = np.flatnonzero(out)
-    for owner, ix in xl.expand(x_slots[rows]):
-        iy = ix - xl.offsets[x_slots[rows[owner]]] + yl.offsets[y_slots[rows[owner]]]
-        same = (xl.starts[ix] == yl.starts[iy]) & (xl.ends[ix] == yl.ends[iy])
+    for owner, ix in lists.expand(x[rows]):
+        iy = ix - lists.offsets[x[rows[owner]]] + lists.offsets[y[rows[owner]]]
+        same = (lists.bounds.take(ix, axis=1) == lists.bounds.take(iy, axis=1)).all(axis=0)
         out[rows[owner[~same]]] = False
     return out
 
 
-def _nonempty(x: Operand) -> np.ndarray:
-    return x[0].lengths[x[1]] > 0
+def _nonempty(lists: PackedLists, x: np.ndarray) -> np.ndarray:
+    return lists.lengths[x] > 0
 
 
 _RELATIONS = {"overlap": _overlap, "inside": _inside, "match": _match, "nonempty": _nonempty}
@@ -223,6 +214,14 @@ BIT_NAMES: tuple[str, ...] = (
     "nonempty_rP", "nonempty_sP",
 )
 
+#: Each list bit as its relation and its operands' ``(side, kind)``,
+#: ``kind`` the list's attribute (``"p"`` or ``"c"``).
+_LIST_BITS = {
+    name: (_RELATIONS[relation], tuple((op[0], op[1].lower()) for op in operands))
+    for name in BIT_NAMES[len(MBR_BITS) + 1 :]
+    for relation, *operands in [name.split("_")]
+}
+
 
 class PairBits:
     """The bits of a stream's pairs ``(r_slot[k], s_slot[k])``."""
@@ -230,7 +229,11 @@ class PairBits:
     def __init__(self, r: Side, s: Side, r_slot: np.ndarray, s_slot: np.ndarray) -> None:
         self.sides = {"r": r, "s": s}
         self.slots = {"r": r_slot, "s": s_slot}
-        self._grids_checked = False
+        #: Whole-stream arrays: the MBR bits and ``connected`` by name,
+        #: the list ids by operand.
+        self._whole: dict = {}
+        self._boxes: tuple[np.ndarray, np.ndarray] | None = None
+        self._packed: PackedLists | None = None
 
     @classmethod
     def of_objects(cls, r_objects, s_objects, pairs: Sequence[tuple[int, int]]) -> "PairBits":
@@ -239,7 +242,10 @@ class PairBits:
         ij = np.fromiter(chain.from_iterable(pairs), np.int64, 2 * len(pairs)).reshape(-1, 2)
         sides = []
         for objects, ids in ((r_objects, ij[:, 0]), (s_objects, ij[:, 1])):
-            distinct, slot = np.unique(ids, return_inverse=True)
+            # np.unique(ids, return_inverse=True), in fewer passes.
+            ordered = np.sort(ids)
+            distinct = np.concatenate([ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]])
+            slot = distinct.searchsorted(ids)
             chosen = [objects[i] for i in distinct.tolist()]
             side = Side(
                 [o.box for o in chosen],
@@ -247,29 +253,49 @@ class PairBits:
                 # Read only by a list bit, which refuses a missing one.
                 [o.april for o in chosen],
             )
-            sides.append((side, slot.reshape(-1)))
+            sides.append((side, slot))
         (r, r_slot), (s, s_slot) = sides
         return cls(r, s, r_slot, s_slot)
 
     def bit(self, name: str, rows: np.ndarray) -> np.ndarray:
         """Bit ``name`` (one of :data:`BIT_NAMES`) of the pairs ``rows``."""
-        r_slots = self.slots["r"][rows]
-        s_slots = self.slots["s"][rows]
-        if name in MBR_BITS:
-            r, s = self.sides["r"], self.sides["s"]
-            return MBR_BITS[name](r.boxes[r_slots].T, s.boxes[s_slots].T)
+        listed = _LIST_BITS.get(name)
+        if listed is None:
+            whole = self._whole.get(name)
+            if whole is None:
+                whole = self._whole[name] = self._stream_bit(name)
+            return whole[rows]
+        relation, operands = listed
+        ids = self._list_ids(operands)
+        return relation(self._packed, *(each[rows] for each in ids))
+
+    def _stream_bit(self, name: str) -> np.ndarray:
+        """An MBR bit or ``connected`` of every pair of the stream."""
+        (r, r_slot), (s, s_slot) = ((self.sides[k], self.slots[k]) for k in "rs")
         if name == "connected":
-            return self.sides["r"].connected[r_slots] & self.sides["s"].connected[s_slots]
-        relation, *operands = name.split("_")
-        self._check_grids()
-        return _RELATIONS[relation](*(
-            (self.sides[side].lists(kind), self.slots[side][rows]) for side, kind in operands
-        ))
+            return r.connected[r_slot] & s.connected[s_slot]
+        if self._boxes is None:
+            self._boxes = (r.boxes[r_slot].T, s.boxes[s_slot].T)
+        return MBR_BITS[name](*self._boxes)
+
+    def _list_ids(self, operands) -> list[np.ndarray]:
+        """The packed list id of each operand ``(side, kind)`` of every
+        pair: the operands not packed yet are packed in one block."""
+        missing = [op for op in operands if op not in self._whole]
+        if missing:
+            if self._packed is None:
+                self._check_grids()
+                self._packed = PackedLists()
+            first = self._packed.add([
+                getattr(a, kind) for side, kind in missing for a in self.sides[side].aprils
+            ])
+            for side, kind in missing:
+                self._whole[side, kind] = first + self.slots[side]
+                first += len(self.sides[side].aprils)
+        return [self._whole[op] for op in operands]
 
     def _check_grids(self) -> None:
         """Lists built on different grids cannot be compared."""
-        if self._grids_checked:
-            return
         if any(a is None for side in "rs" for a in self.sides[side].aprils):
             raise ValueError("a list bit read an object that has no APRIL approximation")
         grids = [
@@ -281,7 +307,6 @@ class PairBits:
                     raise ValueError(
                         "APRIL approximations built on different grids cannot be compared"
                     )
-        self._grids_checked = True
 
 
 __all__ = ["BIT_NAMES", "MBR_BITS", "PackedLists", "PairBits", "Side"]

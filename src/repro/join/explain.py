@@ -50,7 +50,9 @@ def _check(name: str, holds: bool, bits: PairBits) -> str:
     """A list bit as read (``rC inside sP = True``), with the sizes of
     the lists it read."""
     relation, first, *other = name.split("_")
-    sizes = (f"|{op}|={bits.sides[op[0]].lists(op[1]).lengths[0]}" for op in (first, *other))
+    sizes = (
+        f"|{op}|={len(getattr(bits.sides[op[0]].aprils[0], op[1].lower()))}" for op in (first, *other)
+    )
     return f"{' '.join((first, relation, *other))} = {holds}   ({', '.join(sizes)})"
 
 

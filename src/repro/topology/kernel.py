@@ -23,12 +23,18 @@ a fixed number of numpy passes, reading edge endpoints straight from
    sub-edges are exactly the ON sub-edges and are identified
    symbolically from the contact records, so the numeric classifier
    never sees a point on the other boundary.
-4. **Classify** the midpoint of every non-ON sub-edge as interior or
-   exterior of the other geometry (even-odd parity).
+4. **Classify** points as interior or exterior of the other geometry
+   (even-odd parity). A pair whose boundaries meet classifies the
+   midpoint of every non-ON sub-edge. A pair with no contact
+   (``BB = F``) classifies one point per ring: each ring is connected
+   and never meets the other boundary, so it lies wholly in one region
+   of the other geometry. A ring with a clipped-away edge is exterior
+   (step 1); every other ring is where the midpoint of its first edge
+   is.
 5. **Assemble** the matrix. Writing ``rB∩sI`` for "some r sub-edge
-   midpoint interior to s" etc., and using that polygon interiors are
-   open, connected (per part), and adjacent to every point of their
-   boundary:
+   midpoint (or ring point) interior to s" etc., and using that polygon
+   interiors are open, connected (per part), and adjacent to every point
+   of their boundary:
 
    - ``BI = rB∩sI``, ``IB = sB∩rI``, ``BE = rB∩sE``, ``EB = sB∩rE``
      (a 1-D boundary piece meeting an open region is a whole sub-arc,
@@ -48,8 +54,22 @@ a fixed number of numpy passes, reading edge endpoints straight from
      inside ``int(r)``); ``EI`` symmetric;
    - ``EE = T`` for bounded geometries.
 
+   Without a contact the witnesses add nothing: ``II = BI ∨ IB``,
+   ``IE = BE ∨ IB`` and ``EI = EB ∨ BI`` hold exactly. Take ``p`` in
+   ``int(r)∩int(s)`` and a path inside the open part of ``int(r)``
+   holding ``p`` to a point ``q`` of ``bnd(r)``. ``q`` is not on
+   ``bnd(s)``; if ``BI`` fails it is in ``ext(s)``, so the path leaves
+   ``int(s)``, crossing ``bnd(s)`` at a point of ``int(r)``: ``IB``.
+   For ``p`` in ``int(r)∩ext(s)`` the same path ends in ``int(s)`` if
+   ``BE`` fails, and again crosses ``bnd(s)`` inside ``int(r)``; ``EI``
+   is the mirror. So :func:`_witnesses` runs only for pairs with
+   contacts.
+
    The representative points are the only use of ``Polygon`` objects:
-   they are built only for the pairs that reach this fallback.
+   they are built only for the pairs that reach this fallback. The nine
+   cells and the overlap bit of each pair are one 10-bit code, and its
+   :class:`RelateDetails` come from a table filled the first time a
+   code occurs.
 
 Three notes on how the passes stay equal to the per-pair scalar code
 they replaced (``tests/oracles/relate.py``):
@@ -65,15 +85,18 @@ they replaced (``tests/oracles/relate.py``):
   sub-edges of both edges, which run closer to the other boundary than
   a float midpoint can resolve, are cut at exact points and classified
   by exact midpoints (``_exact_midpoints``).
-- **Slab parity.** Each midpoint is tested only against the other
-  geometry's edges that straddle its y: the geometry's distinct vertex
-  ys cut the plane into horizontal slabs, and an edge spans the slabs
-  between its end ys. Slabs are numbered on exact ranks and the points
-  sorted by slab, so each edge meets one contiguous run of points —
-  exactly those with ``(ay > y) != (by > y)`` — and the parity bits
-  equal those of the dense points-by-edges test.
+- **Parity over sorted points.** Each point is tested only against
+  the other geometry's edges that straddle its y, ``min(ay, by) <= y <
+  max(ay, by)``. The points are sorted by the exact integer key
+  geometry times ``M`` plus the rank of their y among the points' ys,
+  and each edge ranks its two end ys against the same sorted ys: two
+  ``searchsorted`` calls give it the contiguous run of its geometry's
+  points it straddles. The parity bits equal those of the dense
+  points-by-edges test, at ``O((P + E) log P)`` for ``P`` points rather
+  than a sort of all ``E`` edges (the slab version this replaced is
+  ``tests/oracles/parity.py``).
 - **Batch chunking.** Every expanded pass — pairs into edges, edges
-  into candidate edge pairs, edges into the points of their slabs — is cut into
+  into candidate edge pairs, edges into the points they straddle — is cut into
   chunks of at most :data:`_BUDGET` elements (one item whose own
   expansion exceeds it forms a chunk alone), so the working set of a
   batch does not grow with the batch.
@@ -100,6 +123,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Matrix of two polygons with disjoint MBRs (the paper's Fig. 1 example).
 DISJOINT_MATRIX = DE9IM("FFTFFTTTT")
+
+#: The 10-bit code of the disjoint-MBR details: the nine cells in
+#: row-major order, then the boundary-overlap bit.
+_DISJOINT_CODE = int(DISJOINT_MATRIX.code.replace("T", "1").replace("F", "0") + "0", 2)
 
 #: Sub-edges shorter than this fraction of their parent edge are dropped:
 #: their midpoints sit too close to a subdivision point for the float
@@ -128,6 +155,10 @@ class RelateDetails:
     boundary_overlap: bool
 
 
+#: The details of each 10-bit code, made the first time a pair has it.
+_DETAILS = np.full(1 << 10, None, dtype=object)
+
+
 class GeometrySet(NamedTuple):
     """The geometries one side of a batch refers to by index."""
 
@@ -147,13 +178,15 @@ class GeometrySet(NamedTuple):
 
 
 class EdgeArrays(NamedTuple):
-    """Edges ``(ax, ay) -> (bx, by)``; ``owner`` says whose each is."""
+    """Edges ``(ax, ay) -> (bx, by)``; ``owner`` says whose each is,
+    ``ring`` which of the arrays' rings (numbered from 0 in order)."""
 
     owner: np.ndarray
     ax: np.ndarray
     ay: np.ndarray
     bx: np.ndarray
     by: np.ndarray
+    ring: np.ndarray
 
     @classmethod
     def of_geometries(cls, columns: GeometryColumns, geoms: np.ndarray) -> "EdgeArrays":
@@ -162,7 +195,11 @@ class EdgeArrays(NamedTuple):
         ring's closing edge last."""
         owner, vertex, succ = _gather(columns, geoms)
         xy = columns.coords
-        return cls(owner, xy[vertex, 0], xy[vertex, 1], xy[succ, 0], xy[succ, 1])
+        # A ring starts after the previous edge closed one.
+        first = np.ones(len(vertex), dtype=bool)
+        first[1:] = succ[:-1] != vertex[:-1] + 1
+        ring = np.cumsum(first) - 1
+        return cls(owner, xy[vertex, 0], xy[vertex, 1], xy[succ, 0], xy[succ, 1], ring)
 
 
 class Contacts(NamedTuple):
@@ -239,26 +276,27 @@ def relate_indexed(
         flags[:, chosen] = _refine(r, r_idx[chosen], s, s_idx[chosen], clip[chosen])
     bb, overlap, bi, be, ib, eb = flags
 
-    # Representative-point fallback: only where the sub-edges left II,
-    # IE or EI open.
+    # Representative-point fallback: only where the boundaries meet and
+    # the sub-edges left II, IE or EI open (step 5).
     settled_ii = bi | ib
-    need_rs = live_mask & (~settled_ii | ~(be | ib))
-    need_sr = live_mask & (~settled_ii | ~(eb | bi))
+    need_rs = bb & (~settled_ii | ~(be | ib))
+    need_sr = bb & (~settled_ii | ~(eb | bi))
     rs_any_in, rs_any_out = _witnesses(r, r_idx, s, s_idx, np.flatnonzero(need_rs), n)
     sr_any_in, sr_any_out = _witnesses(s, s_idx, r, r_idx, np.flatnonzero(need_sr), n)
     ii = settled_ii | rs_any_in | sr_any_in
     ie = be | ib | rs_any_out
     ei = eb | bi | sr_any_out
 
-    out = [RelateDetails(DISJOINT_MATRIX, False)] * n
-    for k in live.tolist():
-        matrix = DE9IM.from_cells(
-            bool(ii[k]), bool(ib[k]), bool(ie[k]),
-            bool(bi[k]), bool(bb[k]), bool(be[k]),
-            bool(ei[k]), bool(eb[k]), True,
-        )
-        out[k] = RelateDetails(matrix, bool(overlap[k]))
-    return out
+    # One code per pair: the nine cells (EE = T) then the overlap bit.
+    code = np.zeros(n, dtype=_I8)
+    for cell in (ii, ib, ie, bi, bb, be, ei, eb, live_mask, overlap):
+        code = (code << 1) | cell
+    code[~live_mask] = _DISJOINT_CODE
+    for c in np.flatnonzero(np.bincount(code)).tolist():
+        if _DETAILS[c] is None:
+            cells = "".join("FT"[c >> (9 - k) & 1] for k in range(9))
+            _DETAILS[c] = RelateDetails(DE9IM(cells), bool(c & 1))
+    return _DETAILS[code].tolist()
 
 
 def _refine(
@@ -276,8 +314,8 @@ def _refine(
     pair_of_contact = er.owner[contacts.r]
     bb = _any(pair_of_contact, n)
     overlap = _any(pair_of_contact[contacts.kind == OVERLAP], n)
-    bi, be = _classify_side(er, keep_r, contacts, "r", s, s_idx)
-    ib, eb = _classify_side(es, keep_s, contacts, "s", r, r_idx)
+    bi, be = _classify_side(er, keep_r, contacts, "r", s, s_idx, bb)
+    ib, eb = _classify_side(es, keep_s, contacts, "s", r, r_idx, bb)
     return np.stack([bb, overlap, bi, be, ib, eb])
 
 
@@ -288,13 +326,21 @@ def _classify_side(
     side: str,
     other: GeometrySet,
     other_idx: np.ndarray,
+    touching: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per pair: does some sub-edge of this side's boundary lie in the
-    other geometry's interior, and some in its exterior?"""
+    other geometry's interior, and some in its exterior? ``touching``
+    says which pairs' boundaries meet (step 4)."""
     n = len(other_idx)
-    # Clipped-away edges lie outside the other MBR: exterior outright.
+    # Clipped-away edges lie outside the other MBR: exterior outright,
+    # and so is the whole ring of one when the boundaries never meet.
     outside = _any(edges.owner[~keep], n)
-    edge, mx, my = free_midpoints(edges, contacts, side, keep)
+    clipped_ring = _any(edges.ring[~keep], int(edges.ring[-1]) + 1 if len(edges.ring) else 0)
+    first = np.diff(edges.ring, prepend=-1).astype(bool)
+    # Every sub-edge of a pair that touches; one uncut edge per unclipped
+    # ring of a pair that does not.
+    chosen = keep & (touching[edges.owner] | (first & ~clipped_ring[edges.ring]))
+    edge, mx, my = free_midpoints(edges, contacts, side, chosen)
     # An edge cut at a nearly parallel crossing runs closer to the other
     # boundary than a float midpoint can resolve: it is classified exactly.
     shaky = np.zeros(len(edges.owner), dtype=bool)
@@ -305,7 +351,7 @@ def _classify_side(
     box = other.columns.boxes[other_idx[owner]]
     in_box = (box[:, 0] <= mx) & (mx <= box[:, 2]) & (box[:, 1] <= my) & (my <= box[:, 3])
     inside = np.zeros(len(mx), dtype=bool)
-    inside[in_box] = slab_parity(other.columns, other_idx[owner[in_box]], mx[in_box], my[in_box])
+    inside[in_box] = parity_many(other.columns, other_idx[owner[in_box]], mx[in_box], my[in_box])
     any_in, any_out = _any(owner[inside], n), outside | _any(owner[~inside], n)
     for e in np.flatnonzero(shaky).tolist():
         k = int(edges.owner[e])
@@ -345,7 +391,8 @@ def _locate_exact(edges: EdgeArrays, x: Fraction, y: Fraction) -> int:
     from fractions import Fraction
 
     inside = False
-    for ax, ay, bx, by in zip(*(map(Fraction, v.tolist()) for v in edges[1:])):
+    ends = (edges.ax, edges.ay, edges.bx, edges.by)
+    for ax, ay, bx, by in zip(*(map(Fraction, v.tolist()) for v in ends)):
         cross = (bx - ax) * (y - ay) - (by - ay) * (x - ax)
         if cross == 0 and min(ax, bx) <= x <= max(ax, bx) and min(ay, by) <= y <= max(ay, by):
             return BOUNDARY
@@ -615,10 +662,10 @@ def orientation_signs(px, py, qx, qy, rx, ry) -> np.ndarray:
 # ----------------------------------------------------------------------
 # point classification
 # ----------------------------------------------------------------------
-def slab_parity(columns: GeometryColumns, geoms: np.ndarray, px: np.ndarray, py: np.ndarray) -> np.ndarray:
+def parity_many(columns: GeometryColumns, geoms: np.ndarray, px: np.ndarray, py: np.ndarray) -> np.ndarray:
     """Even-odd parity of point ``k`` against every edge of geometry
     ``geoms[k]`` (holes and parts included): True means inside for a
-    point off the boundary. Each point meets only the edges of its slab."""
+    point off the boundary. Each edge meets only the points it straddles."""
     out = np.zeros(len(px), dtype=bool)
     if not len(px):
         return out
@@ -626,35 +673,21 @@ def slab_parity(columns: GeometryColumns, geoms: np.ndarray, px: np.ndarray, py:
     owner, vertex, succ = _gather(columns, distinct)
     xy = columns.coords
     ax, ay, bx, by = xy[vertex, 0], xy[vertex, 1], xy[succ, 0], xy[succ, 1]
-    # Slab boundaries: each geometry's distinct vertex ys, as exact
-    # integer keys owner * M + rank of y; slab b runs from boundary b to
-    # boundary b + 1 of the same geometry.
-    ys, rank = np.unique(ay, return_inverse=True)
+    # Points sorted by the exact integer key slot * M + rank of y. Edge e
+    # straddles y iff min(ay, by) <= y < max(ay, by): the run of its
+    # geometry's points whose y rank lies in [rank of its low end, rank
+    # of its high end), each end ranked by the point ys below it.
+    ys, rank = np.unique(py, return_inverse=True)
     m = len(ys) + 1
-    key = owner * m + rank.reshape(-1)
+    key = local.reshape(-1) * m + rank.reshape(-1)
     order = np.argsort(key, kind="stable")
-    ordered = key[order]
-    new = np.ones(len(key), dtype=bool)
-    new[1:] = ordered[1:] != ordered[:-1]
-    bounds = ordered[new]
-    slab_at = np.empty(len(key), dtype=_I8)
-    slab_at[order] = np.cumsum(new) - 1
-    slab_end = slab_at[np.arange(len(key)) + (succ - vertex)]
-    first, stop = np.minimum(slab_at, slab_end), np.maximum(slab_at, slab_end)
-
-    slab = np.searchsorted(bounds, local * m + np.searchsorted(ys, py, side="right") - 1, "right") - 1
-    valid = np.flatnonzero((slab >= 0) & (slab + 1 < len(bounds)))
-    valid = valid[
-        (bounds[slab[valid]] // m == local[valid]) & (bounds[slab[valid] + 1] // m == local[valid])
-    ]
-    # Points by slab: edge e straddles exactly the points of slabs
-    # first[e] .. stop[e] - 1, a contiguous run.
-    by_slab = valid[np.argsort(slab[valid], kind="stable")]
-    run = slab[by_slab]
-    lo, hi = np.searchsorted(run, first, "left"), np.searchsorted(run, stop, "left")
+    keys = key[order]
+    base = owner * m
+    lo = np.searchsorted(keys, base + np.searchsorted(ys, np.minimum(ay, by), "left"), "left")
+    hi = np.searchsorted(keys, base + np.searchsorted(ys, np.maximum(ay, by), "left"), "left")
     crossings = np.zeros(len(px), dtype=_I8)
     for e, offset in _expanded(hi - lo):
-        k = by_slab[lo[e] + offset]
+        k = order[lo[e] + offset]
         cx, cy = px[k], py[k]
         eax, eay, ebx, eby = ax[e], ay[e], bx[e], by[e]
         t = (cy - eay) * (ebx - eax) - (cx - eax) * (eby - eay)
@@ -815,7 +848,7 @@ __all__ = [
     "free_midpoints",
     "locate_many",
     "orientation_signs",
+    "parity_many",
     "relate_indexed",
     "relate_many",
-    "slab_parity",
 ]

@@ -21,9 +21,9 @@ from repro.geometry.columns import GeometryColumns
 from repro.raster.april import AprilApproximation
 from repro.raster.intervals import IntervalList
 from repro.raster.rasterize import RasterCells
-from repro.topology.kernel import slab_parity
 
 from tests.oracles import hilbert, intervals
+from tests.oracles.parity import slab_parity
 
 
 def mark_edge(

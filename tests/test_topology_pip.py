@@ -1,4 +1,4 @@
-"""Property tests: the kernel's even-odd slab pass vs the scalar
+"""Property tests: the kernel's even-odd parity pass vs the scalar
 predicate, and the columns' edge arrays vs the ``edges()`` generator."""
 
 import math
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.geometry import Location, MultiPolygon, Polygon
 from repro.geometry.columns import GeometryColumns
-from repro.topology.kernel import slab_parity
+from repro.topology.kernel import parity_many
 
 
 def points_strictly_inside(points, polygon):
@@ -17,7 +17,7 @@ def points_strictly_inside(points, polygon):
     interior for a point off the boundary."""
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
     columns = GeometryColumns.from_geometries([polygon])
-    return slab_parity(columns, np.zeros(len(pts), dtype=np.int64), pts[:, 0], pts[:, 1])
+    return parity_many(columns, np.zeros(len(pts), dtype=np.int64), pts[:, 0], pts[:, 1])
 
 
 def edge_arrays(geometries):
