@@ -19,12 +19,19 @@ index's ``geometries.bin`` (:mod:`repro.store.columns`, which adds the
 checksummed read), and what the APRIL build rasterises
 (:func:`repro.raster.april.build_april_many`). ``Polygon`` objects are
 built from it only where exact geometry is needed.
+
+Refinement reads edges through :attr:`GeometryColumns.edge_blocks`, an
+:class:`EdgeBlocks` index built once per columns object and never
+written to disk: each ring's edges in runs of at most
+:data:`BLOCK_EDGES` (edge ``k`` runs from vertex ``k`` to the next
+vertex of its ring), one closed MBR per run.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import Iterable
 
@@ -36,6 +43,10 @@ _MAGIC = b"RPROGEOM"
 _HEADER = struct.Struct("<8s4Q")
 _F8 = np.dtype("<f8")
 _I8 = np.dtype("<i8")
+
+#: Edges per block of :class:`EdgeBlocks` (a ring's last block may hold
+#: fewer).
+BLOCK_EDGES = 16
 
 
 @dataclass(frozen=True)
@@ -153,6 +164,11 @@ class GeometryColumns:
         offsets = self.ring_offsets[self.part_offsets[self.geom_offsets]]
         return xs, ys, xs[succ], ys[succ], offsets
 
+    @cached_property
+    def edge_blocks(self) -> "EdgeBlocks":
+        """The edge-block index, built the first time it is asked for."""
+        return EdgeBlocks.of(self)
+
     # ------------------------------------------------------------------
     # the file image
     # ------------------------------------------------------------------
@@ -215,6 +231,57 @@ class GeometryColumns:
         )
 
 
+@dataclass(frozen=True)
+class EdgeBlocks:
+    """Each ring's edges in runs ("blocks") of at most
+    :data:`BLOCK_EDGES` consecutive edges, a block never spanning two
+    rings::
+
+        offsets      int64[B + 1]   block b holds edges offsets[b]..offsets[b+1]
+        ring         int64[B]       the ring of each block
+        boxes        float64[B, 4]  closed MBR of the block's edges, both
+                                    ends of each (the closing edge's far
+                                    end is its ring's first vertex)
+        ring_blocks  int64[R + 1]   ring r owns blocks ring_blocks[r]..
+        geom_blocks  int64[G + 1]   geometry g owns blocks geom_blocks[g]..
+
+    An edge lies within its block's box, so a box that misses a clip
+    box, a point's y or the part of the plane right of a point proves
+    the same of every edge in the block.
+    """
+
+    offsets: np.ndarray
+    ring: np.ndarray
+    boxes: np.ndarray
+    ring_blocks: np.ndarray
+    geom_blocks: np.ndarray
+
+    @classmethod
+    def of(cls, columns: GeometryColumns) -> "EdgeBlocks":
+        """The blocks of ``columns``, in edge order (a dozen numpy
+        passes; :attr:`GeometryColumns.edge_blocks` caches them)."""
+        rings = columns.ring_offsets
+        per_ring = -(-np.diff(rings) // BLOCK_EDGES)
+        ring_blocks = np.zeros(len(per_ring) + 1, dtype=_I8)
+        np.cumsum(per_ring, out=ring_blocks[1:])
+        ring = np.repeat(np.arange(len(per_ring), dtype=_I8), per_ring)
+        start = rings[ring] + BLOCK_EDGES * (np.arange(len(ring), dtype=_I8) - ring_blocks[ring])
+        stop = np.minimum(start + BLOCK_EDGES, rings[ring + 1])
+        # Every edge's start vertex is in [start, stop); the far end of
+        # the last edge is stop, or the ring's first vertex if it closes.
+        coords = columns.coords
+        far = coords[np.where(stop == rings[ring + 1], rings[ring], stop)]
+        low = np.minimum(np.minimum.reduceat(coords, start), far)
+        high = np.maximum(np.maximum.reduceat(coords, start), far)
+        return cls(
+            offsets=np.append(start, rings[-1]),
+            ring=ring,
+            boxes=np.concatenate([low, high], axis=1),
+            ring_blocks=ring_blocks,
+            geom_blocks=ring_blocks[columns.part_offsets[columns.geom_offsets]],
+        )
+
+
 def ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """``starts[k], ..., starts[k] + counts[k] - 1`` for every ``k``, end
     to end."""
@@ -234,4 +301,4 @@ def _gather(offsets: np.ndarray, chosen: np.ndarray) -> tuple[np.ndarray, np.nda
     return ranges(starts, counts), rebased
 
 
-__all__ = ["GeometryColumns"]
+__all__ = ["BLOCK_EDGES", "EdgeBlocks", "GeometryColumns"]

@@ -8,7 +8,14 @@ a fixed number of numpy passes, reading edge endpoints straight from
 1. **Clip.** Only edges meeting the pair's MBR overlap can meet the
    other boundary. An edge outside it lies outside the other geometry's
    MBR, so its points are exterior to the other geometry: it proves
-   ``BE`` (``EB``) without producing a midpoint.
+   ``BE`` (``EB``) without producing a midpoint. Edges are read through
+   the columns' edge-block index
+   (:attr:`~repro.geometry.columns.GeometryColumns.edge_blocks`): only
+   the blocks whose box meets the clip box are gathered, and an edge of
+   any other block lies inside its block's box, outside the clip box.
+   Whether a pair has a clipped-away edge, and whether a ring has one,
+   follow from counts: the kept edges against the geometry's edge count
+   and against the ring's size.
 2. **Contacts.** A sorted-xmin band join over the kept edges (integer
    keys: pair id times ``M`` plus the x rank, so closed-interval ties
    stay exact), then a y-overlap mask, lists every candidate edge pair;
@@ -30,7 +37,8 @@ a fixed number of numpy passes, reading edge endpoints straight from
    and never meets the other boundary, so it lies wholly in one region
    of the other geometry. A ring with a clipped-away edge is exterior
    (step 1); every other ring is where the midpoint of its first edge
-   is.
+   is. The even-odd test reads only the other geometry's blocks whose
+   closed y range holds one of its points' ys (next note).
 5. **Assemble** the matrix. Writing ``rB∩sI`` for "some r sub-edge
    midpoint (or ring point) interior to s" etc., and using that polygon
    interiors are open, connected (per part), and adjacent to every point
@@ -88,18 +96,28 @@ they replaced (``tests/oracles/relate.py``):
 - **Parity over sorted points.** Each point is tested only against
   the other geometry's edges that straddle its y, ``min(ay, by) <= y <
   max(ay, by)``. The points are sorted by the exact integer key
-  geometry times ``M`` plus the rank of their y among the points' ys,
-  and each edge ranks its two end ys against the same sorted ys: two
-  ``searchsorted`` calls give it the contiguous run of its geometry's
-  points it straddles. The parity bits equal those of the dense
-  points-by-edges test, at ``O((P + E) log P)`` for ``P`` points rather
-  than a sort of all ``E`` edges (the slab version this replaced is
-  ``tests/oracles/parity.py``).
+  geometry times ``M`` plus the rank of their y among the points' ys.
+  Each block of a point's geometry ranks its closed y range against the
+  same sorted ys, and only a block that holds some point y is gathered:
+  every edge of another block spans a sub-range of its block's, so it
+  straddles no point's y and adds no crossing. Each gathered edge ranks
+  its two end ys the same way: two ``searchsorted`` calls give it the
+  contiguous run of its geometry's points it straddles. The parity bits
+  equal those of the dense points-by-edges test, at ``O((P + E') log
+  P)`` for ``P`` points and ``E'`` gathered edges (the slab version this
+  replaced is ``tests/oracles/parity.py``; the all-edges gather,
+  ``tests/oracles/edges.py``). The witnesses' exact location reads, per
+  point and ring, only the blocks whose closed y range holds the point's
+  y and whose ``xmax`` is not left of it: an edge of any other block
+  cannot hold the point, and its crossing with the point's y, if any,
+  lies left of the point, so it never counts.
 - **Batch chunking.** Every expanded pass — pairs into edges, edges
-  into candidate edge pairs, edges into the points they straddle — is cut into
-  chunks of at most :data:`_BUDGET` elements (one item whose own
-  expansion exceeds it forms a chunk alone), so the working set of a
-  batch does not grow with the batch.
+  into candidate edge pairs, edges into the points they straddle,
+  points into the blocks and edges of their rings — is cut into chunks
+  of at most :data:`_BUDGET` elements (one item whose own expansion
+  exceeds it forms a chunk alone), so the working set of a batch does
+  not grow with the batch. A chunk of pairs is costed by its edge
+  counts; the blocks it gathers hold at most those edges.
 """
 
 from __future__ import annotations
@@ -178,28 +196,37 @@ class GeometrySet(NamedTuple):
 
 
 class EdgeArrays(NamedTuple):
-    """Edges ``(ax, ay) -> (bx, by)``; ``owner`` says whose each is,
-    ``ring`` which of the arrays' rings (numbered from 0 in order)."""
+    """Edges ``(ax, ay) -> (bx, by)``; ``owner`` says whose each is."""
 
     owner: np.ndarray
     ax: np.ndarray
     ay: np.ndarray
     bx: np.ndarray
     by: np.ndarray
-    ring: np.ndarray
 
     @classmethod
     def of_geometries(cls, columns: GeometryColumns, geoms: np.ndarray) -> "EdgeArrays":
         """Every edge of geometries ``geoms`` of ``columns`` (owner ``k``
         for ``geoms[k]``), in ``edges()`` order: ring by ring, each
         ring's closing edge last."""
-        owner, vertex, succ = _gather(columns, geoms)
+        owner, block = _geometry_blocks(columns, geoms)
+        return cls.of_blocks(columns, owner, block)[0]
+
+    @classmethod
+    def of_blocks(
+        cls, columns: GeometryColumns, owner: np.ndarray, blocks: np.ndarray
+    ) -> tuple["EdgeArrays", np.ndarray]:
+        """The edges of ``columns.edge_blocks`` ``blocks`` (owner
+        ``owner[j]`` for ``blocks[j]``), in order, and the index of each
+        one's block in ``blocks``."""
+        start, count, far = _block_spans(columns, blocks)
+        vertex = _ranges(start, count)
+        item = np.repeat(np.arange(len(blocks), dtype=_I8), count)
+        succ = vertex + 1
+        succ[np.cumsum(count) - 1] = far
         xy = columns.coords
-        # A ring starts after the previous edge closed one.
-        first = np.ones(len(vertex), dtype=bool)
-        first[1:] = succ[:-1] != vertex[:-1] + 1
-        ring = np.cumsum(first) - 1
-        return cls(owner, xy[vertex, 0], xy[vertex, 1], xy[succ, 0], xy[succ, 1], ring)
+        edges = cls(owner[item], xy[vertex, 0], xy[vertex, 1], xy[succ, 0], xy[succ, 1])
+        return edges, item
 
 
 class Contacts(NamedTuple):
@@ -305,23 +332,53 @@ def _refine(
     """Steps 1–4 of the module docstring for one chunk of live pairs:
     rows BB, boundary overlap, BI, BE, IB, EB."""
     n = len(r_idx)
-    er = EdgeArrays.of_geometries(r.columns, r_idx)
-    es = EdgeArrays.of_geometries(s.columns, s_idx)
-    keep_r = _inside_clip(er, clip)
-    keep_s = _inside_clip(es, clip)
-    contacts = edge_contacts(er, es, keep_r, keep_s)
+    er, clipped_r, lone_r = _clip_edges(r.columns, r_idx, clip)
+    es, clipped_s, lone_s = _clip_edges(s.columns, s_idx, clip)
+    contacts = edge_contacts(er, es)
 
     pair_of_contact = er.owner[contacts.r]
     bb = _any(pair_of_contact, n)
     overlap = _any(pair_of_contact[contacts.kind == OVERLAP], n)
-    bi, be = _classify_side(er, keep_r, contacts, "r", s, s_idx, bb)
-    ib, eb = _classify_side(es, keep_s, contacts, "s", r, r_idx, bb)
+    bi, be = _classify_side(er, clipped_r, lone_r, contacts, "r", s, s_idx, bb)
+    ib, eb = _classify_side(es, clipped_s, lone_s, contacts, "s", r, r_idx, bb)
     return np.stack([bb, overlap, bi, be, ib, eb])
+
+
+def _clip_edges(
+    columns: GeometryColumns, geoms: np.ndarray, clip: np.ndarray
+) -> tuple[EdgeArrays, np.ndarray, np.ndarray]:
+    """Step 1 for one side: the edges of geometries ``geoms`` (owner
+    ``k`` for ``geoms[k]``) whose closed MBR meets ``clip[k]``, read
+    from the blocks whose box meets it; per owner, was some edge
+    clipped away; per kept edge, is it the first edge of a ring none
+    of whose edges was."""
+    owner, block = _geometry_blocks(columns, geoms)
+    box, cb = columns.edge_blocks.boxes[block], clip[owner]
+    meets = (
+        (box[:, 0] <= cb[:, 2]) & (cb[:, 0] <= box[:, 2]) & (box[:, 1] <= cb[:, 3]) & (cb[:, 1] <= box[:, 3])
+    )
+    block = block[meets]
+    edges, item = EdgeArrays.of_blocks(columns, owner[meets], block)
+    keep = np.flatnonzero(_inside_clip(edges, clip))
+    edges = EdgeArrays(*(a[keep] for a in edges))
+    ring = columns.edge_blocks.ring[block[item[keep]]]
+    clipped = np.bincount(edges.owner, minlength=len(geoms)) < _edge_counts(columns, geoms)
+    # Kept edges come in (owner, ring) runs; a run as long as its ring
+    # is the whole ring, and starts with the ring's first edge.
+    new = np.ones(len(ring), dtype=bool)
+    new[1:] = (ring[1:] != ring[:-1]) | (edges.owner[1:] != edges.owner[:-1])
+    starts = np.flatnonzero(new)
+    length = np.diff(np.append(starts, len(ring)))
+    rings = columns.ring_offsets
+    lone = np.zeros(len(ring), dtype=bool)
+    lone[starts[length == rings[ring[starts] + 1] - rings[ring[starts]]]] = True
+    return edges, clipped, lone
 
 
 def _classify_side(
     edges: EdgeArrays,
-    keep: np.ndarray,
+    clipped: np.ndarray,
+    lone: np.ndarray,
     contacts: Contacts,
     side: str,
     other: GeometrySet,
@@ -330,16 +387,13 @@ def _classify_side(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per pair: does some sub-edge of this side's boundary lie in the
     other geometry's interior, and some in its exterior? ``touching``
-    says which pairs' boundaries meet (step 4)."""
+    says which pairs' boundaries meet (step 4); ``clipped`` and
+    ``lone`` are :func:`_clip_edges`'."""
     n = len(other_idx)
-    # Clipped-away edges lie outside the other MBR: exterior outright,
-    # and so is the whole ring of one when the boundaries never meet.
-    outside = _any(edges.owner[~keep], n)
-    clipped_ring = _any(edges.ring[~keep], int(edges.ring[-1]) + 1 if len(edges.ring) else 0)
-    first = np.diff(edges.ring, prepend=-1).astype(bool)
     # Every sub-edge of a pair that touches; one uncut edge per unclipped
-    # ring of a pair that does not.
-    chosen = keep & (touching[edges.owner] | (first & ~clipped_ring[edges.ring]))
+    # ring of a pair that does not. Clipped-away edges lie outside the
+    # other MBR: exterior outright.
+    chosen = touching[edges.owner] | lone
     edge, mx, my = free_midpoints(edges, contacts, side, chosen)
     # An edge cut at a nearly parallel crossing runs closer to the other
     # boundary than a float midpoint can resolve: it is classified exactly.
@@ -352,7 +406,7 @@ def _classify_side(
     in_box = (box[:, 0] <= mx) & (mx <= box[:, 2]) & (box[:, 1] <= my) & (my <= box[:, 3])
     inside = np.zeros(len(mx), dtype=bool)
     inside[in_box] = parity_many(other.columns, other_idx[owner[in_box]], mx[in_box], my[in_box])
-    any_in, any_out = _any(owner[inside], n), outside | _any(owner[~inside], n)
+    any_in, any_out = _any(owner[inside], n), clipped | _any(owner[~inside], n)
     for e in np.flatnonzero(shaky).tolist():
         k = int(edges.owner[e])
         theirs = EdgeArrays.of_geometries(other.columns, other_idx[k : k + 1])
@@ -670,9 +724,6 @@ def parity_many(columns: GeometryColumns, geoms: np.ndarray, px: np.ndarray, py:
     if not len(px):
         return out
     distinct, local = np.unique(geoms, return_inverse=True)
-    owner, vertex, succ = _gather(columns, distinct)
-    xy = columns.coords
-    ax, ay, bx, by = xy[vertex, 0], xy[vertex, 1], xy[succ, 0], xy[succ, 1]
     # Points sorted by the exact integer key slot * M + rank of y. Edge e
     # straddles y iff min(ay, by) <= y < max(ay, by): the run of its
     # geometry's points whose y rank lies in [rank of its low end, rank
@@ -682,7 +733,16 @@ def parity_many(columns: GeometryColumns, geoms: np.ndarray, px: np.ndarray, py:
     key = local.reshape(-1) * m + rank.reshape(-1)
     order = np.argsort(key, kind="stable")
     keys = key[order]
-    base = owner * m
+    # Only a block whose closed y range holds a point y of its geometry
+    # can hold an edge that straddles one.
+    slot, block = _geometry_blocks(columns, distinct)
+    box = columns.edge_blocks.boxes[block]
+    lo = np.searchsorted(keys, slot * m + np.searchsorted(ys, box[:, 1], "left"), "left")
+    hi = np.searchsorted(keys, slot * m + np.searchsorted(ys, box[:, 3], "right"), "left")
+    held = hi > lo
+    edges = EdgeArrays.of_blocks(columns, slot[held], block[held])[0]
+    ax, ay, bx, by = edges.ax, edges.ay, edges.bx, edges.by
+    base = edges.owner * m
     lo = np.searchsorted(keys, base + np.searchsorted(ys, np.minimum(ay, by), "left"), "left")
     hi = np.searchsorted(keys, base + np.searchsorted(ys, np.maximum(ay, by), "left"), "left")
     crossings = np.zeros(len(px), dtype=_I8)
@@ -740,27 +800,34 @@ def locate_many(
 
 
 def _locate_in_rings(columns: GeometryColumns, ring: np.ndarray, px, py) -> np.ndarray:
-    """``locate_point_in_ring`` of point ``k`` against ring ``ring[k]``."""
-    offsets = columns.ring_offsets
-    start = offsets[ring]
-    count = offsets[ring + 1] - start
-    xy = columns.coords
-    vertex = _ranges(start, count)
-    xs, ys = xy[vertex, 0], xy[vertex, 1]
+    """``locate_point_in_ring`` of point ``k`` against ring ``ring[k]``.
+    Only the ring's blocks whose closed y range holds ``py[k]`` and
+    whose ``xmax >= px[k]`` can hold an edge the point is on or whose
+    crossing lies right of it."""
+    index = columns.edge_blocks
+    first = index.ring_blocks[ring]
+    count = index.ring_blocks[ring + 1] - first
+    block = _ranges(first, count)
+    box = index.boxes[block]
     bounds = np.concatenate([[0], np.cumsum(count)[:-1]])
     in_box = np.zeros(len(ring), dtype=bool)
     if len(ring):
         in_box = (
-            (np.minimum.reduceat(xs, bounds) <= px) & (px <= np.maximum.reduceat(xs, bounds))
-            & (np.minimum.reduceat(ys, bounds) <= py) & (py <= np.maximum.reduceat(ys, bounds))
+            (np.minimum.reduceat(box[:, 0], bounds) <= px) & (px <= np.maximum.reduceat(box[:, 2], bounds))
+            & (np.minimum.reduceat(box[:, 1], bounds) <= py) & (py <= np.maximum.reduceat(box[:, 3], bounds))
         )
+    point = np.repeat(np.arange(len(ring), dtype=_I8), count)
+    x, y = px[point], py[point]
+    held = in_box[point] & (box[:, 1] <= y) & (y <= box[:, 3]) & (x <= box[:, 2])
+    point, block = point[held], block[held]
+    start, count, far = _block_spans(columns, block)
+    xy = columns.coords
     on = np.zeros(len(ring), dtype=bool)
     crossings = np.zeros(len(ring), dtype=_I8)
-    probe = np.flatnonzero(in_box)
-    for item, offset in _expanded(count[probe]):
-        k = probe[item]
-        a = start[k] + offset
-        b = np.where(offset + 1 == count[k], start[k], a + 1)
+    for item, offset in _expanded(count):
+        k = point[item]
+        a = start[item] + offset
+        b = np.where(offset + 1 == count[item], far[item], a + 1)
         ax, ay, bx, by = xy[a, 0], xy[a, 1], xy[b, 0], xy[b, 1]
         x, y = px[k], py[k]
         near = _in_span(x, ax, bx) & _in_span(y, ay, by)
@@ -801,20 +868,24 @@ def _expanded(counts: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
             yield item, _ranges(np.zeros(len(c), dtype=_I8), c)
 
 
-def _gather(columns: GeometryColumns, geoms: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``(owner, vertex, succ)`` of every edge of geometries ``geoms``:
-    edge ``k`` runs from vertex ``vertex[k]`` to ``succ[k]`` of
-    ``columns.coords`` and belongs to ``geoms[owner[k]]``."""
-    rings = columns.ring_offsets
-    bounds = rings[columns.part_offsets[columns.geom_offsets]]
-    starts = bounds[geoms]
-    counts = bounds[geoms + 1] - starts
-    vertex = _ranges(starts, counts)
-    ring = np.searchsorted(rings, vertex, side="right") - 1
-    succ = vertex + 1
-    closing = succ == rings[ring + 1]
-    succ[closing] = rings[ring[closing]]
-    return np.repeat(np.arange(len(geoms), dtype=_I8), counts), vertex, succ
+def _geometry_blocks(columns: GeometryColumns, geoms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(owner, block)`` of every block of geometries ``geoms``, in
+    order: block ``block[j]`` of ``columns.edge_blocks`` belongs to
+    ``geoms[owner[j]]``."""
+    blocks = columns.edge_blocks.geom_blocks
+    first = blocks[geoms]
+    count = blocks[geoms + 1] - first
+    return np.repeat(np.arange(len(geoms), dtype=_I8), count), _ranges(first, count)
+
+
+def _block_spans(columns: GeometryColumns, blocks: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(start, count, far)`` of ``blocks``: their edges start at
+    vertices ``start .. start + count - 1``, and the last one ends at
+    vertex ``far`` (its ring's first vertex when it closes the ring)."""
+    index, rings = columns.edge_blocks, columns.ring_offsets
+    start, stop = index.offsets[blocks], index.offsets[blocks + 1]
+    ring = index.ring[blocks]
+    return start, stop - start, np.where(stop == rings[ring + 1], rings[ring], stop)
 
 
 def _edge_counts(columns: GeometryColumns, geoms: np.ndarray) -> np.ndarray:

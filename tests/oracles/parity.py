@@ -14,7 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.geometry.columns import GeometryColumns
-from repro.topology.kernel import _expanded, _gather
+from repro.topology.kernel import _expanded
+from tests.oracles.edges import _gather
 
 _I8 = np.int64
 

@@ -8,8 +8,9 @@ input whose effect on the rows is known without an oracle.
 - the grid order moves how many pairs are refined, never a row;
 - scaling every polygon by a power of two about the origin is exact in
   floating point, so it leaves every relation unchanged;
-- so is translating coordinates snapped to multiples of ``2**-30`` by
-  whole numbers small enough that no sum needs more than 53 bits;
+- so is translating coordinates snapped to multiples of ``2**-10`` by a
+  multiple of ``2**-10`` small enough that no sum needs more than 53
+  bits, in-process and through the worker pool;
 - index directories (the store and its payload codec) answer the rows
   of the in-memory datasets they were built from, for find-relation
   and relate_p joins alike.
@@ -115,25 +116,30 @@ def test_power_of_two_scaling_keeps_rows(engine, inputs, factor):
     assert _rows(scaled) == _rows(base)
 
 
+#: The lattice of the translation check: every coordinate a multiple of
+#: 2**-10, and so is the shift, so every sum stays exact.
+LATTICE = 2.0**-10
+
+
 def _snapped(polygon):
-    """``polygon`` with every coordinate rounded to a multiple of 2**-30."""
+    """``polygon`` with every coordinate rounded to a multiple of
+    :data:`LATTICE`."""
 
     def snap(ring):
-        return [(round(x * 2**30) / 2**30, round(y * 2**30) / 2**30) for x, y in ring.coords]
+        return [(round(x / LATTICE) * LATTICE, round(y / LATTICE) * LATTICE) for x, y in ring.coords]
 
     return Polygon(snap(polygon.shell), [snap(hole) for hole in polygon.holes])
 
 
 def test_exact_translation_keeps_rows(engine):
     r, s = ([_snapped(p) for p in side] for side in _fixture())
-    base = engine.join(r, s, grid_order=GRID_ORDER)
-    moved = engine.join(
-        [p.translated(1536, -2048) for p in r],
-        [p.translated(1536, -2048) for p in s],
-        grid_order=GRID_ORDER,
-    )
-    assert base.results
-    assert _rows(moved) == _rows(base)
+    dx, dy = 1536 + 357 * LATTICE, -2048 - 5 * LATTICE
+    moved_r, moved_s = ([p.translated(dx, dy) for p in side] for side in (r, s))
+    for mode in ("serial", "parallel"):
+        base = engine.join(r, s, grid_order=GRID_ORDER, mode=mode, workers=2)
+        moved = engine.join(moved_r, moved_s, grid_order=GRID_ORDER, mode=mode, workers=2)
+        assert base.results and moved.mode == mode
+        assert _rows(moved) == _rows(base), mode
 
 
 @pytest.mark.parametrize("predicate", [None, T.INSIDE], ids=["find", "inside"])
