@@ -60,7 +60,7 @@ from repro.store import (
 )
 from repro.topology import DE9IM, TopologicalRelation, most_specific_relation, relate
 
-__version__ = "1.19.0"
+__version__ = "1.20.0"
 
 #: Public names whose modules no join runs — the HTTP daemon and its
 #: wire codec. They resolve on first read (PEP 562), so

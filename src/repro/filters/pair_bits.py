@@ -6,36 +6,42 @@ shapes are connected, and the Sec. 3.2 relations of their APRIL lists
 (*overlap*, *inside*, *match*, ``P ≠ ∅``). :class:`PairBits` computes
 any of them for any subset of a stream's pairs in a few numpy passes.
 
-**Packing.** The distinct objects of one call form two sides, r and s.
-Each side's boxes and connectivity are arrays indexed by the object's
-*slot*; a pair is two slots, one per side. An MBR bit or ``connected``
-is computed once for the whole stream, the first time a node reads it,
-and each node takes its rows of it. The interval lists go into one set
-of CSR arrays (:class:`PackedLists`): an operand such as ``rC`` (r's C
-lists) or ``sP`` is packed as one block the first time a bit reads it,
-so a stream packs only the operands its tree reaches, and an operand
-is a list id per pair. Every relation then runs over one array, with
-no bookkeeping for which side a list came from.
+**Gathering.** Each side of a stream is one
+:class:`~repro.raster.april.AprilColumns` store — the lists, boxes and
+connectivity of a dataset's objects on one grid, row ``k`` object
+``k``'s — and a pair is one row of each. A side whose objects all
+defer to one store (a dataset's, :attr:`SpatialObject.store
+<repro.join.objects.SpatialObject.store>`) is read from it by object
+id, with nothing packed per call; any other side is first packed into
+a store of its distinct objects (:meth:`AprilColumns.of
+<repro.raster.april.AprilColumns.of>`).
+An MBR bit or ``connected`` is computed once for the whole stream, the
+first time a node reads it, and each node takes its rows of it. An
+operand such as ``rC`` (r's C lists) or ``sP`` is the side's
+:class:`~repro.raster.intervals.ListColumns` and a row per pair.
 
-**One keyed search per bit.** Cell ids lie below ``4**16 = 2**32`` on
+**One keyed search per pass.** Cell ids lie below ``4**16 = 2**32`` on
 every grid (order ≤ 16), so an interval bound is at most ``2**32``, and
-the key ``list * 2**33 + bound`` puts each list's bounds strictly
-between those of the lists around it. One ``searchsorted`` over the
-keyed bounds then searches every pair's *own* list at once: the lists
-before it add the same count to both sides of each comparison of
+the key ``row * 2**33 + bound`` puts each list's bounds strictly
+between those of the lists around it. One ``searchsorted`` over a
+store's keyed bounds (:func:`_keyed`, built once per store and kept
+with it) then searches every pair's *own* target list at once: the
+lists before it add the same count to both sides of each comparison of
 :mod:`repro.raster.kernels`, and the lists after it add nothing. The
-probe side's intervals are expanded pair by pair, and one scatter folds
-the per-interval answers back into one bit per pair.
+probe side's intervals are expanded pair by pair, and one scatter
+folds the per-interval answers back into one bit per pair.
 """
 
 from __future__ import annotations
 
 from itertools import chain
+from operator import attrgetter
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-_EMPTY = np.empty(0, dtype=np.int64)
+from repro.raster.april import AprilColumns
+from repro.raster.intervals import ListColumns
 
 #: Key stride between two lists' bounds: above every bound (≤ 2**32).
 _KEY = np.int64(1) << 33
@@ -45,64 +51,34 @@ _KEY = np.int64(1) << 33
 _BUDGET = 1 << 20
 
 
-class PackedLists:
-    """Interval lists as CSR arrays, appended a block at a time: list
-    ``k`` is ``bounds[:, offsets[k]:offsets[k + 1]]``, its starts over
-    its ends; ``keyed`` is ``bounds`` keyed by list (see above)."""
-
-    __slots__ = ("bounds", "keyed", "offsets", "lengths")
-
-    def __init__(self) -> None:
-        self.lengths = _EMPTY
-        self.offsets = np.zeros(1, dtype=np.int64)
-        self.bounds = self.keyed = np.empty((2, 0), dtype=np.int64)
-
-    def add(self, lists: Sequence) -> int:
-        """Append ``lists``; the id of the first of them."""
-        first = self.lengths.size
-        starts = [il.starts for il in lists]
-        lengths = np.fromiter(map(len, starts), np.int64, len(starts))
-        bounds = np.concatenate(starts + [il.ends for il in lists] + [_EMPTY]).reshape(2, -1)
-        keys = (np.arange(first, first + lengths.size) * _KEY).repeat(lengths)
-        self.lengths = np.concatenate([self.lengths, lengths])
-        self.offsets = np.concatenate([self.offsets, self.offsets[-1] + lengths.cumsum()])
-        self.bounds = np.concatenate([self.bounds, bounds], axis=1)
-        self.keyed = np.concatenate([self.keyed, bounds + keys], axis=1)
-        return first
-
-    def expand(self, ids: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Every interval of the lists ``ids`` names, as ``(owner,
-        index)``: ``owner`` the position in ``ids`` of its list,
-        ``index`` its column in ``bounds``; in passes of at
-        most ``_BUDGET`` intervals (one pass when they all fit)."""
-        lengths = self.lengths[ids]
-        cum = lengths.cumsum()
-        # Each interval's index is its position in the expansion plus
-        # this, per list.
-        shift = self.offsets[ids] - cum + lengths
-        start = done = 0
-        while start < ids.size:
-            stop = ids.size
-            if cum[-1] - done > _BUDGET:
-                stop = max(int(cum.searchsorted(done + _BUDGET, "right")), start + 1)
-            end = int(cum[stop - 1])
-            if end > done:
-                owner = np.arange(start, stop).repeat(lengths[start:stop])
-                yield owner, shift[owner] + np.arange(done, end)
-            start, done = stop, end
+def _keyed(lists: ListColumns) -> tuple[np.ndarray, np.ndarray]:
+    """The starts and ends of ``lists`` keyed by list (see above)."""
+    if lists.keyed is None:
+        keys = (np.arange(len(lists), dtype=np.int64) * _KEY).repeat(lists.lengths)
+        lists.keyed = (lists.starts + keys, lists.ends + keys)
+    return lists.keyed
 
 
-class Side:
-    """The distinct objects of one side of a stream, by slot."""
-
-    __slots__ = ("boxes", "connected", "aprils")
-
-    def __init__(self, boxes, connected, aprils: Sequence) -> None:
-        self.boxes = np.fromiter(
-            chain.from_iterable((b.xmin, b.ymin, b.xmax, b.ymax) for b in boxes), np.float64
-        ).reshape(-1, 4)
-        self.connected = np.asarray(connected, dtype=bool)
-        self.aprils = aprils
+def _expand(lists: ListColumns, rows: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every interval of the lists ``rows``, as ``(owner, index)``:
+    ``owner`` the position in ``rows`` of its list, ``index`` its
+    position in ``lists.starts``; in passes of at most ``_BUDGET``
+    intervals (one pass when they all fit)."""
+    lengths = lists.lengths[rows]
+    cum = lengths.cumsum()
+    # Each interval's index is its position in the expansion plus
+    # this, per list.
+    shift = lists.offsets[rows] - cum + lengths
+    start = done = 0
+    while start < rows.size:
+        stop = rows.size
+        if cum[-1] - done > _BUDGET:
+            stop = max(int(cum.searchsorted(done + _BUDGET, "right")), start + 1)
+        end = int(cum[stop - 1])
+        if end > done:
+            owner = np.arange(start, stop).repeat(lengths[start:stop])
+            yield owner, shift[owner] + np.arange(done, end)
+        start, done = stop, end
 
 
 def _intersects(r, s):
@@ -151,29 +127,38 @@ MBR_BITS: dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
     "mbr_s_strictly_in_r": lambda r, s: _strictly_contains(r, s),
 }
 
-def _overlap(lists: PackedLists, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``overlaps(X, Y)`` per pair, probing each pair's shorter list."""
-    flip = lists.lengths[x] > lists.lengths[y]
-    return _probe(lists, np.where(flip, y, x), np.where(flip, x, y), overlap=True)
+def _overlap(x: ListColumns, xi: np.ndarray, y: ListColumns, yi: np.ndarray) -> np.ndarray:
+    """``overlaps(X, Y)`` per pair: each pair's shorter list probes the
+    other, in at most two passes (one per store searched)."""
+    flip = x.lengths[xi] > y.lengths[yi]
+    out = np.empty(xi.size, dtype=bool)
+    for rows, probe, p_rows, target, t_rows in ((~flip, x, xi, y, yi), (flip, y, yi, x, xi)):
+        if rows.any():
+            out[rows] = _probe(probe, p_rows[rows], target, t_rows[rows], overlap=True)
+    return out
 
 
-def _inside(lists: PackedLists, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _inside(x: ListColumns, xi: np.ndarray, y: ListColumns, yi: np.ndarray) -> np.ndarray:
     """``inside(X, Y)`` per pair: every X interval in one Y interval."""
-    return _probe(lists, x, y, overlap=False)
+    return _probe(x, xi, y, yi, overlap=False)
 
 
-def _probe(lists: PackedLists, probe: np.ndarray, target: np.ndarray, overlap: bool) -> np.ndarray:
-    """Per pair: does some ``probe`` interval overlap the ``target``
-    list (``overlap``), or does every one lie in one target interval?
-    The pairs are visited by target list: the keys of one pass then rise
-    through the target lists, and ``searchsorted`` stays in cache
-    (several times faster than keys in random order)."""
-    found = np.zeros(probe.size, dtype=bool)
-    order = target.argsort(kind="stable")
-    probe, target = probe[order], target[order]
-    t_starts, t_ends = lists.keyed
-    for owner, idx in lists.expand(probe):
-        s, e = lists.bounds.take(idx, axis=1) + target[owner] * _KEY
+def _probe(
+    probe: ListColumns, p_rows: np.ndarray, target: ListColumns, t_rows: np.ndarray, overlap: bool
+) -> np.ndarray:
+    """Per pair: does some interval of list ``p_rows`` of ``probe``
+    overlap list ``t_rows`` of ``target`` (``overlap``), or does every
+    one lie in one target interval? The pairs are visited by target
+    list: the keys of one pass then rise through the target's keyed
+    bounds, and ``searchsorted`` stays in cache (several times faster
+    than keys in random order)."""
+    found = np.zeros(p_rows.size, dtype=bool)
+    order = t_rows.argsort(kind="stable")
+    p_rows, t_rows = p_rows[order], t_rows[order]
+    t_starts, t_ends = _keyed(target)
+    for owner, idx in _expand(probe, p_rows):
+        key = t_rows[owner] * _KEY
+        s, e = probe.starts[idx] + key, probe.ends[idx] + key
         if overlap:
             # [s, e) meets the target list iff count(ys < e) > count(ye <= s).
             hit = t_starts.searchsorted(e, "left") > t_ends.searchsorted(s, "right")
@@ -185,19 +170,19 @@ def _probe(lists: PackedLists, probe: np.ndarray, target: np.ndarray, overlap: b
     return found if overlap else ~found
 
 
-def _match(lists: PackedLists, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _match(x: ListColumns, xi: np.ndarray, y: ListColumns, yi: np.ndarray) -> np.ndarray:
     """``matches(X, Y)`` per pair: the same intervals."""
-    out = lists.lengths[x] == lists.lengths[y]
+    out = x.lengths[xi] == y.lengths[yi]
     rows = np.flatnonzero(out)
-    for owner, ix in lists.expand(x[rows]):
-        iy = ix - lists.offsets[x[rows[owner]]] + lists.offsets[y[rows[owner]]]
-        same = (lists.bounds.take(ix, axis=1) == lists.bounds.take(iy, axis=1)).all(axis=0)
+    for owner, ix in _expand(x, xi[rows]):
+        iy = ix - x.offsets[xi[rows[owner]]] + y.offsets[yi[rows[owner]]]
+        same = (x.starts[ix] == y.starts[iy]) & (x.ends[ix] == y.ends[iy])
         out[rows[owner[~same]]] = False
     return out
 
 
-def _nonempty(lists: PackedLists, x: np.ndarray) -> np.ndarray:
-    return lists.lengths[x] > 0
+def _nonempty(x: ListColumns, xi: np.ndarray) -> np.ndarray:
+    return x.lengths[xi] > 0
 
 
 _RELATIONS = {"overlap": _overlap, "inside": _inside, "match": _match, "nonempty": _nonempty}
@@ -215,7 +200,7 @@ BIT_NAMES: tuple[str, ...] = (
 )
 
 #: Each list bit as its relation and its operands' ``(side, kind)``,
-#: ``kind`` the list's attribute (``"p"`` or ``"c"``).
+#: ``kind`` the store's attribute (``"p"`` or ``"c"``).
 _LIST_BITS = {
     name: (_RELATIONS[relation], tuple((op[0], op[1].lower()) for op in operands))
     for name in BIT_NAMES[len(MBR_BITS) + 1 :]
@@ -223,39 +208,58 @@ _LIST_BITS = {
 }
 
 
-class PairBits:
-    """The bits of a stream's pairs ``(r_slot[k], s_slot[k])``."""
+def _store(objects: Sequence, ids: np.ndarray) -> tuple[AprilColumns, np.ndarray]:
+    """The store that holds ``objects[i]`` for every ``i`` of ``ids``,
+    and the row of each: the one store all the named objects defer to,
+    read by their object ids, or else one packed of the distinct
+    objects ``ids`` names."""
+    named = list(map(objects.__getitem__, ids.tolist()))
+    stores = set(map(attrgetter("store"), named))
+    if len(stores) == 1 and None not in stores:
+        return stores.pop(), np.fromiter(map(attrgetter("oid"), named), np.int64, len(named))
+    # np.unique(ids, return_inverse=True), in fewer passes.
+    ordered = np.sort(ids)
+    distinct = np.concatenate([ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]])
+    chosen = [objects[i] for i in distinct.tolist()]
+    # Lists are read only by a list bit, which refuses a missing one.
+    packed = AprilColumns.of(
+        [o.april for o in chosen], [o.box for o in chosen], [o.is_connected for o in chosen]
+    )
+    return packed, distinct.searchsorted(ids)
 
-    def __init__(self, r: Side, s: Side, r_slot: np.ndarray, s_slot: np.ndarray) -> None:
-        self.sides = {"r": r, "s": s}
-        self.slots = {"r": r_slot, "s": s_slot}
-        #: Whole-stream arrays: the MBR bits and ``connected`` by name,
-        #: the list ids by operand.
+
+def key_stores(*object_lists: Sequence) -> None:
+    """Build the keyed bounds of the store each of ``object_lists``
+    defers to, so that processes forked after this inherit them
+    instead of each building its own."""
+    for objects in object_lists:
+        store = getattr(objects[0], "store", None) if len(objects) else None
+        if store is not None:
+            _keyed(store.p)
+            _keyed(store.c)
+
+
+class PairBits:
+    """The bits of a stream's pairs: row ``r_rows[k]`` of store ``r``
+    with row ``s_rows[k]`` of store ``s``."""
+
+    def __init__(
+        self, r: AprilColumns, s: AprilColumns, r_rows: np.ndarray, s_rows: np.ndarray
+    ) -> None:
+        self.stores = {"r": r, "s": s}
+        self.rows = {"r": r_rows, "s": s_rows}
+        #: Whole-stream arrays: the MBR bits and ``connected`` by name.
         self._whole: dict = {}
         self._boxes: tuple[np.ndarray, np.ndarray] | None = None
-        self._packed: PackedLists | None = None
+        self._checked = False
 
     @classmethod
     def of_objects(cls, r_objects, s_objects, pairs: Sequence[tuple[int, int]]) -> "PairBits":
         """The bits of ``(r_objects[i], s_objects[j])`` for every ``(i,
-        j)`` of ``pairs``: each distinct object is packed once."""
+        j)`` of ``pairs``."""
         ij = np.fromiter(chain.from_iterable(pairs), np.int64, 2 * len(pairs)).reshape(-1, 2)
-        sides = []
-        for objects, ids in ((r_objects, ij[:, 0]), (s_objects, ij[:, 1])):
-            # np.unique(ids, return_inverse=True), in fewer passes.
-            ordered = np.sort(ids)
-            distinct = np.concatenate([ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]])
-            slot = distinct.searchsorted(ids)
-            chosen = [objects[i] for i in distinct.tolist()]
-            side = Side(
-                [o.box for o in chosen],
-                [o.is_connected for o in chosen],
-                # Read only by a list bit, which refuses a missing one.
-                [o.april for o in chosen],
-            )
-            sides.append((side, slot))
-        (r, r_slot), (s, s_slot) = sides
-        return cls(r, s, r_slot, s_slot)
+        (r, r_rows), (s, s_rows) = _store(r_objects, ij[:, 0]), _store(s_objects, ij[:, 1])
+        return cls(r, s, r_rows, s_rows)
 
     def bit(self, name: str, rows: np.ndarray) -> np.ndarray:
         """Bit ``name`` (one of :data:`BIT_NAMES`) of the pairs ``rows``."""
@@ -265,48 +269,34 @@ class PairBits:
             if whole is None:
                 whole = self._whole[name] = self._stream_bit(name)
             return whole[rows]
+        if not self._checked:
+            self._check_lists()
         relation, operands = listed
-        ids = self._list_ids(operands)
-        return relation(self._packed, *(each[rows] for each in ids))
+        args = []
+        for side, kind in operands:
+            args += (getattr(self.stores[side], kind), self.rows[side][rows])
+        return relation(*args)
 
     def _stream_bit(self, name: str) -> np.ndarray:
         """An MBR bit or ``connected`` of every pair of the stream."""
-        (r, r_slot), (s, s_slot) = ((self.sides[k], self.slots[k]) for k in "rs")
+        r, s, r_rows, s_rows = self.stores["r"], self.stores["s"], self.rows["r"], self.rows["s"]
         if name == "connected":
-            return r.connected[r_slot] & s.connected[s_slot]
+            return r.connected[r_rows] & s.connected[s_rows]
         if self._boxes is None:
-            self._boxes = (r.boxes[r_slot].T, s.boxes[s_slot].T)
+            self._boxes = (r.boxes[r_rows].T, s.boxes[s_rows].T)
         return MBR_BITS[name](*self._boxes)
 
-    def _list_ids(self, operands) -> list[np.ndarray]:
-        """The packed list id of each operand ``(side, kind)`` of every
-        pair: the operands not packed yet are packed in one block."""
-        missing = [op for op in operands if op not in self._whole]
-        if missing:
-            if self._packed is None:
-                self._check_grids()
-                self._packed = PackedLists()
-            first = self._packed.add([
-                getattr(a, kind) for side, kind in missing for a in self.sides[side].aprils
-            ])
-            for side, kind in missing:
-                self._whole[side, kind] = first + self.slots[side]
-                first += len(self.sides[side].aprils)
-        return [self._whole[op] for op in operands]
-
-    def _check_grids(self) -> None:
-        """Lists built on different grids cannot be compared."""
-        if any(a is None for side in "rs" for a in self.sides[side].aprils):
-            raise ValueError("a list bit read an object that has no APRIL approximation")
-        grids = [
-            {id(a.grid): a.grid for a in self.sides[side].aprils}.values() for side in "rs"
-        ]
-        for r_grid in grids[0]:
-            for s_grid in grids[1]:
-                if not r_grid.compatible_with(s_grid):
-                    raise ValueError(
-                        "APRIL approximations built on different grids cannot be compared"
-                    )
+    def _check_lists(self) -> None:
+        """Every object of the stream has lists, and lists built on
+        different grids are never compared."""
+        for side in "rs":
+            built = self.stores[side].built
+            if built is not None and not built[self.rows[side]].all():
+                raise ValueError("a list bit read an object that has no APRIL approximation")
+        r_grid, s_grid = self.stores["r"].grid, self.stores["s"].grid
+        if r_grid is None or s_grid is None or not r_grid.compatible_with(s_grid):
+            raise ValueError("APRIL approximations built on different grids cannot be compared")
+        self._checked = True
 
 
-__all__ = ["BIT_NAMES", "MBR_BITS", "PackedLists", "PairBits", "Side"]
+__all__ = ["BIT_NAMES", "MBR_BITS", "PairBits", "key_stores"]

@@ -33,9 +33,9 @@ from typing import Any, Callable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from repro.filters.pair_bits import PairBits, Side
+from repro.filters.pair_bits import PairBits
 from repro.geometry.box import Box
-from repro.raster.april import AprilApproximation
+from repro.raster.april import AprilApproximation, AprilColumns
 from repro.topology.de9im import TopologicalRelation as T
 
 
@@ -199,7 +199,8 @@ def relate_filter(
     """
     one = np.zeros(1, dtype=np.int64)
     # The pair's connectivity rides on r: the bit is r's and s's, anded.
-    bits = PairBits(Side([r_box], [connected], [r]), Side([s_box], [True], [s]), one, one)
+    r_store = AprilColumns.of([r], [r_box], [connected])
+    bits = PairBits(r_store, AprilColumns.of([s], [s_box], [True]), one, one)
     return VERDICTS[decide(TREES[predicate], bits, 1)[0]]
 
 

@@ -51,7 +51,8 @@ def _check(name: str, holds: bool, bits: PairBits) -> str:
     the lists it read."""
     relation, first, *other = name.split("_")
     sizes = (
-        f"|{op}|={len(getattr(bits.sides[op[0]].aprils[0], op[1].lower()))}" for op in (first, *other)
+        f"|{op}|={getattr(bits.stores[op[0]], op[1].lower()).lengths[bits.rows[op[0]][0]]}"
+        for op in (first, *other)
     )
     return f"{' '.join((first, relation, *other))} = {holds}   ({', '.join(sizes)})"
 

@@ -5,6 +5,12 @@ is that most pairs are resolved from the MBR and the APRIL lists alone,
 without touching exact geometry. :class:`SpatialObject` bundles the
 three representations and defers the exact geometry until refinement
 reads it.
+
+A whole dataset's object ``k`` defers to row ``k`` of one
+:class:`~repro.raster.april.AprilColumns` store (its lists, box and
+connectivity) and to geometry ``k`` of one
+:class:`~repro.geometry.columns.GeometryColumns`. The filter gathers
+from the store and refinement reads the columns, by object id.
 """
 
 from __future__ import annotations
@@ -14,8 +20,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.geometry.box import Box
+from repro.geometry.columns import GeometryColumns
 from repro.geometry.polygon import Polygon
-from repro.raster.april import AprilApproximation, build_april, build_april_many
+from repro.raster.april import AprilApproximation, AprilColumns, build_april, build_april_many
 from repro.raster.grid import RasterGrid
 from repro.topology.kernel import GeometrySet, RelateDetails, relate_indexed
 
@@ -27,11 +34,12 @@ class SpatialObject:
     need for *every* candidate pair, so it is held beside the MBR; the
     geometry itself may be deferred (:meth:`deferred`) and is then looked
     up the first time :attr:`polygon` is read — by refinement, for the
-    pairs the filters could not settle.
+    pairs the filters could not settle. A deferred object's
+    :attr:`april` is a view of its row of the store it defers to.
     """
 
     __slots__ = (
-        "oid", "box", "april", "is_connected", "_polygon", "_geometries",
+        "oid", "box", "is_connected", "store", "_april", "_polygon", "_geometries",
     )
 
     def __init__(
@@ -42,26 +50,42 @@ class SpatialObject:
         april: AprilApproximation | None = None,
     ) -> None:
         geometry = polygon  # a Polygon or a MultiPolygon, despite the name
-        self._set(oid, box, april, geometry.is_connected, geometry, None)
+        self._set(oid, box, april, None, geometry.is_connected, geometry, None)
 
     @classmethod
     def deferred(
-        cls, oid: int, geometries: Sequence[Polygon], box: Box, is_connected: bool
+        cls,
+        oid: int,
+        geometries: Sequence[Polygon],
+        box: Box,
+        is_connected: bool,
+        store: AprilColumns,
     ) -> "SpatialObject":
-        """Object ``oid`` of ``geometries``, which is only indexed when
-        the polygon is first read (a
+        """Object ``oid`` of ``geometries`` and of ``store``: the
+        geometry is only indexed when the polygon is first read (a
         :class:`~repro.store.columns.LazyGeometries` builds it then)."""
         obj = cls.__new__(cls)
-        obj._set(oid, box, None, is_connected, None, geometries)
+        obj._set(oid, box, None, store, is_connected, None, geometries)
         return obj
 
-    def _set(self, oid, box, april, is_connected, polygon, geometries) -> None:
+    def _set(self, oid, box, april, store, is_connected, polygon, geometries) -> None:
         self.oid = oid
         self.box = box
-        self.april = april
+        self._april = april
+        #: The store whose row ``oid`` holds the object's filter facts, or
+        #: ``None`` for an object built with its own lists.
+        self.store = store
         self.is_connected: bool = is_connected
         self._polygon = polygon
         self._geometries = geometries
+
+    @property
+    def april(self) -> AprilApproximation | None:
+        """The object's P and C lists: a view of its store row, made on
+        each read, for a deferred object."""
+        if self.store is None:
+            return self._april
+        return self.store[self.oid]
 
     @staticmethod
     def from_polygon(oid: int, polygon: Polygon, grid: RasterGrid | None = None) -> "SpatialObject":
@@ -95,12 +119,23 @@ def make_objects(
     polygons: Iterable[Polygon],
     grid: RasterGrid | None = None,
 ) -> list[SpatialObject]:
-    """Wrap a polygon dataset into spatial objects (preprocessing step)."""
+    """Wrap a polygon dataset into spatial objects (preprocessing step):
+    the polygons are flattened once into columns, which refinement
+    reads, and rasterised once into the store the objects defer to."""
+    from repro.store.columns import LazyGeometries
+
     polygons = list(polygons)
-    aprils = build_april_many(polygons, grid) if grid is not None else [None] * len(polygons)
+    columns = GeometryColumns.from_geometries(polygons)
+    connected = columns.connected()
+    if grid is None:
+        store = AprilColumns.unbuilt(None, columns.boxes, connected)
+    else:
+        store = build_april_many(columns, grid)
+        store.boxes, store.connected = columns.boxes, connected
+    geometries = LazyGeometries(columns, polygons)
     return [
-        SpatialObject(oid=i, polygon=p, box=p.bbox, april=april)
-        for i, (p, april) in enumerate(zip(polygons, aprils))
+        SpatialObject.deferred(i, geometries, p.bbox, flag, store)
+        for i, (p, flag) in enumerate(zip(polygons, connected.tolist()))
     ]
 
 

@@ -164,9 +164,13 @@ def _fan_out(
         with trace(span, **attrs, workers=1, partitions=1):
             verified = [verify(subject, r_objects, s_objects, pairs)]
     else:
+        from repro.filters.pair_bits import key_stores
         from repro.resilience.supervisor import supervised_map
 
         parts = chunk_pairs(pairs, workers)
+        # Built once here, the stores' search keys reach every forked
+        # worker, which would otherwise each key the whole store.
+        key_stores(r_objects, s_objects)
 
         def verify_part(part_index: int, fallback: bool = False) -> Verified:
             part = parts[part_index]

@@ -7,7 +7,7 @@ contiguous chunks of its geometry columns; forked workers inherit them
 with the task closure (copy-on-write numpy buffers, nothing pickled per
 task); each builds its chunk with one
 :func:`~repro.raster.april.build_april_many` call, and only the
-interval lists travel back through the result pipe.
+chunk's store of interval lists travels back through the result pipe.
 
 Stays serial for ``workers <= 1``, tiny inputs and platforms without
 ``fork``. The fan-out itself runs under the supervised workers
@@ -28,7 +28,7 @@ from repro.geometry.columns import GeometryColumns
 from repro.geometry.polygon import Polygon
 from repro.obs.metrics import metrics_enabled
 from repro.obs.trace import trace
-from repro.raster.april import AprilApproximation, build_april_many, observe_april_metrics
+from repro.raster.april import AprilColumns, build_april_many, observe_april_metrics
 from repro.raster.grid import RasterGrid
 from repro.resilience.failpoints import maybe_fail_worker
 from repro.parallel.chunking import chunk_pairs
@@ -44,9 +44,9 @@ def build_april_parallel(
     workers: int | None = None,
     partition_timeout: float | None = None,
     max_retries: int | None = None,
-) -> list[AprilApproximation]:
+) -> AprilColumns:
     """APRIL approximations for ``polygons`` (a polygon sequence or
-    geometry columns), in input order.
+    geometry columns), one store row each, in input order.
 
     Bit-identical to ``build_april_many(polygons, grid)`` for every
     worker count and every worker failure schedule.
@@ -65,10 +65,10 @@ def build_april_parallel(
 
     chunks = [columns[c[0] : c[-1] + 1] for c in chunk_pairs(range(len(columns)), workers)]
 
-    def build_chunk(chunk_index: int) -> list[AprilApproximation]:
+    def build_chunk(chunk_index: int) -> AprilColumns:
         return build_april_many(chunks[chunk_index], grid)
 
-    def worker(task: tuple[int, int]) -> list[AprilApproximation]:
+    def worker(task: tuple[int, int]) -> AprilColumns:
         chunk_index, attempt = task
         maybe_fail_worker(chunk_index, attempt)
         return build_chunk(chunk_index)
@@ -91,9 +91,8 @@ def build_april_parallel(
         rebuilt = set(report.fallback_tasks)
         for index, part in enumerate(parts):
             if index not in rebuilt:
-                for approx in part:
-                    observe_april_metrics(approx)
-    return [approx for part in parts for approx in part]
+                observe_april_metrics(part)
+    return AprilColumns.concat(parts)
 
 
 __all__ = ["MIN_PARALLEL_POLYGONS", "build_april_parallel"]

@@ -15,7 +15,7 @@ are the oracles of the test tree (``tests/oracles``), differentially
 tested against these.
 """
 
-from repro.raster.april import AprilApproximation, build_april, build_april_many
+from repro.raster.april import AprilApproximation, AprilColumns, build_april, build_april_many
 from repro.raster.compression import CompressedAprilPayload
 from repro.raster.grid import RasterGrid, pad_dataspace
 from repro.raster.hilbert import hilbert_d2xy, hilbert_xy2d, hilbert_xy2d_bulk
@@ -24,6 +24,7 @@ from repro.raster.rasterize import RasterizationError, rasterize_polygon
 
 __all__ = [
     "AprilApproximation",
+    "AprilColumns",
     "CompressedAprilPayload",
     "IntervalList",
     "RasterGrid",

@@ -9,12 +9,12 @@ lists concatenate into dataset-level blobs.
 
 This module is the store's payload format. Every primitive is a
 whole-dataset numpy pass — varint byte sizes from threshold
-comparisons, scattered masked writes on encode, terminal-byte scans
-plus masked accumulation on decode, and segmented cumulative sums to
-rebuild absolute interval bounds. One :class:`CompressedAprilPayload`
-holds a whole grid's approximations as a single contiguous byte blob
-plus per-object byte offsets, and decodes back to plain
-:class:`~repro.raster.april.AprilApproximation` objects in one pass.
+comparisons, masked writes on encode, terminal-byte scans plus masked
+accumulation on decode, and segmented cumulative sums to rebuild
+absolute interval bounds — over the CSR lists of one store. One
+:class:`CompressedAprilPayload` holds a whole grid's approximations as
+a single contiguous byte blob plus per-object byte offsets, and decodes
+back to one :class:`~repro.raster.april.AprilColumns` store in one pass.
 The original pure-Python scalar codec is the oracle
 (``tests/oracles/compression.py``), differentially tested
 byte-for-byte against this one (``tests/test_compression_differential.py``).
@@ -32,9 +32,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.raster.april import AprilApproximation
+from repro.geometry.columns import ranges
+from repro.raster.april import AprilColumns
 from repro.raster.grid import RasterGrid
-from repro.raster.intervals import IntervalList, check_lists, split_lists
+from repro.raster.intervals import ListColumns, check_lists
 
 
 # ----------------------------------------------------------------------
@@ -113,44 +114,13 @@ def varint_decode(data: np.ndarray, expected: int | None = None) -> np.ndarray:
     return values
 
 
-def _segmented_bounds(
-    gaps: np.ndarray, lengths: np.ndarray, counts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Absolute (starts, ends) from per-list delta streams.
-
-    ``gaps``/``lengths`` are every list's deltas back to back and
-    ``counts`` the per-list interval counts. Each end is the running
-    sum of ``gap + length`` within its own list — a global cumulative
-    sum minus the sum accumulated before the list began.
-    """
-    advance = gaps + lengths
-    running = np.cumsum(advance)
-    first = np.zeros(counts.size, dtype=np.int64)
-    first[1:] = np.cumsum(counts)[:-1]
-    nonempty = counts > 0
-    base = np.zeros(counts.size, dtype=np.int64)
-    base[nonempty] = running[first[nonempty]] - advance[first[nonempty]]
-    ends = running - np.repeat(base, counts)
-    return ends - lengths, ends
-
-
-def _delta_streams(
-    lists: Sequence[IntervalList],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(counts, gaps, lengths) of many interval lists, concatenated."""
-    counts = np.fromiter((len(il) for il in lists), dtype=np.int64, count=len(lists))
-    total = int(counts.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return counts, empty, empty
-    starts = np.concatenate([il.starts for il in lists])
-    ends = np.concatenate([il.ends for il in lists])
-    previous = np.zeros(total, dtype=np.int64)
-    previous[1:] = ends[:-1]
-    first = np.zeros(counts.size, dtype=np.int64)
-    first[1:] = np.cumsum(counts)[:-1]
-    previous[first[counts > 0]] = 0
-    return counts, starts - previous, ends - starts
+def _deltas(lists: ListColumns) -> np.ndarray:
+    """Every interval's gap (from the previous interval's end; a list's
+    first from 0) and length, interleaved."""
+    previous = np.zeros(lists.starts.size, dtype=np.int64)
+    previous[1:] = lists.ends[:-1]
+    previous[lists.offsets[:-1][lists.lengths > 0]] = 0
+    return np.column_stack([lists.starts - previous, lists.ends - lists.starts]).ravel()
 
 
 # ----------------------------------------------------------------------
@@ -182,48 +152,41 @@ class CompressedAprilPayload:
 
     @classmethod
     def from_approximations(cls, approximations: Sequence) -> "CompressedAprilPayload":
-        """Encode a dataset's approximations into one payload.
+        """Encode a dataset's approximations (a store, or any sequence
+        :meth:`AprilColumns.of <repro.raster.april.AprilColumns.of>`
+        packs) into one payload.
 
-        Assembles a single int64 value stream — ``[|P|, P deltas...,
-        |C|, C deltas...]`` per object — with scattered writes and
-        varint-encodes it in one call; the byte output is identical to
-        concatenating the scalar oracle encoder's per-object streams
-        (differentially tested).
+        Gathers one int64 value stream — ``[|P|, P deltas..., |C|, C
+        deltas...]`` per object — and varint-encodes it in one call; the
+        byte output is identical to concatenating the scalar oracle
+        encoder's per-object streams (differentially tested).
         """
-        if not approximations:
+        if not len(approximations):
             raise ValueError("nothing to encode: empty approximation sequence")
-        grid = approximations[0].grid
-        p_counts, p_gaps, p_lens = _delta_streams([a.p for a in approximations])
-        c_counts, c_gaps, c_lens = _delta_streams([a.c for a in approximations])
-        n = len(approximations)
-
-        per_object = 2 + 2 * p_counts + 2 * c_counts
-        value_off = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(per_object, out=value_off[1:])
-        values = np.empty(int(value_off[-1]), dtype=np.int64)
-        values[value_off[:-1]] = p_counts
-        values[value_off[:-1] + 1 + 2 * p_counts] = c_counts
-        p_base = np.repeat(value_off[:-1] + 1, p_counts)
-        p_within = np.arange(p_gaps.size, dtype=np.int64) - np.repeat(
-            np.concatenate(([0], np.cumsum(p_counts)[:-1])), p_counts
+        store = AprilColumns.of(approximations)
+        if store.built is not None or store.grid is None:
+            raise ValueError("only approximations that all exist on one grid can be encoded")
+        p, c, n = store.p, store.c, len(store)
+        p_deltas, c_deltas = _deltas(p), _deltas(c)
+        # Object k's values are four runs of one stream: its two counts
+        # and its (gap, length) pairs, in that order.
+        stream = np.concatenate([p.lengths, c.lengths, p_deltas, c_deltas])
+        k, one = np.arange(n), np.ones(n, dtype=np.int64)
+        first = np.column_stack(
+            [k, 2 * n + 2 * p.offsets[:-1], n + k, 2 * n + p_deltas.size + 2 * c.offsets[:-1]]
         )
-        values[p_base + 2 * p_within] = p_gaps
-        values[p_base + 2 * p_within + 1] = p_lens
-        c_base = np.repeat(value_off[:-1] + 2 + 2 * p_counts, c_counts)
-        c_within = np.arange(c_gaps.size, dtype=np.int64) - np.repeat(
-            np.concatenate(([0], np.cumsum(c_counts)[:-1])), c_counts
-        )
-        values[c_base + 2 * c_within] = c_gaps
-        values[c_base + 2 * c_within + 1] = c_lens
+        count = np.column_stack([one, 2 * p.lengths, one, 2 * c.lengths])
+        values = stream[ranges(first.ravel(), count.ravel())]
         blob = varint_encode(values)
         sizes = varint_sizes(values)
-
+        heads = np.concatenate([[0], np.cumsum(count.sum(axis=1))[:-1]])
         offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.add.reduceat(sizes, value_off[:-1]), out=offsets[1:])
-        return cls(grid, blob, offsets)
+        np.cumsum(np.add.reduceat(sizes, heads), out=offsets[1:])
+        return cls(store.grid, blob, offsets)
 
-    def to_approximations(self) -> list[AprilApproximation]:
-        """Decode every object in one vectorised varint pass.
+    def to_approximations(self) -> AprilColumns:
+        """Decode every object in one vectorised varint pass, into one
+        store.
 
         This is where stored bytes enter, so a malformed stream raises
         ``ValueError``: object offsets off the value grid or counts
@@ -254,26 +217,29 @@ class CompressedAprilPayload:
         if (np.diff(value_off) != 2 + 2 * p_counts + 2 * c_counts).any():
             raise ValueError("payload offsets do not match the encoded stream")
         num_cells = self.grid.num_cells
-        p_lists = _interval_lists(values, heads + 1, p_counts, num_cells)
-        c_lists = _interval_lists(values, count_idx + 1, c_counts, num_cells)
-        return [
-            AprilApproximation(grid=self.grid, p=p, c=c) for p, c in zip(p_lists, c_lists)
-        ]
+        return AprilColumns(
+            self.grid,
+            _interval_lists(values, heads + 1, p_counts, num_cells),
+            _interval_lists(values, count_idx + 1, c_counts, num_cells),
+        )
 
 
 def _interval_lists(
     values: np.ndarray, base: np.ndarray, counts: np.ndarray, num_cells: int
-) -> list[IntervalList]:
+) -> ListColumns:
     """The checked lists whose ``counts[k]`` (gap, length) pairs start
     at ``values[base[k]]``."""
     offsets = np.zeros(counts.size + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
-    idx = np.repeat(base - 2 * offsets[:-1], counts) + 2 * np.arange(
-        int(offsets[-1]), dtype=np.int64
-    )
-    starts, ends = _segmented_bounds(values[idx], values[idx + 1], counts)
+    pairs = values[ranges(base, 2 * counts)]
+    lengths = pairs[1::2]
+    # Each end is the running sum of gap + length within its own list:
+    # the running sum of the whole stream, less what came before the list.
+    running = np.cumsum(pairs[0::2] + lengths)
+    ends = running - np.repeat(np.concatenate([[0], running])[offsets[:-1]], counts)
+    starts = ends - lengths
     check_lists(starts, ends, offsets, num_cells)
-    return split_lists(starts, ends, offsets)
+    return ListColumns(starts, ends, offsets)
 
 
 def block_decode(approximations: Iterable) -> None:

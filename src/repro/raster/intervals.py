@@ -1,8 +1,10 @@
 """Sorted disjoint interval lists and their merge-join relations.
 
-An :class:`IntervalList` is the storage form of an APRIL approximation:
+An :class:`IntervalList` is one P or C list of an APRIL approximation:
 half-open integer intervals ``[start, end)`` over Hilbert cell ids,
-sorted, pairwise disjoint and maximally coalesced. The four relations of
+sorted, pairwise disjoint and maximally coalesced. A dataset stores its
+lists as one :class:`ListColumns` (CSR arrays), whose item ``k`` is list
+``k`` as an ``IntervalList`` view. The four relations of
 Sec. 3.2 — *overlap*, *match*, *inside*, *contains* — are single-pass
 merge joins, each ``O(|X| + |Y|)`` exactly because the intervals within
 a list are disjoint and sorted.
@@ -20,10 +22,11 @@ but breaks ``is True`` checks and JSON serialisation downstream).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from repro.geometry.columns import ranges
 from repro.raster import kernels
 
 
@@ -166,7 +169,7 @@ def check_lists(
     Valid means: the offsets run monotone from 0 to the array size,
     every interval is non-empty, each list is sorted and disjoint, and
     every id lies in ``[0, num_cells)``. Stored bytes pass this before
-    :func:`split_lists` trusts them. It also rejects a delta stream
+    a :class:`ListColumns` holds them. It also rejects a delta stream
     whose running sum wrapped past int64: a grid has at most ``2**32``
     cells, so a wrapped end is either negative, below its own start or
     below the previous end.
@@ -194,16 +197,61 @@ def check_lists(
         raise ValueError(f"cell ids beyond the grid's {num_cells} cells")
 
 
-def split_lists(
-    starts: np.ndarray, ends: np.ndarray, offsets: np.ndarray
-) -> list[IntervalList]:
-    """One list per ``offsets[k]:offsets[k + 1]`` slice of the flat
-    arrays, as views (an empty slice is :data:`EMPTY_INTERVALS`)."""
-    bounds = np.asarray(offsets).tolist()
-    return [
-        IntervalList._from_arrays(starts[a:b], ends[a:b]) if b > a else EMPTY_INTERVALS
-        for a, b in zip(bounds, bounds[1:])
-    ]
+_EMPTY = np.empty(0, dtype=np.int64)
 
 
-__all__ = ["EMPTY_INTERVALS", "IntervalList", "check_lists", "split_lists"]
+def _offsets(lengths: np.ndarray) -> np.ndarray:
+    offsets = np.zeros(lengths.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    return offsets
+
+
+class ListColumns:
+    """Many interval lists as flat CSR arrays: list ``k`` is
+    ``starts[offsets[k]:offsets[k + 1]]`` over the same slice of
+    ``ends``. Item ``k`` is that list as an :class:`IntervalList` view.
+    ``keyed`` is where the filter keeps its search form of the lists
+    (:mod:`repro.filters.pair_bits`), once it has built it."""
+
+    __slots__ = ("starts", "ends", "offsets", "lengths", "keyed")
+
+    def __init__(self, starts: np.ndarray, ends: np.ndarray, offsets: np.ndarray) -> None:
+        self.starts, self.ends, self.offsets = starts, ends, offsets
+        self.lengths = np.diff(offsets)
+        self.keyed: tuple[np.ndarray, np.ndarray] | None = None
+
+    @classmethod
+    def of(cls, lists: Sequence[IntervalList]) -> "ListColumns":
+        """``lists`` end to end."""
+        return cls(
+            np.concatenate([il.starts for il in lists] + [_EMPTY]),
+            np.concatenate([il.ends for il in lists] + [_EMPTY]),
+            _offsets(np.fromiter(map(len, lists), np.int64, len(lists))),
+        )
+
+    @classmethod
+    def concat(cls, parts: Sequence["ListColumns"]) -> "ListColumns":
+        """The lists of ``parts``, one part after the other."""
+        return cls(
+            np.concatenate([part.starts for part in parts] + [_EMPTY]),
+            np.concatenate([part.ends for part in parts] + [_EMPTY]),
+            _offsets(np.concatenate([part.lengths for part in parts] + [_EMPTY])),
+        )
+
+    def take(self, rows) -> "ListColumns":
+        """Lists ``rows`` (any order, repeats allowed), end to end."""
+        idx = ranges(self.offsets[rows], self.lengths[rows])
+        return ListColumns(self.starts[idx], self.ends[idx], _offsets(self.lengths[rows]))
+
+    def __len__(self) -> int:
+        return self.lengths.size
+
+    def __getitem__(self, k: int) -> IntervalList:
+        k = range(len(self))[k]  # IndexError past either end
+        a, b = self.offsets[k : k + 2].tolist()
+        if b == a:
+            return EMPTY_INTERVALS
+        return IntervalList._from_arrays(self.starts[a:b], self.ends[a:b])
+
+
+__all__ = ["EMPTY_INTERVALS", "IntervalList", "ListColumns", "check_lists"]

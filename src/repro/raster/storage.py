@@ -14,9 +14,9 @@ Two layouts exist on disk; one is written:
   writer for it (tests build theirs with ``tests/oracles/storage.py``),
   and indexes that hold it keep opening and joining unchanged.
 
-Either layout decodes in one pass, at load, into plain
-:class:`~repro.raster.april.AprilApproximation` objects: the form a
-fresh build has, so cold and warm joins run the same code.
+Either layout decodes in one pass, at load, into one
+:class:`~repro.raster.april.AprilColumns` store: the form a fresh build
+has, so cold and warm joins run the same code.
 
 Every load is validated: a payload with an unknown format version, a
 missing array, a torn/truncated archive, a blob failing its checksum,
@@ -55,14 +55,14 @@ import numpy as np
 
 from repro.geometry.box import Box
 from repro.obs.metrics import get_registry, metrics_enabled
-from repro.raster.april import AprilApproximation
+from repro.raster.april import AprilColumns
 from repro.raster.compression import (
     CompressedAprilPayload,
     varint_decode,
     varint_encode,
 )
 from repro.raster.grid import RasterGrid
-from repro.raster.intervals import check_lists, split_lists
+from repro.raster.intervals import ListColumns, check_lists
 from repro.resilience.atomic import atomic_write_bytes
 from repro.resilience.failpoints import should_fire
 
@@ -88,7 +88,7 @@ class StoreError(ValueError):
     """
 
 
-def _observe_payload_bytes(path: Path, codec: str, approximations: list) -> None:
+def _observe_payload_bytes(path: Path, codec: str, approximations: AprilColumns) -> None:
     if metrics_enabled():
         registry = get_registry()
         registry.inc(
@@ -96,15 +96,12 @@ def _observe_payload_bytes(path: Path, codec: str, approximations: list) -> None
         )
         registry.inc(
             "repro_payload_decoded_bytes_total",
-            value=sum(a.nbytes for a in approximations),
+            value=approximations.nbytes,
             codec=codec,
         )
 
 
-def save_approximations(
-    path: str | Path,
-    approximations: Sequence[AprilApproximation],
-) -> None:
+def save_approximations(path: str | Path, approximations: Sequence) -> None:
     """Write a dataset's approximations (plus their grid) to ``path`` as
     the version-2 compressed blob.
 
@@ -114,10 +111,8 @@ def save_approximations(
     if isinstance(approximations, CompressedAprilPayload):
         compressed = approximations
     else:
-        if not approximations:
+        if not len(approximations):
             raise ValueError("nothing to save: empty approximation sequence")
-        for a in approximations[1:]:
-            a.check_compatible(approximations[0])
         compressed = CompressedAprilPayload.from_approximations(approximations)
     grid = compressed.grid
     ds = grid.dataspace
@@ -156,11 +151,11 @@ def load_approximations(
     path: str | Path,
     expected_grid: RasterGrid | None = None,
     on_error: str = "raise",
-) -> list[AprilApproximation] | None:
+) -> AprilColumns | None:
     """Read approximations written by :func:`save_approximations`.
 
-    Both payload layouts load transparently into the same plain
-    approximations, decoded and checked in one pass.
+    Both payload layouts load transparently into the same store,
+    decoded and checked in one pass.
 
     When ``expected_grid`` is given, the payload's recorded grid must
     be compatible with it (same order and dataspace) or a
@@ -197,9 +192,7 @@ def payload_codec(path: str | Path) -> str:
         raise StoreError(f"{path}: corrupt approximation file: {exc}") from exc
 
 
-def _read_payload(
-    path: Path, expected_grid: RasterGrid | None
-) -> list[AprilApproximation]:
+def _read_payload(path: Path, expected_grid: RasterGrid | None) -> AprilColumns:
     try:
         archive = np.load(path)
     except (zipfile.BadZipFile, OSError, EOFError, ValueError) as exc:
@@ -241,21 +234,19 @@ def _read_payload(
             raise StoreError(f"{path}: corrupt approximation file: {exc}") from exc
 
 
-def _read_raw(data, grid: RasterGrid) -> list[AprilApproximation]:
-    lists = {}
+def _read_raw(data, grid: RasterGrid) -> AprilColumns:
+    lists = []
     for prefix in ("p", "c"):
         offsets = data[f"{prefix}_offsets"]
         starts, ends = data[f"{prefix}_starts"], data[f"{prefix}_ends"]
         check_lists(starts, ends, offsets, grid.num_cells)
-        lists[prefix] = split_lists(starts, ends, offsets)
-    if len(lists["p"]) != len(lists["c"]):
+        lists.append(ListColumns(starts, ends, np.asarray(offsets, dtype=np.int64)))
+    if len(lists[0]) != len(lists[1]):
         raise ValueError("P/C counts differ")
-    return [
-        AprilApproximation(grid=grid, p=p, c=c) for p, c in zip(lists["p"], lists["c"])
-    ]
+    return AprilColumns(grid, *lists)
 
 
-def _read_compressed(path: Path, data, grid: RasterGrid) -> list:
+def _read_compressed(path: Path, data, grid: RasterGrid) -> AprilColumns:
     codec = str(data["codec"])
     if codec != "varint":
         raise StoreError(f"{path}: unknown payload codec {codec!r}")

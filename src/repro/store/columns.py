@@ -68,15 +68,16 @@ class LazyGeometries(Sequence):
     the columns and keeps it, so a dataset pays only for the objects a
     join refines and a warm engine pays for each once. Filling a slot is
     idempotent (two racing threads build equal objects), so readers
-    need no lock; forked workers fill their own copy.
+    need no lock; forked workers fill their own copy. A caller that
+    flattened ``geometries`` itself passes them: none is rebuilt.
     """
 
-    def __init__(self, columns: GeometryColumns) -> None:
+    def __init__(self, columns: GeometryColumns, geometries: Sequence | None = None) -> None:
         self.columns = columns
         self._rings = columns.ring_offsets.tolist()
         self._parts = columns.part_offsets.tolist()
         self._geoms = columns.geom_offsets.tolist()
-        self._built: list = [None] * len(columns)
+        self._built: list = list(geometries) if geometries is not None else [None] * len(columns)
 
     def __len__(self) -> int:
         return len(self._built)

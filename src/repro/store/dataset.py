@@ -86,6 +86,7 @@ from repro.geometry.polygon import Polygon
 from repro.geometry.wkt import dumps_wkt, loads_wkt_geometry
 from repro.obs.metrics import get_registry, metrics_enabled
 from repro.obs.trace import trace
+from repro.raster.april import AprilColumns
 from repro.raster.grid import RasterGrid, pad_dataspace
 from repro.raster.storage import (
     PAYLOAD_CODEC,
@@ -339,12 +340,13 @@ class SpatialDataset:
         on_error: str = "rebuild",
         partition_timeout: float | None = None,
         max_retries: int | None = None,
-    ) -> list:
+    ) -> AprilColumns:
         """APRIL lists on ``grid`` for the geometries ``ids`` (default:
-        every one), in ``ids`` order — loaded from the index when a
-        valid payload exists, built (and, for persistent datasets,
-        written back) otherwise; ``partition_timeout`` / ``max_retries``
-        bound the supervised build fan-out.
+        every one), one row each in ``ids`` order — loaded from the
+        index when a valid payload exists, built (and, for persistent
+        datasets, written back) otherwise; ``partition_timeout`` /
+        ``max_retries`` bound the supervised build fan-out. Item ``k``
+        of the store is row ``k``'s approximation, a view.
 
         An index's payload is whole-dataset: it is loaded, or built for
         every geometry and persisted, whatever ``ids`` asks for. An
@@ -366,7 +368,7 @@ class SpatialDataset:
         aprils = self._payload_approximations(
             grid, payload, workers, on_error, partition_timeout, max_retries
         )
-        return aprils if ids is None else [aprils[i] for i in ids]
+        return aprils if ids is None else aprils.take(ids)
 
     def _payload_approximations(
         self,
@@ -376,7 +378,7 @@ class SpatialDataset:
         on_error: str,
         partition_timeout: float | None,
         max_retries: int | None,
-    ) -> list:
+    ) -> AprilColumns:
         """Every geometry's lists from the index's payload for ``grid``,
         which is built and persisted first when missing or unusable."""
         if payload.exists():
@@ -423,7 +425,7 @@ class SpatialDataset:
         if aprils is None:
             return None
         stored = payload.stat().st_size
-        plain = sum(a.nbytes for a in aprils)
+        plain = aprils.nbytes
         return {
             "file": str(payload),
             "codec": read_codec(payload),
@@ -441,7 +443,7 @@ class SpatialDataset:
         workers: int | None,
         partition_timeout: float | None,
         max_retries: int | None,
-    ) -> list:
+    ) -> AprilColumns:
         from repro.parallel import build_april_parallel
 
         columns = self.columns if ids is None else self.columns.take(ids)

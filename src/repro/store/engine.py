@@ -16,10 +16,11 @@ The engine memoises the expensive intermediates in bounded LRU caches:
 - **datasets** — parsed geometry collections, keyed by resolved path +
   a content fingerprint, so a mutated source file is a cache *miss*
   (never a stale hit);
-- **object sets** — ``SpatialObject`` lists per (dataset, grid), where
-  APRIL approximations live; backed by the dataset's persistent
-  payloads, so a warm join — even in a brand-new process — performs
-  zero rasterisation;
+- **object sets** — one ``SpatialObject`` list per (dataset, grid)
+  with the :class:`~repro.raster.april.AprilColumns` store its objects
+  defer to, where the APRIL lists live; backed by the dataset's
+  persistent payloads, so a warm join — even in a brand-new process —
+  performs zero rasterisation;
 - **candidate pairs** — the plane-sweep MBR join per dataset pair.
 
 A dataset's identity in the last two is
@@ -59,6 +60,7 @@ from __future__ import annotations
 import atexit
 import time
 from collections import OrderedDict
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -70,6 +72,7 @@ from repro.join.objects import SpatialObject
 from repro.join.pipeline import PIPELINES, verify_relate
 from repro.join.run import JoinResult, JoinRun
 from repro.obs.trace import trace
+from repro.raster.april import AprilColumns
 from repro.raster.grid import RasterGrid, pad_dataspace
 from repro.store.dataset import (
     MANIFEST_NAME,
@@ -266,45 +269,53 @@ class Engine:
     ) -> list[SpatialObject]:
         """The dataset's ``SpatialObject`` list for ``grid``.
 
-        Object lists are cached per (``columns_sha256``, grid); APRIL
-        approximations are attached lazily (``with_april``) and come
-        from :meth:`SpatialDataset.approximations`, i.e. from the
-        persistent payload when one exists — the warm path that skips
+        Object lists are cached per (``columns_sha256``, grid), each
+        with one :class:`~repro.raster.april.AprilColumns` store of the
+        dataset's boxes, connectivity and, once built (``with_april``),
+        APRIL lists. The lists come from
+        :meth:`SpatialDataset.approximations`, i.e. from the persistent
+        payload when one exists — the warm path that skips
         rasterisation entirely. ``partition_timeout``/``max_retries``
         bound the supervised build fan-out of a cold one.
 
         ``ids`` names the objects that need approximations (default:
         every one). An index directory loads or builds its whole
         payload regardless; any other dataset rasterises just the
-        named objects that have none yet, so the cached list may hold
-        approximations for some objects only.
+        named objects that have none yet, so the cached store may hold
+        lists for some objects only.
         """
         key = (dataset.columns_sha256, _grid_identity(grid))
-        objects = self._objects.get(key)
-        if objects is None:
-            geometries = dataset.geometries
-            objects = [
-                SpatialObject.deferred(oid, geometries, box, connected)
-                for oid, (box, connected) in enumerate(
-                    zip(dataset.boxes, dataset.connected)
-                )
-            ]
-            self._objects.put(key, objects)
-        if not with_april:
+        cached = self._objects.get(key)
+        if cached is None:
+            columns, geometries = dataset.columns, dataset.geometries
+            store = AprilColumns.unbuilt(grid, columns.boxes, columns.connected())
+            cached = (
+                [
+                    SpatialObject.deferred(oid, geometries, box, connected, store)
+                    for oid, (box, connected) in enumerate(zip(dataset.boxes, dataset.connected))
+                ],
+                store,
+            )
+            self._objects.put(key, cached)
+        objects, store = cached
+        built = store.built
+        if not with_april or built is None:
             return objects
-        if ids is None or dataset.path is not None:
-            ids = range(len(objects))
-        missing = [i for i in ids if objects[i].april is None]
-        if missing:
+        wanted = ~built
+        if ids is not None and dataset.path is None:
+            named = np.zeros(len(objects), dtype=bool)
+            named[np.fromiter(ids, dtype=np.int64)] = True
+            wanted &= named
+        missing = np.flatnonzero(wanted)
+        if missing.size:
             aprils = dataset.approximations(
                 grid,
-                None if len(missing) == len(objects) else missing,
+                None if missing.size == len(objects) else missing,
                 workers=workers,
                 partition_timeout=partition_timeout,
                 max_retries=max_retries,
             )
-            for i, approx in zip(missing, aprils):
-                objects[i].april = approx
+            store.fill(missing, aprils)
         return objects
 
     def pairs(self, r: SpatialDataset, s: SpatialDataset) -> list[tuple[int, int]]:
@@ -439,7 +450,8 @@ class Engine:
                 self.objects(
                     dataset,
                     grid,
-                    ids=sorted({pair[side] for pair in pairs}),
+                    # Read only while some of the objects have no lists.
+                    ids=map(itemgetter(side), pairs),
                     with_april=needs_april,
                     workers=workers,
                     partition_timeout=partition_timeout,

@@ -22,6 +22,14 @@ from repro.raster.april import AprilApproximation
 from repro.topology.de9im import SPECIFIC_TO_GENERAL, TopologicalRelation as T
 
 
+def check_compatible(r: AprilApproximation, s: AprilApproximation) -> None:
+    """Refuse to compare lists built on different grids, as
+    ``AprilApproximation.check_compatible`` did; the product checks a
+    whole stream's stores once (``PairBits._check_lists``)."""
+    if not r.grid.compatible_with(s.grid):
+        raise ValueError("APRIL approximations built on different grids cannot be compared")
+
+
 def _definite(relation: T) -> IFResult:
     return IFResult(definite=relation)
 
@@ -36,7 +44,7 @@ def if_equals(r: AprilApproximation, s: AprilApproximation) -> IFResult:
     Disjoint is impossible here, so every branch either proves a
     relation or refines a narrowed set.
     """
-    r.check_compatible(s)
+    check_compatible(r, s)
     if r.c.matches(s.c):
         # Identical conservative rasters: could be equals, or mutual
         # near-coverage; only refinement can tell which is most specific.
@@ -58,7 +66,7 @@ def if_equals(r: AprilApproximation, s: AprilApproximation) -> IFResult:
 
 def if_inside(r: AprilApproximation, s: AprilApproximation) -> IFResult:
     """IFInside — MBR(r) inside MBR(s) (Fig. 4a candidates)."""
-    r.check_compatible(s)
+    check_compatible(r, s)
     if not r.c.overlaps(s.c):
         return _definite(T.DISJOINT)
     if r.c.inside(s.c):
@@ -93,7 +101,7 @@ def if_contains(r: AprilApproximation, s: AprilApproximation) -> IFResult:
 
 def if_intersects(r: AprilApproximation, s: AprilApproximation) -> IFResult:
     """IFIntersects — general MBR overlap (Fig. 4e candidates)."""
-    r.check_compatible(s)
+    check_compatible(r, s)
     if not r.c.overlaps(s.c):
         return _definite(T.DISJOINT)
     if r.c.overlaps(s.p) or r.p.overlaps(s.c):
@@ -112,7 +120,7 @@ def if_equals_disconnected(r: AprilApproximation, s: AprilApproximation) -> IFRe
     still impossible for *inside/contains* (openness argument, no
     connectivity needed), so those stay excluded.
     """
-    r.check_compatible(s)
+    check_compatible(r, s)
     if not r.c.overlaps(s.c):
         return _definite(T.DISJOINT)
     interiors_meet = r.c.overlaps(s.p) or r.p.overlaps(s.c)
@@ -227,7 +235,7 @@ class AprilIntersectionPipeline(Pipeline):
             return decided
         ra = r.require_april()
         sa = s.require_april()
-        ra.check_compatible(sa)
+        check_compatible(ra, sa)
         if not ra.c.overlaps(sa.c):
             return IFResult(definite=T.DISJOINT), Stage.INTERMEDIATE
         candidates = mbr_candidates_for(case, connected)

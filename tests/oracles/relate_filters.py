@@ -17,6 +17,7 @@ from repro.filters.relate_filters import RelateVerdict
 from repro.geometry.box import Box
 from repro.raster.april import AprilApproximation
 from repro.topology.de9im import TopologicalRelation as T
+from tests.oracles.find_filters import check_compatible
 
 
 def relate_filter(
@@ -43,7 +44,7 @@ def relate_filter(
 def _relate_equals(r_box: Box, s_box: Box, r: AprilApproximation, s: AprilApproximation, connected: bool = True) -> RelateVerdict:
     if r_box != s_box:
         return RelateVerdict.NO  # equal shapes have equal MBRs
-    r.check_compatible(s)
+    check_compatible(r, s)
     if not r.c.matches(s.c):
         return RelateVerdict.NO  # equal shapes raster identically
     if not r.p.matches(s.p):
@@ -67,7 +68,7 @@ def _relate_covered_by(r_box: Box, s_box: Box, r: AprilApproximation, s: AprilAp
 
 def _containment_core(r: AprilApproximation, s: AprilApproximation) -> RelateVerdict:
     """Shared Fig. 6 body for inside / covered by: is r ⊆ (int) s?"""
-    r.check_compatible(s)
+    check_compatible(r, s)
     if not r.c.inside(s.c):
         return RelateVerdict.NO  # r touches cells s does not: r ⊄ s
     if s.p and r.c.inside(s.p):
@@ -89,7 +90,7 @@ def _relate_meets(r_box: Box, s_box: Box, r: AprilApproximation, s: AprilApproxi
         return RelateVerdict.NO  # disjoint pairs do not meet
     if case is MBRRelationship.CROSS and connected:
         return RelateVerdict.NO  # crossing MBRs force interior overlap
-    r.check_compatible(s)
+    check_compatible(r, s)
     if not r.c.overlaps(s.c):
         return RelateVerdict.NO  # no shared cell: disjoint
     if r.c.overlaps(s.p) or r.p.overlaps(s.c):
@@ -104,7 +105,7 @@ def _relate_disjoint(r_box: Box, s_box: Box, r: AprilApproximation, s: AprilAppr
     if connected and case in (MBRRelationship.CROSS, MBRRelationship.EQUAL):
         # Crossing or identical MBRs force *connected* shapes to intersect.
         return RelateVerdict.NO
-    r.check_compatible(s)
+    check_compatible(r, s)
     if not r.c.overlaps(s.c):
         return RelateVerdict.YES
     if r.c.overlaps(s.p) or r.p.overlaps(s.c):

@@ -146,13 +146,19 @@ class StandInList:
         return self.facts(f"nonempty_{self.operand}")
 
 
+class StandInGrid:
+    """The one grid every stand-in is on."""
+
+    def compatible_with(self, other):
+        return True
+
+
 class StandInApril:
+    grid = StandInGrid()
+
     def __init__(self, side, facts):
         self.p = StandInList(side + "P", facts)
         self.c = StandInList(side + "C", facts)
-
-    def check_compatible(self, other):
-        pass
 
 
 class StandInFlag:

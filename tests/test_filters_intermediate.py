@@ -24,12 +24,13 @@ from repro.filters.intermediate import (
     leaves,
 )
 from repro.filters.mbr import MBRRelationship as M, classify_mbr_pair
-from repro.filters.pair_bits import PairBits, Side
+from repro.filters.pair_bits import PairBits
 from repro.filters.relate_filters import decide
 from repro.geometry import Box, Polygon
 from repro.join.objects import SpatialObject
 from repro.join.pipeline import PIPELINES
 from repro.raster import RasterGrid, build_april
+from repro.raster.april import AprilColumns
 from repro.topology import TopologicalRelation as T, most_specific_relation, relate
 from tests.oracles import find_filters as oracle
 
@@ -44,7 +45,9 @@ def tree_result(tree, r, s) -> IFResult:
     """The result the product's ``tree`` reaches on the approximations
     ``r`` and ``s`` (a flow reads no MBR bit, so the boxes are moot)."""
     box, one = Box(0, 0, 1, 1), np.zeros(1, dtype=np.int64)
-    bits = PairBits(Side([box], [True], [r]), Side([box], [True], [s]), one, one)
+    bits = PairBits(
+        AprilColumns.of([r], [box], [True]), AprilColumns.of([s], [box], [True]), one, one
+    )
     found = leaves(tree)
     return found[decide(tree, bits, 1, {leaf: k for k, leaf in enumerate(found)})[0]].result
 

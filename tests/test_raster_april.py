@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.filters.pair_bits import PairBits
 from repro.geometry import Box, Location, Polygon
 from repro.geometry.predicates import locate_point_in_polygon
 from repro.obs.metrics import get_registry, reset_metrics, set_metrics
@@ -19,6 +20,7 @@ from repro.raster import (
     build_april_many,
     rasterize_polygon,
 )
+from repro.raster.april import AprilColumns
 from repro.resilience import failpoints
 from repro.store import SpatialDataset
 
@@ -223,15 +225,16 @@ class TestAprilInvariants:
 
     def test_thin_polygon_empty_p(self):
         ap = build_april(Polygon([(0.1, 0.1), (9.9, 0.2), (9.9, 0.3)]), GRID)
-        assert not ap.has_full_cells
+        assert not ap.p
         assert ap.p.cell_count == 0
 
     def test_grid_compatibility_check(self):
         other = RasterGrid(Box(0, 0, 16, 16), order=5)
         a = build_april(Polygon.box(1, 1, 3, 3), GRID)
         b = build_april(Polygon.box(1, 1, 3, 3), other)
-        with pytest.raises(ValueError):
-            a.check_compatible(b)
+        bits = PairBits(AprilColumns.of([a]), AprilColumns.of([b]), np.zeros(1, int), np.zeros(1, int))
+        with pytest.raises(ValueError, match="different grids"):
+            bits.bit("overlap_rC_sC", np.arange(1))
 
     @given(
         st.integers(3, 12),

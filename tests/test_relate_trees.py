@@ -22,7 +22,7 @@ import pytest
 import repro.filters.pair_bits as pair_bits
 from repro.datasets.synthetic import generate_blobs, generate_buildings
 from repro.filters.mbr import MBRRelationship as M, classify_mbr_pair
-from repro.filters.pair_bits import BIT_NAMES, MBR_BITS, PairBits, Side
+from repro.filters.pair_bits import BIT_NAMES, MBR_BITS, PairBits
 from repro.filters.relate_filters import (
     CODES,
     TREES,
@@ -37,7 +37,7 @@ from repro.geometry import Box, MultiPolygon, Polygon
 from repro.join.mbr_join import plane_sweep_mbr_join
 from repro.join.objects import make_objects
 from repro.raster import RasterGrid, build_april
-from repro.raster.april import AprilApproximation
+from repro.raster.april import AprilApproximation, AprilColumns
 from repro.raster.intervals import IntervalList
 from repro.topology.de9im import TopologicalRelation as T
 from tests import symbolic
@@ -109,8 +109,8 @@ def test_mbr_bits_equal_the_box_predicates():
     no_lists = [None] * len(r_boxes)
     slots = np.arange(len(r_boxes))
     bits = PairBits(
-        Side(r_boxes, [True] * len(r_boxes), no_lists),
-        Side(s_boxes, [True] * len(s_boxes), no_lists),
+        AprilColumns.of(no_lists, r_boxes, [True] * len(r_boxes)),
+        AprilColumns.of(no_lists, s_boxes, [True] * len(s_boxes)),
         slots, slots,
     )
     cases = [classify_mbr_pair(r, s) for r, s in zip(r_boxes, s_boxes)]
@@ -145,12 +145,13 @@ def test_list_bits_equal_the_interval_relations(monkeypatch, budget):
         aprils = [
             AprilApproximation(grid, _interval_list(rng), _interval_list(rng)) for _ in range(n)
         ]
-        return Side([box] * n, [True] * n, aprils), aprils
+        return AprilColumns.of(aprils, [box] * n, [True] * n), aprils
 
     (r, r_aprils), (s, s_aprils) = side(40), side(30)
     r_slot, s_slot = rng.integers(0, 40, 1200), rng.integers(0, 30, 1200)
     # Identical lists, so that ``match`` also holds now and then.
     s_aprils[0] = r_aprils[0]
+    s = AprilColumns.of(s_aprils, [box] * 30, [True] * 30)
     r_slot[:50], s_slot[:50] = 0, 0
     bits = PairBits(r, s, r_slot, s_slot)
     rows = np.arange(r_slot.size)
